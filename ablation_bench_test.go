@@ -19,7 +19,6 @@ import (
 	"dirigent/internal/controlplane"
 	"dirigent/internal/core"
 	"dirigent/internal/cpclient"
-	"dirigent/internal/dataplane"
 	"dirigent/internal/experiments"
 	"dirigent/internal/loadbalancer"
 	"dirigent/internal/placement"
@@ -176,8 +175,10 @@ func benchCPSandboxTransitions(b *testing.B, shards int, policy wal.FsyncPolicy,
 		if _, err := tr.Call(ctx, "cp-bench", proto.MethodRegisterFunction, core.MarshalFunction(&fn)); err != nil {
 			b.Fatal(err)
 		}
-		ev := proto.SandboxEvent{SandboxID: core.SandboxID(i + 1), Function: name, Node: 1, Addr: "10.0.0.1:9000"}
-		payloads[i] = ev.Marshal()
+		batch := proto.SandboxEventBatch{Events: []proto.SandboxEvent{
+			{SandboxID: core.SandboxID(i + 1), Function: name, Node: 1, Addr: "10.0.0.1:9000"},
+		}}
+		payloads[i] = batch.Marshal()
 	}
 	var next atomic.Uint64
 	// Oversubscribe goroutines so transitions overlap even on few-core
@@ -187,7 +188,7 @@ func benchCPSandboxTransitions(b *testing.B, shards int, policy wal.FsyncPolicy,
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			p := payloads[next.Add(1)%uint64(numFns)]
-			if _, err := tr.Call(ctx, "cp-bench", proto.MethodSandboxReady, p); err != nil {
+			if _, err := tr.Call(ctx, "cp-bench", proto.MethodSandboxReadyBatch, p); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -384,174 +385,6 @@ func BenchmarkAblationWorkerRegistry(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(m.Counter("reg_lock_contended").Value()-contBase)/float64(b.N), "contended_per_op")
 			b.ReportMetric(float64(m.Counter("worker_failures_detected").Value()-failBase)/float64(b.N), "fails_per_op")
-		})
-	}
-}
-
-// --- Data plane invoke path: per-function runtimes vs global lock ---
-
-// benchDPInvoke measures multi-function warm-start throughput through
-// the full RPC path (client → data plane → pick → throttle → proxy →
-// worker and back). InvokeShards=1 reproduces the seed's single data
-// plane mutex with a candidate slice built per pick; the default
-// configuration resolves functions through the sharded registry and
-// picks lock-free from copy-on-write endpoint snapshots.
-func benchDPInvoke(b *testing.B, shards, numFns int) {
-	b.Helper()
-	tr := transport.NewInProc()
-	if _, err := tr.Listen("cp-dp-bench", func(string, []byte) ([]byte, error) { return nil, nil }); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := tr.Listen("w-dp-bench:9000", func(_ string, p []byte) ([]byte, error) { return p, nil }); err != nil {
-		b.Fatal(err)
-	}
-	dp := dataplane.New(dataplane.Config{
-		ID:            1,
-		Addr:          "dp-bench:8000",
-		Transport:     tr,
-		ControlPlanes: []string{"cp-dp-bench"},
-		InvokeShards:  shards,
-		// Park the metric loop: the benchmark measures the invoke path.
-		MetricInterval: time.Hour,
-		QueueTimeout:   10 * time.Second,
-	})
-	if err := dp.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer dp.Stop()
-	ctx := context.Background()
-	scaling := core.DefaultScalingConfig()
-	scaling.TargetConcurrency = 256 // warm slots never saturate
-	list := proto.FunctionList{}
-	for i := 0; i < numFns; i++ {
-		list.Functions = append(list.Functions, core.Function{
-			Name: fmt.Sprintf("dp-bench-fn-%d", i), Image: "img", Port: 80, Scaling: scaling,
-		})
-	}
-	if _, err := tr.Call(ctx, "dp-bench:8000", proto.MethodAddFunction, list.Marshal()); err != nil {
-		b.Fatal(err)
-	}
-	payloads := make([][]byte, numFns)
-	for i := 0; i < numFns; i++ {
-		name := list.Functions[i].Name
-		update := proto.EndpointUpdate{Function: name}
-		for e := 0; e < 4; e++ {
-			update.Endpoints = append(update.Endpoints, proto.SandboxInfo{
-				ID: core.SandboxID(i*4 + e + 1), Function: name, Node: 1,
-				Addr: "w-dp-bench:9000", State: core.SandboxReady,
-			})
-		}
-		if _, err := tr.Call(ctx, "dp-bench:8000", proto.MethodUpdateEndpoints, update.Marshal()); err != nil {
-			b.Fatal(err)
-		}
-		req := proto.InvokeRequest{Function: name, Payload: []byte("x")}
-		payloads[i] = req.Marshal()
-	}
-	var next atomic.Uint64
-	var callErr atomic.Pointer[error]
-	// Oversubscribe goroutines so invocations overlap even on few-core
-	// machines; each in-flight request models one warm start.
-	b.SetParallelism(8)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			p := payloads[next.Add(1)%uint64(numFns)]
-			if _, err := tr.Call(ctx, "dp-bench:8000", proto.MethodInvoke, p); err != nil {
-				// Fatal must not be called from RunParallel workers;
-				// surface the error after the barrier.
-				callErr.Store(&err)
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	if errp := callErr.Load(); errp != nil {
-		b.Fatal(*errp)
-	}
-	b.ReportMetric(float64(dp.Metrics().Counter("invoke_lock_contended").Value())/float64(b.N), "contended_per_op")
-}
-
-// BenchmarkAblationDPInvokeSharding isolates the data plane's lock
-// architecture: parallel warm invokes across 1/8/64 functions against
-// the seed's global invoke lock vs per-function runtimes with lock-free
-// endpoint snapshots. Pair with BenchmarkAblationDPInvokeWarmPick (in
-// internal/dataplane) for the -benchmem proof that the snapshot pick
-// path is allocation-free.
-func BenchmarkAblationDPInvokeSharding(b *testing.B) {
-	for _, cfg := range []struct {
-		name   string
-		shards int
-	}{
-		{"global", 1},
-		{"sharded", 0}, // default 32 registry stripes
-	} {
-		for _, fns := range []int{1, 8, 64} {
-			b.Run(fmt.Sprintf("%s/fns-%d", cfg.name, fns), func(b *testing.B) {
-				benchDPInvoke(b, cfg.shards, fns)
-			})
-		}
-	}
-}
-
-// --- Cold-start pipeline: batched creates + pre-warm pool vs seed ---
-
-// BenchmarkAblationColdStartBatching measures a burst of N cold starts
-// across W live workers from one autoscale sweep to every replica ready,
-// under the three cold-start pipeline configurations:
-//
-//   - seed: CreateBatch=1 reproduces the seed path — one CreateSandbox
-//     RPC per sandbox, one SandboxReady RPC and one per-function endpoint
-//     broadcast per readiness event;
-//   - batched: one CreateSandboxBatch RPC per worker per sweep, worker
-//     readiness coalesced into SandboxReadyBatch reports, endpoint
-//     updates coalesced into one diff RPC per data plane;
-//   - batched+prewarm: batched, plus a per-worker pool of initialized
-//     sandboxes that cold starts claim instead of creating from scratch.
-//
-// ms_to_all_ready is the headline: wall time from the sweep to the last
-// replica ready. create_batch_p50 confirms the ablation (1 in seed mode).
-func BenchmarkAblationColdStartBatching(b *testing.B) {
-	const (
-		workers = 4
-		burst   = 64
-	)
-	for _, cfg := range []struct {
-		name        string
-		createBatch int
-		prewarm     int
-	}{
-		{"seed", 1, 0},
-		{"batched", 0, 0},
-		{"batched-prewarm", 0, burst/workers + 2},
-	} {
-		b.Run(fmt.Sprintf("%s/burst-%d", cfg.name, burst), func(b *testing.B) {
-			h, err := experiments.NewColdStartHarness(experiments.ColdStartConfig{
-				Workers:      workers,
-				Burst:        burst,
-				CreateBatch:  cfg.createBatch,
-				Prewarm:      cfg.prewarm,
-				LatencyScale: 0.02,
-				Seed:         1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer h.Close()
-			var total time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				elapsed, err := h.RunBurst()
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += elapsed
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(total)/float64(b.N)/float64(time.Millisecond), "ms_to_all_ready")
-			b.ReportMetric(h.CP().Metrics().Histogram("create_batch_size").Percentile(50), "create_batch_p50")
-			if cfg.prewarm > 0 {
-				b.ReportMetric(float64(h.PrewarmHits())/float64(b.N), "prewarm_hits_per_burst")
-			}
 		})
 	}
 }

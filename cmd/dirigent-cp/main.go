@@ -33,8 +33,6 @@ func main() {
 		"fsync policy: group (coalesce concurrent writes into one fsync), always (Redis appendfsync=always, the paper's baseline), never")
 	shards := flag.Int("state-shards", 0, "locks striping the function state map (0 = default 32, 1 = single global lock ablation)")
 	workerShards := flag.Int("worker-shards", 0, "locks striping the worker registry (0 = default 32, 1 = single registry lock ablation)")
-	createBatch := flag.Int("create-batch", 0,
-		"max sandbox creations per per-worker batch RPC (0 = default 256, 1 = seed ablation: per-sandbox creates and per-function endpoint broadcasts)")
 	autoscale := flag.Duration("autoscale-interval", 2*time.Second, "autoscaling loop period")
 	hbTimeout := flag.Duration("heartbeat-timeout", 2*time.Second, "worker heartbeat timeout")
 	dpTimeout := flag.Duration("dataplane-timeout", 0, "data plane heartbeat timeout before the replica is pruned from the fan-out set (0 = 3x heartbeat-timeout)")
@@ -99,7 +97,6 @@ func main() {
 		Transport:           transport.NewTCP(),
 		StateShards:         *shards,
 		WorkerShards:        *workerShards,
-		CreateBatch:         *createBatch,
 		AutoscaleInterval:   *autoscale,
 		HeartbeatTimeout:    *hbTimeout,
 		DataPlaneTimeout:    *dpTimeout,

@@ -113,7 +113,7 @@ func TestConcurrentBatchedScalePath(t *testing.T) {
 			call(proto.MethodRegisterFunction, core.MarshalFunction(&fn))
 		}
 	})
-	// Batched readiness reports racing the singleton path.
+	// Multi-event readiness reports racing the batches of one.
 	run(func(i int) {
 		batch := proto.SandboxEventBatch{}
 		for e := 0; e < 4; e++ {
@@ -155,74 +155,5 @@ func TestConcurrentBatchedScalePath(t *testing.T) {
 		if _, ok := db.HGet(hashFunctions, fnName(i)); !ok {
 			t.Errorf("function %s lost from persistent store", fnName(i))
 		}
-	}
-}
-
-// TestCreateBatchAblationSeedParity locks in the CreateBatch=1 ablation:
-// the control plane must issue one CreateSandbox RPC per sandbox and
-// zero batch RPCs, reproducing the seed pipeline exactly.
-func TestCreateBatchAblationSeedParity(t *testing.T) {
-	for _, tc := range []struct {
-		name        string
-		createBatch int
-		wantBatches bool
-	}{
-		{"seed-batch-1", 1, false},
-		{"batched-default", 0, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tr := transport.NewInProc()
-			cp := New(Config{
-				Addr:              "cpp0",
-				Transport:         tr,
-				DB:                store.NewMemory(),
-				AutoscaleInterval: time.Hour,
-				HeartbeatTimeout:  time.Hour,
-				CreateBatch:       tc.createBatch,
-			})
-			if err := cp.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer cp.Stop()
-			w := startFakeWorker(t, tr, "cpp0", 1, "10.2.0.1:9000", true)
-			ctx := context.Background()
-			req := proto.RegisterWorkerRequest{Worker: core.WorkerNode{
-				ID: 1, Name: "pw1", IP: "10.2.0.1", Port: 9000, CPUMilli: 1 << 20, MemoryMB: 1 << 20,
-			}}
-			if _, err := tr.Call(ctx, "cpp0", proto.MethodRegisterWorker, req.Marshal()); err != nil {
-				t.Fatal(err)
-			}
-			fn := fnSpec("parity")
-			fn.Scaling.MinScale = 8
-			if _, err := tr.Call(ctx, "cpp0", proto.MethodRegisterFunction, core.MarshalFunction(&fn)); err != nil {
-				t.Fatal(err)
-			}
-			cp.Reconcile()
-			deadline := time.Now().Add(5 * time.Second)
-			for time.Now().Before(deadline) {
-				if ready, _ := cp.FunctionScale("parity"); ready >= 8 {
-					break
-				}
-				time.Sleep(time.Millisecond)
-			}
-			if ready, _ := cp.FunctionScale("parity"); ready < 8 {
-				t.Fatalf("ready = %d, want 8", ready)
-			}
-			w.mu.Lock()
-			singles, batches := w.singleRPCs, w.batchRPCs
-			w.mu.Unlock()
-			if tc.wantBatches {
-				if batches == 0 {
-					t.Errorf("default config sent no batch RPCs (singles=%d)", singles)
-				}
-			} else {
-				if batches != 0 || singles != 8 {
-					t.Errorf("seed ablation sent %d singles + %d batches, want 8 + 0", singles, batches)
-				}
-				if p := cp.Metrics().Histogram("create_batch_size").Max(); p > 1 {
-					t.Errorf("create_batch_size max = %.0f in seed mode, want 1", p)
-				}
-			}
-		})
 	}
 }

@@ -93,13 +93,6 @@ type Config struct {
 	// registry lock and exists for the fleet-scale ablation
 	// (`dirigent-cp -worker-shards 1`).
 	WorkerShards int
-	// CreateBatch caps how many sandbox creations one autoscale sweep
-	// packs into a single CreateSandboxBatch RPC per worker. 0 selects
-	// the default (256). 1 is the cold-start batching ablation: it
-	// restores the seed's pipeline — one CreateSandbox RPC per sandbox
-	// and one UpdateEndpoints RPC per changed function per data plane —
-	// instead of batched creates and coalesced endpoint diffs.
-	CreateBatch int
 	// AutoscaleInterval is the period of the asynchronous autoscaling
 	// loop (Knative ticks every 2 s; tests compress this).
 	AutoscaleInterval time.Duration
@@ -205,9 +198,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WorkerShards <= 0 {
 		c.WorkerShards = defaultWorkerShards
-	}
-	if c.CreateBatch <= 0 {
-		c.CreateBatch = defaultCreateBatch
 	}
 	if c.AutoscaleInterval == 0 {
 		c.AutoscaleInterval = 2 * time.Second
@@ -734,8 +724,6 @@ func (cp *ControlPlane) handleRPC(method string, payload []byte) ([]byte, error)
 		return cp.handleListFunctions()
 	case proto.MethodScalingMetric:
 		return cp.handleScalingMetric(payload)
-	case proto.MethodSandboxReady:
-		return cp.handleSandboxReady(payload)
 	case proto.MethodSandboxReadyBatch:
 		return cp.handleSandboxReadyBatch(payload)
 	case proto.MethodSandboxCrashed:
@@ -891,8 +879,7 @@ func (cp *ControlPlane) handleRegisterDataPlane(payload []byte) ([]byte, error) 
 	// epoch that out-fences them, before re-warming its caches.
 	epoch := cp.reviveAsyncOwner(p.ID)
 	// Warm the new data plane's caches: functions, then endpoints —
-	// every function's endpoint set in one coalesced RPC (per-function
-	// RPCs in the CreateBatch=1 ablation).
+	// every function's endpoint set in one coalesced RPC.
 	cp.warmDataPlane(dataPlaneAddr(&p))
 	ack := proto.DataPlaneEpochAck{Epoch: epoch}
 	return ack.Marshal(), nil
@@ -942,35 +929,32 @@ func (cp *ControlPlane) handleScalingMetric(payload []byte) ([]byte, error) {
 	return nil, nil
 }
 
-func (cp *ControlPlane) handleSandboxReady(payload []byte) ([]byte, error) {
-	ev, err := proto.UnmarshalSandboxEvent(payload)
-	if err != nil {
-		return nil, err
-	}
-	if !cp.applySandboxReady(ev) {
-		return nil, fmt.Errorf("sandbox ready for unknown function %q", ev.Function)
-	}
-	cp.broadcastEndpoints(ev.Function)
-	return nil, nil
-}
-
 // handleSandboxReadyBatch absorbs a worker's coalesced readiness report:
 // every transition is applied, then all touched functions share one
 // endpoint fan-out instead of broadcasting once per sandbox — the
 // broadcast work for an N-sandbox burst drops from N full endpoint lists
 // per function to one.
+//
+// A sandbox that turns up ready for a function no longer registered was
+// still being created when the deregistration's kill reached its worker,
+// which found nothing to kill. Nobody else tracks it, so it is torn down
+// here or it holds its worker's resources forever.
 func (cp *ControlPlane) handleSandboxReadyBatch(payload []byte) ([]byte, error) {
 	batch, err := proto.UnmarshalSandboxEventBatch(payload)
 	if err != nil {
 		return nil, err
 	}
 	touched := make(map[string]bool, len(batch.Events))
+	var orphans []*sandboxState
 	for i := range batch.Events {
 		ev := &batch.Events[i]
 		if cp.applySandboxReady(ev) {
 			touched[ev.Function] = true
+		} else {
+			orphans = append(orphans, &sandboxState{id: ev.SandboxID, workerAddr: ev.Addr})
 		}
 	}
+	cp.dispatchKills(orphans)
 	cp.broadcastEndpointsBatch(sortedKeys(touched))
 	return nil, nil
 }

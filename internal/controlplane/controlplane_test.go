@@ -21,11 +21,8 @@ type fakeWorker struct {
 	created []proto.CreateSandboxRequest
 	killed  []core.SandboxID
 	list    []proto.SandboxInfo
-	// singleRPCs / batchRPCs count create instructions by arrival shape,
-	// for the batching-ablation parity assertions; the kill counters do
-	// the same for the teardown path.
-	singleRPCs, batchRPCs         int
-	singleKillRPCs, batchKillRPCs int
+	// batchRPCs / batchKillRPCs count the create and kill RPCs received.
+	batchRPCs, batchKillRPCs int
 	// autoReady makes the worker report SandboxReady for each creation.
 	autoReady bool
 	node      core.NodeID
@@ -39,16 +36,6 @@ func startFakeWorker(t *testing.T, tr *transport.InProc, cpAddr string, node cor
 	w := &fakeWorker{node: node, addr: addr, tr: tr, cpAddr: cpAddr, autoReady: autoReady}
 	ln, err := tr.Listen(addr, func(method string, payload []byte) ([]byte, error) {
 		switch method {
-		case proto.MethodCreateSandbox:
-			req, err := proto.UnmarshalCreateSandboxRequest(payload)
-			if err != nil {
-				return nil, err
-			}
-			w.mu.Lock()
-			w.singleRPCs++
-			w.mu.Unlock()
-			w.accept(*req)
-			return nil, nil
 		case proto.MethodCreateSandboxBatch:
 			batch, err := proto.UnmarshalCreateSandboxBatch(payload)
 			if err != nil {
@@ -60,16 +47,6 @@ func startFakeWorker(t *testing.T, tr *transport.InProc, cpAddr string, node cor
 			for _, req := range batch.Creates {
 				w.accept(req)
 			}
-			return nil, nil
-		case proto.MethodKillSandbox:
-			var id uint64
-			for i := 0; i < 8 && i < len(payload); i++ {
-				id |= uint64(payload[i]) << (8 * i)
-			}
-			w.mu.Lock()
-			w.killed = append(w.killed, core.SandboxID(id))
-			w.singleKillRPCs++
-			w.mu.Unlock()
 			return nil, nil
 		case proto.MethodKillSandboxBatch:
 			batch, err := proto.UnmarshalKillSandboxBatch(payload)
@@ -96,8 +73,7 @@ func startFakeWorker(t *testing.T, tr *transport.InProc, cpAddr string, node cor
 	return w
 }
 
-// accept records one create instruction (singleton or batch member) and
-// reports readiness when the fake is in auto-ready mode.
+// accept records one create instruction and reports readiness when the fake is in auto-ready mode.
 func (w *fakeWorker) accept(req proto.CreateSandboxRequest) {
 	w.mu.Lock()
 	w.created = append(w.created, req)
@@ -131,13 +107,19 @@ func (w *fakeWorker) heartbeat(t *testing.T, every time.Duration) {
 }
 
 func (w *fakeWorker) reportReady(id core.SandboxID, fn string) {
-	ev := proto.SandboxEvent{SandboxID: id, Function: fn, Node: w.node, Addr: w.addr}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	w.tr.Call(ctx, w.cpAddr, proto.MethodSandboxReady, ev.Marshal())
+	w.tr.Call(ctx, w.cpAddr, proto.MethodSandboxReadyBatch, readyOf(proto.SandboxEvent{SandboxID: id, Function: fn, Node: w.node, Addr: w.addr}))
 	w.mu.Lock()
 	w.list = append(w.list, proto.SandboxInfo{ID: id, Function: fn, Node: w.node, Addr: w.addr, State: core.SandboxReady})
 	w.mu.Unlock()
+}
+
+// readyOf wraps one readiness event as the batch of one the control plane
+// accepts.
+func readyOf(ev proto.SandboxEvent) []byte {
+	batch := proto.SandboxEventBatch{Events: []proto.SandboxEvent{ev}}
+	return batch.Marshal()
 }
 
 // fakeDP records endpoint updates and function pushes, discarding stale
@@ -169,12 +151,6 @@ func startFakeDP(t *testing.T, tr *transport.InProc, addr string) *fakeDP {
 			for _, f := range list.Functions {
 				dp.functions[f.Name] = true
 			}
-		case proto.MethodUpdateEndpoints:
-			up, err := proto.UnmarshalEndpointUpdate(payload)
-			if err != nil {
-				return nil, err
-			}
-			dp.applyLocked(up)
 		case proto.MethodUpdateEndpointsBatch:
 			batch, err := proto.UnmarshalEndpointUpdateBatch(payload)
 			if err != nil {

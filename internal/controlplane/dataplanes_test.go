@@ -202,95 +202,64 @@ func TestListDataPlanesSortedLiveSet(t *testing.T) {
 	}
 }
 
-// TestKillBatchAblationSeedParity mirrors TestCreateBatchAblationSeedParity
-// on the teardown path: the seed ablation (-create-batch 1) tears down
-// one sandbox per KillSandbox RPC, while the default packs a worker's
-// teardowns into one KillSandboxBatch RPC per sweep.
-func TestKillBatchAblationSeedParity(t *testing.T) {
-	for _, tc := range []struct {
-		name        string
-		createBatch int
-		wantBatches bool
-	}{
-		{"seed-batch-1", 1, false},
-		{"batched-default", 0, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tr := transport.NewInProc()
-			cp := New(Config{
-				Addr:              "cp0",
-				Transport:         tr,
-				DB:                store.NewMemory(),
-				AutoscaleInterval: time.Hour,
-				HeartbeatTimeout:  time.Hour,
-				CreateBatch:       tc.createBatch,
-			})
-			if err := cp.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer cp.Stop()
-			w := startFakeWorker(t, tr, "cp0", 1, "10.3.0.1:9000", true)
-			ctx := context.Background()
-			req := proto.RegisterWorkerRequest{Worker: core.WorkerNode{
-				ID: 1, Name: "kw1", IP: "10.3.0.1", Port: 9000, CPUMilli: 1 << 20, MemoryMB: 1 << 20,
-			}}
-			if _, err := tr.Call(ctx, "cp0", proto.MethodRegisterWorker, req.Marshal()); err != nil {
-				t.Fatal(err)
-			}
-			const scale = 8
-			fn := fnSpec("killparity")
-			fn.Scaling.MinScale = scale
-			if _, err := tr.Call(ctx, "cp0", proto.MethodRegisterFunction, core.MarshalFunction(&fn)); err != nil {
-				t.Fatal(err)
-			}
-			cp.Reconcile()
-			deadline := time.Now().Add(5 * time.Second)
-			for time.Now().Before(deadline) {
-				if ready, _ := cp.FunctionScale("killparity"); ready >= scale {
-					break
-				}
-				time.Sleep(time.Millisecond)
-			}
-			if ready, _ := cp.FunctionScale("killparity"); ready < scale {
-				t.Fatalf("ready = %d, want %d", ready, scale)
-			}
+// TestSweepSendsOneBatchPerWorker pins the batching itself: the eight
+// creations one sweep places on a worker travel in one CreateSandboxBatch
+// RPC, and the eight teardowns of a deregistration in one
+// KillSandboxBatch RPC.
+func TestSweepSendsOneBatchPerWorker(t *testing.T) {
+	tr := transport.NewInProc()
+	cp := New(Config{
+		Addr:              "cp0",
+		Transport:         tr,
+		DB:                store.NewMemory(),
+		AutoscaleInterval: time.Hour,
+		HeartbeatTimeout:  time.Hour,
+	})
+	if err := cp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Stop()
+	w := startFakeWorker(t, tr, "cp0", 1, "10.3.0.1:9000", true)
+	ctx := context.Background()
+	req := proto.RegisterWorkerRequest{Worker: core.WorkerNode{
+		ID: 1, Name: "kw1", IP: "10.3.0.1", Port: 9000, CPUMilli: 1 << 20, MemoryMB: 1 << 20,
+	}}
+	if _, err := tr.Call(ctx, "cp0", proto.MethodRegisterWorker, req.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	const scale = 8
+	fn := fnSpec("batched")
+	fn.Scaling.MinScale = scale
+	if _, err := tr.Call(ctx, "cp0", proto.MethodRegisterFunction, core.MarshalFunction(&fn)); err != nil {
+		t.Fatal(err)
+	}
+	cp.Reconcile()
+	deadline := time.Now().Add(5 * time.Second)
+	for ready := 0; ready < scale; ready, _ = cp.FunctionScale("batched") {
+		if time.Now().After(deadline) {
+			t.Fatalf("ready = %d, want %d", ready, scale)
+		}
+		time.Sleep(time.Millisecond)
+	}
 
-			// Deregistration tears every sandbox down through the same
-			// dispatch path the autoscaler's scale-down uses.
-			if _, err := tr.Call(ctx, "cp0", proto.MethodDeregisterFunction, core.MarshalFunction(&fn)); err != nil {
-				t.Fatal(err)
-			}
-			deadline = time.Now().Add(5 * time.Second)
-			for time.Now().Before(deadline) {
-				w.mu.Lock()
-				kills := len(w.killed)
-				w.mu.Unlock()
-				if kills >= scale {
-					break
-				}
-				time.Sleep(time.Millisecond)
-			}
-			w.mu.Lock()
-			kills, singles, batches := len(w.killed), w.singleKillRPCs, w.batchKillRPCs
-			w.mu.Unlock()
-			if kills != scale {
-				t.Fatalf("worker saw %d kills, want %d", kills, scale)
-			}
-			if tc.wantBatches {
-				if batches == 0 || singles != 0 {
-					t.Errorf("default config sent %d singles + %d batch kill RPCs, want 0 + >=1", singles, batches)
-				}
-				if p := cp.Metrics().Histogram("kill_batch_size").Max(); p < scale {
-					t.Errorf("kill_batch_size max = %.0f, want %d", p, scale)
-				}
-			} else {
-				if batches != 0 || singles != scale {
-					t.Errorf("seed ablation sent %d singles + %d batches, want %d + 0", singles, batches, scale)
-				}
-			}
-			if n := cp.Metrics().Counter("sandbox_teardowns").Value(); n != scale {
-				t.Errorf("sandbox_teardowns = %d, want %d", n, scale)
-			}
-		})
+	// Deregistration tears every sandbox down through the same dispatch
+	// path the autoscaler's scale-down uses.
+	if _, err := tr.Call(ctx, "cp0", proto.MethodDeregisterFunction, core.MarshalFunction(&fn)); err != nil {
+		t.Fatal(err)
+	}
+	var kills, creates, killRPCs int
+	for deadline = time.Now().Add(5 * time.Second); kills < scale && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		w.mu.Lock()
+		kills, creates, killRPCs = len(w.killed), w.batchRPCs, w.batchKillRPCs
+		w.mu.Unlock()
+	}
+	if kills != scale || creates != 1 || killRPCs != 1 {
+		t.Errorf("worker saw %d kills in %d RPCs after %d create RPCs, want %d in 1 after 1", kills, killRPCs, creates, scale)
+	}
+	if p := cp.Metrics().Histogram("kill_batch_size").Max(); p != scale {
+		t.Errorf("kill_batch_size max = %.0f, want %d", p, scale)
+	}
+	if n := cp.Metrics().Counter("sandbox_teardowns").Value(); n != scale {
+		t.Errorf("sandbox_teardowns = %d, want %d", n, scale)
 	}
 }

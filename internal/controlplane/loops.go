@@ -10,14 +10,13 @@ import (
 	"dirigent/internal/placement"
 	"dirigent/internal/proto"
 	"dirigent/internal/telemetry"
-	"dirigent/internal/worker"
 )
 
-// defaultCreateBatch caps how many creations one sweep packs into a
-// single per-worker RPC. Large enough that realistic bursts (the paper
-// drives ~2500 cold starts/s against ~100 workers) fit in one RPC per
-// worker per sweep; small enough to bound message size.
-const defaultCreateBatch = 256
+// maxBatch caps how many creations, teardowns or endpoint updates one
+// RPC carries. Large enough that realistic bursts (the paper drives ~2500
+// cold starts/s against ~100 workers) fit in one RPC per worker per
+// sweep; small enough to bound message size.
+const maxBatch = 256
 
 // autoscaleLoop is the asynchronous loop that reconciles the number of
 // sandboxes per function with the autoscaler's desired scale, issuing
@@ -51,7 +50,6 @@ func (cp *ControlPlane) autoscaleLoop() {
 // staged first, then fanned out as one CreateSandboxBatch RPC per worker
 // (concurrently across workers), and every function whose endpoint set
 // changed shares one coalesced UpdateEndpointsBatch RPC per data plane.
-// CreateBatch=1 restores the seed's per-sandbox/per-function RPCs.
 func (cp *ControlPlane) Reconcile() {
 	now := cp.clk.Now()
 	type action struct {
@@ -204,19 +202,12 @@ func (cp *ControlPlane) placeSandbox(fn core.Function) *stagedCreate {
 }
 
 // dispatchCreates fans the sweep's staged creations out to their workers:
-// one CreateSandboxBatch RPC per worker (chunked at cfg.CreateBatch),
-// all workers in parallel. With CreateBatch=1 it degenerates to the
-// seed's one-RPC-per-sandbox pipeline for the ablation. sweepStart is
-// when the autoscale pass began; the gap to RPC dispatch is the control
-// plane's scheduling latency contribution (cold_start_sched_ms).
+// one CreateSandboxBatch RPC per worker (chunked at maxBatch), all
+// workers in parallel. sweepStart is when the autoscale pass began; the
+// gap to RPC dispatch is the control plane's scheduling latency
+// contribution (cold_start_sched_ms).
 func (cp *ControlPlane) dispatchCreates(staged []*stagedCreate, sweepStart time.Time) {
 	if len(staged) == 0 {
-		return
-	}
-	if cp.cfg.CreateBatch == 1 {
-		for _, sc := range staged {
-			cp.sendCreate(sc, sweepStart)
-		}
 		return
 	}
 	byWorker := make(map[string][]*stagedCreate)
@@ -226,8 +217,8 @@ func (cp *ControlPlane) dispatchCreates(staged []*stagedCreate, sweepStart time.
 	for addr, batch := range byWorker {
 		for len(batch) > 0 {
 			chunk := batch
-			if len(chunk) > cp.cfg.CreateBatch {
-				chunk = chunk[:cp.cfg.CreateBatch]
+			if len(chunk) > maxBatch {
+				chunk = chunk[:maxBatch]
 			}
 			batch = batch[len(chunk):]
 			cp.sendCreateBatch(addr, chunk, sweepStart)
@@ -265,62 +256,12 @@ func (cp *ControlPlane) sendCreateBatch(addr string, chunk []*stagedCreate, swee
 	}()
 }
 
-// sendCreate issues one seed-style per-sandbox create RPC asynchronously.
-func (cp *ControlPlane) sendCreate(sc *stagedCreate, sweepStart time.Time) {
-	createReq := proto.CreateSandboxRequest{SandboxID: sc.id, Function: sc.fn}
-	payload := createReq.Marshal()
-	cp.mCreateBatch.ObserveMs(1)
-	cp.mSchedLatency.Observe(cp.clk.Since(sweepStart))
-	cp.wg.Add(1)
-	go func() {
-		defer cp.wg.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if _, err := cp.cfg.Transport.Call(ctx, sc.addr, proto.MethodCreateSandbox, payload); err != nil {
-			cp.withFunction(sc.fn.Name, func(fs *functionState) {
-				delete(fs.sandboxes, sc.id)
-			})
-			cp.metrics.Counter("sandbox_create_rpc_errors").Inc()
-		}
-	}()
-}
-
-// killSandbox asks the worker to tear down one sandbox with a seed-style
-// singleton RPC — the CreateBatch=1 ablation path, and the shape for
-// teardowns that arrive alone. It records a size-1 kill_batch_size
-// observation so the ablation's teardown telemetry mirrors the create
-// path's (sendCreate observes create_batch_size 1 the same way).
-func (cp *ControlPlane) killSandbox(sb *sandboxState) {
-	cp.mKillBatch.ObserveMs(1)
-	cp.metrics.Counter("sandbox_teardowns").Inc()
-	if cp.cfg.PersistSandboxState {
-		_ = cp.cfg.DB.HDel(hashSandboxes, fmt.Sprintf("%d", sb.id))
-	}
-	addr := sb.workerAddr
-	payload := worker.EncodeSandboxID(sb.id)
-	cp.wg.Add(1)
-	go func() {
-		defer cp.wg.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_, _ = cp.cfg.Transport.Call(ctx, addr, proto.MethodKillSandbox, payload)
-	}()
-}
-
-// dispatchKills fans a sweep's teardown decisions out to their workers:
-// one KillSandboxBatch RPC per worker (chunked at cfg.CreateBatch, like
-// the create path), all workers in parallel — the downscale mirror of
-// dispatchCreates. With CreateBatch=1 it degenerates to the seed's
-// one-RPC-per-sandbox teardown for the ablation. A singleton teardown
-// keeps the seed RPC shape in every configuration.
+// dispatchKills fans teardown decisions out to their workers: one
+// KillSandboxBatch RPC per worker (chunked at maxBatch, like the create
+// path), all workers in parallel — the downscale mirror of
+// dispatchCreates.
 func (cp *ControlPlane) dispatchKills(kills []*sandboxState) {
 	if len(kills) == 0 {
-		return
-	}
-	if cp.cfg.CreateBatch == 1 {
-		for _, sb := range kills {
-			cp.killSandbox(sb)
-		}
 		return
 	}
 	byWorker := make(map[string][]core.SandboxID)
@@ -334,8 +275,8 @@ func (cp *ControlPlane) dispatchKills(kills []*sandboxState) {
 	for addr, ids := range byWorker {
 		for len(ids) > 0 {
 			chunk := ids
-			if len(chunk) > cp.cfg.CreateBatch {
-				chunk = chunk[:cp.cfg.CreateBatch]
+			if len(chunk) > maxBatch {
+				chunk = chunk[:maxBatch]
 			}
 			ids = ids[len(chunk):]
 			cp.sendKillBatch(addr, chunk)
@@ -343,25 +284,17 @@ func (cp *ControlPlane) dispatchKills(kills []*sandboxState) {
 	}
 }
 
-// sendKillBatch issues one batched teardown RPC asynchronously. A
-// single-sandbox chunk keeps the seed's singleton RPC shape so an
-// isolated teardown is indistinguishable from the seed pipeline.
+// sendKillBatch issues one batched teardown RPC asynchronously.
 func (cp *ControlPlane) sendKillBatch(addr string, ids []core.SandboxID) {
 	cp.mKillBatch.ObserveMs(float64(len(ids)))
-	var method string
-	var payload []byte
-	if len(ids) == 1 {
-		method, payload = proto.MethodKillSandbox, worker.EncodeSandboxID(ids[0])
-	} else {
-		batch := proto.KillSandboxBatch{IDs: ids}
-		method, payload = proto.MethodKillSandboxBatch, batch.Marshal()
-	}
+	batch := proto.KillSandboxBatch{IDs: ids}
+	payload := batch.Marshal()
 	cp.wg.Add(1)
 	go func() {
 		defer cp.wg.Done()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		_, _ = cp.cfg.Transport.Call(ctx, addr, method, payload)
+		_, _ = cp.cfg.Transport.Call(ctx, addr, proto.MethodKillSandboxBatch, payload)
 	}()
 }
 
@@ -464,26 +397,10 @@ func (cp *ControlPlane) sendFunctionsTo(addr string) {
 	_, _ = cp.cfg.Transport.Call(ctx, addr, proto.MethodAddFunction, list.Marshal())
 }
 
-// sendEndpointsTo pushes one function's endpoint set to a single data
-// plane, used when warming a newly registered replica's cache.
-func (cp *ControlPlane) sendEndpointsTo(addr, function string) {
-	payload := cp.endpointUpdate(function).Marshal()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	_, _ = cp.cfg.Transport.Call(ctx, addr, proto.MethodUpdateEndpoints, payload)
-}
-
 // sendEndpointsBatchTo warms one data plane's endpoint cache for every
-// listed function in a single coalesced RPC (or per-function RPCs in the
-// CreateBatch=1 ablation).
+// listed function in a single coalesced RPC.
 func (cp *ControlPlane) sendEndpointsBatchTo(addr string, functions []string) {
 	if len(functions) == 0 {
-		return
-	}
-	if cp.cfg.CreateBatch == 1 {
-		for _, fn := range functions {
-			cp.sendEndpointsTo(addr, fn)
-		}
 		return
 	}
 	for _, chunk := range cp.endpointBatchChunks(functions) {
@@ -502,15 +419,15 @@ type endpointChunk struct {
 }
 
 // endpointBatchChunks builds the coalesced endpoint-update payloads for
-// the listed functions, chunked at Config.CreateBatch like the create
-// path so no fan-out ever builds one unbounded message (a data plane
+// the listed functions, chunked at maxBatch like the create path so no
+// fan-out ever builds one unbounded message (a data plane
 // warming against a huge function census, say).
 func (cp *ControlPlane) endpointBatchChunks(functions []string) []endpointChunk {
 	var chunks []endpointChunk
 	for len(functions) > 0 {
 		chunk := functions
-		if len(chunk) > cp.cfg.CreateBatch {
-			chunk = chunk[:cp.cfg.CreateBatch]
+		if len(chunk) > maxBatch {
+			chunk = chunk[:maxBatch]
 		}
 		functions = functions[len(chunk):]
 		batch := proto.EndpointUpdateBatch{Updates: make([]proto.EndpointUpdate, 0, len(chunk))}
@@ -558,31 +475,13 @@ func (cp *ControlPlane) broadcastEndpoints(function string) {
 // function to all data planes in one coalesced diff RPC per data plane
 // (the updates for all changed functions share the RPC, its marshaling,
 // and its round trip). Versions are still minted per function under the
-// function's shard lock, so per-function reordering protection is
-// identical to the singleton path. In the CreateBatch=1 ablation each
-// function broadcasts separately, reproducing the seed's fan-out.
+// function's shard lock, so reordering protection stays per function.
 func (cp *ControlPlane) broadcastEndpointsBatch(functions []string) {
 	if len(functions) == 0 {
 		return
 	}
 	addrs := cp.dataPlaneAddrs()
 	if len(addrs) == 0 {
-		return
-	}
-	if cp.cfg.CreateBatch == 1 {
-		for _, fn := range functions {
-			payload := cp.endpointUpdate(fn).Marshal()
-			for _, addr := range addrs {
-				addr := addr
-				cp.wg.Add(1)
-				go func() {
-					defer cp.wg.Done()
-					ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-					defer cancel()
-					_, _ = cp.cfg.Transport.Call(ctx, addr, proto.MethodUpdateEndpoints, payload)
-				}()
-			}
-		}
 		return
 	}
 	for _, chunk := range cp.endpointBatchChunks(functions) {

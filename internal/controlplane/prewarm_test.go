@@ -2,15 +2,17 @@ package controlplane
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"dirigent/internal/core"
-	"dirigent/internal/fleet"
 	"dirigent/internal/predictor"
 	"dirigent/internal/proto"
+	"dirigent/internal/sandbox"
 	"dirigent/internal/store"
 	"dirigent/internal/transport"
+	"dirigent/internal/worker"
 )
 
 // newPredictiveHarness builds a CP with the demand predictor on and the
@@ -40,17 +42,23 @@ func newPredictiveHarness(t *testing.T) *cpHarness {
 	return &cpHarness{tr: tr, cp: cp, db: db}
 }
 
-func startFleetWorker(t *testing.T, h *cpHarness, id core.NodeID, name string) *fleet.Worker {
+// startNullWorker starts a real worker daemon over the null runtime with a
+// pre-warm budget of three, so pushed targets show up as pool sizes.
+func startNullWorker(t *testing.T, h *cpHarness, id core.NodeID, name string) *worker.Worker {
 	t.Helper()
-	w := fleet.NewWorker(fleet.WorkerConfig{
+	cache := sandbox.NewImageCache()
+	w := worker.New(worker.Config{
 		Node: core.WorkerNode{
 			ID: id, Name: name, IP: name, Port: 9000,
 			CPUMilli: 10000, MemoryMB: 65536,
 		},
 		Addr:              name + ":9000",
+		Runtime:           &sandbox.Null{Images: cache},
 		Transport:         h.tr,
 		ControlPlanes:     []string{"cp0"},
 		HeartbeatInterval: 10 * time.Millisecond,
+		Prewarm:           3,
+		Cache:             cache,
 	})
 	if err := w.Start(); err != nil {
 		t.Fatal(err)
@@ -68,7 +76,7 @@ func startFleetWorker(t *testing.T, h *cpHarness, id core.NodeID, name string) *
 // acknowledged generation.
 func TestPredictivePrewarmPushAndRestartRepush(t *testing.T) {
 	h := newPredictiveHarness(t)
-	w1 := startFleetWorker(t, h, 1, "w1")
+	w1 := startNullWorker(t, h, 1, "w1")
 	startFakeDP(t, h.tr, "dp0:8000")
 	reg := proto.RegisterDataPlaneRequest{DataPlane: core.DataPlane{ID: 1, IP: "dp0", Port: 8000}}
 	h.call(t, proto.MethodRegisterDataPlane, reg.Marshal())
@@ -101,21 +109,18 @@ func TestPredictivePrewarmPushAndRestartRepush(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if gen, targets := w1.PrewarmTargets(); gen == gen1 {
-			if !reflect.DeepEqual(targets, set1) {
-				t.Fatalf("worker received %+v, want %+v", targets, set1)
-			}
+		if pools := w1.PrewarmPoolSizes(); w1.PrewarmGen() == gen1 && reflect.DeepEqual(pools, map[string]int{"img": 3}) {
 			break
 		}
 		if !time.Now().Before(deadline) {
-			t.Fatal("worker never received the target push")
+			t.Fatalf("worker never applied the target push: generation %d, pools %v", w1.PrewarmGen(), w1.PrewarmPoolSizes())
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	// The emulated worker's heartbeats report its image-cache digest,
-	// which the registry folds into the worker's utilization for
-	// cache-aware placement.
+	// The worker's heartbeats report its image-cache digest (the pool's
+	// base image and, since the push, "img"), which the registry folds
+	// into the worker's utilization for cache-aware placement.
 	wantHash := core.HashImage("img")
 	deadline = time.Now().Add(5 * time.Second)
 	for {
@@ -123,7 +128,7 @@ func TestPredictivePrewarmPushAndRestartRepush(t *testing.T) {
 		ws.mu.Lock()
 		digest := append([]uint64(nil), ws.util.CacheDigest...)
 		ws.mu.Unlock()
-		if len(digest) == 1 && digest[0] == wantHash {
+		if slices.Contains(digest, wantHash) {
 			break
 		}
 		if !time.Now().Before(deadline) {
@@ -137,8 +142,8 @@ func TestPredictivePrewarmPushAndRestartRepush(t *testing.T) {
 	// generation 0), so the next sweep re-pushes without any target
 	// change being required.
 	w1.Stop()
-	w2 := startFleetWorker(t, h, 1, "w1")
-	if gen, _ := w2.PrewarmTargets(); gen != 0 {
+	w2 := startNullWorker(t, h, 1, "w1")
+	if gen := w2.PrewarmGen(); gen != 0 {
 		t.Fatalf("restarted worker starts at generation %d, want 0", gen)
 	}
 	h.cp.Reconcile()
@@ -148,12 +153,11 @@ func TestPredictivePrewarmPushAndRestartRepush(t *testing.T) {
 	}
 	deadline = time.Now().Add(5 * time.Second)
 	for {
-		if gen, _ := w2.PrewarmTargets(); gen == genNow {
+		if w2.PrewarmGen() == genNow {
 			break
 		}
 		if !time.Now().Before(deadline) {
-			gen, _ := w2.PrewarmTargets()
-			t.Fatalf("restarted worker never re-pushed: at generation %d, want %d", gen, genNow)
+			t.Fatalf("restarted worker never re-pushed: at generation %d, want %d", w2.PrewarmGen(), genNow)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -116,7 +116,7 @@ func TestConcurrentControlPlaneAccess(t *testing.T) {
 			if i%3 == 2 {
 				call(proto.MethodSandboxCrashed, ev.Marshal())
 			} else {
-				call(proto.MethodSandboxReady, ev.Marshal())
+				call(proto.MethodSandboxReadyBatch, readyOf(ev))
 			}
 		})
 	}

@@ -13,8 +13,7 @@ import (
 )
 
 // TestWorkerShardsAblationSeedParity locks in the WorkerShards=1
-// ablation (mirror of TestCreateBatchAblationSeedParity): with a single
-// stripe, every worker lands behind the one registry lock — the seed's
+// ablation: with a single stripe, every worker lands behind the one registry lock — the seed's
 // global-RWMutex behavior — and the full worker lifecycle (registration
 // storm, heartbeats, placement, heartbeat-timeout failure, re-
 // registration) produces observations identical to the sharded default.

@@ -12,13 +12,12 @@ import (
 // benchRuntime builds a data plane with one function and nEps warm
 // endpoints of large capacity, without starting any loops, so the
 // acquire/release cycle can be measured in isolation.
-func benchRuntime(b *testing.B, shards, nEps int) (*DataPlane, *functionRuntime) {
+func benchRuntime(b *testing.B, nEps int) (*DataPlane, *functionRuntime) {
 	b.Helper()
 	dp := New(Config{
-		ID:           1,
-		Addr:         "dp-bench",
-		Transport:    transport.NewInProc(),
-		InvokeShards: shards,
+		ID:        1,
+		Addr:      "dp-bench",
+		Transport: transport.NewInProc(),
 	})
 	fr := dp.getOrCreate("bench-fn")
 	dp.lockRuntime(fr)
@@ -36,34 +35,24 @@ func benchRuntime(b *testing.B, shards, nEps int) (*DataPlane, *functionRuntime)
 }
 
 // BenchmarkAblationDPInvokeWarmPick measures the warm-start pick +
-// throttle + release cycle alone (no proxy hop). With -benchmem, the
-// snapshot configuration must report 0 allocs/op: the whole point of the
-// copy-on-write endpoint snapshots is that steady-state warm starts
-// build no candidate slice. The global ablation shows the seed's
-// per-pick allocation and lock serialization for contrast.
+// throttle + release cycle alone (no proxy hop). With -benchmem it must
+// report 0 allocs/op: the whole point of the copy-on-write endpoint
+// snapshots is that steady-state warm starts build no candidate slice.
 func BenchmarkAblationDPInvokeWarmPick(b *testing.B) {
-	for _, cfg := range []struct {
-		name   string
-		shards int
-	}{
-		{"global", 1},
-		{"snapshot", 0}, // default 32 shards, lock-free picks
-	} {
-		for _, nEps := range []int{1, 16} {
-			b.Run(fmt.Sprintf("%s/eps-%d", cfg.name, nEps), func(b *testing.B) {
-				dp, fr := benchRuntime(b, cfg.shards, nEps)
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						st, _, ok := dp.acquireWarm(fr)
-						if !ok {
-							b.Fatal("no warm slot")
-						}
-						dp.releaseSlot(fr, st)
+	for _, nEps := range []int{1, 16} {
+		b.Run(fmt.Sprintf("snapshot/eps-%d", nEps), func(b *testing.B) {
+			dp, fr := benchRuntime(b, nEps)
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					st, _, ok := dp.acquireWarm(fr)
+					if !ok {
+						b.Fatal("no warm slot")
 					}
-				})
+					dp.releaseSlot(fr, st)
+				}
 			})
-		}
+		})
 	}
 }

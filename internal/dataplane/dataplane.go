@@ -19,8 +19,7 @@
 // through a striped copy-on-write registry, each function's cold-start
 // queue sits behind its own mutex, and warm starts pick from an immutable
 // per-function endpoint snapshot with CAS-based concurrency slots — no
-// lock and no allocation on the steady-state warm path. InvokeShards=1
-// restores the seed's single global invoke lock for ablation.
+// lock and no allocation on the steady-state warm path.
 package dataplane
 
 import (
@@ -76,8 +75,7 @@ type Config struct {
 	// dispatch loops, and per-shard store hashes, so async acceptance,
 	// dispatch, persistence and crash replay scale with the shard count.
 	// 0 selects the default (32). 1 is the seed single-queue ablation:
-	// one channel, one dispatch loop, and the seed's exact store hash
-	// (mirroring -invoke-shards 1 on the sync path).
+	// one channel, one dispatch loop, and the seed's exact store hash.
 	AsyncShards int
 	// AsyncFnQuota caps how many pending async tasks a single function
 	// may hold per queue shard at admission time (client accepts only —
@@ -85,12 +83,6 @@ type Config struct {
 	// were already acknowledged). 0 disables the quota, preserving the
 	// seed's capacity-only admission.
 	AsyncFnQuota int
-	// InvokeShards is the number of stripes in the function registry.
-	// 0 selects the default (32). 1 is the global-lock ablation: every
-	// function shares one invoke mutex and warm-start picks rebuild the
-	// candidate slice under it, reproducing the seed data plane
-	// (mirroring the control plane's -state-shards 1).
-	InvokeShards int
 	// Metrics receives data plane telemetry.
 	Metrics *telemetry.Registry
 }
@@ -113,9 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AsyncRetries == 0 {
 		c.AsyncRetries = 3
-	}
-	if c.InvokeShards <= 0 {
-		c.InvokeShards = defaultInvokeShards
 	}
 	if c.AsyncShards <= 0 {
 		c.AsyncShards = defaultAsyncShards
@@ -150,12 +139,12 @@ type invokeResult struct {
 }
 
 // functionRuntime is one function's slice of the data plane. The mutex
-// guards only this function's queue and endpoint table (it is the shared
-// global mutex in the InvokeShards=1 ablation); the warm-start path reads
-// the published snapshot and the atomic counters without taking it.
+// guards only this function's queue and endpoint table; the warm-start
+// path reads the published snapshot and the atomic counters without
+// taking it.
 type functionRuntime struct {
 	name string
-	mu   *sync.Mutex
+	mu   sync.Mutex
 
 	// Guarded by mu:
 	fn        core.Function
@@ -182,13 +171,6 @@ type DataPlane struct {
 	listener transport.Listener
 
 	shards []*invokeShard
-	// snapshotPicks is false in the -invoke-shards 1 ablation: warm
-	// picks take the (global) runtime lock and rebuild the candidate
-	// slice per invocation, as the seed did.
-	snapshotPicks bool
-	// globalMu, when non-nil, is the mutex every runtime shares in the
-	// ablation.
-	globalMu *sync.Mutex
 	// snapPolicy is the balancer's allocation-free fast path, nil when
 	// the policy only implements Pick.
 	snapPolicy loadbalancer.SnapshotPolicy
@@ -249,19 +231,15 @@ type asyncTask struct {
 func New(cfg Config) *DataPlane {
 	cfg = cfg.withDefaults()
 	dp := &DataPlane{
-		cfg:           cfg,
-		clk:           cfg.Clock,
-		cp:            cpclient.New(cfg.Transport, cfg.ControlPlanes),
-		metrics:       cfg.Metrics,
-		shards:        newInvokeShards(cfg.InvokeShards),
-		snapshotPicks: cfg.InvokeShards > 1,
-		asyncShards:   newAsyncShards(cfg.AsyncShards, cfg.AsyncFnQuota),
-		leases:        make(map[core.DataPlaneID]*heldLease),
-		leasedKeys:    make(map[string]bool),
-		stopCh:        make(chan struct{}),
-	}
-	if !dp.snapshotPicks {
-		dp.globalMu = new(sync.Mutex)
+		cfg:         cfg,
+		clk:         cfg.Clock,
+		cp:          cpclient.New(cfg.Transport, cfg.ControlPlanes),
+		metrics:     cfg.Metrics,
+		shards:      newRegistryShards(),
+		asyncShards: newAsyncShards(cfg.AsyncShards, cfg.AsyncFnQuota),
+		leases:      make(map[core.DataPlaneID]*heldLease),
+		leasedKeys:  make(map[string]bool),
+		stopCh:      make(chan struct{}),
 	}
 	dp.snapPolicy, _ = cfg.Balancer.(loadbalancer.SnapshotPolicy)
 	dp.mInvocations = dp.metrics.Counter("invocations")
@@ -280,12 +258,8 @@ func New(cfg Config) *DataPlane {
 func (dp *DataPlane) newRuntime(name string) *functionRuntime {
 	fr := &functionRuntime{
 		name:      name,
-		mu:        dp.globalMu,
 		fn:        core.Function{Name: name},
 		endpoints: make(map[core.SandboxID]*endpointState),
-	}
-	if fr.mu == nil {
-		fr.mu = new(sync.Mutex)
 	}
 	fr.snap.Store(emptySnapshot)
 	return fr
@@ -409,8 +383,6 @@ func (dp *DataPlane) handleRPC(method string, payload []byte) ([]byte, error) {
 		return dp.handleAddFunctions(payload)
 	case proto.MethodRemoveFunction:
 		return dp.handleRemoveFunction(payload)
-	case proto.MethodUpdateEndpoints:
-		return dp.handleUpdateEndpoints(payload)
 	case proto.MethodUpdateEndpointsBatch:
 		return dp.handleUpdateEndpointsBatch(payload)
 	case proto.MethodAsyncLeaseGrant:
@@ -480,23 +452,9 @@ func (dp *DataPlane) handleRemoveFunction(payload []byte) ([]byte, error) {
 	return nil, nil
 }
 
-// handleUpdateEndpoints reconciles a function's endpoint cache with the
-// control plane's broadcast, republishes the pick snapshot, then pumps
-// the request queue: newly added sandboxes immediately absorb buffered
-// cold-start invocations.
-func (dp *DataPlane) handleUpdateEndpoints(payload []byte) ([]byte, error) {
-	update, err := proto.UnmarshalEndpointUpdate(payload)
-	if err != nil {
-		return nil, err
-	}
-	dp.applyEndpointUpdate(update)
-	return nil, nil
-}
-
-// handleUpdateEndpointsBatch applies one coalesced CP sweep: the diff of
-// every function whose endpoints changed, in a single RPC. Each inner
-// update flows through the same per-function versioned path as a
-// singleton broadcast, so batching changes RPC count, not semantics.
+// handleUpdateEndpointsBatch applies one coalesced CP sweep: the endpoint
+// set of every function whose endpoints changed, in a single RPC, each
+// through its own per-function versioned path.
 func (dp *DataPlane) handleUpdateEndpointsBatch(payload []byte) ([]byte, error) {
 	batch, err := proto.UnmarshalEndpointUpdateBatch(payload)
 	if err != nil {
@@ -509,6 +467,10 @@ func (dp *DataPlane) handleUpdateEndpointsBatch(payload []byte) ([]byte, error) 
 	return nil, nil
 }
 
+// applyEndpointUpdate reconciles a function's endpoint cache with the
+// control plane's broadcast, republishes the pick snapshot, then pumps
+// the request queue: newly added sandboxes immediately absorb buffered
+// cold-start invocations.
 func (dp *DataPlane) applyEndpointUpdate(update *proto.EndpointUpdate) {
 	fr := dp.lockLive(update.Function)
 	if fr == nil {

@@ -117,6 +117,13 @@ func pushFunction(t *testing.T, tr *transport.InProc, dpAddr, name string) {
 	}
 }
 
+// endpointsOf wraps one function's update as the batch of one the data
+// plane accepts.
+func endpointsOf(update proto.EndpointUpdate) []byte {
+	batch := proto.EndpointUpdateBatch{Updates: []proto.EndpointUpdate{update}}
+	return batch.Marshal()
+}
+
 func pushEndpoints(t *testing.T, tr *transport.InProc, dpAddr, fn string, ids []core.SandboxID, hostAddr string) {
 	t.Helper()
 	update := proto.EndpointUpdate{Function: fn}
@@ -125,7 +132,7 @@ func pushEndpoints(t *testing.T, tr *transport.InProc, dpAddr, fn string, ids []
 			ID: id, Function: fn, Node: 1, Addr: hostAddr, State: core.SandboxReady,
 		})
 	}
-	if _, err := tr.Call(context.Background(), dpAddr, proto.MethodUpdateEndpoints, update.Marshal()); err != nil {
+	if _, err := tr.Call(context.Background(), dpAddr, proto.MethodUpdateEndpointsBatch, endpointsOf(update)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -413,7 +420,7 @@ func TestStaleEndpointUpdateDiscarded(t *testing.T) {
 				ID: id, Function: "f", Node: 1, Addr: "w:9000", State: core.SandboxReady,
 			})
 		}
-		if _, err := tr.Call(context.Background(), dp.Addr(), proto.MethodUpdateEndpoints, update.Marshal()); err != nil {
+		if _, err := tr.Call(context.Background(), dp.Addr(), proto.MethodUpdateEndpointsBatch, endpointsOf(update)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -452,7 +459,7 @@ func TestStaleEndpointRetried(t *testing.T) {
 		{ID: 1, Function: "f", Node: 1, Addr: "w-dead:9000", State: core.SandboxReady},
 		{ID: 2, Function: "f", Node: 2, Addr: "w-alive:9000", State: core.SandboxReady},
 	}}
-	if _, err := tr.Call(context.Background(), dp.Addr(), proto.MethodUpdateEndpoints, update.Marshal()); err != nil {
+	if _, err := tr.Call(context.Background(), dp.Addr(), proto.MethodUpdateEndpointsBatch, endpointsOf(update)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {

@@ -149,12 +149,9 @@ func execHintUs([]byte) int64 { return 0 }
 
 // acquireWarm claims a concurrency slot on one of fr's ready endpoints,
 // returning the endpoint's state (for the later release) and its
-// dispatch info. In the sharded configuration this is the lock-free,
-// allocation-free hot path: load the snapshot, pick, CAS the slot.
+// dispatch info. This is the lock-free, allocation-free hot path: load
+// the snapshot, pick, CAS the slot.
 func (dp *DataPlane) acquireWarm(fr *functionRuntime) (*endpointState, proto.SandboxInfo, bool) {
-	if !dp.snapshotPicks {
-		return dp.acquireWarmGlobal(fr)
-	}
 	snap := fr.snap.Load()
 	idx := dp.tryAcquireSnapshot(fr.name, snap)
 	if idx < 0 {
@@ -184,33 +181,18 @@ func (dp *DataPlane) tryAcquireSnapshot(name string, snap *endpointSnapshot) int
 	return -1
 }
 
-// acquireWarmGlobal is the InvokeShards=1 ablation: the seed's design,
-// with the pick serialized under the (global) runtime mutex and a fresh
-// candidate slice built per invocation.
-func (dp *DataPlane) acquireWarmGlobal(fr *functionRuntime) (*endpointState, proto.SandboxInfo, bool) {
-	dp.lockRuntime(fr)
-	defer fr.mu.Unlock()
-	snap := fr.snap.Load()
-	idx := dp.tryAcquireSnapshot(fr.name, snap)
-	if idx < 0 {
-		return nil, proto.SandboxInfo{}, false
-	}
-	return snap.states[idx], snap.infos[idx], true
-}
-
 // pickIndex runs the load-balancing policy over an endpoint snapshot and
 // returns the chosen index, or -1 when every endpoint is saturated.
 func (dp *DataPlane) pickIndex(function string, key uint64, snap *endpointSnapshot) int {
-	if dp.snapPolicy != nil && dp.snapshotPicks {
+	if dp.snapPolicy != nil {
 		return dp.snapPolicy.PickIndex(function, key, snap.eps)
 	}
 	return dp.pickAllocating(function, key, snap)
 }
 
 // pickAllocating adapts snapshot picks to policies that only implement
-// Pick (e.g. CH-RLU): it copies the snapshot into a fresh []Endpoint —
-// one allocation per pick, which is also exactly what the global-lock
-// ablation is meant to measure.
+// Pick (e.g. CH-RLU): it copies the snapshot into a fresh []Endpoint,
+// one allocation per pick.
 func (dp *DataPlane) pickAllocating(function string, key uint64, snap *endpointSnapshot) int {
 	eps := make([]loadbalancer.Endpoint, len(snap.eps))
 	for i := range snap.eps {
@@ -255,10 +237,8 @@ func (dp *DataPlane) releaseSlot(fr *functionRuntime, st *endpointState) {
 	// Seq-cst atomics make this safe against a concurrent enqueue: the
 	// enqueuer increments queued before re-checking slots, we decrement
 	// the slot before checking queued, so at least one side sees the
-	// other (no lost wakeup). The ablation skips the shortcut: the seed
-	// locked and pumped on every release, so the global-lock baseline
-	// must too.
-	if dp.snapshotPicks && fr.queued.Load() == 0 {
+	// other (no lost wakeup).
+	if fr.queued.Load() == 0 {
 		return
 	}
 	dp.pumpRuntime(fr)

@@ -10,11 +10,11 @@ import (
 	"dirigent/internal/proto"
 )
 
-// defaultInvokeShards is the number of stripes in the data plane's
-// function registry, matching the control plane's state-manager default:
-// small enough to sweep cheaply, large enough that a handful of hot
-// functions rarely collide on registry mutations.
-const defaultInvokeShards = 32
+// registryShards is the number of stripes in the data plane's function
+// registry, matching the control plane's state-manager default: small
+// enough to sweep cheaply, large enough that a handful of hot functions
+// rarely collide on registry mutations.
+const registryShards = 32
 
 // invokeShard is one stripe of the function registry. Lookups on the
 // invoke hot path go through the copy-on-write map published in fns and
@@ -35,8 +35,8 @@ func (m *atomicFnMap) store(next map[string]*functionRuntime) {
 	m.p.Store(&next)
 }
 
-func newInvokeShards(n int) []*invokeShard {
-	shards := make([]*invokeShard, n)
+func newRegistryShards() []*invokeShard {
+	shards := make([]*invokeShard, registryShards)
 	for i := range shards {
 		sh := &invokeShard{}
 		sh.fns.store(make(map[string]*functionRuntime))
@@ -138,8 +138,7 @@ func (dp *DataPlane) removeFunction(name string) {
 // lockRuntime acquires fr.mu, recording contended acquisitions in the
 // invoke_lock_wait_ms histogram. The uncontended fast path is a single
 // TryLock so the telemetry costs nothing when the sharding is doing its
-// job. In the -invoke-shards 1 ablation every runtime shares one mutex,
-// so this is where the seed's global serialization shows up.
+// job.
 func (dp *DataPlane) lockRuntime(fr *functionRuntime) {
 	if fr.mu.TryLock() {
 		return

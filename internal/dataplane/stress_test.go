@@ -81,7 +81,7 @@ func TestConcurrentDataPlaneAccess(t *testing.T) {
 				ID: id, Function: name, Node: 1, Addr: "w1:9000", State: core.SandboxReady,
 			})
 		}
-		call(proto.MethodUpdateEndpoints, update.Marshal())
+		call(proto.MethodUpdateEndpointsBatch, endpointsOf(update))
 	}
 	for i := 0; i < numFns; i++ {
 		pushEps(i, fnName(i), core.SandboxID(1000+i*4), core.SandboxID(1001+i*4))
@@ -186,54 +186,6 @@ func TestConcurrentDataPlaneAccess(t *testing.T) {
 	}
 }
 
-// TestInvokeShardsGlobalAblation locks in that InvokeShards=1 (the
-// global-lock ablation, mirroring -state-shards 1) still behaves
-// correctly: one shard, locked allocating picks, and working throttling.
-func TestInvokeShardsGlobalAblation(t *testing.T) {
-	tr := transport.NewInProc()
-	startFakeCP(t, tr, "cp")
-	host := startSandboxHost(t, tr, "w1:9000", 20*time.Millisecond)
-	dp := New(Config{
-		ID:             1,
-		Addr:           "dp0:8000",
-		Transport:      tr,
-		ControlPlanes:  []string{"cp"},
-		MetricInterval: 10 * time.Millisecond,
-		QueueTimeout:   2 * time.Second,
-		InvokeShards:   1,
-	})
-	if err := dp.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer dp.Stop()
-	if len(dp.shards) != 1 {
-		t.Fatalf("InvokeShards=1 built %d shards", len(dp.shards))
-	}
-	if dp.snapshotPicks {
-		t.Fatal("InvokeShards=1 should disable lock-free snapshot picks")
-	}
-	pushFunction(t, tr, dp.Addr(), "f")
-	pushEndpoints(t, tr, dp.Addr(), "f", []core.SandboxID{1, 2}, "w1:9000")
-
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := invoke(tr, dp.Addr(), "f", []byte("x")); err != nil {
-				t.Errorf("invoke: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-	host.mu.Lock()
-	maxSeen := host.maxSeen
-	host.mu.Unlock()
-	if maxSeen > 2 {
-		t.Errorf("max concurrent requests = %d, want <= 2 (throttled)", maxSeen)
-	}
-}
-
 // TestInvokeShardDistribution sanity-checks that the FNV stripe spreads
 // realistic function names across registry shards instead of piling
 // onto one.
@@ -243,8 +195,8 @@ func TestInvokeShardDistribution(t *testing.T) {
 	for i := 0; i < 512; i++ {
 		seen[dp.shardFor(fmt.Sprintf("function-%d", i))]++
 	}
-	if len(seen) < defaultInvokeShards/2 {
-		t.Fatalf("512 names hit only %d of %d shards", len(seen), defaultInvokeShards)
+	if len(seen) < registryShards/2 {
+		t.Fatalf("512 names hit only %d of %d shards", len(seen), registryShards)
 	}
 	for sh, n := range seen {
 		if n > 512/4 {

@@ -19,7 +19,7 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "coldstart",
-		Title: "Cold-start pipeline sweep: batched creates + coalesced fan-out + pre-warm pool vs the seed per-sandbox path",
+		Title: "Cold-start pipeline sweep: batched creates + coalesced fan-out, with and without the pre-warm pool",
 		Run:   runColdStart,
 	})
 }
@@ -32,10 +32,6 @@ type ColdStartConfig struct {
 	Workers int
 	// Burst is how many sandboxes one sweep must bring up (default 64).
 	Burst int
-	// CreateBatch is the control plane's per-worker batch cap; 1 selects
-	// the seed ablation (per-sandbox create RPCs, per-function endpoint
-	// broadcasts), 0 the batched default.
-	CreateBatch int
 	// Prewarm is the per-worker pre-warm pool size (0 = disabled).
 	Prewarm int
 	// LatencyScale scales the simulated containerd latencies, like
@@ -85,7 +81,6 @@ func NewColdStartHarness(cfg ColdStartConfig) (*ColdStartHarness, error) {
 		// Sweeps are driven explicitly via RunBurst.
 		AutoscaleInterval: time.Hour,
 		HeartbeatTimeout:  time.Hour,
-		CreateBatch:       cfg.CreateBatch,
 	})
 	if err := h.cp.Start(); err != nil {
 		return nil, err
@@ -301,7 +296,7 @@ func (h *ColdStartHarness) Close() {
 	}
 }
 
-// runColdStart sweeps burst sizes across the three cold-start pipeline
+// runColdStart sweeps burst sizes across the two cold-start pipeline
 // configurations and reports time-to-all-ready plus the batching and
 // pre-warm telemetry that explains it.
 func runColdStart(w io.Writer, scale float64) error {
@@ -310,14 +305,12 @@ func runColdStart(w io.Writer, scale float64) error {
 		bursts = []int{scaleInt(16, scale, 4), scaleInt(64, scale, 8)}
 	}
 	configs := []struct {
-		name        string
-		createBatch int
-		prewarm     func(burst, workers int) int
+		name    string
+		prewarm func(burst, workers int) int
 	}{
-		{"seed (per-sandbox RPCs)", 1, func(int, int) int { return 0 }},
-		{"batched", 0, func(int, int) int { return 0 }},
+		{"batched", func(int, int) int { return 0 }},
 		// Pool slack over the even share covers placement skew.
-		{"batched+prewarm", 0, func(burst, workers int) int { return (burst+workers-1)/workers + 2 }},
+		{"batched+prewarm", func(burst, workers int) int { return (burst+workers-1)/workers + 2 }},
 	}
 	const workers = 4
 	t := newTable("config", "burst", "time_to_ready_ms", "sched_p99_ms", "create_batch_p50", "fanout_p50", "prewarm_hits")
@@ -326,7 +319,6 @@ func runColdStart(w io.Writer, scale float64) error {
 			h, err := NewColdStartHarness(ColdStartConfig{
 				Workers:      workers,
 				Burst:        burst,
-				CreateBatch:  cfg.createBatch,
 				Prewarm:      cfg.prewarm(burst, workers),
 				LatencyScale: 0.02,
 				Seed:         int64(burst),
@@ -353,8 +345,7 @@ func runColdStart(w io.Writer, scale float64) error {
 		}
 	}
 	t.write(w)
-	fmt.Fprintln(w, "# Expected shape: batched cuts per-sweep RPC overhead vs seed; batched+prewarm")
-	fmt.Fprintln(w, "# skips runtime init entirely and wins time-to-all-ready by the largest margin.")
-	fmt.Fprintln(w, "# create_batch_p50 is 1 in the seed ablation and ~burst/workers when batched.")
+	fmt.Fprintln(w, "# Expected shape: create_batch_p50 ~burst/workers; batched+prewarm skips runtime")
+	fmt.Fprintln(w, "# init entirely and wins time-to-all-ready.")
 	return nil
 }

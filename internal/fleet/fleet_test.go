@@ -31,10 +31,10 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 	}
 }
 
-// TestFleetServesScaleUpAndSurvivesFailure covers the emulated worker's
-// whole protocol surface against a real control plane: registration
-// storm, batched creates → coalesced readiness, proxied invocations,
-// scale-down kills, and crash detection by heartbeat timeout.
+// TestFleetServesScaleUpAndSurvivesFailure covers the worker's whole
+// protocol surface, over the null runtime, against a real control plane:
+// registration storm, batched creates → coalesced readiness, proxied
+// invocations, scale-down kills, and crash detection by heartbeat timeout.
 func TestFleetServesScaleUpAndSurvivesFailure(t *testing.T) {
 	const size = 32
 	tr := transport.NewInProc()
@@ -127,48 +127,5 @@ func TestFleetServesScaleUpAndSurvivesFailure(t *testing.T) {
 	})
 	if n := cp.Metrics().Histogram("health_sweep_ms").Count(); n == 0 {
 		t.Errorf("health_sweep_ms never observed — health monitor idle")
-	}
-}
-
-// TestFleetSeedShapeSingletonCreates pins that an emulated worker mirrors
-// the RPC shape it receives: a seed-style CreateSandbox (CreateBatch=1
-// ablation) is answered with a singleton SandboxReady report.
-func TestFleetSeedShapeSingletonCreates(t *testing.T) {
-	tr := transport.NewInProc()
-	cp := controlplane.New(controlplane.Config{
-		Addr:              "fleet-seed-cp",
-		Transport:         tr,
-		DB:                store.NewMemory(),
-		AutoscaleInterval: time.Hour,
-		HeartbeatTimeout:  time.Hour,
-		CreateBatch:       1,
-	})
-	if err := cp.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cp.Stop()
-	fl := fleet.New(fleet.Config{
-		Size:              2,
-		Transport:         tr,
-		ControlPlanes:     []string{"fleet-seed-cp"},
-		HeartbeatInterval: time.Hour,
-	})
-	if err := fl.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer fl.Stop()
-
-	fn := fnSpec("seed-fn", 4)
-	ctx := context.Background()
-	if _, err := tr.Call(ctx, "fleet-seed-cp", proto.MethodRegisterFunction, core.MarshalFunction(&fn)); err != nil {
-		t.Fatal(err)
-	}
-	cp.Reconcile()
-	waitFor(t, 5*time.Second, "seed-shape burst ready", func() bool {
-		ready, _ := cp.FunctionScale("seed-fn")
-		return ready >= 4
-	})
-	if max := fl.Metrics().Histogram("emu_ready_batch_size").Max(); max > 1 {
-		t.Errorf("emu_ready_batch_size max = %.0f under CreateBatch=1, want 1", max)
 	}
 }

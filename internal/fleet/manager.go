@@ -1,3 +1,13 @@
+// Package fleet assembles tiers of a live cluster for fleet-scale
+// experiments (paper §5.2.3 runs the control plane against 5000 worker
+// nodes): emulated worker fleets, relay tiers and data plane replica
+// sets. An emulated worker is the real worker daemon over sandbox.Null —
+// it registers, heartbeats, accepts create/kill batches, reports
+// readiness and serves proxied invocations exactly as a deployed worker
+// does, but "creating" a sandbox is a map insert plus an optional delay.
+// Thousands of them fit in one process, which is what lets registration
+// storms, heartbeat floods, autoscale sweeps and correlated failures be
+// driven against the control plane's worker registry at fleet scale.
 package fleet
 
 import (
@@ -7,8 +17,10 @@ import (
 
 	"dirigent/internal/clock"
 	"dirigent/internal/core"
+	"dirigent/internal/sandbox"
 	"dirigent/internal/telemetry"
 	"dirigent/internal/transport"
+	"dirigent/internal/worker"
 )
 
 // Config parameterizes an emulated fleet.
@@ -45,8 +57,10 @@ type Config struct {
 	MemoryMB int
 	// Handler serves proxied invocations on every worker; nil echoes.
 	Handler func(payload []byte) ([]byte, error)
-	// HandlerFn serves proxied invocations with the function name
-	// available; takes precedence over Handler (see WorkerConfig).
+	// HandlerFn serves proxied invocations with the invoked function's
+	// name available — scenario drivers use it to emulate per-function
+	// behavior (exec-time sleeps, version tagging) on one shared fleet.
+	// Takes precedence over Handler.
 	HandlerFn func(function string, payload []byte) ([]byte, error)
 	// Metrics is the registry shared by all workers; nil creates one.
 	Metrics *telemetry.Registry
@@ -74,13 +88,21 @@ func (c Config) withDefaults() Config {
 // Fleet is a set of emulated workers managed as one unit.
 type Fleet struct {
 	cfg     Config
-	workers []*Worker
+	images  *worker.ImageRegistry
+	workers []*worker.Worker
 }
 
 // New builds the fleet's workers without starting them.
 func New(cfg Config) *Fleet {
 	cfg = cfg.withDefaults()
-	f := &Fleet{cfg: cfg}
+	f := &Fleet{cfg: cfg, images: worker.NewImageRegistry()}
+	if byName, plain := cfg.HandlerFn, cfg.Handler; byName != nil {
+		f.images.RegisterFallback(func(function string) worker.Handler {
+			return func(p []byte) ([]byte, error) { return byName(function, p) }
+		})
+	} else if plain != nil {
+		f.images.RegisterFallback(func(string) worker.Handler { return plain })
+	}
 	for i := 0; i < cfg.Size; i++ {
 		id := cfg.BaseID + i
 		node := core.WorkerNode{
@@ -97,28 +119,35 @@ func New(cfg Config) *Fleet {
 			node.Port = 9000
 			addr = fmt.Sprintf("%s:%d", node.IP, node.Port)
 		}
-		var relays []string
-		if n := len(cfg.Relays); n > 0 {
-			relays = make([]string, 0, n)
-			for j := 0; j < n; j++ {
-				relays = append(relays, cfg.Relays[(i+j)%n])
-			}
-		}
-		f.workers = append(f.workers, NewWorker(WorkerConfig{
-			Node:              node,
-			Addr:              addr,
-			Transport:         cfg.Transport,
-			ControlPlanes:     cfg.ControlPlanes,
-			Relays:            relays,
-			Clock:             cfg.Clock,
-			HeartbeatInterval: cfg.HeartbeatInterval,
-			ReadyDelay:        cfg.ReadyDelay,
-			Handler:           cfg.Handler,
-			HandlerFn:         cfg.HandlerFn,
-			Metrics:           cfg.Metrics,
-		}))
+		f.workers = append(f.workers, f.newWorker(i, node, addr))
 	}
 	return f
+}
+
+// newWorker builds the worker in fleet slot i: the real daemon over a null
+// runtime, with its own image cache so its heartbeats carry a digest.
+func (f *Fleet) newWorker(i int, node core.WorkerNode, addr string) *worker.Worker {
+	var relays []string
+	if n := len(f.cfg.Relays); n > 0 {
+		relays = make([]string, 0, n)
+		for j := 0; j < n; j++ {
+			relays = append(relays, f.cfg.Relays[(i+j)%n])
+		}
+	}
+	cache := sandbox.NewImageCache()
+	return worker.New(worker.Config{
+		Node:              node,
+		Addr:              addr,
+		Runtime:           &sandbox.Null{ReadyDelay: f.cfg.ReadyDelay, Images: cache},
+		Transport:         f.cfg.Transport,
+		ControlPlanes:     f.cfg.ControlPlanes,
+		Relays:            relays,
+		Clock:             f.cfg.Clock,
+		HeartbeatInterval: f.cfg.HeartbeatInterval,
+		Images:            f.images,
+		Metrics:           f.cfg.Metrics,
+		Cache:             cache,
+	})
 }
 
 // Start launches every worker concurrently — a registration storm: all
@@ -129,7 +158,7 @@ func (f *Fleet) Start() error {
 	var wg sync.WaitGroup
 	for i, w := range f.workers {
 		wg.Add(1)
-		go func(i int, w *Worker) {
+		go func(i int, w *worker.Worker) {
 			defer wg.Done()
 			errs[i] = w.Start()
 		}(i, w)
@@ -144,7 +173,7 @@ func (f *Fleet) Start() error {
 }
 
 // Workers returns the fleet's workers in node-ID order.
-func (f *Fleet) Workers() []*Worker { return f.workers }
+func (f *Fleet) Workers() []*worker.Worker { return f.workers }
 
 // Size returns the number of workers in the fleet.
 func (f *Fleet) Size() int { return len(f.workers) }
@@ -165,7 +194,7 @@ func (f *Fleet) Metrics() *telemetry.Registry { return f.cfg.Metrics }
 // correlated failure (rack or AZ loss). It returns the stopped workers;
 // the control plane must detect them by heartbeat timeout and drain
 // their endpoints.
-func (f *Fleet) StopFraction(frac float64) []*Worker {
+func (f *Fleet) StopFraction(frac float64) []*worker.Worker {
 	n := int(float64(len(f.workers))*frac + 0.999999)
 	if n > len(f.workers) {
 		n = len(f.workers)
@@ -174,7 +203,7 @@ func (f *Fleet) StopFraction(frac float64) []*Worker {
 	var wg sync.WaitGroup
 	for _, w := range victims {
 		wg.Add(1)
-		go func(w *Worker) {
+		go func(w *worker.Worker) {
 			defer wg.Done()
 			w.Stop()
 		}(w)
@@ -189,22 +218,24 @@ func (f *Fleet) StopFraction(frac float64) []*Worker {
 // replaces the dead entry in place; sandboxes the old incarnation held
 // are gone, so the next autoscale sweep re-places them. The restarted
 // workers take the victims' slots in Workers().
-func (f *Fleet) Restart(victims []*Worker) error {
-	var firstErr error
+func (f *Fleet) Restart(victims []*worker.Worker) error {
+	dead := make(map[*worker.Worker]bool, len(victims))
 	for _, v := range victims {
-		nw := NewWorker(v.cfg)
+		dead[v] = true
+	}
+	var firstErr error
+	for i, w := range f.workers {
+		if !dead[w] {
+			continue
+		}
+		nw := f.newWorker(i, w.Node(), w.Addr())
 		if err := nw.Start(); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		for i, w := range f.workers {
-			if w == v {
-				f.workers[i] = nw
-				break
-			}
-		}
+		f.workers[i] = nw
 	}
 	return firstErr
 }

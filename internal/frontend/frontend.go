@@ -88,6 +88,10 @@ type LB struct {
 	wg      sync.WaitGroup
 	started atomic.Bool
 	stopped atomic.Bool
+
+	// mInvocations is resolved once so the invoke path never takes the
+	// registry's name-lookup lock.
+	mInvocations *telemetry.Counter
 }
 
 // ErrNoDataPlane reports that no data plane replica is available.
@@ -116,6 +120,8 @@ func New(cfg Config) *LB {
 		metrics: cfg.Metrics,
 		downTil: make(map[string]time.Time),
 		stopCh:  make(chan struct{}),
+
+		mInvocations: cfg.Metrics.Counter("invocations"),
 	}
 	lb.replicas = makeReplicas(cfg.DataPlanes)
 	if len(cfg.ControlPlanes) > 0 {
@@ -400,7 +406,7 @@ func (lb *LB) Invoke(ctx context.Context, req *proto.InvokeRequest) (*proto.Invo
 	for _, addr := range cands {
 		respB, err := lb.cfg.Transport.Call(ctx, addr, proto.MethodInvoke, payload)
 		if err == nil {
-			lb.metrics.Counter("invocations").Inc()
+			lb.mInvocations.Inc()
 			return proto.UnmarshalInvokeResponse(respB)
 		}
 		lastErr = err

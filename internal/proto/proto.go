@@ -32,12 +32,11 @@ const (
 	// membership in sync as replicas come and go.
 	MethodListDataPlanes = "cp.ListDataPlanes"
 	// CP → DP.
-	MethodAddFunction     = "dp.AddFunction"
-	MethodRemoveFunction  = "dp.RemoveFunction"
-	MethodUpdateEndpoints = "dp.UpdateEndpoints"
-	// MethodUpdateEndpointsBatch coalesces one autoscale sweep's endpoint
-	// changes for every touched function into a single diff RPC per data
-	// plane, replacing the seed's per-function broadcast fan-out.
+	MethodAddFunction    = "dp.AddFunction"
+	MethodRemoveFunction = "dp.RemoveFunction"
+	// MethodUpdateEndpointsBatch carries the endpoint set of every function
+	// one control-plane event touched (a sweep, a readiness report, a
+	// worker failure) in a single RPC per data plane.
 	MethodUpdateEndpointsBatch = "dp.UpdateEndpointsBatch"
 	// MethodAsyncLeaseGrant leases a dead replica's durable async queue
 	// hashes to a surviving replica at an epoch; the lessee drains the
@@ -49,12 +48,10 @@ const (
 	// and drop still-queued leased tasks without executing them.
 	MethodAsyncLeaseRevoke = "dp.AsyncLeaseRevoke"
 	// CP → WN.
-	MethodCreateSandbox = "wn.CreateSandbox"
 	// MethodCreateSandboxBatch carries every placement decision an
 	// autoscale sweep made for one worker in a single RPC, amortizing
 	// per-call transport and handler cost across a burst of cold starts.
 	MethodCreateSandboxBatch = "wn.CreateSandboxBatch"
-	MethodKillSandbox        = "wn.KillSandbox"
 	// MethodKillSandboxBatch carries every teardown an autoscale
 	// scale-down (or function deregistration) assigned to one worker in a
 	// single RPC, mirroring MethodCreateSandboxBatch on the way down.
@@ -68,7 +65,6 @@ const (
 	MethodRegisterWorker   = "cp.RegisterWorker"
 	MethodDeregisterWorker = "cp.DeregisterWorker"
 	MethodWorkerHeartbeat  = "cp.WorkerHeartbeat"
-	MethodSandboxReady     = "cp.SandboxReady"
 	// MethodSandboxReadyBatch reports every sandbox that became ready
 	// while the worker's previous readiness RPC was in flight, so a burst
 	// of creations costs O(RPCs in flight) instead of O(sandboxes).
@@ -94,6 +90,15 @@ const (
 	// batch doubles as the leader heartbeat and carries the commit index.
 	MethodAppendEntries = "cp.AppendEntries"
 	MethodClusterStatus = "cp.ClusterStatus"
+)
+
+// Retired: never sent, answered with unknown-method. A batch of one is the
+// singleton; the names remain because the benchmark's trace labels use them.
+const (
+	MethodCreateSandbox   = "wn.CreateSandbox"
+	MethodKillSandbox     = "wn.KillSandbox"
+	MethodSandboxReady    = "cp.SandboxReady"
+	MethodUpdateEndpoints = "dp.UpdateEndpoints"
 )
 
 // InvokeRequest carries one function invocation through the data plane.

@@ -49,8 +49,8 @@ type Config struct {
 	// the loop so tests and benchmarks drive Flush explicitly.
 	FlushInterval time.Duration
 	// Chunk caps how many samples or registrations one CP RPC carries
-	// (default 1024), mirroring the control plane's -create-batch
-	// chunking so no flush builds an unbounded message.
+	// (default 1024), mirroring the control plane's batch chunking so
+	// no flush builds an unbounded message.
 	Chunk int
 	// MissTimeout is how long a once-seen worker can stay silent before
 	// the relay reports it Missing to the control plane (default
@@ -273,8 +273,7 @@ func (r *Relay) regFlushLoop() {
 }
 
 // sendRegistrations ships one generation, chunked at Chunk. A lone
-// registration keeps the seed's singleton RPC shape, mirroring how the
-// control plane's kill path sends isolated teardowns.
+// registration keeps the seed's singleton RPC shape.
 func (r *Relay) sendRegistrations(workers []core.WorkerNode) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -19,7 +19,8 @@
 //
 // Both runtimes draw from a pre-created recyclable network-configuration
 // pool with pre-configured iptables rules (paper §4) and consult local
-// image / snapshot caches.
+// image / snapshot caches. Null is the third runtime, with no model at
+// all, for emulated fleets.
 package sandbox
 
 import (
@@ -391,4 +392,57 @@ func (f *Firecracker) Create(ctx context.Context, spec Spec) (*Instance, error) 
 	}
 	f.register(inst)
 	return inst, nil
+}
+
+// Null is the runtime of emulated fleets: creating a sandbox is a map
+// insert, with no latency model and no network pool, so thousands of
+// workers fit in one process. Readiness trails creation by ReadyDelay
+// (the worker's boot wait), and every image created is recorded in Images
+// so heartbeat digests still drive cache-aware placement.
+type Null struct {
+	ReadyDelay time.Duration
+	Images     *ImageCache
+
+	mu        sync.Mutex
+	instances map[core.SandboxID]*Instance
+}
+
+// Name implements Runtime.
+func (n *Null) Name() string { return "null" }
+
+// Create implements Runtime.
+func (n *Null) Create(_ context.Context, spec Spec) (*Instance, error) {
+	if n.Images != nil {
+		n.Images.Put(spec.Function.Image, ArtifactImage)
+	}
+	inst := &Instance{ID: spec.ID, Function: spec.Function.Name, Image: spec.Function.Image, BootDelay: n.ReadyDelay}
+	n.mu.Lock()
+	if n.instances == nil {
+		n.instances = make(map[core.SandboxID]*Instance)
+	}
+	n.instances[spec.ID] = inst
+	n.mu.Unlock()
+	return inst, nil
+}
+
+// Kill implements Runtime.
+func (n *Null) Kill(id core.SandboxID) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if _, ok := n.instances[id]; !ok {
+		return fmt.Errorf("null: kill: unknown sandbox %d", id)
+	}
+	delete(n.instances, id)
+	return nil
+}
+
+// List implements Runtime.
+func (n *Null) List() []*Instance {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := make([]*Instance, 0, len(n.instances))
+	for _, inst := range n.instances {
+		out = append(out, inst)
+	}
+	return out
 }

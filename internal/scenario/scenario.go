@@ -38,6 +38,7 @@ import (
 	"dirigent/internal/trace"
 	"dirigent/internal/transport"
 	"dirigent/internal/versioning"
+	"dirigent/internal/worker"
 	"dirigent/internal/workflow"
 )
 
@@ -779,7 +780,7 @@ func runSchedule(cfg Config, start time.Time, cpT *cpTier, fl *fleet.Fleet, dps 
 		rep.FaultsInjected = append(rep.FaultsInjected, fmt.Sprintf(format, args...))
 		mu.Unlock()
 	}
-	var rackVictims []*fleet.Worker
+	var rackVictims []*worker.Worker
 	for _, ev := range evs {
 		wall := time.Duration(float64(ev.At) * cfg.TimeScale)
 		select {

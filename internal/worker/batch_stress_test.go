@@ -8,6 +8,7 @@ import (
 
 	"dirigent/internal/core"
 	"dirigent/internal/proto"
+	"dirigent/internal/sandbox"
 	"dirigent/internal/transport"
 )
 
@@ -18,11 +19,15 @@ import (
 // it. It locks in that the creation semaphore, the pre-warm pool, and
 // the readiness-flusher handoff need no lock shared with dispatch.
 func TestConcurrentWorkerBatchedCreates(t *testing.T) {
+	eachRuntime(t, testConcurrentWorkerBatchedCreates)
+}
+
+func testConcurrentWorkerBatchedCreates(t *testing.T, rt sandbox.Runtime) {
 	const iters = 60
 
 	tr := transport.NewInProc()
 	cp := startFakeCP(t, tr, "cp")
-	w := testWorkerWith(t, tr, "cp", func(c *Config) {
+	w := testWorker(t, tr, "cp", rt, func(c *Config) {
 		c.Prewarm = 4
 		c.CreateConcurrency = 4
 	})
@@ -71,7 +76,7 @@ func TestConcurrentWorkerBatchedCreates(t *testing.T) {
 			}
 			_, _ = tr.Call(ctx, w.Addr(), proto.MethodCreateSandboxBatch, batch.Marshal())
 			if i%2 == 0 {
-				_, _ = tr.Call(ctx, w.Addr(), proto.MethodKillSandbox, EncodeSandboxID(base))
+				_ = killOne(tr, w.Addr(), base)
 			} else {
 				_ = w.CrashSandbox(base + 1)
 			}

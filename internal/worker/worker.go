@@ -17,7 +17,10 @@ package worker
 import (
 	"context"
 	"fmt"
+	"net"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,10 +41,12 @@ type Handler func(payload []byte) ([]byte, error)
 
 // ImageRegistry maps container-image URLs to function implementations,
 // standing in for the user code baked into images. Images without a
-// registered handler echo their payload.
+// registered handler go to the fallback, if one is set, and otherwise
+// echo their payload.
 type ImageRegistry struct {
 	mu       sync.RWMutex
 	handlers map[string]Handler
+	fallback func(function string) Handler
 }
 
 // NewImageRegistry returns an empty registry.
@@ -56,24 +61,43 @@ func (r *ImageRegistry) Register(image string, h Handler) {
 	r.mu.Unlock()
 }
 
-// Lookup returns the handler for image, or an echo handler.
-func (r *ImageRegistry) Lookup(image string) Handler {
+// RegisterFallback sets the entry that serves every image without a
+// handler of its own. bind runs once per sandbox, at creation, with the
+// name of the function the sandbox serves, so a single entry can answer
+// for a whole fleet's functions and still know which one it runs as.
+func (r *ImageRegistry) RegisterFallback(bind func(function string) Handler) {
+	r.mu.Lock()
+	r.fallback = bind
+	r.mu.Unlock()
+}
+
+// Lookup returns the handler a sandbox of function booted from image
+// dispatches to: the image's own, else the fallback bound to function,
+// else an echo handler.
+func (r *ImageRegistry) Lookup(image, function string) Handler {
 	r.mu.RLock()
-	h := r.handlers[image]
+	h, bind := r.handlers[image], r.fallback
 	r.mu.RUnlock()
-	if h == nil {
-		return func(p []byte) ([]byte, error) { return p, nil }
+	switch {
+	case h != nil:
+		return h
+	case bind != nil:
+		return bind(function)
 	}
-	return h
+	return func(p []byte) ([]byte, error) { return p, nil }
 }
 
 // Config parameterizes a worker daemon.
 type Config struct {
 	// Node identifies this worker; Port/IP form its RPC address.
 	Node core.WorkerNode
-	// Addr is the transport address the daemon listens on.
+	// Addr is the transport address the daemon listens on. When it ends
+	// in ":0" the transport picks the port, and Start overwrites Addr and
+	// Node.IP/Port with what was bound, so the address the control plane
+	// computes for the worker routes back to the listener.
 	Addr string
-	// Runtime is the sandbox runtime (containerd / firecracker).
+	// Runtime is the sandbox runtime (containerd / firecracker, or
+	// sandbox.Null for emulated fleets).
 	Runtime sandbox.Runtime
 	// Transport carries RPCs.
 	Transport transport.Transport
@@ -87,7 +111,8 @@ type Config struct {
 	Relays []string
 	// Clock abstracts time; nil selects the wall clock.
 	Clock clock.Clock
-	// HeartbeatInterval is the WN → CP liveness period.
+	// HeartbeatInterval is the WN → CP liveness period. Harnesses set it
+	// very large to park the loop and drive SendHeartbeat themselves.
 	HeartbeatInterval time.Duration
 	// Images resolves function implementations; nil echoes payloads.
 	Images *ImageRegistry
@@ -177,6 +202,7 @@ type Worker struct {
 	wg      sync.WaitGroup
 	stopped bool
 
+	mInvocations      *telemetry.Counter
 	mPrewarmHits      *telemetry.Counter
 	mPrewarmMisses    *telemetry.Counter
 	mPrewarmImageHits *telemetry.Counter
@@ -264,6 +290,7 @@ func New(cfg Config) *Worker {
 	}
 	empty := make(map[core.SandboxID]*readySandbox)
 	w.ready.Store(&empty)
+	w.mInvocations = w.metrics.Counter("invocations")
 	w.mPrewarmHits = w.metrics.Counter("prewarm_hits")
 	w.mPrewarmMisses = w.metrics.Counter("prewarm_misses")
 	w.mPrewarmImageHits = w.metrics.Counter("prewarm_image_hits")
@@ -288,15 +315,19 @@ func (w *Worker) Start() error {
 		return fmt.Errorf("worker %s: %w", w.cfg.Node.Name, err)
 	}
 	w.listener = ln
-	req := proto.RegisterWorkerRequest{Worker: w.cfg.Node}
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	// Ride out CP leader elections and brief outages with capped backoff
-	// instead of failing the daemon's start — "no leader right now" is a
-	// transient condition in an HA control plane, on the relay path too.
-	if err := w.registerWithRetry(ctx, req.Marshal()); err != nil {
+	if strings.HasSuffix(w.cfg.Addr, ":0") {
+		// An address that does not split leaves portStr empty and fails here.
+		host, portStr, _ := net.SplitHostPort(ln.Addr())
+		port, err := strconv.ParseUint(portStr, 10, 16)
+		if err != nil {
+			ln.Close()
+			return fmt.Errorf("worker %s: bound address %q: %w", w.cfg.Node.Name, ln.Addr(), err)
+		}
+		w.cfg.Addr, w.cfg.Node.IP, w.cfg.Node.Port = ln.Addr(), host, uint16(port)
+	}
+	if err := w.Register(); err != nil {
 		ln.Close()
-		return fmt.Errorf("worker %s: register: %w", w.cfg.Node.Name, err)
+		return err
 	}
 	w.wg.Add(1)
 	go w.heartbeatLoop()
@@ -384,7 +415,7 @@ func (w *Worker) heartbeatLoop() {
 		case <-w.stopCh:
 			return
 		case <-w.clk.After(w.cfg.HeartbeatInterval):
-			w.sendHeartbeat()
+			w.SendHeartbeat()
 		}
 	}
 }
@@ -408,7 +439,10 @@ func (w *Worker) utilization() core.NodeUtilization {
 	}
 }
 
-func (w *Worker) sendHeartbeat() {
+// SendHeartbeat sends one WN → CP heartbeat with the current utilization.
+// The heartbeat loop calls it on its period; harnesses that parked the
+// loop call it directly to drive heartbeat storms.
+func (w *Worker) SendHeartbeat() {
 	hb := proto.WorkerHeartbeat{Node: w.cfg.Node.ID, Util: w.utilization()}
 	ctx, cancel := context.WithTimeout(context.Background(), w.cfg.HeartbeatInterval*4)
 	defer cancel()
@@ -417,10 +451,23 @@ func (w *Worker) sendHeartbeat() {
 	_, _ = w.liveCall(ctx, proto.MethodWorkerHeartbeat, hb.Marshal())
 }
 
-// registerWithRetry sends the registration over the liveness path,
-// retrying with capped exponential backoff while the control plane is
-// unavailable. Direct mode delegates to the cpclient's retry loop; relay
-// mode wraps the relay client with the same classification.
+// Register announces the worker to the control plane over the liveness
+// path. Start calls it; harnesses call it again to re-register a node the
+// control plane has failed. It rides out CP leader elections and brief
+// outages with capped exponential backoff instead of failing — "no leader
+// right now" is a transient condition in an HA control plane, on the relay
+// path too. Direct mode delegates to the cpclient's retry loop; relay mode
+// wraps the relay client with the same classification.
+func (w *Worker) Register() error {
+	req := proto.RegisterWorkerRequest{Worker: w.cfg.Node}
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := w.registerWithRetry(ctx, req.Marshal()); err != nil {
+		return fmt.Errorf("worker %s: register: %w", w.cfg.Node.Name, err)
+	}
+	return nil
+}
+
 func (w *Worker) registerWithRetry(ctx context.Context, payload []byte) error {
 	if w.live == nil {
 		_, err := w.cp.CallWithRetry(ctx, proto.MethodRegisterWorker, payload)
@@ -457,12 +504,6 @@ func (w *Worker) liveCall(ctx context.Context, method string, payload []byte) ([
 // handleRPC serves CP → WN and DP → WN calls.
 func (w *Worker) handleRPC(method string, payload []byte) ([]byte, error) {
 	switch method {
-	case proto.MethodCreateSandbox:
-		req, err := proto.UnmarshalCreateSandboxRequest(payload)
-		if err != nil {
-			return nil, err
-		}
-		return nil, w.createSandbox(req, false)
 	case proto.MethodCreateSandboxBatch:
 		batch, err := proto.UnmarshalCreateSandboxBatch(payload)
 		if err != nil {
@@ -470,21 +511,11 @@ func (w *Worker) handleRPC(method string, payload []byte) ([]byte, error) {
 		}
 		w.metrics.Counter("create_batches_received").Inc()
 		for i := range batch.Creates {
-			if err := w.createSandbox(&batch.Creates[i], true); err != nil {
+			if err := w.createSandbox(&batch.Creates[i]); err != nil {
 				return nil, err
 			}
 		}
 		return nil, nil
-	case proto.MethodKillSandbox:
-		d := struct{ ID core.SandboxID }{}
-		if len(payload) >= 8 {
-			var v uint64
-			for i := 0; i < 8; i++ {
-				v |= uint64(payload[i]) << (8 * i)
-			}
-			d.ID = core.SandboxID(v)
-		}
-		return nil, w.killSandbox(d.ID)
 	case proto.MethodKillSandboxBatch:
 		batch, err := proto.UnmarshalKillSandboxBatch(payload)
 		if err != nil {
@@ -521,13 +552,7 @@ func (w *Worker) handleRPC(method string, payload []byte) ([]byte, error) {
 // worker notifies the control plane once the sandbox passes health probes
 // (paper §3.3: "Once a sandbox is created, the worker daemon issues health
 // probes ... then notifies the control plane").
-//
-// batched mirrors the shape of the instruction's arrival: creations from
-// a batch RPC report readiness through the coalescing flusher, while
-// seed-style singleton RPCs report with a synchronous singleton RPC —
-// so the CreateBatch=1 ablation reproduces the seed pipeline end to end,
-// including one endpoint broadcast per readiness event.
-func (w *Worker) createSandbox(req *proto.CreateSandboxRequest, batched bool) error {
+func (w *Worker) createSandbox(req *proto.CreateSandboxRequest) error {
 	w.mu.Lock()
 	if w.stopped {
 		w.mu.Unlock()
@@ -546,12 +571,12 @@ func (w *Worker) createSandbox(req *proto.CreateSandboxRequest, batched bool) er
 	w.wg.Add(1)
 	go func() {
 		defer w.wg.Done()
-		w.doCreate(req, batched)
+		w.doCreate(req)
 	}()
 	return nil
 }
 
-func (w *Worker) doCreate(req *proto.CreateSandboxRequest, batched bool) {
+func (w *Worker) doCreate(req *proto.CreateSandboxRequest) {
 	start := w.clk.Now()
 
 	// Fast path: claim an initialized-but-unassigned sandbox from the
@@ -586,7 +611,7 @@ func (w *Worker) doCreate(req *proto.CreateSandboxRequest, batched bool) {
 		bound.Image = req.Function.Image
 		rs := &readySandbox{
 			inst:    &bound,
-			handler: w.cfg.Images.Lookup(req.Function.Image),
+			handler: w.cfg.Images.Lookup(req.Function.Image, req.Function.Name),
 			rtID:    inst.ID,
 		}
 		w.publishReadyLocked(func(m map[core.SandboxID]*readySandbox) {
@@ -597,12 +622,12 @@ func (w *Worker) doCreate(req *proto.CreateSandboxRequest, batched bool) {
 		w.mPrewarmHits.Inc()
 		w.metrics.Counter("sandboxes_created").Inc()
 		w.metrics.Histogram("sandbox_creation_ms").Observe(w.clk.Since(start))
-		w.reportReady(proto.SandboxEvent{
+		w.queueReady(proto.SandboxEvent{
 			SandboxID: req.SandboxID,
 			Function:  req.Function.Name,
 			Node:      w.cfg.Node.ID,
 			Addr:      w.cfg.Addr,
-		}, batched)
+		})
 		w.spawnPrewarmFill(req.Function.Image)
 		return
 	}
@@ -629,8 +654,8 @@ func (w *Worker) doCreate(req *proto.CreateSandboxRequest, batched bool) {
 		return
 	}
 	// Health probing: wait out the boot delay, then probe.
-	if inst.BootDelay > 0 {
-		w.clk.Sleep(inst.BootDelay)
+	if !w.bootWait(inst.BootDelay) {
+		return
 	}
 	w.mu.Lock()
 	if w.stopped {
@@ -639,7 +664,7 @@ func (w *Worker) doCreate(req *proto.CreateSandboxRequest, batched bool) {
 	}
 	rs := &readySandbox{
 		inst:    inst,
-		handler: w.cfg.Images.Lookup(req.Function.Image),
+		handler: w.cfg.Images.Lookup(req.Function.Image, req.Function.Name),
 		rtID:    inst.ID,
 	}
 	w.publishReadyLocked(func(m map[core.SandboxID]*readySandbox) {
@@ -650,27 +675,27 @@ func (w *Worker) doCreate(req *proto.CreateSandboxRequest, batched bool) {
 	w.metrics.Counter("sandboxes_created").Inc()
 	w.metrics.Histogram("sandbox_creation_ms").Observe(w.clk.Since(start))
 
-	w.reportReady(proto.SandboxEvent{
+	w.queueReady(proto.SandboxEvent{
 		SandboxID: inst.ID,
 		Function:  req.Function.Name,
 		Node:      w.cfg.Node.ID,
 		Addr:      w.cfg.Addr,
-	}, batched)
+	})
 }
 
-// reportReady notifies the control plane of one readiness transition:
-// through the coalescing flusher for batch-delivered creations, or — for
-// seed-style singleton instructions — with an immediate singleton RPC,
-// exactly as the seed worker did.
-func (w *Worker) reportReady(ev proto.SandboxEvent, batched bool) {
-	if batched {
-		w.queueReady(ev)
-		return
+// bootWait waits out a new sandbox's boot delay, giving up early when the
+// daemon stops so Stop never waits for a boot. It reports whether the
+// delay elapsed.
+func (w *Worker) bootWait(d time.Duration) bool {
+	if d <= 0 {
+		return true
 	}
-	w.mReadyBatch.ObserveMs(1)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_, _ = w.cp.Call(ctx, proto.MethodSandboxReady, ev.Marshal())
+	select {
+	case <-w.stopCh:
+		return false
+	case <-w.clk.After(d):
+		return true
+	}
 }
 
 // acquireCreateSlot blocks until a creation-pool slot frees up,
@@ -693,7 +718,7 @@ func (w *Worker) releaseCreateSlot() { <-w.createSem }
 // whatever accumulated while its previous RPC was in flight as a single
 // SandboxReadyBatch — under a creation burst the control plane sees
 // O(RPCs in flight) reports instead of one RPC per sandbox, while an
-// isolated creation still reports with singleton-RPC latency.
+// isolated creation reports at once, as a batch of one.
 func (w *Worker) queueReady(ev proto.SandboxEvent) {
 	w.readyEvMu.Lock()
 	w.readyEvs = append(w.readyEvs, ev)
@@ -720,13 +745,9 @@ func (w *Worker) flushReadyLoop() {
 		}
 		w.readyEvMu.Unlock()
 		w.mReadyBatch.ObserveMs(float64(len(evs)))
+		batch := proto.SandboxEventBatch{Events: evs}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		if len(evs) == 1 {
-			_, _ = w.cp.Call(ctx, proto.MethodSandboxReady, evs[0].Marshal())
-		} else {
-			batch := proto.SandboxEventBatch{Events: evs}
-			_, _ = w.cp.Call(ctx, proto.MethodSandboxReadyBatch, batch.Marshal())
-		}
+		_, _ = w.cp.Call(ctx, proto.MethodSandboxReadyBatch, batch.Marshal())
 		cancel()
 	}
 }
@@ -885,9 +906,7 @@ func (w *Worker) fillPrewarm(image string) {
 	// The pool holds fully initialized sandboxes: boot completes here, at
 	// fill time — for a per-image pool that includes the image pull, which
 	// is exactly the work an image-hit claim skips.
-	if inst.BootDelay > 0 {
-		w.clk.Sleep(inst.BootDelay)
-	}
+	w.bootWait(inst.BootDelay)
 	w.mu.Lock()
 	w.decPendingLocked(image)
 	// Targets may have shifted while the fill was in flight (a push, or
@@ -1155,7 +1174,7 @@ func (w *Worker) invokeSandbox(req *proto.InvokeSandboxRequest) ([]byte, error) 
 	}
 	rs.inFlight.Add(1)
 	defer rs.inFlight.Add(-1)
-	w.metrics.Counter("invocations").Inc()
+	w.mInvocations.Inc()
 	return rs.handler(req.Payload)
 }
 
@@ -1191,14 +1210,4 @@ func (w *Worker) CrashSandbox(id core.SandboxID) error {
 	defer cancel()
 	_, err := w.cp.Call(ctx, proto.MethodSandboxCrashed, ev.Marshal())
 	return err
-}
-
-// EncodeSandboxID encodes a sandbox ID as the KillSandbox payload.
-func EncodeSandboxID(id core.SandboxID) []byte {
-	b := make([]byte, 8)
-	v := uint64(id)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-	return b
 }

@@ -8,9 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"dirigent/internal/clock"
+	"dirigent/internal/controlplane"
 	"dirigent/internal/core"
 	"dirigent/internal/proto"
 	"dirigent/internal/sandbox"
+	"dirigent/internal/store"
 	"dirigent/internal/transport"
 )
 
@@ -38,12 +41,6 @@ func startFakeCP(t *testing.T, tr *transport.InProc, addr string) *fakeCP {
 			cp.registered = append(cp.registered, req.Worker)
 		case proto.MethodWorkerHeartbeat:
 			cp.heartbeats++
-		case proto.MethodSandboxReady:
-			ev, err := proto.UnmarshalSandboxEvent(payload)
-			if err != nil {
-				return nil, err
-			}
-			cp.ready = append(cp.ready, *ev)
 		case proto.MethodSandboxReadyBatch:
 			batch, err := proto.UnmarshalSandboxEventBatch(payload)
 			if err != nil {
@@ -66,29 +63,62 @@ func startFakeCP(t *testing.T, tr *transport.InProc, addr string) *fakeCP {
 	return cp
 }
 
-func testWorker(t *testing.T, tr *transport.InProc, cpAddr string) *Worker {
+// eachRuntime runs a worker protocol test once per runtime: the emulated
+// fleets' null runtime, and the simulated containerd with its latency
+// model scaled to zero.
+func eachRuntime(t *testing.T, test func(t *testing.T, rt sandbox.Runtime)) {
+	for _, tc := range []struct {
+		name string
+		rt   sandbox.Runtime
+	}{
+		{"null", &sandbox.Null{}},
+		{"containerd", sandbox.NewContainerd(sandbox.Config{LatencyScale: 0, NodeIP: [4]byte{10, 0, 0, 1}, Seed: 1})},
+	} {
+		t.Run(tc.name, func(t *testing.T) { test(t, tc.rt) })
+	}
+}
+
+func testWorker(t *testing.T, tr *transport.InProc, cpAddr string, rt sandbox.Runtime, mut func(*Config)) *Worker {
 	t.Helper()
 	images := NewImageRegistry()
 	images.Register("img", func(p []byte) ([]byte, error) {
 		return append([]byte("ran:"), p...), nil
 	})
-	w := New(Config{
+	cfg := Config{
 		Node: core.WorkerNode{
 			ID: 1, Name: "w1", IP: "10.0.0.1", Port: 9000,
 			CPUMilli: 10000, MemoryMB: 65536,
 		},
 		Addr:              "10.0.0.1:9000",
-		Runtime:           sandbox.NewContainerd(sandbox.Config{LatencyScale: 0, NodeIP: [4]byte{10, 0, 0, 1}, Seed: 1}),
+		Runtime:           rt,
 		Transport:         tr,
 		ControlPlanes:     []string{cpAddr},
 		HeartbeatInterval: 10 * time.Millisecond,
 		Images:            images,
-	})
+	}
+	if mut != nil {
+		mut(&cfg)
+	}
+	w := New(cfg)
 	if err := w.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Stop)
 	return w
+}
+
+// createOne and killOne speak the only shape the worker accepts for a
+// single sandbox: a batch of one.
+func createOne(tr *transport.InProc, addr string, req proto.CreateSandboxRequest) error {
+	batch := proto.CreateSandboxBatch{Creates: []proto.CreateSandboxRequest{req}}
+	_, err := tr.Call(context.Background(), addr, proto.MethodCreateSandboxBatch, batch.Marshal())
+	return err
+}
+
+func killOne(tr *transport.InProc, addr string, id core.SandboxID) error {
+	batch := proto.KillSandboxBatch{IDs: []core.SandboxID{id}}
+	_, err := tr.Call(context.Background(), addr, proto.MethodKillSandboxBatch, batch.Marshal())
+	return err
 }
 
 func testFn() core.Function {
@@ -113,10 +143,12 @@ func awaitReady(t *testing.T, cp *fakeCP, n int) {
 	t.Fatalf("control plane never saw %d ready sandboxes", n)
 }
 
-func TestWorkerRegistersAndHeartbeats(t *testing.T) {
+func TestWorkerRegistersAndHeartbeats(t *testing.T) { eachRuntime(t, testWorkerRegistersAndHeartbeats) }
+
+func testWorkerRegistersAndHeartbeats(t *testing.T, rt sandbox.Runtime) {
 	tr := transport.NewInProc()
 	cp := startFakeCP(t, tr, "cp")
-	testWorker(t, tr, "cp")
+	testWorker(t, tr, "cp", rt, nil)
 	cp.mu.Lock()
 	if len(cp.registered) != 1 || cp.registered[0].Name != "w1" {
 		t.Errorf("registered = %+v", cp.registered)
@@ -131,14 +163,16 @@ func TestWorkerRegistersAndHeartbeats(t *testing.T) {
 	}
 }
 
-func TestWorkerCreateInvokeKill(t *testing.T) {
+func TestWorkerCreateInvokeKill(t *testing.T) { eachRuntime(t, testWorkerCreateInvokeKill) }
+
+func testWorkerCreateInvokeKill(t *testing.T, rt sandbox.Runtime) {
 	tr := transport.NewInProc()
 	cp := startFakeCP(t, tr, "cp")
-	w := testWorker(t, tr, "cp")
+	w := testWorker(t, tr, "cp", rt, nil)
 
 	req := proto.CreateSandboxRequest{SandboxID: 42, Function: testFn()}
 	ctx := context.Background()
-	if _, err := tr.Call(ctx, w.Addr(), proto.MethodCreateSandbox, req.Marshal()); err != nil {
+	if err := createOne(tr, w.Addr(), req); err != nil {
 		t.Fatalf("create: %v", err)
 	}
 	awaitReady(t, cp, 1)
@@ -176,7 +210,7 @@ func TestWorkerCreateInvokeKill(t *testing.T) {
 	}
 
 	// Kill removes it.
-	if _, err := tr.Call(ctx, w.Addr(), proto.MethodKillSandbox, EncodeSandboxID(42)); err != nil {
+	if err := killOne(tr, w.Addr(), 42); err != nil {
 		t.Fatalf("kill: %v", err)
 	}
 	if w.SandboxCount() != 0 {
@@ -188,17 +222,18 @@ func TestWorkerCreateInvokeKill(t *testing.T) {
 	}
 }
 
-func TestWorkerResourceAccounting(t *testing.T) {
+func TestWorkerResourceAccounting(t *testing.T) { eachRuntime(t, testWorkerResourceAccounting) }
+
+func testWorkerResourceAccounting(t *testing.T, rt sandbox.Runtime) {
 	tr := transport.NewInProc()
 	cp := startFakeCP(t, tr, "cp")
-	w := testWorker(t, tr, "cp")
+	w := testWorker(t, tr, "cp", rt, nil)
 	fn := testFn()
 	fn.Scaling.CPUMilli = 500
 	fn.Scaling.MemoryMB = 1024
-	ctx := context.Background()
 	for i := 1; i <= 3; i++ {
 		req := proto.CreateSandboxRequest{SandboxID: core.SandboxID(i), Function: fn}
-		if _, err := tr.Call(ctx, w.Addr(), proto.MethodCreateSandbox, req.Marshal()); err != nil {
+		if err := createOne(tr, w.Addr(), req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,7 +242,7 @@ func TestWorkerResourceAccounting(t *testing.T) {
 	if util.CPUMilliUsed != 1500 || util.MemoryMBUsed != 3072 {
 		t.Errorf("util = %+v, want cpu=1500 mem=3072", util)
 	}
-	if _, err := tr.Call(ctx, w.Addr(), proto.MethodKillSandbox, EncodeSandboxID(2)); err != nil {
+	if err := killOne(tr, w.Addr(), 2); err != nil {
 		t.Fatal(err)
 	}
 	util = w.utilization()
@@ -216,12 +251,14 @@ func TestWorkerResourceAccounting(t *testing.T) {
 	}
 }
 
-func TestWorkerCrashSandboxNotifiesCP(t *testing.T) {
+func TestWorkerCrashSandboxNotifiesCP(t *testing.T) { eachRuntime(t, testWorkerCrashSandboxNotifiesCP) }
+
+func testWorkerCrashSandboxNotifiesCP(t *testing.T, rt sandbox.Runtime) {
 	tr := transport.NewInProc()
 	cp := startFakeCP(t, tr, "cp")
-	w := testWorker(t, tr, "cp")
+	w := testWorker(t, tr, "cp", rt, nil)
 	req := proto.CreateSandboxRequest{SandboxID: 7, Function: testFn()}
-	if _, err := tr.Call(context.Background(), w.Addr(), proto.MethodCreateSandbox, req.Marshal()); err != nil {
+	if err := createOne(tr, w.Addr(), req); err != nil {
 		t.Fatal(err)
 	}
 	awaitReady(t, cp, 1)
@@ -235,23 +272,27 @@ func TestWorkerCrashSandboxNotifiesCP(t *testing.T) {
 	}
 }
 
-func TestWorkerStopRejectsWork(t *testing.T) {
+func TestWorkerStopRejectsWork(t *testing.T) { eachRuntime(t, testWorkerStopRejectsWork) }
+
+func testWorkerStopRejectsWork(t *testing.T, rt sandbox.Runtime) {
 	tr := transport.NewInProc()
 	startFakeCP(t, tr, "cp")
-	w := testWorker(t, tr, "cp")
+	w := testWorker(t, tr, "cp", rt, nil)
 	w.Stop()
 	req := proto.CreateSandboxRequest{SandboxID: 1, Function: testFn()}
-	if _, err := tr.Call(context.Background(), w.Addr(), proto.MethodCreateSandbox, req.Marshal()); err == nil {
+	if err := createOne(tr, w.Addr(), req); err == nil {
 		t.Errorf("create on stopped worker should fail (listener closed)")
 	}
 	// Double stop is a no-op.
 	w.Stop()
 }
 
-func TestWorkerUnknownMethod(t *testing.T) {
+func TestWorkerUnknownMethod(t *testing.T) { eachRuntime(t, testWorkerUnknownMethod) }
+
+func testWorkerUnknownMethod(t *testing.T, rt sandbox.Runtime) {
 	tr := transport.NewInProc()
 	startFakeCP(t, tr, "cp")
-	w := testWorker(t, tr, "cp")
+	w := testWorker(t, tr, "cp", rt, nil)
 	if _, err := tr.Call(context.Background(), w.Addr(), "wn.Bogus", nil); err == nil {
 		t.Errorf("unknown method should fail")
 	}
@@ -259,15 +300,20 @@ func TestWorkerUnknownMethod(t *testing.T) {
 
 func TestImageRegistryDefaultEcho(t *testing.T) {
 	r := NewImageRegistry()
-	h := r.Lookup("unregistered")
+	h := r.Lookup("unregistered", "f")
 	out, err := h([]byte("echo"))
 	if err != nil || !bytes.Equal(out, []byte("echo")) {
 		t.Errorf("default handler = %q, %v", out, err)
 	}
 	r.Register("img", func([]byte) ([]byte, error) { return []byte("custom"), nil })
-	out, _ = r.Lookup("img")(nil)
-	if !bytes.Equal(out, []byte("custom")) {
+	r.RegisterFallback(func(function string) Handler {
+		return func([]byte) ([]byte, error) { return []byte("fallback:" + function), nil }
+	})
+	if out, _ = r.Lookup("img", "f")(nil); !bytes.Equal(out, []byte("custom")) {
 		t.Errorf("registered handler not used")
+	}
+	if out, _ = r.Lookup("unregistered", "f")(nil); !bytes.Equal(out, []byte("fallback:f")) {
+		t.Errorf("fallback not bound to the function name: %q", out)
 	}
 }
 
@@ -276,15 +322,19 @@ func TestImageRegistryDefaultEcho(t *testing.T) {
 // list/utilization reads, and heartbeats. Run with -race, it locks in
 // the copy-on-write dispatch map and atomic in-flight counters.
 func TestWorkerConcurrentInvokeAndChurn(t *testing.T) {
+	eachRuntime(t, testWorkerConcurrentInvokeAndChurn)
+}
+
+func testWorkerConcurrentInvokeAndChurn(t *testing.T, rt sandbox.Runtime) {
 	tr := transport.NewInProc()
 	cp := startFakeCP(t, tr, "cp")
-	w := testWorker(t, tr, "cp")
+	w := testWorker(t, tr, "cp", rt, nil)
 	ctx := context.Background()
 
 	// A stable population of sandboxes that invocations always hit.
 	for i := 1; i <= 8; i++ {
 		req := proto.CreateSandboxRequest{SandboxID: core.SandboxID(i), Function: testFn()}
-		if _, err := tr.Call(ctx, w.Addr(), proto.MethodCreateSandbox, req.Marshal()); err != nil {
+		if err := createOne(tr, w.Addr(), req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -315,9 +365,9 @@ func TestWorkerConcurrentInvokeAndChurn(t *testing.T) {
 	run(func(i int) {
 		id := core.SandboxID(100 + i)
 		req := proto.CreateSandboxRequest{SandboxID: id, Function: testFn()}
-		_, _ = tr.Call(ctx, w.Addr(), proto.MethodCreateSandbox, req.Marshal())
+		_ = createOne(tr, w.Addr(), req)
 		if i%2 == 0 {
-			_, _ = tr.Call(ctx, w.Addr(), proto.MethodKillSandbox, EncodeSandboxID(id))
+			_ = killOne(tr, w.Addr(), id)
 		} else {
 			_ = w.CrashSandbox(id)
 		}
@@ -346,35 +396,6 @@ func TestWorkerConcurrentInvokeAndChurn(t *testing.T) {
 	}
 }
 
-func testWorkerWith(t *testing.T, tr *transport.InProc, cpAddr string, mut func(*Config)) *Worker {
-	t.Helper()
-	images := NewImageRegistry()
-	images.Register("img", func(p []byte) ([]byte, error) {
-		return append([]byte("ran:"), p...), nil
-	})
-	cfg := Config{
-		Node: core.WorkerNode{
-			ID: 1, Name: "w1", IP: "10.0.0.1", Port: 9000,
-			CPUMilli: 10000, MemoryMB: 65536,
-		},
-		Addr:              "10.0.0.1:9000",
-		Runtime:           sandbox.NewContainerd(sandbox.Config{LatencyScale: 0, NodeIP: [4]byte{10, 0, 0, 1}, Seed: 1}),
-		Transport:         tr,
-		ControlPlanes:     []string{cpAddr},
-		HeartbeatInterval: 10 * time.Millisecond,
-		Images:            images,
-	}
-	if mut != nil {
-		mut(&cfg)
-	}
-	w := New(cfg)
-	if err := w.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Stop)
-	return w
-}
-
 func awaitPrewarmPool(t *testing.T, w *Worker, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -390,11 +411,13 @@ func awaitPrewarmPool(t *testing.T, w *Worker, n int) {
 
 // TestWorkerBatchCreate locks in the batched create path: one RPC
 // carries many create instructions, all sandboxes come up, and readiness
-// reports flow back (coalesced or singleton, both legal).
-func TestWorkerBatchCreate(t *testing.T) {
+// reports flow back (in however many batches).
+func TestWorkerBatchCreate(t *testing.T) { eachRuntime(t, testWorkerBatchCreate) }
+
+func testWorkerBatchCreate(t *testing.T, rt sandbox.Runtime) {
 	tr := transport.NewInProc()
 	cp := startFakeCP(t, tr, "cp")
-	w := testWorker(t, tr, "cp")
+	w := testWorker(t, tr, "cp", rt, nil)
 
 	batch := proto.CreateSandboxBatch{}
 	for i := 1; i <= 8; i++ {
@@ -433,15 +456,17 @@ func TestWorkerBatchCreate(t *testing.T) {
 // an initialized sandbox (skipping runtime creation), the claimed
 // sandbox serves invocations under the control plane's ID, teardown goes
 // through the runtime's own handle, and the pool refills after a claim.
-func TestWorkerPrewarmClaim(t *testing.T) {
+func TestWorkerPrewarmClaim(t *testing.T) { eachRuntime(t, testWorkerPrewarmClaim) }
+
+func testWorkerPrewarmClaim(t *testing.T, rt sandbox.Runtime) {
 	tr := transport.NewInProc()
 	cp := startFakeCP(t, tr, "cp")
-	w := testWorkerWith(t, tr, "cp", func(c *Config) { c.Prewarm = 2 })
+	w := testWorker(t, tr, "cp", rt, func(c *Config) { c.Prewarm = 2 })
 	awaitPrewarmPool(t, w, 2)
 
 	ctx := context.Background()
 	req := proto.CreateSandboxRequest{SandboxID: 42, Function: testFn()}
-	if _, err := tr.Call(ctx, w.Addr(), proto.MethodCreateSandbox, req.Marshal()); err != nil {
+	if err := createOne(tr, w.Addr(), req); err != nil {
 		t.Fatalf("create: %v", err)
 	}
 	awaitReady(t, cp, 1)
@@ -476,7 +501,7 @@ func TestWorkerPrewarmClaim(t *testing.T) {
 	awaitPrewarmPool(t, w, 2)
 
 	// Teardown via the runtime's own handle succeeds.
-	if _, err := tr.Call(ctx, w.Addr(), proto.MethodKillSandbox, EncodeSandboxID(42)); err != nil {
+	if err := killOne(tr, w.Addr(), 42); err != nil {
 		t.Fatalf("kill claimed sandbox: %v", err)
 	}
 	if w.SandboxCount() != 0 {
@@ -486,16 +511,18 @@ func TestWorkerPrewarmClaim(t *testing.T) {
 
 // TestWorkerPrewarmRuntimeMismatch: a function pinned to a different
 // runtime must not claim from this node's pool.
-func TestWorkerPrewarmRuntimeMismatch(t *testing.T) {
+func TestWorkerPrewarmRuntimeMismatch(t *testing.T) { eachRuntime(t, testWorkerPrewarmRuntimeMismatch) }
+
+func testWorkerPrewarmRuntimeMismatch(t *testing.T, rt sandbox.Runtime) {
 	tr := transport.NewInProc()
 	cp := startFakeCP(t, tr, "cp")
-	w := testWorkerWith(t, tr, "cp", func(c *Config) { c.Prewarm = 1 })
+	w := testWorker(t, tr, "cp", rt, func(c *Config) { c.Prewarm = 1 })
 	awaitPrewarmPool(t, w, 1)
 
 	fn := testFn()
-	fn.Runtime = "firecracker" // node runs containerd
+	fn.Runtime = "firecracker" // the node runs neither test runtime under that name
 	req := proto.CreateSandboxRequest{SandboxID: 7, Function: fn}
-	if _, err := tr.Call(context.Background(), w.Addr(), proto.MethodCreateSandbox, req.Marshal()); err != nil {
+	if err := createOne(tr, w.Addr(), req); err != nil {
 		t.Fatal(err)
 	}
 	awaitReady(t, cp, 1)
@@ -568,10 +595,12 @@ func TestApportionPrewarm(t *testing.T) {
 // pool (evicting surplus base entries), serves an image-hit claim, heals
 // the drained pool, ignores a stale-generation push, and reverts to the
 // static partition when an empty set arrives.
-func TestWorkerPrewarmTargetsApply(t *testing.T) {
+func TestWorkerPrewarmTargetsApply(t *testing.T) { eachRuntime(t, testWorkerPrewarmTargetsApply) }
+
+func testWorkerPrewarmTargetsApply(t *testing.T, rt sandbox.Runtime) {
 	tr := transport.NewInProc()
 	cp := startFakeCP(t, tr, "cp")
-	w := testWorkerWith(t, tr, "cp", func(c *Config) { c.Prewarm = 4 })
+	w := testWorker(t, tr, "cp", rt, func(c *Config) { c.Prewarm = 4 })
 	ctx := context.Background()
 
 	// Seed parity: no push yet, so the whole budget idles on the base image.
@@ -600,7 +629,7 @@ func TestWorkerPrewarmTargetsApply(t *testing.T) {
 	// and the drained slot heals back.
 	fn := core.Function{Name: "fa", Image: "img-a", Port: 8080, Scaling: core.DefaultScalingConfig()}
 	req := proto.CreateSandboxRequest{SandboxID: 42, Function: fn}
-	if _, err := tr.Call(ctx, w.Addr(), proto.MethodCreateSandbox, req.Marshal()); err != nil {
+	if err := createOne(tr, w.Addr(), req); err != nil {
 		t.Fatal(err)
 	}
 	awaitReady(t, cp, 1)
@@ -631,13 +660,16 @@ func TestWorkerPrewarmTargetsApply(t *testing.T) {
 // entry is claimed, evicted, or still pooled — never two of them. Run
 // under -race by the CI stress step.
 func TestWorkerConcurrentPrewarmEvictionClaim(t *testing.T) {
+	eachRuntime(t, testWorkerConcurrentPrewarmEvictionClaim)
+}
+
+func testWorkerConcurrentPrewarmEvictionClaim(t *testing.T, rt sandbox.Runtime) {
 	tr := transport.NewInProc()
 	cp := startFakeCP(t, tr, "cp")
-	w := testWorkerWith(t, tr, "cp", func(c *Config) {
+	w := testWorker(t, tr, "cp", rt, func(c *Config) {
 		c.Prewarm = 8
 		c.Node.MemoryMB = 1536 // pool (8×128) + 4 sandboxes fill the node
 	})
-	ctx := context.Background()
 	awaitPrewarmPool(t, w, 8)
 
 	// Race: 8 cold starts charge 1024 MB against a full 1024 MB pool, so
@@ -649,7 +681,7 @@ func TestWorkerConcurrentPrewarmEvictionClaim(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			req := proto.CreateSandboxRequest{SandboxID: core.SandboxID(id), Function: testFn()}
-			if _, err := tr.Call(ctx, w.Addr(), proto.MethodCreateSandbox, req.Marshal()); err != nil {
+			if err := createOne(tr, w.Addr(), req); err != nil {
 				t.Errorf("create %d: %v", id, err)
 			}
 		}(i)
@@ -663,7 +695,7 @@ func TestWorkerConcurrentPrewarmEvictionClaim(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			if _, err := tr.Call(ctx, w.Addr(), proto.MethodKillSandbox, EncodeSandboxID(core.SandboxID(id))); err != nil {
+			if err := killOne(tr, w.Addr(), core.SandboxID(id)); err != nil {
 				t.Errorf("kill %d: %v", id, err)
 			}
 		}(i)
@@ -675,7 +707,7 @@ func TestWorkerConcurrentPrewarmEvictionClaim(t *testing.T) {
 	// with runtime-mismatched sandboxes (never claim) so the pool must
 	// yield to real allocations.
 	req := proto.CreateSandboxRequest{SandboxID: 1000, Function: testFn()}
-	if _, err := tr.Call(ctx, w.Addr(), proto.MethodCreateSandbox, req.Marshal()); err != nil {
+	if err := createOne(tr, w.Addr(), req); err != nil {
 		t.Fatal(err)
 	}
 	awaitPrewarmPool(t, w, 1)
@@ -683,7 +715,7 @@ func TestWorkerConcurrentPrewarmEvictionClaim(t *testing.T) {
 	mismatched.Runtime = "firecracker"
 	for i := 1001; i <= 1011; i++ {
 		req := proto.CreateSandboxRequest{SandboxID: core.SandboxID(i), Function: mismatched}
-		if _, err := tr.Call(ctx, w.Addr(), proto.MethodCreateSandbox, req.Marshal()); err != nil {
+		if err := createOne(tr, w.Addr(), req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -717,5 +749,66 @@ func TestWorkerConcurrentPrewarmEvictionClaim(t *testing.T) {
 				filled, claimed, evicted, pooled, pending)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDeregisterDuringCreationFreesSandbox: a function is deregistered
+// while one of its sandboxes is still booting, so the control plane's kill
+// finds nothing on the worker yet. When the sandbox then reports ready for
+// a function that no longer exists, the control plane must have it torn
+// down, or it and its resources stay on the worker forever.
+func TestDeregisterDuringCreationFreesSandbox(t *testing.T) {
+	tr := transport.NewInProc()
+	cp := controlplane.New(controlplane.Config{
+		Addr:              "cp",
+		Transport:         tr,
+		DB:                store.NewMemory(),
+		AutoscaleInterval: time.Hour, // the sweep is driven explicitly
+		HeartbeatTimeout:  time.Hour,
+	})
+	if err := cp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Stop()
+	vclk := clock.NewVirtual(time.Unix(0, 0))
+	w := testWorker(t, tr, "cp", &sandbox.Null{ReadyDelay: time.Second}, func(c *Config) {
+		c.Clock = vclk
+		c.HeartbeatInterval = time.Hour
+	})
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	fn := testFn()
+	fn.Scaling.MinScale = 1
+	ctx := context.Background()
+	if _, err := tr.Call(ctx, "cp", proto.MethodRegisterFunction, core.MarshalFunction(&fn)); err != nil {
+		t.Fatal(err)
+	}
+	cp.Reconcile()
+	// Two timers pending: the parked heartbeat and the sandbox's boot wait.
+	await("the sandbox to start booting", func() bool { return vclk.PendingTimers() == 2 })
+	if _, err := tr.Call(ctx, "cp", proto.MethodDeregisterFunction, core.MarshalFunction(&fn)); err != nil {
+		t.Fatal(err)
+	}
+	await("the deregistration's kill to miss", func() bool {
+		return w.Metrics().Counter("kill_batches_received").Value() == 1
+	})
+	if got := w.Metrics().Counter("sandboxes_killed").Value(); got != 0 {
+		t.Fatalf("sandboxes_killed = %d before the sandbox exists", got)
+	}
+
+	vclk.Advance(time.Second)
+	await("the orphan to be torn down", func() bool {
+		return w.Metrics().Counter("sandboxes_killed").Value() == 1
+	})
+	if util := w.utilization(); w.SandboxCount() != 0 || util.CPUMilliUsed != 0 || util.MemoryMBUsed != 0 {
+		t.Errorf("after deregistration the worker still holds %d sandboxes, cpu=%d mem=%d",
+			w.SandboxCount(), util.CPUMilliUsed, util.MemoryMBUsed)
 	}
 }
