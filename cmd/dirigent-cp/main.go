@@ -33,7 +33,7 @@ func main() {
 		"fsync policy: group (coalesce concurrent writes into one fsync), always (Redis appendfsync=always, the paper's baseline), never")
 	shards := flag.Int("state-shards", 0, "locks striping the function state map (0 = default 32, 1 = single global lock ablation)")
 	workerShards := flag.Int("worker-shards", 0, "locks striping the worker registry (0 = default 32, 1 = single registry lock ablation)")
-	autoscale := flag.Duration("autoscale-interval", 2*time.Second, "autoscaling loop period")
+	autoscale := flag.Duration("autoscale-interval", 2*time.Second, "autoscaling loop period: the steady-state and scale-down period (a scale from zero is decided when the data plane reports it, not on this tick)")
 	hbTimeout := flag.Duration("heartbeat-timeout", 2*time.Second, "worker heartbeat timeout")
 	dpTimeout := flag.Duration("dataplane-timeout", 0, "data plane heartbeat timeout before the replica is pruned from the fan-out set (0 = 3x heartbeat-timeout)")
 	relayTimeout := flag.Duration("relay-timeout", 0, "relay batch-arrival timeout before a relay is treated as a correlated mass-timeout candidate (0 = heartbeat-timeout)")

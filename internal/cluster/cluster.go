@@ -286,6 +286,15 @@ func (c *Cluster) newControlPlane(i int, rejoin bool) *controlplane.ControlPlane
 		// keeps staleness bounded well below the worker heartbeat windows
 		// while letting followers actually absorb the read path.
 		cfg.ReadLease = 50 * time.Millisecond
+		// The Raft package's own defaults (2 ms heartbeat, 8–16 ms
+		// election timeout) are for its unit tests: a leader goroutine
+		// that is off-CPU for 8 ms on a loaded host loses the term, and
+		// the next leader starts every function at scale zero. These keep
+		// failover well under the failure detector's windows and above
+		// both scheduling jitter and the read lease.
+		cfg.RaftHeartbeat = 10 * time.Millisecond
+		cfg.RaftElectionMin = 60 * time.Millisecond
+		cfg.RaftElectionMax = 120 * time.Millisecond
 	} else {
 		cfg.DB = c.stores[i]
 	}

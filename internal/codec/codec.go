@@ -154,14 +154,18 @@ func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 func (d *Decoder) Bool() bool { return d.U8() != 0 }
 
 // String reads a string written by Encoder.String.
-func (d *Decoder) String() string {
+func (d *Decoder) String() string { return string(d.StringBytes()) }
+
+// StringBytes reads a string written by Encoder.String without copying
+// it. The returned slice aliases the decoder's buffer.
+func (d *Decoder) StringBytes() []byte {
 	n := int(d.U16())
 	if !d.need(n) {
-		return ""
+		return nil
 	}
-	s := string(d.buf[d.off : d.off+n])
+	b := d.buf[d.off : d.off+n]
 	d.off += n
-	return s
+	return b
 }
 
 // RawBytes reads a byte slice written by Encoder.RawBytes. The returned

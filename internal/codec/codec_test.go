@@ -92,7 +92,10 @@ func TestQuickStringRoundTrip(t *testing.T) {
 		e := NewEncoder(len(s) + 2)
 		e.String(s)
 		d := NewDecoder(e.Bytes())
-		return d.String() == s && d.Err() == nil
+		// StringBytes reads the same field without copying it.
+		b := NewDecoder(e.Bytes()).StringBytes()
+		aliases := len(s) == 0 || &b[0] == &e.Bytes()[2]
+		return d.String() == s && d.Err() == nil && string(b) == s && aliases
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -256,6 +256,15 @@ type functionState struct {
 	// epoch into the update's Version. Sequencing is per function, so
 	// broadcasts for unrelated functions never contend.
 	epSeq uint64
+	// placing counts creations scaleStep has decided on that placeSandbox
+	// has not yet turned into phaseCreating sandboxes (or given up on).
+	placing int
+	// triggered is set when the scaling-metric handler has run scaleStep
+	// for this function and cleared by every sweep: at most one inline
+	// scale-from-zero attempt per function between two ticks, so a
+	// function that cannot be placed does not turn every report into a
+	// walk of the worker registry.
+	triggered bool
 }
 
 func newFunctionState(fn core.Function) *functionState {
@@ -390,6 +399,11 @@ type ControlPlane struct {
 	cRelayFailures   *telemetry.Counter
 	cReadLeader      *telemetry.Counter
 	cReadFollower    *telemetry.Counter
+
+	cCreationsRequested *telemetry.Counter
+	cPlacementFailures  *telemetry.Counter
+	cCreateRPCErrors    *telemetry.Counter
+	cTeardowns          *telemetry.Counter
 }
 
 // New creates a control plane replica; call Start to serve.
@@ -432,6 +446,10 @@ func New(cfg Config) *ControlPlane {
 	cp.cRelayFailures = cp.metrics.Counter("relay_failures_detected")
 	cp.cReadLeader = cp.metrics.Counter("cp_read_leader_served")
 	cp.cReadFollower = cp.metrics.Counter("cp_read_follower_served")
+	cp.cCreationsRequested = cp.metrics.Counter("sandbox_creations_requested")
+	cp.cPlacementFailures = cp.metrics.Counter("placement_failures")
+	cp.cCreateRPCErrors = cp.metrics.Counter("sandbox_create_rpc_errors")
+	cp.cTeardowns = cp.metrics.Counter("sandbox_teardowns")
 	return cp
 }
 
@@ -907,25 +925,42 @@ func (cp *ControlPlane) handleListFunctions() ([]byte, error) {
 }
 
 // handleScalingMetric feeds data plane concurrency reports into the
-// per-function autoscalers. Only the shard of each reported function is
-// locked, and only long enough to look up the scaler.
+// per-function autoscalers and is the scale-from-zero trigger: a reported
+// function that shows demand while nothing of it is ready, creating or
+// being placed gets the sweep's own scaleStep at once, and its creations
+// have been dispatched by the time the call returns — a cold start does
+// not wait for autoscaleLoop's tick. Everything else (scale 1→N, scale
+// down, a retry after a failed placement) stays with the tick.
+//
+// The payload is decoded in place and the shard map keyed by the name's
+// bytes: every data plane reports every function every period, so a
+// report of idle functions must cost no allocation per metric. Only the
+// shard of each reported function is locked, one metric at a time.
 func (cp *ControlPlane) handleScalingMetric(payload []byte) ([]byte, error) {
-	report, err := proto.UnmarshalScalingMetricReport(payload)
+	now := cp.clk.Now()
+	var actions []scaleAction
+	_, err := proto.VisitScalingMetricReport(payload, func(function []byte, inFlight, queueDepth int, _ time.Time) {
+		sh := shardOf(cp, function)
+		cp.lockShard(sh)
+		defer sh.mu.Unlock()
+		fs := sh.fns[string(function)]
+		if fs == nil {
+			return // a metric racing a deregistration
+		}
+		demand := inFlight + queueDepth
+		fs.scaler.Record(now, float64(demand))
+		if demand == 0 || fs.triggered || fs.placing > 0 || len(fs.sandboxes) > 0 {
+			return
+		}
+		fs.triggered = true
+		if a, ok := fs.scaleStep(now, false); ok {
+			actions = append(actions, a)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	now := cp.clk.Now()
-	for _, m := range report.Metrics {
-		var scaler *autoscaler.FunctionAutoscaler
-		cp.withFunction(m.Function, func(fs *functionState) {
-			scaler = fs.scaler
-		})
-		if scaler != nil {
-			// The scaler is internally synchronized; recording outside
-			// the shard lock keeps metric floods off the sandbox paths.
-			scaler.Record(now, float64(m.InFlight+m.QueueDepth))
-		}
-	}
+	cp.applyScale(actions, now)
 	return nil, nil
 }
 

@@ -211,7 +211,7 @@ func (h *cpHarness) call(t *testing.T, method string, payload []byte) []byte {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	resp, err := h.tr.Call(ctx, "cp0", method, payload)
+	resp, err := h.tr.Call(ctx, h.cp.Addr(), method, payload)
 	if err != nil {
 		t.Fatalf("%s: %v", method, err)
 	}

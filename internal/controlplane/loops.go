@@ -42,83 +42,115 @@ func (cp *ControlPlane) autoscaleLoop() {
 // waiting for ticker periods.
 //
 // The sweep iterates shard by shard, holding only one shard's lock while
-// it snapshots that shard's scaling decisions; sandbox transitions and
-// metric reports for functions in other shards proceed concurrently with
-// the pass instead of stalling behind a global lock for the whole sweep.
-//
-// Scale-up is pipelined: every placement decision the sweep makes is
-// staged first, then fanned out as one CreateSandboxBatch RPC per worker
-// (concurrently across workers), and every function whose endpoint set
-// changed shares one coalesced UpdateEndpointsBatch RPC per data plane.
+// it takes that shard's scaling decisions (scaleStep); sandbox transitions
+// and metric reports for functions in other shards proceed concurrently
+// with the pass instead of stalling behind a global lock for the whole
+// sweep. The decisions are then carried out off-lock by applyScale.
 func (cp *ControlPlane) Reconcile() {
 	now := cp.clk.Now()
-	type action struct {
-		create int
-		kills  []*sandboxState
-		fn     core.Function
-	}
-	var actions []action
-
-	suppressDownscale := false
+	downscale := true
 	if at := cp.recoveredAt.Load(); at != nil {
-		suppressDownscale = now.Sub(*at) < cp.cfg.NoDownscaleWindow
+		downscale = now.Sub(*at) >= cp.cfg.NoDownscaleWindow
 	}
+	var actions []scaleAction
 	cp.forEachShard(func(sh *functionShard) {
 		for _, fs := range sh.fns {
-			ready, creating := fs.counts()
-			current := ready + creating
-			desired := fs.scaler.Desired(now, current)
-			switch {
-			case desired > current:
-				actions = append(actions, action{create: desired - current, fn: fs.fn})
-			case desired < current && !suppressDownscale:
-				// Tear down surplus sandboxes, preferring ready ones last so
-				// that in-flight creations are cancelled first conceptually;
-				// since creations cannot be cancelled mid-flight, we kill
-				// ready sandboxes beyond the desired count.
-				surplus := current - desired
-				var victims []*sandboxState
-				for _, sb := range fs.sandboxes {
-					if len(victims) == surplus {
-						break
-					}
-					if sb.phase == phaseReady {
-						victims = append(victims, sb)
-					}
-				}
-				for _, sb := range victims {
-					delete(fs.sandboxes, sb.id)
-				}
-				actions = append(actions, action{kills: victims, fn: fs.fn})
+			// A new tick: the report handler may try this function again.
+			fs.triggered = false
+			if a, ok := fs.scaleStep(now, downscale); ok {
+				actions = append(actions, a)
 			}
 		}
 	})
+	cp.applyScale(actions, now)
+	cp.pushPrewarmTargets(now)
+}
 
+// scaleAction is one function's scaling decision, taken under its shard
+// lock by scaleStep and carried out off-lock by applyScale.
+type scaleAction struct {
+	// fs is the state the decision was taken on and holds the create
+	// reservations; fn is its spec as of the decision.
+	fs     *functionState
+	fn     core.Function
+	create int
+	kills  []*sandboxState
+}
+
+// scaleStep is the per-function autoscaling decision, shared by the
+// periodic sweep and the scaling-metric handler's scale-from-zero trigger.
+// Callers hold the function's shard lock. It compares the scaler's desired
+// scale with what exists or is on its way and either reserves creations or
+// unlinks victims. The reservation (fs.placing, released by placeSandbox)
+// is what keeps the two deciders from both scaling up from the same
+// current count: creations decided here are not sandboxes in phaseCreating
+// until applyScale has placed them, off-lock.
+func (fs *functionState) scaleStep(now time.Time, downscale bool) (scaleAction, bool) {
+	ready, creating := fs.counts()
+	current := ready + creating + fs.placing
+	desired := fs.scaler.Desired(now, current)
+	switch {
+	case desired > current:
+		fs.placing += desired - current
+		return scaleAction{fs: fs, fn: fs.fn, create: desired - current}, true
+	case desired < current && downscale:
+		// Tear down surplus sandboxes. Creations cannot be cancelled
+		// mid-flight, so only ready sandboxes are victims.
+		surplus := current - desired
+		var victims []*sandboxState
+		for _, sb := range fs.sandboxes {
+			if len(victims) == surplus {
+				break
+			}
+			if sb.phase == phaseReady {
+				victims = append(victims, sb)
+			}
+		}
+		for _, sb := range victims {
+			delete(fs.sandboxes, sb.id)
+		}
+		return scaleAction{fs: fs, fn: fs.fn, kills: victims}, len(victims) > 0
+	}
+	return scaleAction{}, false
+}
+
+// applyScale carries out a batch of scaling decisions — the tail shared
+// by the sweep and the report handler. Scale-up is pipelined: every
+// placement is staged first, then fanned out as one CreateSandboxBatch RPC
+// per worker (concurrently across workers), and every function whose
+// endpoint set changed shares one coalesced UpdateEndpointsBatch RPC per
+// data plane. decidedAt is when the deciding pass began.
+func (cp *ControlPlane) applyScale(actions []scaleAction, decidedAt time.Time) {
+	if len(actions) == 0 {
+		return
+	}
 	var staged []*stagedCreate
 	var kills []*sandboxState
-	drained := make(map[string]bool)
+	var drained map[string]bool // allocated by the first scale-down
 	for _, a := range actions {
 		if a.create > 0 && cp.pred != nil {
-			// Every creation the sweep stages is cold-start demand for the
+			// Every creation staged is cold-start demand for the
 			// function's image — a signal that stays live even when worker
 			// pre-warm pools absorb the actual boot cost, because the
 			// reconciler still places the replacement sandbox.
-			cp.pred.Observe(now, a.fn.Image, a.create)
+			cp.pred.Observe(decidedAt, a.fn.Image, a.create)
 		}
 		for i := 0; i < a.create; i++ {
-			if sc := cp.placeSandbox(a.fn); sc != nil {
+			if sc := cp.placeSandbox(a.fs, a.fn); sc != nil {
 				staged = append(staged, sc)
 			}
 		}
-		kills = append(kills, a.kills...)
 		if len(a.kills) > 0 {
+			kills = append(kills, a.kills...)
+			if drained == nil {
+				drained = make(map[string]bool)
+			}
 			drained[a.fn.Name] = true
 		}
 	}
-	cp.dispatchCreates(staged, now)
+	cp.dispatchCreates(staged, decidedAt)
 	cp.dispatchKills(kills)
 	cp.broadcastEndpointsBatch(sortedKeys(drained))
-	cp.pushPrewarmTargets(now)
 }
 
 // stagedCreate is one placement decision awaiting RPC dispatch: the
@@ -130,14 +162,60 @@ type stagedCreate struct {
 	addr string
 }
 
-// placeSandbox places one new sandbox for fn and stages it for dispatch.
-// This is the latency-critical cold-start path: note the absence of any
-// persistent state update (design principle 2) and of any global lock —
-// the path reads worker shards one at a time, takes one worker's mutex,
-// and one function shard, so cold starts for unrelated functions proceed
-// in parallel with registrations and heartbeats on other shards. It
-// returns nil when placement fails or the function vanished.
-func (cp *ControlPlane) placeSandbox(fn core.Function) *stagedCreate {
+// placeSandbox places one of the creations scaleStep reserved on fs and
+// stages it for dispatch. This is the latency-critical cold-start path:
+// note the absence of any persistent state update (design principle 2) and
+// of any global lock — the path reads worker shards one at a time, takes
+// one worker's mutex, and one function shard, so cold starts for unrelated
+// functions proceed in parallel with registrations and heartbeats on other
+// shards. It returns nil when placement fails or the function vanished;
+// either way the reservation is released.
+func (cp *ControlPlane) placeSandbox(fs *functionState, fn core.Function) *stagedCreate {
+	w, nodeID := cp.chargeWorker(fn)
+	// Only the state the decision was taken on holds the reservation: a
+	// function deregistered (or recovered into a fresh state) meanwhile
+	// gets nothing placed on the old decision's account.
+	var id core.SandboxID
+	placed := false
+	cp.withFunction(fn.Name, func(live *functionState) {
+		if live != fs {
+			return
+		}
+		fs.placing--
+		if w == nil {
+			return
+		}
+		placed = true
+		id = core.SandboxID(cp.nextSandboxID.Add(1))
+		fs.sandboxes[id] = &sandboxState{
+			id:         id,
+			function:   fn.Name,
+			node:       nodeID,
+			workerAddr: w.addr,
+			phase:      phaseCreating,
+			createdAt:  cp.clk.Now(),
+		}
+	})
+	if w == nil {
+		return nil
+	}
+	if !placed {
+		// Return the optimistic utilization chargeWorker took.
+		w.mu.Lock()
+		w.util.CPUMilliUsed -= fn.Scaling.CPUMilli
+		w.util.MemoryMBUsed -= fn.Scaling.MemoryMB
+		w.mu.Unlock()
+		return nil
+	}
+	cp.cCreationsRequested.Inc()
+	return &stagedCreate{id: id, fn: fn, addr: w.addr}
+}
+
+// chargeWorker picks a worker for one sandbox of fn and optimistically
+// accounts the sandbox on it, so that the placer sees the pending
+// allocation before the next heartbeat refresh. It returns nil when no
+// healthy worker has room.
+func (cp *ControlPlane) chargeWorker(fn core.Function) (*workerState, core.NodeID) {
 	candidates := make([]placement.NodeStatus, 0, cp.workerCount.Load())
 	cp.forEachWorkerShard(func(ws *workerShard) {
 		for _, w := range ws.workers {
@@ -157,55 +235,28 @@ func (cp *ControlPlane) placeSandbox(fn core.Function) *stagedCreate {
 	}
 	nodeID, err := cp.cfg.Placer.Place(candidates, req)
 	if err != nil {
-		cp.metrics.Counter("placement_failures").Inc()
-		return nil
+		cp.cPlacementFailures.Inc()
+		return nil, 0
 	}
-
 	w := cp.getWorker(nodeID)
 	if w == nil {
-		return nil
+		return nil, 0
 	}
-	// Optimistically account the sandbox on the worker so that the placer
-	// sees the pending allocation before the next heartbeat refresh.
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if !w.healthy {
-		w.mu.Unlock()
-		return nil
+		return nil, 0
 	}
 	w.util.CPUMilliUsed += fn.Scaling.CPUMilli
 	w.util.MemoryMBUsed += fn.Scaling.MemoryMB
-	addr := w.addr
-	w.mu.Unlock()
-
-	id := core.SandboxID(cp.nextSandboxID.Add(1))
-	placed := cp.withFunction(fn.Name, func(fs *functionState) {
-		fs.sandboxes[id] = &sandboxState{
-			id:         id,
-			function:   fn.Name,
-			node:       nodeID,
-			workerAddr: addr,
-			phase:      phaseCreating,
-			createdAt:  cp.clk.Now(),
-		}
-	})
-	if !placed {
-		// Function deregistered while we were placing: return the
-		// optimistic utilization we charged above.
-		w.mu.Lock()
-		w.util.CPUMilliUsed -= fn.Scaling.CPUMilli
-		w.util.MemoryMBUsed -= fn.Scaling.MemoryMB
-		w.mu.Unlock()
-		return nil
-	}
-	cp.metrics.Counter("sandbox_creations_requested").Inc()
-	return &stagedCreate{id: id, fn: fn, addr: addr}
+	return w, nodeID
 }
 
-// dispatchCreates fans the sweep's staged creations out to their workers:
-// one CreateSandboxBatch RPC per worker (chunked at maxBatch), all
-// workers in parallel. sweepStart is when the autoscale pass began; the
-// gap to RPC dispatch is the control plane's scheduling latency
-// contribution (cold_start_sched_ms).
+// dispatchCreates fans staged creations out to their workers: one
+// CreateSandboxBatch RPC per worker (chunked at maxBatch), all workers in
+// parallel. sweepStart is when the deciding pass (the autoscale sweep or
+// the report handler) began; the gap to RPC dispatch is the control
+// plane's scheduling latency contribution (cold_start_sched_ms).
 func (cp *ControlPlane) dispatchCreates(staged []*stagedCreate, sweepStart time.Time) {
 	if len(staged) == 0 {
 		return
@@ -250,7 +301,7 @@ func (cp *ControlPlane) sendCreateBatch(addr string, chunk []*stagedCreate, swee
 				cp.withFunction(sc.fn.Name, func(fs *functionState) {
 					delete(fs.sandboxes, sc.id)
 				})
-				cp.metrics.Counter("sandbox_create_rpc_errors").Inc()
+				cp.cCreateRPCErrors.Inc()
 			}
 		}
 	}()
@@ -266,7 +317,7 @@ func (cp *ControlPlane) dispatchKills(kills []*sandboxState) {
 	}
 	byWorker := make(map[string][]core.SandboxID)
 	for _, sb := range kills {
-		cp.metrics.Counter("sandbox_teardowns").Inc()
+		cp.cTeardowns.Inc()
 		if cp.cfg.PersistSandboxState {
 			_ = cp.cfg.DB.HDel(hashSandboxes, fmt.Sprintf("%d", sb.id))
 		}

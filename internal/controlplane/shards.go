@@ -33,7 +33,11 @@ func newShards(n int) []*functionShard {
 
 // shardFor maps a function name to its shard (FNV-1a, folded to 16 bits
 // by core.FunctionHash — plenty for any sane shard count).
-func (cp *ControlPlane) shardFor(name string) *functionShard {
+func (cp *ControlPlane) shardFor(name string) *functionShard { return shardOf(cp, name) }
+
+// shardOf is shardFor for a name held either as a string or as bytes
+// still inside a received payload.
+func shardOf[S string | []byte](cp *ControlPlane, name S) *functionShard {
 	return cp.shards[uint32(core.FunctionHash(name))%uint32(len(cp.shards))]
 }
 

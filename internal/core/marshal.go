@@ -50,8 +50,10 @@ func UnmarshalSandboxRecord(rec [SandboxRecordSize]byte) (id SandboxID, fnHash u
 }
 
 // FunctionHash returns a 16-bit FNV-1a hash of a function name, used in
-// compact sandbox records and for front-end load balancer steering.
-func FunctionHash(name string) uint16 {
+// compact sandbox records, for front-end load balancer steering and for
+// shard striping. It takes the name as a string or as bytes still inside
+// a received payload, so a decoder need not build a string to find a shard.
+func FunctionHash[S string | []byte](name S) uint16 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619

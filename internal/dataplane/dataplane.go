@@ -160,6 +160,9 @@ type functionRuntime struct {
 	// Lock-free:
 	queued atomic.Int32 // len(queue) mirror, read by slot release
 	snap   atomic.Pointer[endpointSnapshot]
+	// coldMarked is set while the runtime sits in DataPlane.cold, so it
+	// sits there at most once however long a report takes to leave.
+	coldMarked atomic.Bool
 }
 
 // DataPlane is one data plane replica.
@@ -187,6 +190,17 @@ type DataPlane struct {
 	mPickRaces       *telemetry.Counter
 	mInvokeWait      *telemetry.Histogram
 	mInvokeContended *telemetry.Counter
+	mUnknownFunction *telemetry.Counter
+	mTimeouts        *telemetry.Counter
+	mEndpointBatches *telemetry.Counter
+
+	// Scale-from-zero trigger: the runtimes an invocation has just queued
+	// for with no endpoint to wait on, which metricLoop (woken through
+	// coldWake) reports to the control plane at once instead of at the
+	// next period. coldMu is a leaf lock, taken under a runtime's mu.
+	coldMu   sync.Mutex
+	cold     []*functionRuntime
+	coldWake chan struct{}
 
 	// asyncShards stripes the asynchronous queue (see asyncqueue.go).
 	asyncShards []*asyncShard
@@ -239,6 +253,7 @@ func New(cfg Config) *DataPlane {
 		asyncShards: newAsyncShards(cfg.AsyncShards, cfg.AsyncFnQuota),
 		leases:      make(map[core.DataPlaneID]*heldLease),
 		leasedKeys:  make(map[string]bool),
+		coldWake:    make(chan struct{}, 1),
 		stopCh:      make(chan struct{}),
 	}
 	dp.snapPolicy, _ = cfg.Balancer.(loadbalancer.SnapshotPolicy)
@@ -250,6 +265,9 @@ func New(cfg Config) *DataPlane {
 	dp.mPickRaces = dp.metrics.Counter("warm_pick_races")
 	dp.mInvokeWait = dp.metrics.Histogram("invoke_lock_wait_ms")
 	dp.mInvokeContended = dp.metrics.Counter("invoke_lock_contended")
+	dp.mUnknownFunction = dp.metrics.Counter("invocations_unknown_function")
+	dp.mTimeouts = dp.metrics.Counter("invocation_timeouts")
+	dp.mEndpointBatches = dp.metrics.Counter("endpoint_update_batches")
 	return dp
 }
 
@@ -460,7 +478,7 @@ func (dp *DataPlane) handleUpdateEndpointsBatch(payload []byte) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	dp.metrics.Counter("endpoint_update_batches").Inc()
+	dp.mEndpointBatches.Inc()
 	for i := range batch.Updates {
 		dp.applyEndpointUpdate(&batch.Updates[i])
 	}

@@ -19,27 +19,37 @@ type fakeCP struct {
 	mu      sync.Mutex
 	reports []proto.ScalingMetricReport
 	regs    []core.DataPlane
+	// hold, when set, keeps a metric report's call open (after recording
+	// the report) until the channel is closed.
+	hold chan struct{}
 }
 
 func startFakeCP(t *testing.T, tr *transport.InProc, addr string) *fakeCP {
 	t.Helper()
 	cp := &fakeCP{}
 	ln, err := tr.Listen(addr, func(method string, payload []byte) ([]byte, error) {
+		var hold chan struct{}
 		cp.mu.Lock()
-		defer cp.mu.Unlock()
 		switch method {
 		case proto.MethodRegisterDataPlane:
 			req, err := proto.UnmarshalRegisterDataPlaneRequest(payload)
 			if err != nil {
+				cp.mu.Unlock()
 				return nil, err
 			}
 			cp.regs = append(cp.regs, req.DataPlane)
 		case proto.MethodScalingMetric:
 			rep, err := proto.UnmarshalScalingMetricReport(payload)
 			if err != nil {
+				cp.mu.Unlock()
 				return nil, err
 			}
 			cp.reports = append(cp.reports, *rep)
+			hold = cp.hold
+		}
+		cp.mu.Unlock()
+		if hold != nil {
+			<-hold
 		}
 		return nil, nil
 	})
@@ -109,9 +119,18 @@ func testDP(t *testing.T, tr *transport.InProc) *DataPlane {
 
 func pushFunction(t *testing.T, tr *transport.InProc, dpAddr, name string) {
 	t.Helper()
-	list := proto.FunctionList{Functions: []core.Function{{
-		Name: name, Image: "img", Port: 80, Scaling: core.DefaultScalingConfig(),
-	}}}
+	pushFunctions(t, tr, dpAddr, name)
+}
+
+// pushFunctions replaces the data plane's function cache with names.
+func pushFunctions(t *testing.T, tr *transport.InProc, dpAddr string, names ...string) {
+	t.Helper()
+	var list proto.FunctionList
+	for _, name := range names {
+		list.Functions = append(list.Functions, core.Function{
+			Name: name, Image: "img", Port: 80, Scaling: core.DefaultScalingConfig(),
+		})
+	}
 	if _, err := tr.Call(context.Background(), dpAddr, proto.MethodAddFunction, list.Marshal()); err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func (dp *DataPlane) invokeSync(function string, payload []byte) ([]byte, error)
 
 	fr := dp.lookup(function)
 	if fr == nil {
-		dp.metrics.Counter("invocations_unknown_function").Inc()
+		dp.mUnknownFunction.Inc()
 		return nil, fmt.Errorf("%w %q", errUnknownFunction, function)
 	}
 	for staleRetries := 0; staleRetries < maxStaleRetries; {
@@ -104,12 +104,16 @@ func (dp *DataPlane) invokeSync(function string, payload []byte) ([]byte, error)
 		// failing against the stale one.
 		fr.mu.Unlock()
 		if fr = dp.lookup(function); fr == nil {
-			dp.metrics.Counter("invocations_unknown_function").Inc()
+			dp.mUnknownFunction.Inc()
 			return nil, fmt.Errorf("%w %q", errUnknownFunction, function)
 		}
 	}
 	fr.queue = append(fr.queue, p)
 	fr.queued.Add(1)
+	if len(fr.queue) == 1 && len(fr.endpoints) == 0 {
+		// First to wait, and on nothing: tell the control plane now.
+		dp.markCold(fr)
+	}
 	// Re-pump under the lock: a slot may have freed between the failed
 	// warm pick and the enqueue, and that release may have observed an
 	// empty queue (lost-wakeup guard).
@@ -132,7 +136,7 @@ func (dp *DataPlane) invokeSync(function string, payload []byte) ([]byte, error)
 		return resp.Marshal(), nil
 	case <-dp.clk.After(dp.cfg.QueueTimeout):
 		dp.abandon(function, p)
-		dp.metrics.Counter("invocation_timeouts").Inc()
+		dp.mTimeouts.Inc()
 		return nil, fmt.Errorf("data plane: invocation of %q timed out waiting for a sandbox", function)
 	case <-dp.stopCh:
 		return nil, fmt.Errorf("data plane: shutting down")
@@ -504,42 +508,97 @@ func (dp *DataPlane) sendHeartbeat() {
 	}
 }
 
-// metricLoop periodically reports per-function scaling metrics to the
-// control plane (paper Table 2). The period is driven by the injected
-// clock so simulated-time tests don't burn wall time.
+// metricLoop reports per-function scaling metrics to the control plane
+// (paper Table 2): every function once a period, which is what steady-state
+// scaling and scale-down run on, and in between, as soon as markCold wakes
+// it, the functions an invocation has just queued for with no endpoint, so
+// a scale from zero waits for neither this timer nor the control plane's
+// tick. The period is driven by the injected clock so simulated-time tests
+// don't burn wall time, and a wake-up does not restart it.
+//
+// Reports leave one at a time, so marks that arrive while one is in flight
+// share the next: a burst of cold arrivals costs two RPCs, not one each.
 func (dp *DataPlane) metricLoop() {
 	defer dp.wg.Done()
+	period := dp.clk.After(dp.cfg.MetricInterval)
 	for {
 		select {
 		case <-dp.stopCh:
 			return
-		case <-dp.clk.After(dp.cfg.MetricInterval):
+		case <-period:
 			dp.reportMetrics()
+			period = dp.clk.After(dp.cfg.MetricInterval)
+		case <-dp.coldWake:
+			dp.reportCold()
 		}
 	}
 }
 
-// reportMetrics collects in-flight plus queued requests per function.
-// It reads only published snapshots and atomic counters — a report never
-// stalls the invoke path.
+// markCold puts fr in the set metricLoop reports at once and wakes the
+// loop. Callers hold fr.mu. A stale-endpoint requeue does not come here:
+// the control plane still counts that sandbox, and the failure detector,
+// not the autoscaler, owns its replacement.
+func (dp *DataPlane) markCold(fr *functionRuntime) {
+	if !fr.coldMarked.CompareAndSwap(false, true) {
+		return
+	}
+	dp.coldMu.Lock()
+	dp.cold = append(dp.cold, fr)
+	dp.coldMu.Unlock()
+	select {
+	case dp.coldWake <- struct{}{}:
+	default: // a wake-up is already pending and will take this mark along
+	}
+}
+
+// reportCold sends the scaling metrics of the marked functions only. It is
+// best effort like the periodic report, which is also its fallback.
+func (dp *DataPlane) reportCold() {
+	dp.coldMu.Lock()
+	marked := dp.cold
+	dp.cold = nil
+	dp.coldMu.Unlock()
+	now := dp.clk.Now()
+	report := proto.ScalingMetricReport{DataPlane: dp.cfg.ID, Metrics: make([]core.ScalingMetric, 0, len(marked))}
+	for _, fr := range marked {
+		// Unmark before reading: an arrival from here on marks again
+		// rather than go unreported.
+		fr.coldMarked.Store(false)
+		report.Metrics = append(report.Metrics, fr.scalingMetric(now))
+	}
+	dp.sendMetrics(&report)
+}
+
+// reportMetrics sends the scaling metrics of every function.
 func (dp *DataPlane) reportMetrics() {
 	now := dp.clk.Now()
 	report := proto.ScalingMetricReport{DataPlane: dp.cfg.ID}
 	for _, sh := range dp.shards {
-		for name, fr := range sh.fns.load() {
-			snap := fr.snap.Load()
-			inFlight := 0
-			for i := range snap.eps {
-				inFlight += int(snap.eps[i].InFlight.Load())
-			}
-			report.Metrics = append(report.Metrics, core.ScalingMetric{
-				Function:   name,
-				InFlight:   inFlight,
-				QueueDepth: int(fr.queued.Load()),
-				At:         now,
-			})
+		for _, fr := range sh.fns.load() {
+			report.Metrics = append(report.Metrics, fr.scalingMetric(now))
 		}
 	}
+	dp.sendMetrics(&report)
+}
+
+// scalingMetric collects fr's in-flight plus queued requests. It reads
+// only the published snapshot and atomic counters — a report never stalls
+// the invoke path.
+func (fr *functionRuntime) scalingMetric(now time.Time) core.ScalingMetric {
+	snap := fr.snap.Load()
+	inFlight := 0
+	for i := range snap.eps {
+		inFlight += int(snap.eps[i].InFlight.Load())
+	}
+	return core.ScalingMetric{
+		Function:   fr.name,
+		InFlight:   inFlight,
+		QueueDepth: int(fr.queued.Load()),
+		At:         now,
+	}
+}
+
+func (dp *DataPlane) sendMetrics(report *proto.ScalingMetricReport) {
 	if len(report.Metrics) == 0 {
 		return
 	}

@@ -129,6 +129,31 @@ func runCPHA(w io.Writer, scale float64) error {
 	return nil
 }
 
+// leaderFunctionList reads the function list from the replica that leads,
+// addressed directly. Through the client it can come from a follower: Call
+// starts at the replica that answered last, and with follower reads on a
+// follower inside its read lease answers ListFunctions from its applied
+// store, which by design may trail the writes acknowledged during the
+// last lease period — stale, not lost.
+func leaderFunctionList(cl *cluster.Cluster, timeout time.Duration) ([]byte, error) {
+	deadline := time.Now().Add(timeout)
+	for {
+		if cp := cl.Leader(); cp != nil {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			resp, err := cl.Transport.Call(ctx, cp.Addr(), proto.MethodListFunctions, nil)
+			cancel()
+			// Still leading after the call: the leader path served it.
+			if err == nil && cp.IsLeader() {
+				return resp, nil
+			}
+		}
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("no leader answered within %v", timeout)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // cphaRun measures one CP tier configuration.
 func cphaRun(replicas int, followerReads, kill bool, scale float64) (cphaRow, error) {
 	row := cphaRow{Replicas: replicas, FollowerReads: followerReads, LeaderKill: kill}
@@ -258,9 +283,7 @@ func cphaRun(replicas int, followerReads, kill bool, scale float64) (cphaRow, er
 
 	// Verify every acknowledged registration against the surviving
 	// leader's function list — the zero-loss claim.
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	respB, err := client.CallWithRetry(ctx, proto.MethodListFunctions, nil)
-	cancel()
+	respB, err := leaderFunctionList(cl, 15*time.Second)
 	if err != nil {
 		return row, fmt.Errorf("final function list: %w", err)
 	}

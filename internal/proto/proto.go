@@ -381,19 +381,41 @@ func (m *ScalingMetricReport) Marshal() []byte {
 
 // UnmarshalScalingMetricReport decodes a ScalingMetricReport.
 func UnmarshalScalingMetricReport(b []byte) (*ScalingMetricReport, error) {
-	d := codec.NewDecoder(b)
 	m := &ScalingMetricReport{}
-	m.DataPlane = core.DataPlaneID(d.U16())
+	var err error
+	m.DataPlane, err = VisitScalingMetricReport(b, func(function []byte, inFlight, queueDepth int, at time.Time) {
+		m.Metrics = append(m.Metrics, core.ScalingMetric{
+			Function: string(function), InFlight: inFlight, QueueDepth: queueDepth, At: at,
+		})
+	})
+	return m, err
+}
+
+// VisitScalingMetricReport decodes a marshaled ScalingMetricReport in
+// place, calling visit once per metric. function aliases b and is valid
+// only during the call, so a receiver that needs no string (the control
+// plane keys its shard map lookup on the bytes) decodes a report of any
+// size without allocating. The framing of the whole payload is checked
+// before the first call: a malformed report is refused whole.
+func VisitScalingMetricReport(b []byte, visit func(function []byte, inFlight, queueDepth int, at time.Time)) (core.DataPlaneID, error) {
+	if _, err := walkScalingMetricReport(b, nil); err != nil {
+		return 0, err
+	}
+	return walkScalingMetricReport(b, visit)
+}
+
+func walkScalingMetricReport(b []byte, visit func(function []byte, inFlight, queueDepth int, at time.Time)) (core.DataPlaneID, error) {
+	d := codec.NewDecoder(b)
+	id := core.DataPlaneID(d.U16())
 	n := int(d.U32())
 	for i := 0; i < n && d.Err() == nil; i++ {
-		var mm core.ScalingMetric
-		mm.Function = d.String()
-		mm.InFlight = int(d.I64())
-		mm.QueueDepth = int(d.I64())
-		mm.At = time.Unix(0, d.I64())
-		m.Metrics = append(m.Metrics, mm)
+		function := d.StringBytes()
+		inFlight, queueDepth, at := int(d.I64()), int(d.I64()), d.I64()
+		if visit != nil && d.Err() == nil {
+			visit(function, inFlight, queueDepth, time.Unix(0, at))
+		}
 	}
-	return m, wrap(d.Err(), "ScalingMetricReport")
+	return id, wrap(d.Err(), "ScalingMetricReport")
 }
 
 // WorkerHeartbeat is the WN → CP liveness and utilization signal.

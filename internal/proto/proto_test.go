@@ -139,6 +139,45 @@ func TestScalingMetricReportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVisitScalingMetricReport: the visitor yields what Unmarshal does,
+// with each name a sub-slice of the payload, and a report cut anywhere is
+// refused before the first metric is yielded.
+func TestVisitScalingMetricReport(t *testing.T) {
+	at := time.Unix(1234, 567_000_000)
+	m := &ScalingMetricReport{DataPlane: 7}
+	for i := 0; i < 5; i++ {
+		m.Metrics = append(m.Metrics, core.ScalingMetric{
+			Function: fmt.Sprintf("fn-%d", i), InFlight: i, QueueDepth: 2 * i, At: at,
+		})
+	}
+	payload := m.Marshal()
+	i := 0
+	id, err := VisitScalingMetricReport(payload, func(function []byte, inFlight, queueDepth int, got time.Time) {
+		want := m.Metrics[i]
+		if string(function) != want.Function || inFlight != want.InFlight || queueDepth != want.QueueDepth || !got.Equal(at) {
+			t.Errorf("metric %d: %s %d %d %v, want %+v", i, function, inFlight, queueDepth, got, want)
+		}
+		if off := bytes.Index(payload, function); off < 0 || &payload[off] != &function[0] {
+			t.Errorf("metric %d: name is a copy, not a sub-slice of the payload", i)
+		}
+		i++
+	})
+	if err != nil || id != 7 || i != len(m.Metrics) {
+		t.Fatalf("visit: id=%d metrics=%d err=%v", id, i, err)
+	}
+	for cut := 0; cut < len(payload); cut++ {
+		_, err := VisitScalingMetricReport(payload[:cut], func([]byte, int, int, time.Time) {
+			t.Fatalf("cut at %d of %d: a metric was yielded from a malformed report", cut, len(payload))
+		})
+		if err == nil {
+			t.Fatalf("cut at %d of %d accepted", cut, len(payload))
+		}
+		if got, err := UnmarshalScalingMetricReport(payload[:cut]); err == nil || len(got.Metrics) != 0 {
+			t.Fatalf("cut at %d: Unmarshal returned %d metrics, err=%v", cut, len(got.Metrics), err)
+		}
+	}
+}
+
 func TestWorkerHeartbeatRoundTrip(t *testing.T) {
 	m := &WorkerHeartbeat{
 		Node: 4,

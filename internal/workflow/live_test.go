@@ -225,12 +225,18 @@ func TestWorkflowBranchSurvivesEndpointDrain(t *testing.T) {
 	if !bytes.HasSuffix(res.Outputs["slow"], []byte("slow;")) {
 		t.Fatalf("slow output = %q", res.Outputs["slow"])
 	}
+	// The only wf-slow sandbox died with its worker before the gate opened,
+	// so a run of the branch is a run on a sandbox placed after the kill.
 	if slowRuns.Load() < 1 {
 		t.Fatalf("slow branch never ran")
 	}
-	// The branch really did lose its endpoint mid-workflow: the control
-	// plane's health sweep must have counted the crashed worker.
-	if got := c.Metrics.Counter("worker_failures_detected").Value(); got < 1 {
-		t.Fatalf("worker_failures_detected = %d, want >= 1", got)
+	// With one leader throughout, only the health sweep can have
+	// re-placed it. A leader elected mid-test starts wf-slow at scale
+	// zero and re-places it before any failure is detected, so the
+	// counter says nothing then.
+	if c.Metrics.Counter("recoveries").Value() == 1 {
+		if got := c.Metrics.Counter("worker_failures_detected").Value(); got < 1 {
+			t.Fatalf("worker_failures_detected = %d, want >= 1", got)
+		}
 	}
 }
