@@ -575,23 +575,25 @@ func BenchmarkAblationLoadBalancerPolicies(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationAutoscalerDecide is one reconcile's worth of decisions:
+// 500 functions, each with a full stable window of observations behind it.
 func BenchmarkAblationAutoscalerDecide(b *testing.B) {
-	m := autoscaler.NewManager()
 	const fns = 500
 	now := time.Unix(10000, 0)
-	current := make(map[string]int, fns)
-	for i := 0; i < fns; i++ {
-		name := fmt.Sprintf("fn-%d", i)
-		m.Add(name, core.DefaultScalingConfig())
+	scalers := make([]*autoscaler.FunctionAutoscaler, fns)
+	for i := range scalers {
+		scalers[i] = autoscaler.New(core.DefaultScalingConfig())
 		for s := 0; s < 60; s++ {
-			m.Record(core.ScalingMetric{Function: name, InFlight: i % 7, At: now.Add(time.Duration(s) * time.Second)})
+			scalers[i].Record(now.Add(time.Duration(s)*time.Second), float64(i%7))
 		}
-		current[name] = i % 5
 	}
 	decideAt := now.Add(61 * time.Second)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Decide(decideAt, current)
+		for j, a := range scalers {
+			a.Desired(decideAt, j%5)
+		}
 	}
 	b.ReportMetric(fns, "functions_per_decision")
 }

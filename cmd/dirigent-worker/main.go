@@ -2,8 +2,8 @@
 // TCP: it registers with the control plane, heartbeats with resource
 // utilization, and creates/tears down sandboxes through the three-call
 // runtime interface. In this reproduction the runtimes are the calibrated
-// simulated containerd and Firecracker-snapshot runtimes (see DESIGN.md
-// for the substitution rationale); integrating a physical runtime means
+// simulated containerd and Firecracker-snapshot runtimes (package sandbox
+// gives the substitution rationale); integrating a physical runtime means
 // implementing sandbox.Runtime's three calls.
 package main
 

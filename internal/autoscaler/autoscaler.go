@@ -14,19 +14,29 @@ import (
 	"dirigent/internal/core"
 )
 
-// sample is one concurrency observation.
-type sample struct {
-	at    time.Time
-	value float64
-}
+// ringBuckets is how many time buckets the stable window is cut into. The
+// ring holds one more, so the bucket the window's far edge falls in is
+// still whole when the near edge has moved into a new one.
+const ringBuckets, ringSlots = 60, 61
 
 // FunctionAutoscaler computes the desired sandbox count for one function
-// from a stream of in-flight concurrency observations.
+// from a stream of in-flight concurrency observations. Its size does not
+// depend on the observation rate or the window length.
 type FunctionAutoscaler struct {
 	mu  sync.Mutex
 	cfg core.ScalingConfig
 
-	samples []sample // time-ordered window of observations
+	// The window is a ring of time buckets, each the sum and count of the
+	// observations that fell in it (the shape Knative's autoscaler uses).
+	// Bucket k covers [epoch+k·width, epoch+(k+1)·width) and lives in slot
+	// k mod ringSlots; the ring holds buckets head-ringBuckets … head.
+	// Times are offsets from the first observation, so they are monotonic
+	// wherever the caller's clock is.
+	epoch  time.Time // first observation; zero until there is one
+	width  time.Duration
+	head   int64
+	sums   [ringSlots]float64
+	counts [ringSlots]uint32
 
 	panicMode    bool
 	panicSince   time.Time
@@ -53,7 +63,7 @@ func New(cfg core.ScalingConfig) *FunctionAutoscaler {
 	if cfg.MaxScaleUpRate <= 1 {
 		cfg.MaxScaleUpRate = 1000
 	}
-	return &FunctionAutoscaler{cfg: cfg}
+	return &FunctionAutoscaler{cfg: cfg, width: (cfg.StableWindow + ringBuckets - 1) / ringBuckets}
 }
 
 // Config returns the function's scaling configuration.
@@ -64,41 +74,65 @@ func (a *FunctionAutoscaler) Config() core.ScalingConfig {
 }
 
 // Record adds one observation of total in-flight requests (executing plus
-// queued) for the function.
+// queued) for the function. An observation older than every bucket the
+// ring still holds is dropped.
 func (a *FunctionAutoscaler) Record(at time.Time, inFlight float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.samples = append(a.samples, sample{at: at, value: inFlight})
 	if inFlight > 0 {
 		a.lastPositive = at
 		a.everActive = true
 	}
-	a.gcLocked(at)
-}
-
-// gcLocked drops samples older than the stable window.
-func (a *FunctionAutoscaler) gcLocked(now time.Time) {
-	cutoff := now.Add(-a.cfg.StableWindow)
-	i := 0
-	for i < len(a.samples) && a.samples[i].at.Before(cutoff) {
-		i++
+	if a.epoch.IsZero() {
+		a.epoch = at
 	}
-	if i > 0 {
-		a.samples = append(a.samples[:0], a.samples[i:]...)
+	k := a.bucket(at)
+	if k < a.head-ringBuckets {
+		return
 	}
-}
-
-// windowAverage computes the mean of samples within d before now.
-func (a *FunctionAutoscaler) windowAverage(now time.Time, d time.Duration) float64 {
-	cutoff := now.Add(-d)
-	var sum float64
-	var n int
-	for i := len(a.samples) - 1; i >= 0; i-- {
-		if a.samples[i].at.Before(cutoff) {
-			break
+	if k > a.head {
+		// Time moved on: empty the slots the new buckets reuse.
+		for j := max(a.head+1, k-ringBuckets); j <= k; j++ {
+			s := slot(j)
+			a.sums[s], a.counts[s] = 0, 0
 		}
-		sum += a.samples[i].value
-		n++
+		a.head = k
+	}
+	s := slot(k)
+	a.sums[s] += inFlight
+	a.counts[s]++
+}
+
+// bucket returns the number of the bucket t falls in (negative for a time
+// before the first observation).
+func (a *FunctionAutoscaler) bucket(t time.Time) int64 {
+	off, w := int64(t.Sub(a.epoch)), int64(a.width)
+	k := off / w
+	if off%w < 0 {
+		k-- // floor, not truncation
+	}
+	return k
+}
+
+func slot(k int64) int { return int((k%ringSlots + ringSlots) % ringSlots) }
+
+// windowAverage computes the mean of the observations in the buckets from
+// the one now-d falls in to the newest: the window's far edge is floored
+// to a bucket boundary, so an observation exactly d old still counts.
+func (a *FunctionAutoscaler) windowAverage(now time.Time, d time.Duration) float64 {
+	if a.epoch.IsZero() {
+		return 0
+	}
+	oldest := max(a.bucket(now.Add(-d)), a.head-ringBuckets)
+	var sum float64
+	var n uint64
+	for k, s := a.head, slot(a.head); k >= oldest; k-- {
+		sum += a.sums[s]
+		n += uint64(a.counts[s])
+		if s == 0 {
+			s = ringSlots
+		}
+		s--
 	}
 	if n == 0 {
 		return 0
@@ -173,77 +207,4 @@ func (a *FunctionAutoscaler) InPanic() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.panicMode
-}
-
-// Manager aggregates the autoscalers of all registered functions and is
-// driven by the control plane's asynchronous autoscaling loop (paper §4).
-type Manager struct {
-	mu        sync.Mutex
-	functions map[string]*FunctionAutoscaler
-}
-
-// NewManager returns an empty autoscaler manager.
-func NewManager() *Manager {
-	return &Manager{functions: make(map[string]*FunctionAutoscaler)}
-}
-
-// Add registers a function; replaces any existing autoscaler for the name.
-func (m *Manager) Add(name string, cfg core.ScalingConfig) {
-	m.mu.Lock()
-	m.functions[name] = New(cfg)
-	m.mu.Unlock()
-}
-
-// Remove deregisters a function.
-func (m *Manager) Remove(name string) {
-	m.mu.Lock()
-	delete(m.functions, name)
-	m.mu.Unlock()
-}
-
-// Get returns the autoscaler for name, or nil.
-func (m *Manager) Get(name string) *FunctionAutoscaler {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.functions[name]
-}
-
-// Record feeds one scaling metric into the right autoscaler. Unknown
-// functions are ignored (e.g. metrics racing a deregistration).
-func (m *Manager) Record(metric core.ScalingMetric) {
-	m.mu.Lock()
-	a := m.functions[metric.Function]
-	m.mu.Unlock()
-	if a != nil {
-		a.Record(metric.At, float64(metric.InFlight+metric.QueueDepth))
-	}
-}
-
-// Decide returns the desired scale for every function, given current
-// ready counts. currentScale may omit functions with zero sandboxes.
-func (m *Manager) Decide(now time.Time, currentScale map[string]int) map[string]int {
-	m.mu.Lock()
-	names := make([]string, 0, len(m.functions))
-	scalers := make([]*FunctionAutoscaler, 0, len(m.functions))
-	for name, a := range m.functions {
-		names = append(names, name)
-		scalers = append(scalers, a)
-	}
-	m.mu.Unlock()
-	out := make(map[string]int, len(names))
-	for i, name := range names {
-		out[name] = scalers[i].Desired(now, currentScale[name])
-	}
-	return out
-}
-
-// Functions returns the registered function names.
-func (m *Manager) Functions() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.functions))
-	for name := range m.functions {
-		out = append(out, name)
-	}
-	return out
 }

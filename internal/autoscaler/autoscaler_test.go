@@ -1,9 +1,12 @@
 package autoscaler
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"dirigent/internal/core"
 )
@@ -152,43 +155,38 @@ func TestQuickDesiredBounds(t *testing.T) {
 	}
 }
 
-func TestManagerLifecycle(t *testing.T) {
-	m := NewManager()
-	m.Add("f1", cfg())
-	m.Add("f2", cfg())
-	if len(m.Functions()) != 2 {
-		t.Fatalf("Functions = %v", m.Functions())
-	}
-	m.Record(core.ScalingMetric{Function: "f1", InFlight: 3, QueueDepth: 2, At: t0})
-	m.Record(core.ScalingMetric{Function: "ghost", InFlight: 9, At: t0}) // ignored
-	decisions := m.Decide(t0.Add(time.Second), map[string]int{"f1": 0})
-	if decisions["f1"] < 1 {
-		t.Errorf("f1 desired = %d, want >= 1", decisions["f1"])
-	}
-	if decisions["f2"] != 0 {
-		t.Errorf("f2 desired = %d, want 0", decisions["f2"])
-	}
-	m.Remove("f1")
-	if m.Get("f1") != nil {
-		t.Errorf("Get after Remove should be nil")
-	}
-	if m.Get("f2") == nil {
-		t.Errorf("f2 disappeared")
-	}
-}
-
+// TestWindowGC: an observation exactly one stable window old still
+// counts, one bucket later nothing of the stream does, and a million
+// observations leave the scaler the size it was.
 func TestWindowGC(t *testing.T) {
 	c := cfg()
 	c.StableWindow = 5 * time.Second
+	c.ScaleToZeroGrace = 0
 	a := New(c)
 	for i := 0; i < 1000; i++ {
-		a.Record(t0.Add(time.Duration(i)*time.Second), 1)
+		a.Record(t0.Add(time.Duration(i)*time.Second), 7)
 	}
-	a.mu.Lock()
-	n := len(a.samples)
-	a.mu.Unlock()
-	if n > 10 {
-		t.Errorf("window kept %d samples; GC not working", n)
+	last := t0.Add(999 * time.Second)
+	if got := a.Desired(last.Add(c.StableWindow), 7); got != 7 {
+		t.Errorf("Desired with the last observation exactly a window old = %d, want 7", got)
+	}
+	if got := a.Desired(last.Add(c.StableWindow+a.width), 7); got != 0 {
+		t.Errorf("Desired after the stream aged out = %d, want 0", got)
+	}
+
+	if size := unsafe.Sizeof(*a); size > 1100 {
+		t.Errorf("a scaler is %d bytes, want at most 1100", size)
+	}
+	at := last
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1_000_000; i++ {
+			at = at.Add(time.Millisecond)
+			a.Record(at, 1)
+		}
+		a.Desired(at, 1)
+	})
+	if allocs != 0 {
+		t.Errorf("10^6 records and a decision allocated %.0f times, want 0", allocs)
 	}
 }
 
@@ -243,28 +241,28 @@ func TestPanicExitExactStableWindow(t *testing.T) {
 }
 
 // TestWindowGCClockSkew injects backwards clock skew into the sample
-// stream: out-of-order samples must neither break GC (stale samples
-// stuck forever) nor corrupt the desired-scale computation.
+// stream: out-of-order samples must neither outlive the window (stale
+// samples stuck forever) nor corrupt the desired-scale computation.
 func TestWindowGCClockSkew(t *testing.T) {
 	c := cfg()
 	c.StableWindow = 60 * time.Second
 	a := New(c)
 	a.Record(t0.Add(100*time.Second), 5)
-	// Clock skews 50 s backwards; the sample lands out of order.
+	// Clock skews 50 s backwards; the samples land out of order but
+	// inside the window, and count: ceil((5+3+3)/3).
 	a.Record(t0.Add(50*time.Second), 3)
 	a.Record(t0.Add(55*time.Second), 3)
-	// Desired stays sane (bounded, non-negative) on the skewed window.
-	if got := a.Desired(t0.Add(100*time.Second), 1); got < 0 || got > 10 {
-		t.Errorf("Desired on skewed window = %d", got)
+	if got := a.Desired(t0.Add(100*time.Second), 4); got != 4 {
+		t.Errorf("Desired on skewed window = %d, want 4", got)
 	}
-	// Time recovers and moves past the window: every skewed sample must
-	// be collected even though the stream was not time-ordered.
+	// Time recovers and moves past the window: every skewed sample has
+	// aged out even though the stream was not time-ordered, and one that
+	// arrives from before the window is dropped.
 	a.Record(t0.Add(170*time.Second), 1)
-	a.mu.Lock()
-	n := len(a.samples)
-	a.mu.Unlock()
-	if n != 1 {
-		t.Errorf("GC kept %d samples after skewed stream aged out, want 1", n)
+	a.Record(t0.Add(50*time.Second), 9)
+	a.Record(time.Time{}, 9) // saturates the offset; still only the far past
+	if got := a.Desired(t0.Add(170*time.Second), 1); got != 1 {
+		t.Errorf("Desired after the skewed stream aged out = %d, want 1", got)
 	}
 }
 
@@ -286,5 +284,229 @@ func TestScaleToZeroGraceExactBoundary(t *testing.T) {
 	}
 	if got := a.Desired(t0.Add(c.ScaleToZeroGrace), 1); got != 0 {
 		t.Errorf("Desired at exact grace boundary = %d, want 0", got)
+	}
+}
+
+// sliceAutoscaler is the implementation the ring replaced, kept as the
+// reference: every observation of the stable window in a slice, walked
+// twice per decision. It departs from what it was in two places, both
+// marked below, so that it is a specification the ring can be held to on
+// any stream: a window's far edge is floored to a multiple of floor after
+// the first observation (zero: not floored), and the two scans filter
+// where they used to stop at the first old sample, which made the answer
+// depend on the order a skewed stream arrived in.
+type sliceAutoscaler struct {
+	cfg   core.ScalingConfig
+	floor time.Duration
+	epoch time.Time // first observation, the origin floor counts from
+
+	samples []sliceSample
+
+	panicMode    bool
+	panicSince   time.Time
+	maxPanicWant int
+
+	lastPositive time.Time
+	everActive   bool
+}
+
+type sliceSample struct {
+	at    time.Time
+	value float64
+}
+
+func (a *sliceAutoscaler) Record(at time.Time, inFlight float64) {
+	if a.epoch.IsZero() {
+		a.epoch = at
+	}
+	a.samples = append(a.samples, sliceSample{at: at, value: inFlight})
+	if inFlight > 0 {
+		a.lastPositive = at
+		a.everActive = true
+	}
+	cutoff := a.cutoff(at, a.cfg.StableWindow)
+	kept := a.samples[:0]
+	for _, s := range a.samples {
+		if !s.at.Before(cutoff) { // was: drop the prefix before cutoff
+			kept = append(kept, s)
+		}
+	}
+	a.samples = kept
+}
+
+func (a *sliceAutoscaler) cutoff(now time.Time, d time.Duration) time.Time {
+	cutoff := now.Add(-d)
+	if a.floor > 0 { // was: not floored
+		off := cutoff.Sub(a.epoch)
+		if rem := off % a.floor; rem < 0 {
+			off -= rem + a.floor
+		} else {
+			off -= rem
+		}
+		cutoff = a.epoch.Add(off)
+	}
+	return cutoff
+}
+
+func (a *sliceAutoscaler) windowAverage(now time.Time, d time.Duration) float64 {
+	cutoff := a.cutoff(now, d)
+	var sum float64
+	var n int
+	for i := len(a.samples) - 1; i >= 0; i-- {
+		if a.samples[i].at.Before(cutoff) {
+			continue // was: break
+		}
+		sum += a.samples[i].value
+		n++
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
+func (a *sliceAutoscaler) Desired(now time.Time, current int) int {
+	stableAvg := a.windowAverage(now, a.cfg.StableWindow)
+	panicAvg := a.windowAverage(now, a.cfg.PanicWindow)
+
+	desiredStable := int(math.Ceil(stableAvg / a.cfg.TargetConcurrency))
+	desiredPanic := int(math.Ceil(panicAvg / a.cfg.TargetConcurrency))
+
+	threshold := a.cfg.PanicThreshold * math.Max(float64(current), 1)
+	if float64(desiredPanic) >= threshold {
+		if !a.panicMode {
+			a.panicMode = true
+			a.maxPanicWant = 0
+		}
+		a.panicSince = now
+	} else if a.panicMode && now.Sub(a.panicSince) >= a.cfg.StableWindow {
+		a.panicMode = false
+		a.maxPanicWant = 0
+	}
+
+	desired := desiredStable
+	if a.panicMode {
+		if desiredPanic > a.maxPanicWant {
+			a.maxPanicWant = desiredPanic
+		}
+		if a.maxPanicWant > desired {
+			desired = a.maxPanicWant
+		}
+	}
+
+	ceilUp := int(math.Ceil(math.Max(float64(current), 1) * a.cfg.MaxScaleUpRate))
+	if desired > ceilUp {
+		desired = ceilUp
+	}
+
+	if desired == 0 && a.everActive && now.Sub(a.lastPositive) < a.cfg.ScaleToZeroGrace {
+		desired = 1
+	}
+
+	if desired < a.cfg.MinScale {
+		desired = a.cfg.MinScale
+	}
+	if a.cfg.MaxScale > 0 && desired > a.cfg.MaxScale {
+		desired = a.cfg.MaxScale
+	}
+	return desired
+}
+
+// TestRingMatchesSliceReference drives the ring and the slice reference
+// with the same seeded streams (steady load, bursts, silences longer than
+// the window, samples skewed backwards by up to a window and a half) and
+// requires the same decision and the same panic state after every
+// observation. On arbitrary timestamps the reference floors its cutoffs
+// to the ring's bucket boundaries; on timestamps that are multiples of the
+// bucket width, with windows that are too, it is the unfloored original
+// and the ring must agree with it exactly. Loads are whole numbers, so
+// the two orders of summation give the same float.
+func TestRingMatchesSliceReference(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		stable, panic  time.Duration
+		aligned        bool
+		steps, streams int
+	}{
+		{"200ms window", 200 * time.Millisecond, 50 * time.Millisecond, false, 4000, 20},
+		{"60s window", 60 * time.Second, 6 * time.Second, false, 4000, 20},
+		{"600ms window, bucket-aligned", 600 * time.Millisecond, 60 * time.Millisecond, true, 4000, 20},
+		{"60s window, bucket-aligned", 60 * time.Second, 6 * time.Second, true, 4000, 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= int64(tc.streams); seed++ {
+				c := cfg()
+				c.StableWindow, c.PanicWindow = tc.stable, tc.panic
+				c.ScaleToZeroGrace = tc.stable / 2
+				ring := New(c)
+				ref := &sliceAutoscaler{cfg: ring.Config()}
+				if !tc.aligned {
+					ref.floor = ring.width
+				}
+				rng := rand.New(rand.NewSource(seed))
+				// step draws a duration up to max, in whole buckets on the
+				// aligned runs.
+				step := func(max time.Duration) time.Duration {
+					d := time.Duration(rng.Int63n(int64(max)))
+					if tc.aligned {
+						d -= d % ring.width
+					}
+					return d
+				}
+				now, load, current := t0, 0, 0
+				for i := 0; i < tc.steps; i++ {
+					switch p := rng.Intn(100); {
+					case p < 2: // a silence longer than the window
+						now = now.Add(tc.stable + step(tc.stable))
+					case p < 70:
+						now = now.Add(step(3 * ring.width))
+					}
+					switch p := rng.Intn(100); {
+					case p < 3:
+						load = rng.Intn(400) // burst
+					case p < 10:
+						load = 0
+					case p < 40:
+						load = rng.Intn(8)
+					}
+					at := now
+					if rng.Intn(10) == 0 {
+						at = now.Add(-step(tc.stable * 3 / 2)) // backwards skew
+					}
+					ring.Record(at, float64(load))
+					ref.Record(at, float64(load))
+					got, want := ring.Desired(now, current), ref.Desired(now, current)
+					if got != want || ring.InPanic() != ref.panicMode {
+						t.Fatalf("seed %d step %d (now=+%v): ring Desired %d panic %v, reference %d panic %v",
+							seed, i, now.Sub(t0), got, ring.InPanic(), want, ref.panicMode)
+					}
+					current = got
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkRecord(b *testing.B) {
+	a := New(cfg())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Record(t0.Add(time.Duration(i)*20*time.Millisecond), float64(i%4))
+	}
+}
+
+var desiredSink int
+
+func BenchmarkDesired(b *testing.B) {
+	a := New(cfg())
+	for i := 0; i < 3000; i++ {
+		a.Record(t0.Add(time.Duration(i)*20*time.Millisecond), float64(i%4))
+	}
+	now := t0.Add(60 * time.Second)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		desiredSink += a.Desired(now, 2)
 	}
 }

@@ -26,6 +26,7 @@ package controlplane
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -248,8 +249,14 @@ type sandboxState struct {
 // functionState is all per-function control plane state. It is guarded by
 // the lock of the shard the function hashes to.
 type functionState struct {
-	fn        core.Function
-	scaler    *autoscaler.FunctionAutoscaler
+	fn     core.Function
+	scaler *autoscaler.FunctionAutoscaler
+	// demand is what each data plane last reported for this function (in
+	// flight plus queued); the scaler is fed the sum, the front end being
+	// free to steer a function to any of them. A replica's entry goes
+	// when the sweep fails it or it deregisters, and returns with its
+	// next report.
+	demand    []dpDemand
 	sandboxes map[core.SandboxID]*sandboxState
 	// epSeq numbers this function's endpoint broadcasts so that data
 	// planes can discard reordered updates. Combined with the leadership
@@ -273,6 +280,35 @@ func newFunctionState(fn core.Function) *functionState {
 		scaler:    autoscaler.New(fn.Scaling),
 		sandboxes: make(map[core.SandboxID]*sandboxState),
 	}
+}
+
+type dpDemand struct {
+	dp     core.DataPlaneID
+	demand int
+}
+
+// setDemand stores one data plane's latest report and returns the sum
+// over all of them.
+func (fs *functionState) setDemand(dp core.DataPlaneID, demand int) (sum int) {
+	i := slices.IndexFunc(fs.demand, func(d dpDemand) bool { return d.dp == dp })
+	if i < 0 {
+		i, fs.demand = len(fs.demand), append(fs.demand, dpDemand{dp: dp})
+	}
+	fs.demand[i].demand = demand
+	for _, d := range fs.demand {
+		sum += d.demand
+	}
+	return sum
+}
+
+// dropDemand forgets, for every function, what the given data planes last
+// reported: a replica that is gone must not stay in the sums.
+func (cp *ControlPlane) dropDemand(gone ...core.DataPlaneID) {
+	cp.forEachShard(func(sh *functionShard) {
+		for _, fs := range sh.fns {
+			fs.demand = slices.DeleteFunc(fs.demand, func(d dpDemand) bool { return slices.Contains(gone, d.dp) })
+		}
+	})
 }
 
 func (fs *functionState) counts() (ready, creating int) {
@@ -915,6 +951,7 @@ func (cp *ControlPlane) handleDeregisterDataPlane(payload []byte) ([]byte, error
 	cp.dpMu.Lock()
 	delete(cp.dataplanes, req.DataPlane.ID)
 	cp.dpMu.Unlock()
+	cp.dropDemand(req.DataPlane.ID)
 	cp.refreshDataPlaneGauge()
 	return nil, nil
 }
@@ -925,12 +962,14 @@ func (cp *ControlPlane) handleListFunctions() ([]byte, error) {
 }
 
 // handleScalingMetric feeds data plane concurrency reports into the
-// per-function autoscalers and is the scale-from-zero trigger: a reported
-// function that shows demand while nothing of it is ready, creating or
-// being placed gets the sweep's own scaleStep at once, and its creations
-// have been dispatched by the time the call returns — a cold start does
-// not wait for autoscaleLoop's tick. Everything else (scale 1→N, scale
-// down, a retry after a failed placement) stays with the tick.
+// per-function autoscalers, each as one observation of the function's
+// demand summed over every data plane's latest report, and is the
+// scale-from-zero trigger: a reported function that shows demand while
+// nothing of it is ready, creating or being placed gets the sweep's own
+// scaleStep at once, and its creations have been dispatched by the time
+// the call returns — a cold start does not wait for autoscaleLoop's
+// tick. Everything else (scale 1→N, scale down, a retry after a failed
+// placement) stays with the tick.
 //
 // The payload is decoded in place and the shard map keyed by the name's
 // bytes: every data plane reports every function every period, so a
@@ -939,7 +978,7 @@ func (cp *ControlPlane) handleListFunctions() ([]byte, error) {
 func (cp *ControlPlane) handleScalingMetric(payload []byte) ([]byte, error) {
 	now := cp.clk.Now()
 	var actions []scaleAction
-	_, err := proto.VisitScalingMetricReport(payload, func(function []byte, inFlight, queueDepth int, _ time.Time) {
+	_, err := proto.VisitScalingMetricReport(payload, func(dp core.DataPlaneID, function []byte, inFlight, queueDepth int, _ time.Time) {
 		sh := shardOf(cp, function)
 		cp.lockShard(sh)
 		defer sh.mu.Unlock()
@@ -948,7 +987,7 @@ func (cp *ControlPlane) handleScalingMetric(payload []byte) ([]byte, error) {
 			return // a metric racing a deregistration
 		}
 		demand := inFlight + queueDepth
-		fs.scaler.Record(now, float64(demand))
+		fs.scaler.Record(now, float64(fs.setDemand(dp, demand)))
 		if demand == 0 || fs.triggered || fs.placing > 0 || len(fs.sandboxes) > 0 {
 			return
 		}

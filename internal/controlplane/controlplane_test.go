@@ -454,6 +454,32 @@ func TestFollowerRejectsAPICalls(t *testing.T) {
 	}
 }
 
+// TestProposeOnStoppingNodeIsRetryable: a durable write that reaches the
+// replicated log while its node shuts down (a registration in flight on a
+// leader being killed) comes back as the not-leader rejection, which
+// cpclient retries on the next replica, not as an application error.
+func TestProposeOnStoppingNodeIsRetryable(t *testing.T) {
+	cp := New(Config{
+		Addr:       "cp0",
+		Peers:      []string{"cp0", "cp-unreachable"},
+		Transport:  transport.NewInProc(),
+		LocalStore: store.NewMemory(),
+	})
+	if err := cp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Stop()
+	cp.raftNode.Stop()
+	err := cp.cfg.DB.HSet(hashFunctions, "f", []byte("spec"))
+	if err == nil {
+		t.Fatalf("a stopped node acknowledged a write")
+	}
+	// What the caller sees once the transport has carried it.
+	if remote := (&transport.RemoteError{Msg: err.Error()}); !cpclient.IsUnavailable(remote) {
+		t.Fatalf("cpclient would not retry %q", err)
+	}
+}
+
 func TestClusterStatus(t *testing.T) {
 	h := newCPHarness(t)
 	fn := fnSpec("statusfn")

@@ -154,17 +154,18 @@ func (cp *ControlPlane) handleListDataPlanes() ([]byte, error) {
 // subsequent sweeps never block on an unreachable replica. Run from
 // HealthSweep alongside the worker scan.
 func (cp *ControlPlane) sweepDataPlanes(now time.Time) {
-	failed := 0
+	var failed []core.DataPlaneID
 	for _, st := range cp.snapshotDataPlanes() {
 		st.mu.Lock()
 		if st.healthy && now.Sub(st.lastHB) > cp.cfg.DataPlaneTimeout {
 			st.healthy = false
-			failed++
+			failed = append(failed, st.dp.ID)
 		}
 		st.mu.Unlock()
 	}
-	if failed > 0 {
-		cp.metrics.Counter("dataplane_failures_detected").Add(int64(failed))
+	if len(failed) > 0 {
+		cp.metrics.Counter("dataplane_failures_detected").Add(int64(len(failed)))
+		cp.dropDemand(failed...)
 		cp.refreshDataPlaneGauge()
 	}
 	// Lease dead durable replicas' queue hashes to survivors (and

@@ -102,7 +102,8 @@ func (r *replicatedDB) propose(op *store.Op) error {
 	ctx, cancel := context.WithTimeout(context.Background(), proposeTimeout)
 	defer cancel()
 	err := r.cp.raftNode.Propose(ctx, op.Marshal())
-	if errors.Is(err, raft.ErrNotLeader) {
+	if errors.Is(err, raft.ErrNotLeader) || errors.Is(err, raft.ErrStopped) {
+		// Stopped under a write in flight: the client tries the next replica.
 		return r.cp.notLeaderErr()
 	}
 	return err

@@ -9,6 +9,7 @@ import (
 	"dirigent/internal/clock"
 	"dirigent/internal/core"
 	"dirigent/internal/proto"
+	"dirigent/internal/transport"
 )
 
 // newParkedHarness is newVClockHarness behind the cpHarness helpers: the
@@ -31,10 +32,14 @@ func registerFunctions(t *testing.T, h *cpHarness, n int) []string {
 	return names
 }
 
-// demandReport is a data plane's report showing queueDepth waiting
+// demandReport is data plane 1's report showing queueDepth waiting
 // invocations for each named function.
 func demandReport(names []string, queueDepth int, at time.Time) []byte {
-	report := proto.ScalingMetricReport{DataPlane: 1}
+	return demandReportFrom(1, names, queueDepth, at)
+}
+
+func demandReportFrom(dp core.DataPlaneID, names []string, queueDepth int, at time.Time) []byte {
+	report := proto.ScalingMetricReport{DataPlane: dp}
 	for _, name := range names {
 		report.Metrics = append(report.Metrics, core.ScalingMetric{Function: name, QueueDepth: queueDepth, At: at})
 	}
@@ -170,8 +175,6 @@ func TestScalingMetricHandlerAllocations(t *testing.T) {
 	names := registerFunctions(t, h, 768)
 	payload := demandReport(names, 0, clk.Now())
 	report := func() {
-		// Time moves, so each function's sample window reaches a steady
-		// size and stops growing its slice.
 		clk.Advance(20 * time.Millisecond)
 		if _, err := h.cp.handleScalingMetric(payload); err != nil {
 			t.Fatal(err)
@@ -180,8 +183,8 @@ func TestScalingMetricHandlerAllocations(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		report()
 	}
-	if allocs := testing.AllocsPerRun(50, report); allocs > 4 {
-		t.Fatalf("a 768-function idle report costs %.1f allocations, want at most 4", allocs)
+	if allocs := testing.AllocsPerRun(50, report); allocs != 0 {
+		t.Fatalf("a 768-function idle report costs %.1f allocations, want 0", allocs)
 	}
 }
 
@@ -205,5 +208,114 @@ func TestScalingMetricTruncatedReportRefusedWhole(t *testing.T) {
 				t.Fatalf("cut at %d: %s scaled to %d on a refused report", cut, name, ready+creating)
 			}
 		}
+	}
+}
+
+// desired asks the function's scaler what it wants at the harness's
+// current time.
+func desired(t *testing.T, h *cpHarness, name string, current int) (want int) {
+	t.Helper()
+	now := h.cp.clk.Now()
+	if !h.cp.withFunction(name, func(fs *functionState) { want = fs.scaler.Desired(now, current) }) {
+		t.Fatalf("%s is not registered", name)
+	}
+	return want
+}
+
+// TestDemandSummedAcrossDataPlanes: the front end steers a function to one
+// data plane, so the others report zero for it; the scaler must see the
+// sum of the reports, not their mean.
+func TestDemandSummedAcrossDataPlanes(t *testing.T) {
+	h, clk := newParkedHarness(t)
+	names := registerFunctions(t, h, 1)
+	for round := 0; round < 50; round++ { // two stable windows of 20 ms reports
+		clk.Advance(20 * time.Millisecond)
+		h.call(t, proto.MethodScalingMetric, demandReportFrom(1, names, 6, clk.Now()))
+		h.call(t, proto.MethodScalingMetric, demandReportFrom(2, names, 0, clk.Now()))
+		h.call(t, proto.MethodScalingMetric, demandReportFrom(3, names, 0, clk.Now()))
+	}
+	if got := desired(t, h, names[0], 6); got != 6 {
+		t.Fatalf("sustained concurrency 6 on one of 3 data planes: Desired = %d, want 6", got)
+	}
+}
+
+// TestScaleFromZeroOneSampleAmongIdleDataPlanes: the inline trigger still
+// creates one sandbox from a single report of one queued invocation while
+// the other data planes have long reported, and keep reporting, zero.
+func TestScaleFromZeroOneSampleAmongIdleDataPlanes(t *testing.T) {
+	h, clk := newParkedHarness(t)
+	registerWorker(t, h, 1, "w1", "10.0.0.1")
+	startFakeWorker(t, h.tr, h.cp.Addr(), 1, "10.0.0.1:9000", false)
+	names := registerFunctions(t, h, 1)
+	for round := 0; round < 30; round++ {
+		clk.Advance(20 * time.Millisecond)
+		for dp := core.DataPlaneID(1); dp <= 3; dp++ {
+			h.call(t, proto.MethodScalingMetric, demandReportFrom(dp, names, 0, clk.Now()))
+		}
+	}
+	h.call(t, proto.MethodScalingMetric, demandReportFrom(1, names, 1, clk.Now()))
+	h.call(t, proto.MethodScalingMetric, demandReportFrom(2, names, 0, clk.Now()))
+	h.call(t, proto.MethodScalingMetric, demandReportFrom(3, names, 0, clk.Now()))
+	if ready, creating := h.cp.FunctionScale(names[0]); ready != 0 || creating != 1 {
+		t.Fatalf("after one cold report: ready=%d creating=%d, want 0/1", ready, creating)
+	}
+}
+
+// TestPrunedDataPlaneStopsCounting: a data plane's last report stays in
+// the sum only until the health sweep fails the replica (or it
+// deregisters); a revived replica counts again from its next report.
+func TestPrunedDataPlaneStopsCounting(t *testing.T) {
+	tr := transport.NewInProc()
+	clk := clock.NewVirtual(time.Unix(5000, 0))
+	cp := newDPLifecycleCP(t, tr, clk) // DataPlaneTimeout 3 s
+	h := &cpHarness{tr: tr, cp: cp}
+	names := registerFunctions(t, h, 1)
+	// survivors advances time by d in report periods; data planes 1 and 2
+	// heartbeat and report no demand in each.
+	survivors := func(d time.Duration) {
+		for ; d > 0; d -= 100 * time.Millisecond {
+			clk.Advance(100 * time.Millisecond)
+			for dp := core.DataPlaneID(1); dp <= 2; dp++ {
+				dpHeartbeat(t, tr, dp, "dp", 8000+uint16(dp))
+				h.call(t, proto.MethodScalingMetric, demandReportFrom(dp, names, 0, clk.Now()))
+			}
+		}
+	}
+	window := fnSpec("").Scaling.StableWindow + 100*time.Millisecond
+	for dp := core.DataPlaneID(1); dp <= 3; dp++ {
+		registerDP(t, tr, dp, "dp", 8000+uint16(dp))
+	}
+
+	h.call(t, proto.MethodScalingMetric, demandReportFrom(3, names, 6, clk.Now()))
+	// Data plane 3 falls silent. Until the sweep fails it its 6 stays in
+	// every sum: over-provisioned, never under-provisioned.
+	survivors(3 * time.Second)
+	cp.HealthSweep() // exactly at the timeout: not failed yet
+	if got := desired(t, h, names[0], 6); got != 6 {
+		t.Fatalf("before the sweep fails the silent replica: Desired = %d, want 6", got)
+	}
+	survivors(100 * time.Millisecond)
+	cp.HealthSweep()
+	if got := cp.DataPlaneCount(); got != 2 {
+		t.Fatalf("DataPlaneCount = %d after the sweep, want 2", got)
+	}
+	survivors(window)
+	if got := desired(t, h, names[0], 6); got != 0 {
+		t.Fatalf("a window after the sweep failed the replica: Desired = %d, want 0", got)
+	}
+
+	// Revived, its next report counts again.
+	dpHeartbeat(t, tr, 3, "dp", 8003)
+	h.call(t, proto.MethodScalingMetric, demandReportFrom(3, names, 6, clk.Now()))
+	survivors(window)
+	if got := desired(t, h, names[0], 6); got != 6 {
+		t.Fatalf("after the replica revived and reported: Desired = %d, want 6", got)
+	}
+	// Deregistered, it stops counting at once.
+	gone := proto.RegisterDataPlaneRequest{DataPlane: core.DataPlane{ID: 3, IP: "dp", Port: 8003}}
+	h.call(t, proto.MethodDeregisterDataPlane, gone.Marshal())
+	survivors(window)
+	if got := desired(t, h, names[0], 6); got != 0 {
+		t.Fatalf("a window after the replica deregistered: Desired = %d, want 0", got)
 	}
 }

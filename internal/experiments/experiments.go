@@ -1,6 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5). Each experiment is addressable by the figure/table ID
-// used in DESIGN.md's experiment index, runs the corresponding workload
+// `cmd/experiments list` prints, runs the corresponding workload
 // against the relevant system models (and the live in-process cluster for
 // the fault-tolerance experiments), and prints the same rows/series the
 // paper reports.

@@ -3,6 +3,7 @@ package frontend
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -376,5 +377,51 @@ func TestShuttingDownReplicaFailsOver(t *testing.T) {
 	}
 	if lb.metrics.Counter("dataplane_failovers").Value() == 0 {
 		t.Errorf("shutdown failover not counted")
+	}
+}
+
+// TestPickIsFirstCandidate: over seeded random memberships and cooldown
+// sets, the scan that steers an invocation that does not fail over names
+// the replica the full order would put first; it declines while any
+// cooldown is running, answers again the instant the last one has run
+// out, and allocates nothing.
+func TestPickIsFirstCandidate(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	vclk := clock.NewVirtual(time.Unix(9000, 0))
+	lb := New(Config{Transport: transport.NewInProc(), FailureCooldown: time.Second, Clock: vclk})
+	for round := 0; round < 200; round++ {
+		addrs := make([]string, rng.Intn(9))
+		for i := range addrs {
+			addrs[i] = fmt.Sprintf("dp-%d-%d", round, rng.Intn(1000))
+		}
+		lb.SetDataPlanes(addrs)
+		members := lb.Replicas() // without duplicates
+		down := 0
+		if len(members) > 0 {
+			down = rng.Intn(len(members) + 1)
+		}
+		for _, i := range rng.Perm(len(members))[:down] {
+			lb.markDown(members[i])
+		}
+		for step := 0; step < 2; step++ { // cooling, then expired
+			for i := 0; i < 50; i++ {
+				fn := fmt.Sprintf("fn-%d", rng.Int())
+				home, ok := lb.pick(fn)
+				switch cands := lb.candidates(fn); {
+				case len(members) == 0 || (step == 0 && down > 0):
+					if ok {
+						t.Fatalf("round %d: pick answered %q with %d members and %d cooling", round, home, len(members), down)
+					}
+				case !ok || home != cands[0]:
+					t.Fatalf("round %d: pick = %q, %v; candidates = %v", round, home, ok, cands)
+				}
+			}
+			vclk.Advance(time.Second)
+		}
+		if len(members) > 0 {
+			if allocs := testing.AllocsPerRun(100, func() { lb.pick("fn-steady") }); allocs != 0 {
+				t.Fatalf("round %d: pick allocates %.1f times with nothing cooling, want 0", round, allocs)
+			}
+		}
 	}
 }

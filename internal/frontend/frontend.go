@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -293,6 +294,37 @@ func rendezvousWeight(fnHash uint64, r replica) uint64 {
 	return core.Splitmix64(fnHash ^ r.hash)
 }
 
+// pick returns the function's home, the replica candidates would put
+// first, by one scan for the top rendezvous weight; ok is false while a
+// replica is cooling down (or there is none) and the order has to be
+// built. It is the whole of steering for an invocation that does not fail
+// over, and allocates nothing.
+func (lb *LB) pick(function string) (home string, ok bool) {
+	lb.mu.Lock()
+	reps := lb.replicas
+	if len(lb.downTil) > 0 {
+		now := lb.clk.Now()
+		for addr, t := range lb.downTil {
+			if !now.Before(t) {
+				delete(lb.downTil, addr) // run out, the boundary instant included
+			}
+		}
+	}
+	cooling := len(lb.downTil) > 0
+	lb.mu.Unlock()
+	if cooling || len(reps) == 0 {
+		return "", false
+	}
+	fnHash := core.Splitmix64(uint64(core.FunctionHash(function)))
+	best, top := 0, rendezvousWeight(fnHash, reps[0])
+	for i := 1; i < len(reps); i++ {
+		if w := rendezvousWeight(fnHash, reps[i]); w > top {
+			best, top = i, w
+		}
+	}
+	return reps[best].addr, true
+}
+
 // candidates returns the replica order to try for a function: every
 // replica by decreasing rendezvous weight (home first), with replicas in
 // failure cooldown moved to the back as a final resort (in the same
@@ -392,7 +424,13 @@ func (lb *LB) Invoke(ctx context.Context, req *proto.InvokeRequest) (*proto.Invo
 			req = &r
 		}
 	}
-	cands := lb.candidates(req.Function)
+	// With nothing cooling down only the home replica is worked out; the
+	// rest of the order is built if that one has to be failed over.
+	home, picked := lb.pick(req.Function)
+	cands := []string{home}
+	if !picked {
+		cands = lb.candidates(req.Function)
+	}
 	if len(cands) == 0 {
 		return nil, ErrNoDataPlane
 	}
@@ -403,7 +441,8 @@ func (lb *LB) Invoke(ctx context.Context, req *proto.InvokeRequest) (*proto.Invo
 	}
 	payload := req.Marshal()
 	var lastErr error
-	for _, addr := range cands {
+	for i := 0; i < len(cands); i++ {
+		addr := cands[i]
 		respB, err := lb.cfg.Transport.Call(ctx, addr, proto.MethodInvoke, payload)
 		if err == nil {
 			lb.mInvocations.Inc()
@@ -413,6 +452,12 @@ func (lb *LB) Invoke(ctx context.Context, req *proto.InvokeRequest) (*proto.Invo
 		if isFailoverErr(err) {
 			// Replica-level failure: fail over to the next candidate.
 			lb.markDown(addr)
+			if picked {
+				// Only the home had been worked out: go on through the others.
+				picked = false
+				cands = slices.DeleteFunc(lb.candidates(req.Function), func(a string) bool { return a == addr })
+				i = -1
+			}
 			continue
 		}
 		// Application-level error from the data plane: report it.

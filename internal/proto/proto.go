@@ -383,7 +383,7 @@ func (m *ScalingMetricReport) Marshal() []byte {
 func UnmarshalScalingMetricReport(b []byte) (*ScalingMetricReport, error) {
 	m := &ScalingMetricReport{}
 	var err error
-	m.DataPlane, err = VisitScalingMetricReport(b, func(function []byte, inFlight, queueDepth int, at time.Time) {
+	m.DataPlane, err = VisitScalingMetricReport(b, func(_ core.DataPlaneID, function []byte, inFlight, queueDepth int, at time.Time) {
 		m.Metrics = append(m.Metrics, core.ScalingMetric{
 			Function: string(function), InFlight: inFlight, QueueDepth: queueDepth, At: at,
 		})
@@ -392,19 +392,20 @@ func UnmarshalScalingMetricReport(b []byte) (*ScalingMetricReport, error) {
 }
 
 // VisitScalingMetricReport decodes a marshaled ScalingMetricReport in
-// place, calling visit once per metric. function aliases b and is valid
-// only during the call, so a receiver that needs no string (the control
-// plane keys its shard map lookup on the bytes) decodes a report of any
-// size without allocating. The framing of the whole payload is checked
-// before the first call: a malformed report is refused whole.
-func VisitScalingMetricReport(b []byte, visit func(function []byte, inFlight, queueDepth int, at time.Time)) (core.DataPlaneID, error) {
+// place, calling visit once per metric with the reporting data plane (the
+// report's first field). function aliases b and is valid only during the
+// call, so a receiver that needs no string (the control plane keys its
+// shard map lookup on the bytes) decodes a report of any size without
+// allocating. The framing of the whole payload is checked before the
+// first call: a malformed report is refused whole.
+func VisitScalingMetricReport(b []byte, visit func(dp core.DataPlaneID, function []byte, inFlight, queueDepth int, at time.Time)) (core.DataPlaneID, error) {
 	if _, err := walkScalingMetricReport(b, nil); err != nil {
 		return 0, err
 	}
 	return walkScalingMetricReport(b, visit)
 }
 
-func walkScalingMetricReport(b []byte, visit func(function []byte, inFlight, queueDepth int, at time.Time)) (core.DataPlaneID, error) {
+func walkScalingMetricReport(b []byte, visit func(dp core.DataPlaneID, function []byte, inFlight, queueDepth int, at time.Time)) (core.DataPlaneID, error) {
 	d := codec.NewDecoder(b)
 	id := core.DataPlaneID(d.U16())
 	n := int(d.U32())
@@ -412,7 +413,7 @@ func walkScalingMetricReport(b []byte, visit func(function []byte, inFlight, que
 		function := d.StringBytes()
 		inFlight, queueDepth, at := int(d.I64()), int(d.I64()), d.I64()
 		if visit != nil && d.Err() == nil {
-			visit(function, inFlight, queueDepth, time.Unix(0, at))
+			visit(id, function, inFlight, queueDepth, time.Unix(0, at))
 		}
 	}
 	return id, wrap(d.Err(), "ScalingMetricReport")

@@ -152,8 +152,11 @@ func TestVisitScalingMetricReport(t *testing.T) {
 	}
 	payload := m.Marshal()
 	i := 0
-	id, err := VisitScalingMetricReport(payload, func(function []byte, inFlight, queueDepth int, got time.Time) {
+	id, err := VisitScalingMetricReport(payload, func(dp core.DataPlaneID, function []byte, inFlight, queueDepth int, got time.Time) {
 		want := m.Metrics[i]
+		if dp != 7 {
+			t.Errorf("metric %d: handed data plane %d, want 7", i, dp)
+		}
 		if string(function) != want.Function || inFlight != want.InFlight || queueDepth != want.QueueDepth || !got.Equal(at) {
 			t.Errorf("metric %d: %s %d %d %v, want %+v", i, function, inFlight, queueDepth, got, want)
 		}
@@ -166,7 +169,7 @@ func TestVisitScalingMetricReport(t *testing.T) {
 		t.Fatalf("visit: id=%d metrics=%d err=%v", id, i, err)
 	}
 	for cut := 0; cut < len(payload); cut++ {
-		_, err := VisitScalingMetricReport(payload[:cut], func([]byte, int, int, time.Time) {
+		_, err := VisitScalingMetricReport(payload[:cut], func(core.DataPlaneID, []byte, int, int, time.Time) {
 			t.Fatalf("cut at %d of %d: a metric was yielded from a malformed report", cut, len(payload))
 		})
 		if err == nil {
