@@ -139,13 +139,12 @@ func BenchmarkAblationStoreWriteParallel(b *testing.B) {
 	}
 }
 
-// --- Control plane state manager: sharded vs global lock ---
+// --- Control plane sandbox transitions: fsync per mutation vs group commit ---
 
 // benchCPSandboxTransitions measures multi-function sandbox-transition
-// throughput through the full RPC path. StateShards=1 reproduces the
-// seed's single global mutex; PersistSandboxState puts one durable write
-// per transition on the path so the fsync policy matters too.
-func benchCPSandboxTransitions(b *testing.B, shards int, policy wal.FsyncPolicy, numFns int) {
+// throughput through the full RPC path. PersistSandboxState puts one
+// durable write per transition on the path so the fsync policy matters.
+func benchCPSandboxTransitions(b *testing.B, policy wal.FsyncPolicy, numFns int) {
 	b.Helper()
 	tr := transport.NewInProc()
 	db, err := store.Open(filepath.Join(b.TempDir(), "cp.aof"), policy)
@@ -154,10 +153,9 @@ func benchCPSandboxTransitions(b *testing.B, shards int, policy wal.FsyncPolicy,
 	}
 	defer db.Close()
 	cp := controlplane.New(controlplane.Config{
-		Addr:        "cp-bench",
-		Transport:   tr,
-		DB:          db,
-		StateShards: shards,
+		Addr:      "cp-bench",
+		Transport: tr,
+		DB:        db,
 		// Loops parked: the benchmark drives transitions directly.
 		AutoscaleInterval:   time.Hour,
 		HeartbeatTimeout:    time.Hour,
@@ -200,54 +198,29 @@ func benchCPSandboxTransitions(b *testing.B, shards int, policy wal.FsyncPolicy,
 	b.ReportMetric(float64(cp.Metrics().Counter("shard_lock_contended").Value())/float64(b.N), "contended_per_op")
 }
 
-// BenchmarkAblationCPSharding isolates the lock architecture: sandbox
-// transitions across 1/8/64 concurrent functions against a single global
-// lock (the seed design) vs the striped state manager. FsyncNever keeps
-// persistence off the path so only lock contention is measured.
-func BenchmarkAblationCPSharding(b *testing.B) {
-	for _, cfg := range []struct {
-		name   string
-		shards int
-	}{
-		{"global", 1},
-		{"sharded", 0}, // default 32 shards
-	} {
-		for _, fns := range []int{1, 8, 64} {
-			b.Run(fmt.Sprintf("%s/fns-%d", cfg.name, fns), func(b *testing.B) {
-				benchCPSandboxTransitions(b, cfg.shards, wal.FsyncNever, fns)
-			})
-		}
-	}
-}
-
 // BenchmarkAblationCPSandboxThroughput is the headline end-to-end
-// ablation: the seed configuration (global lock + fsync per mutation)
-// against the refactor (sharded state + group-committed fsyncs) on
+// ablation: fsync per mutation against group-committed fsyncs on
 // multi-function sandbox-transition throughput.
 func BenchmarkAblationCPSandboxThroughput(b *testing.B) {
 	for _, cfg := range []struct {
 		name   string
-		shards int
 		policy wal.FsyncPolicy
 	}{
-		{"global-fsyncalways", 1, wal.FsyncAlways},
-		{"sharded-fsyncalways", 0, wal.FsyncAlways},
-		{"sharded-fsyncgroup", 0, wal.FsyncGroup},
+		{"fsync-always", wal.FsyncAlways},
+		{"fsync-group", wal.FsyncGroup},
 	} {
 		for _, fns := range []int{1, 8, 64} {
 			b.Run(fmt.Sprintf("%s/fns-%d", cfg.name, fns), func(b *testing.B) {
-				benchCPSandboxTransitions(b, cfg.shards, cfg.policy, fns)
+				benchCPSandboxTransitions(b, cfg.policy, fns)
 			})
 		}
 	}
 }
 
-// --- Worker registry: striped registration/heartbeat path vs global lock ---
+// --- Worker registry at fleet scale ---
 
 // BenchmarkAblationWorkerRegistry drives a 1k-worker emulated fleet
-// (internal/fleet) against the control plane's worker registry, striped
-// (default 32 shards) vs the seed's single registry lock
-// (-worker-shards 1):
+// (internal/fleet) against the control plane's striped worker registry:
 //
 //   - heartbeats: steady-state heartbeat floods from the whole fleet,
 //     racing continuous health sweeps and autoscale sweeps — the fleet
@@ -258,16 +231,12 @@ func BenchmarkAblationCPSandboxThroughput(b *testing.B) {
 //   - failure-churn: correlated worker churn — every op deregisters a
 //     worker (failing it and draining its sandboxes, which re-enters
 //     Reconcile) and registers it back.
-//
-// Like the CP/DP sharding ablations, the wall-clock win needs multicore;
-// on few-core machines the telemetry carries the comparison.
 func BenchmarkAblationWorkerRegistry(b *testing.B) {
 	const fleetSize = 1024
-	newHarness := func(b *testing.B, shards int) *experiments.FleetHarness {
+	newHarness := func(b *testing.B) *experiments.FleetHarness {
 		b.Helper()
 		h, err := experiments.NewFleetHarness(experiments.FleetConfig{
-			Workers:      fleetSize,
-			WorkerShards: shards,
+			Workers: fleetSize,
 			// Park the background loops: the benchmark drives heartbeats
 			// and sweeps explicitly. The huge timeout also keeps explicit
 			// health sweeps from failing parked workers.
@@ -283,218 +252,174 @@ func BenchmarkAblationWorkerRegistry(b *testing.B) {
 		}
 		return h
 	}
-	for _, cfg := range []struct {
-		name   string
-		shards int
-	}{
-		{"global", 1},
-		{"sharded", 0}, // default 32 registry stripes
-	} {
-		b.Run(fmt.Sprintf("%s/heartbeats/workers-%d", cfg.name, fleetSize), func(b *testing.B) {
-			h := newHarness(b, cfg.shards)
-			defer h.Close()
-			// A persistently scaled function keeps the concurrent
-			// autoscale sweeps reconciling real sandboxes across the
-			// fleet while it heartbeats.
-			if err := h.RegisterScaledFunction("hb-load", fleetSize/4); err != nil {
+	b.Run(fmt.Sprintf("heartbeats/workers-%d", fleetSize), func(b *testing.B) {
+		h := newHarness(b)
+		defer h.Close()
+		// A persistently scaled function keeps the concurrent autoscale
+		// sweeps reconciling real sandboxes across the fleet while it
+		// heartbeats.
+		if err := h.RegisterScaledFunction("hb-load", fleetSize/4); err != nil {
+			b.Fatal(err)
+		}
+		workers := h.Fleet().Workers()
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					h.CP().HealthSweep()
+					h.CP().Reconcile()
+					// Pace the sweeps so they race the heartbeat flood
+					// without hot-spinning a core away from it.
+					time.Sleep(200 * time.Microsecond)
+				}
+			}
+		}()
+		m := h.CP().Metrics()
+		// Baseline after setup: the registration storm and scale-up
+		// contended too, and that must not pollute the per-op metric.
+		contBase := m.Counter("reg_lock_contended").Value()
+		m.Histogram("health_sweep_ms").Reset()
+		var next atomic.Uint64
+		b.SetParallelism(8)
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				workers[next.Add(1)%fleetSize].SendHeartbeat()
+			}
+		})
+		b.StopTimer()
+		close(stop)
+		<-done
+		b.ReportMetric(float64(m.Counter("reg_lock_contended").Value()-contBase)/float64(b.N), "contended_per_op")
+		b.ReportMetric(m.Histogram("health_sweep_ms").Percentile(50), "health_sweep_p50_ms")
+		b.ReportMetric(float64(m.Gauge("fleet_size").Value()), "fleet_size")
+	})
+	b.Run(fmt.Sprintf("register/workers-%d", fleetSize), func(b *testing.B) {
+		h := newHarness(b)
+		defer h.Close()
+		workers := h.Fleet().Workers()
+		m := h.CP().Metrics()
+		contBase := m.Counter("reg_lock_contended").Value()
+		var next atomic.Uint64
+		b.SetParallelism(8)
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if err := workers[next.Add(1)%fleetSize].Register(); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+		b.StopTimer()
+		b.ReportMetric(float64(m.Counter("reg_lock_contended").Value()-contBase)/float64(b.N), "contended_per_op")
+	})
+	b.Run(fmt.Sprintf("failure-churn/workers-%d", fleetSize), func(b *testing.B) {
+		h := newHarness(b)
+		defer h.Close()
+		// Sandboxes across the fleet so every deregistration drains real
+		// endpoints and the drain's Reconcile re-places them.
+		if err := h.RegisterScaledFunction("churn-load", fleetSize/4); err != nil {
+			b.Fatal(err)
+		}
+		workers := h.Fleet().Workers()
+		ctx := context.Background()
+		m := h.CP().Metrics()
+		contBase := m.Counter("reg_lock_contended").Value()
+		failBase := m.Counter("worker_failures_detected").Value()
+		var next atomic.Uint64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w := workers[next.Add(1)%fleetSize]
+			req := proto.RegisterWorkerRequest{Worker: w.Node()}
+			if _, err := h.Transport().Call(ctx, "fleet-cp", proto.MethodDeregisterWorker, req.Marshal()); err != nil {
 				b.Fatal(err)
 			}
-			workers := h.Fleet().Workers()
-			stop := make(chan struct{})
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-						h.CP().HealthSweep()
-						h.CP().Reconcile()
-						// Pace the sweeps so they race the heartbeat flood
-						// without hot-spinning a core away from it.
-						time.Sleep(200 * time.Microsecond)
-					}
-				}
-			}()
-			m := h.CP().Metrics()
-			// Baseline after setup: the registration storm and scale-up
-			// contended too, and that must not pollute the per-op metric.
-			contBase := m.Counter("reg_lock_contended").Value()
-			m.Histogram("health_sweep_ms").Reset()
-			var next atomic.Uint64
-			b.SetParallelism(8)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					workers[next.Add(1)%fleetSize].SendHeartbeat()
-				}
-			})
-			b.StopTimer()
-			close(stop)
-			<-done
-			b.ReportMetric(float64(m.Counter("reg_lock_contended").Value()-contBase)/float64(b.N), "contended_per_op")
-			b.ReportMetric(m.Histogram("health_sweep_ms").Percentile(50), "health_sweep_p50_ms")
-			b.ReportMetric(float64(m.Gauge("fleet_size").Value()), "fleet_size")
-		})
-		b.Run(fmt.Sprintf("%s/register/workers-%d", cfg.name, fleetSize), func(b *testing.B) {
-			h := newHarness(b, cfg.shards)
-			defer h.Close()
-			workers := h.Fleet().Workers()
-			m := h.CP().Metrics()
-			contBase := m.Counter("reg_lock_contended").Value()
-			var next atomic.Uint64
-			b.SetParallelism(8)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if err := workers[next.Add(1)%fleetSize].Register(); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(m.Counter("reg_lock_contended").Value()-contBase)/float64(b.N), "contended_per_op")
-		})
-		b.Run(fmt.Sprintf("%s/failure-churn/workers-%d", cfg.name, fleetSize), func(b *testing.B) {
-			h := newHarness(b, cfg.shards)
-			defer h.Close()
-			// Sandboxes across the fleet so every deregistration drains
-			// real endpoints and the drain's Reconcile re-places them.
-			if err := h.RegisterScaledFunction("churn-load", fleetSize/4); err != nil {
+			if err := w.Register(); err != nil {
 				b.Fatal(err)
 			}
-			workers := h.Fleet().Workers()
-			ctx := context.Background()
-			m := h.CP().Metrics()
-			contBase := m.Counter("reg_lock_contended").Value()
-			failBase := m.Counter("worker_failures_detected").Value()
-			var next atomic.Uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w := workers[next.Add(1)%fleetSize]
-				req := proto.RegisterWorkerRequest{Worker: w.Node()}
-				if _, err := h.Transport().Call(ctx, "fleet-cp", proto.MethodDeregisterWorker, req.Marshal()); err != nil {
-					b.Fatal(err)
-				}
-				if err := w.Register(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(m.Counter("reg_lock_contended").Value()-contBase)/float64(b.N), "contended_per_op")
-			b.ReportMetric(float64(m.Counter("worker_failures_detected").Value()-failBase)/float64(b.N), "fails_per_op")
-		})
-	}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(m.Counter("reg_lock_contended").Value()-contBase)/float64(b.N), "contended_per_op")
+		b.ReportMetric(float64(m.Counter("worker_failures_detected").Value()-failBase)/float64(b.N), "fails_per_op")
+	})
 }
 
-// --- Multi-data-plane tier: sharded async queue vs seed single queue ---
+// --- Multi-data-plane tier: async dispatch through the replicas ---
 
 // BenchmarkAblationMultiDP measures asynchronous dispatch throughput
 // through the full multi-replica tier — front end (rendezvous steering +
 // membership) → data plane async queue (persist, dispatch, settle) →
-// emulated workers — with the queue sharded (default 32 stripes,
-// per-shard dispatch loops and store hashes) vs the seed single queue
-// (-async-shards 1, pinned to the seed design by
-// TestAsyncShardsAblationSeedParity). Each op is one async invocation
-// accepted, durably persisted, dispatched, and settled; the flood runs
-// in waves so acceptance, dispatch and persistence overlap the way a
-// sustained async workload's do.
+// emulated workers. Each op is one async invocation accepted, durably
+// persisted, dispatched, and settled; the flood runs in waves so
+// acceptance, dispatch and persistence overlap the way a sustained async
+// workload's do.
 func BenchmarkAblationMultiDP(b *testing.B) {
-	for _, cfg := range []struct {
-		name   string
-		shards int
-	}{
-		{"sharded", 0},
-		{"seed-1-shard", 1},
-	} {
-		for _, replicas := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/replicas-%d", cfg.name, replicas), func(b *testing.B) {
-				h, err := experiments.NewMultiDPHarness(experiments.MultiDPConfig{
-					Replicas:    replicas,
-					AsyncShards: cfg.shards,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer h.Close()
-				const wave = 1024
-				accepted := 0
-				b.ResetTimer()
-				for done := 0; done < b.N; done += wave {
-					n := wave
-					if b.N-done < n {
-						n = b.N - done
-					}
-					got, _, err := h.AsyncFlood(n)
-					if err != nil {
-						b.Fatal(err)
-					}
-					accepted += got
-				}
-				b.StopTimer()
-				if accepted < b.N {
-					b.Fatalf("accepted %d of %d async invocations", accepted, b.N)
-				}
-			})
-		}
-	}
-}
-
-// --- Durable async failover: leased takeover vs seed wait-for-restart ---
-
-// BenchmarkAblationAsyncLease measures one full async failover cycle —
-// flood the replicas' shared durable queue, kill a replica mid-drain,
-// and wait for the acknowledged backlog to reach zero — with the control
-// plane leasing the victim's records to survivors vs the seed ablation
-// (-async-lease=false), where the backlog is stranded until the victim
-// restarts. Each op is one kill-to-empty cycle; the lease path's cycle
-// excludes the restart the seed needs.
-func BenchmarkAblationAsyncLease(b *testing.B) {
-	for _, cfg := range []struct {
-		name  string
-		lease bool
-	}{
-		{"lease", true},
-		{"seed-wait-for-restart", false},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			h, err := experiments.NewAsyncLeaseHarness(experiments.AsyncLeaseConfig{
-				Replicas:      3,
-				LeaseDisabled: !cfg.lease,
-				HandlerDelay:  time.Millisecond,
-			})
+	for _, replicas := range []int{1, 4} {
+		b.Run(fmt.Sprintf("replicas-%d", replicas), func(b *testing.B) {
+			h, err := experiments.NewMultiDPHarness(experiments.MultiDPConfig{Replicas: replicas})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer h.Close()
+			const wave = 1024
+			accepted := 0
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := h.Flood(96); err != nil {
+			for done := 0; done < b.N; done += wave {
+				n := wave
+				if b.N-done < n {
+					n = b.N - done
+				}
+				got, _, err := h.AsyncFlood(n)
+				if err != nil {
 					b.Fatal(err)
 				}
-				victims := h.KillFraction(0.34)
-				if !cfg.lease {
-					// The seed's only path to the victim's records.
-					time.Sleep(600 * time.Millisecond) // past the prune
-					if err := h.RestartVictims(victims); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if _, stranded := h.AwaitDrain(30 * time.Second); stranded != 0 {
-					b.Fatalf("%d acknowledged tasks stranded", stranded)
-				}
-				b.StopTimer()
-				if cfg.lease {
-					// Revive for the next cycle (recalls the lease).
-					if err := h.RestartVictims(victims); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StartTimer()
+				accepted += got
+			}
+			b.StopTimer()
+			if accepted < b.N {
+				b.Fatalf("accepted %d of %d async invocations", accepted, b.N)
 			}
 		})
+	}
+}
+
+// --- Durable async failover: leased takeover ---
+
+// BenchmarkAblationAsyncLease measures one full async failover cycle —
+// flood the replicas' shared durable queue, kill a replica mid-drain,
+// and wait for the acknowledged backlog to reach zero while the control
+// plane leases the victim's records to survivors. Each op is one
+// kill-to-empty cycle; reviving the victim for the next cycle (which
+// recalls the lease) is off the clock.
+func BenchmarkAblationAsyncLease(b *testing.B) {
+	h, err := experiments.NewAsyncLeaseHarness(experiments.AsyncLeaseConfig{
+		Replicas:     3,
+		HandlerDelay: time.Millisecond,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer h.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := h.Flood(96); err != nil {
+			b.Fatal(err)
+		}
+		victims := h.KillFraction(0.34)
+		if _, stranded := h.AwaitDrain(30 * time.Second); stranded != 0 {
+			b.Fatalf("%d acknowledged tasks stranded", stranded)
+		}
+		b.StopTimer()
+		if err := h.RestartVictims(victims); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }
 

@@ -31,14 +31,11 @@ func main() {
 	dbPath := flag.String("db", "dirigent-cp.aof", "append-only store file")
 	fsync := flag.String("fsync", "group",
 		"fsync policy: group (coalesce concurrent writes into one fsync), always (Redis appendfsync=always, the paper's baseline), never")
-	shards := flag.Int("state-shards", 0, "locks striping the function state map (0 = default 32, 1 = single global lock ablation)")
-	workerShards := flag.Int("worker-shards", 0, "locks striping the worker registry (0 = default 32, 1 = single registry lock ablation)")
 	autoscale := flag.Duration("autoscale-interval", 2*time.Second, "autoscaling loop period: the steady-state and scale-down period (a scale from zero is decided when the data plane reports it, not on this tick)")
 	hbTimeout := flag.Duration("heartbeat-timeout", 2*time.Second, "worker heartbeat timeout")
 	dpTimeout := flag.Duration("dataplane-timeout", 0, "data plane heartbeat timeout before the replica is pruned from the fan-out set (0 = 3x heartbeat-timeout)")
 	relayTimeout := flag.Duration("relay-timeout", 0, "relay batch-arrival timeout before a relay is treated as a correlated mass-timeout candidate (0 = heartbeat-timeout)")
 	deadGC := flag.Duration("dead-worker-gc", 0, "how long a failed worker's record lingers (revivable by a late heartbeat) before it is garbage collected (0 = 10x heartbeat-timeout, negative = never)")
-	fullScanEvery := flag.Int("full-scan-every", 0, "with relays current, run a full registry scan every Nth health sweep; fast sweeps in between check only relays and suspects (0 = default 4, 1 = always full scan)")
 	persistAll := flag.Bool("persist-sandbox-state", false, "ablation: persist sandbox state on the critical path")
 	placementName := flag.String("placement", "kube-default",
 		"placement policy: kube-default | cache-aware (kube scoring plus a bonus for nodes whose image cache already holds the function's image) | random | round-robin | hermod")
@@ -46,7 +43,6 @@ func main() {
 		"partition each worker's pre-warm budget across per-image pools sized by the trace-driven demand predictor (off = workers keep their whole budget on the generic base image)")
 	prewarmWindow := flag.Duration("prewarm-window", 0, "demand predictor averaging window (0 = default 1m)")
 	prewarmLead := flag.Duration("prewarm-lead", 0, "how far ahead of a predicted burst per-image pools are raised (0 = default 30s)")
-	asyncLease := flag.Bool("async-lease", true, "lease a pruned durable data plane's async queue records to surviving replicas (false = ablation: records wait for the replica to restart)")
 	followerReads := flag.Bool("follower-reads", true,
 		"with -peers, let follower replicas serve read-only RPCs (ListDataPlanes, ListFunctions) from their applied store behind a leader-lease check, offloading the leader to writes only")
 	rejoin := flag.Bool("rejoin", false,
@@ -95,19 +91,15 @@ func main() {
 		Addr:                *addr,
 		Peers:               peerList,
 		Transport:           transport.NewTCP(),
-		StateShards:         *shards,
-		WorkerShards:        *workerShards,
 		AutoscaleInterval:   *autoscale,
 		HeartbeatTimeout:    *hbTimeout,
 		DataPlaneTimeout:    *dpTimeout,
 		RelayTimeout:        *relayTimeout,
 		DeadWorkerGC:        *deadGC,
-		FullScanEvery:       *fullScanEvery,
 		PersistSandboxState: *persistAll,
 		Placer:              placer,
 		PredictivePrewarm:   *predictive,
 		Predictor:           predictor.Config{Window: *prewarmWindow, Lead: *prewarmLead},
-		AsyncLeaseDisabled:  !*asyncLease,
 		// TCP deployments need wider election windows than in-process.
 		RaftHeartbeat:   50 * time.Millisecond,
 		RaftElectionMin: 150 * time.Millisecond,

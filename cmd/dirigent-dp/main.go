@@ -31,7 +31,6 @@ func main() {
 	hbInterval := flag.Duration("heartbeat-interval", 250*time.Millisecond, "DP → CP liveness heartbeat period (the CP prunes silent replicas from its fan-out set)")
 	queueTimeout := flag.Duration("queue-timeout", 60*time.Second, "cold-start queue timeout")
 	policy := flag.String("lb-policy", "least-loaded", "load balancing policy: least-loaded | round-robin | random | ch-rlu")
-	asyncShards := flag.Int("async-shards", 0, "stripes in the async queue: per-shard dispatch loops and store hashes (0 = default 32, 1 = seed single-queue ablation)")
 	asyncStore := flag.String("async-store", "", "append-only store file for the durable async queue (empty = memory-only queue)")
 	asyncFnQuota := flag.Int("async-fn-quota", 0, "max queued async tasks one function may hold per queue shard; excess accepts are rejected (0 = no quota, seed admission)")
 	flag.Parse()
@@ -68,15 +67,13 @@ func main() {
 		MetricInterval:    *metricInterval,
 		HeartbeatInterval: *hbInterval,
 		QueueTimeout:      *queueTimeout,
-		AsyncShards:       *asyncShards,
 		AsyncStore:        db,
 		AsyncFnQuota:      *asyncFnQuota,
 	})
 	if err := dp.Start(); err != nil {
 		log.Fatalf("start data plane: %v", err)
 	}
-	fmt.Printf("dirigent-dp %d listening on %s (policy: %s, async-shards: %d)\n",
-		*id, *addr, *policy, *asyncShards)
+	fmt.Printf("dirigent-dp %d listening on %s (policy: %s)\n", *id, *addr, *policy)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

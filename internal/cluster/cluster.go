@@ -44,11 +44,6 @@ type Options struct {
 	// LatencyScale multiplies all simulated sandbox latencies; tests use
 	// small values to compress time. 0 disables simulated latency.
 	LatencyScale float64
-	// PersistSandboxState enables the persist-everything ablation.
-	PersistSandboxState bool
-	// StateShards stripes the control plane's function state map
-	// (0 = default 32, 1 = the single-global-lock ablation).
-	StateShards int
 	// AutoscaleInterval, HeartbeatTimeout, MetricInterval, and
 	// NoDownscaleWindow tune the control loops (zero selects defaults
 	// suitable for tests: 50 ms autoscale, 500 ms heartbeat timeout,
@@ -76,25 +71,9 @@ type Options struct {
 	Predictor predictor.Config
 	// Seed seeds all stochastic models.
 	Seed int64
-	// PrefetchImages pre-caches these images on every worker, matching
-	// the paper's methodology (§5.1).
-	PrefetchImages []string
 	// Versions optionally installs a version router in the front-end LB
 	// for canary/blue-green traffic splits (see internal/versioning).
 	Versions *versioning.Router
-	// AsyncPersist backs every data plane's async queue with one shared
-	// in-memory store (the paper co-locates the durable queue with the
-	// cluster store), so accepted async invocations survive DP crashes
-	// and the control plane can lease a dead replica's records to the
-	// surviving replicas. Off, async tasks live only in DP memory (the
-	// seed default).
-	AsyncPersist bool
-	// AsyncFnQuota caps per-function occupancy of each DP's async queue
-	// shards (0 = no quota, seed admission).
-	AsyncFnQuota int
-	// AsyncLeaseDisabled turns off lease failover of dead replicas'
-	// async records (ablation: persisted tasks wait for a restart).
-	AsyncLeaseDisabled bool
 	// CPFollowerReads lets CP followers serve read-only RPCs
 	// (ListDataPlanes, ListFunctions) from their applied store, so the
 	// leader's RPC load drops to writes. Only meaningful with
@@ -154,14 +133,9 @@ type Cluster struct {
 	Caches []*sandbox.ImageCache
 
 	stores  []*store.Store
-	asyncDB *store.Store
 	cpAddrs []string
 	client  *cpclient.Client
 }
-
-// AsyncStore returns the shared async queue store (nil without
-// AsyncPersist).
-func (c *Cluster) AsyncStore() *store.Store { return c.asyncDB }
 
 // New builds and starts a cluster.
 func New(opts Options) (*Cluster, error) {
@@ -202,9 +176,6 @@ func New(opts Options) (*Cluster, error) {
 	c.client = cpclient.New(tr, c.cpAddrs)
 
 	// Data planes.
-	if opts.AsyncPersist {
-		c.asyncDB = store.NewMemory()
-	}
 	var dpAddrs []string
 	for i := 0; i < opts.DataPlanes; i++ {
 		dp := dataplane.New(dataplane.Config{
@@ -214,8 +185,6 @@ func New(opts Options) (*Cluster, error) {
 			ControlPlanes:  c.cpAddrs,
 			MetricInterval: opts.MetricInterval,
 			QueueTimeout:   opts.QueueTimeout,
-			AsyncStore:     c.asyncDB,
-			AsyncFnQuota:   opts.AsyncFnQuota,
 			Metrics:        metrics,
 		})
 		if err := dp.Start(); err != nil {
@@ -262,39 +231,21 @@ func New(opts Options) (*Cluster, error) {
 func (c *Cluster) newControlPlane(i int, rejoin bool) *controlplane.ControlPlane {
 	opts := c.opts
 	cfg := controlplane.Config{
-		Addr:                c.cpAddrs[i],
-		Peers:               c.cpAddrs,
-		Transport:           c.Transport,
-		AutoscaleInterval:   opts.AutoscaleInterval,
-		HeartbeatTimeout:    opts.HeartbeatTimeout,
-		NoDownscaleWindow:   opts.NoDownscaleWindow,
-		PersistSandboxState: opts.PersistSandboxState,
-		StateShards:         opts.StateShards,
-		Placer:              opts.Placer,
-		PredictivePrewarm:   opts.PredictivePrewarm,
-		Predictor:           opts.Predictor,
-		AsyncLeaseDisabled:  opts.AsyncLeaseDisabled,
-		Metrics:             c.Metrics,
+		Addr:              c.cpAddrs[i],
+		Peers:             c.cpAddrs,
+		Transport:         c.Transport,
+		AutoscaleInterval: opts.AutoscaleInterval,
+		HeartbeatTimeout:  opts.HeartbeatTimeout,
+		NoDownscaleWindow: opts.NoDownscaleWindow,
+		Placer:            opts.Placer,
+		PredictivePrewarm: opts.PredictivePrewarm,
+		Predictor:         opts.Predictor,
+		Metrics:           c.Metrics,
 	}
 	if len(c.cpAddrs) > 1 {
 		cfg.LocalStore = c.stores[i]
 		cfg.FollowerReads = opts.CPFollowerReads
 		cfg.RaftRejoin = rejoin
-		// The default read lease equals the election-timeout floor (8 ms
-		// in-process), which scheduling jitter under load overruns
-		// constantly — each overrun bounces the read to the leader. 50 ms
-		// keeps staleness bounded well below the worker heartbeat windows
-		// while letting followers actually absorb the read path.
-		cfg.ReadLease = 50 * time.Millisecond
-		// The Raft package's own defaults (2 ms heartbeat, 8–16 ms
-		// election timeout) are for its unit tests: a leader goroutine
-		// that is off-CPU for 8 ms on a loaded host loses the term, and
-		// the next leader starts every function at scale zero. These keep
-		// failover well under the failure detector's windows and above
-		// both scheduling jitter and the read lease.
-		cfg.RaftHeartbeat = 10 * time.Millisecond
-		cfg.RaftElectionMin = 60 * time.Millisecond
-		cfg.RaftElectionMax = 120 * time.Millisecond
 	} else {
 		cfg.DB = c.stores[i]
 	}
@@ -324,7 +275,6 @@ func (c *Cluster) newWorker(i int) (*worker.Worker, error) {
 	opts := c.opts
 	nodeIP := [4]byte{10, 0, byte(i / 250), byte(i%250 + 1)}
 	images := sandbox.NewImageCache()
-	images.Prefetch(opts.PrefetchImages...)
 	runtimeCfg := sandbox.Config{
 		LatencyScale: opts.LatencyScale,
 		NodeIP:       nodeIP,
@@ -467,8 +417,6 @@ func (c *Cluster) RestartDataPlane(i int) error {
 		ControlPlanes:  c.cpAddrs,
 		MetricInterval: c.opts.MetricInterval,
 		QueueTimeout:   c.opts.QueueTimeout,
-		AsyncStore:     c.asyncDB,
-		AsyncFnQuota:   c.opts.AsyncFnQuota,
 		Metrics:        c.Metrics,
 	})
 	if err := dp.Start(); err != nil {

@@ -14,8 +14,8 @@ import (
 //
 // The paper makes async invocations at-least-once "through request
 // persistence and a retry policy" (§3.4.2), but a pruned replica's
-// persisted tasks used to wait for that exact replica to restart with
-// its store. The lease manager piggybacks on the DP health sweep: when a
+// persisted tasks would wait for that exact replica to restart with its
+// store. The lease manager piggybacks on the DP health sweep: when a
 // durable replica is pruned, its advertised queue hashes are partitioned
 // round-robin across the surviving durable replicas and granted to them
 // at a freshly minted epoch (proto.AsyncLease). Epochs come from one
@@ -95,13 +95,8 @@ func (cp *ControlPlane) nextAsyncEpoch() uint64 {
 // replica a fresh epoch that out-fences them. The caller must have
 // marked the replica healthy first (putDataPlane or the heartbeat
 // handler), so a concurrent sweep either sees it healthy and skips it,
-// or issued its lease before this mint and is outranked by it. Returns 0
-// when leasing is disabled (no epochs are assigned at all — the seed
-// ablation).
+// or issued its lease before this mint and is outranked by it.
 func (cp *ControlPlane) reviveAsyncOwner(id core.DataPlaneID) uint64 {
-	if cp.cfg.AsyncLeaseDisabled {
-		return 0
-	}
 	cp.asyncLeaseMu.Lock()
 	epoch := cp.nextAsyncEpoch()
 	ls := cp.asyncLeases[id]
@@ -134,9 +129,6 @@ func (cp *ControlPlane) reviveAsyncOwner(id core.DataPlaneID) uint64 {
 // replicas, re-leases (at a fresh epoch) any lease whose lessee has
 // itself died, and re-sends grants for intact leases so lost RPCs heal.
 func (cp *ControlPlane) sweepAsyncLeases() {
-	if cp.cfg.AsyncLeaseDisabled {
-		return
-	}
 	states := cp.snapshotDataPlanes()
 	healthySet := make(map[core.DataPlaneID]bool)
 	var lessees []*dataPlaneState // healthy + durable, sorted by ID

@@ -85,15 +85,6 @@ type Config struct {
 	DB DB
 	// Clock abstracts time.
 	Clock clock.Clock
-	// StateShards is the number of locks striping the function state
-	// map. 0 selects the default (32); 1 degenerates to the seed's
-	// single global lock and exists for the sharding ablation.
-	StateShards int
-	// WorkerShards is the number of locks striping the worker registry.
-	// 0 selects the default (32); 1 degenerates to the seed's single
-	// registry lock and exists for the fleet-scale ablation
-	// (`dirigent-cp -worker-shards 1`).
-	WorkerShards int
 	// AutoscaleInterval is the period of the asynchronous autoscaling
 	// loop (Knative ticks every 2 s; tests compress this).
 	AutoscaleInterval time.Duration
@@ -113,14 +104,6 @@ type Config struct {
 	// the window still revives the worker. 0 selects the default
 	// (10 × HeartbeatTimeout); negative disables collection.
 	DeadWorkerGC time.Duration
-	// FullScanEvery makes every N-th health sweep a full registry scan
-	// when relays are active. In-between sweeps are fast passes that only
-	// check relay freshness and relay-reported suspects — at 5000 workers
-	// the full scan is the dominant sweep cost, and with relays vouching
-	// for their members it only needs to run as the periodic ground
-	// truth. 0 selects the default (4); 1 forces every sweep full (and
-	// direct mode always scans fully regardless).
-	FullScanEvery int
 	// DataPlaneTimeout is how long without a data plane heartbeat before
 	// the health monitor prunes the replica from the broadcast fan-out
 	// set (and from the live set the front end polls). Data planes
@@ -131,11 +114,6 @@ type Config struct {
 	// NoDownscaleWindow suppresses downscaling after a failover while
 	// autoscaling metrics repopulate (60 s in the paper, §3.4.1).
 	NoDownscaleWindow time.Duration
-	// AsyncLeaseDisabled turns off durable async queue lease failover
-	// (the seed ablation): a pruned replica's persisted async tasks then
-	// wait for that exact replica to restart with its store, and no
-	// queue epochs are assigned.
-	AsyncLeaseDisabled bool
 	// PersistSandboxState enables the paper's ablation (§5.2.1,
 	// "Dirigent optimization breakdown"): persist every sandbox state
 	// change, putting a durable write on the cold-start critical path.
@@ -160,8 +138,10 @@ type Config struct {
 	// Metrics receives control plane telemetry.
 	Metrics *telemetry.Registry
 	// RaftHeartbeat / RaftElectionMin / RaftElectionMax tune leader
-	// election; zero values select defaults calibrated for ~10 ms
-	// failover.
+	// election; zero values select 10 ms / 60 ms / 120 ms, the in-process
+	// timings: a leader off-CPU for a few milliseconds on a loaded host
+	// keeps its term, and failover stays well under the failure
+	// detector's windows. TCP deployments set wider ones.
 	RaftHeartbeat   time.Duration
 	RaftElectionMin time.Duration
 	RaftElectionMax time.Duration
@@ -194,12 +174,6 @@ func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = clock.NewReal()
 	}
-	if c.StateShards <= 0 {
-		c.StateShards = defaultStateShards
-	}
-	if c.WorkerShards <= 0 {
-		c.WorkerShards = defaultWorkerShards
-	}
 	if c.AutoscaleInterval == 0 {
 		c.AutoscaleInterval = 2 * time.Second
 	}
@@ -215,8 +189,14 @@ func (c Config) withDefaults() Config {
 	if c.DeadWorkerGC == 0 {
 		c.DeadWorkerGC = 10 * c.HeartbeatTimeout
 	}
-	if c.FullScanEvery <= 0 {
-		c.FullScanEvery = 4
+	if c.RaftHeartbeat == 0 {
+		c.RaftHeartbeat = 10 * time.Millisecond
+	}
+	if c.RaftElectionMin == 0 {
+		c.RaftElectionMin = 60 * time.Millisecond
+	}
+	if c.RaftElectionMax == 0 {
+		c.RaftElectionMax = 120 * time.Millisecond
 	}
 	if c.NoDownscaleWindow == 0 {
 		c.NoDownscaleWindow = 60 * time.Second
@@ -405,6 +385,11 @@ type ControlPlane struct {
 	epoch         atomic.Uint64
 	leader        atomic.Bool
 	recoveredAt   atomic.Pointer[time.Time] // when this replica last became leader
+	// recovered is set once recover has reloaded this term's functions,
+	// workers and data planes; until then a new leader serves nothing, or
+	// a data plane it warms would get the partial function list and drop
+	// every function missing from it.
+	recovered atomic.Bool
 
 	lifeMu  sync.Mutex // guards stopped and leadership transitions
 	stopped bool
@@ -449,8 +434,8 @@ func New(cfg Config) *ControlPlane {
 		cfg:         cfg,
 		clk:         cfg.Clock,
 		metrics:     cfg.Metrics,
-		shards:      newShards(cfg.StateShards),
-		wshards:     newWorkerShards(cfg.WorkerShards),
+		shards:      newShards(),
+		wshards:     newWorkerShards(),
 		dataplanes:  make(map[core.DataPlaneID]*dataPlaneState),
 		asyncLeases: make(map[core.DataPlaneID]*asyncLeaseState),
 		relays:      make(map[string]*relayState),
@@ -552,9 +537,10 @@ func (cp *ControlPlane) Stop() {
 	cp.wg.Wait()
 }
 
-// IsLeader reports whether this replica currently leads.
+// IsLeader reports whether this replica currently leads and has reloaded
+// the state its term starts from.
 func (cp *ControlPlane) IsLeader() bool {
-	return cp.leader.Load()
+	return cp.leader.Load() && cp.recovered.Load()
 }
 
 // Addr returns the replica's RPC address.
@@ -571,6 +557,9 @@ func (cp *ControlPlane) onLeaderChange(isLeader bool, _ uint64) {
 		return
 	}
 	wasLeader := cp.leader.Load()
+	if isLeader && !wasLeader {
+		cp.recovered.Store(false)
+	}
 	cp.leader.Store(isLeader)
 	if !isLeader || wasLeader {
 		cp.lifeMu.Unlock()
@@ -659,6 +648,7 @@ func (cp *ControlPlane) recover() {
 		}
 	}
 	cp.dpMu.Unlock()
+	cp.recovered.Store(true)
 	cp.refreshDataPlaneGauge()
 
 	// 2. Refresh data plane caches with the function list.

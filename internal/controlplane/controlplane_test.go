@@ -564,6 +564,91 @@ func TestEpochMonotonicAcrossLeaders(t *testing.T) {
 	}
 }
 
+// TestRaftTimingDefaults pins where a replicated control plane's Raft
+// timers come from when its caller sets none: the in-process timings, not
+// the raft package's own unit-test ones (2 ms heartbeat, 8–16 ms
+// election timeout), under which a leader off-CPU for 8 ms loses its
+// term. The read lease is left to raft's rule (the election minimum), and
+// explicit timers pass through untouched.
+func TestRaftTimingDefaults(t *testing.T) {
+	c := Config{}.withDefaults()
+	if c.RaftHeartbeat != 10*time.Millisecond || c.RaftElectionMin != 60*time.Millisecond || c.RaftElectionMax != 120*time.Millisecond {
+		t.Errorf("zero timers resolved to heartbeat %v, election %v–%v; want 10ms, 60ms–120ms",
+			c.RaftHeartbeat, c.RaftElectionMin, c.RaftElectionMax)
+	}
+	if c.ReadLease != 0 {
+		t.Errorf("ReadLease defaulted to %v, want 0 (raft applies the election minimum)", c.ReadLease)
+	}
+	tcp := Config{RaftHeartbeat: 50 * time.Millisecond, RaftElectionMin: 150 * time.Millisecond, RaftElectionMax: 300 * time.Millisecond}.withDefaults()
+	if tcp.RaftHeartbeat != 50*time.Millisecond || tcp.RaftElectionMin != 150*time.Millisecond || tcp.RaftElectionMax != 300*time.Millisecond {
+		t.Errorf("explicit timers overridden: heartbeat %v, election %v–%v", tcp.RaftHeartbeat, tcp.RaftElectionMin, tcp.RaftElectionMax)
+	}
+}
+
+// holdFunctionsDB stalls recovery's first read of the function registry
+// until released, holding a new leader between winning its term and
+// reloading the state the term starts from.
+type holdFunctionsDB struct {
+	*store.Store
+	once             sync.Once
+	reading, release chan struct{}
+}
+
+func (d *holdFunctionsDB) HGetAll(hash string) map[string][]byte {
+	if hash == hashFunctions {
+		d.once.Do(func() {
+			close(d.reading)
+			<-d.release
+		})
+	}
+	return d.Store.HGetAll(hash)
+}
+
+// TestLeaderServesNothingBeforeRecovery: a leader whose recovery has not
+// reloaded the function registry yet refuses RPCs. Served, a data plane
+// heartbeat in that window re-admits the replica and warms it with the
+// partial (here empty) function list, and the data plane drops every
+// function missing from it, failing the invocations queued for them.
+func TestLeaderServesNothingBeforeRecovery(t *testing.T) {
+	tr := transport.NewInProc()
+	mem := store.NewMemory()
+	fn := fnSpec("f")
+	if err := mem.HSet(hashFunctions, fn.Name, core.MarshalFunction(&fn)); err != nil {
+		t.Fatal(err)
+	}
+	db := &holdFunctionsDB{Store: mem, reading: make(chan struct{}), release: make(chan struct{})}
+	cp := New(Config{Addr: "cp0", Transport: tr, DB: db, AutoscaleInterval: time.Hour, HeartbeatTimeout: time.Hour})
+	dp := startFakeDP(t, tr, "dp0:8000")
+	started := make(chan error, 1)
+	go func() { started <- cp.Start() }()
+	<-db.reading
+
+	hb := proto.DataPlaneHeartbeat{DataPlane: core.DataPlane{ID: 1, IP: "dp0", Port: 8000}}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	_, err := tr.Call(ctx, "cp0", proto.MethodDataPlaneHeartbeat, hb.Marshal())
+	cancel()
+	if err == nil {
+		dp.mu.Lock()
+		t.Errorf("heartbeat served mid-recovery; the data plane was warmed with %v", dp.functions)
+		dp.mu.Unlock()
+	}
+	if cp.IsLeader() {
+		t.Errorf("IsLeader before recovery reloaded the registry")
+	}
+	close(db.release)
+	if err := <-started; err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cp.Stop)
+
+	dpHeartbeat(t, tr, 1, "dp0", 8000)
+	dp.mu.Lock()
+	defer dp.mu.Unlock()
+	if !dp.functions["f"] {
+		t.Errorf("after recovery the data plane was warmed with %v, want f", dp.functions)
+	}
+}
+
 func TestPersistSandboxAblationWrites(t *testing.T) {
 	tr := transport.NewInProc()
 	db := store.NewMemory()

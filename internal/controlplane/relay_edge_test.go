@@ -15,7 +15,7 @@ import (
 
 // newRelayVClockHarness builds a control plane on a virtual clock with
 // the background loops parked, configured through mutate so each edge
-// test can pin FullScanEvery / DeadWorkerGC / RelayTimeout explicitly.
+// test can pin DeadWorkerGC / RelayTimeout explicitly.
 func newRelayVClockHarness(t *testing.T, mutate func(*Config)) (*ControlPlane, *transport.InProc, *clock.Virtual) {
 	t.Helper()
 	vclk := clock.NewVirtual(time.Unix(1_000_000, 0))
@@ -169,14 +169,12 @@ func TestTwoRelaysLatestStampWins(t *testing.T) {
 }
 
 // TestMissingSuspectFailsOnFastPath pins the fast sweep's detection
-// path: with relays current and full scans effectively disabled, a
-// relay-reported missing worker is failed by a fast O(relays+suspects)
-// pass once its own stamp ages past HeartbeatTimeout — and not a sweep
-// earlier, however often the relay repeats the hint.
+// path: with relays current, a relay-reported missing worker is failed
+// by a fast O(relays+suspects) pass once its own stamp ages past
+// HeartbeatTimeout — and not a sweep earlier, however often the relay
+// repeats the hint.
 func TestMissingSuspectFailsOnFastPath(t *testing.T) {
-	cp, tr, vclk := newRelayVClockHarness(t, func(cfg *Config) {
-		cfg.FullScanEvery = 1 << 20 // fast passes only (seq 1 scans free)
-	})
+	cp, tr, vclk := newRelayVClockHarness(t, nil)
 	relayRegister(t, tr, "r1", 1, 2)
 	relayBatch(t, tr, "r1", []core.NodeID{1, 2}, nil)
 
@@ -194,6 +192,9 @@ func TestMissingSuspectFailsOnFastPath(t *testing.T) {
 	cp.HealthSweep() // age 1.1 s > timeout: failed on the fast path
 	if got := cp.WorkerCount(); got != 1 {
 		t.Fatalf("fast path missed the timed-out suspect; WorkerCount = %d, want 1", got)
+	}
+	if seq := cp.sweepSeq.Load(); seq%fullScanEvery == 0 {
+		t.Fatalf("the sweep that failed the suspect (seq %d) was a full scan, not a fast pass", seq)
 	}
 }
 

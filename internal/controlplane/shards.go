@@ -7,11 +7,11 @@ import (
 	"dirigent/internal/core"
 )
 
-// defaultStateShards is the number of locks striping the function state
-// map. 32 shards keep the probability of two of a handful of hot
-// functions colliding low while the array stays small enough to sweep
-// cheaply in the autoscale loop.
-const defaultStateShards = 32
+// stateShards is the number of locks striping the function state map.
+// 32 shards keep the probability of two of a handful of hot functions
+// colliding low while the array stays small enough to sweep cheaply in
+// the autoscale loop.
+const stateShards = 32
 
 // functionShard is one stripe of the control plane's function state: a
 // slice of the function map guarded by its own mutex. Sandbox
@@ -23,8 +23,8 @@ type functionShard struct {
 	fns map[string]*functionState
 }
 
-func newShards(n int) []*functionShard {
-	shards := make([]*functionShard, n)
+func newShards() []*functionShard {
+	shards := make([]*functionShard, stateShards)
 	for i := range shards {
 		shards[i] = &functionShard{fns: make(map[string]*functionState)}
 	}
@@ -32,13 +32,13 @@ func newShards(n int) []*functionShard {
 }
 
 // shardFor maps a function name to its shard (FNV-1a, folded to 16 bits
-// by core.FunctionHash — plenty for any sane shard count).
+// by core.FunctionHash).
 func (cp *ControlPlane) shardFor(name string) *functionShard { return shardOf(cp, name) }
 
 // shardOf is shardFor for a name held either as a string or as bytes
 // still inside a received payload.
 func shardOf[S string | []byte](cp *ControlPlane, name S) *functionShard {
-	return cp.shards[uint32(core.FunctionHash(name))%uint32(len(cp.shards))]
+	return cp.shards[uint32(core.FunctionHash(name))%stateShards]
 }
 
 // lockShard acquires sh.mu, recording contended acquisitions in the
@@ -70,10 +70,9 @@ func (cp *ControlPlane) withFunction(name string, fn func(fs *functionState)) bo
 }
 
 // forEachShard visits every shard in turn, calling fn with that shard's
-// lock held. Loops that used to hold the seed's global mutex for a whole
-// sweep (autoscaling, worker failure draining, status) iterate per-shard
-// snapshots instead, so a sweep never blocks more than 1/len(shards) of
-// the function space at a time.
+// lock held. Sweeps (autoscaling, worker failure draining, status)
+// iterate per-shard snapshots, so a sweep never blocks more than
+// 1/stateShards of the function space at a time.
 func (cp *ControlPlane) forEachShard(fn func(sh *functionShard)) {
 	for _, sh := range cp.shards {
 		cp.lockShard(sh)

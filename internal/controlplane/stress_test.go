@@ -167,38 +167,6 @@ func TestConcurrentControlPlaneAccess(t *testing.T) {
 	}
 }
 
-// TestShardAblationSingleShard locks in that StateShards=1 (the global
-// lock ablation) still behaves correctly — every function lands in the
-// one shard and all paths keep working.
-func TestShardAblationSingleShard(t *testing.T) {
-	tr := transport.NewInProc()
-	cp := New(Config{
-		Addr:              "cp1shard",
-		Transport:         tr,
-		DB:                store.NewMemory(),
-		StateShards:       1,
-		AutoscaleInterval: time.Hour,
-		HeartbeatTimeout:  time.Hour,
-	})
-	if err := cp.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cp.Stop()
-	if len(cp.shards) != 1 {
-		t.Fatalf("StateShards=1 built %d shards", len(cp.shards))
-	}
-	ctx := context.Background()
-	for i := 0; i < 16; i++ {
-		fn := fnSpec(fmt.Sprintf("f%d", i))
-		if _, err := tr.Call(ctx, "cp1shard", proto.MethodRegisterFunction, core.MarshalFunction(&fn)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(cp.functionNames()); got != 16 {
-		t.Fatalf("functionNames = %d, want 16", got)
-	}
-}
-
 // TestShardDistribution sanity-checks that the FNV stripe spreads
 // realistic function names across shards instead of piling onto one.
 func TestShardDistribution(t *testing.T) {
@@ -207,8 +175,8 @@ func TestShardDistribution(t *testing.T) {
 	for i := 0; i < 512; i++ {
 		seen[cp.shardFor(fmt.Sprintf("function-%d", i))]++
 	}
-	if len(seen) < defaultStateShards/2 {
-		t.Fatalf("512 names hit only %d of %d shards", len(seen), defaultStateShards)
+	if len(seen) < stateShards/2 {
+		t.Fatalf("512 names hit only %d of %d shards", len(seen), stateShards)
 	}
 	for sh, n := range seen {
 		if n > 512/4 {

@@ -7,12 +7,19 @@ import (
 	"dirigent/internal/core"
 )
 
-// defaultWorkerShards is the number of locks striping the worker
-// registry. The paper's fleet experiment (§5.2.3) runs the control plane
-// against 5000 worker nodes; 32 stripes keep registration storms and
-// heartbeat floods from colliding while the array stays cheap to sweep
-// in the health monitor.
-const defaultWorkerShards = 32
+// workerShards is the number of locks striping the worker registry. The
+// paper's fleet experiment (§5.2.3) runs the control plane against 5000
+// worker nodes; 32 stripes keep registration storms and heartbeat floods
+// from colliding while the array stays cheap to sweep in the health
+// monitor.
+const workerShards = 32
+
+// fullScanEvery makes every 4th health sweep a full registry scan when
+// relays are active. In-between sweeps are fast passes that only check
+// relay freshness and relay-reported suspects: at 5000 workers the full
+// scan is the dominant sweep cost, and with relays vouching for their
+// members it only needs to run as the periodic ground truth.
+const fullScanEvery = 4
 
 // workerShard is one stripe of the worker registry: a slice of the
 // worker map guarded by its own RWMutex. Registrations, heartbeats and
@@ -25,8 +32,8 @@ type workerShard struct {
 	workers map[core.NodeID]*workerState
 }
 
-func newWorkerShards(n int) []*workerShard {
-	shards := make([]*workerShard, n)
+func newWorkerShards() []*workerShard {
+	shards := make([]*workerShard, workerShards)
 	for i := range shards {
 		shards[i] = &workerShard{workers: make(map[core.NodeID]*workerState)}
 	}
@@ -36,7 +43,7 @@ func newWorkerShards(n int) []*workerShard {
 // workerShardFor maps a node ID to its shard. Node IDs are small dense
 // integers, so a plain modulus spreads a fleet evenly.
 func (cp *ControlPlane) workerShardFor(id core.NodeID) *workerShard {
-	return cp.wshards[uint32(id)%uint32(len(cp.wshards))]
+	return cp.wshards[uint32(id)%workerShards]
 }
 
 // lockWorkerShard acquires ws.mu for writing, recording contended
@@ -146,7 +153,7 @@ func (cp *ControlPlane) removeWorkerIfUnhealthy(id core.NodeID) {
 
 // forEachWorkerShard visits every worker shard in turn with its read
 // lock held. Sweeps over the whole fleet (health checks, placement
-// candidates, status) block at most 1/len(wshards) of the registry at a
+// candidates, status) block at most 1/workerShards of the registry at a
 // time instead of stalling every registration behind one global lock.
 func (cp *ControlPlane) forEachWorkerShard(fn func(ws *workerShard)) {
 	for _, ws := range cp.wshards {
@@ -185,7 +192,7 @@ func (cp *ControlPlane) rebuildWorkers(load func() []*workerState) []*workerStat
 	}
 	workers := load()
 	for _, w := range workers {
-		cp.wshards[uint32(w.node.ID)%uint32(len(cp.wshards))].workers[w.node.ID] = w
+		cp.wshards[uint32(w.node.ID)%workerShards].workers[w.node.ID] = w
 	}
 	cp.workerCount.Store(int64(len(workers)))
 	cp.gFleetSize.Set(int64(len(workers)))
@@ -209,19 +216,18 @@ func (cp *ControlPlane) rebuildWorkers(load func() []*workerState) []*workerStat
 // its declaration triggers a full scan that re-verifies every worker's
 // own CP-side stamp, so members that failed over to another relay
 // survive), and most passes are then fast sweeps over relay-reported
-// suspects only, with every FullScanEvery-th pass scanning the whole
-// registry as ground truth. Direct mode (no relays) always scans fully —
-// the seed behavior, bit for bit. Full scans also garbage-collect
-// crash-failed entries whose failure is older than DeadWorkerGC: the
-// registry entry and the persisted record are both removed (counted by
-// dead_worker_gc), so a fleet that churns nodes doesn't accrete tombstones
-// forever. A late heartbeat before collection still revives the worker.
+// suspects only, with every fullScanEvery-th pass scanning the whole
+// registry as ground truth. Direct mode (no relays) always scans fully.
+// Full scans also garbage-collect crash-failed entries whose failure is
+// older than DeadWorkerGC: the registry entry and the persisted record
+// are both removed (counted by dead_worker_gc), so a fleet that churns
+// nodes doesn't accrete tombstones forever. A late heartbeat before
+// collection still revives the worker.
 func (cp *ControlPlane) HealthSweep() {
 	start := cp.clk.Now()
 	seq := cp.sweepSeq.Add(1)
 	silentRelays := cp.sweepRelays(start)
-	fullScan := cp.relayCount() == 0 || len(silentRelays) > 0 ||
-		cp.cfg.FullScanEvery <= 1 || seq%uint64(cp.cfg.FullScanEvery) == 0
+	fullScan := cp.relayCount() == 0 || len(silentRelays) > 0 || seq%fullScanEvery == 0
 
 	var failed, collect []core.NodeID
 	if fullScan {

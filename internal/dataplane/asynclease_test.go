@@ -26,6 +26,20 @@ func seedOwnedTasks(t *testing.T, db *store.Store, hash string, owner core.DataP
 	}
 }
 
+// coResident returns a function name that asyncShardFor maps to fn's
+// shard, for tests that need two functions competing inside one shard.
+func coResident(t *testing.T, dp *DataPlane, fn, prefix string) string {
+	t.Helper()
+	want := dp.asyncShardFor(fn)
+	for i := 0; i < 1<<16; i++ {
+		if name := fmt.Sprintf("%s-%d", prefix, i); dp.asyncShardFor(name) == want {
+			return name
+		}
+	}
+	t.Fatalf("no %s-<i> shares %s's shard", prefix, fn)
+	return ""
+}
+
 func grantLease(t *testing.T, tr *transport.InProc, dpAddr string, owner core.DataPlaneID, epoch uint64, hashes []string) {
 	t.Helper()
 	g := proto.AsyncLease{Owner: owner, Epoch: epoch, Hashes: hashes}
@@ -250,7 +264,8 @@ func TestAsyncOwnerParksFencedSettleUntilRevivalEpoch(t *testing.T) {
 
 // TestAsyncQuotaRejectsClientAccepts: with AsyncFnQuota set, a function
 // already holding quota queued tasks has further client accepts rejected
-// (and their durable records settled), while other functions still admit.
+// (and their durable records settled), while other functions in the same
+// shard still admit.
 func TestAsyncQuotaRejectsClientAccepts(t *testing.T) {
 	tr := transport.NewInProc()
 	startFakeCP(t, tr, "cp")
@@ -264,15 +279,16 @@ func TestAsyncQuotaRejectsClientAccepts(t *testing.T) {
 		QueueTimeout:   30 * time.Second, // dispatch parks on the first task
 		AsyncRetries:   1_000_000,
 		AsyncStore:     db,
-		AsyncShards:    1,
 		AsyncFnQuota:   2,
 	})
 	if err := dp.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer dp.Stop()
+	sh := dp.asyncShardFor("f")
+	g := coResident(t, dp, "f", "g")
 	pushFunction(t, tr, dp.Addr(), "f")
-	pushFunction(t, tr, dp.Addr(), "g")
+	pushFunction(t, tr, dp.Addr(), g)
 
 	accept := func(fn string) error {
 		req := proto.InvokeRequest{Function: fn, Async: true}
@@ -286,7 +302,7 @@ func TestAsyncQuotaRejectsClientAccepts(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for dp.asyncShards[0].pending() != 0 && time.Now().Before(deadline) {
+	for sh.pending() != 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if err := accept("f"); err != nil {
@@ -304,11 +320,11 @@ func TestAsyncQuotaRejectsClientAccepts(t *testing.T) {
 	}
 	// The rejected task's durable record was settled: only the three
 	// admitted records remain.
-	if got := db.HLen(asyncQueueHash); got != 3 {
+	if got := db.HLen(sh.hash); got != 3 {
 		t.Fatalf("store holds %d records, want 3", got)
 	}
-	// Another function is not throttled by f's quota.
-	if err := accept("g"); err != nil {
+	// Another function in the same shard is not throttled by f's quota.
+	if err := accept(g); err != nil {
 		t.Fatalf("co-resident function throttled: %v", err)
 	}
 }
@@ -345,14 +361,15 @@ func TestAsyncDRRFairDispatch(t *testing.T) {
 		ControlPlanes:  []string{"cp"},
 		MetricInterval: time.Hour,
 		QueueTimeout:   30 * time.Second,
-		AsyncShards:    1, // both functions share the shard
 	})
 	if err := dp.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer dp.Stop()
+	sh := dp.asyncShardFor("hot")
+	cold := coResident(t, dp, "hot", "cold") // both functions share the shard
 	pushFunction(t, tr, dp.Addr(), "hot")
-	pushFunction(t, tr, dp.Addr(), "cold")
+	pushFunction(t, tr, dp.Addr(), cold)
 
 	accept := func(fn string, tag byte) {
 		req := proto.InvokeRequest{Function: fn, Async: true, Payload: []byte{tag}}
@@ -365,17 +382,17 @@ func TestAsyncDRRFairDispatch(t *testing.T) {
 	// not by arrival timing.
 	accept("hot", 'h')
 	deadline := time.Now().Add(5 * time.Second)
-	for dp.asyncShards[0].pending() != 0 && time.Now().Before(deadline) {
+	for sh.pending() != 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	for i := 0; i < 39; i++ {
 		accept("hot", 'h')
 	}
-	accept("cold", 'c')
-	accept("cold", 'c')
+	accept(cold, 'c')
+	accept(cold, 'c')
 
 	pushEndpoints(t, tr, dp.Addr(), "hot", []core.SandboxID{1}, "w1:9000")
-	pushEndpoints(t, tr, dp.Addr(), "cold", []core.SandboxID{2}, "w1:9000")
+	pushEndpoints(t, tr, dp.Addr(), cold, []core.SandboxID{2}, "w1:9000")
 	deadline = time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		if dp.metrics.Counter("async_completed").Value() >= 42 {
@@ -410,7 +427,7 @@ func TestAsyncRecoverBacklogLargerThanShardDrains(t *testing.T) {
 	startFakeCP(t, tr, "cp")
 	startSandboxHost(t, tr, "w1:9000", 0)
 	db := store.NewMemory()
-	backlog := seedAsyncQueueCap + 500
+	backlog := asyncShardCap + 500
 	for i := 0; i < backlog; i++ {
 		key := core.AsyncTaskKey(1, uint64(i+1))
 		db.HSet(asyncQueueHash, key, marshalAsyncTask(asyncTask{function: "f", payload: []byte{byte(i)}}))
@@ -424,8 +441,7 @@ func TestAsyncRecoverBacklogLargerThanShardDrains(t *testing.T) {
 		MetricInterval: time.Hour,
 		QueueTimeout:   2 * time.Second,
 		AsyncRetries:   10,
-		AsyncStore:     db,
-		AsyncShards:    1, // one shard: the backlog exceeds its buffer
+		AsyncStore:     db, // every task is f's: one shard, and the backlog exceeds its buffer
 	})
 	if err := dp.Start(); err != nil {
 		t.Fatal(err)

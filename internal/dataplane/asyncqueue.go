@@ -21,12 +21,11 @@ import (
 // at-least-once contract FaaS platforms document, which is why they advise
 // idempotent functions (paper §2.1).
 //
-// The queue is sharded by function hash (Config.AsyncShards, default 32):
+// The queue is sharded by function hash into asyncQueueShards stripes:
 // each shard owns its own pending buffer, its own dispatch loop, and its
-// own store hash, so acceptance, dispatch, persistence and crash replay
-// all scale with the shard count instead of serializing on one buffer
-// and one store hash. AsyncShards=1 restores the seed single-queue design
-// (including the seed's exact store hash) for the ablation.
+// own store hash ("async-queue-<i>"), so acceptance, dispatch,
+// persistence and crash replay scale with the shard count instead of
+// serializing on one buffer and one store hash.
 //
 // Inside a shard, pending tasks are kept in per-function FIFO queues
 // dispatched deficit-round-robin, so one hot function's burst fills only
@@ -41,27 +40,27 @@ import (
 // asynclease.go) instead of stranding them until that exact replica
 // restarts.
 
-// asyncQueueHash is the seed's store hash for pending async invocations:
-// the only hash in the AsyncShards=1 ablation, and the legacy hash a
-// sharded replica still replays after an upgrade restart.
+// asyncQueueHash is the legacy store hash for pending async invocations,
+// written by binaries that ran a single unsharded queue; replay still
+// scans it so an upgrade restart strands nothing. It is also the prefix
+// of every shard's hash.
 const asyncQueueHash = "async-queue"
 
 // asyncIndexHash records every shard hash that has ever held a durable
-// record, so crash replay can scan exactly the hashes any earlier
-// -async-shards configuration wrote — no shard-count change can strand
+// record, so crash replay can scan exactly the hashes any earlier shard
+// count wrote — no binary that striped the queue differently can strand
 // an acknowledged task.
 const asyncIndexHash = "async-queue-index"
 
-// defaultAsyncShards matches the data plane's registry striping.
-const defaultAsyncShards = 32
+// asyncQueueShards matches the data plane's registry striping.
+const asyncQueueShards = 32
 
-// seedAsyncQueueCap is the seed's single-queue channel capacity. Every
-// shard gets the full seed capacity — splitting it would cut how big an
-// async burst one hot function can absorb (all of a function's tasks
-// hash to one shard), a regression the seed queue didn't have. Total
-// buffering therefore scales with the shard count, like the rest of the
-// sharded queue.
-const seedAsyncQueueCap = 4096
+// asyncShardCap bounds each shard's queued tasks. Every shard gets the
+// whole capacity the unsharded queue had: splitting it would cut how big
+// an async burst one hot function can absorb (all of a function's tasks
+// hash to one shard). Total buffering therefore scales with the shard
+// count, like the rest of the sharded queue.
+const asyncShardCap = 4096
 
 // asyncDRRQuantum is the deficit-round-robin quantum: how many tasks one
 // function's queue may dispatch before yielding the shard to the next
@@ -100,7 +99,7 @@ type asyncShard struct {
 	ring    []*asyncFnQueue // active (non-empty) queues, DRR order
 	ringIdx int
 	size    int // total queued tasks across fns
-	capa    int // admission bound on size (seed channel capacity)
+	capa    int // admission bound on size
 	quota   int // per-function bound for client accepts, 0 = off
 	stopped bool
 }
@@ -111,14 +110,10 @@ func newAsyncShard(hash string, capa, quota int) *asyncShard {
 	return sh
 }
 
-func newAsyncShards(n, quota int) []*asyncShard {
-	shards := make([]*asyncShard, n)
+func newAsyncShards(quota int) []*asyncShard {
+	shards := make([]*asyncShard, asyncQueueShards)
 	for i := range shards {
-		hash := asyncQueueHash
-		if n > 1 {
-			hash = fmt.Sprintf("%s-%d", asyncQueueHash, i)
-		}
-		shards[i] = newAsyncShard(hash, seedAsyncQueueCap, quota)
+		shards[i] = newAsyncShard(fmt.Sprintf("%s-%d", asyncQueueHash, i), asyncShardCap, quota)
 	}
 	return shards
 }
@@ -230,7 +225,7 @@ func (sh *asyncShard) stop() {
 // as the invoke registry, so a function's tasks always replay in order
 // from one shard's hash).
 func (dp *DataPlane) asyncShardFor(function string) *asyncShard {
-	return dp.asyncShards[uint32(core.FunctionHash(function))%uint32(len(dp.asyncShards))]
+	return dp.asyncShards[uint32(core.FunctionHash(function))%asyncQueueShards]
 }
 
 func marshalAsyncTask(t asyncTask) []byte {
@@ -370,10 +365,10 @@ func (dp *DataPlane) settleAsync(t *asyncTask) {
 }
 
 // asyncStoreHashes returns every store hash replay must scan: each
-// configured shard's hash, the seed's unsharded hash, and every hash
-// the store's index says has ever held a record — so a restart with any
-// different -async-shards value (up or down, any count) still replays
-// every durable record. Scanning an empty hash costs nothing, while
+// shard's hash, the legacy unsharded hash, and every hash the store's
+// index says has ever held a record — so records written by a binary
+// with any other shard count (up or down) still replay. Scanning an
+// empty hash costs nothing, while
 // missing one would strand acknowledged tasks. Each recovered task
 // keeps its original store coordinates for settlement, wherever it was
 // found.
@@ -462,7 +457,7 @@ func (dp *DataPlane) PendingAsync() int {
 }
 
 // AsyncBacklog counts the durable async records remaining in st — the
-// seed hash plus every hash the index lists. For a store shared by a DP
+// legacy hash plus every hash the index lists. For a store shared by a DP
 // tier this is the tier-wide ground truth ("zero stranded" means zero
 // here), where summing PendingAsync over replicas would multiply-count
 // the shared hashes.

@@ -174,50 +174,6 @@ func TestPendingAsyncWithoutStore(t *testing.T) {
 	}
 }
 
-// TestAsyncShardsAblationSeedParity pins the -async-shards 1 ablation to
-// the seed single-queue design: one shard, one dispatch loop feeding it,
-// the seed's channel capacity, and — critically for restart
-// compatibility — the seed's exact store hash for durable records.
-func TestAsyncShardsAblationSeedParity(t *testing.T) {
-	tr := transport.NewInProc()
-	startFakeCP(t, tr, "cp")
-	db := store.NewMemory()
-	dp := New(Config{
-		ID:             1,
-		Addr:           "dp0:8000",
-		Transport:      tr,
-		ControlPlanes:  []string{"cp"},
-		MetricInterval: time.Hour,
-		QueueTimeout:   20 * time.Millisecond,
-		AsyncRetries:   1_000_000, // keep tasks pending
-		AsyncStore:     db,
-		AsyncShards:    1,
-	})
-	if err := dp.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer dp.Stop()
-	if len(dp.asyncShards) != 1 {
-		t.Fatalf("AsyncShards=1 built %d shards", len(dp.asyncShards))
-	}
-	if got := dp.asyncShards[0].hash; got != asyncQueueHash {
-		t.Fatalf("seed ablation store hash = %q, want %q", got, asyncQueueHash)
-	}
-	if got := dp.asyncShards[0].capa; got != seedAsyncQueueCap {
-		t.Fatalf("seed ablation queue capacity = %d, want %d", got, seedAsyncQueueCap)
-	}
-	pushFunction(t, tr, dp.Addr(), "f")
-	for i := 0; i < 3; i++ {
-		req := proto.InvokeRequest{Function: "f", Async: true, Payload: []byte{byte(i)}}
-		if _, err := tr.Call(context.Background(), dp.Addr(), proto.MethodInvoke, req.Marshal()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := db.HLen(asyncQueueHash); got != 3 {
-		t.Fatalf("seed store hash holds %d records, want 3", got)
-	}
-}
-
 // TestAsyncShardsSpreadPersistence verifies the sharded queue actually
 // stripes: tasks for functions in different shards persist under
 // different store hashes, and PendingAsync sums across all of them.
@@ -266,76 +222,57 @@ func TestAsyncShardsSpreadPersistence(t *testing.T) {
 	}
 }
 
-// TestAsyncRecoverAcrossShardConfigs covers crash replay across
-// -async-shards reconfigurations in both directions: records persisted
-// by the seed single-queue config are recovered (and settled in place)
-// by a sharded replica, and records persisted sharded are recovered by a
-// seed-config replica.
+// TestAsyncRecoverAcrossShardConfigs covers crash replay of records that
+// binaries striping the queue differently left behind: three in the
+// legacy unsharded hash, and three in "async-queue-40", a stripe this
+// binary does not have, which only the index names. Every record must
+// replay, complete, and settle in the hash it was found in. The legacy
+// hash is the seed's layout, hence the subtest's name.
 func TestAsyncRecoverAcrossShardConfigs(t *testing.T) {
-	for _, tc := range []struct {
-		name                    string
-		firstShards, nextShards int
-	}{
-		{"seed-to-sharded", 1, 0},
-		{"sharded-to-seed", 0, 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tr := transport.NewInProc()
-			startFakeCP(t, tr, "cp")
-			db := store.NewMemory()
-			dp1 := New(Config{
-				ID:             1,
-				Addr:           "dp0:8000",
-				Transport:      tr,
-				ControlPlanes:  []string{"cp"},
-				MetricInterval: time.Hour,
-				QueueTimeout:   20 * time.Millisecond,
-				AsyncRetries:   1_000_000,
-				AsyncStore:     db,
-				AsyncShards:    tc.firstShards,
-			})
-			if err := dp1.Start(); err != nil {
-				t.Fatal(err)
-			}
-			pushFunction(t, tr, dp1.Addr(), "f")
-			for i := 0; i < 3; i++ {
-				req := proto.InvokeRequest{Function: "f", Async: true, Payload: []byte{byte(i)}}
-				if _, err := tr.Call(context.Background(), dp1.Addr(), proto.MethodInvoke, req.Marshal()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			dp1.Stop() // crash with 3 durable tasks
+	t.Run("seed-to-sharded", testAsyncRecoverLegacyAndIndexed)
+}
 
-			startSandboxHost(t, tr, "w1:9000", 0)
-			dp2 := New(Config{
-				ID:             1,
-				Addr:           "dp0:8000",
-				Transport:      tr,
-				ControlPlanes:  []string{"cp"},
-				MetricInterval: time.Hour,
-				QueueTimeout:   2 * time.Second,
-				AsyncRetries:   10,
-				AsyncStore:     db,
-				AsyncShards:    tc.nextShards,
-			})
-			if err := dp2.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer dp2.Stop()
-			waitCounter(t, dp2, "async_recovered", 3)
-			pushFunction(t, tr, dp2.Addr(), "f")
-			pushEndpoints(t, tr, dp2.Addr(), "f", []core.SandboxID{1}, "w1:9000")
-			deadline := time.Now().Add(10 * time.Second)
-			for time.Now().Before(deadline) {
-				if dp2.metrics.Counter("async_completed").Value() >= 3 && dp2.PendingAsync() == 0 {
-					return
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-			t.Fatalf("recovered tasks not completed+settled: completed=%d pending=%d",
-				dp2.metrics.Counter("async_completed").Value(), dp2.PendingAsync())
-		})
+func testAsyncRecoverLegacyAndIndexed(t *testing.T) {
+	tr := transport.NewInProc()
+	startFakeCP(t, tr, "cp")
+	startSandboxHost(t, tr, "w1:9000", 0)
+	db := store.NewMemory()
+	const indexed = asyncQueueHash + "-40"
+	seedOwnedTasks(t, db, asyncQueueHash, 1, "f", 3)
+	seedOwnedTasks(t, db, indexed, 1, "f", 3)
+	if err := db.HSet(asyncIndexHash, indexed, []byte{1}); err != nil {
+		t.Fatal(err)
 	}
+
+	dp := New(Config{
+		ID:             1,
+		Addr:           "dp0:8000",
+		Transport:      tr,
+		ControlPlanes:  []string{"cp"},
+		MetricInterval: time.Hour,
+		QueueTimeout:   2 * time.Second,
+		AsyncRetries:   10,
+		AsyncStore:     db,
+	})
+	if err := dp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer dp.Stop()
+	waitCounter(t, dp, "async_recovered", 6)
+	pushFunction(t, tr, dp.Addr(), "f")
+	pushEndpoints(t, tr, dp.Addr(), "f", []core.SandboxID{1}, "w1:9000")
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if dp.metrics.Counter("async_completed").Value() >= 6 && db.HLen(asyncQueueHash) == 0 && db.HLen(indexed) == 0 {
+			if n := AsyncBacklog(db); n != 0 {
+				t.Fatalf("%d records left after replay settled both hashes", n)
+			}
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("recovered tasks not completed+settled: completed=%d legacy=%d indexed=%d",
+		dp.metrics.Counter("async_completed").Value(), db.HLen(asyncQueueHash), db.HLen(indexed))
 }
 
 // TestAsyncRecoveredKeyNotReused: after a crash replay, freshly minted
@@ -346,11 +283,6 @@ func TestAsyncRecoveredKeyNotReused(t *testing.T) {
 	tr := transport.NewInProc()
 	startFakeCP(t, tr, "cp")
 	db := store.NewMemory()
-	// A durable record whose key sequence is exactly where the replica's
-	// key counter would mint next — the collision case.
-	collidingKey := fmt.Sprintf("1-%d", asyncSeq.Load()+1)
-	db.HSet(asyncQueueHash, collidingKey, marshalAsyncTask(asyncTask{function: "f"}))
-
 	dp := New(Config{
 		ID:             1,
 		Addr:           "dp0:8000",
@@ -360,8 +292,12 @@ func TestAsyncRecoveredKeyNotReused(t *testing.T) {
 		QueueTimeout:   20 * time.Millisecond,
 		AsyncRetries:   1_000_000, // keep both tasks pending
 		AsyncStore:     db,
-		AsyncShards:    1,
 	})
+	// A durable record in f's own shard hash whose key sequence is exactly
+	// where the replica's key counter would mint next — the collision case.
+	hash := dp.asyncShardFor("f").hash
+	collidingKey := fmt.Sprintf("1-%d", asyncSeq.Load()+1)
+	db.HSet(hash, collidingKey, marshalAsyncTask(asyncTask{function: "f"}))
 	if err := dp.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +309,7 @@ func TestAsyncRecoveredKeyNotReused(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Both the recovered and the new record must coexist durably.
-	if got := db.HLen(asyncQueueHash); got != 2 {
+	if got := db.HLen(hash); got != 2 {
 		t.Fatalf("store holds %d records, want 2 (new key reused %q)", got, collidingKey)
 	}
 }

@@ -70,13 +70,6 @@ type Config struct {
 	// invocations so they survive data plane crashes (the "persistent
 	// queue" of paper §3.4.2). Nil keeps the queue in memory only.
 	AsyncStore *store.Store
-	// AsyncShards is the number of stripes in the asynchronous queue:
-	// per-shard pending channels keyed by function hash, per-shard
-	// dispatch loops, and per-shard store hashes, so async acceptance,
-	// dispatch, persistence and crash replay scale with the shard count.
-	// 0 selects the default (32). 1 is the seed single-queue ablation:
-	// one channel, one dispatch loop, and the seed's exact store hash.
-	AsyncShards int
 	// AsyncFnQuota caps how many pending async tasks a single function
 	// may hold per queue shard at admission time (client accepts only —
 	// recovery, lease drains and retries bypass it, since those tasks
@@ -105,9 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AsyncRetries == 0 {
 		c.AsyncRetries = 3
-	}
-	if c.AsyncShards <= 0 {
-		c.AsyncShards = defaultAsyncShards
 	}
 	if c.Metrics == nil {
 		c.Metrics = telemetry.NewRegistry()
@@ -229,7 +219,7 @@ type asyncTask struct {
 	attempt  int
 	// storeKey/storeHash locate the durable record for this task ("" when
 	// the queue is memory-only). The hash is carried per task so a record
-	// recovered from another configuration's shard hash (or the seed's
+	// recovered from a hash another shard count wrote (or the legacy
 	// unsharded hash) still settles where it was persisted.
 	storeKey  string
 	storeHash string
@@ -250,7 +240,7 @@ func New(cfg Config) *DataPlane {
 		cp:          cpclient.New(cfg.Transport, cfg.ControlPlanes),
 		metrics:     cfg.Metrics,
 		shards:      newRegistryShards(),
-		asyncShards: newAsyncShards(cfg.AsyncShards, cfg.AsyncFnQuota),
+		asyncShards: newAsyncShards(cfg.AsyncFnQuota),
 		leases:      make(map[core.DataPlaneID]*heldLease),
 		leasedKeys:  make(map[string]bool),
 		coldWake:    make(chan struct{}, 1),

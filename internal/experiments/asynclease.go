@@ -21,7 +21,7 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "asynclease",
-		Title: "Durable async queue failover sweep: replicas × kill fraction × revival timing, leased takeover vs seed wait-for-restart (paper §3.4.2)",
+		Title: "Durable async queue failover sweep: replicas × kill fraction × revival timing, survivors drain a dead replica's records under a lease (paper §3.4.2)",
 		Run:   runAsyncLease,
 	})
 }
@@ -29,8 +29,7 @@ func init() {
 // AsyncLeaseConfig parameterizes one lease-failover measurement: data
 // plane replicas persisting async records into one shared store, a
 // worker fleet with a fixed per-task service time, and a control plane
-// that either leases a pruned replica's records to survivors or (the
-// seed ablation) leaves them stranded until the replica restarts.
+// that leases a pruned replica's records to survivors.
 type AsyncLeaseConfig struct {
 	// Replicas is the data plane replica count (default 3).
 	Replicas int
@@ -39,11 +38,6 @@ type AsyncLeaseConfig struct {
 	// HandlerDelay is the per-task service time (default 5ms) — long
 	// enough that a kill lands on a non-empty backlog.
 	HandlerDelay time.Duration
-	// AsyncFnQuota caps per-function shard occupancy (0 = off).
-	AsyncFnQuota int
-	// LeaseDisabled reverts the control plane to the seed behavior:
-	// a dead replica's records wait for its restart.
-	LeaseDisabled bool
 }
 
 func (c AsyncLeaseConfig) withDefaults() AsyncLeaseConfig {
@@ -88,13 +82,12 @@ func NewAsyncLeaseHarness(cfg AsyncLeaseConfig) (*AsyncLeaseHarness, error) {
 		done:     make(map[string]int),
 	}
 	h.cp = controlplane.New(controlplane.Config{
-		Addr:               "al-cp",
-		Transport:          h.tr,
-		DB:                 h.cpDB,
-		AutoscaleInterval:  time.Hour, // scaling driven explicitly
-		HeartbeatTimeout:   400 * time.Millisecond,
-		DataPlaneTimeout:   400 * time.Millisecond,
-		AsyncLeaseDisabled: cfg.LeaseDisabled,
+		Addr:              "al-cp",
+		Transport:         h.tr,
+		DB:                h.cpDB,
+		AutoscaleInterval: time.Hour, // scaling driven explicitly
+		HeartbeatTimeout:  400 * time.Millisecond,
+		DataPlaneTimeout:  400 * time.Millisecond,
 	})
 	if err := h.cp.Start(); err != nil {
 		return nil, err
@@ -104,7 +97,6 @@ func NewAsyncLeaseHarness(cfg AsyncLeaseConfig) (*AsyncLeaseHarness, error) {
 		Transport:         h.tr,
 		ControlPlanes:     []string{"al-cp"},
 		SharedStore:       h.shared,
-		AsyncFnQuota:      cfg.AsyncFnQuota,
 		HeartbeatInterval: 50 * time.Millisecond,
 		MetricInterval:    time.Hour,
 		QueueTimeout:      20 * time.Second,
@@ -198,8 +190,7 @@ func (h *AsyncLeaseHarness) KillFraction(frac float64) []int {
 }
 
 // RestartVictims revives the given replicas (same IDs, same shared
-// store) — the seed's only path to a dead replica's records, and the
-// lease recall trigger when leasing is on.
+// store), which recalls the lease on their records.
 func (h *AsyncLeaseHarness) RestartVictims(victims []int) error {
 	for _, i := range victims {
 		if err := h.dps.Restart(i); err != nil {
@@ -210,9 +201,7 @@ func (h *AsyncLeaseHarness) RestartVictims(victims []int) error {
 }
 
 // AwaitDrain polls the shared backlog until it reaches zero or stops
-// moving for a second, returning (time to empty, records left). A
-// non-zero residue with leasing disabled and no revival is the seed's
-// stranded set, not a failure.
+// moving for a second, returning (time to empty, records left).
 func (h *AsyncLeaseHarness) AwaitDrain(timeout time.Duration) (time.Duration, int) {
 	start := time.Now()
 	last, lastChange := h.Backlog(), time.Now()
@@ -277,7 +266,6 @@ func (h *AsyncLeaseHarness) Close() {
 }
 
 type asyncLeaseBenchRow struct {
-	Lease         bool    `json:"lease"`
 	Replicas      int     `json:"replicas"`
 	KillFrac      float64 `json:"kill_frac"`
 	Revival       string  `json:"revival"`
@@ -290,8 +278,8 @@ type asyncLeaseBenchRow struct {
 	LeasesRecall  int64   `json:"leases_recalled"`
 }
 
-// runAsyncLease sweeps replica counts × kill fractions × revival timing
-// with leasing on and off, reporting the acknowledged backlog stranded
+// runAsyncLease sweeps replica counts × kill fractions × revival timing,
+// reporting the acknowledged backlog stranded
 // by the kill, the time for the shared store to drain to zero, and the
 // DRR fairness ratio. Rows land in BENCH_async.json.
 func runAsyncLease(w io.Writer, scale float64) error {
@@ -301,68 +289,59 @@ func runAsyncLease(w io.Writer, scale float64) error {
 		killFrac float64
 	}
 	shapes := []shape{{2, 0.5}, {4, 0.25}, {4, 0.5}}
-	t := newTable("mode", "replicas", "kill_frac", "revival", "accepted", "backlog_at_kill",
+	t := newTable("replicas", "kill_frac", "revival", "accepted", "backlog_at_kill",
 		"stranded", "drain_ms", "fairness")
 	var rows []asyncLeaseBenchRow
-	for _, lease := range []bool{true, false} {
-		for _, s := range shapes {
-			for _, revival := range []string{"none", "mid-drain"} {
-				h, err := NewAsyncLeaseHarness(AsyncLeaseConfig{
-					Replicas:      s.replicas,
-					LeaseDisabled: !lease,
-				})
-				if err != nil {
-					return err
-				}
-				floodStart := time.Now()
-				accepted, err := h.Flood(asyncN)
-				if err != nil {
+	for _, s := range shapes {
+		for _, revival := range []string{"none", "mid-drain"} {
+			h, err := NewAsyncLeaseHarness(AsyncLeaseConfig{Replicas: s.replicas})
+			if err != nil {
+				return err
+			}
+			floodStart := time.Now()
+			accepted, err := h.Flood(asyncN)
+			if err != nil {
+				h.Close()
+				return err
+			}
+			victims := h.KillFraction(s.killFrac)
+			killAt := time.Now()
+			backlogAtKill := h.Backlog()
+			if revival == "mid-drain" {
+				// Past the prune (DataPlaneTimeout) and past the first
+				// grants — the revival races the survivors' drains.
+				time.Sleep(600 * time.Millisecond)
+				if err := h.RestartVictims(victims); err != nil {
 					h.Close()
 					return err
 				}
-				victims := h.KillFraction(s.killFrac)
-				killAt := time.Now()
-				backlogAtKill := h.Backlog()
-				if revival == "mid-drain" {
-					// Past the prune (DataPlaneTimeout) and, with leasing
-					// on, past the first grants — the revival races the
-					// survivors' drains.
-					time.Sleep(600 * time.Millisecond)
-					if err := h.RestartVictims(victims); err != nil {
-						h.Close()
-						return err
-					}
-				}
-				_, stranded := h.AwaitDrain(30 * time.Second)
-				drainMs := float64(time.Since(killAt)) / float64(time.Millisecond)
-				fairness := h.FairnessRatio(floodStart)
-				mode := map[bool]string{true: "lease", false: "seed (-async-lease=false)"}[lease]
-				t.addRow(mode, s.replicas, fmt.Sprintf("%.2f", s.killFrac), revival,
-					accepted, backlogAtKill, stranded, drainMs,
-					fmt.Sprintf("%.2f", fairness))
-				rows = append(rows, asyncLeaseBenchRow{
-					Lease:         lease,
-					Replicas:      s.replicas,
-					KillFrac:      s.killFrac,
-					Revival:       revival,
-					Accepted:      accepted,
-					BacklogAtKill: backlogAtKill,
-					Stranded:      stranded,
-					DrainMs:       drainMs,
-					Fairness:      fairness,
-					LeasesIssued:  h.CP().Metrics().Counter("async_leases_issued").Value(),
-					LeasesRecall:  h.CP().Metrics().Counter("async_leases_recalled").Value(),
-				})
-				h.Close()
 			}
+			_, stranded := h.AwaitDrain(30 * time.Second)
+			drainMs := float64(time.Since(killAt)) / float64(time.Millisecond)
+			fairness := h.FairnessRatio(floodStart)
+			t.addRow(s.replicas, fmt.Sprintf("%.2f", s.killFrac), revival,
+				accepted, backlogAtKill, stranded, drainMs,
+				fmt.Sprintf("%.2f", fairness))
+			rows = append(rows, asyncLeaseBenchRow{
+				Replicas:      s.replicas,
+				KillFrac:      s.killFrac,
+				Revival:       revival,
+				Accepted:      accepted,
+				BacklogAtKill: backlogAtKill,
+				Stranded:      stranded,
+				DrainMs:       drainMs,
+				Fairness:      fairness,
+				LeasesIssued:  h.CP().Metrics().Counter("async_leases_issued").Value(),
+				LeasesRecall:  h.CP().Metrics().Counter("async_leases_recalled").Value(),
+			})
+			h.Close()
 		}
 	}
 	t.write(w)
-	fmt.Fprintln(w, "# Expected shape: with leasing, stranded is 0 in every row — survivors drain a")
-	fmt.Fprintln(w, "# dead replica's acknowledged records without waiting for its restart. The seed")
-	fmt.Fprintln(w, "# ablation strands backlog_at_kill's victim share until revival (stranded > 0")
-	fmt.Fprintln(w, "# in 'none' rows). fairness stays ~<= 1: the hot function's flood never")
-	fmt.Fprintln(w, "# head-of-line blocks co-resident functions under deficit round-robin.")
+	fmt.Fprintln(w, "# Expected shape: stranded is 0 in every row — survivors drain a dead replica's")
+	fmt.Fprintln(w, "# acknowledged records without waiting for its restart. fairness stays ~<= 1:")
+	fmt.Fprintln(w, "# the hot function's flood never head-of-line blocks co-resident functions under")
+	fmt.Fprintln(w, "# deficit round-robin.")
 	if data, err := json.MarshalIndent(rows, "", "  "); err == nil {
 		if werr := os.WriteFile("BENCH_async.json", append(data, '\n'), 0o644); werr != nil {
 			fmt.Fprintf(w, "# warning: BENCH_async.json not written: %v\n", werr)

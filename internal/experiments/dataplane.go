@@ -21,21 +21,18 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "dataplane",
-		Title: "Multi-data-plane sweep: replicas × async-queue shards × kill fraction — front-end failover, CP fan-out pruning, async drain (paper §3.4.2, §5.1)",
+		Title: "Multi-data-plane sweep: replicas × kill fraction — front-end failover, CP fan-out pruning, async drain (paper §3.4.2, §5.1)",
 		Run:   runDataPlane,
 	})
 }
 
 // MultiDPConfig parameterizes one multi-data-plane measurement: a live
-// control plane, Replicas data plane replicas with AsyncShards-striped
-// durable async queues, a small emulated worker fleet, and a front end
-// whose membership syncs from the control plane.
+// control plane, Replicas data plane replicas with durable async
+// queues, a small emulated worker fleet, and a front end whose
+// membership syncs from the control plane.
 type MultiDPConfig struct {
 	// Replicas is the data plane replica count (default 3).
 	Replicas int
-	// AsyncShards stripes each replica's async queue (0 default 32,
-	// 1 = seed single-queue ablation).
-	AsyncShards int
 	// Workers is the emulated worker fleet size (default 8).
 	Workers int
 	// Functions spreads traffic across this many rendezvous homes
@@ -89,7 +86,6 @@ func NewMultiDPHarness(cfg MultiDPConfig) (*MultiDPHarness, error) {
 		Count:             cfg.Replicas,
 		Transport:         h.tr,
 		ControlPlanes:     []string{"mdp-cp"},
-		AsyncShards:       cfg.AsyncShards,
 		Persistent:        true,
 		HeartbeatInterval: 50 * time.Millisecond,
 		MetricInterval:    time.Hour, // scaling driven by explicit sweeps
@@ -281,64 +277,51 @@ func (h *MultiDPHarness) Close() {
 	}
 }
 
-// runDataPlane sweeps replica counts × async-shard configurations × kill
-// fractions through a sync burst, fan-out prune detection, and an async
-// drain, reporting the failover and pruning behavior of the dynamic DP
-// tier.
+// runDataPlane sweeps replica counts × kill fractions through a sync
+// burst, fan-out prune detection, and an async drain, reporting the
+// failover and pruning behavior of the dynamic DP tier.
 func runDataPlane(w io.Writer, scale float64) error {
 	burst := scaleInt(256, scale, 32)
 	asyncN := scaleInt(128, scale, 16)
-	type cfg struct {
-		name   string
-		shards int
-	}
-	configs := []cfg{
-		{"sharded (32)", 0},
-		{"seed (-async-shards 1)", 1},
-	}
-	t := newTable("config", "replicas", "kill_frac", "sync_ok", "sync_fail", "failovers",
+	t := newTable("replicas", "kill_frac", "sync_ok", "sync_fail", "failovers",
 		"sync_ms", "prune_ms", "async_n", "async_drain_ms")
-	for _, c := range configs {
-		for _, replicas := range []int{2, 4} {
-			for _, killFrac := range []float64{0, 1 / float64(replicas)} {
-				h, err := NewMultiDPHarness(MultiDPConfig{Replicas: replicas, AsyncShards: c.shards})
-				if err != nil {
-					return err
-				}
-				ok, failedN, failovers, syncMs := h.SyncBurst(burst, killFrac)
-				pruneMs := time.Duration(0)
-				if killFrac > 0 {
-					killed := int(float64(replicas)*killFrac + 0.999999)
-					pruneMs, err = h.AwaitPrune(replicas-killed, 30*time.Second)
-					if err != nil {
-						h.Close()
-						return err
-					}
-				}
-				accepted, drainMs, err := h.AsyncFlood(asyncN)
+	for _, replicas := range []int{2, 4} {
+		for _, killFrac := range []float64{0, 1 / float64(replicas)} {
+			h, err := NewMultiDPHarness(MultiDPConfig{Replicas: replicas})
+			if err != nil {
+				return err
+			}
+			ok, failedN, failovers, syncMs := h.SyncBurst(burst, killFrac)
+			pruneMs := time.Duration(0)
+			if killFrac > 0 {
+				killed := int(float64(replicas)*killFrac + 0.999999)
+				pruneMs, err = h.AwaitPrune(replicas-killed, 30*time.Second)
 				if err != nil {
 					h.Close()
 					return err
 				}
-				t.addRow(
-					c.name,
-					replicas,
-					fmt.Sprintf("%.2f", killFrac),
-					ok,
-					failedN,
-					int(failovers),
-					float64(syncMs)/float64(time.Millisecond),
-					float64(pruneMs)/float64(time.Millisecond),
-					accepted,
-					float64(drainMs)/float64(time.Millisecond),
-				)
-				h.Close()
 			}
+			accepted, drainMs, err := h.AsyncFlood(asyncN)
+			if err != nil {
+				h.Close()
+				return err
+			}
+			t.addRow(
+				replicas,
+				fmt.Sprintf("%.2f", killFrac),
+				ok,
+				failedN,
+				int(failovers),
+				float64(syncMs)/float64(time.Millisecond),
+				float64(pruneMs)/float64(time.Millisecond),
+				accepted,
+				float64(drainMs)/float64(time.Millisecond),
+			)
+			h.Close()
 		}
 	}
 	t.write(w)
 	fmt.Fprintln(w, "# Expected shape: sync_fail stays 0 at every kill fraction (accepted invocations")
-	fmt.Fprintln(w, "# fail over to survivors); prune_ms ≈ DataPlaneTimeout + one sweep; the sharded")
-	fmt.Fprintln(w, "# async queue drains the flood at least as fast as the seed single queue.")
+	fmt.Fprintln(w, "# fail over to survivors); prune_ms ≈ DataPlaneTimeout + one sweep.")
 	return nil
 }

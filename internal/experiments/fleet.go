@@ -26,15 +26,10 @@ func init() {
 }
 
 // FleetConfig parameterizes one emulated-fleet measurement: Workers
-// in-process worker emulations against one control plane, with the
-// registry striped across WorkerShards locks (1 = the seed's single
-// registry lock).
+// in-process worker emulations against one control plane.
 type FleetConfig struct {
 	// Workers is the fleet size (default 256).
 	Workers int
-	// WorkerShards stripes the CP worker registry; 1 selects the seed
-	// global-lock ablation, 0 the sharded default.
-	WorkerShards int
 	// HeartbeatInterval paces each worker's liveness loop (default
 	// 100 ms; pass a very large value to park the loops and drive
 	// HeartbeatRound explicitly, as the benchmarks do).
@@ -92,7 +87,6 @@ func NewFleetHarness(cfg FleetConfig) (*FleetHarness, error) {
 		Addr:              "fleet-cp",
 		Transport:         h.tr,
 		DB:                h.db,
-		WorkerShards:      cfg.WorkerShards,
 		AutoscaleInterval: time.Hour, // sweeps driven explicitly
 		HeartbeatTimeout:  cfg.HeartbeatTimeout,
 	})

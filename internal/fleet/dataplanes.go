@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"dirigent/internal/clock"
 	"dirigent/internal/core"
 	"dirigent/internal/dataplane"
 	"dirigent/internal/store"
@@ -33,10 +32,6 @@ type DataPlanesConfig struct {
 	// ports resolved at bind time). When false, replicas use synthetic
 	// in-process addresses in the 10.88.0.0/16 range.
 	Loopback bool
-	// BaseID is the first replica's ID (default 1).
-	BaseID int
-	// AsyncShards stripes each replica's async queue (0 default, 1 seed).
-	AsyncShards int
 	// Persistent gives each replica its own in-memory async store, so
 	// accepted async invocations survive a Stop/restart of the replica
 	// and killing a replica exercises the durable-queue path.
@@ -46,11 +41,6 @@ type DataPlanesConfig struct {
 	// records are owner-prefixed, so survivors can drain a dead
 	// replica's records in place). Overrides Persistent.
 	SharedStore *store.Store
-	// AsyncFnQuota caps per-function occupancy of each replica's async
-	// queue shards (0 = seed admission, no quota).
-	AsyncFnQuota int
-	// Clock abstracts time.
-	Clock clock.Clock
 	// MetricInterval / HeartbeatInterval / QueueTimeout tune each
 	// replica; zero selects dataplane defaults.
 	MetricInterval    time.Duration
@@ -65,9 +55,6 @@ type DataPlanesConfig struct {
 func (c DataPlanesConfig) withDefaults() DataPlanesConfig {
 	if c.Count <= 0 {
 		c.Count = 3
-	}
-	if c.BaseID <= 0 {
-		c.BaseID = 1
 	}
 	return c
 }
@@ -85,7 +72,7 @@ func NewDataPlanes(cfg DataPlanesConfig) *DataPlanes {
 	cfg = cfg.withDefaults()
 	d := &DataPlanes{cfg: cfg}
 	for i := 0; i < cfg.Count; i++ {
-		id := cfg.BaseID + i
+		id := i + 1
 		addr := "127.0.0.1:0"
 		if !cfg.Loopback {
 			addr = fmt.Sprintf("10.88.%d.%d:8000", id/256, id%256)
@@ -100,13 +87,10 @@ func NewDataPlanes(cfg DataPlanesConfig) *DataPlanes {
 			Addr:              addr,
 			Transport:         cfg.Transport,
 			ControlPlanes:     cfg.ControlPlanes,
-			Clock:             cfg.Clock,
 			MetricInterval:    cfg.MetricInterval,
 			HeartbeatInterval: cfg.HeartbeatInterval,
 			QueueTimeout:      cfg.QueueTimeout,
 			AsyncStore:        db,
-			AsyncShards:       cfg.AsyncShards,
-			AsyncFnQuota:      cfg.AsyncFnQuota,
 			Metrics:           cfg.Metrics,
 		}
 		d.dpCfgs = append(d.dpCfgs, dpCfg)
@@ -160,9 +144,8 @@ func (d *DataPlanes) Store(i int) *store.Store { return d.stores[i] }
 // fail over at the front end; the control plane prunes the victims from
 // its fan-out set by heartbeat timeout; persisted async tasks on the
 // victims are leased to the surviving replicas once the prune lands
-// (with SharedStore and leasing enabled — with per-replica stores they
-// wait for a Restart, the seed behavior). Returns the stopped replicas'
-// indices.
+// (with SharedStore — with per-replica stores they wait for a Restart).
+// Returns the stopped replicas' indices.
 func (d *DataPlanes) StopFraction(frac float64) []int {
 	n := int(float64(len(d.dps))*frac + 0.999999)
 	if n > len(d.dps) {

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"dirigent/internal/clock"
 	"dirigent/internal/core"
 	"dirigent/internal/sandbox"
 	"dirigent/internal/telemetry"
@@ -41,20 +40,11 @@ type Config struct {
 	// ports resolved at bind time). When false, workers use synthetic
 	// in-process addresses in the 10.77.0.0/16 range.
 	Loopback bool
-	// Clock abstracts time for heartbeat pacing and ready delays.
-	Clock clock.Clock
 	// HeartbeatInterval is each worker's liveness period; very large
 	// values park the loops so harnesses drive heartbeats explicitly.
 	HeartbeatInterval time.Duration
 	// ReadyDelay simulates per-sandbox creation latency.
 	ReadyDelay time.Duration
-	// BaseID is the first worker's node ID (default 1); IDs are
-	// assigned sequentially from it.
-	BaseID int
-	// CPUMilli / MemoryMB are each worker's advertised capacity
-	// (defaults sized so a 1k fleet absorbs any test burst).
-	CPUMilli int
-	MemoryMB int
 	// Handler serves proxied invocations on every worker; nil echoes.
 	Handler func(payload []byte) ([]byte, error)
 	// HandlerFn serves proxied invocations with the invoked function's
@@ -62,40 +52,26 @@ type Config struct {
 	// behavior (exec-time sleeps, version tagging) on one shared fleet.
 	// Takes precedence over Handler.
 	HandlerFn func(function string, payload []byte) ([]byte, error)
-	// Metrics is the registry shared by all workers; nil creates one.
-	Metrics *telemetry.Registry
 }
 
-func (c Config) withDefaults() Config {
-	if c.Size <= 0 {
-		c.Size = 16
-	}
-	if c.BaseID <= 0 {
-		c.BaseID = 1
-	}
-	if c.CPUMilli == 0 {
-		c.CPUMilli = 1 << 20
-	}
-	if c.MemoryMB == 0 {
-		c.MemoryMB = 1 << 20
-	}
-	if c.Metrics == nil {
-		c.Metrics = telemetry.NewRegistry()
-	}
-	return c
-}
+// workerCapacity is each emulated worker's advertised CPU (millicores)
+// and memory (MB), sized so a 1k fleet absorbs any test burst.
+const workerCapacity = 1 << 20
 
 // Fleet is a set of emulated workers managed as one unit.
 type Fleet struct {
 	cfg     Config
 	images  *worker.ImageRegistry
+	metrics *telemetry.Registry // shared by every worker
 	workers []*worker.Worker
 }
 
 // New builds the fleet's workers without starting them.
 func New(cfg Config) *Fleet {
-	cfg = cfg.withDefaults()
-	f := &Fleet{cfg: cfg, images: worker.NewImageRegistry()}
+	if cfg.Size <= 0 {
+		cfg.Size = 16
+	}
+	f := &Fleet{cfg: cfg, images: worker.NewImageRegistry(), metrics: telemetry.NewRegistry()}
 	if byName, plain := cfg.HandlerFn, cfg.Handler; byName != nil {
 		f.images.RegisterFallback(func(function string) worker.Handler {
 			return func(p []byte) ([]byte, error) { return byName(function, p) }
@@ -104,12 +80,12 @@ func New(cfg Config) *Fleet {
 		f.images.RegisterFallback(func(string) worker.Handler { return plain })
 	}
 	for i := 0; i < cfg.Size; i++ {
-		id := cfg.BaseID + i
+		id := i + 1
 		node := core.WorkerNode{
 			ID:       core.NodeID(id),
 			Name:     fmt.Sprintf("emu-w%d", id),
-			CPUMilli: cfg.CPUMilli,
-			MemoryMB: cfg.MemoryMB,
+			CPUMilli: workerCapacity,
+			MemoryMB: workerCapacity,
 		}
 		addr := "127.0.0.1:0"
 		if !cfg.Loopback {
@@ -142,10 +118,9 @@ func (f *Fleet) newWorker(i int, node core.WorkerNode, addr string) *worker.Work
 		Transport:         f.cfg.Transport,
 		ControlPlanes:     f.cfg.ControlPlanes,
 		Relays:            relays,
-		Clock:             f.cfg.Clock,
 		HeartbeatInterval: f.cfg.HeartbeatInterval,
 		Images:            f.images,
-		Metrics:           f.cfg.Metrics,
+		Metrics:           f.metrics,
 		Cache:             cache,
 	})
 }
@@ -186,9 +161,6 @@ func (f *Fleet) SandboxCount() int {
 	}
 	return n
 }
-
-// Metrics returns the registry shared by all the fleet's workers.
-func (f *Fleet) Metrics() *telemetry.Registry { return f.cfg.Metrics }
 
 // StopFraction crashes the first ⌈frac·Size⌉ workers simultaneously — a
 // correlated failure (rack or AZ loss). It returns the stopped workers;

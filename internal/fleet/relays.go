@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"dirigent/internal/clock"
 	"dirigent/internal/relay"
 	"dirigent/internal/telemetry"
 	"dirigent/internal/transport"
@@ -28,63 +27,35 @@ type RelaysConfig struct {
 	Transport transport.Transport
 	// ControlPlanes are the CP replica addresses.
 	ControlPlanes []string
-	// Loopback makes every relay listen on 127.0.0.1:0 (real TCP, ports
-	// resolved at bind time). When false, relays use synthetic
-	// in-process addresses in the 10.99.0.0/16 range.
-	Loopback bool
-	// BaseID is the first relay's ID (default 1).
-	BaseID int
-	// Clock abstracts time for flush pacing and miss detection.
-	Clock clock.Clock
-	// FlushInterval / Chunk / MissTimeout tune each relay; zero selects
-	// relay defaults. Harnesses park the flush loops with a very large
-	// FlushInterval and drive FlushAll explicitly.
+	// FlushInterval tunes each relay; zero selects the relay default.
+	// Harnesses park the flush loops with a very large FlushInterval and
+	// drive FlushAll explicitly.
 	FlushInterval time.Duration
-	Chunk         int
-	MissTimeout   time.Duration
-	// Metrics is shared by all relays (flush latency, batch sizes and
-	// error counts aggregate across the tier); nil creates one.
-	Metrics *telemetry.Registry
-}
-
-func (c RelaysConfig) withDefaults() RelaysConfig {
-	if c.Count <= 0 {
-		c.Count = 4
-	}
-	if c.BaseID <= 0 {
-		c.BaseID = 1
-	}
-	if c.Metrics == nil {
-		c.Metrics = telemetry.NewRegistry()
-	}
-	return c
 }
 
 // Relays is a managed relay tier.
 type Relays struct {
-	cfg    RelaysConfig
 	relays []*relay.Relay
 }
 
-// NewRelays builds the tier's relays without starting them.
+// NewRelays builds the tier's relays without starting them. Relays listen
+// on synthetic in-process addresses in the 10.99.0.0/16 range and share
+// one metrics registry, so flush latency, batch sizes and error counts
+// aggregate across the tier.
 func NewRelays(cfg RelaysConfig) *Relays {
-	cfg = cfg.withDefaults()
-	r := &Relays{cfg: cfg}
+	if cfg.Count <= 0 {
+		cfg.Count = 4
+	}
+	metrics := telemetry.NewRegistry()
+	r := &Relays{}
 	for i := 0; i < cfg.Count; i++ {
-		id := cfg.BaseID + i
-		addr := "127.0.0.1:0"
-		if !cfg.Loopback {
-			addr = fmt.Sprintf("10.99.%d.%d:7100", id/256, id%256)
-		}
+		id := i + 1
 		r.relays = append(r.relays, relay.New(relay.Config{
-			Addr:          addr,
+			Addr:          fmt.Sprintf("10.99.%d.%d:7100", id/256, id%256),
 			Transport:     cfg.Transport,
 			ControlPlanes: cfg.ControlPlanes,
-			Clock:         cfg.Clock,
 			FlushInterval: cfg.FlushInterval,
-			Chunk:         cfg.Chunk,
-			MissTimeout:   cfg.MissTimeout,
-			Metrics:       cfg.Metrics,
+			Metrics:       metrics,
 		}))
 	}
 	return r
@@ -113,8 +84,7 @@ func (r *Relays) Start() error {
 // Relays returns the tier's relays in ID order.
 func (r *Relays) All() []*relay.Relay { return r.relays }
 
-// Addrs returns every relay's RPC address. With Loopback, addresses are
-// only valid after Start (ports bind at listen time).
+// Addrs returns every relay's RPC address.
 func (r *Relays) Addrs() []string {
 	addrs := make([]string, len(r.relays))
 	for i, rl := range r.relays {
@@ -130,9 +100,6 @@ func (r *Relays) FlushAll() {
 		rl.Flush()
 	}
 }
-
-// Metrics returns the registry shared by the tier's relays.
-func (r *Relays) Metrics() *telemetry.Registry { return r.cfg.Metrics }
 
 // StopOne crashes relay i: no final flush, worker RPCs refused — its
 // workers must fail over and the control plane must notice the silence.
