@@ -143,6 +143,74 @@ func TestAsyncSurvivesDataPlaneRestart(t *testing.T) {
 		dp2.metrics.Counter("async_completed").Value(), dp2.PendingAsync())
 }
 
+// TestAsyncAcceptOwnsItsPayload: the invoke decoder hands the async accept
+// a payload inside the caller's frame, and the task outlives the call. The
+// caller overwrites its buffer once the accept returns; the task must
+// still execute, and its durable record still hold, the bytes it was sent.
+func TestAsyncAcceptOwnsItsPayload(t *testing.T) {
+	tr := transport.NewInProc()
+	startFakeCP(t, tr, "cp")
+	executed := make(chan []byte, 1)
+	ln, err := tr.Listen("w1:9000", func(method string, payload []byte) ([]byte, error) {
+		_, p, err := proto.DecodeInvokeSandboxRequest(payload)
+		if err != nil {
+			return nil, err
+		}
+		executed <- bytes.Clone(p)
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	db := store.NewMemory()
+	dp := New(Config{
+		ID:             1,
+		Addr:           "dp0:8000",
+		Transport:      tr,
+		ControlPlanes:  []string{"cp"},
+		MetricInterval: 10 * time.Millisecond,
+		QueueTimeout:   5 * time.Second,
+		AsyncStore:     db,
+	})
+	if err := dp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer dp.Stop()
+	pushFunction(t, tr, dp.Addr(), "f")
+
+	// No endpoint yet, so the task waits in the cold queue while the
+	// caller's buffer changes.
+	const sent = "original-payload"
+	frame := (&proto.InvokeRequest{Function: "f", Async: true, Payload: []byte(sent)}).Marshal()
+	if _, err := tr.Call(context.Background(), dp.Addr(), proto.MethodInvoke, frame); err != nil {
+		t.Fatal(err)
+	}
+	for i := range frame {
+		frame[i] = 'X'
+	}
+
+	records := db.HGetAll(dp.asyncShardFor("f").hash)
+	if len(records) != 1 {
+		t.Fatalf("%d durable records, want 1", len(records))
+	}
+	for key, rec := range records {
+		task, err := unmarshalAsyncTask(rec)
+		if err != nil || task.function != "f" || string(task.payload) != sent {
+			t.Errorf("record %s = %+v, %v; want function f, payload %q", key, task, err, sent)
+		}
+	}
+	pushEndpoints(t, tr, dp.Addr(), "f", []core.SandboxID{1}, "w1:9000")
+	select {
+	case p := <-executed:
+		if string(p) != sent {
+			t.Errorf("executed payload %q, want %q", p, sent)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the async invocation never executed")
+	}
+}
+
 func TestAsyncCorruptRecordDropped(t *testing.T) {
 	tr := transport.NewInProc()
 	startFakeCP(t, tr, "cp")

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -35,26 +36,46 @@ var errUnknownFunction = errors.New("data plane: unknown function")
 // warm starts are proxied immediately through the concurrency throttler;
 // cold starts wait in the per-function request queue until the control
 // plane reports a ready sandbox.
+//
+// The request is decoded in place: the function name is looked up by its
+// bytes and the payload is proxied from the frame, so a warm start copies
+// neither. Only the async branch, whose task outlives the call, copies.
 func (dp *DataPlane) handleInvoke(payload []byte) ([]byte, error) {
-	req, err := proto.UnmarshalInvokeRequest(payload)
+	function, async, body, err := proto.DecodeInvokeRequest(payload)
 	if err != nil {
 		return nil, err
 	}
-	if req.Async {
-		return dp.acceptAsync(req)
+	if async {
+		return dp.acceptAsync(string(function), body)
 	}
-	return dp.invokeSync(req.Function, req.Payload)
+	if fr := dp.lookupBytes(function); fr != nil {
+		return dp.invoke(fr, body)
+	}
+	return nil, dp.unknownFunction(string(function))
 }
 
+// invokeSync runs one synchronous invocation of function.
 func (dp *DataPlane) invokeSync(function string, payload []byte) ([]byte, error) {
+	if fr := dp.lookup(function); fr != nil {
+		return dp.invoke(fr, payload)
+	}
+	return nil, dp.unknownFunction(function)
+}
+
+// unknownFunction counts an invocation of a function the cache does not
+// hold and builds its error.
+func (dp *DataPlane) unknownFunction(function string) error {
+	dp.mInvocations.Inc()
+	dp.mUnknownFunction.Inc()
+	return fmt.Errorf("%w %q", errUnknownFunction, function)
+}
+
+// invoke runs one synchronous invocation on fr: warm when a slot is free,
+// else queued as a cold start.
+func (dp *DataPlane) invoke(fr *functionRuntime, payload []byte) ([]byte, error) {
 	arrival := dp.clk.Now()
 	dp.mInvocations.Inc()
-
-	fr := dp.lookup(function)
-	if fr == nil {
-		dp.mUnknownFunction.Inc()
-		return nil, fmt.Errorf("%w %q", errUnknownFunction, function)
-	}
+	function := fr.name
 	for staleRetries := 0; staleRetries < maxStaleRetries; {
 		st, info, ok := dp.acquireWarm(fr)
 		if !ok {
@@ -81,7 +102,7 @@ func (dp *DataPlane) invokeSync(function string, payload []byte) ([]byte, error)
 		}
 		resp := proto.InvokeResponse{
 			ColdStart:           false,
-			SchedulingLatencyUs: dp.clk.Since(arrival).Microseconds() - execHintUs(body),
+			SchedulingLatencyUs: dp.clk.Since(arrival).Microseconds(),
 			Body:                body,
 		}
 		dp.mWarmStarts.Inc()
@@ -142,14 +163,6 @@ func (dp *DataPlane) invokeSync(function string, payload []byte) ([]byte, error)
 		return nil, fmt.Errorf("data plane: shutting down")
 	}
 }
-
-// execHintUs is a hook for latency accounting; the simulated function
-// handlers report pure execution time out of band, so the data plane's
-// scheduling latency for warm starts is simply proxy + throttler time.
-// Returning 0 keeps the accounting conservative (scheduling latency
-// includes the function execution for warm starts measured here; the
-// experiment harness measures execution separately).
-func execHintUs([]byte) int64 { return 0 }
 
 // acquireWarm claims a concurrency slot on one of fr's ready endpoints,
 // returning the endpoint's state (for the later release) and its
@@ -228,8 +241,8 @@ func (dp *DataPlane) proxy(info *proto.SandboxInfo, function string, payload []b
 		Function:  function,
 		Payload:   payload,
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), dp.cfg.QueueTimeout)
-	defer cancel()
+	ctx := transport.NewDeadline(context.Background(), dp.cfg.QueueTimeout)
+	defer ctx.Stop()
 	return dp.cfg.Transport.Call(ctx, info.Addr, proto.MethodInvokeSandbox, req.Marshal())
 }
 
@@ -392,9 +405,11 @@ func (dp *DataPlane) abandon(function string, p *pending) {
 // acceptAsync durably queues an asynchronous invocation on its
 // function's queue shard and acknowledges immediately; the shard's
 // dispatch loop executes it with retries (at-least-once, paper §3.4.2).
-func (dp *DataPlane) acceptAsync(req *proto.InvokeRequest) ([]byte, error) {
-	task := asyncTask{function: req.Function, payload: req.Payload}
-	sh := dp.asyncShardFor(req.Function)
+// The task outlives the call, so it keeps its own copy of the payload,
+// not the request frame's.
+func (dp *DataPlane) acceptAsync(function string, payload []byte) ([]byte, error) {
+	task := asyncTask{function: function, payload: bytes.Clone(payload)}
+	sh := dp.asyncShardFor(function)
 	// Persist before acknowledging: once the client sees "accepted", the
 	// invocation survives a data plane crash (paper §3.4.2).
 	if err := dp.persistAsync(sh, &task); err != nil {

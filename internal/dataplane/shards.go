@@ -56,6 +56,13 @@ func (dp *DataPlane) lookup(name string) *functionRuntime {
 	return dp.shardFor(name).fns.load()[name]
 }
 
+// lookupBytes is lookup for a name still inside a received payload; the
+// map index converts it without allocating.
+func (dp *DataPlane) lookupBytes(name []byte) *functionRuntime {
+	sh := dp.shards[uint32(core.FunctionHash(name))%uint32(len(dp.shards))]
+	return sh.fns.load()[string(name)]
+}
+
 // getOrCreate resolves a function runtime, creating a shell entry when
 // the name is unknown (e.g. an endpoint broadcast racing the function
 // push). The double-checked fast path keeps steady-state resolution

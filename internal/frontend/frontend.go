@@ -435,9 +435,17 @@ func (lb *LB) Invoke(ctx context.Context, req *proto.InvokeRequest) (*proto.Invo
 		return nil, ErrNoDataPlane
 	}
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, lb.cfg.RequestTimeout)
-		defer cancel()
+		if ctx.Done() == nil {
+			// Nothing can cancel the caller's context, so the bound needs
+			// no timer of its own unless a transport waits on Done.
+			d := transport.NewDeadline(ctx, lb.cfg.RequestTimeout)
+			defer d.Stop()
+			ctx = d
+		} else {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, lb.cfg.RequestTimeout)
+			defer cancel()
+		}
 	}
 	payload := req.Marshal()
 	var lastErr error

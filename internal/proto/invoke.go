@@ -28,14 +28,29 @@ func (m *InvokeSandboxRequest) Marshal() []byte {
 	return e.Bytes()
 }
 
-// UnmarshalInvokeSandboxRequest decodes an InvokeSandboxRequest.
+// UnmarshalInvokeSandboxRequest decodes an InvokeSandboxRequest. Payload
+// aliases b.
 func UnmarshalInvokeSandboxRequest(b []byte) (*InvokeSandboxRequest, error) {
+	id, function, payload, err := decodeInvokeSandboxRequest(b)
+	return &InvokeSandboxRequest{SandboxID: id, Function: string(function), Payload: payload}, err
+}
+
+// DecodeInvokeSandboxRequest decodes an InvokeSandboxRequest in place and
+// allocates nothing: payload aliases b, on the terms DecodeInvokeRequest
+// states. The function name, which a worker does not need to dispatch,
+// is skipped.
+func DecodeInvokeSandboxRequest(b []byte) (core.SandboxID, []byte, error) {
+	id, _, payload, err := decodeInvokeSandboxRequest(b)
+	return id, payload, err
+}
+
+func decodeInvokeSandboxRequest(b []byte) (id core.SandboxID, function, payload []byte, err error) {
 	d := codec.NewDecoder(b)
-	m := &InvokeSandboxRequest{}
-	m.SandboxID = core.SandboxID(d.U64())
-	m.Function = d.String()
-	if p := d.RawBytes(); len(p) > 0 {
-		m.Payload = append([]byte(nil), p...)
+	id = core.SandboxID(d.U64())
+	function = d.StringBytes()
+	payload = d.RawBytes()
+	if err := d.Err(); err != nil {
+		return 0, nil, nil, wrap(err, "InvokeSandboxRequest")
 	}
-	return m, wrap(d.Err(), "InvokeSandboxRequest")
+	return id, function, payload, nil
 }

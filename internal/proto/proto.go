@@ -120,16 +120,25 @@ func (m *InvokeRequest) Marshal() []byte {
 	return e.Bytes()
 }
 
-// UnmarshalInvokeRequest decodes an InvokeRequest.
+// UnmarshalInvokeRequest decodes an InvokeRequest. Payload aliases b.
 func UnmarshalInvokeRequest(b []byte) (*InvokeRequest, error) {
+	function, async, payload, err := DecodeInvokeRequest(b)
+	return &InvokeRequest{Function: string(function), Async: async, Payload: payload}, err
+}
+
+// DecodeInvokeRequest decodes an InvokeRequest in place and allocates
+// nothing: function and payload alias b. Every transport hands a handler
+// a frame of its own that nobody reuses, so they are safe to read for the
+// whole call; a receiver copies what it keeps past the call.
+func DecodeInvokeRequest(b []byte) (function []byte, async bool, payload []byte, err error) {
 	d := codec.NewDecoder(b)
-	m := &InvokeRequest{}
-	m.Function = d.String()
-	m.Async = d.Bool()
-	if p := d.RawBytes(); len(p) > 0 {
-		m.Payload = append([]byte(nil), p...)
+	function = d.StringBytes()
+	async = d.Bool()
+	payload = d.RawBytes()
+	if err := d.Err(); err != nil {
+		return nil, false, nil, wrap(err, "InvokeRequest")
 	}
-	return m, wrap(d.Err(), "InvokeRequest")
+	return function, async, payload, nil
 }
 
 // InvokeResponse carries the function result (or async acceptance) back.
@@ -152,15 +161,14 @@ func (m *InvokeResponse) Marshal() []byte {
 	return e.Bytes()
 }
 
-// UnmarshalInvokeResponse decodes an InvokeResponse.
+// UnmarshalInvokeResponse decodes an InvokeResponse. Body aliases b, as
+// DecodeInvokeRequest's payload does.
 func UnmarshalInvokeResponse(b []byte) (*InvokeResponse, error) {
 	d := codec.NewDecoder(b)
 	m := &InvokeResponse{}
 	m.ColdStart = d.Bool()
 	m.SchedulingLatencyUs = d.I64()
-	if p := d.RawBytes(); len(p) > 0 {
-		m.Body = append([]byte(nil), p...)
-	}
+	m.Body = d.RawBytes()
 	return m, wrap(d.Err(), "InvokeResponse")
 }
 

@@ -17,7 +17,9 @@ import (
 )
 
 // HandlerFunc serves one RPC: it receives the method name and request
-// payload and returns the response payload.
+// payload and returns the response payload. The payload belongs to the
+// call and no transport reuses it, which is what lets the invoke decoders
+// hand out sub-slices of it instead of copies.
 type HandlerFunc func(method string, payload []byte) ([]byte, error)
 
 // Transport abstracts an RPC fabric addressed by opaque string addresses.

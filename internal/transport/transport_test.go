@@ -172,23 +172,90 @@ func TestInProcNilHandler(t *testing.T) {
 	}
 }
 
+// deadlineKinds are the two ways the invoke path bounds a call.
+var deadlineKinds = map[string]func(time.Duration) (context.Context, func()){
+	"WithTimeout": func(d time.Duration) (context.Context, func()) {
+		return context.WithTimeout(context.Background(), d)
+	},
+	"Deadline": func(d time.Duration) (context.Context, func()) {
+		ctx := NewDeadline(context.Background(), d)
+		return ctx, ctx.Stop
+	},
+}
+
+// TestInProcContextCancellation: under either context kind, a deadline
+// that passes during the modelled latency ends the call on time, and one
+// already past refuses the call before the handler runs.
 func TestInProcContextCancellation(t *testing.T) {
-	tr := NewInProc()
-	tr.SetLatency(time.Second)
-	ln, err := tr.Listen("slow", func(string, []byte) ([]byte, error) { return nil, nil })
+	for name, bound := range deadlineKinds {
+		t.Run(name, func(t *testing.T) {
+			tr := NewInProc()
+			handled := 0 // the handler runs on the calling goroutine
+			ln, err := tr.Listen("slow", func(string, []byte) ([]byte, error) {
+				handled++
+				return nil, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+
+			tr.SetLatency(time.Second)
+			ctx, stop := bound(10 * time.Millisecond)
+			defer stop()
+			start := time.Now()
+			if _, err := tr.Call(ctx, "slow", "m", nil); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("during latency: err = %v, want deadline exceeded", err)
+			}
+			if time.Since(start) > 500*time.Millisecond {
+				t.Errorf("cancellation took too long")
+			}
+
+			tr.SetLatency(0)
+			past, stopPast := bound(0)
+			defer stopPast()
+			if _, err := tr.Call(past, "slow", "m", nil); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("past deadline: err = %v, want deadline exceeded", err)
+			}
+			if handled != 0 {
+				t.Errorf("the handler ran %d times for calls past their deadline", handled)
+			}
+		})
+	}
+}
+
+// TestTCPCallDeadline: a call to a handler that outlasts the deadline
+// returns DeadlineExceeded at about the deadline, under either context
+// kind.
+func TestTCPCallDeadline(t *testing.T) {
+	tr := NewTCP()
+	defer tr.Close()
+	release := make(chan struct{})
+	ln, err := tr.Listen("127.0.0.1:0", func(string, []byte) ([]byte, error) {
+		select {
+		case <-release:
+		case <-time.After(5 * time.Second):
+		}
+		return nil, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err = tr.Call(ctx, "slow", "m", nil)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("err = %v, want deadline exceeded", err)
-	}
-	if time.Since(start) > 500*time.Millisecond {
-		t.Errorf("cancellation took too long")
+	defer close(release)
+	const timeout = 50 * time.Millisecond
+	for name, bound := range deadlineKinds {
+		ctx, stop := bound(timeout)
+		start := time.Now()
+		_, err := tr.Call(ctx, ln.Addr(), "m", nil)
+		took := time.Since(start)
+		stop()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: err = %v, want deadline exceeded", name, err)
+		}
+		if took < timeout || took > timeout+time.Second {
+			t.Errorf("%s: the call returned after %v, want about %v", name, took, timeout)
+		}
 	}
 }
 

@@ -538,11 +538,11 @@ func (w *Worker) handleRPC(method string, payload []byte) ([]byte, error) {
 	case proto.MethodListSandboxes:
 		return w.listSandboxes().Marshal(), nil
 	case proto.MethodInvokeSandbox:
-		req, err := proto.UnmarshalInvokeSandboxRequest(payload)
+		id, body, err := proto.DecodeInvokeSandboxRequest(payload)
 		if err != nil {
 			return nil, err
 		}
-		return w.invokeSandbox(req)
+		return w.invokeSandbox(id, body)
 	default:
 		return nil, fmt.Errorf("worker: unknown method %q", method)
 	}
@@ -1166,16 +1166,17 @@ func (w *Worker) listSandboxes() *proto.SandboxList {
 
 // invokeSandbox dispatches a proxied invocation into a sandbox. This is
 // the worker's invoke hot path: one atomic map load and two atomic
-// counter updates, no lock shared with sandbox churn or heartbeats.
-func (w *Worker) invokeSandbox(req *proto.InvokeSandboxRequest) ([]byte, error) {
-	rs, ok := w.readyMap()[req.SandboxID]
+// counter updates, no lock shared with sandbox churn or heartbeats, and
+// no copy: the handler reads the payload inside the request frame.
+func (w *Worker) invokeSandbox(id core.SandboxID, payload []byte) ([]byte, error) {
+	rs, ok := w.readyMap()[id]
 	if !ok {
-		return nil, fmt.Errorf("worker %s: invoke: no such sandbox %d", w.cfg.Node.Name, req.SandboxID)
+		return nil, fmt.Errorf("worker %s: invoke: no such sandbox %d", w.cfg.Node.Name, id)
 	}
 	rs.inFlight.Add(1)
 	defer rs.inFlight.Add(-1)
 	w.mInvocations.Inc()
-	return rs.handler(req.Payload)
+	return rs.handler(payload)
 }
 
 // CrashSandbox simulates a sandbox process crash: the sandbox disappears
