@@ -363,6 +363,13 @@ type ControlPlane struct {
 	dpMu       sync.RWMutex
 	dataplanes map[core.DataPlaneID]*dataPlaneState
 
+	// fnMu orders function metadata on its way to data planes. It is held
+	// from a registry insert or delete (after the persist, never across
+	// it) through that delta's fan-out, and every full-list sync takes its
+	// snapshot under it, so each data plane sees registrations and
+	// deregistrations in registry order without a version field.
+	fnMu sync.Mutex
+
 	// Async queue lease state (see asynclease.go): outstanding leases on
 	// dead durable replicas' queue hashes, keyed by the dead owner.
 	// asyncLeaseMu also serializes async epoch minting, so a revival
@@ -652,7 +659,7 @@ func (cp *ControlPlane) recover() {
 	cp.refreshDataPlaneGauge()
 
 	// 2. Refresh data plane caches with the function list.
-	cp.broadcastFunctions()
+	cp.syncFunctions(cp.liveDataPlanes())
 
 	// 3. Asynchronously merge sandbox lists from workers. The scale of
 	// every function starts at zero; worker reports repopulate it
@@ -783,7 +790,9 @@ func (cp *ControlPlane) handleRPC(method string, payload []byte) ([]byte, error)
 // metadata to data planes — the entire registration path (paper §5.2.4:
 // "registering a function in Dirigent takes 2 ms on average, as it only
 // involves persisting function specification into the database and
-// propagating metadata to data plane components").
+// propagating metadata to data plane components"). The metadata is the
+// one function: a delta marshaled once for every live data plane, so the
+// cost of a registration does not grow with the registry.
 func (cp *ControlPlane) handleRegisterFunction(payload []byte) ([]byte, error) {
 	f, err := core.UnmarshalFunction(payload)
 	if err != nil {
@@ -795,6 +804,8 @@ func (cp *ControlPlane) handleRegisterFunction(payload []byte) ([]byte, error) {
 	if err := cp.cfg.DB.HSet(hashFunctions, f.Name, core.MarshalFunction(f)); err != nil {
 		return nil, fmt.Errorf("register function %s: persist: %w", f.Name, err)
 	}
+	cp.fnMu.Lock()
+	defer cp.fnMu.Unlock()
 	sh := cp.shardFor(f.Name)
 	cp.lockShard(sh)
 	if fs, exists := sh.fns[f.Name]; !exists {
@@ -803,11 +814,16 @@ func (cp *ControlPlane) handleRegisterFunction(payload []byte) ([]byte, error) {
 		fs.fn = *f
 	}
 	sh.mu.Unlock()
-	cp.broadcastFunctions()
+	delta := proto.FunctionList{Functions: []core.Function{*f}}
+	cp.sendFunctionMeta(cp.liveDataPlanes(), proto.MethodAddFunction, delta.Marshal())
 	cp.metrics.Counter("functions_registered").Inc()
 	return nil, nil
 }
 
+// handleDeregisterFunction forgets the function, tells every live data
+// plane to drop it, and tears its sandboxes down. No endpoint update
+// follows: RemoveFunction has already cleared the data planes' endpoints,
+// and an update for a name they no longer know would re-create it.
 func (cp *ControlPlane) handleDeregisterFunction(payload []byte) ([]byte, error) {
 	f, err := core.UnmarshalFunction(payload)
 	if err != nil {
@@ -816,6 +832,7 @@ func (cp *ControlPlane) handleDeregisterFunction(payload []byte) ([]byte, error)
 	if err := cp.cfg.DB.HDel(hashFunctions, f.Name); err != nil {
 		return nil, err
 	}
+	cp.fnMu.Lock()
 	sh := cp.shardFor(f.Name)
 	cp.lockShard(sh)
 	fs := sh.fns[f.Name]
@@ -827,9 +844,9 @@ func (cp *ControlPlane) handleDeregisterFunction(payload []byte) ([]byte, error)
 		}
 	}
 	sh.mu.Unlock()
+	cp.sendFunctionMeta(cp.liveDataPlanes(), proto.MethodRemoveFunction, core.MarshalFunction(f))
+	cp.fnMu.Unlock()
 	cp.dispatchKills(kills)
-	cp.broadcastFunctions()
-	cp.broadcastEndpoints(f.Name)
 	return nil, nil
 }
 
@@ -917,14 +934,14 @@ func (cp *ControlPlane) handleRegisterDataPlane(payload []byte) ([]byte, error) 
 			return nil, fmt.Errorf("register data plane %d: persist async info: %w", p.ID, err)
 		}
 	}
-	cp.putDataPlane(p, req.Durable, req.AsyncHashes)
+	st := cp.putDataPlane(p, req.Durable, req.AsyncHashes)
 	// A (re-)registering replica is a new incarnation of its queue:
 	// revoke any leases still draining its records and assign it a fresh
 	// epoch that out-fences them, before re-warming its caches.
 	epoch := cp.reviveAsyncOwner(p.ID)
 	// Warm the new data plane's caches: functions, then endpoints —
 	// every function's endpoint set in one coalesced RPC.
-	cp.warmDataPlane(dataPlaneAddr(&p))
+	cp.warmDataPlane(st)
 	ack := proto.DataPlaneEpochAck{Epoch: epoch}
 	return ack.Marshal(), nil
 }

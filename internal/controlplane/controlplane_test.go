@@ -122,13 +122,17 @@ func readyOf(ev proto.SandboxEvent) []byte {
 	return batch.Marshal()
 }
 
-// fakeDP records endpoint updates and function pushes, discarding stale
-// (reordered) updates by version like the real data plane.
+// fakeDP records endpoint updates and function metadata with the real
+// data plane's semantics: AddFunction upserts, RemoveFunction drops one
+// function, SyncFunctions replaces the set, and stale (reordered)
+// endpoint updates are discarded by version.
 type fakeDP struct {
 	mu        sync.Mutex
 	functions map[string]bool
 	endpoints map[string][]proto.SandboxInfo
 	versions  map[string]uint64
+	// calls counts the requests received per method.
+	calls map[string]int
 }
 
 func startFakeDP(t *testing.T, tr *transport.InProc, addr string) *fakeDP {
@@ -137,20 +141,30 @@ func startFakeDP(t *testing.T, tr *transport.InProc, addr string) *fakeDP {
 		functions: map[string]bool{},
 		endpoints: map[string][]proto.SandboxInfo{},
 		versions:  map[string]uint64{},
+		calls:     map[string]int{},
 	}
 	ln, err := tr.Listen(addr, func(method string, payload []byte) ([]byte, error) {
 		dp.mu.Lock()
 		defer dp.mu.Unlock()
+		dp.calls[method]++
 		switch method {
-		case proto.MethodAddFunction:
+		case proto.MethodAddFunction, proto.MethodSyncFunctions:
 			list, err := proto.UnmarshalFunctionList(payload)
 			if err != nil {
 				return nil, err
 			}
-			dp.functions = map[string]bool{}
+			if method == proto.MethodSyncFunctions {
+				dp.functions = map[string]bool{}
+			}
 			for _, f := range list.Functions {
 				dp.functions[f.Name] = true
 			}
+		case proto.MethodRemoveFunction:
+			f, err := core.UnmarshalFunction(payload)
+			if err != nil {
+				return nil, err
+			}
+			delete(dp.functions, f.Name)
 		case proto.MethodUpdateEndpointsBatch:
 			batch, err := proto.UnmarshalEndpointUpdateBatch(payload)
 			if err != nil {
@@ -167,6 +181,14 @@ func startFakeDP(t *testing.T, tr *transport.InProc, addr string) *fakeDP {
 	}
 	t.Cleanup(func() { ln.Close() })
 	return dp
+}
+
+// has reports whether the fake holds the function, and how many syncs it
+// has received.
+func (dp *fakeDP) has(name string) (held bool, syncs int) {
+	dp.mu.Lock()
+	defer dp.mu.Unlock()
+	return dp.functions[name], dp.calls[proto.MethodSyncFunctions]
 }
 
 // applyLocked applies one endpoint update, discarding stale reordered
@@ -554,7 +576,7 @@ func TestEpochMonotonicAcrossLeaders(t *testing.T) {
 		if _, err := tr.Call(ctx, "cp0", proto.MethodRegisterFunction, core.MarshalFunction(&fn)); err != nil {
 			t.Fatal(err)
 		}
-		update := cp.endpointUpdate("f")
+		update, _ := cp.endpointUpdate("f")
 		if update.Version <= lastVersion {
 			t.Fatalf("generation %d: version %x not greater than previous leader's %x",
 				generation, update.Version, lastVersion)

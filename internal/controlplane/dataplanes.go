@@ -42,11 +42,14 @@ type dataPlaneState struct {
 	// repeat it so the replica converges even if the assigning reply was
 	// lost.
 	epoch uint64
+	// needsSync marks a replica that a function delta or removal failed
+	// to reach: its next heartbeat is answered with a full-list sync.
+	needsSync bool
 }
 
 // putDataPlane inserts or replaces a registry entry for a (re-)registered
 // replica.
-func (cp *ControlPlane) putDataPlane(p core.DataPlane, durable bool, asyncHashes []string) {
+func (cp *ControlPlane) putDataPlane(p core.DataPlane, durable bool, asyncHashes []string) *dataPlaneState {
 	st := &dataPlaneState{
 		dp:          p,
 		addr:        dataPlaneAddr(&p),
@@ -59,6 +62,7 @@ func (cp *ControlPlane) putDataPlane(p core.DataPlane, durable bool, asyncHashes
 	cp.dataplanes[p.ID] = st
 	cp.dpMu.Unlock()
 	cp.refreshDataPlaneGauge()
+	return st
 }
 
 // getDataPlane returns the registry entry for a replica, or nil.
@@ -89,7 +93,9 @@ func (cp *ControlPlane) snapshotDataPlanes() []*dataPlaneState {
 // replica's caches may have missed any number of broadcasts while it was
 // out of the fan-out set. A heartbeat from an unknown replica re-admits
 // it the same way — the in-memory entry can be lost to a leadership
-// change racing the heartbeat.
+// change racing the heartbeat. A heartbeat from a live replica that a
+// function delta failed to reach is answered with a function sync, the
+// repair path for a lost delta.
 func (cp *ControlPlane) handleDataPlaneHeartbeat(payload []byte) ([]byte, error) {
 	hb, err := proto.UnmarshalDataPlaneHeartbeat(payload)
 	if err != nil {
@@ -98,12 +104,12 @@ func (cp *ControlPlane) handleDataPlaneHeartbeat(payload []byte) ([]byte, error)
 	st := cp.getDataPlane(hb.DataPlane.ID)
 	if st == nil {
 		durable, hashes := unmarshalAsyncInfo(cp.cfg.DB.HGetAll(hashDPAsync)[fmt.Sprintf("%d", hb.DataPlane.ID)])
-		cp.putDataPlane(hb.DataPlane, durable, hashes)
+		st = cp.putDataPlane(hb.DataPlane, durable, hashes)
 		cp.metrics.Counter("dataplane_revivals").Inc()
 		// Revoke-before-rewarm: any lease on this replica's records must
 		// be out-fenced before the replica resumes settling them.
 		epoch := cp.reviveAsyncOwner(hb.DataPlane.ID)
-		cp.warmDataPlane(dataPlaneAddr(&hb.DataPlane))
+		cp.warmDataPlane(st)
 		ack := proto.DataPlaneEpochAck{Epoch: epoch}
 		return ack.Marshal(), nil
 	}
@@ -111,14 +117,16 @@ func (cp *ControlPlane) handleDataPlaneHeartbeat(payload []byte) ([]byte, error)
 	st.lastHB = cp.clk.Now()
 	revived := !st.healthy
 	st.healthy = true
-	addr := st.addr
+	needsSync := st.needsSync
 	epoch := st.epoch
 	st.mu.Unlock()
 	if revived {
 		cp.metrics.Counter("dataplane_revivals").Inc()
 		cp.refreshDataPlaneGauge()
 		epoch = cp.reviveAsyncOwner(st.dp.ID)
-		cp.warmDataPlane(addr)
+		cp.warmDataPlane(st)
+	} else if needsSync {
+		cp.syncFunctions([]*dataPlaneState{st})
 	}
 	ack := proto.DataPlaneEpochAck{Epoch: epoch}
 	return ack.Marshal(), nil
@@ -127,9 +135,9 @@ func (cp *ControlPlane) handleDataPlaneHeartbeat(payload []byte) ([]byte, error)
 // warmDataPlane pushes the full function list and every function's
 // endpoint set to one replica — the cache-warm diff a replica needs when
 // it (re-)joins the fan-out set.
-func (cp *ControlPlane) warmDataPlane(addr string) {
-	cp.sendFunctionsTo(addr)
-	cp.sendEndpointsBatchTo(addr, cp.functionNames())
+func (cp *ControlPlane) warmDataPlane(st *dataPlaneState) {
+	cp.syncFunctions([]*dataPlaneState{st})
+	cp.sendEndpointsBatchTo(st.addr, cp.functionNames())
 }
 
 // handleListDataPlanes returns the live replica set, sorted by ID for

@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -172,6 +173,90 @@ func TestDataPlaneHeartbeatUnknownReAdmits(t *testing.T) {
 	dp.mu.Unlock()
 	if !warmed {
 		t.Errorf("re-admitted replica's caches not warmed")
+	}
+}
+
+// dropTransport fails every call of one method, as a lost request would.
+type dropTransport struct {
+	transport.Transport
+	mu     sync.Mutex
+	method string // "" drops nothing
+}
+
+func (d *dropTransport) Call(ctx context.Context, addr, method string, payload []byte) ([]byte, error) {
+	d.mu.Lock()
+	drop := method == d.method
+	d.mu.Unlock()
+	if drop {
+		return nil, transport.ErrUnreachable
+	}
+	return d.Transport.Call(ctx, addr, method, payload)
+}
+
+func (d *dropTransport) drop(method string) {
+	d.mu.Lock()
+	d.method = method
+	d.mu.Unlock()
+}
+
+// TestLostFunctionDeltaRepairedByHeartbeat: a data plane that a
+// registration delta or a removal failed to reach holds the registry's
+// function set after its next heartbeat, which the control plane answers
+// with a full-list sync. A heartbeat with nothing lost brings no sync.
+func TestLostFunctionDeltaRepairedByHeartbeat(t *testing.T) {
+	tr := transport.NewInProc()
+	lossy := &dropTransport{Transport: tr}
+	cp := New(Config{
+		Addr:              "cp0",
+		Transport:         lossy,
+		DB:                store.NewMemory(),
+		Clock:             clock.NewVirtual(time.Unix(5000, 0)),
+		AutoscaleInterval: time.Hour,
+		HeartbeatTimeout:  time.Second,
+	})
+	if err := cp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cp.Stop)
+	dp := startFakeDP(t, tr, "dp0:8000")
+	registerDP(t, tr, 1, "dp0", 8000)
+	call := func(method, name string) {
+		t.Helper()
+		fn := fnSpec(name)
+		if _, err := tr.Call(context.Background(), "cp0", method, core.MarshalFunction(&fn)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	call(proto.MethodRegisterFunction, "kept")
+	lossy.drop(proto.MethodAddFunction)
+	call(proto.MethodRegisterFunction, "lost")
+	lossy.drop("")
+	held, syncs := dp.has("lost")
+	if held {
+		t.Fatal("the dropped delta reached the data plane")
+	}
+	dpHeartbeat(t, tr, 1, "dp0", 8000)
+	if held, n := dp.has("lost"); !held || n != syncs+1 {
+		t.Fatalf("after the heartbeat: holds lost = %v after %d syncs, want true after %d", held, n, syncs+1)
+	}
+	dpHeartbeat(t, tr, 1, "dp0", 8000)
+	if _, n := dp.has("lost"); n != syncs+1 {
+		t.Errorf("a heartbeat with nothing lost brought a sync: %d syncs, want %d", n, syncs+1)
+	}
+
+	lossy.drop(proto.MethodRemoveFunction)
+	call(proto.MethodDeregisterFunction, "kept")
+	lossy.drop("")
+	if held, _ := dp.has("kept"); !held {
+		t.Fatal("the dropped removal reached the data plane")
+	}
+	dpHeartbeat(t, tr, 1, "dp0", 8000)
+	if held, _ := dp.has("kept"); held {
+		t.Errorf("a deregistered function survived the sync that followed its lost removal")
+	}
+	if held, _ := dp.has("lost"); !held {
+		t.Errorf("the sync dropped a registered function")
 	}
 }
 

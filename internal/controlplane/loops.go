@@ -412,40 +412,57 @@ func (cp *ControlPlane) failWorker(id core.NodeID) {
 	cp.Reconcile()
 }
 
-// broadcastFunctions pushes the registered function list to every data
-// plane.
-func (cp *ControlPlane) broadcastFunctions() {
-	for _, addr := range cp.dataPlaneAddrs() {
-		cp.sendFunctionsTo(addr)
-	}
-}
-
-// dataPlaneAddrs returns the addresses of the live data plane replicas —
-// the broadcast fan-out set. Replicas the health monitor has failed are
-// excluded, so a sweep never burns an RPC timeout per dead replica; they
-// rejoin (with a cache re-warm) when their heartbeats resume.
-func (cp *ControlPlane) dataPlaneAddrs() []string {
+// liveDataPlanes returns the live data plane replicas — the broadcast
+// fan-out set. Replicas the health monitor has failed are excluded, so a
+// sweep never burns an RPC timeout per dead replica; they rejoin (with a
+// cache re-warm) when their heartbeats resume.
+func (cp *ControlPlane) liveDataPlanes() []*dataPlaneState {
 	states := cp.snapshotDataPlanes()
-	addrs := make([]string, 0, len(states))
+	live := states[:0]
 	for _, st := range states {
 		st.mu.Lock()
 		if st.healthy {
-			addrs = append(addrs, st.addr)
+			live = append(live, st)
 		}
 		st.mu.Unlock()
 	}
-	return addrs
+	return live
 }
 
 func dataPlaneAddr(p *core.DataPlane) string {
 	return fmt.Sprintf("%s:%d", p.IP, p.Port)
 }
 
-func (cp *ControlPlane) sendFunctionsTo(addr string) {
+// sendFunctionMeta makes one function-metadata call (a delta or a sync)
+// with the same payload to each replica, one after another so that every
+// replica sees the calls in the order fnMu admits them. A replica whose
+// call fails is marked for a sync on its next heartbeat; one a sync
+// reached is unmarked. Callers hold fnMu.
+func (cp *ControlPlane) sendFunctionMeta(states []*dataPlaneState, method string, payload []byte) {
+	sync := method == proto.MethodSyncFunctions
+	for _, st := range states {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		_, err := cp.cfg.Transport.Call(ctx, st.addr, method, payload)
+		cancel()
+		if err != nil || sync {
+			st.mu.Lock()
+			st.needsSync = err != nil
+			st.mu.Unlock()
+		}
+	}
+}
+
+// syncFunctions replaces each replica's function set with the full
+// registry, snapshotted and marshaled once for all of them. The snapshot
+// is taken under fnMu, so no delta is half-applied to it.
+func (cp *ControlPlane) syncFunctions(states []*dataPlaneState) {
+	if len(states) == 0 {
+		return
+	}
+	cp.fnMu.Lock()
+	defer cp.fnMu.Unlock()
 	list := proto.FunctionList{Functions: cp.snapshotFunctions()}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	_, _ = cp.cfg.Transport.Call(ctx, addr, proto.MethodAddFunction, list.Marshal())
+	cp.sendFunctionMeta(states, proto.MethodSyncFunctions, list.Marshal())
 }
 
 // sendEndpointsBatchTo warms one data plane's endpoint cache for every
@@ -472,7 +489,9 @@ type endpointChunk struct {
 // endpointBatchChunks builds the coalesced endpoint-update payloads for
 // the listed functions, chunked at maxBatch like the create path so no
 // fan-out ever builds one unbounded message (a data plane
-// warming against a huge function census, say).
+// warming against a huge function census, say). Functions no longer
+// registered are skipped: an update for one would make each data plane
+// re-create the runtime its RemoveFunction dropped.
 func (cp *ControlPlane) endpointBatchChunks(functions []string) []endpointChunk {
 	var chunks []endpointChunk
 	for len(functions) > 0 {
@@ -483,19 +502,24 @@ func (cp *ControlPlane) endpointBatchChunks(functions []string) []endpointChunk 
 		functions = functions[len(chunk):]
 		batch := proto.EndpointUpdateBatch{Updates: make([]proto.EndpointUpdate, 0, len(chunk))}
 		for _, fn := range chunk {
-			batch.Updates = append(batch.Updates, *cp.endpointUpdate(fn))
+			if update, ok := cp.endpointUpdate(fn); ok {
+				batch.Updates = append(batch.Updates, update)
+			}
 		}
-		chunks = append(chunks, endpointChunk{payload: batch.Marshal(), size: len(batch.Updates)})
+		if len(batch.Updates) > 0 {
+			chunks = append(chunks, endpointChunk{payload: batch.Marshal(), size: len(batch.Updates)})
+		}
 	}
 	return chunks
 }
 
 // endpointUpdate builds the versioned ready-endpoint set for one
-// function. Sequencing is per function under its shard lock, so
-// broadcasts for unrelated functions never serialize against each other.
-func (cp *ControlPlane) endpointUpdate(function string) *proto.EndpointUpdate {
-	update := &proto.EndpointUpdate{Function: function}
-	cp.withFunction(function, func(fs *functionState) {
+// function, reporting false if the function is not registered.
+// Sequencing is per function under its shard lock, so broadcasts for
+// unrelated functions never serialize against each other.
+func (cp *ControlPlane) endpointUpdate(function string) (update proto.EndpointUpdate, ok bool) {
+	update.Function = function
+	ok = cp.withFunction(function, func(fs *functionState) {
 		fs.epSeq++
 		// Leadership epoch in the high bits keeps versions monotonic
 		// across failovers, where per-function sequences restart.
@@ -512,7 +536,7 @@ func (cp *ControlPlane) endpointUpdate(function string) *proto.EndpointUpdate {
 			}
 		}
 	})
-	return update
+	return update, ok
 }
 
 // broadcastEndpoints pushes the current ready-endpoint set for a function
@@ -531,13 +555,13 @@ func (cp *ControlPlane) broadcastEndpointsBatch(functions []string) {
 	if len(functions) == 0 {
 		return
 	}
-	addrs := cp.dataPlaneAddrs()
-	if len(addrs) == 0 {
+	live := cp.liveDataPlanes()
+	if len(live) == 0 {
 		return
 	}
 	for _, chunk := range cp.endpointBatchChunks(functions) {
-		for _, addr := range addrs {
-			addr, payload := addr, chunk.payload
+		for _, st := range live {
+			addr, payload := st.addr, chunk.payload
 			cp.mEndpointFanout.ObserveMs(float64(chunk.size))
 			cp.wg.Add(1)
 			go func() {

@@ -277,22 +277,7 @@ func (dp *DataPlane) persistAsync(sh *asyncShard, t *asyncTask) error {
 // collide with (and overwrite, or cross-settle) a recovered task's
 // still-unsettled record.
 func observeAsyncKey(key string) {
-	dash := -1
-	for i := 0; i < len(key); i++ {
-		if key[i] == '-' {
-			dash = i
-		}
-	}
-	if dash < 0 || dash+1 >= len(key) {
-		return
-	}
-	var seq uint64
-	for _, c := range key[dash+1:] {
-		if c < '0' || c > '9' {
-			return
-		}
-		seq = seq*10 + uint64(c-'0')
-	}
+	seq := asyncKeySeq(key)
 	for {
 		cur := asyncSeq.Load()
 		if seq <= cur || asyncSeq.CompareAndSwap(cur, seq) {
@@ -301,20 +286,44 @@ func observeAsyncKey(key string) {
 	}
 }
 
+// asyncKeySeq parses the sequence after a key's last dash, 0 if there is
+// none.
+func asyncKeySeq(key string) uint64 {
+	dash := -1
+	for i := 0; i < len(key); i++ {
+		if key[i] == '-' {
+			dash = i
+		}
+	}
+	if dash < 0 || dash+1 >= len(key) {
+		return 0
+	}
+	var seq uint64
+	for _, c := range key[dash+1:] {
+		if c < '0' || c > '9' {
+			return 0
+		}
+		seq = seq*10 + uint64(c-'0')
+	}
+	return seq
+}
+
 // observeAsyncKeys scans every durable record before the listener opens:
 // fresh keys must never collide with a surviving record's key, including
 // records owned by other replicas sharing the store — a collision would
 // overwrite (or cross-settle) whichever task loses the race, silently
-// dropping an acknowledged invocation on the next crash.
-func (dp *DataPlane) observeAsyncKeys() {
-	if dp.cfg.AsyncStore == nil {
-		return
-	}
-	for _, hash := range dp.asyncStoreHashes() {
-		for key := range dp.cfg.AsyncStore.HGetAll(hash) {
-			observeAsyncKey(key)
+// dropping an acknowledged invocation on the next crash. It returns the
+// high-water mark it leaves, above which lies every key this incarnation
+// mints.
+func (dp *DataPlane) observeAsyncKeys() uint64 {
+	if dp.cfg.AsyncStore != nil {
+		for _, hash := range dp.asyncStoreHashes() {
+			for key := range dp.cfg.AsyncStore.HGetAll(hash) {
+				observeAsyncKey(key)
+			}
 		}
 	}
+	return asyncSeq.Load()
 }
 
 // settleAsync removes a completed (or permanently failed) task from the
@@ -400,13 +409,16 @@ func (dp *DataPlane) asyncStoreHashes() []string {
 // with backpressure: a recovery backlog larger than the shard buffers
 // drains as dispatch frees space instead of overflowing — every
 // acknowledged task is dispatched in this incarnation, not the next one.
+// Records this incarnation accepted (own keys above minted, the mark
+// observeAsyncKeys left) are skipped: their tasks are already queued in
+// memory, and replaying them would queue them twice.
 //
 // In a store shared by several replicas, only records this replica owns
 // (key prefix "<own id>-") are recovered: live co-owners drain their
 // own, and a dead co-owner's are the lease manager's to reassign. Keys
 // in any other shape (hand-seeded or pre-owner-format records) have no
 // other owner to claim them, so they recover here.
-func (dp *DataPlane) recoverAsync() {
+func (dp *DataPlane) recoverAsync(minted uint64) {
 	defer dp.wg.Done()
 	if dp.cfg.AsyncStore == nil {
 		return
@@ -416,7 +428,7 @@ func (dp *DataPlane) recoverAsync() {
 			if dp.stopped.Load() {
 				return
 			}
-			if owner, ok := core.AsyncTaskOwner(key); ok && owner != dp.cfg.ID {
+			if owner, ok := core.AsyncTaskOwner(key); ok && (owner != dp.cfg.ID || asyncKeySeq(key) > minted) {
 				continue
 			}
 			task, err := unmarshalAsyncTask(raw)

@@ -282,7 +282,7 @@ func (dp *DataPlane) Start() error {
 	// could mint a colliding key and overwrite an acknowledged task's
 	// only durable record. The replay itself runs in the background
 	// (recoverAsync) once dispatch loops exist to apply backpressure.
-	dp.observeAsyncKeys()
+	minted := dp.observeAsyncKeys()
 	ln, err := dp.cfg.Transport.Listen(dp.cfg.Addr, dp.handleRPC)
 	if err != nil {
 		return fmt.Errorf("data plane %d: %w", dp.cfg.ID, err)
@@ -316,7 +316,7 @@ func (dp *DataPlane) Start() error {
 	dp.wg.Add(3 + len(dp.asyncShards))
 	go dp.metricLoop()
 	go dp.heartbeatLoop()
-	go dp.recoverAsync()
+	go dp.recoverAsync(minted)
 	for _, sh := range dp.asyncShards {
 		go dp.asyncLoop(sh)
 	}
@@ -389,6 +389,8 @@ func (dp *DataPlane) handleRPC(method string, payload []byte) ([]byte, error) {
 		return dp.handleInvoke(payload)
 	case proto.MethodAddFunction:
 		return dp.handleAddFunctions(payload)
+	case proto.MethodSyncFunctions:
+		return dp.handleSyncFunctions(payload)
 	case proto.MethodRemoveFunction:
 		return dp.handleRemoveFunction(payload)
 	case proto.MethodUpdateEndpointsBatch:
@@ -406,18 +408,48 @@ func deregisteredErr(name string) error {
 	return fmt.Errorf("function %q deregistered", name)
 }
 
-// handleAddFunctions replaces/extends the function cache (CP pushes the
-// full list; the update is idempotent). Updated specs propagate to the
-// per-endpoint concurrency capacities, so a raised TargetConcurrency
-// takes effect on live endpoints instead of waiting for them to churn.
+// handleAddFunctions applies a registration delta: every listed function
+// is upserted and the rest of the cache is left alone, so a registration
+// costs the data plane one function however many are registered.
 func (dp *DataPlane) handleAddFunctions(payload []byte) ([]byte, error) {
 	list, err := proto.UnmarshalFunctionList(payload)
 	if err != nil {
 		return nil, err
 	}
+	dp.upsertFunctions(list.Functions)
+	return nil, nil
+}
+
+// handleSyncFunctions replaces the function cache with the control
+// plane's full registry: listed functions are upserted, unlisted ones
+// removed (failing their queued invocations). The control plane sends it
+// when the data plane may have missed deltas.
+func (dp *DataPlane) handleSyncFunctions(payload []byte) ([]byte, error) {
+	list, err := proto.UnmarshalFunctionList(payload)
+	if err != nil {
+		return nil, err
+	}
+	dp.upsertFunctions(list.Functions)
 	seen := make(map[string]bool, len(list.Functions))
 	for _, f := range list.Functions {
 		seen[f.Name] = true
+	}
+	for _, sh := range dp.shards {
+		for name := range sh.fns.load() {
+			if !seen[name] {
+				dp.removeFunction(name)
+			}
+		}
+	}
+	return nil, nil
+}
+
+// upsertFunctions installs or updates each spec. Updated specs propagate
+// to the per-endpoint concurrency capacities, so a raised
+// TargetConcurrency takes effect on live endpoints instead of waiting for
+// them to churn.
+func (dp *DataPlane) upsertFunctions(fns []core.Function) {
+	for _, f := range fns {
 		fr := dp.lockLive(f.Name)
 		if fr == nil {
 			continue
@@ -440,15 +472,6 @@ func (dp *DataPlane) handleAddFunctions(payload []byte) ([]byte, error) {
 		fr.mu.Unlock()
 		dp.runDispatches(work)
 	}
-	// Drop functions no longer registered.
-	for _, sh := range dp.shards {
-		for name := range sh.fns.load() {
-			if !seen[name] {
-				dp.removeFunction(name)
-			}
-		}
-	}
-	return nil, nil
 }
 
 func (dp *DataPlane) handleRemoveFunction(payload []byte) ([]byte, error) {

@@ -122,8 +122,15 @@ func pushFunction(t *testing.T, tr *transport.InProc, dpAddr, name string) {
 	pushFunctions(t, tr, dpAddr, name)
 }
 
-// pushFunctions replaces the data plane's function cache with names.
+// pushFunctions adds names to the data plane's function cache, as a
+// registration delta does.
 func pushFunctions(t *testing.T, tr *transport.InProc, dpAddr string, names ...string) {
+	t.Helper()
+	sendFunctions(t, tr, dpAddr, proto.MethodAddFunction, names...)
+}
+
+// sendFunctions sends names as a FunctionList through method.
+func sendFunctions(t *testing.T, tr *transport.InProc, dpAddr, method string, names ...string) {
 	t.Helper()
 	var list proto.FunctionList
 	for _, name := range names {
@@ -131,7 +138,7 @@ func pushFunctions(t *testing.T, tr *transport.InProc, dpAddr string, names ...s
 			Name: name, Image: "img", Port: 80, Scaling: core.DefaultScalingConfig(),
 		})
 	}
-	if _, err := tr.Call(context.Background(), dpAddr, proto.MethodAddFunction, list.Marshal()); err != nil {
+	if _, err := tr.Call(context.Background(), dpAddr, method, list.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -412,8 +419,9 @@ func TestFunctionRemovalFailsQueued(t *testing.T) {
 	for dp.QueueDepth("f") == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	// CP removes the function (empty function list push).
-	if _, err := tr.Call(context.Background(), dp.Addr(), proto.MethodAddFunction, (&proto.FunctionList{}).Marshal()); err != nil {
+	// CP deregisters the function.
+	fn := core.Function{Name: "f"}
+	if _, err := tr.Call(context.Background(), dp.Addr(), proto.MethodRemoveFunction, core.MarshalFunction(&fn)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -423,6 +431,73 @@ func TestFunctionRemovalFailsQueued(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatalf("queued invocation hung after function removal")
+	}
+}
+
+// TestAddFunctionUpsertsAndKeepsUnlisted: a registration delta installs or
+// updates what it lists and leaves every other function, with its
+// endpoints, as it was.
+func TestAddFunctionUpsertsAndKeepsUnlisted(t *testing.T) {
+	tr := transport.NewInProc()
+	startFakeCP(t, tr, "cp")
+	startSandboxHost(t, tr, "w1:9000", 0)
+	dp := testDP(t, tr)
+	pushFunctions(t, tr, dp.Addr(), "a", "b")
+	pushEndpoints(t, tr, dp.Addr(), "a", []core.SandboxID{1}, "w1:9000")
+	before := dp.lookup("a")
+
+	pushFunctions(t, tr, dp.Addr(), "c")
+	pushFunctions(t, tr, dp.Addr(), "b")
+	for _, name := range []string{"a", "b", "c"} {
+		if dp.lookup(name) == nil {
+			t.Errorf("function %s missing after deltas", name)
+		}
+	}
+	if dp.lookup("a") != before || dp.EndpointCount("a") != 1 {
+		t.Errorf("a delta for other functions replaced a's runtime or endpoints")
+	}
+	if _, err := invoke(tr, dp.Addr(), "a", []byte("x")); err != nil {
+		t.Errorf("warm invoke of an unlisted function after deltas: %v", err)
+	}
+}
+
+// TestSyncFunctionsDropsUnlisted: a sync replaces the function set —
+// unlisted functions go and their queued invocations fail — while listed
+// ones keep their runtimes and endpoints.
+func TestSyncFunctionsDropsUnlisted(t *testing.T) {
+	tr := transport.NewInProc()
+	startFakeCP(t, tr, "cp")
+	dp := testDP(t, tr)
+	pushFunctions(t, tr, dp.Addr(), "keep", "drop")
+	pushEndpoints(t, tr, dp.Addr(), "keep", []core.SandboxID{1}, "w1:9000")
+	kept := dp.lookup("keep")
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := invoke(tr, dp.Addr(), "drop", nil)
+		errCh <- err
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for dp.QueueDepth("drop") == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+
+	sendFunctions(t, tr, dp.Addr(), proto.MethodSyncFunctions, "keep", "new")
+	if dp.lookup("drop") != nil {
+		t.Errorf("an unlisted function survived the sync")
+	}
+	if dp.lookup("new") == nil {
+		t.Errorf("a listed function is missing after the sync")
+	}
+	if dp.lookup("keep") != kept || dp.EndpointCount("keep") != 1 {
+		t.Errorf("the sync replaced a listed function's runtime or endpoints")
+	}
+	select {
+	case err := <-errCh:
+		if err == nil {
+			t.Errorf("an invocation queued for a dropped function succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("an invocation queued for a dropped function hung after the sync")
 	}
 }
 

@@ -61,15 +61,15 @@ func TestConcurrentDataPlaneAccess(t *testing.T) {
 		_, _ = tr.Call(ctx, "dp0:8000", method, payload)
 	}
 
-	// stableList pushes the full function cache; with/without the churn
-	// function, since AddFunction semantics drop anything unlisted.
+	// The full function set, with and without the churn function: a sync
+	// drops anything it does not list.
 	stableFns := make([]core.Function, numFns)
 	for i := range stableFns {
 		stableFns[i] = fnSpec(fnName(i), float64(1+i%4))
 	}
 	listWithout := proto.FunctionList{Functions: stableFns}
 	listWith := proto.FunctionList{Functions: append(append([]core.Function(nil), stableFns...), fnSpec("dp-stress-churn", 1))}
-	call(proto.MethodAddFunction, listWith.Marshal())
+	call(proto.MethodSyncFunctions, listWith.Marshal())
 
 	// Endpoint versions bump monotonically per function so churn never
 	// deadlocks on the stale-update guard.
@@ -130,14 +130,19 @@ func TestConcurrentDataPlaneAccess(t *testing.T) {
 			}
 		})
 	}
-	// Function spec churn: re-push the full list with alternating
-	// TargetConcurrency so per-endpoint capacities recompute live.
+	// Function set churn: syncs with and without the churn function.
 	run(func(i int) {
 		if i%2 == 0 {
-			call(proto.MethodAddFunction, listWith.Marshal())
+			call(proto.MethodSyncFunctions, listWith.Marshal())
 		} else {
-			call(proto.MethodAddFunction, listWithout.Marshal())
+			call(proto.MethodSyncFunctions, listWithout.Marshal())
 		}
+	})
+	// Function spec churn: deltas with alternating TargetConcurrency, so
+	// per-endpoint capacities recompute live.
+	run(func(i int) {
+		delta := proto.FunctionList{Functions: []core.Function{fnSpec(fnName(i%numFns), float64(1+i%4))}}
+		call(proto.MethodAddFunction, delta.Marshal())
 	})
 	// Deregistration churn on a dedicated function that shares shards
 	// with the stable ones.

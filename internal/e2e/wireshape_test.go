@@ -2,7 +2,9 @@ package e2e
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -19,25 +21,55 @@ import (
 	"dirigent/internal/worker"
 )
 
-// recordingTransport counts the calls made through it by method name.
+// recordingTransport logs each call made through it: destination, method
+// and payload size.
 type recordingTransport struct {
 	transport.Transport
-	mu    sync.Mutex
-	calls map[string]int
+	mu  sync.Mutex
+	log []recordedCall
+}
+
+type recordedCall struct {
+	addr, method string
+	size         int
+}
+
+func newRecordingTransport() *recordingTransport {
+	return &recordingTransport{Transport: transport.NewInProc()}
 }
 
 func (r *recordingTransport) Call(ctx context.Context, addr, method string, payload []byte) ([]byte, error) {
 	r.mu.Lock()
-	r.calls[method]++
+	r.log = append(r.log, recordedCall{addr: addr, method: method, size: len(payload)})
 	r.mu.Unlock()
 	return r.Transport.Call(ctx, addr, method, payload)
+}
+
+// since returns the calls of the given methods logged from index from on.
+func (r *recordingTransport) since(from int, methods ...string) []recordedCall {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []recordedCall
+	for _, c := range r.log[from:] {
+		if slices.Contains(methods, c.method) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// mark returns the index the next logged call will take.
+func (r *recordingTransport) mark() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.log)
 }
 
 // TestColdStartWireShape pins the one RPC shape per cold-start step: a
 // cold start and the scale-down after it travel as exactly the four batch
 // methods, and the retired singleton names are refused by every tier.
 func TestColdStartWireShape(t *testing.T) {
-	rec := &recordingTransport{Transport: transport.NewInProc(), calls: make(map[string]int)}
+	rec := newRecordingTransport()
 	const cpAddr, dpAddr, wAddr = "cp:7000", "dp:8000", "10.9.0.1:9000"
 
 	cp := controlplane.New(controlplane.Config{
@@ -102,10 +134,10 @@ func TestColdStartWireShape(t *testing.T) {
 
 	rec.mu.Lock()
 	var got []string
-	for method := range rec.calls {
+	for _, c := range rec.log {
 		for _, step := range []string{"CreateSandbox", "SandboxReady", "UpdateEndpoints", "KillSandbox"} {
-			if strings.Contains(method, step) {
-				got = append(got, method)
+			if strings.Contains(c.method, step) && !slices.Contains(got, c.method) {
+				got = append(got, c.method)
 			}
 		}
 	}
@@ -123,5 +155,95 @@ func TestColdStartWireShape(t *testing.T) {
 				t.Errorf("%s sent to %s: err = %v, want unknown method", method, addr, err)
 			}
 		}
+	}
+}
+
+// TestRegistrationWireShape pins what function metadata costs on the
+// wire: a registration sends each data plane one dp.AddFunction whose
+// size does not grow with the registry, a deregistration one
+// dp.RemoveFunction and no endpoint update, and the full list
+// (dp.SyncFunctions) goes out only when a data plane is admitted.
+func TestRegistrationWireShape(t *testing.T) {
+	rec := newRecordingTransport()
+	const cpAddr = "cp:7000"
+	dpAddrs := []string{"dp1:8000", "dp2:8000"}
+	cp := controlplane.New(controlplane.Config{
+		Addr:              cpAddr,
+		Transport:         rec,
+		DB:                store.NewMemory(),
+		AutoscaleInterval: time.Hour,
+		HeartbeatTimeout:  time.Hour,
+	})
+	if err := cp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Stop()
+	for i, addr := range dpAddrs {
+		dp := dataplane.New(dataplane.Config{
+			ID:             core.DataPlaneID(i + 1),
+			Addr:           addr,
+			Transport:      rec,
+			ControlPlanes:  []string{cpAddr},
+			MetricInterval: time.Hour,
+		})
+		if err := dp.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer dp.Stop()
+	}
+
+	// perDataPlane checks that calls holds exactly one call to each data
+	// plane and returns their common payload size.
+	perDataPlane := func(what string, calls []recordedCall) int {
+		t.Helper()
+		var got []string
+		for _, c := range calls {
+			got = append(got, c.addr)
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, dpAddrs) {
+			t.Fatalf("%s reached %v, want each of %v once", what, got, dpAddrs)
+		}
+		if calls[0].size != calls[1].size {
+			t.Fatalf("%s sizes differ between data planes: %d, %d", what, calls[0].size, calls[1].size)
+		}
+		return calls[0].size
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	fn := func(i int) core.Function {
+		return core.Function{Name: fmt.Sprintf("fn-%03d", i), Image: "img", Port: 80, Scaling: core.DefaultScalingConfig()}
+	}
+	register := func(i int) []recordedCall {
+		t.Helper()
+		from := rec.mark()
+		f := fn(i)
+		if _, err := rec.Call(ctx, cpAddr, proto.MethodRegisterFunction, core.MarshalFunction(&f)); err != nil {
+			t.Fatal(err)
+		}
+		return rec.since(from, proto.MethodAddFunction, proto.MethodSyncFunctions)
+	}
+
+	perDataPlane("admission sync", rec.since(0, proto.MethodSyncFunctions))
+	first := perDataPlane("the 1st registration", register(1))
+	for i := 2; i < 65; i++ {
+		register(i)
+	}
+	if last := perDataPlane("the 65th registration", register(65)); last != first {
+		t.Errorf("the 65th registration sent %d bytes per data plane, the 1st %d: cost grows with the registry", last, first)
+	}
+
+	from := rec.mark()
+	gone := fn(7)
+	if _, err := rec.Call(ctx, cpAddr, proto.MethodDeregisterFunction, core.MarshalFunction(&gone)); err != nil {
+		t.Fatal(err)
+	}
+	cp.Stop() // waits for every fan-out the deregistration started
+	perDataPlane("the deregistration", rec.since(from, proto.MethodRemoveFunction))
+	if ups := rec.since(from, proto.MethodUpdateEndpointsBatch, proto.MethodAddFunction, proto.MethodSyncFunctions); len(ups) != 0 {
+		t.Errorf("the deregistration also sent %v", ups)
+	}
+	if n := len(rec.since(0, proto.MethodSyncFunctions)); n != len(dpAddrs) {
+		t.Errorf("%d dp.SyncFunctions calls, want %d: one per admission", n, len(dpAddrs))
 	}
 }

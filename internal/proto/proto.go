@@ -31,9 +31,20 @@ const (
 	// replica set; the front-end load balancer polls it to keep its
 	// membership in sync as replicas come and go.
 	MethodListDataPlanes = "cp.ListDataPlanes"
-	// CP → DP.
-	MethodAddFunction    = "dp.AddFunction"
+	// CP → DP. Function metadata travels as one of three calls, sent in
+	// registry order under one control-plane mutex.
+	//
+	// MethodAddFunction is the registration delta: a FunctionList whose
+	// entries the data plane upserts, leaving unlisted functions alone.
+	MethodAddFunction = "dp.AddFunction"
+	// MethodRemoveFunction is the deregistration delta: one marshaled
+	// core.Function whose runtime, endpoints and queue the data plane drops.
 	MethodRemoveFunction = "dp.RemoveFunction"
+	// MethodSyncFunctions carries the whole registry as a FunctionList and
+	// replaces the data plane's function set with it, dropping unlisted
+	// functions. It is sent on admission and revival, after leader
+	// recovery, and to repair a data plane whose delta call failed.
+	MethodSyncFunctions = "dp.SyncFunctions"
 	// MethodUpdateEndpointsBatch carries the endpoint set of every function
 	// one control-plane event touched (a sweep, a readiness report, a
 	// worker failure) in a single RPC per data plane.
