@@ -232,10 +232,12 @@ type functionState struct {
 	fn     core.Function
 	scaler *autoscaler.FunctionAutoscaler
 	// demand is what each data plane last reported for this function (in
-	// flight plus queued); the scaler is fed the sum, the front end being
-	// free to steer a function to any of them. A replica's entry goes
-	// when the sweep fails it or it deregisters, and returns with its
-	// next report.
+	// flight plus queued), kept until it reports a change: data planes
+	// leave unchanged functions out of their reports. Every decision
+	// (scaleStep) and every reported change feeds the scaler the sum, the
+	// front end being free to steer a function to any of them. A replica's
+	// entry goes when the sweep fails it or it deregisters, and returns
+	// with its next report.
 	demand    []dpDemand
 	sandboxes map[core.SandboxID]*sandboxState
 	// epSeq numbers this function's endpoint broadcasts so that data
@@ -267,14 +269,20 @@ type dpDemand struct {
 	demand int
 }
 
-// setDemand stores one data plane's latest report and returns the sum
-// over all of them.
-func (fs *functionState) setDemand(dp core.DataPlaneID, demand int) (sum int) {
+// setDemand stores one data plane's latest report and says whether it
+// differs from that replica's previous one (none counts as 0).
+func (fs *functionState) setDemand(dp core.DataPlaneID, demand int) (changed bool) {
 	i := slices.IndexFunc(fs.demand, func(d dpDemand) bool { return d.dp == dp })
 	if i < 0 {
 		i, fs.demand = len(fs.demand), append(fs.demand, dpDemand{dp: dp})
 	}
+	changed = fs.demand[i].demand != demand
 	fs.demand[i].demand = demand
+	return changed
+}
+
+// totalDemand is the sum of every data plane's latest report.
+func (fs *functionState) totalDemand() (sum int) {
 	for _, d := range fs.demand {
 		sum += d.demand
 	}
@@ -968,18 +976,21 @@ func (cp *ControlPlane) handleListFunctions() ([]byte, error) {
 	return list.Marshal(), nil
 }
 
-// handleScalingMetric feeds data plane concurrency reports into the
-// per-function autoscalers, each as one observation of the function's
-// demand summed over every data plane's latest report, and is the
-// scale-from-zero trigger: a reported function that shows demand while
-// nothing of it is ready, creating or being placed gets the sweep's own
-// scaleStep at once, and its creations have been dispatched by the time
-// the call returns — a cold start does not wait for autoscaleLoop's
-// tick. Everything else (scale 1→N, scale down, a retry after a failed
-// placement) stays with the tick.
+// handleScalingMetric stores each reported demand as the reporting data
+// plane's latest value for the function, which stands until that replica
+// reports a change, and is the scale-from-zero trigger: a reported
+// function that shows demand while nothing of it is ready, creating or
+// being placed gets the sweep's own scaleStep at once, and its creations
+// have been dispatched by the time the call returns — a cold start does
+// not wait for autoscaleLoop's tick. Everything else (scale 1→N, scale
+// down, a retry after a failed placement) stays with the tick. A metric
+// that changes the replica's value records the new sum as one autoscaler
+// sample, so demand that rises and falls between two decisions still
+// reaches the scaler's averages and its scale-to-zero grace; an unchanged
+// one records nothing, the decisions sampling the held value (scaleStep).
 //
 // The payload is decoded in place and the shard map keyed by the name's
-// bytes: every data plane reports every function every period, so a
+// bytes: a data plane's periodic full report names every function, so a
 // report of idle functions must cost no allocation per metric. Only the
 // shard of each reported function is locked, one metric at a time.
 func (cp *ControlPlane) handleScalingMetric(payload []byte) ([]byte, error) {
@@ -994,11 +1005,14 @@ func (cp *ControlPlane) handleScalingMetric(payload []byte) ([]byte, error) {
 			return // a metric racing a deregistration
 		}
 		demand := inFlight + queueDepth
-		fs.scaler.Record(now, float64(fs.setDemand(dp, demand)))
+		changed := fs.setDemand(dp, demand)
 		if demand == 0 || fs.triggered || fs.placing > 0 || len(fs.sandboxes) > 0 {
+			if changed {
+				fs.scaler.Record(now, float64(fs.totalDemand()))
+			}
 			return
 		}
-		fs.triggered = true
+		fs.triggered = true // scaleStep records the sample
 		if a, ok := fs.scaleStep(now, false); ok {
 			actions = append(actions, a)
 		}

@@ -327,35 +327,28 @@ func TestScalingMetricsDriveCreation(t *testing.T) {
 }
 
 func TestScaleDownKillsSurplus(t *testing.T) {
-	h := newCPHarness(t)
+	h, clk := newParkedHarness(t)
+	clk.Advance(time.Minute) // past the default no-downscale window after taking the lead
 	registerWorker(t, h, 1, "w1", "10.0.0.1")
-	w := startFakeWorker(t, h.tr, "cp0", 1, "10.0.0.1:9000", true)
-	w.heartbeat(t, 30*time.Millisecond)
-	fn := fnSpec("f")
-	h.call(t, proto.MethodRegisterFunction, core.MarshalFunction(&fn))
-	report := proto.ScalingMetricReport{DataPlane: 1, Metrics: []core.ScalingMetric{
-		{Function: "f", QueueDepth: 2, At: time.Now()},
-	}}
-	h.call(t, proto.MethodScalingMetric, report.Marshal())
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if ready, _ := h.cp.FunctionScale("f"); ready >= 2 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+	w := startFakeWorker(t, h.tr, h.cp.Addr(), 1, "10.0.0.1:9000", false)
+	names := registerFunctions(t, h, 1)
+	h.call(t, proto.MethodScalingMetric, demandReport(names, 2, clk.Now()))
+	if n := readyStaged(t, h, names[0]); n != 2 {
+		t.Fatalf("two queued invocations staged %d sandboxes, want 2", n)
 	}
-	// Traffic stops; after the grace period the sandboxes are torn down.
-	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		w.mu.Lock()
-		kills := len(w.killed)
-		w.mu.Unlock()
-		if kills >= 2 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Traffic stops: the data plane reports the zero once and then leaves
+	// the function out. After the grace period the sandboxes are torn down.
+	h.call(t, proto.MethodScalingMetric, demandReport(names, 0, clk.Now()))
+	if !tickUntilScale(h, clk, names[0], 0, 2*time.Second) {
+		ready, creating := h.cp.FunctionScale(names[0])
+		t.Fatalf("surplus sandboxes never torn down: ready=%d creating=%d", ready, creating)
 	}
-	t.Fatalf("surplus sandboxes never torn down")
+	h.cp.Stop() // waits for the kill RPCs it started
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.killed) != 2 {
+		t.Fatalf("worker saw %d kills, want 2", len(w.killed))
+	}
 }
 
 func TestWorkerHeartbeatTimeoutDrainsEndpoints(t *testing.T) {

@@ -85,9 +85,18 @@ type scaleAction struct {
 // is what keeps the two deciders from both scaling up from the same
 // current count: creations decided here are not sandboxes in phaseCreating
 // until applyScale has placed them, off-lock.
+//
+// Each decision first records the function's summed demand as one scaler
+// sample. Data planes report a function only when its demand changes, so
+// this sample is what makes an unreported function read as unchanged
+// demand rather than missing samples; the report handler adds one per
+// reported change, which is what catches demand that comes and goes
+// between two decisions (an autoscale interval of seconds is far coarser
+// than the report period).
 func (fs *functionState) scaleStep(now time.Time, downscale bool) (scaleAction, bool) {
 	ready, creating := fs.counts()
 	current := ready + creating + fs.placing
+	fs.scaler.Record(now, float64(fs.totalDemand()))
 	desired := fs.scaler.Desired(now, current)
 	switch {
 	case desired > current:

@@ -167,8 +167,8 @@ func TestScaleFromZeroOneAttemptPerTickWithoutCapacity(t *testing.T) {
 	}
 }
 
-// TestScalingMetricHandlerAllocations: every data plane reports every
-// function every period, so handling a report of idle functions must not
+// TestScalingMetricHandlerAllocations: a data plane's periodic full report
+// names every function, so handling a report of idle functions must not
 // allocate per metric.
 func TestScalingMetricHandlerAllocations(t *testing.T) {
 	h, clk := newParkedHarness(t)
@@ -212,7 +212,7 @@ func TestScalingMetricTruncatedReportRefusedWhole(t *testing.T) {
 }
 
 // desired asks the function's scaler what it wants at the harness's
-// current time.
+// current time, without recording a sample.
 func desired(t *testing.T, h *cpHarness, name string, current int) (want int) {
 	t.Helper()
 	now := h.cp.clk.Now()
@@ -222,17 +222,49 @@ func desired(t *testing.T, h *cpHarness, name string, current int) (want int) {
 	return want
 }
 
+// readyStaged reports every sandbox of name the control plane has staged
+// as ready on worker 1, as the worker would once booted, and returns how
+// many there were.
+func readyStaged(t *testing.T, h *cpHarness, name string) int {
+	t.Helper()
+	var batch proto.SandboxEventBatch
+	h.cp.withFunction(name, func(fs *functionState) {
+		for id, sb := range fs.sandboxes {
+			if sb.phase != phaseReady {
+				batch.Events = append(batch.Events, proto.SandboxEvent{SandboxID: id, Function: name, Node: 1, Addr: "10.0.0.1:9000"})
+			}
+		}
+	})
+	h.call(t, proto.MethodSandboxReadyBatch, batch.Marshal())
+	return len(batch.Events)
+}
+
+// tickUntilScale runs the autoscale tick every 20 ms of virtual time until
+// name has want sandboxes, ready or creating, or limit has passed.
+func tickUntilScale(h *cpHarness, clk *clock.Virtual, name string, want int, limit time.Duration) bool {
+	for waited := time.Duration(0); waited <= limit; waited += 20 * time.Millisecond {
+		clk.Advance(20 * time.Millisecond)
+		h.cp.Reconcile()
+		if ready, creating := h.cp.FunctionScale(name); ready+creating == want {
+			return true
+		}
+	}
+	return false
+}
+
 // TestDemandSummedAcrossDataPlanes: the front end steers a function to one
-// data plane, so the others report zero for it; the scaler must see the
-// sum of the reports, not their mean.
+// data plane, so the others report zero for it; the decisions must sample
+// the sum of the reports, not their mean. Each data plane reports once, as
+// one whose demand then holds steady does.
 func TestDemandSummedAcrossDataPlanes(t *testing.T) {
 	h, clk := newParkedHarness(t)
 	names := registerFunctions(t, h, 1)
-	for round := 0; round < 50; round++ { // two stable windows of 20 ms reports
+	h.call(t, proto.MethodScalingMetric, demandReportFrom(1, names, 6, clk.Now()))
+	h.call(t, proto.MethodScalingMetric, demandReportFrom(2, names, 0, clk.Now()))
+	h.call(t, proto.MethodScalingMetric, demandReportFrom(3, names, 0, clk.Now()))
+	for round := 0; round < 50; round++ { // two stable windows of 20 ms ticks
 		clk.Advance(20 * time.Millisecond)
-		h.call(t, proto.MethodScalingMetric, demandReportFrom(1, names, 6, clk.Now()))
-		h.call(t, proto.MethodScalingMetric, demandReportFrom(2, names, 0, clk.Now()))
-		h.call(t, proto.MethodScalingMetric, demandReportFrom(3, names, 0, clk.Now()))
+		h.cp.Reconcile()
 	}
 	if got := desired(t, h, names[0], 6); got != 6 {
 		t.Fatalf("sustained concurrency 6 on one of 3 data planes: Desired = %d, want 6", got)
@@ -261,29 +293,106 @@ func TestScaleFromZeroOneSampleAmongIdleDataPlanes(t *testing.T) {
 	}
 }
 
+// TestOneReportHoldsDemandUntilChanged: a data plane reports a function
+// only when its demand changes, so one report of 6 must hold the decisions
+// at 6 for as long as nothing else arrives, and one report of 0 must then
+// take the function down after its grace period.
+func TestOneReportHoldsDemandUntilChanged(t *testing.T) {
+	h, clk := newParkedHarness(t)
+	clk.Advance(time.Minute) // past the default no-downscale window after taking the lead
+	registerWorker(t, h, 1, "w1", "10.0.0.1")
+	startFakeWorker(t, h.tr, h.cp.Addr(), 1, "10.0.0.1:9000", false)
+	names := registerFunctions(t, h, 1)
+	spec := fnSpec(names[0]).Scaling
+
+	h.call(t, proto.MethodScalingMetric, demandReport(names, 6, clk.Now()))
+	if n := readyStaged(t, h, names[0]); n != 6 {
+		t.Fatalf("one report of 6 staged %d sandboxes, want 6", n)
+	}
+	for held := time.Duration(0); held < 2*spec.StableWindow; held += 20 * time.Millisecond {
+		clk.Advance(20 * time.Millisecond)
+		h.cp.Reconcile()
+		if ready, creating := h.cp.FunctionScale(names[0]); ready != 6 || creating != 0 {
+			t.Fatalf("%v after the only report: ready=%d creating=%d, want 6/0", held, ready, creating)
+		}
+	}
+	if got := desired(t, h, names[0], 6); got != 6 {
+		t.Fatalf("two stable windows after one report of 6: Desired = %d, want 6", got)
+	}
+
+	zeroAt := clk.Now()
+	h.call(t, proto.MethodScalingMetric, demandReport(names, 0, zeroAt))
+	if !tickUntilScale(h, clk, names[0], 0, spec.StableWindow+spec.ScaleToZeroGrace+100*time.Millisecond) {
+		ready, creating := h.cp.FunctionScale(names[0])
+		t.Fatalf("one report of 0 never scaled the function down: ready=%d creating=%d", ready, creating)
+	}
+	if took := clk.Now().Sub(zeroAt); took < spec.ScaleToZeroGrace {
+		t.Fatalf("scaled to zero %v after the zero report, inside the %v grace period", took, spec.ScaleToZeroGrace)
+	}
+}
+
+// TestBriefDemandBetweenTicksKeepsFunctionWarm: with a 2 s tick, a 200 ms
+// call every 5 s falls wholly between two decisions, which only ever see
+// the held 0. The reported 1 and 0 must themselves reach the scaler, or
+// the function is scaled to zero while it is still being called.
+func TestBriefDemandBetweenTicksKeepsFunctionWarm(t *testing.T) {
+	h, clk := newParkedHarness(t)
+	clk.Advance(time.Minute) // past the default no-downscale window after taking the lead
+	registerWorker(t, h, 1, "w1", "10.0.0.1")
+	startFakeWorker(t, h.tr, h.cp.Addr(), 1, "10.0.0.1:9000", false)
+	fn := fnSpec("brief")
+	fn.Scaling = core.DefaultScalingConfig() // 60 s window, 30 s grace
+	h.call(t, proto.MethodRegisterFunction, core.MarshalFunction(&fn))
+	names := []string{fn.Name}
+
+	const step = 100 * time.Millisecond
+	for at := time.Duration(0); at < 5*time.Minute; at += step {
+		clk.Advance(step)
+		switch at % (5 * time.Second) {
+		case 500 * time.Millisecond: // a call arrives ...
+			h.call(t, proto.MethodScalingMetric, demandReport(names, 1, clk.Now()))
+			readyStaged(t, h, fn.Name)
+		case 700 * time.Millisecond: // ... and is done before the next tick
+			h.call(t, proto.MethodScalingMetric, demandReport(names, 0, clk.Now()))
+		}
+		if at%(2*time.Second) != 0 {
+			continue
+		}
+		h.cp.Reconcile()
+		if ready, creating := h.cp.FunctionScale(fn.Name); at > time.Second && ready+creating == 0 {
+			t.Fatalf("scaled to zero %v in, with a call every 5 s", at)
+		}
+	}
+}
+
 // TestPrunedDataPlaneStopsCounting: a data plane's last report stays in
-// the sum only until the health sweep fails the replica (or it
-// deregisters); a revived replica counts again from its next report.
+// the sum the decisions sample only until the health sweep fails the
+// replica (or it deregisters); a revived replica counts again from its
+// next report.
 func TestPrunedDataPlaneStopsCounting(t *testing.T) {
 	tr := transport.NewInProc()
 	clk := clock.NewVirtual(time.Unix(5000, 0))
 	cp := newDPLifecycleCP(t, tr, clk) // DataPlaneTimeout 3 s
 	h := &cpHarness{tr: tr, cp: cp}
 	names := registerFunctions(t, h, 1)
-	// survivors advances time by d in report periods; data planes 1 and 2
-	// heartbeat and report no demand in each.
+	// survivors advances time by d in 100 ms periods: in each, data planes
+	// 1 and 2 heartbeat and the control plane ticks. Their demand is the
+	// zero they reported once.
 	survivors := func(d time.Duration) {
 		for ; d > 0; d -= 100 * time.Millisecond {
 			clk.Advance(100 * time.Millisecond)
 			for dp := core.DataPlaneID(1); dp <= 2; dp++ {
 				dpHeartbeat(t, tr, dp, "dp", 8000+uint16(dp))
-				h.call(t, proto.MethodScalingMetric, demandReportFrom(dp, names, 0, clk.Now()))
 			}
+			cp.Reconcile()
 		}
 	}
 	window := fnSpec("").Scaling.StableWindow + 100*time.Millisecond
 	for dp := core.DataPlaneID(1); dp <= 3; dp++ {
 		registerDP(t, tr, dp, "dp", 8000+uint16(dp))
+	}
+	for dp := core.DataPlaneID(1); dp <= 2; dp++ {
+		h.call(t, proto.MethodScalingMetric, demandReportFrom(dp, names, 0, clk.Now()))
 	}
 
 	h.call(t, proto.MethodScalingMetric, demandReportFrom(3, names, 6, clk.Now()))

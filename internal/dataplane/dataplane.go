@@ -153,6 +153,12 @@ type functionRuntime struct {
 	// coldMarked is set while the runtime sits in DataPlane.cold, so it
 	// sits there at most once however long a report takes to leave.
 	coldMarked atomic.Bool
+
+	// Owned by metricLoop: reported is the demand (in flight plus queued)
+	// the control plane last acknowledged for this function, 0 until the
+	// first acknowledgement, which is what the control plane assumes for a
+	// function it has no report of.
+	reported int
 }
 
 // DataPlane is one data plane replica.
@@ -191,6 +197,11 @@ type DataPlane struct {
 	coldMu   sync.Mutex
 	cold     []*functionRuntime
 	coldWake chan struct{}
+	// fullReport is set when the control plane's demand table for this
+	// replica may be empty or stale (start, a function sync, a failed full
+	// report) or is due its periodic ground truth (every fullReportEvery-th
+	// period), and cleared by the periodic report that sends every function.
+	fullReport atomic.Bool
 
 	// asyncShards stripes the asynchronous queue (see asyncqueue.go).
 	asyncShards []*asyncShard
@@ -313,6 +324,7 @@ func (dp *DataPlane) Start() error {
 	// fencing out any lessee still draining records from a previous
 	// incarnation (asynclease.go).
 	dp.adoptEpochAck(resp)
+	dp.fullReport.Store(true)
 	dp.wg.Add(3 + len(dp.asyncShards))
 	go dp.metricLoop()
 	go dp.heartbeatLoop()
@@ -423,7 +435,9 @@ func (dp *DataPlane) handleAddFunctions(payload []byte) ([]byte, error) {
 // handleSyncFunctions replaces the function cache with the control
 // plane's full registry: listed functions are upserted, unlisted ones
 // removed (failing their queued invocations). The control plane sends it
-// when the data plane may have missed deltas.
+// when the data plane may have missed deltas: on admission, revival and
+// recovery, which are also when its demand table for this replica may be
+// empty, so the next scaling report carries every function.
 func (dp *DataPlane) handleSyncFunctions(payload []byte) ([]byte, error) {
 	list, err := proto.UnmarshalFunctionList(payload)
 	if err != nil {
@@ -441,6 +455,7 @@ func (dp *DataPlane) handleSyncFunctions(payload []byte) ([]byte, error) {
 			}
 		}
 	}
+	dp.fullReport.Store(true)
 	return nil, nil
 }
 

@@ -3,6 +3,7 @@ package dataplane
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -22,6 +23,10 @@ type fakeCP struct {
 	// hold, when set, keeps a metric report's call open (after recording
 	// the report) until the channel is closed.
 	hold chan struct{}
+	// refuse, when set, fails metric report calls without recording them;
+	// refused counts the calls it failed.
+	refuse  bool
+	refused int
 }
 
 func startFakeCP(t *testing.T, tr *transport.InProc, addr string) *fakeCP {
@@ -39,6 +44,11 @@ func startFakeCP(t *testing.T, tr *transport.InProc, addr string) *fakeCP {
 			}
 			cp.regs = append(cp.regs, req.DataPlane)
 		case proto.MethodScalingMetric:
+			if cp.refuse {
+				cp.refused++
+				cp.mu.Unlock()
+				return nil, errors.New("fake control plane: report refused")
+			}
 			rep, err := proto.UnmarshalScalingMetricReport(payload)
 			if err != nil {
 				cp.mu.Unlock()

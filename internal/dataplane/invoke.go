@@ -523,25 +523,42 @@ func (dp *DataPlane) sendHeartbeat() {
 	}
 }
 
+// fullReportEvery makes every fullReportEvery-th periodic report carry
+// every function, changed or not: the ground truth that repairs whatever
+// a lost acknowledgement or a control-plane restart left out of its demand
+// table, in the shape of the control plane's fullScanEvery health sweep.
+// At a 20 ms period that is one full report a second, at the 250 ms
+// default one every 12.5 s.
+const fullReportEvery = 50
+
 // metricLoop reports per-function scaling metrics to the control plane
-// (paper Table 2): every function once a period, which is what steady-state
-// scaling and scale-down run on, and in between, as soon as markCold wakes
-// it, the functions an invocation has just queued for with no endpoint, so
-// a scale from zero waits for neither this timer nor the control plane's
-// tick. The period is driven by the injected clock so simulated-time tests
-// don't burn wall time, and a wake-up does not restart it.
+// (paper Table 2). Once a period it sends the functions whose demand (in
+// flight plus queued) differs from what the control plane last
+// acknowledged, which is what steady-state scaling and scale-down run on:
+// the control plane keeps each replica's last value, so an idle function
+// costs nothing after its zero has been acknowledged. In between, as soon
+// as markCold wakes it, it sends the functions an invocation has just
+// queued for with no endpoint, so a scale from zero waits for neither this
+// timer nor the control plane's tick. The period is driven by the injected
+// clock so simulated-time tests don't burn wall time, and a wake-up does
+// not restart it.
 //
 // Reports leave one at a time, so marks that arrive while one is in flight
 // share the next: a burst of cold arrivals costs two RPCs, not one each.
+// This goroutine is the only reader and writer of functionRuntime.reported.
 func (dp *DataPlane) metricLoop() {
 	defer dp.wg.Done()
 	period := dp.clk.After(dp.cfg.MetricInterval)
-	for {
+	for seq := 1; ; {
 		select {
 		case <-dp.stopCh:
 			return
 		case <-period:
+			if seq%fullReportEvery == 0 {
+				dp.fullReport.Store(true)
+			}
 			dp.reportMetrics()
+			seq++
 			period = dp.clk.After(dp.cfg.MetricInterval)
 		case <-dp.coldWake:
 			dp.reportCold()
@@ -567,7 +584,9 @@ func (dp *DataPlane) markCold(fr *functionRuntime) {
 }
 
 // reportCold sends the scaling metrics of the marked functions only. It is
-// best effort like the periodic report, which is also its fallback.
+// best effort like the periodic report, which is also its fallback: a
+// function whose trigger is lost still differs from what the control plane
+// acknowledged, so the next period sends it.
 func (dp *DataPlane) reportCold() {
 	dp.coldMu.Lock()
 	marked := dp.cold
@@ -581,19 +600,36 @@ func (dp *DataPlane) reportCold() {
 		fr.coldMarked.Store(false)
 		report.Metrics = append(report.Metrics, fr.scalingMetric(now))
 	}
-	dp.sendMetrics(&report)
+	dp.sendMetrics(&report, marked)
 }
 
-// reportMetrics sends the scaling metrics of every function.
+// reportMetrics sends the scaling metrics of the functions whose demand
+// changed since the control plane last acknowledged it, or of every
+// function when a full report is owed: the first after Start, the first
+// after a function sync (the control plane sends one whenever its demand
+// table for this replica may be empty), every fullReportEvery-th period,
+// and the next after a full report that failed. A failed report of
+// changes needs no such care: what it carried still differs from the
+// acknowledged values and goes out again next period.
 func (dp *DataPlane) reportMetrics() {
+	// Take the debt before reading: a sync from here on owes the next
+	// report as well.
+	full := dp.fullReport.Swap(false)
 	now := dp.clk.Now()
 	report := proto.ScalingMetricReport{DataPlane: dp.cfg.ID}
+	var sent []*functionRuntime
 	for _, sh := range dp.shards {
 		for _, fr := range sh.fns.load() {
-			report.Metrics = append(report.Metrics, fr.scalingMetric(now))
+			m := fr.scalingMetric(now)
+			if full || m.InFlight+m.QueueDepth != fr.reported {
+				report.Metrics = append(report.Metrics, m)
+				sent = append(sent, fr)
+			}
 		}
 	}
-	dp.sendMetrics(&report)
+	if !dp.sendMetrics(&report, sent) && full {
+		dp.fullReport.Store(true)
+	}
 }
 
 // scalingMetric collects fr's in-flight plus queued requests. It reads
@@ -613,14 +649,24 @@ func (fr *functionRuntime) scalingMetric(now time.Time) core.ScalingMetric {
 	}
 }
 
-func (dp *DataPlane) sendMetrics(report *proto.ScalingMetricReport) {
+// sendMetrics sends report, whose i-th metric is fns[i]'s, and once the
+// control plane has acknowledged it records each sent demand as fns[i]'s
+// reported value. It reports whether the control plane holds the report;
+// an empty one it holds without a call.
+func (dp *DataPlane) sendMetrics(report *proto.ScalingMetricReport, fns []*functionRuntime) bool {
 	if len(report.Metrics) == 0 {
-		return
+		return true
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), dp.cfg.MetricInterval*4)
 	defer cancel()
 	// Best effort: a missed report only delays autoscaling by one period.
-	_, _ = dp.cp.Call(ctx, proto.MethodScalingMetric, report.Marshal())
+	if _, err := dp.cp.Call(ctx, proto.MethodScalingMetric, report.Marshal()); err != nil {
+		return false
+	}
+	for i, fr := range fns {
+		fr.reported = report.Metrics[i].InFlight + report.Metrics[i].QueueDepth
+	}
+	return true
 }
 
 // QueueDepth reports the number of buffered invocations for a function.

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dirigent/internal/clock"
 	"dirigent/internal/controlplane"
 	"dirigent/internal/core"
 	"dirigent/internal/dataplane"
@@ -245,5 +246,92 @@ func TestRegistrationWireShape(t *testing.T) {
 	}
 	if n := len(rec.since(0, proto.MethodSyncFunctions)); n != len(dpAddrs) {
 		t.Errorf("%d dp.SyncFunctions calls, want %d: one per admission", n, len(dpAddrs))
+	}
+}
+
+// TestScalingReportWireShape pins what scaling reports cost on the wire:
+// a data plane reports a function only when its demand changes, plus a
+// full report after Start and every 50th period. Over 50 periods of 256
+// idle functions, each of 3 data planes sends at most two full reports'
+// worth of cp.ScalingMetric payload, not one per period.
+func TestScalingReportWireShape(t *testing.T) {
+	const (
+		cpAddr          = "cp:7000"
+		functions       = 256
+		fullReportEvery = 50 // the data plane's constant of the same name
+		metricInterval  = 20 * time.Millisecond
+	)
+	shared := transport.NewInProc()
+	cp := controlplane.New(controlplane.Config{
+		Addr:              cpAddr,
+		Transport:         shared,
+		DB:                store.NewMemory(),
+		AutoscaleInterval: time.Hour,
+		HeartbeatTimeout:  time.Hour,
+	})
+	if err := cp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Stop()
+	// Each data plane calls through its own recorder, so the log says who
+	// sent what; only the data planes run on the virtual clock.
+	clk := clock.NewVirtual(time.Unix(1000, 0))
+	var recs []*recordingTransport
+	for i := 1; i <= 3; i++ {
+		rec := &recordingTransport{Transport: shared}
+		dp := dataplane.New(dataplane.Config{
+			ID:                core.DataPlaneID(i),
+			Addr:              fmt.Sprintf("dp%d:8000", i),
+			Transport:         rec,
+			ControlPlanes:     []string{cpAddr},
+			Clock:             clk,
+			MetricInterval:    metricInterval,
+			HeartbeatInterval: time.Hour,
+		})
+		if err := dp.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer dp.Stop()
+		recs = append(recs, rec)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	full := proto.ScalingMetricReport{DataPlane: 1}
+	for i := 0; i < functions; i++ {
+		f := core.Function{Name: fmt.Sprintf("fn-%03d", i), Image: "img", Port: 80, Scaling: core.DefaultScalingConfig()}
+		if _, err := shared.Call(ctx, cpAddr, proto.MethodRegisterFunction, core.MarshalFunction(&f)); err != nil {
+			t.Fatal(err)
+		}
+		full.Metrics = append(full.Metrics, core.ScalingMetric{Function: f.Name})
+	}
+	fullBytes := len(full.Marshal())
+
+	// armed waits until every data plane's metric and heartbeat timers are
+	// pending: each loop is waiting for its next period.
+	armed := func() {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); clk.PendingTimers() != 6; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d timers pending, want each data plane's 2", clk.PendingTimers())
+			}
+		}
+	}
+	for period := 0; period < fullReportEvery; period++ {
+		armed()
+		clk.Advance(metricInterval)
+	}
+	armed()
+
+	for i, rec := range recs {
+		calls := rec.since(0, proto.MethodScalingMetric)
+		bytes := 0
+		for _, c := range calls {
+			bytes += c.size
+		}
+		// Idle functions make no changes to report.
+		if bytes < fullBytes || bytes > 2*fullBytes {
+			t.Errorf("data plane %d sent %d scaling reports of %d bytes in %d periods; want one to two full reports (%d bytes each)",
+				i+1, len(calls), bytes, fullReportEvery, fullBytes)
+		}
 	}
 }

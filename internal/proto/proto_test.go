@@ -181,6 +181,52 @@ func TestVisitScalingMetricReport(t *testing.T) {
 	}
 }
 
+// FuzzVisitScalingMetricReport holds the decoder the control plane runs on
+// every report from every data plane to three properties: no input panics
+// it, it yields exactly what UnmarshalScalingMetricReport returns, and an
+// input it refuses yields nothing.
+func FuzzVisitScalingMetricReport(f *testing.F) {
+	at := time.Unix(1234, 567_000_000)
+	for _, m := range []ScalingMetricReport{
+		{},
+		{DataPlane: 3, Metrics: []core.ScalingMetric{{Function: "fn-0000", InFlight: 2, QueueDepth: 1, At: at}}},
+		{DataPlane: 1, Metrics: []core.ScalingMetric{{Function: "a"}, {Function: "", InFlight: -1, At: at}, {Function: "fn-0767", QueueDepth: 1 << 40}}},
+	} {
+		f.Add(m.Marshal())
+	}
+	f.Add([]byte{0, 1, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var visited []core.ScalingMetric
+		var dps []core.DataPlaneID
+		id, err := VisitScalingMetricReport(b, func(dp core.DataPlaneID, function []byte, inFlight, queueDepth int, at time.Time) {
+			dps = append(dps, dp)
+			visited = append(visited, core.ScalingMetric{Function: string(function), InFlight: inFlight, QueueDepth: queueDepth, At: at})
+		})
+		m, uerr := UnmarshalScalingMetricReport(b)
+		if (err == nil) != (uerr == nil) {
+			t.Fatalf("Visit says %v, Unmarshal says %v", err, uerr)
+		}
+		if err != nil {
+			if len(visited) != 0 {
+				t.Fatalf("a refused report visited %d metrics", len(visited))
+			}
+			return
+		}
+		if id != m.DataPlane || len(visited) != len(m.Metrics) {
+			t.Fatalf("Visit yields data plane %d and %d metrics, Unmarshal %d and %d", id, len(visited), m.DataPlane, len(m.Metrics))
+		}
+		for i, v := range visited {
+			u := m.Metrics[i]
+			if dps[i] != id {
+				t.Fatalf("metric %d: visited with data plane %d, the report's is %d", i, dps[i], id)
+			}
+			if v.Function != u.Function || v.InFlight != u.InFlight || v.QueueDepth != u.QueueDepth || !v.At.Equal(u.At) {
+				t.Fatalf("metric %d: Visit %+v, Unmarshal %+v", i, v, u)
+			}
+		}
+	})
+}
+
 func TestWorkerHeartbeatRoundTrip(t *testing.T) {
 	m := &WorkerHeartbeat{
 		Node: 4,

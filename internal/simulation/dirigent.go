@@ -158,6 +158,10 @@ func NewDirigent(eng *Engine, cfg DirigentConfig) *Dirigent {
 }
 
 func (d *Dirigent) scheduleLoops() {
+	// The model samples demand once per metric tick; the live control
+	// plane samples it once per scaling decision and once per reported
+	// change. Neither depends on the number of data planes: an idle one
+	// reports no changes.
 	var metricTick func()
 	metricTick = func() {
 		now := d.base.Add(d.eng.Now())
