@@ -11,6 +11,7 @@ import (
 	"dirigent/internal/dataplane"
 	"dirigent/internal/frontend"
 	"dirigent/internal/proto"
+	"dirigent/internal/race"
 	"dirigent/internal/sandbox"
 	"dirigent/internal/store"
 	"dirigent/internal/transport"
@@ -25,12 +26,56 @@ import (
 // none.
 const maxWarmInvokeAllocs = 6
 
+// maxWarmTCPInvokeAllocs is the same invocation over loopback TCP: the six
+// above plus three per hop, front end → data plane and data plane →
+// worker. Each hop's three are the payload the server reads the request
+// into, the closure of the goroutine that runs the handler, and the body
+// the client reads the response into. Frame headers, method names,
+// pending-call records and the deadlines' timers cost nothing.
+const maxWarmTCPInvokeAllocs = maxWarmInvokeAllocs + 2*3
+
 // TestWarmInvokeAllocations pins the heap cost of the warm path through
 // every tier, so a copy or a timer that creeps back onto it fails here and
 // not only in the benchmark.
 func TestWarmInvokeAllocations(t *testing.T) {
 	tr := transport.NewInProc()
-	const cpAddr, dpAddr, wAddr = "cp:7000", "dp:8000", "10.9.0.1:9000"
+	names := map[string]string{"cp": "cp:7000", "dp": "dp:8000", "w": "10.9.0.1:9000"}
+	allocs := warmInvokeAllocs(t, tr, func(name string) string { return names[name] })
+	t.Logf("%.0f allocations per warm invocation", allocs)
+	if allocs > maxWarmInvokeAllocs {
+		t.Errorf("a warm invocation allocates %.0f times, want at most %d", allocs, maxWarmInvokeAllocs)
+	}
+}
+
+// TestWarmTCPInvokeAllocations is TestWarmInvokeAllocations over the TCP
+// transport, so the wire's own cost per hop is pinned too.
+func TestWarmTCPInvokeAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	tr := transport.NewTCP()
+	defer tr.Close()
+	allocs := warmInvokeAllocs(t, tr, func(string) string {
+		probe, err := tr.Listen("127.0.0.1:0", func(string, []byte) ([]byte, error) { return nil, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer probe.Close()
+		return probe.Addr()
+	})
+	t.Logf("%.0f allocations per warm invocation over TCP", allocs)
+	if allocs > maxWarmTCPInvokeAllocs {
+		t.Errorf("a warm TCP invocation allocates %.0f times, want at most %d", allocs, maxWarmTCPInvokeAllocs)
+	}
+}
+
+// warmInvokeAllocs starts a control plane, a data plane, a worker and a
+// front end on tr, at the addresses addr gives the names "cp", "dp" and
+// "w", and returns the allocations of one warm invocation.
+func warmInvokeAllocs(t *testing.T, tr transport.Transport, addr func(name string) string) float64 {
+	t.Helper()
+	cpAddr, dpAddr, wAddr := addr("cp"), addr("dp"), addr("w")
+	ip, port, _ := splitHostPort(wAddr)
 
 	cp := controlplane.New(controlplane.Config{
 		Addr:              cpAddr,
@@ -58,7 +103,7 @@ func TestWarmInvokeAllocations(t *testing.T) {
 	}
 	defer dp.Stop()
 	w := worker.New(worker.Config{
-		Node:              core.WorkerNode{ID: 1, Name: "w1", IP: "10.9.0.1", Port: 9000, CPUMilli: 10000, MemoryMB: 65536},
+		Node:              core.WorkerNode{ID: 1, Name: "w1", IP: ip, Port: port, CPUMilli: 10000, MemoryMB: 65536},
 		Addr:              wAddr,
 		Runtime:           &sandbox.Null{},
 		Transport:         tr,
@@ -96,13 +141,9 @@ func TestWarmInvokeAllocations(t *testing.T) {
 	if resp.ColdStart || !bytes.Equal(resp.Body, req.Payload) {
 		t.Fatalf("invoke = %+v; want a warm echo", resp)
 	}
-	allocs := testing.AllocsPerRun(2000, func() {
+	return testing.AllocsPerRun(2000, func() {
 		if _, err := lb.Invoke(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("%.0f allocations per warm invocation", allocs)
-	if allocs > maxWarmInvokeAllocs {
-		t.Errorf("a warm invocation allocates %.0f times, want at most %d", allocs, maxWarmInvokeAllocs)
-	}
 }

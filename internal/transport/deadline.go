@@ -9,8 +9,9 @@ import (
 // Deadline is a context.Context that expires at a fixed instant, built
 // for RPCs that finish long before it. context.WithTimeout arms a timer
 // and builds a channel for every call; a Deadline is one allocation and
-// builds both only when Done is called, which an in-process call never
-// does: Err alone compares the clock with the deadline.
+// builds both only when Done is called, which neither transport does. An
+// in-process call checks Err, which compares the clock with the deadline;
+// a TCP call hands the deadline to its connection's one shared timer.
 //
 // The parent's cancellation is not observed, so the parent must be one
 // that cannot be canceled (its Done is nil); its values are.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"time"
 )
@@ -16,6 +17,13 @@ import (
 // Request frame:  id(8) | kind(1)=0 | methodLen(2) | method | payloadLen(4) | payload
 // Response frame: id(8) | kind(1)=1 | status(1) | bodyLen(4) | body
 // Clients keep one multiplexed connection per remote address.
+//
+// A call allocates only what outlives it: the request payload the handler
+// receives, the response body the caller receives, and the handler's
+// goroutine. Frame headers are read and written in the connections'
+// buffers, method names are interned per connection, and pending calls
+// are pooled records. A call bounded by a *Deadline is timed by its
+// connection's one timer, so its Done is never called.
 type TCP struct {
 	mu    sync.Mutex
 	conns map[string]*tcpClientConn
@@ -34,6 +42,19 @@ const (
 	respStatusOK      = 0
 	respStatusError   = 1
 	maxFramePayload   = 64 << 20
+
+	requestHeaderLen  = 11 // id, kind, methodLen
+	responseHeaderLen = 14 // id, kind, status, bodyLen
+	payloadLenLen     = 4
+	frameBufferSize   = 1 << 16
+	// maxInternedMethods caps each connection's method table, so a peer
+	// sending ever new names cannot grow it. Dirigent has a few dozen.
+	maxInternedMethods = 64
+)
+
+var (
+	errFrameKind     = errors.New("transport: unexpected frame kind")
+	errFrameTooLarge = errors.New("transport: frame too large")
 )
 
 // Listen implements Transport.
@@ -120,11 +141,12 @@ func (s *tcpListener) acceptLoop() {
 
 func (s *tcpListener) serveConn(conn net.Conn) {
 	defer conn.Close()
-	r := bufio.NewReaderSize(conn, 1<<16)
+	r := bufio.NewReaderSize(conn, frameBufferSize)
+	methods := make(methodTable)
 	var wmu sync.Mutex
-	w := bufio.NewWriterSize(conn, 1<<16)
+	w := bufio.NewWriterSize(conn, frameBufferSize)
 	for {
-		id, method, payload, err := readRequest(r)
+		id, method, payload, err := readRequest(r, methods)
 		if err != nil {
 			return
 		}
@@ -146,65 +168,153 @@ func (s *tcpListener) serveConn(conn net.Conn) {
 	}
 }
 
-func readRequest(r *bufio.Reader) (id uint64, method string, payload []byte, err error) {
-	var header [11]byte
-	if _, err = io.ReadFull(r, header[:]); err != nil {
+// methodTable interns one connection's method names, so a request for a
+// method seen before decodes its name without allocating.
+type methodTable map[string]string
+
+func (m methodTable) intern(b []byte) string {
+	if s, ok := m[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(m) < maxInternedMethods {
+		m[s] = s
+	}
+	return s
+}
+
+// readRequest reads one request frame. The payload is the frame's own
+// buffer; nothing else is allocated unless the method name is new. One
+// Peek sees everything before the payload, so a frame too large is
+// refused before anything is allocated for it; a method name too long for
+// that (over 65 521 bytes) fails the Peek, and the frame is refused too.
+func readRequest(r *bufio.Reader, methods methodTable) (id uint64, method string, payload []byte, err error) {
+	h, err := r.Peek(requestHeaderLen)
+	if err != nil {
 		return 0, "", nil, err
 	}
-	id = binary.LittleEndian.Uint64(header[0:8])
-	if header[8] != frameKindRequest {
-		return 0, "", nil, errors.New("transport: unexpected frame kind")
+	if h[8] != frameKindRequest {
+		return 0, "", nil, errFrameKind
 	}
-	mlen := int(binary.LittleEndian.Uint16(header[9:11]))
-	mbuf := make([]byte, mlen)
-	if _, err = io.ReadFull(r, mbuf); err != nil {
+	mlen := int(binary.LittleEndian.Uint16(h[9:11]))
+	prefix, err := r.Peek(requestHeaderLen + mlen + payloadLenLen)
+	if err != nil {
 		return 0, "", nil, err
 	}
-	var plenBuf [4]byte
-	if _, err = io.ReadFull(r, plenBuf[:]); err != nil {
-		return 0, "", nil, err
-	}
-	plen := binary.LittleEndian.Uint32(plenBuf[:])
+	plen := binary.LittleEndian.Uint32(prefix[requestHeaderLen+mlen:])
 	if plen > maxFramePayload {
-		return 0, "", nil, errors.New("transport: frame too large")
+		return 0, "", nil, errFrameTooLarge
 	}
+	id = binary.LittleEndian.Uint64(prefix)
+	method = methods.intern(prefix[requestHeaderLen : requestHeaderLen+mlen])
+	r.Discard(len(prefix)) // cannot fail: the bytes were peeked
 	payload = make([]byte, plen)
 	if _, err = io.ReadFull(r, payload); err != nil {
 		return 0, "", nil, err
 	}
-	return id, string(mbuf), payload, nil
+	return id, method, payload, nil
 }
 
+// headerSpace returns w's free space, at least n bytes of it, for a frame
+// header to be appended into and passed straight to w.Write.
+func headerSpace(w *bufio.Writer, n int) ([]byte, error) {
+	if w.Available() < n {
+		if err := w.Flush(); err != nil {
+			return nil, err
+		}
+	}
+	return w.AvailableBuffer(), nil
+}
+
+// writeRequest writes and flushes one request frame.
+func writeRequest(w *bufio.Writer, id uint64, method string, payload []byte) error {
+	b, err := headerSpace(w, requestHeaderLen)
+	if err != nil {
+		return err
+	}
+	b = binary.LittleEndian.AppendUint64(b, id)
+	b = append(b, frameKindRequest)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(method)))
+	w.Write(b)
+	w.WriteString(method)
+	if b, err = headerSpace(w, payloadLenLen); err != nil {
+		return err
+	}
+	w.Write(binary.LittleEndian.AppendUint32(b, uint32(len(payload))))
+	w.Write(payload)
+	return w.Flush() // reports any error the writes above left in w
+}
+
+// readResponse reads one response frame; the body is the only allocation.
+func readResponse(r *bufio.Reader) (id uint64, status byte, body []byte, err error) {
+	h, err := r.Peek(responseHeaderLen)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	if h[8] != frameKindResponse {
+		return 0, 0, nil, errFrameKind
+	}
+	blen := binary.LittleEndian.Uint32(h[10:14])
+	if blen > maxFramePayload {
+		return 0, 0, nil, errFrameTooLarge
+	}
+	id, status = binary.LittleEndian.Uint64(h), h[9]
+	r.Discard(responseHeaderLen)
+	body = make([]byte, blen)
+	if _, err = io.ReadFull(r, body); err != nil {
+		return 0, 0, nil, err
+	}
+	return id, status, body, nil
+}
+
+// writeResponse writes and flushes one response frame.
 func writeResponse(w *bufio.Writer, id uint64, status byte, body []byte) error {
-	var header [14]byte
-	binary.LittleEndian.PutUint64(header[0:8], id)
-	header[8] = frameKindResponse
-	header[9] = status
-	binary.LittleEndian.PutUint32(header[10:14], uint32(len(body)))
-	if _, err := w.Write(header[:]); err != nil {
+	b, err := headerSpace(w, responseHeaderLen)
+	if err != nil {
 		return err
 	}
-	if _, err := w.Write(body); err != nil {
-		return err
-	}
+	b = binary.LittleEndian.AppendUint64(b, id)
+	b = append(b, frameKindResponse, status)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(body)))
+	w.Write(b)
+	w.Write(body)
 	return w.Flush()
 }
 
 type tcpClientConn struct {
-	conn    net.Conn
+	conn net.Conn
+
 	wmu     sync.Mutex
 	w       *bufio.Writer
+	writeBy time.Time // the connection's write deadline; zero for none
+
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan tcpResponse
+	pending map[uint64]*tcpCall
 	closed  bool
+	// timer expires the pending calls bounded by a *Deadline. It is armed
+	// for timerAt, no later than the earliest of their deadlines, and is
+	// built by the first such call.
+	timer   *time.Timer
+	timerAt time.Time // zero when not armed
 }
 
-type tcpResponse struct {
+// tcpCall is a call's entry in its connection's pending table. Whoever
+// removes it from the table, under the connection's mu, completes it: it
+// sets the result and sends on done, which has room for that one send.
+// A record goes back to callPool only after its caller has received on
+// done. One whose caller stopped waiting is dropped, so a late completion
+// cannot reach the next call.
+type tcpCall struct {
+	done     chan struct{}
+	deadline time.Time // a *Deadline's expiry; zero for any other context
+
 	status byte
 	body   []byte
 	err    error
 }
+
+var callPool = sync.Pool{New: func() any { return &tcpCall{done: make(chan struct{}, 1)} }}
 
 // Call implements Transport.
 func (t *TCP) Call(ctx context.Context, addr, method string, payload []byte) ([]byte, error) {
@@ -212,31 +322,51 @@ func (t *TCP) Call(ctx context.Context, addr, method string, payload []byte) ([]
 	if err != nil {
 		return nil, err
 	}
-	respCh, id, err := cc.send(method, payload)
+	call := callPool.Get().(*tcpCall)
+	writeBy, _ := ctx.Deadline()
+	_, timed := ctx.(*Deadline)
+	if timed {
+		call.deadline = writeBy
+	}
+	id, err := cc.send(call, method, payload, writeBy)
 	if err != nil {
+		if errors.Is(err, context.DeadlineExceeded) {
+			return nil, err
+		}
 		t.dropConn(addr, cc)
 		if !errors.Is(err, ErrUnreachable) {
 			// A write failure means the connection died under the
 			// request — connection-level, so callers (front end, data
-			// plane, cpclient) fail over instead of surfacing it.
+			// plane, cpclient) fail over instead of surfacing it. A
+			// write that outlasts the call's deadline is one too: the
+			// peer is not reading.
 			err = fmt.Errorf("%w: %s: %v", ErrUnreachable, addr, err)
 		}
 		return nil, err
 	}
-	select {
-	case resp := <-respCh:
-		if resp.err != nil {
-			t.dropConn(addr, cc)
-			return nil, resp.err
+	if timed {
+		<-call.done // the connection's timer completes it at the deadline
+	} else {
+		select {
+		case <-call.done:
+		case <-ctx.Done():
+			cc.abandon(id)
+			return nil, ctx.Err()
 		}
-		if resp.status == respStatusError {
-			return nil, &RemoteError{Msg: string(resp.body)}
-		}
-		return resp.body, nil
-	case <-ctx.Done():
-		cc.abandon(id)
-		return nil, ctx.Err()
 	}
+	status, body, err := call.status, call.body, call.err
+	*call = tcpCall{done: call.done}
+	callPool.Put(call)
+	if err != nil {
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.dropConn(addr, cc)
+		}
+		return nil, err
+	}
+	if status == respStatusError {
+		return nil, &RemoteError{Msg: string(body)}
+	}
+	return body, nil
 }
 
 func (t *TCP) getConn(addr string) (*tcpClientConn, error) {
@@ -252,8 +382,8 @@ func (t *TCP) getConn(addr string) (*tcpClientConn, error) {
 	}
 	cc = &tcpClientConn{
 		conn:    conn,
-		w:       bufio.NewWriterSize(conn, 1<<16),
-		pending: make(map[uint64]chan tcpResponse),
+		w:       bufio.NewWriterSize(conn, frameBufferSize),
+		pending: make(map[uint64]*tcpCall),
 	}
 	t.mu.Lock()
 	if existing, ok := t.conns[addr]; ok {
@@ -276,47 +406,50 @@ func (t *TCP) dropConn(addr string, cc *tcpClientConn) {
 	cc.close(ErrUnreachable)
 }
 
-func (cc *tcpClientConn) send(method string, payload []byte) (chan tcpResponse, uint64, error) {
+// send enters call in the pending table and writes its request, with the
+// connection's write deadline at writeBy (zero: none). A call whose
+// deadline passes before its frame is on the wire returns
+// DeadlineExceeded and leaves the connection as it was.
+func (cc *tcpClientConn) send(call *tcpCall, method string, payload []byte, writeBy time.Time) (uint64, error) {
 	cc.mu.Lock()
 	if cc.closed {
 		cc.mu.Unlock()
-		return nil, 0, ErrUnreachable
+		return 0, ErrUnreachable
 	}
 	cc.nextID++
 	id := cc.nextID
-	ch := make(chan tcpResponse, 1)
-	cc.pending[id] = ch
+	cc.pending[id] = call
+	if !call.deadline.IsZero() && (cc.timerAt.IsZero() || call.deadline.Before(cc.timerAt)) {
+		cc.armLocked(call.deadline)
+	}
 	cc.mu.Unlock()
 
 	cc.wmu.Lock()
 	defer cc.wmu.Unlock()
-	var header [11]byte
-	binary.LittleEndian.PutUint64(header[0:8], id)
-	header[8] = frameKindRequest
-	binary.LittleEndian.PutUint16(header[9:11], uint16(len(method)))
-	if _, err := cc.w.Write(header[:]); err != nil {
+	if !writeBy.IsZero() && !time.Now().Before(writeBy) {
 		cc.abandon(id)
-		return nil, 0, err
+		return 0, context.DeadlineExceeded
 	}
-	if _, err := cc.w.WriteString(method); err != nil {
+	if !writeBy.Equal(cc.writeBy) {
+		if err := cc.conn.SetWriteDeadline(writeBy); err != nil {
+			cc.abandon(id)
+			return 0, err
+		}
+		cc.writeBy = writeBy
+	}
+	if err := writeRequest(cc.w, id, method, payload); err != nil {
 		cc.abandon(id)
-		return nil, 0, err
+		// A deadline that passed before any byte of the frame left the
+		// buffer has cut nothing short: the frame is discarded and the
+		// connection, which other calls share, kept. A frame that left
+		// in part has broken the stream.
+		if errors.Is(err, os.ErrDeadlineExceeded) && cc.w.Buffered() == requestHeaderLen+len(method)+payloadLenLen+len(payload) {
+			cc.w.Reset(cc.conn)
+			return 0, context.DeadlineExceeded
+		}
+		return 0, err
 	}
-	var plen [4]byte
-	binary.LittleEndian.PutUint32(plen[:], uint32(len(payload)))
-	if _, err := cc.w.Write(plen[:]); err != nil {
-		cc.abandon(id)
-		return nil, 0, err
-	}
-	if _, err := cc.w.Write(payload); err != nil {
-		cc.abandon(id)
-		return nil, 0, err
-	}
-	if err := cc.w.Flush(); err != nil {
-		cc.abandon(id)
-		return nil, 0, err
-	}
-	return ch, id, nil
+	return id, nil
 }
 
 func (cc *tcpClientConn) abandon(id uint64) {
@@ -325,37 +458,59 @@ func (cc *tcpClientConn) abandon(id uint64) {
 	cc.mu.Unlock()
 }
 
+// armLocked sets the timer to fire at at.
+func (cc *tcpClientConn) armLocked(at time.Time) {
+	cc.timerAt = at
+	if cc.timer == nil {
+		cc.timer = time.AfterFunc(time.Until(at), cc.expire)
+	} else {
+		cc.timer.Reset(time.Until(at))
+	}
+}
+
+// expire fails the pending calls whose deadline has passed with
+// DeadlineExceeded and re-arms the timer for the earliest one left.
+func (cc *tcpClientConn) expire() {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if cc.closed {
+		return
+	}
+	now := time.Now()
+	var next time.Time
+	for id, call := range cc.pending {
+		switch {
+		case call.deadline.IsZero(): // its caller selects on ctx.Done
+		case !now.Before(call.deadline):
+			delete(cc.pending, id)
+			call.err = context.DeadlineExceeded
+			call.done <- struct{}{} // never blocks: the one send done has room for
+		case next.IsZero() || call.deadline.Before(next):
+			next = call.deadline
+		}
+	}
+	cc.timerAt = time.Time{}
+	if !next.IsZero() {
+		cc.armLocked(next)
+	}
+}
+
 func (cc *tcpClientConn) readLoop() {
-	r := bufio.NewReaderSize(cc.conn, 1<<16)
+	r := bufio.NewReaderSize(cc.conn, frameBufferSize)
 	for {
-		var header [14]byte
-		if _, err := io.ReadFull(r, header[:]); err != nil {
-			cc.close(err)
-			return
-		}
-		id := binary.LittleEndian.Uint64(header[0:8])
-		if header[8] != frameKindResponse {
-			cc.close(errors.New("transport: unexpected frame kind"))
-			return
-		}
-		status := header[9]
-		blen := binary.LittleEndian.Uint32(header[10:14])
-		if blen > maxFramePayload {
-			cc.close(errors.New("transport: frame too large"))
-			return
-		}
-		body := make([]byte, blen)
-		if _, err := io.ReadFull(r, body); err != nil {
+		id, status, body, err := readResponse(r)
+		if err != nil {
 			cc.close(err)
 			return
 		}
 		cc.mu.Lock()
-		ch, ok := cc.pending[id]
-		delete(cc.pending, id)
-		cc.mu.Unlock()
+		call, ok := cc.pending[id]
 		if ok {
-			ch <- tcpResponse{status: status, body: body}
+			delete(cc.pending, id)
+			call.status, call.body = status, body
+			call.done <- struct{}{}
 		}
+		cc.mu.Unlock()
 	}
 }
 
@@ -366,13 +521,17 @@ func (cc *tcpClientConn) close(err error) {
 		return
 	}
 	cc.closed = true
-	pending := cc.pending
-	cc.pending = map[uint64]chan tcpResponse{}
+	if cc.timer != nil {
+		cc.timer.Stop()
+	}
+	err = fmt.Errorf("transport: connection closed: %w", errOrUnreachable(err))
+	for id, call := range cc.pending {
+		delete(cc.pending, id)
+		call.err = err
+		call.done <- struct{}{}
+	}
 	cc.mu.Unlock()
 	cc.conn.Close()
-	for _, ch := range pending {
-		ch <- tcpResponse{err: fmt.Errorf("transport: connection closed: %w", errOrUnreachable(err))}
-	}
 }
 
 // errOrUnreachable classifies the reason a client connection died for
