@@ -97,8 +97,8 @@ func main() {
 	var (
 		wg        sync.WaitGroup
 		mu        sync.Mutex
-		scheduled = telemetry.NewHistogram()
-		slowdowns = telemetry.NewHistogram()
+		scheduled = telemetry.NewExactHistogram()
+		slowdowns = telemetry.NewExactHistogram()
 		failures  int
 		cold      int
 	)

@@ -440,6 +440,8 @@ type ControlPlane struct {
 	cPlacementFailures  *telemetry.Counter
 	cCreateRPCErrors    *telemetry.Counter
 	cTeardowns          *telemetry.Counter
+	mRecovery           *telemetry.Histogram
+	cRecoveries         *telemetry.Counter
 }
 
 // New creates a control plane replica; call Start to serve.
@@ -486,6 +488,8 @@ func New(cfg Config) *ControlPlane {
 	cp.cPlacementFailures = cp.metrics.Counter("placement_failures")
 	cp.cCreateRPCErrors = cp.metrics.Counter("sandbox_create_rpc_errors")
 	cp.cTeardowns = cp.metrics.Counter("sandbox_teardowns")
+	cp.mRecovery = cp.metrics.Histogram("recovery_ms")
+	cp.cRecoveries = cp.metrics.Counter("recoveries")
 	return cp
 }
 
@@ -684,8 +688,8 @@ func (cp *ControlPlane) recover() {
 			cp.mergeWorkerSandboxes(w)
 		}
 	}()
-	cp.metrics.Histogram("recovery_ms").Observe(cp.clk.Since(start))
-	cp.metrics.Counter("recoveries").Inc()
+	cp.mRecovery.Observe(cp.clk.Since(start))
+	cp.cRecoveries.Inc()
 }
 
 func workerAddr(w *core.WorkerNode) string {

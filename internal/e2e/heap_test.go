@@ -1,0 +1,213 @@
+package e2e
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"dirigent/internal/clock"
+	"dirigent/internal/controlplane"
+	"dirigent/internal/core"
+	"dirigent/internal/dataplane"
+	"dirigent/internal/frontend"
+	"dirigent/internal/proto"
+	"dirigent/internal/race"
+	"dirigent/internal/sandbox"
+	"dirigent/internal/store"
+	"dirigent/internal/transport"
+	"dirigent/internal/worker"
+)
+
+// maxHeapBytesPerColdStart is what one cold start → scale-to-zero cycle
+// may leave on the heap of a cluster that has reached its steady state.
+const maxHeapBytesPerColdStart = 32
+
+// TestColdStartHeapIsFlat is the heap gate: a singleton cluster (one
+// control plane, data plane, worker and front end) runs heapWarmRounds
+// rounds of cold starts, each followed by scale to zero, and then 8 times
+// as many more; the live heap after the second batch may exceed the one
+// after the first by less than maxHeapBytesPerColdStart per cycle.
+//
+// The control plane runs on a virtual clock, so the autoscaler's windows
+// pass by advancing it and each scale to zero is one explicit Reconcile;
+// the other tiers run on the wall clock, with loop periods short enough
+// (data plane reports) or long enough (heartbeats, failure detectors) not
+// to matter.
+//
+// What the cold path keys by function, sandbox, worker or data plane, and
+// the event that removes each entry:
+//
+// Control plane:
+//   - the function shards' fns (by function): deregistration;
+//   - functionState.sandboxes (by sandbox): the kill scaleStep decides, a
+//     crash report, or its worker's failure;
+//   - functionState.demand (by data plane): dropDemand, when the data
+//     plane fails or deregisters;
+//   - the scaler's samples: a fixed ring of buckets;
+//   - the worker shards' workers (by worker): dead-worker GC;
+//   - every registry histogram: fixed-size buckets.
+//
+// Data plane:
+//   - the function registry (by function), with each function's queue and
+//     endpoints: deregistration; an endpoint (by sandbox) leaves with the
+//     control plane's removal update, and the queue drains as sandboxes
+//     come up;
+//   - the cold-mark list: emptied by every cold report.
+//
+// Worker:
+//   - functions and the ready map (by sandbox): killSandbox;
+//   - queued ready events: emptied by the flusher;
+//   - pre-warm pools, pending counts and targets (by image).
+//
+// Sandbox runtime: instances (by sandbox) leave on Kill, which keeps no
+// tombstone; the network pool's free list is capped at its target size;
+// the image cache is keyed by image.
+//
+// Front end: downTil (by data plane) entries leave when their cooldown
+// runs out.
+func TestColdStartHeapIsFlat(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes heap sizes")
+	}
+	const (
+		functions       = 256
+		heapWarmRounds  = 4
+		heapGrowthRound = 8 * heapWarmRounds
+		window          = 200 * time.Millisecond
+	)
+	vclk := clock.NewVirtual(time.Unix(1_000_000, 0))
+	tr := transport.NewInProc()
+	const cpAddr, dpAddr, wAddr = "cp:7000", "dp:8000", "10.9.0.1:9000"
+
+	cp := controlplane.New(controlplane.Config{
+		Addr:              cpAddr,
+		Transport:         tr,
+		DB:                store.NewMemory(),
+		Clock:             vclk,
+		AutoscaleInterval: time.Hour,
+		HeartbeatTimeout:  time.Hour,
+		NoDownscaleWindow: time.Nanosecond,
+	})
+	if err := cp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Stop()
+	dp := dataplane.New(dataplane.Config{
+		ID:                1,
+		Addr:              dpAddr,
+		Transport:         tr,
+		ControlPlanes:     []string{cpAddr},
+		MetricInterval:    time.Millisecond,
+		HeartbeatInterval: time.Hour,
+		QueueTimeout:      10 * time.Second,
+	})
+	if err := dp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer dp.Stop()
+	cache := sandbox.NewImageCache()
+	cache.Prefetch("img")
+	images := worker.NewImageRegistry()
+	images.Register("img", func(p []byte) ([]byte, error) { return p, nil })
+	w := worker.New(worker.Config{
+		Node:              core.WorkerNode{ID: 1, Name: "w1", IP: "10.9.0.1", Port: 9000, CPUMilli: 1_000_000, MemoryMB: 4_000_000},
+		Addr:              wAddr,
+		Runtime:           sandbox.NewContainerd(sandbox.Config{NodeIP: [4]byte{10, 9, 0, 1}, Images: cache, Seed: 1}),
+		Transport:         tr,
+		ControlPlanes:     []string{cpAddr},
+		HeartbeatInterval: time.Hour,
+		Images:            images,
+		Cache:             cache,
+	})
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Stop()
+	lb := frontend.New(frontend.Config{Transport: tr, DataPlanes: []string{dpAddr}})
+
+	names := make([]string, functions)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for i := range names {
+		names[i] = fmt.Sprintf("fn-%04d", i)
+		fn := core.Function{Name: names[i], Image: "img", Port: 80, Scaling: core.DefaultScalingConfig()}
+		fn.Scaling.StableWindow, fn.Scaling.PanicWindow, fn.Scaling.ScaleToZeroGrace = window, window/4, window/2
+		if _, err := tr.Call(ctx, cpAddr, proto.MethodRegisterFunction, core.MarshalFunction(&fn)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	round := func() {
+		// Every function is at zero, so each invocation is a cold start.
+		var wg sync.WaitGroup
+		errs := make(chan error, functions)
+		for _, name := range names {
+			wg.Add(1)
+			go func(name string) {
+				defer wg.Done()
+				resp, err := lb.Invoke(ctx, &proto.InvokeRequest{Function: name, Payload: []byte("ping")})
+				if err == nil && !resp.ColdStart {
+					err = fmt.Errorf("%s: warm invocation, want a cold start", name)
+				}
+				if err != nil {
+					errs <- err
+				}
+			}(name)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		// Scale to zero: let the window pass and decide until every
+		// sandbox is gone from every tier (the data plane's zero-demand
+		// reports arrive on its 1 ms period).
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			vclk.Advance(window)
+			cp.Reconcile()
+			if w.SandboxCount() == 0 && allScaledToZero(cp, dp, names) {
+				// The control plane charges each placement to the worker
+				// until a heartbeat reports what the worker really uses.
+				w.SendHeartbeat()
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("scale to zero did not finish: %d sandboxes left on the worker", w.SandboxCount())
+			}
+		}
+	}
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	for i := 0; i < heapWarmRounds; i++ {
+		round()
+	}
+	before := liveHeap()
+	for i := 0; i < heapGrowthRound; i++ {
+		round()
+	}
+	after := liveHeap()
+	cycles := heapGrowthRound * functions
+	perCycle := (float64(after) - float64(before)) / float64(cycles)
+	t.Logf("live heap %d → %d B over %d cold starts: %.1f B each", before, after, cycles, perCycle)
+	if perCycle >= maxHeapBytesPerColdStart {
+		t.Errorf("the live heap grows %.1f B per cold start, want under %d", perCycle, maxHeapBytesPerColdStart)
+	}
+}
+
+func allScaledToZero(cp *controlplane.ControlPlane, dp *dataplane.DataPlane, names []string) bool {
+	for _, name := range names {
+		if ready, creating := cp.FunctionScale(name); ready+creating != 0 || dp.EndpointCount(name) != 0 {
+			return false
+		}
+	}
+	return true
+}

@@ -253,7 +253,7 @@ func runFaults(w io.Writer, scale float64) error {
 		return err
 	}
 	exec := 30 * time.Millisecond
-	slowdowns := telemetry.NewHistogram()
+	slowdowns := telemetry.NewExactHistogram()
 	// Fail half the workers (the paper fails 47/93) and keep invoking.
 	for i := 0; i < opts.Workers/2; i++ {
 		c2.KillWorker(i)

@@ -232,7 +232,7 @@ func runWarmthArm(tr *trace.Trace, warmup time.Duration, predictive, cacheAware 
 		}
 	}
 
-	hist := telemetry.NewHistogram()
+	hist := telemetry.NewExactHistogram()
 	row := warmthRow{}
 	for _, s := range samples {
 		if s.at < warmup || s.failed {

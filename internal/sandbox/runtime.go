@@ -158,7 +158,6 @@ type base struct {
 	mu        sync.Mutex
 	instances map[core.SandboxID]*Instance
 	nextPort  uint16
-	killed    map[core.SandboxID]bool
 }
 
 func newBase(cfg Config, name string, lockHold time.Duration) *base {
@@ -167,7 +166,6 @@ func newBase(cfg Config, name string, lockHold time.Duration) *base {
 		name:      name,
 		lockHold:  lockHold,
 		instances: make(map[core.SandboxID]*Instance),
-		killed:    make(map[core.SandboxID]bool),
 		nextPort:  30000,
 	}
 }
@@ -192,7 +190,6 @@ func (b *base) Kill(id core.SandboxID) error {
 	inst, ok := b.instances[id]
 	if ok {
 		delete(b.instances, id)
-		b.killed[id] = true
 	}
 	b.mu.Unlock()
 	if !ok {

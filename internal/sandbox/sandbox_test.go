@@ -2,6 +2,7 @@ package sandbox
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -250,3 +251,41 @@ func TestKernelSectionSerializesCreates(t *testing.T) {
 		t.Errorf("3 creations finished in %v; kernel lock not serializing (want >= 90ms)", elapsed)
 	}
 }
+
+// TestCreateKillCyclesLeaveNoState checks that a runtime keeps nothing per
+// sandbox once the sandbox is killed: after many create/kill cycles every
+// map in base is empty (found by reflection, so a map added later is
+// covered too) and every network config is back in the pool.
+func TestCreateKillCyclesLeaveNoState(t *testing.T) {
+	for _, rt := range []interface {
+		Runtime
+		state() *base
+	}{
+		NewContainerd(fastConfig()),
+		NewFirecracker(FirecrackerConfig{Config: fastConfig(), Snapshots: true}),
+	} {
+		for i := 1; i <= 200; i++ {
+			id := core.SandboxID(i)
+			if _, err := rt.Create(context.Background(), spec(id, "img")); err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.Kill(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b := rt.state()
+		v := reflect.ValueOf(b).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Map && f.Len() != 0 {
+				t.Errorf("%s: base.%s holds %d entries after every sandbox was killed",
+					rt.Name(), v.Type().Field(i).Name, f.Len())
+			}
+		}
+		if _, slow, pooled := b.cfg.Network.Stats(); slow != 0 || pooled != b.cfg.Network.target {
+			t.Errorf("%s: %d network configs pooled of %d, %d slow-path creations",
+				rt.Name(), pooled, b.cfg.Network.target, slow)
+		}
+	}
+}
+
+func (b *base) state() *base { return b }

@@ -887,10 +887,10 @@ func aggregate(cfg Config, rep *Report, samples []sample) {
 		return idx
 	}
 
-	hists := make([]*telemetry.Histogram, len(marks))
+	hists := make([]*telemetry.ExactHistogram, len(marks))
 	stats := make([]PhaseStats, len(marks))
 	for i, m := range marks {
-		hists[i] = telemetry.NewHistogram()
+		hists[i] = telemetry.NewExactHistogram()
 		stats[i].Phase = m.name
 		stats[i].FromMin = m.at.Minutes()
 		end := cfg.Trace.Duration

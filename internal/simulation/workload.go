@@ -38,8 +38,8 @@ func (c *Collector) FailureRate() float64 {
 }
 
 // E2E returns a histogram of end-to-end latencies in milliseconds.
-func (c *Collector) E2E() *telemetry.Histogram {
-	h := telemetry.NewHistogram()
+func (c *Collector) E2E() *telemetry.ExactHistogram {
+	h := telemetry.NewExactHistogram()
 	for _, r := range c.Results {
 		if !r.Failed {
 			h.Observe(r.E2E)
@@ -49,8 +49,8 @@ func (c *Collector) E2E() *telemetry.Histogram {
 }
 
 // Scheduling returns a histogram of per-invocation scheduling latencies.
-func (c *Collector) Scheduling() *telemetry.Histogram {
-	h := telemetry.NewHistogram()
+func (c *Collector) Scheduling() *telemetry.ExactHistogram {
+	h := telemetry.NewExactHistogram()
 	for _, r := range c.Results {
 		if !r.Failed {
 			h.Observe(r.Scheduling)
@@ -60,8 +60,8 @@ func (c *Collector) Scheduling() *telemetry.Histogram {
 }
 
 // Slowdowns returns a histogram of per-invocation slowdowns.
-func (c *Collector) Slowdowns() *telemetry.Histogram {
-	h := telemetry.NewHistogram()
+func (c *Collector) Slowdowns() *telemetry.ExactHistogram {
+	h := telemetry.NewExactHistogram()
 	for _, r := range c.Results {
 		if !r.Failed {
 			h.ObserveMs(r.Slowdown())
@@ -73,14 +73,14 @@ func (c *Collector) Slowdowns() *telemetry.Histogram {
 // PerFunctionSlowdown returns one geometric-mean slowdown per function
 // (the paper's Figure 9 metric: "we group by function and report the
 // geometric mean slowdown per function").
-func (c *Collector) PerFunctionSlowdown() *telemetry.Histogram {
+func (c *Collector) PerFunctionSlowdown() *telemetry.ExactHistogram {
 	byFn := make(map[string][]float64)
 	for _, r := range c.Results {
 		if !r.Failed {
 			byFn[r.Function] = append(byFn[r.Function], r.Slowdown())
 		}
 	}
-	h := telemetry.NewHistogram()
+	h := telemetry.NewExactHistogram()
 	for _, slows := range byFn {
 		var logSum float64
 		for _, s := range slows {
@@ -96,14 +96,14 @@ func (c *Collector) PerFunctionSlowdown() *telemetry.Histogram {
 
 // PerFunctionScheduling returns one mean scheduling latency per function
 // (Figure 10's right panel / Figure 5's per-function series).
-func (c *Collector) PerFunctionScheduling() *telemetry.Histogram {
+func (c *Collector) PerFunctionScheduling() *telemetry.ExactHistogram {
 	byFn := make(map[string][]time.Duration)
 	for _, r := range c.Results {
 		if !r.Failed {
 			byFn[r.Function] = append(byFn[r.Function], r.Scheduling)
 		}
 	}
-	h := telemetry.NewHistogram()
+	h := telemetry.NewExactHistogram()
 	for _, ds := range byFn {
 		var sum time.Duration
 		for _, d := range ds {

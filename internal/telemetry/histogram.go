@@ -7,221 +7,274 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
-	"sync"
+	"math/bits"
+	"sync/atomic"
 	"time"
 )
 
-// Histogram records duration samples and answers percentile queries.
-// It keeps raw samples, which is appropriate for experiment-scale data
-// (up to a few million points) and gives exact percentiles.
+// Histogram is a fixed-size log-linear histogram in HdrHistogram's layout,
+// the kind every Registry hands out. Its memory does not grow with the
+// number of samples, so a daemon can observe into it forever.
+//
+// A sample is scaled to whole units (nanoseconds for a latency histogram,
+// the value itself for a count histogram) and counted in a bucket: values
+// below 2^subBits units get one bucket each, and each power of two above
+// that is split into 2^subBits equal sub-buckets (a band). A band's
+// counters are allocated the first time a sample lands in it, so an idle
+// histogram is about 100 B.
+//
+// Error bound: a percentile is within 1/128 (0.79 %) of the exact
+// recorder's value for values of at least 128 units, and within one unit
+// below that. Integer values below 128 (batch sizes, depths) read back
+// exactly. Count, Mean, Min and Max are exact.
+//
+// Observe takes no lock and, once a sample's band exists, allocates
+// nothing. Any number of goroutines may Observe while others read or
+// Reset; a read concurrent with Reset sees some mix of both. Create one
+// with NewHistogram or NewCountHistogram; the zero value is not ready.
 type Histogram struct {
-	mu      sync.Mutex
-	samples []float64 // milliseconds (or the configured unit)
-	sorted  bool
-	// unit suffixes rendered summary values; "ms" unless overridden via
-	// NewCountHistogram (batch sizes and other unitless counts).
+	count atomic.Int64
+	sum   atomic.Uint64 // float64 bits, in the observed unit
+	min   atomic.Uint64 // float64 bits; +Inf when empty
+	max   atomic.Uint64 // float64 bits; -Inf when empty
+	bands atomic.Pointer[bandTable]
+	// scale converts an observed value to bucket units: 1e6 for
+	// millisecond samples (nanosecond buckets), 1 for counts.
+	scale float64
+	// unit suffixes rendered summary values; "ms" unless created with
+	// NewCountHistogram.
 	unit string
 }
 
-// NewHistogram returns an empty histogram of millisecond samples.
-func NewHistogram() *Histogram { return &Histogram{unit: "ms"} }
+const (
+	subBits  = 6
+	subCount = 1 << subBits
+	// Values clamp to 2^maxBits-1 units (about 78 hours in nanoseconds);
+	// Max still reports the exact largest sample.
+	maxBits  = 48
+	numBands = maxBits - subBits + 1
+	maxUnits = 1<<maxBits - 1
+)
 
-// NewCountHistogram returns an empty histogram of unitless samples
+type band [subCount]atomic.Uint64
+
+type bandTable [numBands]atomic.Pointer[band]
+
+// NewHistogram returns an empty bounded histogram of millisecond samples.
+func NewHistogram() *Histogram { return newHistogram(1e6, "ms") }
+
+// NewCountHistogram returns an empty bounded histogram of unitless samples
 // (batch sizes, queue depths) whose summary renders without a unit.
-func NewCountHistogram() *Histogram { return &Histogram{} }
+func NewCountHistogram() *Histogram { return newHistogram(1, "") }
+
+func newHistogram(scale float64, unit string) *Histogram {
+	h := &Histogram{scale: scale, unit: unit}
+	h.min.Store(math.Float64bits(math.Inf(1)))
+	h.max.Store(math.Float64bits(math.Inf(-1)))
+	return h
+}
 
 // Observe records one duration sample.
 func (h *Histogram) Observe(d time.Duration) {
 	h.ObserveMs(float64(d) / float64(time.Millisecond))
 }
 
-// ObserveMs records one sample expressed in milliseconds.
-func (h *Histogram) ObserveMs(ms float64) {
-	h.mu.Lock()
-	h.samples = append(h.samples, ms)
-	h.sorted = false
-	h.mu.Unlock()
+// ObserveMs records one sample expressed in milliseconds (or, for a count
+// histogram, the count). NaN samples are dropped.
+func (h *Histogram) ObserveMs(v float64) {
+	if v != v {
+		return
+	}
+	h.count.Add(1)
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			break
+		}
+	}
+	for {
+		old := h.min.Load()
+		if v >= math.Float64frombits(old) || h.min.CompareAndSwap(old, math.Float64bits(v)) {
+			break
+		}
+	}
+	for {
+		old := h.max.Load()
+		if v <= math.Float64frombits(old) || h.max.CompareAndSwap(old, math.Float64bits(v)) {
+			break
+		}
+	}
+	b, s := bucketOf(v * h.scale)
+	h.band(b)[s].Add(1)
+}
+
+// bucketOf returns the band and sub-bucket that count x units. Negative
+// values count as 0 and values past maxUnits as maxUnits.
+func bucketOf(x float64) (b, s int) {
+	var u uint64
+	switch {
+	case !(x > 0):
+	case x >= maxUnits:
+		u = maxUnits
+	default:
+		u = uint64(x)
+	}
+	if u < subCount {
+		return 0, int(u)
+	}
+	exp := bits.Len64(u) - subBits - 1
+	return exp + 1, int(u>>uint(exp)) & (subCount - 1)
+}
+
+// bucketValue returns the value, in bucket units, that stands for every
+// sample counted in bucket (b, s): the lower bound of a one-unit bucket,
+// so integers read back exactly, and the midpoint of a wider one.
+func bucketValue(b, s int) float64 {
+	if b == 0 {
+		return float64(s)
+	}
+	exp := uint(b - 1)
+	lo := float64(uint64(subCount|s) << exp)
+	if exp == 0 {
+		return lo
+	}
+	return lo + float64(uint64(1)<<(exp-1))
+}
+
+// band returns band b's counters, allocating them on first use.
+func (h *Histogram) band(b int) *band {
+	t := h.bands.Load()
+	if t == nil {
+		t = new(bandTable)
+		if !h.bands.CompareAndSwap(nil, t) {
+			t = h.bands.Load()
+		}
+	}
+	c := t[b].Load()
+	if c == nil {
+		c = new(band)
+		if !t[b].CompareAndSwap(nil, c) {
+			c = t[b].Load()
+		}
+	}
+	return c
 }
 
 // Count returns the number of recorded samples.
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.samples)
-}
+func (h *Histogram) Count() int { return int(h.count.Load()) }
 
-func (h *Histogram) sortLocked() {
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
-}
-
-// Percentile returns the p-th percentile (0 < p <= 100) in milliseconds
-// using nearest-rank interpolation. It returns 0 for an empty histogram.
-func (h *Histogram) Percentile(p float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.percentileLocked(p)
-}
-
-func (h *Histogram) percentileLocked(p float64) float64 {
-	if len(h.samples) == 0 {
+// Mean returns the arithmetic mean of the samples.
+func (h *Histogram) Mean() float64 {
+	n := h.count.Load()
+	if n == 0 {
 		return 0
 	}
-	h.sortLocked()
+	return math.Float64frombits(h.sum.Load()) / float64(n)
+}
+
+// Min returns the smallest sample, or 0 for an empty histogram.
+func (h *Histogram) Min() float64 {
+	if h.count.Load() == 0 {
+		return 0
+	}
+	return math.Float64frombits(h.min.Load())
+}
+
+// Max returns the largest sample, or 0 for an empty histogram.
+func (h *Histogram) Max() float64 {
+	if h.count.Load() == 0 {
+		return 0
+	}
+	return math.Float64frombits(h.max.Load())
+}
+
+// Percentile returns the p-th percentile (0 < p <= 100), interpolated
+// between ranks as the exact recorder does, within the error bound in the
+// type's comment. It returns 0 for an empty histogram.
+func (h *Histogram) Percentile(p float64) float64 {
+	t := h.bands.Load()
+	if t == nil {
+		return 0
+	}
+	var n uint64
+	for i := range t {
+		if c := t[i].Load(); c != nil {
+			for j := range c {
+				n += c[j].Load()
+			}
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	lo, hi := math.Float64frombits(h.min.Load()), math.Float64frombits(h.max.Load())
+	if lo > hi { // reset since the buckets were read
+		return 0
+	}
 	if p <= 0 {
-		return h.samples[0]
+		return lo
 	}
 	if p >= 100 {
-		return h.samples[len(h.samples)-1]
+		return hi
 	}
-	rank := p / 100 * float64(len(h.samples)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return h.samples[lo]
+	rank := p / 100 * float64(n-1)
+	r0 := uint64(rank)
+	frac := rank - float64(r0)
+	v0 := h.valueAt(t, r0, lo, hi)
+	if frac == 0 {
+		return v0
 	}
-	frac := rank - float64(lo)
-	return h.samples[lo]*(1-frac) + h.samples[hi]*frac
+	v1 := h.valueAt(t, r0+1, lo, hi)
+	if v0 == v1 {
+		return v0
+	}
+	return v0*(1-frac) + v1*frac
 }
 
-// Mean returns the arithmetic mean of the samples in milliseconds.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range h.samples {
-		sum += s
-	}
-	return sum / float64(len(h.samples))
-}
-
-// Max returns the largest sample in milliseconds.
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sortLocked()
-	return h.samples[len(h.samples)-1]
-}
-
-// Min returns the smallest sample in milliseconds.
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sortLocked()
-	return h.samples[0]
-}
-
-// GeoMean returns the geometric mean of the samples. Samples that are zero
-// or negative are clamped to a small positive epsilon so that a handful of
-// zero-latency samples cannot collapse the whole statistic.
-func (h *Histogram) GeoMean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	const eps = 1e-9
-	var logSum float64
-	for _, s := range h.samples {
-		if s < eps {
-			s = eps
+// valueAt returns the value standing for the sample of the given 0-based
+// rank, clamped to [lo, hi], or hi if a concurrent Reset emptied the
+// buckets first.
+func (h *Histogram) valueAt(t *bandTable, rank uint64, lo, hi float64) float64 {
+	var seen uint64
+	for i := range t {
+		c := t[i].Load()
+		if c == nil {
+			continue
 		}
-		logSum += math.Log(s)
-	}
-	return math.Exp(logSum / float64(len(h.samples)))
-}
-
-// Snapshot returns a copy of the raw samples in milliseconds, sorted
-// ascending.
-func (h *Histogram) Snapshot() []float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.sortLocked()
-	out := make([]float64, len(h.samples))
-	copy(out, h.samples)
-	return out
-}
-
-// CDFPoint is one point of an empirical cumulative distribution.
-type CDFPoint struct {
-	Value    float64 // sample value (milliseconds for latency histograms)
-	Fraction float64 // cumulative fraction in (0, 1]
-}
-
-// CDF returns an empirical CDF downsampled to at most points entries
-// (plus the exact min and max).
-func (h *Histogram) CDF(points int) []CDFPoint {
-	s := h.Snapshot()
-	if len(s) == 0 {
-		return nil
-	}
-	if points < 2 {
-		points = 2
-	}
-	out := make([]CDFPoint, 0, points)
-	step := float64(len(s)-1) / float64(points-1)
-	for i := 0; i < points; i++ {
-		idx := int(math.Round(float64(i) * step))
-		if idx >= len(s) {
-			idx = len(s) - 1
+		for j := range c {
+			if seen += c[j].Load(); seen > rank {
+				return min(max(bucketValue(i, j)/h.scale, lo), hi)
+			}
 		}
-		out = append(out, CDFPoint{Value: s[idx], Fraction: float64(idx+1) / float64(len(s))})
 	}
-	return out
+	return hi
 }
 
 // Summary renders a one-line summary with common percentiles.
 func (h *Histogram) Summary() string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := len(h.samples)
+	n := h.Count()
 	if n == 0 {
 		return "n=0"
 	}
 	u := h.unit
 	return fmt.Sprintf("n=%d p50=%.2f%s p95=%.2f%s p99=%.2f%s max=%.2f%s",
-		n, h.percentileLocked(50), u, h.percentileLocked(95), u, h.percentileLocked(99), u, h.percentileLocked(100), u)
+		n, h.Percentile(50), u, h.Percentile(95), u, h.Percentile(99), u, h.Max(), u)
 }
 
 // Reset discards all recorded samples, e.g. to separate a harness's
-// warm-up phase from its measurement phase.
+// warm-up phase from its measurement phase. Bands stay allocated.
 func (h *Histogram) Reset() {
-	h.mu.Lock()
-	h.samples = h.samples[:0]
-	h.sorted = false
-	h.mu.Unlock()
-}
-
-// Merge adds all samples from other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	s := other.Snapshot()
-	h.mu.Lock()
-	h.samples = append(h.samples, s...)
-	h.sorted = false
-	h.mu.Unlock()
-}
-
-// FormatCDFTable renders a CDF as an aligned two-column text table,
-// used by the experiment harness for figure series output.
-func FormatCDFTable(name string, cdf []CDFPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# %s\n", name)
-	fmt.Fprintf(&b, "%-14s %s\n", "value_ms", "cdf")
-	for _, p := range cdf {
-		fmt.Fprintf(&b, "%-14.3f %.4f\n", p.Value, p.Fraction)
+	if t := h.bands.Load(); t != nil {
+		for i := range t {
+			if c := t[i].Load(); c != nil {
+				for j := range c {
+					c[j].Store(0)
+				}
+			}
+		}
 	}
-	return b.String()
+	h.count.Store(0)
+	h.sum.Store(0)
+	h.min.Store(math.Float64bits(math.Inf(1)))
+	h.max.Store(math.Float64bits(math.Inf(-1)))
 }

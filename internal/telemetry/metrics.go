@@ -129,7 +129,8 @@ func (st Stats) String() string {
 
 // Registry is a named collection of counters, gauges and histograms that a
 // component exposes, mirroring Dirigent's per-component HTTP metrics
-// endpoints (paper §4, "Operations and monitoring").
+// endpoints (paper §4, "Operations and monitoring"). Its histograms are
+// the bounded kind, so a registry does not grow with the samples it takes.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -33,30 +34,21 @@ func TestHistogramPercentiles(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Percentile(50) != 0 || h.Mean() != 0 || h.Max() != 0 || h.Min() != 0 || h.GeoMean() != 0 {
+	if h.Percentile(50) != 0 || h.Mean() != 0 || h.Max() != 0 || h.Min() != 0 || h.Count() != 0 {
 		t.Errorf("empty histogram should return zeros")
-	}
-	if h.CDF(10) != nil {
-		t.Errorf("empty CDF should be nil")
 	}
 	if h.Summary() != "n=0" {
 		t.Errorf("Summary = %q", h.Summary())
 	}
-}
-
-func TestHistogramGeoMean(t *testing.T) {
-	h := NewHistogram()
-	h.ObserveMs(1)
-	h.ObserveMs(100)
-	if g := h.GeoMean(); math.Abs(g-10) > 1e-9 {
-		t.Errorf("GeoMean = %v, want 10", g)
+	e := NewExactHistogram()
+	if e.Percentile(50) != 0 || e.Mean() != 0 || e.Max() != 0 || e.Min() != 0 || e.Count() != 0 {
+		t.Errorf("empty exact recorder should return zeros")
 	}
-	// Zero samples must not collapse the geometric mean to zero.
-	h2 := NewHistogram()
-	h2.ObserveMs(0)
-	h2.ObserveMs(100)
-	if g := h2.GeoMean(); g <= 0 {
-		t.Errorf("GeoMean with zero sample = %v", g)
+	if e.CDF(10) != nil {
+		t.Errorf("empty CDF should be nil")
+	}
+	if e.Summary() != "n=0" {
+		t.Errorf("Summary = %q", e.Summary())
 	}
 }
 
@@ -68,49 +60,61 @@ func TestHistogramObserveDuration(t *testing.T) {
 	}
 }
 
+// percentiler is what both histogram kinds answer.
+type percentiler interface {
+	ObserveMs(float64)
+	Percentile(float64) float64
+}
+
 // TestQuickPercentileBounds property-tests that percentiles stay within
-// the sample range and are monotonic in p.
+// the sample range and are monotonic in p, for both histogram kinds.
 func TestQuickPercentileBounds(t *testing.T) {
-	f := func(values []float64) bool {
-		h := NewHistogram()
-		var min, max float64
-		n := 0
-		for _, v := range values {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
+	for _, mk := range []func() percentiler{
+		func() percentiler { return NewHistogram() },
+		func() percentiler { return NewCountHistogram() },
+		func() percentiler { return NewExactHistogram() },
+	} {
+		f := func(values []float64) bool {
+			h := mk()
+			var min, max float64
+			n := 0
+			for _, v := range values {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					continue
+				}
+				h.ObserveMs(v)
+				if n == 0 || v < min {
+					min = v
+				}
+				if n == 0 || v > max {
+					max = v
+				}
+				n++
 			}
-			h.ObserveMs(v)
-			if n == 0 || v < min {
-				min = v
+			if n == 0 {
+				return true
 			}
-			if n == 0 || v > max {
-				max = v
+			prev := math.Inf(-1)
+			for _, p := range []float64{0, 10, 25, 50, 75, 90, 99, 100} {
+				val := h.Percentile(p)
+				if val < min-1e-9 || val > max+1e-9 {
+					return false
+				}
+				if val < prev-1e-9 {
+					return false // non-monotonic
+				}
+				prev = val
 			}
-			n++
-		}
-		if n == 0 {
 			return true
 		}
-		prev := math.Inf(-1)
-		for _, p := range []float64{0, 10, 25, 50, 75, 90, 99, 100} {
-			val := h.Percentile(p)
-			if val < min-1e-9 || val > max+1e-9 {
-				return false
-			}
-			if val < prev-1e-9 {
-				return false // non-monotonic
-			}
-			prev = val
+		if err := quick.Check(f, nil); err != nil {
+			t.Errorf("%T: %v", mk(), err)
 		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
 func TestHistogramCDF(t *testing.T) {
-	h := NewHistogram()
+	h := NewExactHistogram()
 	for i := 1; i <= 1000; i++ {
 		h.ObserveMs(float64(i))
 	}
@@ -135,17 +139,6 @@ func TestHistogramCDF(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram()
-	b := NewHistogram()
-	a.ObserveMs(1)
-	b.ObserveMs(3)
-	a.Merge(b)
-	if a.Count() != 2 || a.Max() != 3 {
-		t.Errorf("merge failed: count=%d max=%v", a.Count(), a.Max())
-	}
-}
-
 func TestHistogramConcurrentObserve(t *testing.T) {
 	h := NewHistogram()
 	var wg sync.WaitGroup
@@ -161,6 +154,167 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	wg.Wait()
 	if h.Count() != 8000 {
 		t.Errorf("Count = %d, want 8000", h.Count())
+	}
+	if h.Max() != 999 || h.Min() != 0 {
+		t.Errorf("min/max = %v/%v", h.Min(), h.Max())
+	}
+}
+
+// relErrBound is the bounded histogram's stated relative error for values
+// of at least 128 bucket units (128 ns for latency histograms).
+const relErrBound = 1.0 / 128
+
+// TestHistogramMatchesExactRecorder checks the bounded histogram against
+// the exact recorder on random latencies spanning 1 us to 60 s (log-
+// uniform, so every band is exercised): every percentile from 1 to 99 is
+// within the stated bound, and Count, Mean, Min and Max are equal.
+func TestHistogramMatchesExactRecorder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	lo, hi := math.Log(0.001), math.Log(60000) // ms
+	for trial := 0; trial < 50; trial++ {
+		h, e := NewHistogram(), NewExactHistogram()
+		n := 1 + rng.Intn(3000)
+		for i := 0; i < n; i++ {
+			v := math.Exp(lo + rng.Float64()*(hi-lo))
+			if i%2 == 0 {
+				d := time.Duration(v * float64(time.Millisecond))
+				h.Observe(d)
+				e.Observe(d)
+			} else {
+				h.ObserveMs(v)
+				e.ObserveMs(v)
+			}
+		}
+		compareExact(t, h, e)
+		for p := 1; p <= 99; p++ {
+			got, want := h.Percentile(float64(p)), e.Percentile(float64(p))
+			if math.Abs(got-want) > want*(relErrBound+1e-12) {
+				t.Fatalf("trial %d n=%d p%d = %v, exact %v (rel err %.5f > %.5f)",
+					trial, n, p, got, want, math.Abs(got-want)/want, relErrBound)
+			}
+		}
+	}
+}
+
+// TestHistogramCountsReadBackExactly checks that integer samples below 128
+// (batch sizes) give the exact recorder's percentiles, up to the rounding
+// of the rank interpolation both do.
+func TestHistogramCountsReadBackExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 50; trial++ {
+		h, e := NewCountHistogram(), NewExactHistogram()
+		n := 1 + rng.Intn(500)
+		for i := 0; i < n; i++ {
+			v := float64(1 + rng.Intn(127))
+			h.ObserveMs(v)
+			e.ObserveMs(v)
+		}
+		compareExact(t, h, e)
+		for p := 1; p <= 100; p++ {
+			if got, want := h.Percentile(float64(p)), e.Percentile(float64(p)); math.Abs(got-want) > 1e-12*want {
+				t.Fatalf("trial %d n=%d p%d = %v, exact %v", trial, n, p, got, want)
+			}
+		}
+	}
+}
+
+func compareExact(t *testing.T, h *Histogram, e *ExactHistogram) {
+	t.Helper()
+	if h.Count() != e.Count() || h.Min() != e.Min() || h.Max() != e.Max() {
+		t.Fatalf("count/min/max = %d/%v/%v, exact %d/%v/%v",
+			h.Count(), h.Min(), h.Max(), e.Count(), e.Min(), e.Max())
+	}
+	if got, want := h.Mean(), e.Mean(); math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("mean = %v, exact %v", got, want)
+	}
+}
+
+func TestHistogramObserveAllocatesNothing(t *testing.T) {
+	h := NewHistogram()
+	h.Observe(time.Millisecond) // allocates the band table and one band
+	if n := testing.AllocsPerRun(1000, func() { h.Observe(time.Millisecond) }); n != 0 {
+		t.Errorf("Observe allocates %v times per call, want 0", n)
+	}
+	c := NewCountHistogram()
+	c.ObserveMs(8)
+	if n := testing.AllocsPerRun(1000, func() { c.ObserveMs(8) }); n != 0 {
+		t.Errorf("count ObserveMs allocates %v times per call, want 0", n)
+	}
+}
+
+// TestHistogramConcurrentObservePercentileReset races writers against a
+// reader and a resetter (meant for -race): no read may leave the observed
+// range, and once the writers stop, the histogram is consistent again.
+func TestHistogramConcurrentObservePercentileReset(t *testing.T) {
+	h := NewHistogram()
+	const maxMs = 50.0
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for j := 0; j < 5000; j++ {
+				h.ObserveMs(float64((w*5000+j)%50) + 0.5)
+			}
+		}(w)
+	}
+	var readers sync.WaitGroup
+	readers.Add(2)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, p := range []float64{0, 1, 50, 99, 100} {
+				if v := h.Percentile(p); v < 0 || v > maxMs || v != v {
+					t.Errorf("p%v = %v outside [0, %v]", p, v, maxMs)
+					return
+				}
+			}
+			if m := h.Mean(); m < 0 || m > maxMs {
+				t.Errorf("mean = %v", m)
+				return
+			}
+			_ = h.Summary()
+		}
+	}()
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			h.Reset()
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+
+	h.Reset()
+	for v := 1; v <= 100; v++ {
+		h.ObserveMs(float64(v))
+	}
+	if h.Count() != 100 || h.Min() != 1 || h.Max() != 100 || h.Mean() != 50.5 {
+		t.Errorf("after reset: count=%d min=%v max=%v mean=%v", h.Count(), h.Min(), h.Max(), h.Mean())
+	}
+	if p := h.Percentile(50); math.Abs(p-50.5) > 50.5*relErrBound {
+		t.Errorf("after reset: p50 = %v", p)
+	}
+}
+
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := NewHistogram()
+	h.Observe(time.Millisecond)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Observe(time.Millisecond)
 	}
 }
 

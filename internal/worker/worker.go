@@ -210,6 +210,15 @@ type Worker struct {
 	mPrewarmEvicted   *telemetry.Counter
 	mReadyBatch       *telemetry.Histogram
 	mCreateWait       *telemetry.Histogram
+	mCreateBatches    *telemetry.Counter
+	mKillBatches      *telemetry.Counter
+	mCreated          *telemetry.Counter
+	mCreationMs       *telemetry.Histogram
+	mCreateErrors     *telemetry.Counter
+	mKilled           *telemetry.Counter
+	mPoolSize         *telemetry.Gauge
+	mPrewarmErrors    *telemetry.Counter
+	mPrewarmFilled    *telemetry.Counter
 }
 
 // poolEntry is one pre-warmed instance plus the moment it became idle,
@@ -298,6 +307,15 @@ func New(cfg Config) *Worker {
 	w.mPrewarmEvicted = w.metrics.Counter("prewarm_evictions")
 	w.mReadyBatch = w.metrics.CountHistogram("ready_batch_size")
 	w.mCreateWait = w.metrics.Histogram("create_pool_wait_ms")
+	w.mCreateBatches = w.metrics.Counter("create_batches_received")
+	w.mKillBatches = w.metrics.Counter("kill_batches_received")
+	w.mCreated = w.metrics.Counter("sandboxes_created")
+	w.mCreationMs = w.metrics.Histogram("sandbox_creation_ms")
+	w.mCreateErrors = w.metrics.Counter("sandbox_create_errors")
+	w.mKilled = w.metrics.Counter("sandboxes_killed")
+	w.mPoolSize = w.metrics.Gauge("prewarm_pool_size")
+	w.mPrewarmErrors = w.metrics.Counter("prewarm_create_errors")
+	w.mPrewarmFilled = w.metrics.Counter("prewarm_filled")
 	return w
 }
 
@@ -509,7 +527,7 @@ func (w *Worker) handleRPC(method string, payload []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		w.metrics.Counter("create_batches_received").Inc()
+		w.mCreateBatches.Inc()
 		for i := range batch.Creates {
 			if err := w.createSandbox(&batch.Creates[i]); err != nil {
 				return nil, err
@@ -521,7 +539,7 @@ func (w *Worker) handleRPC(method string, payload []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		w.metrics.Counter("kill_batches_received").Inc()
+		w.mKillBatches.Inc()
 		// Unknown IDs (already crashed, or torn down by a racing drain)
 		// must not fail the rest of the batch.
 		for _, id := range batch.IDs {
@@ -620,8 +638,8 @@ func (w *Worker) doCreate(req *proto.CreateSandboxRequest) {
 		w.functions[req.SandboxID] = req.Function
 		w.mu.Unlock()
 		w.mPrewarmHits.Inc()
-		w.metrics.Counter("sandboxes_created").Inc()
-		w.metrics.Histogram("sandbox_creation_ms").Observe(w.clk.Since(start))
+		w.mCreated.Inc()
+		w.mCreationMs.Observe(w.clk.Since(start))
 		w.queueReady(proto.SandboxEvent{
 			SandboxID: req.SandboxID,
 			Function:  req.Function.Name,
@@ -650,7 +668,7 @@ func (w *Worker) doCreate(req *proto.CreateSandboxRequest) {
 	w.mu.Unlock()
 	if err != nil {
 		w.releaseResources(&req.Function)
-		w.metrics.Counter("sandbox_create_errors").Inc()
+		w.mCreateErrors.Inc()
 		return
 	}
 	// Health probing: wait out the boot delay, then probe.
@@ -672,8 +690,8 @@ func (w *Worker) doCreate(req *proto.CreateSandboxRequest) {
 	})
 	w.functions[inst.ID] = req.Function
 	w.mu.Unlock()
-	w.metrics.Counter("sandboxes_created").Inc()
-	w.metrics.Histogram("sandbox_creation_ms").Observe(w.clk.Since(start))
+	w.mCreated.Inc()
+	w.mCreationMs.Observe(w.clk.Since(start))
 
 	w.queueReady(proto.SandboxEvent{
 		SandboxID: inst.ID,
@@ -810,7 +828,7 @@ func (w *Worker) updatePoolGaugeLocked() {
 	for _, pool := range w.prewarmPools {
 		total += len(pool)
 	}
-	w.metrics.Gauge("prewarm_pool_size").Set(int64(total))
+	w.mPoolSize.Set(int64(total))
 }
 
 // targetLocked returns image's share of the pre-warm budget: in static
@@ -900,7 +918,7 @@ func (w *Worker) fillPrewarm(image string) {
 		w.mu.Lock()
 		w.decPendingLocked(image)
 		w.mu.Unlock()
-		w.metrics.Counter("prewarm_create_errors").Inc()
+		w.mPrewarmErrors.Inc()
 		return
 	}
 	// The pool holds fully initialized sandboxes: boot completes here, at
@@ -919,7 +937,7 @@ func (w *Worker) fillPrewarm(image string) {
 	w.prewarmPools[image] = append(w.prewarmPools[image], poolEntry{inst: inst, idleSince: w.clk.Now()})
 	w.updatePoolGaugeLocked()
 	w.mu.Unlock()
-	w.metrics.Counter("prewarm_filled").Inc()
+	w.mPrewarmFilled.Inc()
 }
 
 func (w *Worker) decPendingLocked(image string) {
@@ -1129,7 +1147,7 @@ func (w *Worker) killSandbox(id core.SandboxID) error {
 	}
 	w.dropQueuedReady(id)
 	w.releaseResources(&fn)
-	w.metrics.Counter("sandboxes_killed").Inc()
+	w.mKilled.Inc()
 	return w.cfg.Runtime.Kill(rs.rtID)
 }
 
