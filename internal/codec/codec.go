@@ -28,6 +28,18 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 // Len returns the number of encoded bytes.
 func (e *Encoder) Len() int { return len(e.buf) }
 
+// Reset discards what e holds and appends from now on to buf[:0], reusing
+// its storage. The caller owns buf: it may hand it to Reset again once it
+// is done with the bytes Bytes returned.
+func (e *Encoder) Reset(buf []byte) { e.buf = buf[:0] }
+
+// PutU32At overwrites with v the four bytes at off, which an earlier U32
+// appended: a count or length known only once what it prefixes has been
+// appended behind it.
+func (e *Encoder) PutU32At(off int, v uint32) {
+	binary.LittleEndian.PutUint32(e.buf[off:], v)
+}
+
 // U8 appends an unsigned 8-bit value.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
 
@@ -92,6 +104,15 @@ func (d *Decoder) Err() error { return d.err }
 
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
+
+// End returns Err, or an error when bytes remain unread: how a message
+// that must fill its buffer exactly ends its decoding.
+func (d *Decoder) End() error {
+	if d.err == nil && d.off != len(d.buf) {
+		return fmt.Errorf("codec: %d trailing bytes at offset %d", len(d.buf)-d.off, d.off)
+	}
+	return d.err
+}
 
 func (d *Decoder) need(n int) bool {
 	if d.err != nil {

@@ -670,8 +670,10 @@ func (cp *ControlPlane) recover() {
 	cp.recovered.Store(true)
 	cp.refreshDataPlaneGauge()
 
-	// 2. Refresh data plane caches with the function list.
-	cp.syncFunctions(cp.liveDataPlanes())
+	// 2. Refresh data plane caches with the function list. Their
+	// endpoints stay until the merge below rebuilds the sandbox state
+	// that updates are written from.
+	cp.syncFunctions(cp.liveDataPlanes(), false)
 
 	// 3. Asynchronously merge sandbox lists from workers. The scale of
 	// every function starts at zero; worker reports repopulate it
@@ -721,7 +723,7 @@ func (cp *ControlPlane) mergeWorkerSandboxes(w *workerState) {
 	if err != nil {
 		return
 	}
-	touched := make(map[string]bool)
+	var touched []string
 	for _, sb := range list.Sandboxes {
 		sb := sb
 		merged := cp.withFunction(sb.Function, func(fs *functionState) {
@@ -738,9 +740,9 @@ func (cp *ControlPlane) mergeWorkerSandboxes(w *workerState) {
 			continue // function deregistered while we were down
 		}
 		cp.observeSandboxID(sb.ID)
-		touched[sb.Function] = true
+		touched = append(touched, sb.Function)
 	}
-	cp.broadcastEndpointsBatch(sortedKeys(touched))
+	cp.broadcastEndpoints(touched...)
 }
 
 // handleRPC multiplexes Raft election RPCs and the Dirigent API.
@@ -827,7 +829,15 @@ func (cp *ControlPlane) handleRegisterFunction(payload []byte) ([]byte, error) {
 	}
 	sh.mu.Unlock()
 	delta := proto.FunctionList{Functions: []core.Function{*f}}
-	cp.sendFunctionMeta(cp.liveDataPlanes(), proto.MethodAddFunction, delta.Marshal())
+	reached := cp.sendFunctionMeta(cp.liveDataPlanes(), proto.MethodAddFunction, delta.Marshal())
+	// A replica that learns the function only now has dropped any update
+	// for it that arrived first, so it is owed the endpoints the function
+	// has by now; with none ready, its empty set is already right.
+	if ready, _ := cp.FunctionScale(f.Name); ready > 0 {
+		for _, st := range reached {
+			cp.oweEndpoints(st, []string{f.Name})
+		}
+	}
 	cp.metrics.Counter("functions_registered").Inc()
 	return nil, nil
 }
@@ -951,8 +961,8 @@ func (cp *ControlPlane) handleRegisterDataPlane(payload []byte) ([]byte, error) 
 	// revoke any leases still draining its records and assign it a fresh
 	// epoch that out-fences them, before re-warming its caches.
 	epoch := cp.reviveAsyncOwner(p.ID)
-	// Warm the new data plane's caches: functions, then endpoints —
-	// every function's endpoint set in one coalesced RPC.
+	// Warm the new data plane's caches: functions, then every
+	// function's endpoint set through its sender.
 	cp.warmDataPlane(st)
 	ack := proto.DataPlaneEpochAck{Epoch: epoch}
 	return ack.Marshal(), nil
@@ -1029,10 +1039,9 @@ func (cp *ControlPlane) handleScalingMetric(payload []byte) ([]byte, error) {
 }
 
 // handleSandboxReadyBatch absorbs a worker's coalesced readiness report:
-// every transition is applied, then all touched functions share one
-// endpoint fan-out instead of broadcasting once per sandbox — the
-// broadcast work for an N-sandbox burst drops from N full endpoint lists
-// per function to one.
+// every transition is applied, then all touched functions are owed to the
+// data planes at once, so an N-sandbox burst costs each sender one update
+// per function, not N.
 //
 // A sandbox that turns up ready for a function no longer registered was
 // still being created when the deregistration's kill reached its worker,
@@ -1043,18 +1052,18 @@ func (cp *ControlPlane) handleSandboxReadyBatch(payload []byte) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	touched := make(map[string]bool, len(batch.Events))
+	touched := make([]string, 0, len(batch.Events))
 	var orphans []*sandboxState
 	for i := range batch.Events {
 		ev := &batch.Events[i]
 		if cp.applySandboxReady(ev) {
-			touched[ev.Function] = true
+			touched = append(touched, ev.Function)
 		} else {
 			orphans = append(orphans, &sandboxState{id: ev.SandboxID, workerAddr: ev.Addr})
 		}
 	}
 	cp.dispatchKills(orphans)
-	cp.broadcastEndpointsBatch(sortedKeys(touched))
+	cp.broadcastEndpoints(touched...)
 	return nil, nil
 }
 
@@ -1124,17 +1133,6 @@ func (cp *ControlPlane) handleClusterStatus() ([]byte, error) {
 		b = fmt.Appendf(b, "function %s ready=%d creating=%d\n", f.name, f.ready, f.creating)
 	}
 	return b, nil
-}
-
-func (cp *ControlPlane) functionNames() []string {
-	var names []string
-	cp.forEachShard(func(sh *functionShard) {
-		for name := range sh.fns {
-			names = append(names, name)
-		}
-	})
-	sort.Strings(names)
-	return names
 }
 
 // persistSandbox is only used by the persist-everything ablation. In

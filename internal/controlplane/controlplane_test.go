@@ -124,8 +124,8 @@ func readyOf(ev proto.SandboxEvent) []byte {
 
 // fakeDP records endpoint updates and function metadata with the real
 // data plane's semantics: AddFunction upserts, RemoveFunction drops one
-// function, SyncFunctions replaces the set, and stale (reordered)
-// endpoint updates are discarded by version.
+// function, SyncFunctions replaces the set, and endpoint updates for
+// unknown functions or stale (reordered) ones are discarded.
 type fakeDP struct {
 	mu        sync.Mutex
 	functions map[string]bool
@@ -133,6 +133,9 @@ type fakeDP struct {
 	versions  map[string]uint64
 	// calls counts the requests received per method.
 	calls map[string]int
+	// hold, when set, keeps the next endpoint update's call open, before
+	// it is applied, until the channel is closed.
+	hold chan struct{}
 }
 
 func startFakeDP(t *testing.T, tr *transport.InProc, addr string) *fakeDP {
@@ -147,6 +150,12 @@ func startFakeDP(t *testing.T, tr *transport.InProc, addr string) *fakeDP {
 		dp.mu.Lock()
 		defer dp.mu.Unlock()
 		dp.calls[method]++
+		if hold := dp.hold; hold != nil && method == proto.MethodUpdateEndpointsBatch {
+			dp.hold = nil
+			dp.mu.Unlock()
+			<-hold
+			dp.mu.Lock()
+		}
 		switch method {
 		case proto.MethodAddFunction, proto.MethodSyncFunctions:
 			list, err := proto.UnmarshalFunctionList(payload)
@@ -194,7 +203,7 @@ func (dp *fakeDP) has(name string) (held bool, syncs int) {
 // applyLocked applies one endpoint update, discarding stale reordered
 // broadcasts by version like the real data plane. Callers hold dp.mu.
 func (dp *fakeDP) applyLocked(up *proto.EndpointUpdate) {
-	if up.Version != 0 && up.Version <= dp.versions[up.Function] {
+	if !dp.functions[up.Function] || up.Version != 0 && up.Version <= dp.versions[up.Function] {
 		return
 	}
 	dp.versions[up.Function] = up.Version
@@ -569,7 +578,14 @@ func TestEpochMonotonicAcrossLeaders(t *testing.T) {
 		if _, err := tr.Call(ctx, "cp0", proto.MethodRegisterFunction, core.MarshalFunction(&fn)); err != nil {
 			t.Fatal(err)
 		}
-		update, _ := cp.endpointUpdate("f")
+		var w proto.EndpointBatchWriter
+		w.Reset(nil)
+		cp.writeEndpointUpdate(&w, "f")
+		batch, err := proto.UnmarshalEndpointUpdateBatch(w.Bytes())
+		if err != nil || len(batch.Updates) != 1 {
+			t.Fatalf("generation %d: wrote %+v, %v; want one update", generation, batch, err)
+		}
+		update := batch.Updates[0]
 		if update.Version <= lastVersion {
 			t.Fatalf("generation %d: version %x not greater than previous leader's %x",
 				generation, update.Version, lastVersion)

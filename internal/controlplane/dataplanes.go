@@ -8,6 +8,7 @@ import (
 
 	"dirigent/internal/core"
 	"dirigent/internal/proto"
+	"dirigent/internal/transport"
 )
 
 // Data plane replicas are first-class, dynamic members of the cluster,
@@ -45,6 +46,18 @@ type dataPlaneState struct {
 	// needsSync marks a replica that a function delta or removal failed
 	// to reach: its next heartbeat is answered with a full-list sync.
 	needsSync bool
+	// owed holds the functions whose endpoint sets the replica has yet to
+	// be sent, and flushing is set while its sender (flushEndpoints)
+	// drains them. A pruned replica is owed nothing: the sweep drops the
+	// set, and revival owes it every function.
+	owed     map[string]struct{}
+	flushing bool
+	// names, buf and deadline belong to the running sender: its batch's
+	// function names, the buffer its payloads are written into and the
+	// deadline of its calls, kept from one flush to the next.
+	names    []string
+	buf      []byte
+	deadline *transport.Deadline
 }
 
 // putDataPlane inserts or replaces a registry entry for a (re-)registered
@@ -59,8 +72,15 @@ func (cp *ControlPlane) putDataPlane(p core.DataPlane, durable bool, asyncHashes
 		healthy:     true,
 	}
 	cp.dpMu.Lock()
+	prev := cp.dataplanes[p.ID]
 	cp.dataplanes[p.ID] = st
 	cp.dpMu.Unlock()
+	if prev != nil {
+		// The replaced entry's sender stops after its call in flight.
+		prev.mu.Lock()
+		clear(prev.owed)
+		prev.mu.Unlock()
+	}
 	cp.refreshDataPlaneGauge()
 	return st
 }
@@ -94,8 +114,9 @@ func (cp *ControlPlane) snapshotDataPlanes() []*dataPlaneState {
 // out of the fan-out set. A heartbeat from an unknown replica re-admits
 // it the same way — the in-memory entry can be lost to a leadership
 // change racing the heartbeat. A heartbeat from a live replica that a
-// function delta failed to reach is answered with a function sync, the
-// repair path for a lost delta.
+// function delta failed to reach is answered with the same re-warm, the
+// repair path for a lost delta: a lost delta may have taken the
+// function's endpoints with it.
 func (cp *ControlPlane) handleDataPlaneHeartbeat(payload []byte) ([]byte, error) {
 	hb, err := proto.UnmarshalDataPlaneHeartbeat(payload)
 	if err != nil {
@@ -124,20 +145,19 @@ func (cp *ControlPlane) handleDataPlaneHeartbeat(payload []byte) ([]byte, error)
 		cp.metrics.Counter("dataplane_revivals").Inc()
 		cp.refreshDataPlaneGauge()
 		epoch = cp.reviveAsyncOwner(st.dp.ID)
+	}
+	if revived || needsSync {
 		cp.warmDataPlane(st)
-	} else if needsSync {
-		cp.syncFunctions([]*dataPlaneState{st})
 	}
 	ack := proto.DataPlaneEpochAck{Epoch: epoch}
 	return ack.Marshal(), nil
 }
 
-// warmDataPlane pushes the full function list and every function's
-// endpoint set to one replica — the cache-warm diff a replica needs when
-// it (re-)joins the fan-out set.
+// warmDataPlane pushes the full function list to one replica and, once it
+// holds it, owes it every function's endpoint set — the cache re-warm a
+// replica needs when it (re-)joins the fan-out set.
 func (cp *ControlPlane) warmDataPlane(st *dataPlaneState) {
-	cp.syncFunctions([]*dataPlaneState{st})
-	cp.sendEndpointsBatchTo(st.addr, cp.functionNames())
+	cp.syncFunctions([]*dataPlaneState{st}, true)
 }
 
 // handleListDataPlanes returns the live replica set, sorted by ID for
@@ -167,6 +187,7 @@ func (cp *ControlPlane) sweepDataPlanes(now time.Time) {
 		st.mu.Lock()
 		if st.healthy && now.Sub(st.lastHB) > cp.cfg.DataPlaneTimeout {
 			st.healthy = false
+			clear(st.owed)
 			failed = append(failed, st.dp.ID)
 		}
 		st.mu.Unlock()

@@ -3,13 +3,13 @@ package controlplane
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"dirigent/internal/core"
 	"dirigent/internal/placement"
 	"dirigent/internal/proto"
 	"dirigent/internal/telemetry"
+	"dirigent/internal/transport"
 )
 
 // maxBatch caps how many creations, teardowns or endpoint updates one
@@ -127,15 +127,15 @@ func (fs *functionState) scaleStep(now time.Time, downscale bool) (scaleAction, 
 // by the sweep and the report handler. Scale-up is pipelined: every
 // placement is staged first, then fanned out as one CreateSandboxBatch RPC
 // per worker (concurrently across workers), and every function whose
-// endpoint set changed shares one coalesced UpdateEndpointsBatch RPC per
-// data plane. decidedAt is when the deciding pass began.
+// endpoint set changed is owed to every data plane's endpoint sender.
+// decidedAt is when the deciding pass began.
 func (cp *ControlPlane) applyScale(actions []scaleAction, decidedAt time.Time) {
 	if len(actions) == 0 {
 		return
 	}
 	var staged []*stagedCreate
 	var kills []*sandboxState
-	var drained map[string]bool // allocated by the first scale-down
+	var drained []string
 	for _, a := range actions {
 		if a.create > 0 && cp.pred != nil {
 			// Every creation staged is cold-start demand for the
@@ -151,15 +151,12 @@ func (cp *ControlPlane) applyScale(actions []scaleAction, decidedAt time.Time) {
 		}
 		if len(a.kills) > 0 {
 			kills = append(kills, a.kills...)
-			if drained == nil {
-				drained = make(map[string]bool)
-			}
-			drained[a.fn.Name] = true
+			drained = append(drained, a.fn.Name)
 		}
 	}
 	cp.dispatchCreates(staged, decidedAt)
 	cp.dispatchKills(kills)
-	cp.broadcastEndpointsBatch(sortedKeys(drained))
+	cp.broadcastEndpoints(drained...)
 }
 
 // stagedCreate is one placement decision awaiting RPC dispatch: the
@@ -302,8 +299,8 @@ func (cp *ControlPlane) sendCreateBatch(addr string, chunk []*stagedCreate, swee
 	cp.wg.Add(1)
 	go func() {
 		defer cp.wg.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
+		ctx := transport.NewDeadline(context.Background(), 10*time.Second)
+		defer ctx.Stop()
 		if _, err := cp.cfg.Transport.Call(ctx, addr, proto.MethodCreateSandboxBatch, payload); err != nil {
 			for _, sc := range chunk {
 				sc := sc
@@ -352,8 +349,8 @@ func (cp *ControlPlane) sendKillBatch(addr string, ids []core.SandboxID) {
 	cp.wg.Add(1)
 	go func() {
 		defer cp.wg.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
+		ctx := transport.NewDeadline(context.Background(), 5*time.Second)
+		defer ctx.Stop()
 		_, _ = cp.cfg.Transport.Call(ctx, addr, proto.MethodKillSandboxBatch, payload)
 	}()
 }
@@ -403,28 +400,33 @@ func (cp *ControlPlane) failWorker(id core.NodeID) {
 	// so a late heartbeat can revive the node, then gets collected.
 	w.failedAt = cp.clk.Now()
 	w.mu.Unlock()
-	touched := make(map[string]bool)
+	var touched []string
 	cp.forEachShard(func(sh *functionShard) {
 		for name, fs := range sh.fns {
+			drained := false
 			for sid, sb := range fs.sandboxes {
 				if sb.node == id {
 					delete(fs.sandboxes, sid)
-					touched[name] = true
+					drained = true
 				}
+			}
+			if drained {
+				touched = append(touched, name)
 			}
 		}
 	})
 	cp.metrics.Counter("worker_failures_detected").Inc()
-	cp.broadcastEndpointsBatch(sortedKeys(touched))
+	cp.broadcastEndpoints(touched...)
 	// Re-run autoscaling immediately so replacement sandboxes spin up
 	// elsewhere without waiting a full tick.
 	cp.Reconcile()
 }
 
-// liveDataPlanes returns the live data plane replicas — the broadcast
-// fan-out set. Replicas the health monitor has failed are excluded, so a
-// sweep never burns an RPC timeout per dead replica; they rejoin (with a
-// cache re-warm) when their heartbeats resume.
+// liveDataPlanes returns the live data plane replicas — the function
+// metadata fan-out set. Replicas the health monitor has failed are
+// excluded, so a registration never burns an RPC timeout per dead
+// replica; they rejoin (with a cache re-warm) when their heartbeats
+// resume.
 func (cp *ControlPlane) liveDataPlanes() []*dataPlaneState {
 	states := cp.snapshotDataPlanes()
 	live := states[:0]
@@ -446,155 +448,166 @@ func dataPlaneAddr(p *core.DataPlane) string {
 // with the same payload to each replica, one after another so that every
 // replica sees the calls in the order fnMu admits them. A replica whose
 // call fails is marked for a sync on its next heartbeat; one a sync
-// reached is unmarked. Callers hold fnMu.
-func (cp *ControlPlane) sendFunctionMeta(states []*dataPlaneState, method string, payload []byte) {
+// reached is unmarked. It returns the replicas the call reached, in
+// states' storage. Callers hold fnMu.
+func (cp *ControlPlane) sendFunctionMeta(states []*dataPlaneState, method string, payload []byte) []*dataPlaneState {
 	sync := method == proto.MethodSyncFunctions
+	reached := states[:0]
 	for _, st := range states {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		ctx := transport.NewDeadline(context.Background(), 2*time.Second)
 		_, err := cp.cfg.Transport.Call(ctx, st.addr, method, payload)
-		cancel()
+		ctx.Stop()
 		if err != nil || sync {
 			st.mu.Lock()
 			st.needsSync = err != nil
 			st.mu.Unlock()
 		}
+		if err == nil {
+			reached = append(reached, st)
+		}
 	}
+	return reached
 }
 
 // syncFunctions replaces each replica's function set with the full
 // registry, snapshotted and marshaled once for all of them. The snapshot
-// is taken under fnMu, so no delta is half-applied to it.
-func (cp *ControlPlane) syncFunctions(states []*dataPlaneState) {
+// is taken under fnMu, so no delta is half-applied to it. With owe set,
+// each replica the sync reaches is owed every function's endpoints too,
+// as one whose caches may have missed any number of updates is.
+func (cp *ControlPlane) syncFunctions(states []*dataPlaneState, owe bool) {
 	if len(states) == 0 {
 		return
 	}
 	cp.fnMu.Lock()
 	defer cp.fnMu.Unlock()
 	list := proto.FunctionList{Functions: cp.snapshotFunctions()}
-	cp.sendFunctionMeta(states, proto.MethodSyncFunctions, list.Marshal())
+	reached := cp.sendFunctionMeta(states, proto.MethodSyncFunctions, list.Marshal())
+	if !owe || len(reached) == 0 {
+		return
+	}
+	names := make([]string, len(list.Functions))
+	for i := range list.Functions {
+		names[i] = list.Functions[i].Name
+	}
+	for _, st := range reached {
+		cp.oweEndpoints(st, names)
+	}
 }
 
-// sendEndpointsBatchTo warms one data plane's endpoint cache for every
-// listed function in a single coalesced RPC.
-func (cp *ControlPlane) sendEndpointsBatchTo(addr string, functions []string) {
+// broadcastEndpoints owes the current ready-endpoint sets of the listed
+// functions to every live data plane (paper Table 2, "Add/remove LB
+// endpoint"). Each replica's sender (flushEndpoints) delivers them, every
+// update carrying the function's full endpoint list, which makes it
+// idempotent.
+func (cp *ControlPlane) broadcastEndpoints(functions ...string) {
 	if len(functions) == 0 {
 		return
 	}
-	for _, chunk := range cp.endpointBatchChunks(functions) {
-		cp.mEndpointFanout.ObserveMs(float64(chunk.size))
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		_, _ = cp.cfg.Transport.Call(ctx, addr, proto.MethodUpdateEndpointsBatch, chunk.payload)
-		cancel()
+	cp.dpMu.RLock()
+	defer cp.dpMu.RUnlock()
+	for _, st := range cp.dataplanes {
+		cp.oweEndpoints(st, functions)
 	}
 }
 
-// endpointChunk is one marshaled UpdateEndpointsBatch payload and the
-// number of function updates it carries.
-type endpointChunk struct {
-	payload []byte
-	size    int
-}
-
-// endpointBatchChunks builds the coalesced endpoint-update payloads for
-// the listed functions, chunked at maxBatch like the create path so no
-// fan-out ever builds one unbounded message (a data plane
-// warming against a huge function census, say). Functions no longer
-// registered are skipped: an update for one would make each data plane
-// re-create the runtime its RemoveFunction dropped.
-func (cp *ControlPlane) endpointBatchChunks(functions []string) []endpointChunk {
-	var chunks []endpointChunk
-	for len(functions) > 0 {
-		chunk := functions
-		if len(chunk) > maxBatch {
-			chunk = chunk[:maxBatch]
-		}
-		functions = functions[len(chunk):]
-		batch := proto.EndpointUpdateBatch{Updates: make([]proto.EndpointUpdate, 0, len(chunk))}
-		for _, fn := range chunk {
-			if update, ok := cp.endpointUpdate(fn); ok {
-				batch.Updates = append(batch.Updates, update)
-			}
-		}
-		if len(batch.Updates) > 0 {
-			chunks = append(chunks, endpointChunk{payload: batch.Marshal(), size: len(batch.Updates)})
-		}
-	}
-	return chunks
-}
-
-// endpointUpdate builds the versioned ready-endpoint set for one
-// function, reporting false if the function is not registered.
-// Sequencing is per function under its shard lock, so broadcasts for
-// unrelated functions never serialize against each other.
-func (cp *ControlPlane) endpointUpdate(function string) (update proto.EndpointUpdate, ok bool) {
-	update.Function = function
-	ok = cp.withFunction(function, func(fs *functionState) {
-		fs.epSeq++
-		// Leadership epoch in the high bits keeps versions monotonic
-		// across failovers, where per-function sequences restart.
-		update.Version = cp.epoch.Load()<<32 | fs.epSeq
-		for _, sb := range fs.sandboxes {
-			if sb.phase == phaseReady {
-				update.Endpoints = append(update.Endpoints, proto.SandboxInfo{
-					ID:       sb.id,
-					Function: function,
-					Node:     sb.node,
-					Addr:     sb.workerAddr,
-					State:    core.SandboxReady,
-				})
-			}
-		}
-	})
-	return update, ok
-}
-
-// broadcastEndpoints pushes the current ready-endpoint set for a function
-// to all data planes (paper Table 2, "Add/remove LB endpoint"). The update
-// carries the full endpoint list for the function, making it idempotent.
-func (cp *ControlPlane) broadcastEndpoints(function string) {
-	cp.broadcastEndpointsBatch([]string{function})
-}
-
-// broadcastEndpointsBatch pushes the ready-endpoint sets of every listed
-// function to all data planes in one coalesced diff RPC per data plane
-// (the updates for all changed functions share the RPC, its marshaling,
-// and its round trip). Versions are still minted per function under the
-// function's shard lock, so reordering protection stays per function.
-func (cp *ControlPlane) broadcastEndpointsBatch(functions []string) {
+// oweEndpoints adds functions to the set st is owed and starts st's
+// sender unless one is running. A replica the sweep has pruned is owed
+// nothing: its revival owes it every function.
+func (cp *ControlPlane) oweEndpoints(st *dataPlaneState, functions []string) {
 	if len(functions) == 0 {
 		return
 	}
-	live := cp.liveDataPlanes()
-	if len(live) == 0 {
+	st.mu.Lock()
+	if !st.healthy {
+		st.mu.Unlock()
 		return
 	}
-	for _, chunk := range cp.endpointBatchChunks(functions) {
-		for _, st := range live {
-			addr, payload := st.addr, chunk.payload
-			cp.mEndpointFanout.ObserveMs(float64(chunk.size))
-			cp.wg.Add(1)
-			go func() {
-				defer cp.wg.Done()
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				defer cancel()
-				_, _ = cp.cfg.Transport.Call(ctx, addr, proto.MethodUpdateEndpointsBatch, payload)
-			}()
-		}
+	if st.owed == nil {
+		st.owed = make(map[string]struct{}, len(functions))
+	}
+	for _, fn := range functions {
+		st.owed[fn] = struct{}{}
+	}
+	start := !st.flushing
+	st.flushing = true
+	st.mu.Unlock()
+	if start {
+		cp.wg.Add(1)
+		go cp.flushEndpoints(st)
 	}
 }
 
-// sortedKeys returns a set's members in deterministic order, so batched
-// fan-outs and tests see stable update ordering.
-func sortedKeys(set map[string]bool) []string {
-	if len(set) == 0 {
-		return nil
+// flushEndpoints is st's endpoint sender. It drains the functions st is
+// owed in UpdateEndpointsBatch calls of up to maxBatch updates, written
+// at send time from each function's current state, and exits once none
+// is left. Functions marked while a call is in flight wait for the next
+// call and share it; a replica's delivery never waits behind another's.
+// One runs per replica at a time, and it owns st.names and st.buf.
+func (cp *ControlPlane) flushEndpoints(st *dataPlaneState) {
+	defer cp.wg.Done()
+	var w proto.EndpointBatchWriter
+	for {
+		st.mu.Lock()
+		names := st.names[:0]
+		select {
+		case <-cp.stopCh:
+			clear(st.owed)
+		default:
+		}
+		for fn := range st.owed {
+			if len(names) == maxBatch {
+				break
+			}
+			names = append(names, fn)
+			delete(st.owed, fn)
+		}
+		if len(names) == 0 {
+			st.flushing = false
+			st.mu.Unlock()
+			return
+		}
+		st.mu.Unlock()
+		w.Reset(st.buf)
+		for _, fn := range names {
+			cp.writeEndpointUpdate(&w, fn)
+		}
+		clear(names)
+		st.names, st.buf = names, w.Bytes()
+		if w.Updates() == 0 {
+			continue
+		}
+		cp.mEndpointFanout.ObserveMs(float64(w.Updates()))
+		if st.deadline == nil || !st.deadline.Rearm(2*time.Second) {
+			st.deadline = transport.NewDeadline(context.Background(), 2*time.Second)
+		}
+		_, _ = cp.cfg.Transport.Call(st.deadline, st.addr, proto.MethodUpdateEndpointsBatch, st.buf)
+		st.deadline.Stop()
 	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
+}
+
+// writeEndpointUpdate writes function's versioned ready-endpoint set into
+// w, and nothing when the function is not registered: data planes that
+// have dropped it drop an update for it too. Versions are minted per
+// function under its shard lock, so updates for unrelated functions never
+// serialize against each other.
+func (cp *ControlPlane) writeEndpointUpdate(w *proto.EndpointBatchWriter, function string) {
+	sh := cp.shardFor(function)
+	cp.lockShard(sh)
+	defer sh.mu.Unlock()
+	fs := sh.fns[function]
+	if fs == nil {
+		return
 	}
-	sort.Strings(out)
-	return out
+	fs.epSeq++
+	// Leadership epoch in the high bits keeps versions monotonic across
+	// failovers, where per-function sequences restart.
+	w.BeginUpdate(function, cp.epoch.Load()<<32|fs.epSeq)
+	for _, sb := range fs.sandboxes {
+		if sb.phase == phaseReady {
+			w.Endpoint(&proto.SandboxInfo{ID: sb.id, Function: function, Node: sb.node, Addr: sb.workerAddr, State: core.SandboxReady})
+		}
+	}
+	w.EndUpdate()
 }
 
 // FunctionScale reports (ready, creating) sandbox counts for a function,

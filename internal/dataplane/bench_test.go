@@ -22,14 +22,15 @@ func benchRuntime(b *testing.B, nEps int) (*DataPlane, *functionRuntime) {
 	fr := dp.getOrCreate("bench-fn")
 	dp.lockRuntime(fr)
 	fr.fn = core.Function{Name: "bench-fn", Image: "img"}
+	snap := newSnapshot(nEps)
 	for i := 0; i < nEps; i++ {
 		id := core.SandboxID(i + 1)
-		fr.endpoints[id] = &endpointState{
+		snap.states = append(snap.states, &endpointState{
 			info:     proto.SandboxInfo{ID: id, Function: "bench-fn", Addr: "w:9000"},
 			capacity: 1 << 20, // never saturates: isolates the pick cost
-		}
+		})
 	}
-	dp.rebuildSnapshotLocked(fr)
+	dp.publishLocked(fr, snap)
 	fr.mu.Unlock()
 	return dp, fr
 }

@@ -23,9 +23,11 @@
 package dataplane
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,13 +107,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// endpointState is one cached ready sandbox. info and capacity are
-// guarded by the owning runtime's mu and copied into snapshots on
-// rebuild; inFlight is shared with every snapshot referencing this
-// endpoint and is mutated CAS-style by the concurrency throttler.
+// endpointState is one cached ready sandbox. info is immutable once the
+// state is published, so warm picks read it without the runtime's lock;
+// a sandbox whose info changes gets a new state. capacity and seen are
+// guarded by the owning runtime's mu, and capacity is copied into
+// snapshots on rebuild; inFlight is shared with every snapshot
+// referencing this endpoint and is mutated CAS-style by the concurrency
+// throttler.
 type endpointState struct {
 	info     proto.SandboxInfo
 	capacity int
+	// seen is the runtime's epGen of the last update that listed this
+	// sandbox.
+	seen     uint64
 	inFlight atomic.Int64
 }
 
@@ -137,19 +145,23 @@ type functionRuntime struct {
 	mu   sync.Mutex
 
 	// Guarded by mu:
-	fn        core.Function
-	endpoints map[core.SandboxID]*endpointState
-	queue     []*pending
+	fn    core.Function
+	queue []*pending
 	// epVersion is the version of the last applied endpoint update;
 	// broadcasts that arrive out of order are discarded.
 	epVersion uint64
+	// epGen numbers the endpoint updates applied, marking which of the
+	// current endpoints an update lists (endpointState.seen).
+	epGen uint64
 	// dead marks a runtime unpublished from the registry; stragglers
 	// holding a stale pointer must not enqueue into it.
 	dead bool
 
 	// Lock-free:
 	queued atomic.Int32 // len(queue) mirror, read by slot release
-	snap   atomic.Pointer[endpointSnapshot]
+	// snap is the function's endpoint set, published under mu: the only
+	// copy of it, so an empty set holds nothing but emptySnapshot.
+	snap atomic.Pointer[endpointSnapshot]
 	// coldMarked is set while the runtime sits in DataPlane.cold, so it
 	// sits there at most once however long a report takes to leave.
 	coldMarked atomic.Bool
@@ -189,6 +201,15 @@ type DataPlane struct {
 	mUnknownFunction *telemetry.Counter
 	mTimeouts        *telemetry.Counter
 	mEndpointBatches *telemetry.Counter
+	mStaleUpdates    *telemetry.Counter
+	mSnapRebuilds    *telemetry.Counter
+
+	// addrs holds one address string per worker ID for the endpoints
+	// updates add, so the endpoints on one worker share it instead of
+	// each copying it out of its update. An entry is replaced when its
+	// worker's address changes: the table holds one per worker ID.
+	addrMu sync.Mutex
+	addrs  map[core.NodeID]string
 
 	// Scale-from-zero trigger: the runtimes an invocation has just queued
 	// for with no endpoint to wait on, which metricLoop (woken through
@@ -254,6 +275,7 @@ func New(cfg Config) *DataPlane {
 		asyncShards: newAsyncShards(cfg.AsyncFnQuota),
 		leases:      make(map[core.DataPlaneID]*heldLease),
 		leasedKeys:  make(map[string]bool),
+		addrs:       make(map[core.NodeID]string),
 		coldWake:    make(chan struct{}, 1),
 		stopCh:      make(chan struct{}),
 	}
@@ -269,6 +291,8 @@ func New(cfg Config) *DataPlane {
 	dp.mUnknownFunction = dp.metrics.Counter("invocations_unknown_function")
 	dp.mTimeouts = dp.metrics.Counter("invocation_timeouts")
 	dp.mEndpointBatches = dp.metrics.Counter("endpoint_update_batches")
+	dp.mStaleUpdates = dp.metrics.Counter("endpoint_updates_stale")
+	dp.mSnapRebuilds = dp.metrics.Counter("endpoint_snapshot_rebuilds")
 	return dp
 }
 
@@ -276,9 +300,8 @@ func New(cfg Config) *DataPlane {
 // is the caller's job (getOrCreate).
 func (dp *DataPlane) newRuntime(name string) *functionRuntime {
 	fr := &functionRuntime{
-		name:      name,
-		fn:        core.Function{Name: name},
-		endpoints: make(map[core.SandboxID]*endpointState),
+		name: name,
+		fn:   core.Function{Name: name},
 	}
 	fr.snap.Store(emptySnapshot)
 	return fr
@@ -471,8 +494,9 @@ func (dp *DataPlane) upsertFunctions(fns []core.Function) {
 		}
 		fr.fn = f
 		capacity := sandboxCapacity(&f)
+		cur := fr.snap.Load().states
 		changed := false
-		for _, st := range fr.endpoints {
+		for _, st := range cur {
 			if st.capacity != capacity {
 				st.capacity = capacity
 				changed = true
@@ -480,7 +504,9 @@ func (dp *DataPlane) upsertFunctions(fns []core.Function) {
 		}
 		var work []dispatchWork
 		if changed {
-			dp.rebuildSnapshotLocked(fr)
+			snap := newSnapshot(len(cur))
+			snap.states = append(snap.states, cur...)
+			dp.publishLocked(fr, snap)
 			// A raised capacity may free slots for buffered requests.
 			work = dp.pumpLocked(fr)
 		}
@@ -498,55 +524,128 @@ func (dp *DataPlane) handleRemoveFunction(payload []byte) ([]byte, error) {
 	return nil, nil
 }
 
-// handleUpdateEndpointsBatch applies one coalesced CP sweep: the endpoint
-// set of every function whose endpoints changed, in a single RPC, each
-// through its own per-function versioned path.
+// handleUpdateEndpointsBatch applies one coalesced control-plane flush:
+// the endpoint set of every function whose endpoints changed, in a single
+// RPC, each through its own per-function versioned path. The payload is
+// decoded in place and nothing of it is kept, so a batch allocates only
+// for sandboxes new to their function's set.
 func (dp *DataPlane) handleUpdateEndpointsBatch(payload []byte) ([]byte, error) {
-	batch, err := proto.UnmarshalEndpointUpdateBatch(payload)
+	err := proto.VisitEndpointUpdateBatch(payload, func(function []byte, version uint64, endpoints proto.EndpointViews) {
+		dp.applyEndpointUpdate(function, version, endpoints)
+	})
 	if err != nil {
 		return nil, err
 	}
 	dp.mEndpointBatches.Inc()
-	for i := range batch.Updates {
-		dp.applyEndpointUpdate(&batch.Updates[i])
-	}
 	return nil, nil
 }
 
 // applyEndpointUpdate reconciles a function's endpoint cache with the
-// control plane's broadcast, republishes the pick snapshot, then pumps
-// the request queue: newly added sandboxes immediately absorb buffered
-// cold-start invocations.
-func (dp *DataPlane) applyEndpointUpdate(update *proto.EndpointUpdate) {
-	fr := dp.lockLive(update.Function)
+// control plane's update, republishes the pick snapshot if the set
+// changed, then pumps the request queue: newly added sandboxes
+// immediately absorb buffered cold-start invocations. An update for a
+// function this replica does not know is dropped: only AddFunction and
+// SyncFunctions create a runtime, and an update built before a
+// deregistration can arrive after it. The control plane re-sends the
+// endpoints of every function an AddFunction or SyncFunctions delivers.
+func (dp *DataPlane) applyEndpointUpdate(function []byte, version uint64, endpoints proto.EndpointViews) {
+	fr := dp.lockKnown(function)
 	if fr == nil {
 		return
 	}
-	// Broadcasts travel on independent goroutines and can reorder; an
-	// older full-list update must not regress a newer cache.
-	if update.Version != 0 && update.Version <= fr.epVersion {
+	// An older full-list update must not regress a newer cache: a
+	// replica re-registered under a new sender can see two flushes race.
+	if version != 0 && version <= fr.epVersion {
 		fr.mu.Unlock()
-		dp.metrics.Counter("endpoint_updates_stale").Inc()
+		dp.mStaleUpdates.Inc()
 		return
 	}
-	fr.epVersion = update.Version
-	next := make(map[core.SandboxID]*endpointState, len(update.Endpoints))
-	capacity := sandboxCapacity(&fr.fn)
-	for _, info := range update.Endpoints {
-		if prev, ok := fr.endpoints[info.ID]; ok {
-			prev.info = info
-			prev.capacity = capacity
-			next[info.ID] = prev
-		} else {
-			st := &endpointState{info: info, capacity: capacity}
-			next[info.ID] = st
-		}
-	}
-	fr.endpoints = next
-	dp.rebuildSnapshotLocked(fr)
+	fr.epVersion = version
+	dp.setEndpointsLocked(fr, endpoints)
 	work := dp.pumpLocked(fr)
 	fr.mu.Unlock()
 	dp.runDispatches(work)
+}
+
+// setEndpointsLocked makes endpoints fr's endpoint set, as a diff against
+// the current one: a listed sandbox already in the set keeps its state
+// and in-flight count, one new to it gets a state, and a snapshot is
+// published only if the set changed. Emptying the set allocates
+// nothing; adding a sandbox allocates its state and the snapshot. Callers
+// hold fr.mu.
+func (dp *DataPlane) setEndpointsLocked(fr *functionRuntime, endpoints proto.EndpointViews) {
+	cur := fr.snap.Load().states
+	fr.epGen++
+	kept, added := 0, 0
+	scan := endpoints
+	for v, ok := scan.Next(); ok; v, ok = scan.Next() {
+		switch st := findEndpoint(cur, &v); {
+		case st == nil:
+			added++
+		case st.seen != fr.epGen:
+			st.seen = fr.epGen
+			kept++
+		}
+	}
+	switch {
+	case added == 0 && kept == len(cur):
+		return
+	case added == 0 && kept == 0:
+		dp.publishLocked(fr, emptySnapshot)
+		return
+	}
+	snap := newSnapshot(kept + added)
+	for _, st := range cur {
+		if st.seen == fr.epGen {
+			snap.states = append(snap.states, st)
+		}
+	}
+	capacity := sandboxCapacity(&fr.fn)
+	for v, ok := endpoints.Next(); ok; v, ok = endpoints.Next() {
+		if findEndpoint(cur, &v) == nil {
+			snap.states = append(snap.states, &endpointState{
+				info: proto.SandboxInfo{
+					ID:       v.ID,
+					Function: fr.name,
+					Node:     v.Node,
+					Addr:     dp.workerAddr(v.Node, v.Addr),
+					State:    v.State,
+				},
+				capacity: capacity,
+			})
+		}
+	}
+	dp.publishLocked(fr, snap)
+}
+
+// findEndpoint returns the state in states, sorted by sandbox ID, that
+// describes the sandbox v describes, or nil.
+func findEndpoint(states []*endpointState, v *proto.EndpointView) *endpointState {
+	i, ok := slices.BinarySearchFunc(states, v.ID, func(st *endpointState, id core.SandboxID) int {
+		return cmp.Compare(st.info.ID, id)
+	})
+	if !ok {
+		return nil
+	}
+	st := states[i]
+	if st.info.Node != v.Node || st.info.Addr != string(v.Addr) || st.info.State != v.State {
+		return nil
+	}
+	return st
+}
+
+// workerAddr returns addr, the address of worker node, as the string the
+// address table holds for it, copying it out of the payload only when the
+// table has no entry for node or holds another address.
+func (dp *DataPlane) workerAddr(node core.NodeID, addr []byte) string {
+	dp.addrMu.Lock()
+	defer dp.addrMu.Unlock()
+	if s, ok := dp.addrs[node]; ok && s == string(addr) {
+		return s
+	}
+	s := string(addr)
+	dp.addrs[node] = s
+	return s
 }
 
 // sandboxCapacity is the per-sandbox concurrency limit. The paper's

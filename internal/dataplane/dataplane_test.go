@@ -12,6 +12,7 @@ import (
 	"dirigent/internal/clock"
 	"dirigent/internal/core"
 	"dirigent/internal/proto"
+	"dirigent/internal/race"
 	"dirigent/internal/transport"
 )
 
@@ -757,4 +758,75 @@ func TestAsyncRetryBackoffNotStranded(t *testing.T) {
 		dp.metrics.Counter("async_failed").Value(),
 		dp.metrics.Counter("async_backoff").Value(),
 		dp.metrics.Counter("async_requeued").Value())
+}
+
+// TestEndpointUpdateCannotReviveRemovedFunction: an endpoint update built
+// before a deregistration can arrive after the data plane dropped the
+// function; it must leave the function unknown instead of re-creating it.
+func TestEndpointUpdateCannotReviveRemovedFunction(t *testing.T) {
+	tr := transport.NewInProc()
+	startFakeCP(t, tr, "cp")
+	dp := testDP(t, tr)
+	pushFunction(t, tr, dp.Addr(), "f")
+	fn := core.Function{Name: "f", Image: "img", Port: 80, Scaling: core.DefaultScalingConfig()}
+	if _, err := tr.Call(context.Background(), dp.Addr(), proto.MethodRemoveFunction, core.MarshalFunction(&fn)); err != nil {
+		t.Fatal(err)
+	}
+	pushEndpoints(t, tr, dp.Addr(), "f", []core.SandboxID{1}, "w1:9000")
+	if dp.lookup("f") != nil || dp.EndpointCount("f") != 0 {
+		t.Errorf("an endpoint update re-created the removed function with %d endpoints", dp.EndpointCount("f"))
+	}
+	if _, err := invoke(tr, dp.Addr(), "f", []byte("x")); err == nil {
+		t.Errorf("an invocation of the removed function succeeded")
+	}
+}
+
+// TestEndpointUpdateAllocations pins what applying an update costs the
+// heap: removing a function's last sandbox allocates nothing, and adding
+// one to an empty set allocates its endpoint state and the snapshot.
+func TestEndpointUpdateAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const runs = 100
+	dp := New(Config{ID: 1, Addr: "dp0:8000", Transport: transport.NewInProc()})
+	var list proto.FunctionList
+	adds := make([][]byte, runs+1)
+	removes := make([][]byte, runs+1)
+	for i := range adds {
+		name := fmt.Sprintf("fn-%04d", i)
+		list.Functions = append(list.Functions, core.Function{Name: name, Image: "img", Port: 80, Scaling: core.DefaultScalingConfig()})
+		adds[i] = endpointsOf(proto.EndpointUpdate{Function: name, Version: 1, Endpoints: []proto.SandboxInfo{
+			{ID: core.SandboxID(i + 1), Function: name, Node: 1, Addr: "10.0.0.1:9000", State: core.SandboxReady},
+		}})
+		removes[i] = endpointsOf(proto.EndpointUpdate{Function: name, Version: 2})
+	}
+	if _, err := dp.handleAddFunctions(list.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	apply := func(payloads [][]byte) func() {
+		next := 0
+		return func() {
+			if _, err := dp.handleUpdateEndpointsBatch(payloads[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	}
+	add := testing.AllocsPerRun(runs, apply(adds))
+	for i := range adds {
+		if got := dp.EndpointCount(list.Functions[i].Name); got != 1 {
+			t.Fatalf("%s holds %d endpoints after its add, want 1", list.Functions[i].Name, got)
+		}
+	}
+	remove := testing.AllocsPerRun(runs, apply(removes))
+	for i := range removes {
+		if got := dp.EndpointCount(list.Functions[i].Name); got != 0 {
+			t.Fatalf("%s holds %d endpoints after its removal, want 0", list.Functions[i].Name, got)
+		}
+	}
+	t.Logf("%.1f allocations per one-sandbox add, %.1f per removal", add, remove)
+	if add > 2 || remove != 0 {
+		t.Errorf("a one-sandbox add allocates %.1f times and a removal %.1f, want at most 2 and 0", add, remove)
+	}
 }

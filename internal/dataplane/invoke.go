@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -131,7 +132,7 @@ func (dp *DataPlane) invoke(fr *functionRuntime, payload []byte) ([]byte, error)
 	}
 	fr.queue = append(fr.queue, p)
 	fr.queued.Add(1)
-	if len(fr.queue) == 1 && len(fr.endpoints) == 0 {
+	if len(fr.queue) == 1 && len(fr.snap.Load().states) == 0 {
 		// First to wait, and on nothing: tell the control plane now.
 		dp.markCold(fr)
 	}
@@ -174,7 +175,8 @@ func (dp *DataPlane) acquireWarm(fr *functionRuntime) (*endpointState, proto.San
 	if idx < 0 {
 		return nil, proto.SandboxInfo{}, false
 	}
-	return snap.states[idx], snap.infos[idx], true
+	st := snap.states[idx]
+	return st, st.info, true
 }
 
 // tryAcquireSnapshot picks an endpoint from snap and CAS-claims one of
@@ -292,7 +294,8 @@ func (dp *DataPlane) pumpLocked(fr *functionRuntime) []dispatchWork {
 		p := fr.queue[0]
 		fr.queue = fr.queue[1:]
 		fr.queued.Add(-1)
-		work = append(work, dispatchWork{fr: fr, info: snap.infos[idx], st: snap.states[idx], p: p})
+		st := snap.states[idx]
+		work = append(work, dispatchWork{fr: fr, info: st.info, st: st, p: p})
 	}
 	return work
 }
@@ -352,11 +355,15 @@ func isStaleEndpointErr(err error) bool {
 // re-synchronizes the authoritative view.
 func (dp *DataPlane) dropEndpoint(fr *functionRuntime, id core.SandboxID) {
 	dp.lockRuntime(fr)
-	if _, ok := fr.endpoints[id]; ok {
-		delete(fr.endpoints, id)
-		dp.rebuildSnapshotLocked(fr)
+	defer fr.mu.Unlock()
+	cur := fr.snap.Load().states
+	i := slices.IndexFunc(cur, func(st *endpointState) bool { return st.info.ID == id })
+	if i < 0 {
+		return
 	}
-	fr.mu.Unlock()
+	snap := newSnapshot(len(cur) - 1)
+	snap.states = append(append(snap.states, cur[:i]...), cur[i+1:]...)
+	dp.publishLocked(fr, snap)
 }
 
 // requeue puts a pending invocation back at the head of the function's
@@ -657,8 +664,8 @@ func (dp *DataPlane) sendMetrics(report *proto.ScalingMetricReport, fns []*funct
 	if len(report.Metrics) == 0 {
 		return true
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), dp.cfg.MetricInterval*4)
-	defer cancel()
+	ctx := transport.NewDeadline(context.Background(), dp.cfg.MetricInterval*4)
+	defer ctx.Stop()
 	// Best effort: a missed report only delays autoscaling by one period.
 	if _, err := dp.cp.Call(ctx, proto.MethodScalingMetric, report.Marshal()); err != nil {
 		return false

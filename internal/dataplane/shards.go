@@ -1,13 +1,14 @@
 package dataplane
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dirigent/internal/core"
 	"dirigent/internal/loadbalancer"
-	"dirigent/internal/proto"
 )
 
 // registryShards is the number of stripes in the data plane's function
@@ -64,8 +65,8 @@ func (dp *DataPlane) lookupBytes(name []byte) *functionRuntime {
 }
 
 // getOrCreate resolves a function runtime, creating a shell entry when
-// the name is unknown (e.g. an endpoint broadcast racing the function
-// push). The double-checked fast path keeps steady-state resolution
+// the name is unknown. Only a function push (AddFunction, SyncFunctions)
+// creates one. The double-checked fast path keeps steady-state resolution
 // lock-free.
 func (dp *DataPlane) getOrCreate(name string) *functionRuntime {
 	sh := dp.shardFor(name)
@@ -106,6 +107,23 @@ func (dp *DataPlane) lockLive(name string) *functionRuntime {
 	}
 }
 
+// lockKnown is lockLive for a function named by bytes still inside a
+// received payload, which never creates a runtime: it returns nil when the
+// function is unknown.
+func (dp *DataPlane) lockKnown(name []byte) *functionRuntime {
+	for {
+		fr := dp.lookupBytes(name)
+		if fr == nil {
+			return nil
+		}
+		dp.lockRuntime(fr)
+		if !fr.dead {
+			return fr
+		}
+		fr.mu.Unlock()
+	}
+}
+
 // removeFunction unpublishes a runtime from the registry and fails its
 // queued invocations. Safe to call for unknown names.
 func (dp *DataPlane) removeFunction(name string) {
@@ -134,7 +152,6 @@ func (dp *DataPlane) removeFunction(name string) {
 	// Stragglers holding the stale runtime pointer must stop routing to
 	// its endpoints: clear the snapshot so their warm picks miss and
 	// their cold-path enqueue sees dead.
-	fr.endpoints = make(map[core.SandboxID]*endpointState)
 	fr.snap.Store(emptySnapshot)
 	fr.mu.Unlock()
 	for _, p := range queue {
@@ -157,41 +174,54 @@ func (dp *DataPlane) lockRuntime(fr *functionRuntime) {
 }
 
 // endpointSnapshot is an immutable view of a function's ready endpoints,
-// rebuilt under fr.mu whenever the endpoint set (or per-endpoint
-// capacity) changes and published through fr.snap. Warm-start picks and
-// metric reports read it without locking and without building a
+// sorted by sandbox ID, rebuilt under fr.mu whenever the endpoint set (or
+// per-endpoint capacity) changes and published through fr.snap. Warm-start
+// picks and metric reports read it without locking and without building a
 // candidate slice per invocation; only the shared in-flight counters
-// behind eps[i].InFlight mutate after publication.
+// behind eps[i].InFlight mutate after publication. eps[i] and states[i]
+// are the same sandbox.
 type endpointSnapshot struct {
 	eps    []loadbalancer.SnapshotEndpoint
-	infos  []proto.SandboxInfo
 	states []*endpointState
+	// oneEp and oneSt back eps and states when the set has one sandbox,
+	// the common case, whose snapshot is then a single allocation.
+	oneEp [1]loadbalancer.SnapshotEndpoint
+	oneSt [1]*endpointState
 }
 
 var emptySnapshot = &endpointSnapshot{}
 
-// rebuildSnapshotLocked recomputes and publishes fr's endpoint snapshot.
-// Callers hold fr.mu.
-func (dp *DataPlane) rebuildSnapshotLocked(fr *functionRuntime) {
-	if len(fr.endpoints) == 0 {
+// newSnapshot returns a snapshot with room for n endpoints, to be filled
+// through its states and published by publishLocked.
+func newSnapshot(n int) *endpointSnapshot {
+	s := &endpointSnapshot{}
+	if n == 1 {
+		s.eps, s.states = s.oneEp[:0], s.oneSt[:0]
+	} else {
+		s.eps = make([]loadbalancer.SnapshotEndpoint, 0, n)
+		s.states = make([]*endpointState, 0, n)
+	}
+	return s
+}
+
+// publishLocked sorts snap's states by sandbox ID, keeps one state per
+// sandbox, derives eps from them and publishes the snapshot as fr's
+// endpoint set: emptySnapshot if no state is left. Callers hold fr.mu.
+func (dp *DataPlane) publishLocked(fr *functionRuntime, snap *endpointSnapshot) {
+	dp.mSnapRebuilds.Inc()
+	if len(snap.states) == 0 {
 		fr.snap.Store(emptySnapshot)
 		return
 	}
-	snap := &endpointSnapshot{
-		eps:    make([]loadbalancer.SnapshotEndpoint, 0, len(fr.endpoints)),
-		infos:  make([]proto.SandboxInfo, 0, len(fr.endpoints)),
-		states: make([]*endpointState, 0, len(fr.endpoints)),
-	}
-	for _, st := range fr.endpoints {
+	slices.SortFunc(snap.states, func(a, b *endpointState) int { return cmp.Compare(a.info.ID, b.info.ID) })
+	snap.states = slices.CompactFunc(snap.states, func(a, b *endpointState) bool { return a.info.ID == b.info.ID })
+	for _, st := range snap.states {
 		snap.eps = append(snap.eps, loadbalancer.SnapshotEndpoint{
 			SandboxID: st.info.ID,
 			Addr:      st.info.Addr,
 			InFlight:  &st.inFlight,
 			Capacity:  st.capacity,
 		})
-		snap.infos = append(snap.infos, st.info)
-		snap.states = append(snap.states, st)
 	}
 	fr.snap.Store(snap)
-	dp.metrics.Counter("endpoint_snapshot_rebuilds").Inc()
 }

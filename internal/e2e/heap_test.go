@@ -25,17 +25,17 @@ import (
 // may leave on the heap of a cluster that has reached its steady state.
 const maxHeapBytesPerColdStart = 32
 
+// maxAllocsPerColdStart is what one cold start → scale-to-zero cycle may
+// allocate, every tier and the harness's own invocation and polling
+// included. Before the per-replica endpoint sender and the in-place
+// endpoint codec it read 91–94; with them, 50–54.
+const maxAllocsPerColdStart = 75
+
 // TestColdStartHeapIsFlat is the heap gate: a singleton cluster (one
 // control plane, data plane, worker and front end) runs heapWarmRounds
 // rounds of cold starts, each followed by scale to zero, and then 8 times
 // as many more; the live heap after the second batch may exceed the one
 // after the first by less than maxHeapBytesPerColdStart per cycle.
-//
-// The control plane runs on a virtual clock, so the autoscaler's windows
-// pass by advancing it and each scale to zero is one explicit Reconcile;
-// the other tiers run on the wall clock, with loop periods short enough
-// (data plane reports) or long enough (heartbeats, failure detectors) not
-// to matter.
 //
 // What the cold path keys by function, sandbox, worker or data plane, and
 // the event that removes each entry:
@@ -48,17 +48,22 @@ const maxHeapBytesPerColdStart = 32
 //     plane fails or deregisters;
 //   - the scaler's samples: a fixed ring of buckets;
 //   - the worker shards' workers (by worker): dead-worker GC;
-//   - every registry histogram: fixed-size buckets.
+//   - every registry histogram: fixed-size buckets;
+//   - each data plane's owed set (by function): emptied by its sender,
+//     dropped when the sweep prunes the replica; the sender's batch names
+//     and payload buffer are capped at maxBatch updates.
 //
 // Data plane:
 //   - the function registry (by function), with each function's queue and
 //     endpoints: deregistration; an endpoint (by sandbox) leaves with the
-//     control plane's removal update, and the queue drains as sandboxes
-//     come up;
+//     control plane's removal update, and an empty endpoint set holds only
+//     the shared empty snapshot; the queue drains as sandboxes come up;
+//   - the worker address table (by worker): an entry is replaced when its
+//     worker's address changes, so it holds one per worker ID;
 //   - the cold-mark list: emptied by every cold report.
 //
 // Worker:
-//   - functions and the ready map (by sandbox): killSandbox;
+//   - functions and the ready table (by sandbox): killSandbox;
 //   - queued ready events: emptied by the flusher;
 //   - pre-warm pools, pending counts and targets (by image).
 //
@@ -73,11 +78,77 @@ func TestColdStartHeapIsFlat(t *testing.T) {
 		t.Skip("the race detector changes heap sizes")
 	}
 	const (
-		functions       = 256
 		heapWarmRounds  = 4
 		heapGrowthRound = 8 * heapWarmRounds
-		window          = 200 * time.Millisecond
 	)
+	round := startColdCycles(t)
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	for i := 0; i < heapWarmRounds; i++ {
+		round()
+	}
+	before := liveHeap()
+	for i := 0; i < heapGrowthRound; i++ {
+		round()
+	}
+	after := liveHeap()
+	cycles := heapGrowthRound * coldCycleFunctions
+	perCycle := (float64(after) - float64(before)) / float64(cycles)
+	t.Logf("live heap %d → %d B over %d cold starts: %.1f B each", before, after, cycles, perCycle)
+	if perCycle >= maxHeapBytesPerColdStart {
+		t.Errorf("the live heap grows %.1f B per cold start, want under %d", perCycle, maxHeapBytesPerColdStart)
+	}
+}
+
+// TestColdStartAllocations is the cold path's allocation gate, on
+// TestColdStartHeapIsFlat's cluster: the heap allocations of one cold
+// start → scale-to-zero cycle, counted over whole rounds.
+func TestColdStartAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const warmRounds, rounds = 2, 8
+	round := startColdCycles(t)
+	for i := 0; i < warmRounds; i++ {
+		round()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	cycles := rounds * coldCycleFunctions
+	perCycle := float64(after.Mallocs-before.Mallocs) / float64(cycles)
+	t.Logf("%.1f allocations per cold start over %d cold starts", perCycle, cycles)
+	if perCycle > maxAllocsPerColdStart {
+		t.Errorf("a cold start allocates %.1f times, want at most %d", perCycle, maxAllocsPerColdStart)
+	}
+}
+
+// coldCycleFunctions is how many functions, hence cold starts, one round
+// of startColdCycles has.
+const coldCycleFunctions = 256
+
+// startColdCycles starts a singleton cluster (one control plane, data
+// plane, worker and front end) with coldCycleFunctions functions at zero,
+// and returns a round: a cold start of every function, then scale to zero
+// on every tier.
+//
+// The control plane runs on a virtual clock, so the autoscaler's windows
+// pass by advancing it and each scale to zero is one explicit Reconcile;
+// the other tiers run on the wall clock, with loop periods short enough
+// (data plane reports) or long enough (heartbeats, failure detectors) not
+// to matter.
+func startColdCycles(t *testing.T) (round func()) {
+	t.Helper()
+	const window = 200 * time.Millisecond
 	vclk := clock.NewVirtual(time.Unix(1_000_000, 0))
 	tr := transport.NewInProc()
 	const cpAddr, dpAddr, wAddr = "cp:7000", "dp:8000", "10.9.0.1:9000"
@@ -94,7 +165,7 @@ func TestColdStartHeapIsFlat(t *testing.T) {
 	if err := cp.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer cp.Stop()
+	t.Cleanup(cp.Stop)
 	dp := dataplane.New(dataplane.Config{
 		ID:                1,
 		Addr:              dpAddr,
@@ -107,7 +178,7 @@ func TestColdStartHeapIsFlat(t *testing.T) {
 	if err := dp.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer dp.Stop()
+	t.Cleanup(dp.Stop)
 	cache := sandbox.NewImageCache()
 	cache.Prefetch("img")
 	images := worker.NewImageRegistry()
@@ -125,12 +196,12 @@ func TestColdStartHeapIsFlat(t *testing.T) {
 	if err := w.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer w.Stop()
+	t.Cleanup(w.Stop)
 	lb := frontend.New(frontend.Config{Transport: tr, DataPlanes: []string{dpAddr}})
 
-	names := make([]string, functions)
+	names := make([]string, coldCycleFunctions)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
+	t.Cleanup(cancel)
 	for i := range names {
 		names[i] = fmt.Sprintf("fn-%04d", i)
 		fn := core.Function{Name: names[i], Image: "img", Port: 80, Scaling: core.DefaultScalingConfig()}
@@ -140,10 +211,10 @@ func TestColdStartHeapIsFlat(t *testing.T) {
 		}
 	}
 
-	round := func() {
+	return func() {
 		// Every function is at zero, so each invocation is a cold start.
 		var wg sync.WaitGroup
-		errs := make(chan error, functions)
+		errs := make(chan error, len(names))
 		for _, name := range names {
 			wg.Add(1)
 			go func(name string) {
@@ -178,28 +249,6 @@ func TestColdStartHeapIsFlat(t *testing.T) {
 				t.Fatalf("scale to zero did not finish: %d sandboxes left on the worker", w.SandboxCount())
 			}
 		}
-	}
-	liveHeap := func() uint64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-
-	for i := 0; i < heapWarmRounds; i++ {
-		round()
-	}
-	before := liveHeap()
-	for i := 0; i < heapGrowthRound; i++ {
-		round()
-	}
-	after := liveHeap()
-	cycles := heapGrowthRound * functions
-	perCycle := (float64(after) - float64(before)) / float64(cycles)
-	t.Logf("live heap %d → %d B over %d cold starts: %.1f B each", before, after, cycles, perCycle)
-	if perCycle >= maxHeapBytesPerColdStart {
-		t.Errorf("the live heap grows %.1f B per cold start, want under %d", perCycle, maxHeapBytesPerColdStart)
 	}
 }
 

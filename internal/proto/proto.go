@@ -269,13 +269,32 @@ func (m *SandboxInfo) encode(e *codec.Encoder) {
 }
 
 func decodeSandboxInfo(d *codec.Decoder) SandboxInfo {
-	var m SandboxInfo
-	m.ID = core.SandboxID(d.U64())
-	m.Function = d.String()
-	m.Node = core.NodeID(d.U16())
-	m.Addr = d.String()
-	m.State = core.SandboxState(d.U8())
-	return m
+	return decodeEndpointView(d).info()
+}
+
+// EndpointView is one SandboxInfo decoded in place: Function and Addr
+// alias the payload and are valid only while the payload is.
+type EndpointView struct {
+	ID       core.SandboxID
+	Function []byte
+	Node     core.NodeID
+	Addr     []byte
+	State    core.SandboxState
+}
+
+func decodeEndpointView(d *codec.Decoder) EndpointView {
+	var v EndpointView
+	v.ID = core.SandboxID(d.U64())
+	v.Function = d.StringBytes()
+	v.Node = core.NodeID(d.U16())
+	v.Addr = d.StringBytes()
+	v.State = core.SandboxState(d.U8())
+	return v
+}
+
+// info copies the view out of the payload.
+func (v EndpointView) info() SandboxInfo {
+	return SandboxInfo{ID: v.ID, Function: string(v.Function), Node: v.Node, Addr: string(v.Addr), State: v.State}
 }
 
 // SandboxList is a list of sandboxes: the ListSandboxes response and the
@@ -316,29 +335,25 @@ type EndpointUpdate struct {
 	Endpoints []SandboxInfo
 }
 
-// Marshal encodes the update.
+// Marshal encodes the update: the body of a batch of one, without the
+// batch's update count and the update's length prefix.
 func (m *EndpointUpdate) Marshal() []byte {
-	e := codec.NewEncoder(40 + 48*len(m.Endpoints))
-	e.String(m.Function)
-	e.U64(m.Version)
-	e.U32(uint32(len(m.Endpoints)))
-	for i := range m.Endpoints {
-		m.Endpoints[i].encode(e)
-	}
-	return e.Bytes()
+	var w EndpointBatchWriter
+	w.Reset(make([]byte, 0, 48+48*len(m.Endpoints)))
+	w.add(m)
+	return w.Bytes()[8:]
 }
 
 // UnmarshalEndpointUpdate decodes an EndpointUpdate.
 func UnmarshalEndpointUpdate(b []byte) (*EndpointUpdate, error) {
-	d := codec.NewDecoder(b)
-	m := &EndpointUpdate{}
-	m.Function = d.String()
-	m.Version = d.U64()
-	n := int(d.U32())
-	for i := 0; i < n && d.Err() == nil; i++ {
-		m.Endpoints = append(m.Endpoints, decodeSandboxInfo(d))
+	if err := walkEndpointUpdate(b, nil); err != nil {
+		return nil, wrap(err, "EndpointUpdate")
 	}
-	return m, wrap(d.Err(), "EndpointUpdate")
+	m := &EndpointUpdate{}
+	_ = walkEndpointUpdate(b, func(function []byte, version uint64, endpoints EndpointViews) {
+		*m = endpointUpdateOf(function, version, endpoints)
+	})
+	return m, nil
 }
 
 // EndpointUpdateBatch carries one endpoint diff per changed function,
@@ -350,31 +365,161 @@ type EndpointUpdateBatch struct {
 
 // Marshal encodes the batch.
 func (m *EndpointUpdateBatch) Marshal() []byte {
-	e := codec.NewEncoder(16 + 96*len(m.Updates))
-	e.U32(uint32(len(m.Updates)))
+	var w EndpointBatchWriter
+	w.Reset(make([]byte, 0, 16+96*len(m.Updates)))
 	for i := range m.Updates {
-		e.RawBytes(m.Updates[i].Marshal())
+		w.add(&m.Updates[i])
 	}
-	return e.Bytes()
+	return w.Bytes()
 }
 
 // UnmarshalEndpointUpdateBatch decodes an EndpointUpdateBatch.
 func UnmarshalEndpointUpdateBatch(b []byte) (*EndpointUpdateBatch, error) {
+	m := &EndpointUpdateBatch{}
+	err := VisitEndpointUpdateBatch(b, func(function []byte, version uint64, endpoints EndpointViews) {
+		m.Updates = append(m.Updates, endpointUpdateOf(function, version, endpoints))
+	})
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+func endpointUpdateOf(function []byte, version uint64, endpoints EndpointViews) EndpointUpdate {
+	m := EndpointUpdate{Function: string(function), Version: version}
+	if endpoints.Len() > 0 {
+		m.Endpoints = make([]SandboxInfo, 0, endpoints.Len())
+	}
+	for v, ok := endpoints.Next(); ok; v, ok = endpoints.Next() {
+		m.Endpoints = append(m.Endpoints, v.info())
+	}
+	return m
+}
+
+// EndpointBatchWriter appends an EndpointUpdateBatch to a buffer its
+// caller owns, one update at a time, and writes exactly the bytes
+// EndpointUpdateBatch.Marshal does. The batch's update count and each
+// update's length prefix and endpoint count are written in place once
+// known, so no update is built, or marshaled, on its own first. Open an
+// update with BeginUpdate, add its endpoints with Endpoint, and close it
+// with EndUpdate before the next one or Bytes.
+type EndpointBatchWriter struct {
+	e       codec.Encoder
+	updates uint32
+	start   int // offset of the open update's length prefix
+	count   int // offset of the open update's endpoint count
+	eps     uint32
+}
+
+// Reset starts an empty batch in buf[:0].
+func (w *EndpointBatchWriter) Reset(buf []byte) {
+	w.e.Reset(buf)
+	w.e.U32(0)
+	w.updates = 0
+}
+
+// BeginUpdate opens the update of function at version.
+func (w *EndpointBatchWriter) BeginUpdate(function string, version uint64) {
+	w.start = w.e.Len()
+	w.e.U32(0)
+	w.e.String(function)
+	w.e.U64(version)
+	w.count = w.e.Len()
+	w.e.U32(0)
+	w.eps = 0
+}
+
+// Endpoint adds one endpoint to the open update.
+func (w *EndpointBatchWriter) Endpoint(info *SandboxInfo) {
+	info.encode(&w.e)
+	w.eps++
+}
+
+// EndUpdate closes the open update.
+func (w *EndpointBatchWriter) EndUpdate() {
+	w.e.PutU32At(w.count, w.eps)
+	w.e.PutU32At(w.start, uint32(w.e.Len()-w.start-4))
+	w.updates++
+	w.e.PutU32At(0, w.updates)
+}
+
+// Updates reports how many updates the batch holds.
+func (w *EndpointBatchWriter) Updates() int { return int(w.updates) }
+
+// Bytes returns the batch, which aliases the buffer given to Reset.
+func (w *EndpointBatchWriter) Bytes() []byte { return w.e.Bytes() }
+
+func (w *EndpointBatchWriter) add(m *EndpointUpdate) {
+	w.BeginUpdate(m.Function, m.Version)
+	for i := range m.Endpoints {
+		w.Endpoint(&m.Endpoints[i])
+	}
+	w.EndUpdate()
+}
+
+// EndpointViews iterates one update's endpoints in place.
+type EndpointViews struct {
+	d codec.Decoder
+	n int
+}
+
+// Len reports how many endpoints Next has yet to return.
+func (v *EndpointViews) Len() int { return v.n }
+
+// Next returns the next endpoint, or false after the last.
+func (v *EndpointViews) Next() (EndpointView, bool) {
+	if v.n == 0 {
+		return EndpointView{}, false
+	}
+	v.n--
+	return decodeEndpointView(&v.d), true
+}
+
+// VisitEndpointUpdateBatch decodes a marshaled EndpointUpdateBatch in
+// place, calling visit once per update with its function, version and
+// endpoints. function and the endpoints' byte fields alias b and are
+// valid only during the call, so a receiver that keeps no copy of them
+// decodes a batch without allocating. The framing of the whole payload is
+// checked before the first call, and a payload with bytes left over is
+// refused: a malformed batch is refused whole.
+func VisitEndpointUpdateBatch(b []byte, visit func(function []byte, version uint64, endpoints EndpointViews)) error {
+	if err := walkEndpointUpdateBatch(b, nil); err != nil {
+		return err
+	}
+	return walkEndpointUpdateBatch(b, visit)
+}
+
+// walkEndpointUpdateBatch checks the batch's framing when visit is nil
+// and visits every update of a checked batch otherwise.
+func walkEndpointUpdateBatch(b []byte, visit func(function []byte, version uint64, endpoints EndpointViews)) error {
 	d := codec.NewDecoder(b)
 	n := int(d.U32())
-	m := &EndpointUpdateBatch{}
 	for i := 0; i < n && d.Err() == nil; i++ {
-		ub := d.RawBytes()
+		body := d.RawBytes()
 		if d.Err() != nil {
 			break
 		}
-		up, err := UnmarshalEndpointUpdate(ub)
-		if err != nil {
-			return nil, wrap(err, "EndpointUpdateBatch")
+		if err := walkEndpointUpdate(body, visit); err != nil {
+			return wrap(err, "EndpointUpdateBatch")
 		}
-		m.Updates = append(m.Updates, *up)
 	}
-	return m, wrap(d.Err(), "EndpointUpdateBatch")
+	return wrap(d.End(), "EndpointUpdateBatch")
+}
+
+// walkEndpointUpdate is walkEndpointUpdateBatch for one update's body.
+func walkEndpointUpdate(b []byte, visit func(function []byte, version uint64, endpoints EndpointViews)) error {
+	d := codec.NewDecoder(b)
+	function, version := d.StringBytes(), d.U64()
+	endpoints := EndpointViews{n: int(d.U32())}
+	endpoints.d = *d
+	if visit != nil {
+		visit(function, version, endpoints)
+		return nil
+	}
+	for i := 0; i < endpoints.n && d.Err() == nil; i++ {
+		decodeEndpointView(d)
+	}
+	return d.End()
 }
 
 // ScalingMetricReport batches per-function scaling metrics from a DP.

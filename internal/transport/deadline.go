@@ -72,6 +72,21 @@ func (d *Deadline) Stop() {
 	d.mu.Unlock()
 }
 
+// Rearm makes a stopped d expire timeout from now, as a new Deadline over
+// the same parent would, so a caller that makes one call after another
+// needs one Deadline rather than one per call. It refuses, and d stays
+// stopped, once Done has been called: the timer Done armed may still
+// fire, so the caller needs a new Deadline.
+func (d *Deadline) Rearm(timeout time.Duration) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.done != nil {
+		return false
+	}
+	d.deadline, d.err = time.Now().Add(timeout), nil
+	return true
+}
+
 func (d *Deadline) fire() {
 	d.mu.Lock()
 	d.finishLocked(context.DeadlineExceeded)

@@ -97,6 +97,38 @@ func TestDeadlineStop(t *testing.T) {
 	}
 }
 
+// TestDeadlineRearm: a stopped Deadline whose Done was never built runs
+// again as a new one would, expired or not; one whose Done was built
+// refuses, because its timer may still fire.
+func TestDeadlineRearm(t *testing.T) {
+	d := NewDeadline(context.Background(), 0)
+	_ = d.Err()
+	d.Stop()
+	if !d.Rearm(time.Hour) {
+		t.Fatal("Rearm refused a Deadline whose Done was never built")
+	}
+	if at, _ := d.Deadline(); at.Sub(time.Now()) < 59*time.Minute {
+		t.Errorf("rearmed Deadline() = %v, want about an hour from now", at)
+	}
+	if err := d.Err(); err != nil {
+		t.Errorf("Err after Rearm = %v, want nil", err)
+	}
+	d.Stop()
+	if err := d.Err(); !errors.Is(err, context.Canceled) {
+		t.Errorf("Err after the second Stop = %v, want Canceled", err)
+	}
+
+	armed := NewDeadline(context.Background(), time.Hour)
+	_ = armed.Done()
+	armed.Stop()
+	if armed.Rearm(time.Hour) {
+		t.Error("Rearm accepted a Deadline whose Done was built")
+	}
+	if err := armed.Err(); !errors.Is(err, context.Canceled) {
+		t.Errorf("Err after a refused Rearm = %v, want Canceled", err)
+	}
+}
+
 // TestDeadlineValue: values come from the parent.
 func TestDeadlineValue(t *testing.T) {
 	type key struct{}

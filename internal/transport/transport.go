@@ -18,8 +18,10 @@ import (
 
 // HandlerFunc serves one RPC: it receives the method name and request
 // payload and returns the response payload. The payload belongs to the
-// call and no transport reuses it, which is what lets the invoke decoders
-// hand out sub-slices of it instead of copies.
+// call: it stays valid and unchanged until the handler returns, which is
+// what lets the decoders hand out sub-slices of it instead of copies, and
+// a handler copies whatever part of it it keeps past that. The caller
+// owns the buffer it passed to Call and may reuse it once Call returns.
 type HandlerFunc func(method string, payload []byte) ([]byte, error)
 
 // Transport abstracts an RPC fabric addressed by opaque string addresses.

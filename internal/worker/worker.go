@@ -161,12 +161,12 @@ type Worker struct {
 	metrics  *telemetry.Registry
 
 	// mu guards registry mutations and resource accounting. The
-	// invocation dispatch path never takes it: the ready map is
-	// published copy-on-write through ready, mirroring the data plane's
-	// endpoint snapshots, and per-sandbox in-flight counts are atomics
-	// on the readySandbox itself.
+	// invocation dispatch path never takes it: ready, the dispatch table,
+	// is written under mu and read lock-free, and per-sandbox in-flight
+	// counts are atomics on the readySandbox itself. functions has the
+	// table's keys.
 	mu        sync.Mutex
-	ready     atomic.Pointer[map[core.SandboxID]*readySandbox]
+	ready     readyTable
 	creating  int
 	allocCPU  int
 	allocMem  int
@@ -238,22 +238,71 @@ type readySandbox struct {
 	inFlight atomic.Int64
 }
 
-// readyMap returns the current copy-on-write sandbox dispatch map.
-// The map is immutable after publication; never mutate it.
-func (w *Worker) readyMap() map[core.SandboxID]*readySandbox {
-	return *w.ready.Load()
+// readyStripes is how many stripes the dispatch table has: a create or a
+// kill copies one stripe, about 1/readyStripes of the worker's sandboxes,
+// where copying the whole table made each cost grow with the worker.
+const readyStripes = 32
+
+// readyTable is the worker's sandbox dispatch table, striped copy-on-write
+// like the data plane's function registry: each stripe is an immutable
+// map, published through an atomic pointer (nil when empty) and replaced
+// under Worker.mu. A lookup is one atomic load and a map read, with no
+// lock and no allocation.
+type readyTable [readyStripes]atomic.Pointer[map[core.SandboxID]*readySandbox]
+
+// get looks a sandbox up.
+func (t *readyTable) get(id core.SandboxID) (*readySandbox, bool) {
+	m := t[id%readyStripes].Load()
+	if m == nil {
+		return nil, false
+	}
+	rs, ok := (*m)[id]
+	return rs, ok
 }
 
-// publishReadyLocked copies the dispatch map, applies mutate, and
-// publishes the successor. Callers hold w.mu.
-func (w *Worker) publishReadyLocked(mutate func(m map[core.SandboxID]*readySandbox)) {
-	cur := w.readyMap()
+// publishLocked replaces id's stripe with a copy that maps id to rs, or
+// that lacks id when rs is nil. Callers hold Worker.mu.
+func (t *readyTable) publishLocked(id core.SandboxID, rs *readySandbox) {
+	stripe := &t[id%readyStripes]
+	var cur map[core.SandboxID]*readySandbox
+	if m := stripe.Load(); m != nil {
+		cur = *m
+	}
+	if _, held := cur[id]; rs == nil && held && len(cur) == 1 {
+		stripe.Store(nil)
+		return
+	}
 	next := make(map[core.SandboxID]*readySandbox, len(cur)+1)
 	for k, v := range cur {
-		next[k] = v
+		if k != id {
+			next[k] = v
+		}
 	}
-	mutate(next)
-	w.ready.Store(&next)
+	if rs != nil {
+		next[id] = rs
+	}
+	stripe.Store(&next)
+}
+
+// each calls fn for every sandbox in the table.
+func (t *readyTable) each(fn func(id core.SandboxID, rs *readySandbox)) {
+	for i := range t {
+		if m := t[i].Load(); m != nil {
+			for id, rs := range *m {
+				fn(id, rs)
+			}
+		}
+	}
+}
+
+// removeReadyLocked takes sandbox id out of the dispatch table, returning
+// what it held. Callers hold w.mu.
+func (w *Worker) removeReadyLocked(id core.SandboxID) (*readySandbox, bool) {
+	rs, ok := w.ready.get(id)
+	if ok {
+		w.ready.publishLocked(id, nil)
+	}
+	return rs, ok
 }
 
 // New creates a worker daemon (call Start to register and serve).
@@ -297,8 +346,6 @@ func New(cfg Config) *Worker {
 		w.live = relay.NewClient(cfg.Transport, cfg.Relays, cfg.ControlPlanes)
 		w.live.Fallbacks = cfg.Metrics.Counter("relay_fallbacks")
 	}
-	empty := make(map[core.SandboxID]*readySandbox)
-	w.ready.Store(&empty)
 	w.mInvocations = w.metrics.Counter("invocations")
 	w.mPrewarmHits = w.metrics.Counter("prewarm_hits")
 	w.mPrewarmMisses = w.metrics.Counter("prewarm_misses")
@@ -399,17 +446,18 @@ func (w *Worker) Metrics() *telemetry.Registry { return w.metrics }
 
 // SandboxCount returns the number of ready sandboxes.
 func (w *Worker) SandboxCount() int {
-	return len(w.readyMap())
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.functions)
 }
 
 // ReadySandboxIDs returns the IDs of all ready sandboxes, used by tests
 // and failure-injection harnesses.
 func (w *Worker) ReadySandboxIDs() []core.SandboxID {
-	m := w.readyMap()
-	ids := make([]core.SandboxID, 0, len(m))
-	for id := range m {
+	ids := make([]core.SandboxID, 0, w.SandboxCount())
+	w.ready.each(func(id core.SandboxID, _ *readySandbox) {
 		ids = append(ids, id)
-	}
+	})
 	return ids
 }
 
@@ -418,9 +466,9 @@ func (w *Worker) ReadySandboxIDs() []core.SandboxID {
 // Used by tests and load-inspection harnesses.
 func (w *Worker) InFlight() int64 {
 	var total int64
-	for _, rs := range w.readyMap() {
+	w.ready.each(func(_ core.SandboxID, rs *readySandbox) {
 		total += rs.inFlight.Load()
-	}
+	})
 	return total
 }
 
@@ -451,7 +499,7 @@ func (w *Worker) utilization() core.NodeUtilization {
 		Node:          w.cfg.Node.ID,
 		CPUMilliUsed:  w.allocCPU,
 		MemoryMBUsed:  w.allocMem,
-		SandboxCount:  len(w.readyMap()),
+		SandboxCount:  len(w.functions),
 		CreationQueue: w.creating,
 		CacheDigest:   digest,
 	}
@@ -632,9 +680,7 @@ func (w *Worker) doCreate(req *proto.CreateSandboxRequest) {
 			handler: w.cfg.Images.Lookup(req.Function.Image, req.Function.Name),
 			rtID:    inst.ID,
 		}
-		w.publishReadyLocked(func(m map[core.SandboxID]*readySandbox) {
-			m[req.SandboxID] = rs
-		})
+		w.ready.publishLocked(req.SandboxID, rs)
 		w.functions[req.SandboxID] = req.Function
 		w.mu.Unlock()
 		w.mPrewarmHits.Inc()
@@ -685,9 +731,7 @@ func (w *Worker) doCreate(req *proto.CreateSandboxRequest) {
 		handler: w.cfg.Images.Lookup(req.Function.Image, req.Function.Name),
 		rtID:    inst.ID,
 	}
-	w.publishReadyLocked(func(m map[core.SandboxID]*readySandbox) {
-		m[inst.ID] = rs
-	})
+	w.ready.publishLocked(inst.ID, rs)
 	w.functions[inst.ID] = req.Function
 	w.mu.Unlock()
 	w.mCreated.Inc()
@@ -764,9 +808,9 @@ func (w *Worker) flushReadyLoop() {
 		w.readyEvMu.Unlock()
 		w.mReadyBatch.ObserveMs(float64(len(evs)))
 		batch := proto.SandboxEventBatch{Events: evs}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		ctx := transport.NewDeadline(context.Background(), 5*time.Second)
 		_, _ = w.cp.Call(ctx, proto.MethodSandboxReadyBatch, batch.Marshal())
-		cancel()
+		ctx.Stop()
 	}
 }
 
@@ -1132,12 +1176,9 @@ func (w *Worker) releaseResources(f *core.Function) {
 
 func (w *Worker) killSandbox(id core.SandboxID) error {
 	w.mu.Lock()
-	rs, ok := w.readyMap()[id]
+	rs, ok := w.removeReadyLocked(id)
 	var fn core.Function
 	if ok {
-		w.publishReadyLocked(func(m map[core.SandboxID]*readySandbox) {
-			delete(m, id)
-		})
 		fn = w.functions[id]
 		delete(w.functions, id)
 	}
@@ -1170,7 +1211,7 @@ func (w *Worker) dropQueuedReady(id core.SandboxID) {
 
 func (w *Worker) listSandboxes() *proto.SandboxList {
 	list := &proto.SandboxList{}
-	for id, rs := range w.readyMap() {
+	w.ready.each(func(id core.SandboxID, rs *readySandbox) {
 		list.Sandboxes = append(list.Sandboxes, proto.SandboxInfo{
 			ID:       id,
 			Function: rs.inst.Function,
@@ -1178,7 +1219,7 @@ func (w *Worker) listSandboxes() *proto.SandboxList {
 			Addr:     w.cfg.Addr,
 			State:    core.SandboxReady,
 		})
-	}
+	})
 	return list
 }
 
@@ -1187,7 +1228,7 @@ func (w *Worker) listSandboxes() *proto.SandboxList {
 // counter updates, no lock shared with sandbox churn or heartbeats, and
 // no copy: the handler reads the payload inside the request frame.
 func (w *Worker) invokeSandbox(id core.SandboxID, payload []byte) ([]byte, error) {
-	rs, ok := w.readyMap()[id]
+	rs, ok := w.ready.get(id)
 	if !ok {
 		return nil, fmt.Errorf("worker %s: invoke: no such sandbox %d", w.cfg.Node.Name, id)
 	}
@@ -1203,12 +1244,9 @@ func (w *Worker) invokeSandbox(id core.SandboxID, payload []byte) ([]byte, error
 // plane of crashes").
 func (w *Worker) CrashSandbox(id core.SandboxID) error {
 	w.mu.Lock()
-	rs, ok := w.readyMap()[id]
+	rs, ok := w.removeReadyLocked(id)
 	var fn core.Function
 	if ok {
-		w.publishReadyLocked(func(m map[core.SandboxID]*readySandbox) {
-			delete(m, id)
-		})
 		fn = w.functions[id]
 		delete(w.functions, id)
 	}
