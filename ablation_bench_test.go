@@ -636,19 +636,14 @@ func BenchmarkAblationCPReplication(b *testing.B) {
 			}
 			cps := make([]*controlplane.ControlPlane, replicas)
 			for i := range cps {
-				cfg := controlplane.Config{
+				cps[i] = controlplane.New(controlplane.Config{
 					Addr:              addrs[i],
 					Peers:             addrs,
 					Transport:         tr,
+					DB:                store.NewMemory(),
 					AutoscaleInterval: time.Hour, // idle the control loops
 					HeartbeatTimeout:  time.Hour,
-				}
-				if replicas > 1 {
-					cfg.LocalStore = store.NewMemory()
-				} else {
-					cfg.DB = store.NewMemory()
-				}
-				cps[i] = controlplane.New(cfg)
+				})
 				if err := cps[i].Start(); err != nil {
 					b.Fatal(err)
 				}

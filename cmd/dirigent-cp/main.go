@@ -91,6 +91,7 @@ func main() {
 		Addr:                *addr,
 		Peers:               peerList,
 		Transport:           transport.NewTCP(),
+		DB:                  db,
 		AutoscaleInterval:   *autoscale,
 		HeartbeatTimeout:    *hbTimeout,
 		DataPlaneTimeout:    *dpTimeout,
@@ -104,16 +105,8 @@ func main() {
 		RaftHeartbeat:   50 * time.Millisecond,
 		RaftElectionMin: 150 * time.Millisecond,
 		RaftElectionMax: 300 * time.Millisecond,
-	}
-	if len(peerList) > 1 {
-		// Replicated-log regime: this replica's store holds its applied
-		// state; durable writes are proposed to the Raft log and each
-		// replica recovers from its own store after a failover.
-		cfg.LocalStore = db
-		cfg.FollowerReads = *followerReads
-		cfg.RaftRejoin = *rejoin
-	} else {
-		cfg.DB = db
+		FollowerReads:   *followerReads,
+		RaftRejoin:      *rejoin,
 	}
 	cp := controlplane.New(cfg)
 	if err := cp.Start(); err != nil {

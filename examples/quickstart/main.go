@@ -1,7 +1,7 @@
 // Quickstart: boot a complete in-process Dirigent cluster (3 control
-// plane replicas with Raft leader election and a replicated store, 2 data
-// planes, 3 workers), register a function, and invoke it cold and warm —
-// the end-user API from Table 2 of the paper.
+// plane replicas sharing a Raft log, each applying it to its own store,
+// 2 data planes, 3 workers), register a function, and invoke it cold and
+// warm — the end-user API from Table 2 of the paper.
 package main
 
 import (

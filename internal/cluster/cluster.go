@@ -226,14 +226,15 @@ func New(opts Options) (*Cluster, error) {
 }
 
 // newControlPlane builds (without starting) CP replica i against the
-// cluster's current store for that slot. Multi-CP clusters run the
-// replicated-log regime; a singleton CP uses its store directly.
+// cluster's current store for that slot. Multi-CP clusters replicate
+// through the Raft log; a singleton CP uses its store directly.
 func (c *Cluster) newControlPlane(i int, rejoin bool) *controlplane.ControlPlane {
 	opts := c.opts
-	cfg := controlplane.Config{
+	return controlplane.New(controlplane.Config{
 		Addr:              c.cpAddrs[i],
 		Peers:             c.cpAddrs,
 		Transport:         c.Transport,
+		DB:                c.stores[i],
 		AutoscaleInterval: opts.AutoscaleInterval,
 		HeartbeatTimeout:  opts.HeartbeatTimeout,
 		NoDownscaleWindow: opts.NoDownscaleWindow,
@@ -241,15 +242,9 @@ func (c *Cluster) newControlPlane(i int, rejoin bool) *controlplane.ControlPlane
 		PredictivePrewarm: opts.PredictivePrewarm,
 		Predictor:         opts.Predictor,
 		Metrics:           c.Metrics,
-	}
-	if len(c.cpAddrs) > 1 {
-		cfg.LocalStore = c.stores[i]
-		cfg.FollowerReads = opts.CPFollowerReads
-		cfg.RaftRejoin = rejoin
-	} else {
-		cfg.DB = c.stores[i]
-	}
-	return controlplane.New(cfg)
+		FollowerReads:     opts.CPFollowerReads,
+		RaftRejoin:        rejoin,
+	})
 }
 
 // RestartCP revives control plane replica i after a crash (systemd

@@ -44,8 +44,9 @@ import (
 	"dirigent/internal/transport"
 )
 
-// DB is the persistence interface the control plane requires; both
-// store.Store and store.Replicated satisfy it.
+// DB is the persistence interface the control plane writes through. A
+// singleton writes to its store directly; a replica of a group writes
+// through the Raft log (replicatedDB).
 type DB interface {
 	HSet(hash, field string, value []byte) error
 	HDel(hash, field string) error
@@ -79,9 +80,11 @@ type Config struct {
 	Peers []string
 	// Transport carries all RPCs.
 	Transport transport.Transport
-	// DB is the replicated persistent store. Open it with
-	// wal.FsyncGroup to group-commit the control plane's durable writes,
-	// or wal.FsyncAlways for the paper's fsync-per-mutation baseline.
+	// DB is this replica's own store. A singleton writes to it directly;
+	// with more than one peer it must be a *store.Store, which holds the
+	// state this replica has applied from the Raft log. Open it with
+	// wal.FsyncGroup to group-commit durable writes, or wal.FsyncAlways
+	// for the paper's fsync-per-mutation baseline.
 	DB DB
 	// Clock abstracts time.
 	Clock clock.Clock
@@ -145,18 +148,10 @@ type Config struct {
 	RaftHeartbeat   time.Duration
 	RaftElectionMin time.Duration
 	RaftElectionMax time.Duration
-	// LocalStore, set together with multiple Peers, selects the
-	// replicated-log HA regime: every durable write is proposed to the
-	// Raft log and each replica applies committed batches to this, its
-	// own store (DB is then managed internally and must be left nil). A
-	// promoted follower recovers from its own applied state — no shared
-	// store, no cold replay. With a single peer, LocalStore simply backs
-	// DB directly (seed-exact single-node behavior).
-	LocalStore *store.Store
 	// FollowerReads lets non-leader replicas serve read-only RPCs
 	// (ListDataPlanes, ListFunctions) from their applied store while
 	// their leader lease is fresh, offloading the read fan-in from the
-	// leader. Requires the replicated-log regime.
+	// leader. Requires more than one peer.
 	FollowerReads bool
 	// ReadLease bounds follower-read staleness (how recently a follower
 	// must have heard from the leader to vouch for its state); 0 selects
@@ -343,6 +338,9 @@ type ControlPlane struct {
 	metrics *telemetry.Registry
 
 	raftNode *raft.Node // nil in single-node mode
+	// applied is this replica's store, holding the state applied from the
+	// Raft log; nil in single-node mode, where cfg.DB is written directly.
+	applied  *store.Store
 	listener transport.Listener
 
 	// Function state, striped across shards (see shards.go).
@@ -495,9 +493,16 @@ func New(cfg Config) *ControlPlane {
 
 // Start begins serving RPCs and, in HA mode, participating in leader
 // election. In single-node mode the replica becomes leader immediately.
+// With more than one peer it fails unless Config.DB is a *store.Store.
 func (cp *ControlPlane) Start() error {
 	if len(cp.cfg.Peers) > 1 {
-		rc := raft.Config{
+		applied, ok := cp.cfg.DB.(*store.Store)
+		if !ok || applied == nil {
+			return fmt.Errorf("control plane %s: %d peers need a *store.Store as DB, got %T", cp.cfg.Addr, len(cp.cfg.Peers), cp.cfg.DB)
+		}
+		cp.applied = applied
+		cp.cfg.DB = &replicatedDB{cp: cp}
+		cp.raftNode = raft.NewNode(raft.Config{
 			ID:                 cp.cfg.Addr,
 			Peers:              cp.cfg.Peers,
 			Transport:          cp.cfg.Transport,
@@ -505,19 +510,11 @@ func (cp *ControlPlane) Start() error {
 			ElectionTimeoutMin: cp.cfg.RaftElectionMin,
 			ElectionTimeoutMax: cp.cfg.RaftElectionMax,
 			OnLeaderChange:     cp.onLeaderChange,
+			Apply:              cp.applyReplicated,
+			ReadLease:          cp.cfg.ReadLease,
 			Clock:              cp.clk,
 			Rejoin:             cp.cfg.RaftRejoin,
-		}
-		if cp.cfg.LocalStore != nil {
-			// Replicated-log regime: durable writes go through the Raft
-			// log; this replica's store holds the applied state.
-			rc.Apply = cp.applyReplicated
-			rc.ReadLease = cp.cfg.ReadLease
-			cp.cfg.DB = &replicatedDB{cp: cp}
-		}
-		cp.raftNode = raft.NewNode(rc)
-	} else if cp.cfg.DB == nil && cp.cfg.LocalStore != nil {
-		cp.cfg.DB = cp.cfg.LocalStore
+		})
 	}
 	ln, err := cp.cfg.Transport.Listen(cp.cfg.Addr, cp.handleRPC)
 	if err != nil {
@@ -614,7 +611,7 @@ func (cp *ControlPlane) nextEpoch() uint64 {
 
 func (cp *ControlPlane) recover() {
 	start := cp.clk.Now()
-	// In the replicated-log regime, wait until this replica's applied
+	// With more than one peer, wait until this replica's applied
 	// store covers everything the previous leader committed before
 	// reading from it (a barrier entry in the new term).
 	cp.barrierApplied()

@@ -3,11 +3,13 @@ package controlplane
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"dirigent/internal/clock"
 	"dirigent/internal/core"
 	"dirigent/internal/cpclient"
 	"dirigent/internal/proto"
@@ -452,20 +454,36 @@ func TestRecoveryMergesWorkerSandboxes(t *testing.T) {
 
 func TestFollowerRejectsAPICalls(t *testing.T) {
 	tr := transport.NewInProc()
-	db := store.NewMemory()
-	// Two-node "HA" cluster where the peer is unreachable: this node can
-	// never win an election, so it must reject API calls as non-leader.
+	vclk := clock.NewVirtual(time.Unix(1_000_000, 0))
+	// Two-replica group whose peer is unreachable: this replica can never
+	// win an election, so it must reject API calls as non-leader.
 	cp := New(Config{
-		Addr:      "cp0",
-		Peers:     []string{"cp0", "cp-unreachable"},
-		Transport: tr,
-		DB:        db,
+		Addr:              "cp0",
+		Peers:             []string{"cp0", "cp-unreachable"},
+		Transport:         tr,
+		DB:                store.NewMemory(),
+		Clock:             vclk,
+		AutoscaleInterval: time.Hour,
 	})
 	if err := cp.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer cp.Stop()
-	time.Sleep(100 * time.Millisecond)
+	if !cp.replLog() {
+		t.Fatalf("a two-replica group does not run the replicated log")
+	}
+	// Let it time out and campaign, and lose, twice.
+	deadline := time.Now().Add(5 * time.Second)
+	for cp.raftNode.Term() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no second election after %v of virtual time; term %d", vclk.Since(time.Unix(1_000_000, 0)), cp.raftNode.Term())
+		}
+		vclk.Advance(4 * cp.cfg.RaftElectionMax)
+		runtime.Gosched()
+	}
+	if cp.IsLeader() {
+		t.Fatalf("won an election without a quorum")
+	}
 	fn := fnSpec("f")
 	ctx := context.Background()
 	_, err := tr.Call(ctx, "cp0", proto.MethodRegisterFunction, core.MarshalFunction(&fn))
@@ -478,16 +496,54 @@ func TestFollowerRejectsAPICalls(t *testing.T) {
 	}
 }
 
+// wrappedDB hides a store behind the DB interface, as the benchmark's
+// call-counting DB does.
+type wrappedDB struct{ DB }
+
+// TestStartNeedsAStoreForAGroup: a replica of a group applies the Raft log
+// to its own store, so Start refuses a DB that is not a *store.Store; a
+// singleton writes to whatever DB it is given.
+func TestStartNeedsAStoreForAGroup(t *testing.T) {
+	group := []string{"cp0", "cp1"}
+	for _, tc := range []struct {
+		name  string
+		peers []string
+		db    DB
+		ok    bool
+	}{
+		{"group with a wrapped store", group, wrappedDB{store.NewMemory()}, false},
+		{"group with no store", group, nil, false},
+		{"singleton with a wrapped store", []string{"cp0"}, wrappedDB{store.NewMemory()}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cp := New(Config{
+				Addr:              "cp0",
+				Peers:             tc.peers,
+				Transport:         transport.NewInProc(),
+				DB:                tc.db,
+				AutoscaleInterval: time.Hour,
+			})
+			err := cp.Start()
+			if err == nil {
+				defer cp.Stop()
+			}
+			if (err == nil) != tc.ok {
+				t.Fatalf("Start() = %v, want ok=%v", err, tc.ok)
+			}
+		})
+	}
+}
+
 // TestProposeOnStoppingNodeIsRetryable: a durable write that reaches the
 // replicated log while its node shuts down (a registration in flight on a
 // leader being killed) comes back as the not-leader rejection, which
 // cpclient retries on the next replica, not as an application error.
 func TestProposeOnStoppingNodeIsRetryable(t *testing.T) {
 	cp := New(Config{
-		Addr:       "cp0",
-		Peers:      []string{"cp0", "cp-unreachable"},
-		Transport:  transport.NewInProc(),
-		LocalStore: store.NewMemory(),
+		Addr:      "cp0",
+		Peers:     []string{"cp0", "cp-unreachable"},
+		Transport: transport.NewInProc(),
+		DB:        store.NewMemory(),
 	})
 	if err := cp.Start(); err != nil {
 		t.Fatal(err)
@@ -548,7 +604,7 @@ func TestDeregisterFunctionTearsDown(t *testing.T) {
 
 // TestEpochMonotonicAcrossLeaders is the regression test for endpoint
 // version ordering: every leadership change must mint a strictly larger
-// epoch (persisted in the replicated store), so a new leader's endpoint
+// epoch (persisted in the store), so a new leader's endpoint
 // broadcasts outrank the old leader's even though its per-function
 // sequence numbers restart at zero.
 func TestEpochMonotonicAcrossLeaders(t *testing.T) {

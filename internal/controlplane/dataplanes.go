@@ -223,8 +223,8 @@ func (cp *ControlPlane) DataPlaneCount() int {
 	return healthy
 }
 
-// refreshDataPlaneGauge runs on every membership or liveness change; in
-// the replicated-log regime it doubles as the trigger for republishing
+// refreshDataPlaneGauge runs on every membership or liveness change; with
+// more than one peer it doubles as the trigger for republishing
 // the live membership list to followers (see publishDataPlanes).
 func (cp *ControlPlane) refreshDataPlaneGauge() {
 	healthy, _ := cp.dataPlaneCounts()

@@ -1,18 +1,15 @@
 package controlplane
 
-// Raft-log replication mode for the control-plane tier. The legacy HA
-// regime (election-only Raft over a shared store.Replicated) still works:
-// it is selected by Peers > 1 with Config.DB set and Config.LocalStore
-// nil. The replicated-log regime is selected by Peers > 1 with
-// Config.LocalStore set: every durable write the control plane makes is
-// marshaled as a store.Op and proposed to the Raft log; committed batches
-// are applied to each replica's local store, so a follower promoted to
-// leader recovers from its own applied state — no cold store replay and no
-// shared-store single point of failure. Read-only RPCs can then be served
-// by followers from that same applied state behind a leader-lease check
-// (bounded staleness), which is the perf headline: the leader's RPC load
-// drops to writes while front-end membership polls and dirigentctl reads
-// spread across the tier.
+// Raft-log replication for the control-plane tier, run whenever Peers
+// lists more than one replica. Every durable write the control plane
+// makes is marshaled as a store.Op and proposed to the Raft log;
+// committed batches are applied to each replica's own store (Config.DB),
+// so a follower promoted to leader recovers from its own applied state —
+// no cold store replay and no shared-store single point of failure.
+// Read-only RPCs can then be served by followers from that same applied
+// state behind a leader-lease check (bounded staleness), so the leader's
+// RPC load drops to writes while front-end membership polls and
+// dirigentctl reads spread across the tier.
 
 import (
 	"context"
@@ -40,9 +37,10 @@ const fieldDPLive = "dp-live"
 // cpclient failover).
 const proposeTimeout = 5 * time.Second
 
-// replLog reports whether this replica runs the replicated-log regime.
+// replLog reports whether this replica runs the replicated log, that is,
+// belongs to a group of more than one.
 func (cp *ControlPlane) replLog() bool {
-	return cp.raftNode != nil && cp.cfg.LocalStore != nil
+	return cp.raftNode != nil
 }
 
 // notLeaderErr builds the rejection a non-leader replica returns for
@@ -69,11 +67,11 @@ func (cp *ControlPlane) applyReplicated(batch [][]byte) {
 		}
 		op, err := store.UnmarshalOp(b)
 		if err != nil {
-			continue // a corrupt entry would have failed quorum marshaling; skip defensively
+			continue // replicatedDB proposes only ops that decode; skip anything else
 		}
 		ops = append(ops, op)
 	}
-	_ = cp.cfg.LocalStore.ApplyBatch(ops)
+	_ = cp.applied.ApplyBatch(ops)
 }
 
 // replicatedDB adapts the Raft log to the DB interface: writes are
@@ -95,7 +93,7 @@ func (r *replicatedDB) HDel(hash, field string) error {
 }
 
 func (r *replicatedDB) HGetAll(hash string) map[string][]byte {
-	return r.cp.cfg.LocalStore.HGetAll(hash)
+	return r.cp.applied.HGetAll(hash)
 }
 
 func (r *replicatedDB) propose(op *store.Op) error {
@@ -146,7 +144,7 @@ func (cp *ControlPlane) tryFollowerRead(method string) (resp []byte, err error, 
 	}
 	switch method {
 	case proto.MethodListDataPlanes:
-		b, ok := cp.cfg.LocalStore.HGet(hashMeta, fieldDPLive)
+		b, ok := cp.applied.HGet(hashMeta, fieldDPLive)
 		if !ok {
 			return nil, nil, false // leader hasn't published membership yet
 		}
@@ -154,7 +152,7 @@ func (cp *ControlPlane) tryFollowerRead(method string) (resp []byte, err error, 
 		return b, nil, true
 	case proto.MethodListFunctions:
 		var list proto.FunctionList
-		for _, b := range cp.cfg.LocalStore.HGetAll(hashFunctions) {
+		for _, b := range cp.applied.HGetAll(hashFunctions) {
 			if f, err := core.UnmarshalFunction(b); err == nil {
 				list.Functions = append(list.Functions, *f)
 			}

@@ -48,7 +48,7 @@ func TestTCPCPLeaderFailover(t *testing.T) {
 			Addr:              addrs[i],
 			Peers:             addrs,
 			Transport:         tr,
-			LocalStore:        stores[i],
+			DB:                stores[i],
 			FollowerReads:     true,
 			ReadLease:         200 * time.Millisecond,
 			RaftHeartbeat:     20 * time.Millisecond,

@@ -95,7 +95,6 @@ const (
 	MethodRegisterWorkerBatch = "cp.RegisterWorkerBatch"
 	// CP ↔ CP (leader election + log replication).
 	MethodRequestVote = "cp.RequestVote"
-	MethodLeaderPing  = "cp.LeaderPing"
 	// MethodAppendEntries ships pipelined, group-committed batches of
 	// replicated store ops from the CP leader to followers; an empty
 	// batch doubles as the leader heartbeat and carries the commit index.
@@ -1152,29 +1151,6 @@ func UnmarshalVoteResponse(b []byte) (*VoteResponse, error) {
 	m.Term = d.U64()
 	m.Granted = d.Bool()
 	return m, wrap(d.Err(), "VoteResponse")
-}
-
-// LeaderPing is the Raft heartbeat from the CP leader to followers.
-type LeaderPing struct {
-	Term   uint64
-	Leader string
-}
-
-// Marshal encodes the ping.
-func (m *LeaderPing) Marshal() []byte {
-	e := codec.NewEncoder(24 + len(m.Leader))
-	e.U64(m.Term)
-	e.String(m.Leader)
-	return e.Bytes()
-}
-
-// UnmarshalLeaderPing decodes a LeaderPing.
-func UnmarshalLeaderPing(b []byte) (*LeaderPing, error) {
-	d := codec.NewDecoder(b)
-	m := &LeaderPing{}
-	m.Term = d.U64()
-	m.Leader = d.String()
-	return m, wrap(d.Err(), "LeaderPing")
 }
 
 // LogEntry is one replicated command in the control plane's Raft log: an

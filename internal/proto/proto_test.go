@@ -309,10 +309,12 @@ func TestVoteAndPingRoundTrip(t *testing.T) {
 	if err != nil || *gotResp != *resp {
 		t.Errorf("vote response: %+v, %v", gotResp, err)
 	}
-	ping := &LeaderPing{Term: 10, Leader: "cp2"}
-	gotPing, err := UnmarshalLeaderPing(ping.Marshal())
-	if err != nil || *gotPing != *ping {
-		t.Errorf("leader ping: %+v, %v", gotPing, err)
+	// The leader's heartbeat is an AppendEntries with no entries.
+	ping := &AppendEntriesRequest{Term: 10, Leader: "cp2", PrevIndex: 7, PrevTerm: 9, CommitIndex: 6}
+	gotPing, err := UnmarshalAppendEntriesRequest(ping.Marshal())
+	if err != nil || gotPing.Term != ping.Term || gotPing.Leader != ping.Leader || gotPing.PrevIndex != ping.PrevIndex ||
+		gotPing.PrevTerm != ping.PrevTerm || gotPing.CommitIndex != ping.CommitIndex || len(gotPing.Entries) != 0 {
+		t.Errorf("heartbeat: %+v, %v", gotPing, err)
 	}
 }
 

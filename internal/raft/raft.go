@@ -224,13 +224,6 @@ func (n *Node) HandleRPC(method string, payload []byte) ([]byte, error, bool) {
 		}
 		resp := n.onRequestVote(req)
 		return resp.Marshal(), nil, true
-	case proto.MethodLeaderPing:
-		req, err := proto.UnmarshalLeaderPing(payload)
-		if err != nil {
-			return nil, err, true
-		}
-		n.onLeaderPing(req)
-		return nil, nil, true
 	case proto.MethodAppendEntries:
 		req, err := proto.UnmarshalAppendEntriesRequest(payload)
 		if err != nil {
@@ -862,28 +855,6 @@ func (n *Node) onRequestVote(req *proto.VoteRequest) proto.VoteResponse {
 		return proto.VoteResponse{Term: n.term, Granted: true}
 	}
 	return proto.VoteResponse{Term: n.term, Granted: false}
-}
-
-// onLeaderPing retains the legacy election-only heartbeat for mixed-mode
-// callers; AppendEntries subsumes it for log-replicating clusters.
-func (n *Node) onLeaderPing(ping *proto.LeaderPing) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if ping.Term < n.term {
-		return
-	}
-	if ping.Term > n.term || n.state != Follower {
-		if n.state == Leader && ping.Leader != n.cfg.ID {
-			defer n.sendNotify(false, n.term)
-			n.stopReplicatorsLocked()
-			n.wakeWaitersLocked()
-		}
-		n.term = ping.Term
-		n.state = Follower
-		n.votedFor = ""
-	}
-	n.leader = ping.Leader
-	n.lastContact = n.clk.Now()
 }
 
 func (n *Node) onAppendEntries(req *proto.AppendEntriesRequest) proto.AppendEntriesResponse {

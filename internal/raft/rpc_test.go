@@ -70,21 +70,22 @@ func TestHigherTermResetsVote(t *testing.T) {
 	}
 }
 
-func TestLeaderPingAdoptsLeader(t *testing.T) {
+// TestHeartbeatAdoptsLeader: an empty AppendEntries is the leader's
+// heartbeat; one from a newer term makes its sender this node's leader,
+// and one from an older term changes nothing.
+func TestHeartbeatAdoptsLeader(t *testing.T) {
 	n := freshNode("n0")
-	ping := proto.LeaderPing{Term: 4, Leader: "peer1"}
-	_, err, handled := n.HandleRPC(proto.MethodLeaderPing, ping.Marshal())
-	if !handled || err != nil {
-		t.Fatalf("HandleRPC: %v", err)
+	hb := proto.AppendEntriesRequest{Term: 4, Leader: "peer1"}
+	if _, err, handled := n.HandleRPC(proto.MethodAppendEntries, hb.Marshal()); !handled || err != nil {
+		t.Fatalf("HandleRPC: handled=%v err=%v", handled, err)
 	}
 	if n.Leader() != "peer1" || n.Term() != 4 || n.State() != Follower {
-		t.Errorf("state after ping: leader=%q term=%d state=%v", n.Leader(), n.Term(), n.State())
+		t.Errorf("state after heartbeat: leader=%q term=%d state=%v", n.Leader(), n.Term(), n.State())
 	}
-	// Stale ping from an old term is ignored.
-	old := proto.LeaderPing{Term: 2, Leader: "peer2"}
-	n.HandleRPC(proto.MethodLeaderPing, old.Marshal())
-	if n.Leader() != "peer1" {
-		t.Errorf("stale ping overwrote the leader")
+	old := proto.AppendEntriesRequest{Term: 2, Leader: "peer2"}
+	n.HandleRPC(proto.MethodAppendEntries, old.Marshal())
+	if n.Leader() != "peer1" || n.Term() != 4 {
+		t.Errorf("stale heartbeat overwrote the leader: leader=%q term=%d", n.Leader(), n.Term())
 	}
 }
 
@@ -100,8 +101,8 @@ func TestMalformedPayloadsError(t *testing.T) {
 	if _, err, handled := n.HandleRPC(proto.MethodRequestVote, []byte{0x01}); !handled || err == nil {
 		t.Errorf("malformed vote request: handled=%v err=%v", handled, err)
 	}
-	if _, err, handled := n.HandleRPC(proto.MethodLeaderPing, []byte{0x01}); !handled || err == nil {
-		t.Errorf("malformed ping: handled=%v err=%v", handled, err)
+	if _, err, handled := n.HandleRPC(proto.MethodAppendEntries, []byte{0x01}); !handled || err == nil {
+		t.Errorf("malformed append entries: handled=%v err=%v", handled, err)
 	}
 }
 

@@ -365,24 +365,19 @@ func newCPTier(tr *transport.InProc, cfg Config) (*cpTier, error) {
 }
 
 func (t *cpTier) newCP(i int, rejoin bool) *controlplane.ControlPlane {
-	c := controlplane.Config{
+	return controlplane.New(controlplane.Config{
 		Addr:              t.addrs[i],
+		Peers:             t.addrs,
 		Transport:         t.tr,
+		DB:                t.stores[i],
 		AutoscaleInterval: 10 * time.Millisecond,
 		HeartbeatTimeout:  400 * time.Millisecond,
 		DataPlaneTimeout:  400 * time.Millisecond,
 		NoDownscaleWindow: time.Millisecond,
 		Metrics:           t.metrics,
-	}
-	if len(t.addrs) > 1 {
-		c.Peers = t.addrs
-		c.LocalStore = t.stores[i]
-		c.FollowerReads = t.followerReads
-		c.RaftRejoin = rejoin
-	} else {
-		c.DB = t.stores[i]
-	}
-	return controlplane.New(c)
+		FollowerReads:     t.followerReads,
+		RaftRejoin:        rejoin,
+	})
 }
 
 func (t *cpTier) leader() *controlplane.ControlPlane {

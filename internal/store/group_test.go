@@ -66,46 +66,3 @@ func TestGroupCommitConcurrentMutationsDurable(t *testing.T) {
 		}
 	}
 }
-
-// TestReplicatedGroupCommitConcurrent drives concurrent writes through a
-// Replicated store whose primary group-commits, checking primary and
-// follower converge and every write is on disk.
-func TestReplicatedGroupCommitConcurrent(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "primary.aof")
-	primary, err := Open(path, wal.FsyncGroup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	follower := NewMemory()
-	r := NewReplicated(primary, follower)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				field := fmt.Sprintf("w%d-f%d", w, i)
-				if err := r.HSet("functions", field, []byte(field)); err != nil {
-					t.Errorf("hset: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if p, f := primary.HLen("functions"), follower.HLen("functions"); p != 200 || f != 200 {
-		t.Fatalf("primary %d / follower %d fields, want 200/200", p, f)
-	}
-	if err := primary.Close(); err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := Open(path, wal.FsyncGroup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
-	if got := reopened.HLen("functions"); got != 200 {
-		t.Fatalf("reopened primary has %d fields, want 200", got)
-	}
-}

@@ -3,14 +3,12 @@
 // (paper §4: Redis in append-only mode with fsync at each query, one
 // replica co-located with each control plane replica).
 //
-// The store supports plain keys and hashes (field → value maps, one per
-// object collection: functions, worker nodes, data planes). Every mutation
-// is appended to a write-ahead log before it is acknowledged, and can be
-// synchronously replicated to follower stores for strong consistency.
+// The store holds hashes (field → value maps, one per object collection:
+// functions, worker nodes, data planes). Every mutation is appended to a
+// write-ahead log before it is acknowledged.
 package store
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -18,15 +16,15 @@ import (
 	"dirigent/internal/wal"
 )
 
-// OpKind enumerates the mutation types recorded in the AOF.
+// OpKind enumerates the mutation types recorded in the AOF and the
+// control plane's Raft log.
 type OpKind uint8
 
-// Mutation kinds.
+// Mutation kinds. The values are written to AOFs and Raft logs, so they
+// never change; any other kind byte, 0 and 1 included, is refused.
 const (
-	OpSet OpKind = iota
-	OpDel
-	OpHSet
-	OpHDel
+	OpHSet OpKind = 2
+	OpHDel OpKind = 3
 )
 
 // Op is a single mutation. For hash operations, Key is the hash name and
@@ -48,11 +46,15 @@ func (o *Op) Marshal() []byte {
 	return e.Bytes()
 }
 
-// UnmarshalOp decodes an op written by Op.Marshal.
+// UnmarshalOp decodes an op written by Op.Marshal, refusing an unknown
+// kind.
 func UnmarshalOp(b []byte) (Op, error) {
 	d := codec.NewDecoder(b)
 	var o Op
 	o.Kind = OpKind(d.U8())
+	if d.Err() == nil && o.Kind != OpHSet && o.Kind != OpHDel {
+		return Op{}, fmt.Errorf("store: unmarshal op: unknown kind %d", o.Kind)
+	}
 	o.Key = d.String()
 	o.Field = d.String()
 	if v := d.RawBytes(); len(v) > 0 {
@@ -64,11 +66,10 @@ func UnmarshalOp(b []byte) (Op, error) {
 	return o, nil
 }
 
-// Store is an in-memory KV + hash store with optional AOF persistence.
-// It is safe for concurrent use.
+// Store is an in-memory hash store with optional AOF persistence. It is
+// safe for concurrent use.
 type Store struct {
 	mu     sync.RWMutex
-	kv     map[string][]byte
 	hashes map[string]map[string][]byte
 	log    *wal.Log // nil for a purely in-memory store
 }
@@ -76,10 +77,7 @@ type Store struct {
 // NewMemory returns a volatile store with no persistence, used for tests
 // and for replicas that receive state via replication streams.
 func NewMemory() *Store {
-	return &Store{
-		kv:     make(map[string][]byte),
-		hashes: make(map[string]map[string][]byte),
-	}
+	return &Store{hashes: make(map[string]map[string][]byte)}
 }
 
 // Open returns a store persisted at path, replaying any existing AOF.
@@ -104,10 +102,6 @@ func Open(path string, policy wal.FsyncPolicy) (*Store, error) {
 // exclusive access (as during replay inside Open).
 func (s *Store) applyLocked(op Op) {
 	switch op.Kind {
-	case OpSet:
-		s.kv[op.Key] = op.Value
-	case OpDel:
-		delete(s.kv, op.Key)
 	case OpHSet:
 		h, ok := s.hashes[op.Key]
 		if !ok {
@@ -218,24 +212,6 @@ func (s *Store) SyncStats() (rounds, records uint64) {
 	return s.log.SyncStats()
 }
 
-// Set stores value under key.
-func (s *Store) Set(key string, value []byte) error {
-	return s.Apply(Op{Kind: OpSet, Key: key, Value: value})
-}
-
-// Del removes key.
-func (s *Store) Del(key string) error {
-	return s.Apply(Op{Kind: OpDel, Key: key})
-}
-
-// Get returns the value stored under key.
-func (s *Store) Get(key string) ([]byte, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.kv[key]
-	return v, ok
-}
-
 // HSet stores value under field within hash.
 func (s *Store) HSet(hash, field string, value []byte) error {
 	return s.Apply(Op{Kind: OpHSet, Key: hash, Field: field, Value: value})
@@ -277,22 +253,12 @@ func (s *Store) HLen(hash string) int {
 	return len(s.hashes[hash])
 }
 
-// Keys returns the number of plain keys (not hashes).
-func (s *Store) Keys() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.kv)
-}
-
 // DumpOps returns the mutation sequence that reconstructs the current
-// state, used for compaction and for bootstrapping a new replica.
+// state, used for compaction.
 func (s *Store) DumpOps() []Op {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var ops []Op
-	for k, v := range s.kv {
-		ops = append(ops, Op{Kind: OpSet, Key: k, Value: v})
-	}
 	for hash, fields := range s.hashes {
 		for f, v := range fields {
 			ops = append(ops, Op{Kind: OpHSet, Key: hash, Field: f, Value: v})
@@ -321,108 +287,3 @@ func (s *Store) Close() error {
 	}
 	return s.log.Close()
 }
-
-// Replicated wraps a primary store and synchronously mirrors every mutation
-// to follower stores, giving the strongly consistent replication the paper's
-// deployment achieves with a Redis replica per control-plane node. A write
-// is acknowledged only after the primary's AOF append and every follower's
-// apply have succeeded.
-type Replicated struct {
-	mu        sync.Mutex
-	primary   *Store
-	followers []*Store
-}
-
-// NewReplicated returns a replicated store over primary and followers.
-func NewReplicated(primary *Store, followers ...*Store) *Replicated {
-	return &Replicated{primary: primary, followers: followers}
-}
-
-// Primary returns the primary store for reads.
-func (r *Replicated) Primary() *Store { return r.primary }
-
-// Apply persists the op on the primary and mirrors it to all followers.
-// The replication mutex orders ops identically everywhere but is released
-// before any group-commit durability wait (primary's and followers'), so
-// concurrent Applys on every replica share group-committed fsyncs
-// instead of serializing behind each other's.
-func (r *Replicated) Apply(op Op) error {
-	type wait struct {
-		s   *Store
-		seq uint64
-	}
-	var firstErr error
-	r.mu.Lock()
-	pseq, err := r.primary.applyBuffered(op)
-	if err != nil {
-		r.mu.Unlock()
-		return err
-	}
-	waits := make([]wait, 0, 1+len(r.followers))
-	waits = append(waits, wait{r.primary, pseq})
-	for _, f := range r.followers {
-		seq, err := f.applyBuffered(op)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		waits = append(waits, wait{f, seq})
-	}
-	r.mu.Unlock()
-	for _, w := range waits {
-		if err := w.s.waitDurable(w.seq); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// Set stores value under key on the primary and all followers.
-func (r *Replicated) Set(key string, value []byte) error {
-	return r.Apply(Op{Kind: OpSet, Key: key, Value: value})
-}
-
-// Del removes key everywhere.
-func (r *Replicated) Del(key string) error {
-	return r.Apply(Op{Kind: OpDel, Key: key})
-}
-
-// HSet stores value under hash/field everywhere.
-func (r *Replicated) HSet(hash, field string, value []byte) error {
-	return r.Apply(Op{Kind: OpHSet, Key: hash, Field: field, Value: value})
-}
-
-// HDel removes hash/field everywhere.
-func (r *Replicated) HDel(hash, field string) error {
-	return r.Apply(Op{Kind: OpHDel, Key: hash, Field: field})
-}
-
-// HGetAll reads hash from the primary.
-func (r *Replicated) HGetAll(hash string) map[string][]byte {
-	return r.primary.HGetAll(hash)
-}
-
-// Get reads key from the primary.
-func (r *Replicated) Get(key string) ([]byte, bool) {
-	return r.primary.Get(key)
-}
-
-// Sync brings a new follower up to date with the primary's current state
-// and adds it to the replication set.
-func (r *Replicated) Sync(follower *Store) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, op := range r.primary.DumpOps() {
-		if err := follower.Apply(op); err != nil {
-			return err
-		}
-	}
-	r.followers = append(r.followers, follower)
-	return nil
-}
-
-// ErrNotLeader is returned by store front-ends that refuse writes on
-// non-leader replicas.
-var ErrNotLeader = errors.New("store: not leader")

@@ -9,29 +9,6 @@ import (
 	"dirigent/internal/wal"
 )
 
-func TestMemoryKV(t *testing.T) {
-	s := NewMemory()
-	if _, ok := s.Get("missing"); ok {
-		t.Errorf("Get(missing) should report absence")
-	}
-	if err := s.Set("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	v, ok := s.Get("k")
-	if !ok || string(v) != "v" {
-		t.Errorf("Get(k) = %q, %v", v, ok)
-	}
-	if s.Keys() != 1 {
-		t.Errorf("Keys = %d", s.Keys())
-	}
-	if err := s.Del("k"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get("k"); ok {
-		t.Errorf("Get after Del should report absence")
-	}
-}
-
 func TestMemoryHashes(t *testing.T) {
 	s := NewMemory()
 	if err := s.HSet("functions", "f1", []byte("spec1")); err != nil {
@@ -75,7 +52,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Set("cluster", []byte("epoch-1")); err != nil {
+	if err := s.HSet("meta", "epoch", []byte("epoch-1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.HSet("workers", "w1", []byte("addr1")); err != nil {
@@ -96,8 +73,8 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if v, ok := s2.Get("cluster"); !ok || string(v) != "epoch-1" {
-		t.Errorf("Get after reopen = %q, %v", v, ok)
+	if v, ok := s2.HGet("meta", "epoch"); !ok || string(v) != "epoch-1" {
+		t.Errorf("HGet(meta) after reopen = %q, %v", v, ok)
 	}
 	if _, ok := s2.HGet("workers", "w2"); ok {
 		t.Errorf("deleted field resurrected after reopen")
@@ -113,9 +90,9 @@ func TestCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Many overwrites of the same key bloat the AOF.
+	// Many overwrites of the same field bloat the AOF.
 	for i := 0; i < 500; i++ {
-		if err := s.Set("hot", bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
+		if err := s.HSet("h", "hot", bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,7 +107,7 @@ func TestCompact(t *testing.T) {
 		t.Fatalf("reopen after compact: %v", err)
 	}
 	defer s2.Close()
-	v, ok := s2.Get("hot")
+	v, ok := s2.HGet("h", "hot")
 	if !ok || !bytes.Equal(v, bytes.Repeat([]byte{byte(499 % 256)}, 64)) {
 		t.Errorf("compacted value lost")
 	}
@@ -138,8 +115,6 @@ func TestCompact(t *testing.T) {
 
 func TestOpMarshalRoundTrip(t *testing.T) {
 	ops := []Op{
-		{Kind: OpSet, Key: "k", Value: []byte("v")},
-		{Kind: OpDel, Key: "k"},
 		{Kind: OpHSet, Key: "h", Field: "f", Value: []byte("x")},
 		{Kind: OpHDel, Key: "h", Field: "f"},
 	}
@@ -152,6 +127,13 @@ func TestOpMarshalRoundTrip(t *testing.T) {
 			t.Errorf("round trip %+v -> %+v", op, got)
 		}
 	}
+	// The kind byte leads the record; 0 and 1 were plain-key kinds.
+	for _, kind := range []OpKind{0, 1, 4, 255} {
+		op := Op{Kind: kind, Key: "h", Field: "f", Value: []byte("x")}
+		if got, err := UnmarshalOp(op.Marshal()); err == nil {
+			t.Errorf("kind %d decoded as %+v, want an error", kind, got)
+		}
+	}
 }
 
 // TestQuickOpRoundTrip property-tests AOF op serialization.
@@ -160,7 +142,7 @@ func TestQuickOpRoundTrip(t *testing.T) {
 		if len(key) > 60000 || len(field) > 60000 {
 			return true
 		}
-		op := Op{Kind: OpKind(kind % 4), Key: key, Field: field, Value: value}
+		op := Op{Kind: OpHSet + OpKind(kind%2), Key: key, Field: field, Value: value}
 		got, err := UnmarshalOp(op.Marshal())
 		if err != nil {
 			return false
@@ -172,100 +154,77 @@ func TestQuickOpRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReplicationMirrorsWrites(t *testing.T) {
-	primary := NewMemory()
-	f1 := NewMemory()
-	f2 := NewMemory()
-	r := NewReplicated(primary, f1, f2)
-	if err := r.HSet("functions", "f", []byte("spec")); err != nil {
-		t.Fatal(err)
+// FuzzUnmarshalOp: every control-plane write reaches a follower as an Op
+// on the Raft log, and the follower applies whatever decodes. No input
+// panics, an accepted op survives a re-marshal unchanged, and an unknown
+// kind is refused.
+func FuzzUnmarshalOp(f *testing.F) {
+	for _, op := range []Op{
+		{Kind: OpHSet, Key: "functions", Field: "fn-0001", Value: []byte("spec")},
+		{Kind: OpHDel, Key: "workers", Field: "w1"},
+		{Kind: 0, Key: "cluster", Value: []byte("plain key")},
+	} {
+		f.Add(op.Marshal())
 	}
-	if err := r.Set("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range []*Store{primary, f1, f2} {
-		if v, ok := s.HGet("functions", "f"); !ok || string(v) != "spec" {
-			t.Errorf("replica %d missing hash write", i)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		op, err := UnmarshalOp(b)
+		if err != nil {
+			return
 		}
-		if v, ok := s.Get("k"); !ok || string(v) != "v" {
-			t.Errorf("replica %d missing kv write", i)
+		if op.Kind != OpHSet && op.Kind != OpHDel {
+			t.Fatalf("accepted kind %d", op.Kind)
 		}
-	}
-	if err := r.HDel("functions", "f"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Del("k"); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range []*Store{primary, f1, f2} {
-		if _, ok := s.HGet("functions", "f"); ok {
-			t.Errorf("replica %d kept deleted hash field", i)
+		again, err := UnmarshalOp(op.Marshal())
+		if err != nil {
+			t.Fatalf("re-marshaled %+v does not decode: %v", op, err)
 		}
-		if _, ok := s.Get("k"); ok {
-			t.Errorf("replica %d kept deleted key", i)
+		if again.Kind != op.Kind || again.Key != op.Key || again.Field != op.Field || !bytes.Equal(again.Value, op.Value) {
+			t.Fatalf("round trip %+v -> %+v", op, again)
 		}
-	}
+	})
 }
 
-func TestReplicatedSyncBootstrapsNewFollower(t *testing.T) {
-	primary := NewMemory()
-	r := NewReplicated(primary)
-	for i := 0; i < 20; i++ {
-		if err := r.HSet("h", string(rune('a'+i)), []byte{byte(i)}); err != nil {
+// TestOpenRefusesUnknownOpKind: a record of a kind the store does not know
+// fails replay, and so the open, instead of being skipped.
+func TestOpenRefusesUnknownOpKind(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.aof")
+	log, err := wal.Open(path, wal.FsyncNever, func([]byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := Op{Kind: OpHSet, Key: "h", Field: "f", Value: []byte("v")}
+	plain := Op{Kind: 0, Key: "cluster", Value: []byte("epoch-1")}
+	for _, op := range []Op{good, plain} {
+		if err := log.Append(op.Marshal()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	late := NewMemory()
-	if err := r.Sync(late); err != nil {
-		t.Fatalf("sync: %v", err)
-	}
-	if late.HLen("h") != 20 {
-		t.Errorf("late follower has %d fields, want 20", late.HLen("h"))
-	}
-	// New writes must now reach the late follower too.
-	if err := r.HSet("h", "zz", []byte("new")); err != nil {
+	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := late.HGet("h", "zz"); !ok || string(v) != "new" {
-		t.Errorf("late follower missed post-sync write")
-	}
-}
-
-func TestReplicatedReads(t *testing.T) {
-	primary := NewMemory()
-	r := NewReplicated(primary)
-	if err := r.Set("x", []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := r.Get("x"); !ok || string(v) != "1" {
-		t.Errorf("Replicated.Get = %q, %v", v, ok)
-	}
-	if err := r.HSet("h", "f", []byte("2")); err != nil {
-		t.Fatal(err)
-	}
-	if all := r.HGetAll("h"); len(all) != 1 || string(all["f"]) != "2" {
-		t.Errorf("Replicated.HGetAll = %v", all)
-	}
-	if r.Primary() != primary {
-		t.Errorf("Primary identity lost")
+	if s, err := Open(path, wal.FsyncNever); err == nil {
+		s.Close()
+		t.Fatalf("opened an AOF holding a kind-0 record")
 	}
 }
 
 func TestDumpOpsReconstructsState(t *testing.T) {
 	s := NewMemory()
-	s.Set("a", []byte("1"))
+	s.HSet("a", "f", []byte("1"))
 	s.HSet("h", "f1", []byte("2"))
 	s.HSet("h", "f2", []byte("3"))
+	s.HSet("h", "gone", []byte("4"))
+	s.HDel("h", "gone")
 	clone := NewMemory()
 	for _, op := range s.DumpOps() {
 		if err := clone.Apply(op); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if v, _ := clone.Get("a"); string(v) != "1" {
-		t.Errorf("clone missing key")
+	if v, _ := clone.HGet("a", "f"); string(v) != "1" {
+		t.Errorf("clone missing hash a")
 	}
 	if clone.HLen("h") != 2 {
-		t.Errorf("clone missing hash fields")
+		t.Errorf("clone has %d fields in hash h, want 2", clone.HLen("h"))
 	}
 }
