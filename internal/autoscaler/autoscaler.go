@@ -48,6 +48,19 @@ type FunctionAutoscaler struct {
 
 // New returns an autoscaler for one function.
 func New(cfg core.ScalingConfig) *FunctionAutoscaler {
+	a := &FunctionAutoscaler{}
+	a.Reset(cfg)
+	return a
+}
+
+// Reset makes a the scaler New(cfg) returns, in its own memory, so that a
+// scaler whose function has gone idle can serve the next one to wake.
+func (a *FunctionAutoscaler) Reset(cfg core.ScalingConfig) {
+	cfg = withDefaults(cfg)
+	*a = FunctionAutoscaler{cfg: cfg, width: bucketWidth(cfg)}
+}
+
+func withDefaults(cfg core.ScalingConfig) core.ScalingConfig {
 	if cfg.TargetConcurrency <= 0 {
 		cfg.TargetConcurrency = 1
 	}
@@ -63,7 +76,11 @@ func New(cfg core.ScalingConfig) *FunctionAutoscaler {
 	if cfg.MaxScaleUpRate <= 1 {
 		cfg.MaxScaleUpRate = 1000
 	}
-	return &FunctionAutoscaler{cfg: cfg, width: (cfg.StableWindow + ringBuckets - 1) / ringBuckets}
+	return cfg
+}
+
+func bucketWidth(cfg core.ScalingConfig) time.Duration {
+	return (cfg.StableWindow + ringBuckets - 1) / ringBuckets
 }
 
 // Config returns the function's scaling configuration.
@@ -71,6 +88,32 @@ func (a *FunctionAutoscaler) Config() core.ScalingConfig {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.cfg
+}
+
+// SetConfig makes cfg the function's scaling configuration from the next
+// decision on, keeping what the window holds: a re-registration changes
+// how the function scales, not what it has been asked to do. A new stable
+// window re-cuts the ring, each old bucket landing whole in the new bucket
+// its start falls in.
+func (a *FunctionAutoscaler) SetConfig(cfg core.ScalingConfig) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.cfg = withDefaults(cfg)
+	width := bucketWidth(a.cfg)
+	if width == a.width {
+		return
+	}
+	oldWidth, head, sums, counts := a.width, a.head, a.sums, a.counts
+	a.width, a.sums, a.counts = width, [ringSlots]float64{}, [ringSlots]uint32{}
+	if a.epoch.IsZero() {
+		return
+	}
+	a.head = a.bucket(a.epoch.Add(time.Duration(head-ringBuckets) * oldWidth))
+	for k := head - ringBuckets; k <= head; k++ {
+		if s := slot(k); counts[s] > 0 {
+			a.add(a.bucket(a.epoch.Add(time.Duration(k)*oldWidth)), sums[s], counts[s])
+		}
+	}
 }
 
 // Record adds one observation of total in-flight requests (executing plus
@@ -86,7 +129,12 @@ func (a *FunctionAutoscaler) Record(at time.Time, inFlight float64) {
 	if a.epoch.IsZero() {
 		a.epoch = at
 	}
-	k := a.bucket(at)
+	a.add(a.bucket(at), inFlight, 1)
+}
+
+// add puts n observations summing to sum in bucket k, unless k is older
+// than every bucket the ring still holds.
+func (a *FunctionAutoscaler) add(k int64, sum float64, n uint32) {
 	if k < a.head-ringBuckets {
 		return
 	}
@@ -99,8 +147,8 @@ func (a *FunctionAutoscaler) Record(at time.Time, inFlight float64) {
 		a.head = k
 	}
 	s := slot(k)
-	a.sums[s] += inFlight
-	a.counts[s]++
+	a.sums[s] += sum
+	a.counts[s] += n
 }
 
 // bucket returns the number of the bucket t falls in (negative for a time
@@ -120,12 +168,20 @@ func slot(k int64) int { return int((k%ringSlots + ringSlots) % ringSlots) }
 // the one now-d falls in to the newest: the window's far edge is floored
 // to a bucket boundary, so an observation exactly d old still counts.
 func (a *FunctionAutoscaler) windowAverage(now time.Time, d time.Duration) float64 {
-	if a.epoch.IsZero() {
+	sum, n := a.window(now, d)
+	if n == 0 {
 		return 0
 	}
+	return sum / float64(n)
+}
+
+// window returns the sum and the number of the observations windowAverage
+// averages.
+func (a *FunctionAutoscaler) window(now time.Time, d time.Duration) (sum float64, n uint64) {
+	if a.epoch.IsZero() {
+		return 0, 0
+	}
 	oldest := max(a.bucket(now.Add(-d)), a.head-ringBuckets)
-	var sum float64
-	var n uint64
 	for k, s := a.head, slot(a.head); k >= oldest; k-- {
 		sum += a.sums[s]
 		n += uint64(a.counts[s])
@@ -134,10 +190,7 @@ func (a *FunctionAutoscaler) windowAverage(now time.Time, d time.Duration) float
 		}
 		s--
 	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return sum, n
 }
 
 // Desired returns the number of sandboxes the function should have,
@@ -207,4 +260,83 @@ func (a *FunctionAutoscaler) InPanic() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.panicMode
+}
+
+// span is how far back a decision reads: the longer of the two windows.
+func (a *FunctionAutoscaler) span() time.Duration {
+	return max(a.cfg.StableWindow, a.cfg.PanicWindow)
+}
+
+// Quiet is what is left of a scaler whose function has gone idle, and all
+// the function keeps of it until it is active again: enough for Resume to
+// rebuild the window of a scaler that went on being fed a 0 at every tick.
+type Quiet struct {
+	// Origin is the scaler's first observation, which its buckets are
+	// counted from; zero if it had none.
+	Origin time.Time
+	// At is the tick the function went idle at. A function registered at
+	// t and not yet observed is Quiet{At: t}: its first tick is after t.
+	At time.Time
+	// Zeros is how many observations, every one of them 0, the windows
+	// held at At; Resume puts them on the ticks up to At.
+	Zeros int
+}
+
+// Quiesce reports whether the scaler is idle at now, as a decision taken
+// at now would find it: its windows hold nothing but zeros, it is
+// not in panic mode, and it is past its scale-to-zero grace. An idle
+// scaler wants no sandbox beyond MinScale and, fed only zeros, goes on
+// wanting none. Its Quiet is what Resume needs to rebuild it.
+func (a *FunctionAutoscaler) Quiesce(now time.Time) (Quiet, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	sum, n := a.window(now, a.span())
+	if sum != 0 || a.panicMode || (a.everActive && now.Sub(a.lastPositive) < a.cfg.ScaleToZeroGrace) {
+		return Quiet{}, false
+	}
+	return Quiet{Origin: a.epoch, At: now, Zeros: int(n)}, true
+}
+
+// Resume makes a, fresh from New or Reset, the scaler of a function that
+// has been idle since q, for ticks every apart: one whose decisions from
+// now on are those of the scaler q came from, had it been fed a 0 at every
+// tick before now. The zeros q holds sit on the ticks up to q.At, the rest
+// on q.At+every, q.At+2·every, … before now; only those the windows can
+// still reach are recorded, in bulk, so resuming costs at most one step
+// per bucket. A scaler resumed from Quiet{At: t} has been fed a 0 at
+// every tick after t, as one built at registration and fed every tick
+// would have been.
+func (a *FunctionAutoscaler) Resume(q Quiet, every time.Duration, now time.Time) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.epoch = q.Origin
+	if every <= 0 {
+		return
+	}
+	// Zeros further back than the windows reach are skipped below; not
+	// counting them keeps the product in range.
+	zeros := min(q.Zeros, int((a.span()+a.width)/every)+2)
+	from := q.At.Add(-time.Duration(zeros-1) * every)
+	// The first tick in the bucket the window's far edge falls in.
+	if reach := now.Add(-a.span() - a.width); from.Before(reach) {
+		from = from.Add((reach.Sub(from) + every - 1) / every * every)
+	}
+	if !from.Before(now) {
+		return
+	}
+	if a.epoch.IsZero() {
+		a.epoch = from
+	}
+	end := now.Add(-1) // a tick at now is the caller's to record
+	for t := from; !t.After(end); {
+		k := a.bucket(t)
+		// The ticks from t on that fall in bucket k and are before now.
+		last := a.epoch.Add(time.Duration(k+1)*a.width - 1)
+		if last.After(end) {
+			last = end
+		}
+		n := last.Sub(t)/every + 1
+		a.add(k, 0, uint32(n))
+		t = t.Add(n * every)
+	}
 }

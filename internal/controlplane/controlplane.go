@@ -223,9 +223,15 @@ type sandboxState struct {
 
 // functionState is all per-function control plane state. It is guarded by
 // the lock of the shard the function hashes to.
+//
+// A function is active while it is in its shard's active list, which is
+// what the autoscale sweep walks, and idle otherwise. An idle function has
+// no demand, no sandboxes and no scaler: scaler, demand and sandboxes are
+// nil and quiet is what activate rebuilds the scaler from.
 type functionState struct {
 	fn     core.Function
 	scaler *autoscaler.FunctionAutoscaler
+	quiet  autoscaler.Quiet
 	// demand is what each data plane last reported for this function (in
 	// flight plus queued), kept until it reports a change: data planes
 	// leave unchanged functions out of their reports. Every decision
@@ -251,12 +257,78 @@ type functionState struct {
 	triggered bool
 }
 
-func newFunctionState(fn core.Function) *functionState {
-	return &functionState{
-		fn:        fn,
-		scaler:    autoscaler.New(fn.Scaling),
-		sandboxes: make(map[core.SandboxID]*sandboxState),
+// newFunctionState is the state of fn registered (or reloaded) at now:
+// idle, and active at once if its MinScale wants sandboxes. Callers hold
+// sh's lock and put the state in sh.fns.
+func (cp *ControlPlane) newFunctionState(sh *functionShard, fn core.Function, now time.Time) *functionState {
+	fs := &functionState{fn: fn, quiet: autoscaler.Quiet{At: now}}
+	if fn.Scaling.MinScale > 0 {
+		cp.activate(sh, fs, now)
 	}
+	return fs
+}
+
+// active reports whether fs is in its shard's active list.
+func (fs *functionState) active() bool { return fs.scaler != nil }
+
+// Scalers and sandbox maps of functions gone idle, for the next functions
+// to become active: under cold-start churn a function wakes about as often
+// as another goes idle.
+var (
+	idleScalers   sync.Pool // of *autoscaler.FunctionAutoscaler
+	idleSandboxes sync.Pool // of empty map[core.SandboxID]*sandboxState
+)
+
+// activate puts fs in sh's active list, unless it is there, with a scaler
+// resumed from its quiet: fed a 0 at every AutoscaleInterval since it went
+// idle, the samples the sweep would have recorded had it gone on walking
+// it. Callers hold sh's lock; sh is fs's shard.
+func (cp *ControlPlane) activate(sh *functionShard, fs *functionState, now time.Time) {
+	if fs.active() {
+		return
+	}
+	if a, ok := idleScalers.Get().(*autoscaler.FunctionAutoscaler); ok {
+		a.Reset(fs.fn.Scaling)
+		fs.scaler = a
+	} else {
+		fs.scaler = autoscaler.New(fs.fn.Scaling)
+	}
+	fs.scaler.Resume(fs.quiet, cp.cfg.AutoscaleInterval, now)
+	fs.quiet = autoscaler.Quiet{}
+	if m, ok := idleSandboxes.Get().(map[core.SandboxID]*sandboxState); ok {
+		fs.sandboxes = m
+	} else {
+		fs.sandboxes = make(map[core.SandboxID]*sandboxState)
+	}
+	sh.active = append(sh.active, fs)
+}
+
+// quiesce makes fs idle if it is: no data plane reports demand for it, it
+// has no sandboxes and none being placed, its MinScale is 0, and its
+// scaler is idle (autoscaler.Quiesce). What it held goes with the scaler;
+// the caller takes fs out of the active list. Callers hold fs's shard lock.
+func (fs *functionState) quiesce(now time.Time) bool {
+	if fs.placing > 0 || len(fs.sandboxes) > 0 || fs.fn.Scaling.MinScale > 0 || fs.totalDemand() > 0 {
+		return false
+	}
+	q, ok := fs.scaler.Quiesce(now)
+	if !ok {
+		return false
+	}
+	idleScalers.Put(fs.scaler)
+	idleSandboxes.Put(fs.sandboxes)
+	fs.scaler, fs.quiet, fs.demand, fs.sandboxes = nil, q, nil, nil
+	return true
+}
+
+// desired is what fs's scaler wants at now for current sandboxes, without
+// recording a sample. An idle function wants none: its resumed scaler
+// would hold nothing but zeros, and its MinScale is 0.
+func (fs *functionState) desired(now time.Time, current int) int {
+	if !fs.active() {
+		return 0
+	}
+	return fs.scaler.Desired(now, current)
 }
 
 type dpDemand struct {
@@ -265,10 +337,14 @@ type dpDemand struct {
 }
 
 // setDemand stores one data plane's latest report and says whether it
-// differs from that replica's previous one (none counts as 0).
+// differs from that replica's previous one (none counts as 0, so a first
+// report of 0 stores nothing).
 func (fs *functionState) setDemand(dp core.DataPlaneID, demand int) (changed bool) {
 	i := slices.IndexFunc(fs.demand, func(d dpDemand) bool { return d.dp == dp })
 	if i < 0 {
+		if demand == 0 {
+			return false
+		}
 		i, fs.demand = len(fs.demand), append(fs.demand, dpDemand{dp: dp})
 	}
 	changed = fs.demand[i].demand != demand
@@ -285,10 +361,11 @@ func (fs *functionState) totalDemand() (sum int) {
 }
 
 // dropDemand forgets, for every function, what the given data planes last
-// reported: a replica that is gone must not stay in the sums.
+// reported: a replica that is gone must not stay in the sums. Only active
+// functions hold any.
 func (cp *ControlPlane) dropDemand(gone ...core.DataPlaneID) {
 	cp.forEachShard(func(sh *functionShard) {
-		for _, fs := range sh.fns {
+		for _, fs := range sh.active {
 			fs.demand = slices.DeleteFunc(fs.demand, func(d dpDemand) bool { return slices.Contains(gone, d.dp) })
 		}
 	})
@@ -618,18 +695,19 @@ func (cp *ControlPlane) recover() {
 	cp.epoch.Store(cp.nextEpoch())
 
 	// 1. Reload persisted state: functions, workers, data planes.
+	now := cp.clk.Now()
 	cp.forEachShard(func(sh *functionShard) {
 		sh.fns = make(map[string]*functionState)
+		sh.active = nil
 	})
 	for _, b := range cp.cfg.DB.HGetAll(hashFunctions) {
 		if f, err := core.UnmarshalFunction(b); err == nil {
 			sh := cp.shardFor(f.Name)
 			cp.lockShard(sh)
-			sh.fns[f.Name] = newFunctionState(*f)
+			sh.fns[f.Name] = cp.newFunctionState(sh, *f, now)
 			sh.mu.Unlock()
 		}
 	}
-	now := cp.clk.Now()
 	workers := cp.rebuildWorkers(func() []*workerState {
 		var out []*workerState
 		for _, b := range cp.cfg.DB.HGetAll(hashWorkers) {
@@ -724,6 +802,7 @@ func (cp *ControlPlane) mergeWorkerSandboxes(w *workerState) {
 	for _, sb := range list.Sandboxes {
 		sb := sb
 		merged := cp.withFunction(sb.Function, func(fs *functionState) {
+			cp.activate(cp.shardFor(sb.Function), fs, cp.clk.Now())
 			fs.sandboxes[sb.ID] = &sandboxState{
 				id:         sb.ID,
 				function:   sb.Function,
@@ -819,10 +898,18 @@ func (cp *ControlPlane) handleRegisterFunction(payload []byte) ([]byte, error) {
 	defer cp.fnMu.Unlock()
 	sh := cp.shardFor(f.Name)
 	cp.lockShard(sh)
+	now := cp.clk.Now()
 	if fs, exists := sh.fns[f.Name]; !exists {
-		sh.fns[f.Name] = newFunctionState(*f)
+		sh.fns[f.Name] = cp.newFunctionState(sh, *f, now)
 	} else {
+		// A re-registration may change how the function scales: the
+		// next decision takes the new config, the sweep's walk included.
 		fs.fn = *f
+		if fs.active() {
+			fs.scaler.SetConfig(f.Scaling)
+		} else {
+			cp.activate(sh, fs, now)
+		}
 	}
 	sh.mu.Unlock()
 	delta := proto.FunctionList{Functions: []core.Function{*f}}
@@ -858,6 +945,7 @@ func (cp *ControlPlane) handleDeregisterFunction(payload []byte) ([]byte, error)
 	delete(sh.fns, f.Name)
 	var kills []*sandboxState
 	if fs != nil {
+		sh.active = slices.DeleteFunc(sh.active, func(a *functionState) bool { return a == fs })
 		for _, sb := range fs.sandboxes {
 			kills = append(kills, sb)
 		}
@@ -1016,6 +1104,12 @@ func (cp *ControlPlane) handleScalingMetric(payload []byte) ([]byte, error) {
 			return // a metric racing a deregistration
 		}
 		demand := inFlight + queueDepth
+		if !fs.active() {
+			if demand == 0 {
+				return // what an idle function's missing entry says already
+			}
+			cp.activate(sh, fs, now)
+		}
 		changed := fs.setDemand(dp, demand)
 		if demand == 0 || fs.triggered || fs.placing > 0 || len(fs.sandboxes) > 0 {
 			if changed {
@@ -1069,6 +1163,7 @@ func (cp *ControlPlane) handleSandboxReadyBatch(payload []byte) ([]byte, error) 
 // the caller's job so batch arrivals can coalesce it.
 func (cp *ControlPlane) applySandboxReady(ev *proto.SandboxEvent) bool {
 	ok := cp.withFunction(ev.Function, func(fs *functionState) {
+		cp.activate(cp.shardFor(ev.Function), fs, cp.clk.Now())
 		sb, exists := fs.sandboxes[ev.SandboxID]
 		if !exists {
 			sb = &sandboxState{

@@ -42,7 +42,9 @@ func (cp *ControlPlane) autoscaleLoop() {
 // waiting for ticker periods.
 //
 // The sweep iterates shard by shard, holding only one shard's lock while
-// it takes that shard's scaling decisions (scaleStep); sandbox transitions
+// it takes that shard's scaling decisions (scaleStep) for the functions in
+// its active list, and takes out of the list those the decision leaves
+// idle (quiesce): an idle function costs a tick nothing. Sandbox transitions
 // and metric reports for functions in other shards proceed concurrently
 // with the pass instead of stalling behind a global lock for the whole
 // sweep. The decisions are then carried out off-lock by applyScale.
@@ -54,13 +56,20 @@ func (cp *ControlPlane) Reconcile() {
 	}
 	var actions []scaleAction
 	cp.forEachShard(func(sh *functionShard) {
-		for _, fs := range sh.fns {
+		kept := sh.active[:0]
+		for _, fs := range sh.active {
 			// A new tick: the report handler may try this function again.
 			fs.triggered = false
+			sh.steps++
 			if a, ok := fs.scaleStep(now, downscale); ok {
 				actions = append(actions, a)
 			}
+			if !fs.quiesce(now) {
+				kept = append(kept, fs)
+			}
 		}
+		clear(sh.active[len(kept):])
+		sh.active = kept
 	})
 	cp.applyScale(actions, now)
 	cp.pushPrewarmTargets(now)
@@ -402,7 +411,7 @@ func (cp *ControlPlane) failWorker(id core.NodeID) {
 	w.mu.Unlock()
 	var touched []string
 	cp.forEachShard(func(sh *functionShard) {
-		for name, fs := range sh.fns {
+		for _, fs := range sh.active { // an idle function has no sandboxes
 			drained := false
 			for sid, sb := range fs.sandboxes {
 				if sb.node == id {
@@ -411,7 +420,7 @@ func (cp *ControlPlane) failWorker(id core.NodeID) {
 				}
 			}
 			if drained {
-				touched = append(touched, name)
+				touched = append(touched, fs.fn.Name)
 			}
 		}
 	})

@@ -216,7 +216,7 @@ func TestScalingMetricTruncatedReportRefusedWhole(t *testing.T) {
 func desired(t *testing.T, h *cpHarness, name string, current int) (want int) {
 	t.Helper()
 	now := h.cp.clk.Now()
-	if !h.cp.withFunction(name, func(fs *functionState) { want = fs.scaler.Desired(now, current) }) {
+	if !h.cp.withFunction(name, func(fs *functionState) { want = fs.desired(now, current) }) {
 		t.Fatalf("%s is not registered", name)
 	}
 	return want

@@ -21,6 +21,11 @@ const stateShards = 32
 type functionShard struct {
 	mu  sync.Mutex
 	fns map[string]*functionState
+	// active lists the shard's active functions (functionState), the
+	// only ones the autoscale sweep walks.
+	active []*functionState
+	// steps counts the sweep's decisions in this shard.
+	steps uint64
 }
 
 func newShards() []*functionShard {
@@ -92,4 +97,14 @@ func (cp *ControlPlane) snapshotFunctions() []core.Function {
 		}
 	})
 	return out
+}
+
+// ActiveFunctions reports how many functions the autoscale sweep walks,
+// the active ones, and how many decisions it has taken in all.
+func (cp *ControlPlane) ActiveFunctions() (active int, steps uint64) {
+	cp.forEachShard(func(sh *functionShard) {
+		active += len(sh.active)
+		steps += sh.steps
+	})
+	return active, steps
 }

@@ -165,6 +165,8 @@ type functionRuntime struct {
 	// coldMarked is set while the runtime sits in DataPlane.cold, so it
 	// sits there at most once however long a report takes to leave.
 	coldMarked atomic.Bool
+	// active is set while the runtime sits in DataPlane.active.
+	active atomic.Bool
 
 	// Owned by metricLoop: reported is the demand (in flight plus queued)
 	// the control plane last acknowledged for this function, 0 until the
@@ -218,6 +220,17 @@ type DataPlane struct {
 	coldMu   sync.Mutex
 	cold     []*functionRuntime
 	coldWake chan struct{}
+	// The active list: the runtimes whose demand has risen since the
+	// control plane last held a 0 for them, which are all the runtimes a
+	// report of changes looks at (markActive, pruneActive). activeMu is a
+	// leaf lock, taken under a runtime's mu. spareActive is the buffer the
+	// next takeActive installs. nActive counts the listed runtimes and
+	// polls the metrics the periodic reports have collected.
+	activeMu    sync.Mutex
+	active      []*functionRuntime
+	spareActive []*functionRuntime
+	nActive     atomic.Int64
+	polls       atomic.Uint64
 	// fullReport is set when the control plane's demand table for this
 	// replica may be empty or stale (start, a function sync, a failed full
 	// report) or is due its periodic ground truth (every fullReportEvery-th

@@ -85,6 +85,7 @@ func (dp *DataPlane) invoke(fr *functionRuntime, payload []byte) ([]byte, error)
 			break
 		}
 		// Warm start: a sandbox with a free slot exists right now.
+		dp.markActive(fr)
 		body, err := dp.proxy(&info, function, payload)
 		dp.releaseSlot(fr, st)
 		if err != nil {
@@ -132,6 +133,7 @@ func (dp *DataPlane) invoke(fr *functionRuntime, payload []byte) ([]byte, error)
 	}
 	fr.queue = append(fr.queue, p)
 	fr.queued.Add(1)
+	dp.markActive(fr)
 	if len(fr.queue) == 1 && len(fr.snap.Load().states) == 0 {
 		// First to wait, and on nothing: tell the control plane now.
 		dp.markCold(fr)
@@ -292,10 +294,14 @@ func (dp *DataPlane) pumpLocked(fr *functionRuntime) []dispatchWork {
 			break
 		}
 		p := fr.queue[0]
+		fr.queue[0] = nil // the array outlives the dequeue
 		fr.queue = fr.queue[1:]
 		fr.queued.Add(-1)
 		st := snap.states[idx]
 		work = append(work, dispatchWork{fr: fr, info: st.info, st: st, p: p})
+	}
+	if len(fr.queue) == 0 {
+		fr.queue = nil
 	}
 	return work
 }
@@ -387,6 +393,7 @@ func (dp *DataPlane) requeue(fr *functionRuntime, p *pending) *functionRuntime {
 	defer fr.mu.Unlock()
 	fr.queue = append([]*pending{p}, fr.queue...)
 	fr.queued.Add(1)
+	dp.markActive(fr)
 	return fr
 }
 
@@ -400,12 +407,12 @@ func (dp *DataPlane) abandon(function string, p *pending) {
 	}
 	dp.lockRuntime(fr)
 	defer fr.mu.Unlock()
-	for i, q := range fr.queue {
-		if q == p {
-			fr.queue = append(fr.queue[:i], fr.queue[i+1:]...)
-			fr.queued.Add(-1)
-			return
+	if i := slices.Index(fr.queue, p); i >= 0 {
+		fr.queue = slices.Delete(fr.queue, i, i+1) // clears the vacated slot
+		if len(fr.queue) == 0 {
+			fr.queue = nil
 		}
+		fr.queued.Add(-1)
 	}
 }
 
@@ -543,7 +550,8 @@ const fullReportEvery = 50
 // flight plus queued) differs from what the control plane last
 // acknowledged, which is what steady-state scaling and scale-down run on:
 // the control plane keeps each replica's last value, so an idle function
-// costs nothing after its zero has been acknowledged. In between, as soon
+// costs nothing after its zero has been acknowledged. The period looks at
+// the active runtimes only (markActive), not the whole registry. In between, as soon
 // as markCold wakes it, it sends the functions an invocation has just
 // queued for with no endpoint, so a scale from zero waits for neither this
 // timer nor the control plane's tick. The period is driven by the injected
@@ -618,6 +626,10 @@ func (dp *DataPlane) reportCold() {
 // and the next after a full report that failed. A failed report of
 // changes needs no such care: what it carried still differs from the
 // acknowledged values and goes out again next period.
+//
+// Only the active runtimes can differ from what the control plane holds,
+// so a report of changes looks at those alone; a full report looks at
+// every runtime. Either way the report is followed by pruneActive.
 func (dp *DataPlane) reportMetrics() {
 	// Take the debt before reading: a sync from here on owes the next
 	// report as well.
@@ -625,36 +637,132 @@ func (dp *DataPlane) reportMetrics() {
 	now := dp.clk.Now()
 	report := proto.ScalingMetricReport{DataPlane: dp.cfg.ID}
 	var sent []*functionRuntime
-	for _, sh := range dp.shards {
-		for _, fr := range sh.fns.load() {
-			m := fr.scalingMetric(now)
-			if full || m.InFlight+m.QueueDepth != fr.reported {
-				report.Metrics = append(report.Metrics, m)
-				sent = append(sent, fr)
+	polls := 0
+	visit := func(fr *functionRuntime) {
+		polls++
+		m := fr.scalingMetric(now)
+		if full || m.InFlight+m.QueueDepth != fr.reported {
+			report.Metrics = append(report.Metrics, m)
+			sent = append(sent, fr)
+		}
+	}
+	active := dp.takeActive()
+	if full {
+		for _, sh := range dp.shards {
+			for _, fr := range sh.fns.load() {
+				visit(fr)
+			}
+		}
+	} else {
+		for _, fr := range active {
+			if dp.registered(fr) {
+				visit(fr)
 			}
 		}
 	}
+	dp.polls.Add(uint64(polls))
 	if !dp.sendMetrics(&report, sent) && full {
 		dp.fullReport.Store(true)
 	}
+	dp.pruneActive(active)
+}
+
+// markActive puts fr in the active list unless it is there: called
+// wherever its demand rises (a warm slot taken, an invocation queued or
+// requeued), after the rise. On the warm path it costs one atomic load.
+func (dp *DataPlane) markActive(fr *functionRuntime) {
+	if !fr.active.Load() {
+		dp.enlist(fr)
+	}
+}
+
+func (dp *DataPlane) enlist(fr *functionRuntime) {
+	if !fr.active.CompareAndSwap(false, true) {
+		return
+	}
+	dp.activeMu.Lock()
+	dp.active = append(dp.active, fr)
+	dp.activeMu.Unlock()
+	dp.nActive.Add(1)
+}
+
+// takeActive hands the active list to the report, leaving an empty one in
+// its place for the runtimes that join meanwhile.
+func (dp *DataPlane) takeActive() []*functionRuntime {
+	dp.activeMu.Lock()
+	defer dp.activeMu.Unlock()
+	taken := dp.active
+	dp.active, dp.spareActive = dp.spareActive[:0], nil
+	return taken
+}
+
+// pruneActive takes out of active, the list takeActive handed out, every
+// runtime the control plane holds a 0 for and that has no demand, or that
+// is no longer registered, and merges the rest back into the active list.
+func (dp *DataPlane) pruneActive(active []*functionRuntime) {
+	kept := active[:0]
+	for _, fr := range active {
+		busy := dp.registered(fr) && (fr.reported != 0 || fr.demand() != 0)
+		if busy || stays(fr) {
+			kept = append(kept, fr)
+			continue
+		}
+		dp.nActive.Add(-1)
+	}
+	clear(active[len(kept):])
+	dp.activeMu.Lock()
+	joined := dp.active
+	dp.active = append(kept, joined...)
+	clear(joined)
+	dp.spareActive = joined[:0]
+	dp.activeMu.Unlock()
+}
+
+// stays clears fr's active flag, found idle, and reports whether fr must
+// stay listed after all: an arrival since the idle check raised its
+// demand. The flag is cleared before the demand is read again, and
+// markActive raises demand before it reads the flag (seq-cst atomics), so
+// an arrival racing the prune either finds the flag clear and enlists fr
+// itself, or is seen here. A runtime no longer registered has no demand:
+// its endpoint set is empty and its queue dead.
+func stays(fr *functionRuntime) bool {
+	fr.active.Store(false)
+	return fr.demand() != 0 && fr.active.CompareAndSwap(false, true)
+}
+
+// registered reports whether fr is the registry's runtime for its name.
+func (dp *DataPlane) registered(fr *functionRuntime) bool { return dp.lookup(fr.name) == fr }
+
+// ActiveFunctions reports how many runtimes the metric loop's reports of
+// changes look at, the active ones, and how many per-function metrics the
+// periodic reports have collected in all.
+func (dp *DataPlane) ActiveFunctions() (active int, polls uint64) {
+	return int(dp.nActive.Load()), dp.polls.Load()
 }
 
 // scalingMetric collects fr's in-flight plus queued requests. It reads
 // only the published snapshot and atomic counters — a report never stalls
 // the invoke path.
 func (fr *functionRuntime) scalingMetric(now time.Time) core.ScalingMetric {
-	snap := fr.snap.Load()
-	inFlight := 0
-	for i := range snap.eps {
-		inFlight += int(snap.eps[i].InFlight.Load())
-	}
 	return core.ScalingMetric{
 		Function:   fr.name,
-		InFlight:   inFlight,
+		InFlight:   fr.inFlight(),
 		QueueDepth: int(fr.queued.Load()),
 		At:         now,
 	}
 }
+
+func (fr *functionRuntime) inFlight() int {
+	snap := fr.snap.Load()
+	n := 0
+	for i := range snap.eps {
+		n += int(snap.eps[i].InFlight.Load())
+	}
+	return n
+}
+
+// demand is fr's in-flight plus queued requests.
+func (fr *functionRuntime) demand() int { return fr.inFlight() + int(fr.queued.Load()) }
 
 // sendMetrics sends report, whose i-th metric is fns[i]'s, and once the
 // control plane has acknowledged it records each sent demand as fns[i]'s

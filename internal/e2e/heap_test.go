@@ -42,11 +42,16 @@ const maxAllocsPerColdStart = 75
 //
 // Control plane:
 //   - the function shards' fns (by function): deregistration;
+//   - the shards' active lists (by function): the decision that finds the
+//     function idle, or deregistration;
 //   - functionState.sandboxes (by sandbox): the kill scaleStep decides, a
-//     crash report, or its worker's failure;
+//     crash report, or its worker's failure; the map itself goes when the
+//     function goes idle;
 //   - functionState.demand (by data plane): dropDemand, when the data
-//     plane fails or deregisters;
-//   - the scaler's samples: a fixed ring of buckets;
+//     plane fails or deregisters, and the whole slice when the function
+//     goes idle;
+//   - the scaler's samples: a fixed ring of buckets, dropped with the
+//     scaler when the function goes idle;
 //   - the worker shards' workers (by worker): dead-worker GC;
 //   - every registry histogram: fixed-size buckets;
 //   - each data plane's owed set (by function): emptied by its sender,
@@ -60,7 +65,8 @@ const maxAllocsPerColdStart = 75
 //     the shared empty snapshot; the queue drains as sandboxes come up;
 //   - the worker address table (by worker): an entry is replaced when its
 //     worker's address changes, so it holds one per worker ID;
-//   - the cold-mark list: emptied by every cold report.
+//   - the cold-mark list: emptied by every cold report;
+//   - the active list (by function): pruned after every periodic report.
 //
 // Worker:
 //   - functions and the ready table (by sandbox): killSandbox;
