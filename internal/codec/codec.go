@@ -28,10 +28,11 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 // Len returns the number of encoded bytes.
 func (e *Encoder) Len() int { return len(e.buf) }
 
-// Reset discards what e holds and appends from now on to buf[:0], reusing
-// its storage. The caller owns buf: it may hand it to Reset again once it
-// is done with the bytes Bytes returned.
-func (e *Encoder) Reset(buf []byte) { e.buf = buf[:0] }
+// Extend discards what e holds and appends from now on to buf, after the
+// bytes buf already holds, reusing its storage (buf[:0] starts empty). The
+// caller owns buf: it may hand it to Extend again once it is done with the
+// bytes Bytes returned.
+func (e *Encoder) Extend(buf []byte) { e.buf = buf }
 
 // PutU32At overwrites with v the four bytes at off, which an earlier U32
 // appended: a count or length known only once what it prefixes has been

@@ -8,7 +8,6 @@ import (
 
 	"dirigent/internal/core"
 	"dirigent/internal/proto"
-	"dirigent/internal/transport"
 )
 
 // Data plane replicas are first-class, dynamic members of the cluster,
@@ -52,12 +51,11 @@ type dataPlaneState struct {
 	// set, and revival owes it every function.
 	owed     map[string]struct{}
 	flushing bool
-	// names, buf and deadline belong to the running sender: its batch's
-	// function names, the buffer its payloads are written into and the
-	// deadline of its calls, kept from one flush to the next.
-	names    []string
-	buf      []byte
-	deadline *transport.Deadline
+	// names and buf belong to the running sender: its batch's function
+	// names and the buffer its payloads are written into, kept from one
+	// flush to the next.
+	names []string
+	buf   []byte
 }
 
 // putDataPlane inserts or replaces a registry entry for a (re-)registered

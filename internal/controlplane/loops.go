@@ -586,11 +586,11 @@ func (cp *ControlPlane) flushEndpoints(st *dataPlaneState) {
 			continue
 		}
 		cp.mEndpointFanout.ObserveMs(float64(w.Updates()))
-		if st.deadline == nil || !st.deadline.Rearm(2*time.Second) {
-			st.deadline = transport.NewDeadline(context.Background(), 2*time.Second)
+		ctx := transport.NewDeadline(context.Background(), 2*time.Second)
+		if _, err := cp.cfg.Transport.Call(ctx, st.addr, proto.MethodUpdateEndpointsBatch, st.buf); err != nil {
+			st.buf = nil // a failed call's buffer is not reused
 		}
-		_, _ = cp.cfg.Transport.Call(st.deadline, st.addr, proto.MethodUpdateEndpointsBatch, st.buf)
-		st.deadline.Stop()
+		ctx.Stop()
 	}
 }
 

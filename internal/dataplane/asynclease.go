@@ -68,7 +68,7 @@ func (dp *DataPlane) adoptEpoch(e uint64) {
 	}
 	if st := dp.cfg.AsyncStore; st != nil {
 		if err := st.HBumpU64(asyncFenceHash, asyncFenceField(dp.cfg.ID), e); err != nil {
-			dp.metrics.Counter("async_fence_errors").Inc()
+			dp.mAsync.fenceErrors.Inc()
 			return
 		}
 		dp.retryParkedSettles()
@@ -98,7 +98,7 @@ func (dp *DataPlane) parkSettle(hash, key string) {
 	dp.parkMu.Lock()
 	dp.parked = append(dp.parked, parkedSettle{hash: hash, key: key})
 	dp.parkMu.Unlock()
-	dp.metrics.Counter("async_settle_parked").Inc()
+	dp.mAsync.settleParked.Inc()
 }
 
 // retryParkedSettles re-attempts parked settles at the newly adopted
@@ -197,7 +197,7 @@ func (dp *DataPlane) handleAsyncLeaseGrant(payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	if dp.cfg.AsyncStore == nil {
-		dp.metrics.Counter("async_lease_nostore").Inc()
+		dp.mAsync.leaseNoStore.Inc()
 		return nil, nil
 	}
 	if dp.stopped.Load() {
@@ -218,7 +218,7 @@ func (dp *DataPlane) handleAsyncLeaseGrant(payload []byte) ([]byte, error) {
 		dp.abandonLease(g.Owner, g.Epoch)
 		return nil, err
 	}
-	dp.metrics.Counter("async_leases_granted").Inc()
+	dp.mAsync.leasesGranted.Inc()
 	dp.wg.Add(1)
 	go dp.drainLease(l)
 	return nil, nil
@@ -236,7 +236,7 @@ func (dp *DataPlane) handleAsyncLeaseRevoke(payload []byte) ([]byte, error) {
 	if l := dp.leases[r.Owner]; l != nil && l.epoch < r.Epoch {
 		l.revoked.Store(true)
 		delete(dp.leases, r.Owner)
-		dp.metrics.Counter("async_leases_revoked").Inc()
+		dp.mAsync.leasesRevoked.Inc()
 	}
 	dp.leaseMu.Unlock()
 	return nil, nil
@@ -266,7 +266,7 @@ func (dp *DataPlane) drainLease(l *heldLease) {
 			task, err := unmarshalAsyncTask(raw)
 			if err != nil {
 				st.HDel(hash, key)
-				dp.metrics.Counter("async_recover_corrupt").Inc()
+				dp.mAsync.recoverCorrupt.Inc()
 				dp.forgetLeasedKey(hash, key)
 				continue
 			}
@@ -280,7 +280,7 @@ func (dp *DataPlane) drainLease(l *heldLease) {
 				dp.forgetLeasedKey(hash, key)
 				return
 			}
-			dp.metrics.Counter("async_lease_drained").Inc()
+			dp.mAsync.leaseDrained.Inc()
 		}
 	}
 }

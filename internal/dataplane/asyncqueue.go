@@ -9,6 +9,7 @@ import (
 	"dirigent/internal/codec"
 	"dirigent/internal/core"
 	"dirigent/internal/store"
+	"dirigent/internal/telemetry"
 )
 
 // Asynchronous invocations provide at-least-once semantics "through
@@ -75,6 +76,43 @@ var (
 	errAsyncQueueFull = errors.New("data plane: async queue full")
 	errAsyncQuota     = errors.New("data plane: async per-function quota exceeded")
 )
+
+// asyncCounters are the async path's counters (accept, dispatch, settle,
+// recovery and leases), resolved once at construction like the warm
+// path's, so no async step looks a counter up by name.
+type asyncCounters struct {
+	accepted, rejected, completed, failed      *telemetry.Counter
+	retries, backoff, requeued, leaseDropped   *telemetry.Counter
+	settleFenced, settleUpgraded, settleErrors *telemetry.Counter
+	settleParked, fenceErrors                  *telemetry.Counter
+	recovered, recoverCorrupt                  *telemetry.Counter
+	leaseNoStore, leasesGranted, leasesRevoked *telemetry.Counter
+	leaseDrained                               *telemetry.Counter
+}
+
+func newAsyncCounters(r *telemetry.Registry) asyncCounters {
+	return asyncCounters{
+		accepted:       r.Counter("async_accepted"),
+		rejected:       r.Counter("async_rejected"),
+		completed:      r.Counter("async_completed"),
+		failed:         r.Counter("async_failed"),
+		retries:        r.Counter("async_retries"),
+		backoff:        r.Counter("async_backoff"),
+		requeued:       r.Counter("async_requeued"),
+		leaseDropped:   r.Counter("async_lease_dropped"),
+		settleFenced:   r.Counter("async_settle_fenced"),
+		settleUpgraded: r.Counter("async_settle_upgraded"),
+		settleErrors:   r.Counter("async_settle_errors"),
+		settleParked:   r.Counter("async_settle_parked"),
+		fenceErrors:    r.Counter("async_fence_errors"),
+		recovered:      r.Counter("async_recovered"),
+		recoverCorrupt: r.Counter("async_recover_corrupt"),
+		leaseNoStore:   r.Counter("async_lease_nostore"),
+		leasesGranted:  r.Counter("async_leases_granted"),
+		leasesRevoked:  r.Counter("async_leases_revoked"),
+		leaseDrained:   r.Counter("async_lease_drained"),
+	}
+}
 
 // asyncFnQueue is one function's FIFO inside a shard. A queue is present
 // in the shard's map and dispatch ring exactly while it has tasks.
@@ -349,7 +387,7 @@ func (dp *DataPlane) settleAsync(t *asyncTask) {
 			dp.forgetLeasedKey(t.storeHash, t.storeKey)
 		}
 	case errors.Is(err, store.ErrFenced):
-		dp.metrics.Counter("async_settle_fenced").Inc()
+		dp.mAsync.settleFenced.Inc()
 		if t.leased {
 			// The lease may have been re-granted to this same replica at
 			// a higher epoch while the task executed (a co-lessee died
@@ -359,7 +397,7 @@ func (dp *DataPlane) settleAsync(t *asyncTask) {
 			// rescan already skipped as queued.
 			if e, ok := dp.currentLeaseEpoch(t.leaseOwner); ok && e > t.leaseEpoch {
 				t.leaseEpoch = e
-				dp.metrics.Counter("async_settle_upgraded").Inc()
+				dp.mAsync.settleUpgraded.Inc()
 				dp.settleAsync(t)
 				return
 			}
@@ -369,7 +407,7 @@ func (dp *DataPlane) settleAsync(t *asyncTask) {
 			dp.parkSettle(t.storeHash, t.storeKey)
 		}
 	default:
-		dp.metrics.Counter("async_settle_errors").Inc()
+		dp.mAsync.settleErrors.Inc()
 	}
 }
 
@@ -435,7 +473,7 @@ func (dp *DataPlane) recoverAsync(minted uint64) {
 			if err != nil {
 				// Unreadable record: drop it rather than crash-loop.
 				dp.cfg.AsyncStore.HDel(hash, key)
-				dp.metrics.Counter("async_recover_corrupt").Inc()
+				dp.mAsync.recoverCorrupt.Inc()
 				continue
 			}
 			task.storeKey = key
@@ -444,7 +482,7 @@ func (dp *DataPlane) recoverAsync(minted uint64) {
 			if !dp.asyncShardFor(task.function).admitBlocking(task) {
 				return
 			}
-			dp.metrics.Counter("async_recovered").Inc()
+			dp.mAsync.recovered.Inc()
 		}
 	}
 }

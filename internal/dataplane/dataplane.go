@@ -127,13 +127,20 @@ type pending struct {
 	payload    []byte
 	enqueuedAt time.Time
 	resultCh   chan invokeResult
+	// abandoned is set once nobody waits for the invocation (it timed
+	// out, or the data plane is shutting down): its payload may belong to
+	// the next request, so requeue and pumpLocked drop it instead of
+	// dispatching it.
+	abandoned atomic.Bool
 }
 
 type invokeResult struct {
-	body      []byte
-	err       error
-	dispatch  time.Time
-	coldStart bool
+	body []byte
+	// frame is the request frame the body may alias, for the waiting
+	// invocation to give back once it has copied the body.
+	frame    *[]byte
+	err      error
+	dispatch time.Time
 }
 
 // functionRuntime is one function's slice of the data plane. The mutex
@@ -205,6 +212,7 @@ type DataPlane struct {
 	mEndpointBatches *telemetry.Counter
 	mStaleUpdates    *telemetry.Counter
 	mSnapRebuilds    *telemetry.Counter
+	mAsync           asyncCounters
 
 	// addrs holds one address string per worker ID for the endpoints
 	// updates add, so the endpoints on one worker share it instead of
@@ -306,6 +314,7 @@ func New(cfg Config) *DataPlane {
 	dp.mEndpointBatches = dp.metrics.Counter("endpoint_update_batches")
 	dp.mStaleUpdates = dp.metrics.Counter("endpoint_updates_stale")
 	dp.mSnapRebuilds = dp.metrics.Counter("endpoint_snapshot_rebuilds")
+	dp.mAsync = newAsyncCounters(dp.metrics)
 	return dp
 }
 

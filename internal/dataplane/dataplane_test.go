@@ -311,6 +311,107 @@ func TestQueueTimeout(t *testing.T) {
 	}
 }
 
+// TestAbandonedColdInvocationNeverRuns: a cold invocation whose caller
+// stops waiting while its dispatch is in flight, because it timed out or
+// because the data plane is shutting down, is not run again when that
+// dispatch finds a stale endpoint. Before, abandon found nothing in the
+// queue (the dispatch held the pending), the stale endpoint requeued it,
+// and it ran on the next sandbox with nobody waiting for it, reading a
+// payload its handler no longer owned; after a shutdown the front end
+// fails over, so it ran twice.
+func TestAbandonedColdInvocationNeverRuns(t *testing.T) {
+	t.Run("timeout", func(t *testing.T) {
+		testAbandonedColdInvocation(t, 50*time.Millisecond, func(*DataPlane) {})
+	})
+	t.Run("stop", func(t *testing.T) {
+		testAbandonedColdInvocation(t, time.Minute, func(dp *DataPlane) { go dp.Stop() })
+	})
+}
+
+// testAbandonedColdInvocation queues one invocation, dispatches it to a
+// sandbox that hangs, calls giveUp, waits for the invocation to fail, and
+// then lets the hung sandbox answer as a stale one while a live sandbox
+// is ready.
+func testAbandonedColdInvocation(t *testing.T, queueTimeout time.Duration, giveUp func(*DataPlane)) {
+	tr := transport.NewInProc()
+	startFakeCP(t, tr, "cp")
+	entered, release := make(chan struct{}), make(chan struct{})
+	stale, err := tr.Listen("w-stale:9000", func(string, []byte) ([]byte, error) {
+		close(entered)
+		<-release
+		return nil, errors.New("worker: invoke: no such sandbox 1")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stale.Close()
+	var mu sync.Mutex
+	ran := 0
+	live, err := tr.Listen("w-live:9000", func(string, []byte) ([]byte, error) {
+		mu.Lock()
+		ran++
+		mu.Unlock()
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	dp := New(Config{
+		ID:             1,
+		Addr:           "dp0:8000",
+		Transport:      tr,
+		ControlPlanes:  []string{"cp"},
+		MetricInterval: 10 * time.Millisecond,
+		QueueTimeout:   queueTimeout,
+	})
+	if err := dp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer dp.Stop()
+	pushFunction(t, tr, dp.Addr(), "f")
+	update := func(version uint64, eps ...proto.SandboxInfo) {
+		t.Helper()
+		u := proto.EndpointUpdate{Function: "f", Version: version, Endpoints: eps}
+		if _, err := tr.Call(context.Background(), dp.Addr(), proto.MethodUpdateEndpointsBatch, endpointsOf(u)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	staleEP := proto.SandboxInfo{ID: 1, Function: "f", Node: 1, Addr: "w-stale:9000", State: core.SandboxReady}
+	liveEP := proto.SandboxInfo{ID: 2, Function: "f", Node: 2, Addr: "w-live:9000", State: core.SandboxReady}
+
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := invoke(tr, dp.Addr(), "f", []byte("x"))
+		errCh <- err
+	}()
+	for dp.QueueDepth("f") == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	update(1, staleEP)
+	<-entered // the queued invocation is dispatched to the stale sandbox
+	update(2, staleEP, liveEP)
+	giveUp(dp)
+	if err := <-errCh; err == nil {
+		t.Fatal("the invocation should have failed while its dispatch hung")
+	}
+	close(release)
+	for deadline := time.Now().Add(time.Second); dp.EndpointCount("f") != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the stale endpoint was never dropped")
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // room for a wrongly requeued dispatch
+	mu.Lock()
+	defer mu.Unlock()
+	if ran != 0 {
+		t.Errorf("the abandoned invocation ran %d times on the live sandbox", ran)
+	}
+	if n := dp.QueueDepth("f"); n != 0 {
+		t.Errorf("queue depth = %d after the caller gave up, want 0", n)
+	}
+}
+
 func TestEndpointRemovalStopsRouting(t *testing.T) {
 	tr := transport.NewInProc()
 	startFakeCP(t, tr, "cp")

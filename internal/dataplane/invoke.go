@@ -86,7 +86,7 @@ func (dp *DataPlane) invoke(fr *functionRuntime, payload []byte) ([]byte, error)
 		}
 		// Warm start: a sandbox with a free slot exists right now.
 		dp.markActive(fr)
-		body, err := dp.proxy(&info, function, payload)
+		body, frame, err := dp.proxy(&info, function, payload)
 		dp.releaseSlot(fr, st)
 		if err != nil {
 			if isStaleEndpointErr(err) {
@@ -108,7 +108,9 @@ func (dp *DataPlane) invoke(fr *functionRuntime, payload []byte) ([]byte, error)
 			Body:                body,
 		}
 		dp.mWarmStarts.Inc()
-		return resp.Marshal(), nil
+		out := resp.Marshal()
+		transport.PutFrame(frame) // body, which may alias it, is copied
+		return out, nil
 	}
 
 	// Cold start: buffer in the per-function request queue.
@@ -157,12 +159,17 @@ func (dp *DataPlane) invoke(fr *functionRuntime, payload []byte) ([]byte, error)
 			SchedulingLatencyUs: res.dispatch.Sub(arrival).Microseconds(),
 			Body:                res.body,
 		}
-		return resp.Marshal(), nil
+		out := resp.Marshal()
+		transport.PutFrame(res.frame)
+		return out, nil
 	case <-dp.clk.After(dp.cfg.QueueTimeout):
 		dp.abandon(function, p)
 		dp.mTimeouts.Inc()
 		return nil, fmt.Errorf("data plane: invocation of %q timed out waiting for a sandbox", function)
 	case <-dp.stopCh:
+		// The front end fails the invocation over to another replica, so
+		// it must not run here too.
+		dp.abandon(function, p)
 		return nil, fmt.Errorf("data plane: shutting down")
 	}
 }
@@ -238,16 +245,26 @@ func (dp *DataPlane) pickAllocating(function string, key uint64, snap *endpointS
 }
 
 // proxy forwards the invocation to the worker hosting the sandbox; this is
-// the HTTP/2 reverse-proxy hop in Figure 6.
-func (dp *DataPlane) proxy(info *proto.SandboxInfo, function string, payload []byte) ([]byte, error) {
+// the HTTP/2 reverse-proxy hop in Figure 6. The request is encoded into a
+// pooled frame, returned with the body after a call that succeeded: the
+// body may alias the frame (an echo does), so the caller gives the frame
+// back with transport.PutFrame only once it has copied the body. After a
+// failed call the frame is dropped and frame is nil.
+func (dp *DataPlane) proxy(info *proto.SandboxInfo, function string, payload []byte) (body []byte, frame *[]byte, err error) {
 	req := proto.InvokeSandboxRequest{
 		SandboxID: info.ID,
 		Function:  function,
 		Payload:   payload,
 	}
+	frame = transport.GetFrame()
+	*frame = req.AppendTo(*frame)
 	ctx := transport.NewDeadline(context.Background(), dp.cfg.QueueTimeout)
-	defer ctx.Stop()
-	return dp.cfg.Transport.Call(ctx, info.Addr, proto.MethodInvokeSandbox, req.Marshal())
+	body, err = dp.cfg.Transport.Call(ctx, info.Addr, proto.MethodInvokeSandbox, *frame)
+	ctx.Stop()
+	if err != nil {
+		return nil, nil, err
+	}
+	return body, frame, nil
 }
 
 // releaseSlot frees a concurrency slot and, only when cold starts are
@@ -281,24 +298,27 @@ type dispatchWork struct {
 	p    *pending
 }
 
-// pumpLocked matches queued invocations with free endpoint slots.
+// pumpLocked matches queued invocations with free endpoint slots and
+// drops the abandoned ones it meets at the head of the queue.
 // Callers hold fr.mu; the returned work must be executed off-lock, which
 // is why each item carries the endpoint info snapshot taken here
 // (endpoint updates may republish concurrently).
 func (dp *DataPlane) pumpLocked(fr *functionRuntime) []dispatchWork {
 	var work []dispatchWork
 	for len(fr.queue) > 0 {
-		snap := fr.snap.Load()
-		idx := dp.tryAcquireSnapshot(fr.name, snap)
-		if idx < 0 {
-			break
-		}
 		p := fr.queue[0]
+		if !p.abandoned.Load() {
+			snap := fr.snap.Load()
+			idx := dp.tryAcquireSnapshot(fr.name, snap)
+			if idx < 0 {
+				break
+			}
+			st := snap.states[idx]
+			work = append(work, dispatchWork{fr: fr, info: st.info, st: st, p: p})
+		}
 		fr.queue[0] = nil // the array outlives the dequeue
 		fr.queue = fr.queue[1:]
 		fr.queued.Add(-1)
-		st := snap.states[idx]
-		work = append(work, dispatchWork{fr: fr, info: st.info, st: st, p: p})
 	}
 	if len(fr.queue) == 0 {
 		fr.queue = nil
@@ -318,7 +338,7 @@ func (dp *DataPlane) runDispatches(work []dispatchWork) {
 // rather than failed.
 func (dp *DataPlane) dispatch(d dispatchWork) {
 	dispatchedAt := dp.clk.Now()
-	body, err := dp.proxy(&d.info, d.fr.name, d.p.payload)
+	body, frame, err := dp.proxy(&d.info, d.fr.name, d.p.payload)
 	if err != nil && isStaleEndpointErr(err) {
 		dp.dropEndpoint(d.fr, d.info.ID)
 		dp.mStaleDropped.Inc()
@@ -334,10 +354,10 @@ func (dp *DataPlane) dispatch(d dispatchWork) {
 	}
 	dp.releaseSlot(d.fr, d.st)
 	d.p.resultCh <- invokeResult{
-		body:      body,
-		err:       err,
-		dispatch:  dispatchedAt,
-		coldStart: true,
+		body:     body,
+		frame:    frame,
+		err:      err,
+		dispatch: dispatchedAt,
 	}
 }
 
@@ -376,8 +396,12 @@ func (dp *DataPlane) dropEndpoint(fr *functionRuntime, id core.SandboxID) {
 // queue so a subsequent endpoint can absorb it, re-resolving the runtime
 // if it was deregistered (and possibly re-registered) in the meantime.
 // It returns the runtime that holds the pending, or nil when the
-// function is gone and the pending was failed.
+// function is gone and the pending was failed, or the pending was
+// abandoned while its dispatch was in flight and is dropped.
 func (dp *DataPlane) requeue(fr *functionRuntime, p *pending) *functionRuntime {
+	if p.abandoned.Load() {
+		return nil
+	}
 	name := fr.name
 	for {
 		dp.lockRuntime(fr)
@@ -397,10 +421,15 @@ func (dp *DataPlane) requeue(fr *functionRuntime, p *pending) *functionRuntime {
 	return fr
 }
 
-// abandon removes a timed-out pending invocation from the queue. It
+// abandon removes a pending invocation nobody waits for any more (it timed
+// out, or the data plane is shutting down) from the queue. It
 // resolves by name so it finds the pending even if requeue migrated it
-// into a re-registered successor runtime.
+// into a re-registered successor runtime. A dispatch in flight holds the
+// pending outside any queue; the mark makes requeue drop it should that
+// dispatch find a stale endpoint, and pumpLocked skip it wherever it is
+// queued.
 func (dp *DataPlane) abandon(function string, p *pending) {
+	p.abandoned.Store(true)
 	fr := dp.lookup(function)
 	if fr == nil {
 		return
@@ -427,15 +456,15 @@ func (dp *DataPlane) acceptAsync(function string, payload []byte) ([]byte, error
 	// Persist before acknowledging: once the client sees "accepted", the
 	// invocation survives a data plane crash (paper §3.4.2).
 	if err := dp.persistAsync(sh, &task); err != nil {
-		dp.metrics.Counter("async_rejected").Inc()
+		dp.mAsync.rejected.Inc()
 		return nil, fmt.Errorf("data plane: persist async invocation: %w", err)
 	}
 	if err := sh.tryAdmit(task, true); err != nil {
 		dp.settleAsync(&task)
-		dp.metrics.Counter("async_rejected").Inc()
+		dp.mAsync.rejected.Inc()
 		return nil, err
 	}
-	dp.metrics.Counter("async_accepted").Inc()
+	dp.mAsync.accepted.Inc()
 	resp := proto.InvokeResponse{Body: []byte("accepted")}
 	return resp.Marshal(), nil
 }
@@ -455,30 +484,30 @@ func (dp *DataPlane) asyncLoop(sh *asyncShard) {
 		// execute here — its durable record belongs to a newer epoch.
 		if task.leased && !dp.leaseCheck(&task) {
 			dp.forgetLeasedKey(task.storeHash, task.storeKey)
-			dp.metrics.Counter("async_lease_dropped").Inc()
+			dp.mAsync.leaseDropped.Inc()
 			continue
 		}
 		if _, err := dp.invokeSync(task.function, task.payload); err != nil {
 			task.attempt++
 			if task.attempt <= dp.cfg.AsyncRetries {
-				dp.metrics.Counter("async_retries").Inc()
+				dp.mAsync.retries.Inc()
 				// Unknown function fails in microseconds (the CP's
 				// function push races recovery and lease drains), so an
 				// instant retry would burn the whole budget before the
 				// cache warms: take the backoff path. Overflowed
 				// instant retries back off too rather than strand.
 				if errors.Is(err, errUnknownFunction) || sh.tryAdmit(task, false) != nil {
-					dp.metrics.Counter("async_backoff").Inc()
+					dp.mAsync.backoff.Inc()
 					dp.wg.Add(1)
 					go dp.requeueAsync(sh, task)
 				}
 			} else {
 				dp.settleAsync(&task)
-				dp.metrics.Counter("async_failed").Inc()
+				dp.mAsync.failed.Inc()
 			}
 		} else {
 			dp.settleAsync(&task)
-			dp.metrics.Counter("async_completed").Inc()
+			dp.mAsync.completed.Inc()
 		}
 	}
 }
@@ -497,7 +526,7 @@ func (dp *DataPlane) requeueAsync(sh *asyncShard, task asyncTask) {
 		case <-dp.clk.After(backoff):
 		}
 		if sh.tryAdmit(task, false) == nil {
-			dp.metrics.Counter("async_requeued").Inc()
+			dp.mAsync.requeued.Inc()
 			return
 		}
 		if backoff < time.Second {

@@ -1,8 +1,11 @@
 package dataplane
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -207,5 +210,67 @@ func TestInvokeShardDistribution(t *testing.T) {
 		if n > 512/4 {
 			t.Fatalf("shard %p got %d of 512 names", sh, n)
 		}
+	}
+}
+
+// TestConcurrentInvokesKeepTheirPayloads: parallel invocations with
+// distinct payloads each get their own echo back, warm and queued alike.
+// The sandbox echoes its request payload without copying it, so the body
+// aliases the data plane's pooled request frame, and each caller reuses
+// its own request buffer once its call has returned a response, as the
+// front end does: a frame given back before its body was copied, or a
+// payload read after its call returned, shows as another caller's bytes.
+func TestConcurrentInvokesKeepTheirPayloads(t *testing.T) {
+	const (
+		callers = 8
+		iters   = 300
+	)
+	tr := transport.NewInProc()
+	startFakeCP(t, tr, "cp")
+	echo, err := tr.Listen("w1:9000", func(_ string, payload []byte) ([]byte, error) {
+		_, body, err := proto.DecodeInvokeSandboxRequest(payload)
+		runtime.Gosched()
+		return body, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer echo.Close()
+	dp := testDP(t, tr)
+	pushFunction(t, tr, dp.Addr(), "f")
+	// Two sandboxes of capacity one for eight callers: most invocations
+	// queue and take the cold path's dispatch.
+	pushEndpoints(t, tr, dp.Addr(), "f", []core.SandboxID{1, 2}, "w1:9000")
+
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var frame []byte
+			for i := 0; i < iters; i++ {
+				payload := []byte(fmt.Sprintf("caller-%d-call-%04d-%s", g, i, strings.Repeat("p", g*8)))
+				req := proto.InvokeRequest{Function: "f", Payload: payload}
+				frame = req.AppendTo(frame[:0])
+				respB, err := tr.Call(context.Background(), dp.Addr(), proto.MethodInvoke, frame)
+				if err != nil {
+					t.Errorf("caller %d call %d: %v", g, i, err)
+					return
+				}
+				resp, err := proto.UnmarshalInvokeResponse(respB)
+				if err != nil {
+					t.Errorf("caller %d call %d: %v", g, i, err)
+					return
+				}
+				if !bytes.Equal(resp.Body, payload) {
+					t.Errorf("caller %d call %d: body %q, want its own payload %q", g, i, resp.Body, payload)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if dp.mColdStarts.Value() == 0 || dp.mWarmStarts.Value() == 0 {
+		t.Errorf("cold starts %d, warm starts %d: want both paths taken", dp.mColdStarts.Value(), dp.mWarmStarts.Value())
 	}
 }

@@ -90,9 +90,11 @@ type LB struct {
 	started atomic.Bool
 	stopped atomic.Bool
 
-	// mInvocations is resolved once so the invoke path never takes the
+	// The invoke path's counters are resolved once so it never takes the
 	// registry's name-lookup lock.
-	mInvocations *telemetry.Counter
+	mInvocations      *telemetry.Counter
+	mInvocationErrors *telemetry.Counter
+	mFailovers        *telemetry.Counter
 }
 
 // ErrNoDataPlane reports that no data plane replica is available.
@@ -122,7 +124,9 @@ func New(cfg Config) *LB {
 		downTil: make(map[string]time.Time),
 		stopCh:  make(chan struct{}),
 
-		mInvocations: cfg.Metrics.Counter("invocations"),
+		mInvocations:      cfg.Metrics.Counter("invocations"),
+		mInvocationErrors: cfg.Metrics.Counter("invocation_errors"),
+		mFailovers:        cfg.Metrics.Counter("dataplane_failovers"),
 	}
 	lb.replicas = makeReplicas(cfg.DataPlanes)
 	if len(cfg.ControlPlanes) > 0 {
@@ -381,7 +385,7 @@ func (lb *LB) markDown(addr string) {
 	lb.mu.Lock()
 	lb.downTil[addr] = lb.clk.Now().Add(lb.cfg.FailureCooldown)
 	lb.mu.Unlock()
-	lb.metrics.Counter("dataplane_failovers").Inc()
+	lb.mFailovers.Inc()
 }
 
 // dpShuttingDownMsg is the exact error text the data plane uses for work
@@ -415,6 +419,13 @@ func isFailoverErr(err error) bool {
 // decoded response. With a version router configured, the logical function
 // name resolves to a versioned target first, so splits apply uniformly to
 // every data plane.
+//
+// The request is encoded into a pooled frame, given back once a data
+// plane has answered: its response is a frame of its own (the data plane
+// marshals it), so nothing aliases the request. After a failed call the
+// frame is never given back, even if a failover then succeeds, since a
+// cold dispatch the failed data plane started may outlive the handler
+// that stopped waiting for it.
 func (lb *LB) Invoke(ctx context.Context, req *proto.InvokeRequest) (*proto.InvokeResponse, error) {
 	if lb.cfg.Versions != nil {
 		resolved := lb.cfg.Versions.Resolve(req.Function, lb.seq.Add(1))
@@ -447,12 +458,16 @@ func (lb *LB) Invoke(ctx context.Context, req *proto.InvokeRequest) (*proto.Invo
 			defer cancel()
 		}
 	}
-	payload := req.Marshal()
+	frame := transport.GetFrame()
+	*frame = req.AppendTo(*frame)
 	var lastErr error
 	for i := 0; i < len(cands); i++ {
 		addr := cands[i]
-		respB, err := lb.cfg.Transport.Call(ctx, addr, proto.MethodInvoke, payload)
+		respB, err := lb.cfg.Transport.Call(ctx, addr, proto.MethodInvoke, *frame)
 		if err == nil {
+			if lastErr == nil {
+				transport.PutFrame(frame)
+			}
 			lb.mInvocations.Inc()
 			return proto.UnmarshalInvokeResponse(respB)
 		}
@@ -469,9 +484,9 @@ func (lb *LB) Invoke(ctx context.Context, req *proto.InvokeRequest) (*proto.Invo
 			continue
 		}
 		// Application-level error from the data plane: report it.
-		lb.metrics.Counter("invocation_errors").Inc()
+		lb.mInvocationErrors.Inc()
 		return nil, err
 	}
-	lb.metrics.Counter("invocation_errors").Inc()
+	lb.mInvocationErrors.Inc()
 	return nil, fmt.Errorf("%w: %v", ErrNoDataPlane, lastErr)
 }

@@ -1,9 +1,12 @@
 package frontend
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -187,4 +190,96 @@ func TestCooldownExpires(t *testing.T) {
 	if _, err := lb.Invoke(context.Background(), &proto.InvokeRequest{Function: "f"}); err != nil {
 		t.Errorf("invoke after cooldown: %v", err)
 	}
+}
+
+// TestConcurrentInvokesKeepTheirPayloads: parallel invocations through
+// one front end, each with its own payload, each get their own echo back.
+// The data planes here read the request frame in place, as the real one
+// does. Every fourth call fails with an application error, and every
+// fourth call but one fails on its first replica as one shutting down and
+// succeeds on the other; either way the failed replica keeps reading the
+// frame afterwards, as a cold dispatch that outlives its handler does. A
+// pooled frame given back too early, or after a failed call, shows as
+// another caller's bytes.
+func TestConcurrentInvokesKeepTheirPayloads(t *testing.T) {
+	const (
+		callers = 8
+		iters   = 300
+	)
+	tr := transport.NewInProc()
+	var late sync.WaitGroup
+	var failedOver sync.Map // payloads one replica has already failed
+	readLate := func(body []byte) {
+		want := string(body)
+		late.Add(1)
+		go func() {
+			defer late.Done()
+			for i := 0; i < 200; i++ {
+				runtime.Gosched()
+			}
+			if string(body) != want {
+				t.Errorf("a failed call's frame was reused: %q, want %q", body, want)
+			}
+		}()
+	}
+	for _, addr := range []string{"dp0", "dp1"} {
+		ln, err := tr.Listen(addr, func(_ string, payload []byte) ([]byte, error) {
+			_, _, body, err := proto.DecodeInvokeRequest(payload)
+			if err != nil {
+				return nil, err
+			}
+			runtime.Gosched()
+			switch {
+			case bytes.HasSuffix(body, []byte("-fail")):
+				readLate(body)
+				return nil, errors.New("application error")
+			case bytes.HasSuffix(body, []byte("-failover")):
+				if _, seen := failedOver.LoadOrStore(string(body), true); !seen {
+					readLate(body)
+					return nil, errors.New(dpShuttingDownMsg)
+				}
+			}
+			resp := proto.InvokeResponse{Body: body}
+			return resp.Marshal(), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+	}
+	lb := New(Config{Transport: tr, DataPlanes: []string{"dp0", "dp1"}})
+
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				payload := fmt.Sprintf("caller-%d-call-%04d-%s", g, i, strings.Repeat("p", g*8))
+				switch i % 4 {
+				case 1:
+					payload += "-failover"
+				case 3:
+					payload += "-fail"
+				}
+				resp, err := lb.Invoke(context.Background(), &proto.InvokeRequest{Function: "f", Payload: []byte(payload)})
+				if i%4 == 3 {
+					if err == nil {
+						t.Errorf("caller %d call %d: want the application error", g, i)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("caller %d call %d: %v", g, i, err)
+					return
+				}
+				if string(resp.Body) != payload {
+					t.Errorf("caller %d call %d: body %q, want its own payload %q", g, i, resp.Body, payload)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	late.Wait()
 }

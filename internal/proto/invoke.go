@@ -19,9 +19,16 @@ type InvokeSandboxRequest struct {
 	Payload   []byte
 }
 
-// Marshal encodes the request.
+// Marshal encodes the request into a buffer of its own.
 func (m *InvokeSandboxRequest) Marshal() []byte {
-	e := codec.NewEncoder(24 + len(m.Function) + len(m.Payload))
+	return m.AppendTo(make([]byte, 0, 24+len(m.Function)+len(m.Payload)))
+}
+
+// AppendTo appends the encoded request to dst and returns the extended
+// buffer, so a caller can encode into one it reuses.
+func (m *InvokeSandboxRequest) AppendTo(dst []byte) []byte {
+	var e codec.Encoder
+	e.Extend(dst)
 	e.U64(uint64(m.SandboxID))
 	e.String(m.Function)
 	e.RawBytes(m.Payload)

@@ -135,3 +135,28 @@ func TestInvokeDecodersAllocateNothing(t *testing.T) {
 		t.Errorf("DecodeInvokeSandboxRequest allocates %.0f times, want 0", n)
 	}
 }
+
+// TestInvokeAppendToExtends: AppendTo writes the bytes Marshal does after
+// whatever its buffer already holds, and into that buffer's storage when
+// it has room, so a reused buffer costs nothing.
+func TestInvokeAppendToExtends(t *testing.T) {
+	payload := bytes.Repeat([]byte{0xA5}, 128)
+	for name, m := range map[string]interface {
+		Marshal() []byte
+		AppendTo([]byte) []byte
+	}{
+		"InvokeRequest":        &InvokeRequest{Function: "fn-0000", Async: true, Payload: payload},
+		"InvokeSandboxRequest": &InvokeSandboxRequest{SandboxID: 7, Function: "fn-0000", Payload: payload},
+	} {
+		want := m.Marshal()
+		prefix := []byte("held")
+		got := m.AppendTo(append(make([]byte, 0, 512), prefix...))
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Errorf("%s: AppendTo = %x, want %x after the held bytes", name, got, want)
+		}
+		buf := make([]byte, 0, 512)
+		if allocs := testing.AllocsPerRun(100, func() { buf = m.AppendTo(buf[:0]) }); allocs != 0 {
+			t.Errorf("%s: AppendTo into a buffer with room allocates %.0f times", name, allocs)
+		}
+	}
+}

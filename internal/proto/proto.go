@@ -121,9 +121,16 @@ type InvokeRequest struct {
 	Payload []byte
 }
 
-// Marshal encodes the request.
+// Marshal encodes the request into a buffer of its own.
 func (m *InvokeRequest) Marshal() []byte {
-	e := codec.NewEncoder(16 + len(m.Function) + len(m.Payload))
+	return m.AppendTo(make([]byte, 0, 16+len(m.Function)+len(m.Payload)))
+}
+
+// AppendTo appends the encoded request to dst and returns the extended
+// buffer, so a caller can encode into one it reuses.
+func (m *InvokeRequest) AppendTo(dst []byte) []byte {
+	var e codec.Encoder
+	e.Extend(dst)
 	e.String(m.Function)
 	e.Bool(m.Async)
 	e.RawBytes(m.Payload)
@@ -137,9 +144,10 @@ func UnmarshalInvokeRequest(b []byte) (*InvokeRequest, error) {
 }
 
 // DecodeInvokeRequest decodes an InvokeRequest in place and allocates
-// nothing: function and payload alias b. Every transport hands a handler
-// a frame of its own that nobody reuses, so they are safe to read for the
-// whole call; a receiver copies what it keeps past the call.
+// nothing: function and payload alias b. A caller leaves the frame it
+// passed to Call unchanged until the call has returned a response (see
+// transport.HandlerFunc), so they are safe to read for the whole call; a
+// receiver copies what it keeps past the call.
 func DecodeInvokeRequest(b []byte) (function []byte, async bool, payload []byte, err error) {
 	d := codec.NewDecoder(b)
 	function = d.StringBytes()
@@ -412,7 +420,7 @@ type EndpointBatchWriter struct {
 
 // Reset starts an empty batch in buf[:0].
 func (w *EndpointBatchWriter) Reset(buf []byte) {
-	w.e.Reset(buf)
+	w.e.Extend(buf[:0])
 	w.e.U32(0)
 	w.updates = 0
 }

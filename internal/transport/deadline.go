@@ -8,7 +8,7 @@ import (
 
 // Deadline is a context.Context that expires at a fixed instant, built
 // for RPCs that finish long before it. context.WithTimeout arms a timer
-// and builds a channel for every call; a Deadline is one allocation and
+// and builds a channel for every call; a Deadline comes from a pool and
 // builds both only when Done is called, which neither transport does. An
 // in-process call checks Err, which compares the clock with the deadline;
 // a TCP call hands the deadline to its connection's one shared timer.
@@ -25,10 +25,15 @@ type Deadline struct {
 	err   error         // set once: DeadlineExceeded, or Canceled by Stop
 }
 
+// deadlinePool holds the stopped Deadlines whose Done was never built.
+var deadlinePool = sync.Pool{New: func() any { return new(Deadline) }}
+
 // NewDeadline returns a context over parent that expires timeout from now.
 // Call Stop when the call it bounds returns.
 func NewDeadline(parent context.Context, timeout time.Duration) *Deadline {
-	return &Deadline{parent: parent, deadline: time.Now().Add(timeout)}
+	d := deadlinePool.Get().(*Deadline)
+	d.parent, d.deadline = parent, time.Now().Add(timeout)
+	return d
 }
 
 // Deadline implements context.Context.
@@ -63,28 +68,23 @@ func (d *Deadline) Err() error {
 // Value implements context.Context by asking the parent.
 func (d *Deadline) Value(key any) any { return d.parent.Value(key) }
 
-// Stop releases the context. It stops the timer and closes the channel if
-// Done built them, and Err reports Canceled from then on unless it has
-// already reported DeadlineExceeded.
+// Stop releases the context, once, when the call it bounds has returned.
+// If Done was built, Stop stops the timer and closes the channel, and d
+// stays as it is, Canceled unless it had already expired: a timer or a
+// context derived from d may still hold it. Otherwise nothing else holds
+// d, so it goes back to the pool for a later NewDeadline, and the caller
+// must not use it again.
 func (d *Deadline) Stop() {
 	d.mu.Lock()
 	d.finishLocked(context.Canceled)
-	d.mu.Unlock()
-}
-
-// Rearm makes a stopped d expire timeout from now, as a new Deadline over
-// the same parent would, so a caller that makes one call after another
-// needs one Deadline rather than one per call. It refuses, and d stays
-// stopped, once Done has been called: the timer Done armed may still
-// fire, so the caller needs a new Deadline.
-func (d *Deadline) Rearm(timeout time.Duration) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.done != nil {
-		return false
+	reuse := d.done == nil
+	if reuse {
+		d.parent, d.err = nil, nil
 	}
-	d.deadline, d.err = time.Now().Add(timeout), nil
-	return true
+	d.mu.Unlock()
+	if reuse {
+		deadlinePool.Put(d)
+	}
 }
 
 func (d *Deadline) fire() {

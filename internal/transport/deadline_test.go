@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dirigent/internal/race"
 )
 
 // waitErr polls d.Err until it reports an error, failing after a second.
@@ -64,18 +66,11 @@ func TestDeadlineDoneClosesAtDeadline(t *testing.T) {
 	}
 }
 
-// TestDeadlineStop: Stop cancels, stops an armed timer and closes a built
-// Done; after an expiry Err has reported, it leaves DeadlineExceeded.
+// TestDeadlineStop: Stop cancels a Deadline whose Done was built, stops
+// its timer and closes the channel; after an expiry it leaves
+// DeadlineExceeded. Such a Deadline is kept, not pooled, so it reads the
+// same afterwards.
 func TestDeadlineStop(t *testing.T) {
-	before := NewDeadline(context.Background(), time.Hour)
-	before.Stop()
-	if err := before.Err(); !errors.Is(err, context.Canceled) {
-		t.Errorf("Err after Stop = %v, want Canceled", err)
-	}
-	if !isClosed(before.Done()) {
-		t.Error("Done built after Stop is open")
-	}
-
 	armed := NewDeadline(context.Background(), time.Hour)
 	done := armed.Done()
 	armed.Stop()
@@ -90,42 +85,72 @@ func TestDeadlineStop(t *testing.T) {
 	}
 
 	late := NewDeadline(context.Background(), 0)
-	_ = late.Err()
+	_ = late.Done()
 	late.Stop()
 	if err := late.Err(); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("Err of a deadline stopped after it expired = %v, want DeadlineExceeded", err)
 	}
 }
 
-// TestDeadlineRearm: a stopped Deadline whose Done was never built runs
-// again as a new one would, expired or not; one whose Done was built
-// refuses, because its timer may still fire.
-func TestDeadlineRearm(t *testing.T) {
-	d := NewDeadline(context.Background(), 0)
-	_ = d.Err()
-	d.Stop()
-	if !d.Rearm(time.Hour) {
-		t.Fatal("Rearm refused a Deadline whose Done was never built")
+// TestDeadlineReusedIsFresh: a stopped Deadline whose Done was never
+// built comes back from NewDeadline as a new one would, expired or not:
+// Err is nil again and Value asks the new parent.
+func TestDeadlineReusedIsFresh(t *testing.T) {
+	type key struct{}
+	old := context.WithValue(context.Background(), key{}, "old")
+	parent := context.WithValue(context.Background(), key{}, "new")
+	reused := 0
+	for i := 0; i < 100; i++ {
+		d := NewDeadline(old, 0)
+		if err := d.Err(); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Err of an expired deadline = %v", err)
+		}
+		d.Stop()
+		next := NewDeadline(parent, time.Hour)
+		if next == d {
+			reused++
+		}
+		if at, _ := next.Deadline(); at.Sub(time.Now()) < 59*time.Minute {
+			t.Fatalf("Deadline() = %v, want about an hour from now", at)
+		}
+		if err := next.Err(); err != nil {
+			t.Fatalf("Err of a fresh deadline = %v, want nil", err)
+		}
+		if got := next.Value(key{}); got != "new" {
+			t.Fatalf("Value(key) = %v, want the new parent's", got)
+		}
+		next.Stop()
 	}
-	if at, _ := d.Deadline(); at.Sub(time.Now()) < 59*time.Minute {
-		t.Errorf("rearmed Deadline() = %v, want about an hour from now", at)
+	if reused == 0 && !race.Enabled {
+		t.Error("no stopped Deadline was reused in 100 rounds")
 	}
-	if err := d.Err(); err != nil {
-		t.Errorf("Err after Rearm = %v, want nil", err)
-	}
-	d.Stop()
-	if err := d.Err(); !errors.Is(err, context.Canceled) {
-		t.Errorf("Err after the second Stop = %v, want Canceled", err)
-	}
+}
 
-	armed := NewDeadline(context.Background(), time.Hour)
-	_ = armed.Done()
-	armed.Stop()
-	if armed.Rearm(time.Hour) {
-		t.Error("Rearm accepted a Deadline whose Done was built")
+// TestDeadlineWithDoneIsNeverReused: a Deadline whose Done was built may
+// still be held by its timer or a derived context, so Stop keeps it out
+// of the pool.
+func TestDeadlineWithDoneIsNeverReused(t *testing.T) {
+	d := NewDeadline(context.Background(), time.Hour)
+	child, cancel := context.WithCancel(d) // builds d's Done
+	defer cancel()
+	d.Stop()
+	for i := 0; i < 100; i++ {
+		next := NewDeadline(context.Background(), time.Hour)
+		if next == d {
+			t.Fatal("NewDeadline returned a Deadline whose Done was built")
+		}
+		next.Stop()
 	}
-	if err := armed.Err(); !errors.Is(err, context.Canceled) {
-		t.Errorf("Err after a refused Rearm = %v, want Canceled", err)
+	select {
+	case <-child.Done():
+		if err := child.Err(); !errors.Is(err, context.Canceled) {
+			t.Errorf("child Err after the parent's Stop = %v, want Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the child was never canceled by the parent's Stop")
+	}
+	if err := d.Err(); !errors.Is(err, context.Canceled) {
+		t.Errorf("Err of the kept Deadline = %v, want Canceled", err)
 	}
 }
 
@@ -161,9 +186,12 @@ func TestDeadlineCancelsChildren(t *testing.T) {
 
 // TestDeadlineConcurrentUse: Done, Err and Stop from several goroutines
 // around the moment of expiry agree and do not race (run with -race).
+// Done is built first, so Stop keeps the Deadline for the goroutines
+// still using it.
 func TestDeadlineConcurrentUse(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		d := NewDeadline(context.Background(), time.Duration(i%3)*time.Millisecond)
+		_ = d.Done()
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
@@ -195,17 +223,22 @@ func TestDeadlineConcurrentUse(t *testing.T) {
 // transport does.
 var deadlineSink context.Context
 
-// TestDeadlineIsOneAllocation: a call that checks Err and stops builds
-// the Deadline and nothing else.
-func TestDeadlineIsOneAllocation(t *testing.T) {
+// TestDeadlineAllocatesNothing: a call that checks Err and stops takes a
+// pooled Deadline and gives it back, so a steady stream of calls
+// allocates nothing.
+func TestDeadlineAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector makes sync.Pool drop what it is given")
+	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		d := NewDeadline(context.Background(), time.Second)
 		deadlineSink = d
 		_ = d.Err()
 		d.Stop()
 	})
-	if allocs != 1 {
-		t.Errorf("NewDeadline + Err + Stop allocates %.0f times, want 1", allocs)
+	deadlineSink = nil
+	if allocs != 0 {
+		t.Errorf("NewDeadline + Err + Stop allocates %.0f times, want 0", allocs)
 	}
 }
 

@@ -52,13 +52,12 @@ func awaitPending(t *testing.T, tr *TCP, addr string, n int) *tcpClientConn {
 }
 
 // TestTCPCallAllocations pins what one call costs the heap, client and
-// server together. Under context.Background it is three: the payload the
-// server reads the request into, the closure of the goroutine that runs
-// the handler, and the body the client reads the response into. Under a
-// *Deadline it is one more, the Deadline itself: the connection's timer
-// watches it, so its Done builds no channel or timer. The frame headers,
-// the interned method name and the pooled pending-call record cost
-// nothing.
+// server together: three, the payload the server reads the request into,
+// the closure of the goroutine that runs the handler, and the body the
+// client reads the response into. A *Deadline adds nothing: it is pooled,
+// and the connection's timer watches it, so its Done builds no channel or
+// timer. The frame headers, the interned method name and the pooled
+// pending-call record cost nothing either.
 func TestTCPCallAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -79,7 +78,7 @@ func TestTCPCallAllocations(t *testing.T) {
 			_, err := tr.Call(context.Background(), addr, "dp.Invoke", payload)
 			return err
 		}},
-		{"Deadline", 4, func() error {
+		{"Deadline", 3, func() error {
 			d := NewDeadline(context.Background(), time.Minute)
 			defer d.Stop()
 			_, err := tr.Call(d, addr, "dp.Invoke", payload)

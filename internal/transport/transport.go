@@ -20,9 +20,39 @@ import (
 // payload and returns the response payload. The payload belongs to the
 // call: it stays valid and unchanged until the handler returns, which is
 // what lets the decoders hand out sub-slices of it instead of copies, and
-// a handler copies whatever part of it it keeps past that. The caller
-// owns the buffer it passed to Call and may reuse it once Call returns.
+// a handler copies whatever part of it it keeps past that. The response
+// may alias the payload (an echo returns it whole).
+//
+// The caller owns the buffer it passed to Call. It may reuse it only
+// after a Call that returned a response, and only once it is done with
+// that response, which may alias the buffer in process. After a Call that
+// failed it drops the buffer: a handler the caller stopped waiting for,
+// or work the handler handed on, may still be reading it.
 type HandlerFunc func(method string, payload []byte) ([]byte, error)
+
+// maxPooledFrame bounds the buffers PutFrame keeps, so one large payload
+// does not pin its memory in the pool.
+const maxPooledFrame = 64 << 10
+
+// framePool holds request buffers for callers to encode into.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// GetFrame returns an empty buffer, from the pool when it has one, for a
+// caller to encode a request into: *b = m.AppendTo(*b).
+func GetFrame() *[]byte {
+	b := framePool.Get().(*[]byte)
+	*b = (*b)[:0]
+	return b
+}
+
+// PutFrame gives b back to the pool, on the terms HandlerFunc states: only
+// after a Call that returned a response, and once nothing reads that
+// response out of b. A buffer grown past 64 KiB is dropped instead.
+func PutFrame(b *[]byte) {
+	if cap(*b) <= maxPooledFrame {
+		framePool.Put(b)
+	}
+}
 
 // Transport abstracts an RPC fabric addressed by opaque string addresses.
 type Transport interface {

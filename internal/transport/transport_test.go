@@ -245,8 +245,8 @@ func TestTCPCallDeadline(t *testing.T) {
 	defer close(release)
 	const timeout = 50 * time.Millisecond
 	for name, bound := range deadlineKinds {
+		start := time.Now() // before the deadline is set, which bound does
 		ctx, stop := bound(timeout)
-		start := time.Now()
 		_, err := tr.Call(ctx, ln.Addr(), "m", nil)
 		took := time.Since(start)
 		stop()
