@@ -406,6 +406,11 @@ type workerState struct {
 	// resetting it to zero — so a worker daemon that restarted mid-push
 	// (losing its in-memory targets) is re-pushed on the next sweep.
 	prewarmGen uint64
+	// out is the worker's sender (senders.go), and creates and kills are
+	// what it has yet to send.
+	out     outbox
+	creates []queuedCreate
+	kills   []core.SandboxID
 }
 
 // ControlPlane is one control plane replica.
@@ -724,6 +729,9 @@ func (cp *ControlPlane) recover() {
 	})
 	asyncInfo := cp.cfg.DB.HGetAll(hashDPAsync)
 	cp.dpMu.Lock()
+	for _, st := range cp.dataplanes {
+		st.retire()
+	}
 	cp.dataplanes = make(map[core.DataPlaneID]*dataPlaneState)
 	for _, b := range cp.cfg.DB.HGetAll(hashDataPlanes) {
 		if p, err := core.UnmarshalDataPlane(b); err == nil {
@@ -1063,6 +1071,9 @@ func (cp *ControlPlane) handleDeregisterDataPlane(payload []byte) ([]byte, error
 	}
 	_ = cp.cfg.DB.HDel(hashDPAsync, fmt.Sprintf("%d", req.DataPlane.ID))
 	cp.dpMu.Lock()
+	if st := cp.dataplanes[req.DataPlane.ID]; st != nil {
+		st.retire()
+	}
 	delete(cp.dataplanes, req.DataPlane.ID)
 	cp.dpMu.Unlock()
 	cp.dropDemand(req.DataPlane.ID)
@@ -1150,7 +1161,7 @@ func (cp *ControlPlane) handleSandboxReadyBatch(payload []byte) ([]byte, error) 
 		if cp.applySandboxReady(ev) {
 			touched = append(touched, ev.Function)
 		} else {
-			orphans = append(orphans, &sandboxState{id: ev.SandboxID, workerAddr: ev.Addr})
+			orphans = append(orphans, &sandboxState{id: ev.SandboxID, node: ev.Node})
 		}
 	}
 	cp.dispatchKills(orphans)

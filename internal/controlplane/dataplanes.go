@@ -46,16 +46,11 @@ type dataPlaneState struct {
 	// to reach: its next heartbeat is answered with a full-list sync.
 	needsSync bool
 	// owed holds the functions whose endpoint sets the replica has yet to
-	// be sent, and flushing is set while its sender (flushEndpoints)
-	// drains them. A pruned replica is owed nothing: the sweep drops the
-	// set, and revival owes it every function.
-	owed     map[string]struct{}
-	flushing bool
-	// names and buf belong to the running sender: its batch's function
-	// names and the buffer its payloads are written into, kept from one
-	// flush to the next.
-	names []string
-	buf   []byte
+	// be sent, and out is the sender (senders.go) that drains them. A
+	// pruned replica is owed nothing: the sweep drops the set, and revival
+	// owes it every function.
+	owed map[string]struct{}
+	out  outbox
 }
 
 // putDataPlane inserts or replaces a registry entry for a (re-)registered
@@ -77,10 +72,18 @@ func (cp *ControlPlane) putDataPlane(p core.DataPlane, durable bool, asyncHashes
 		// The replaced entry's sender stops after its call in flight.
 		prev.mu.Lock()
 		clear(prev.owed)
+		prev.out.retire()
 		prev.mu.Unlock()
 	}
 	cp.refreshDataPlaneGauge()
 	return st
+}
+
+// retire stops st's sender once it has drained: st has left the registry.
+func (st *dataPlaneState) retire() {
+	st.mu.Lock()
+	st.out.retire()
+	st.mu.Unlock()
 }
 
 // getDataPlane returns the registry entry for a replica, or nil.
@@ -177,7 +180,8 @@ func (cp *ControlPlane) handleListDataPlanes() ([]byte, error) {
 
 // sweepDataPlanes fails every replica whose last heartbeat is older than
 // DataPlaneTimeout, removing it from the broadcast fan-out set so
-// subsequent sweeps never block on an unreachable replica. Run from
+// subsequent sweeps never block on an unreachable replica, and retires
+// every endpoint sender idle since the previous sweep. Run from
 // HealthSweep alongside the worker scan.
 func (cp *ControlPlane) sweepDataPlanes(now time.Time) {
 	var failed []core.DataPlaneID
@@ -188,6 +192,7 @@ func (cp *ControlPlane) sweepDataPlanes(now time.Time) {
 			clear(st.owed)
 			failed = append(failed, st.dp.ID)
 		}
+		st.out.sweep(len(st.owed) == 0)
 		st.mu.Unlock()
 	}
 	if len(failed) > 0 {

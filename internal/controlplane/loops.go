@@ -133,16 +133,15 @@ func (fs *functionState) scaleStep(now time.Time, downscale bool) (scaleAction, 
 }
 
 // applyScale carries out a batch of scaling decisions — the tail shared
-// by the sweep and the report handler. Scale-up is pipelined: every
-// placement is staged first, then fanned out as one CreateSandboxBatch RPC
-// per worker (concurrently across workers), and every function whose
-// endpoint set changed is owed to every data plane's endpoint sender.
-// decidedAt is when the deciding pass began.
+// by the sweep and the report handler. Each placement is queued on its
+// worker's sender, which coalesces whatever its worker is owed into one
+// CreateSandboxBatch call, each kill likewise, and every function whose
+// endpoint set changed is owed to every data plane's sender. decidedAt is
+// when the deciding pass began.
 func (cp *ControlPlane) applyScale(actions []scaleAction, decidedAt time.Time) {
 	if len(actions) == 0 {
 		return
 	}
-	var staged []*stagedCreate
 	var kills []*sandboxState
 	var drained []string
 	for _, a := range actions {
@@ -154,38 +153,26 @@ func (cp *ControlPlane) applyScale(actions []scaleAction, decidedAt time.Time) {
 			cp.pred.Observe(decidedAt, a.fn.Image, a.create)
 		}
 		for i := 0; i < a.create; i++ {
-			if sc := cp.placeSandbox(a.fs, a.fn); sc != nil {
-				staged = append(staged, sc)
-			}
+			cp.placeSandbox(a.fs, a.fn, decidedAt)
 		}
 		if len(a.kills) > 0 {
 			kills = append(kills, a.kills...)
 			drained = append(drained, a.fn.Name)
 		}
 	}
-	cp.dispatchCreates(staged, decidedAt)
 	cp.dispatchKills(kills)
 	cp.broadcastEndpoints(drained...)
 }
 
-// stagedCreate is one placement decision awaiting RPC dispatch: the
-// sandbox already exists in phaseCreating state and its resources are
-// optimistically charged to the worker.
-type stagedCreate struct {
-	id   core.SandboxID
-	fn   core.Function
-	addr string
-}
-
 // placeSandbox places one of the creations scaleStep reserved on fs and
-// stages it for dispatch. This is the latency-critical cold-start path:
-// note the absence of any persistent state update (design principle 2) and
-// of any global lock — the path reads worker shards one at a time, takes
-// one worker's mutex, and one function shard, so cold starts for unrelated
-// functions proceed in parallel with registrations and heartbeats on other
-// shards. It returns nil when placement fails or the function vanished;
-// either way the reservation is released.
-func (cp *ControlPlane) placeSandbox(fs *functionState, fn core.Function) *stagedCreate {
+// queues it on its worker's sender. This is the latency-critical
+// cold-start path: note the absence of any persistent state update (design
+// principle 2) and of any global lock — the path reads worker shards one
+// at a time, takes one worker's mutex, and one function shard, so cold
+// starts for unrelated functions proceed in parallel with registrations
+// and heartbeats on other shards. When placement fails or the function
+// vanished nothing is queued; either way the reservation is released.
+func (cp *ControlPlane) placeSandbox(fs *functionState, fn core.Function, decidedAt time.Time) {
 	w, nodeID := cp.chargeWorker(fn)
 	// Only the state the decision was taken on holds the reservation: a
 	// function deregistered (or recovered into a fresh state) meanwhile
@@ -212,7 +199,7 @@ func (cp *ControlPlane) placeSandbox(fs *functionState, fn core.Function) *stage
 		}
 	})
 	if w == nil {
-		return nil
+		return
 	}
 	if !placed {
 		// Return the optimistic utilization chargeWorker took.
@@ -220,10 +207,10 @@ func (cp *ControlPlane) placeSandbox(fs *functionState, fn core.Function) *stage
 		w.util.CPUMilliUsed -= fn.Scaling.CPUMilli
 		w.util.MemoryMBUsed -= fn.Scaling.MemoryMB
 		w.mu.Unlock()
-		return nil
+		return
 	}
 	cp.cCreationsRequested.Inc()
-	return &stagedCreate{id: id, fn: fn, addr: w.addr}
+	cp.enqueueCreate(w, queuedCreate{req: proto.CreateSandboxRequest{SandboxID: id, Function: fn}, decidedAt: decidedAt})
 }
 
 // chargeWorker picks a worker for one sandbox of fn and optimistically
@@ -265,103 +252,6 @@ func (cp *ControlPlane) chargeWorker(fn core.Function) (*workerState, core.NodeI
 	w.util.CPUMilliUsed += fn.Scaling.CPUMilli
 	w.util.MemoryMBUsed += fn.Scaling.MemoryMB
 	return w, nodeID
-}
-
-// dispatchCreates fans staged creations out to their workers: one
-// CreateSandboxBatch RPC per worker (chunked at maxBatch), all workers in
-// parallel. sweepStart is when the deciding pass (the autoscale sweep or
-// the report handler) began; the gap to RPC dispatch is the control
-// plane's scheduling latency contribution (cold_start_sched_ms).
-func (cp *ControlPlane) dispatchCreates(staged []*stagedCreate, sweepStart time.Time) {
-	if len(staged) == 0 {
-		return
-	}
-	byWorker := make(map[string][]*stagedCreate)
-	for _, sc := range staged {
-		byWorker[sc.addr] = append(byWorker[sc.addr], sc)
-	}
-	for addr, batch := range byWorker {
-		for len(batch) > 0 {
-			chunk := batch
-			if len(chunk) > maxBatch {
-				chunk = chunk[:maxBatch]
-			}
-			batch = batch[len(chunk):]
-			cp.sendCreateBatch(addr, chunk, sweepStart)
-		}
-	}
-}
-
-// sendCreateBatch issues one batched create RPC asynchronously, rolling
-// every staged sandbox of the batch back if the worker is unreachable.
-func (cp *ControlPlane) sendCreateBatch(addr string, chunk []*stagedCreate, sweepStart time.Time) {
-	req := proto.CreateSandboxBatch{Creates: make([]proto.CreateSandboxRequest, 0, len(chunk))}
-	for _, sc := range chunk {
-		req.Creates = append(req.Creates, proto.CreateSandboxRequest{SandboxID: sc.id, Function: sc.fn})
-	}
-	payload := req.Marshal()
-	cp.mCreateBatch.ObserveMs(float64(len(chunk)))
-	sched := cp.clk.Since(sweepStart)
-	for range chunk {
-		cp.mSchedLatency.Observe(sched)
-	}
-	cp.wg.Add(1)
-	go func() {
-		defer cp.wg.Done()
-		ctx := transport.NewDeadline(context.Background(), 10*time.Second)
-		defer ctx.Stop()
-		if _, err := cp.cfg.Transport.Call(ctx, addr, proto.MethodCreateSandboxBatch, payload); err != nil {
-			for _, sc := range chunk {
-				sc := sc
-				cp.withFunction(sc.fn.Name, func(fs *functionState) {
-					delete(fs.sandboxes, sc.id)
-				})
-				cp.cCreateRPCErrors.Inc()
-			}
-		}
-	}()
-}
-
-// dispatchKills fans teardown decisions out to their workers: one
-// KillSandboxBatch RPC per worker (chunked at maxBatch, like the create
-// path), all workers in parallel — the downscale mirror of
-// dispatchCreates.
-func (cp *ControlPlane) dispatchKills(kills []*sandboxState) {
-	if len(kills) == 0 {
-		return
-	}
-	byWorker := make(map[string][]core.SandboxID)
-	for _, sb := range kills {
-		cp.cTeardowns.Inc()
-		if cp.cfg.PersistSandboxState {
-			_ = cp.cfg.DB.HDel(hashSandboxes, fmt.Sprintf("%d", sb.id))
-		}
-		byWorker[sb.workerAddr] = append(byWorker[sb.workerAddr], sb.id)
-	}
-	for addr, ids := range byWorker {
-		for len(ids) > 0 {
-			chunk := ids
-			if len(chunk) > maxBatch {
-				chunk = chunk[:maxBatch]
-			}
-			ids = ids[len(chunk):]
-			cp.sendKillBatch(addr, chunk)
-		}
-	}
-}
-
-// sendKillBatch issues one batched teardown RPC asynchronously.
-func (cp *ControlPlane) sendKillBatch(addr string, ids []core.SandboxID) {
-	cp.mKillBatch.ObserveMs(float64(len(ids)))
-	batch := proto.KillSandboxBatch{IDs: ids}
-	payload := batch.Marshal()
-	cp.wg.Add(1)
-	go func() {
-		defer cp.wg.Done()
-		ctx := transport.NewDeadline(context.Background(), 5*time.Second)
-		defer ctx.Stop()
-		_, _ = cp.cfg.Transport.Call(ctx, addr, proto.MethodKillSandboxBatch, payload)
-	}()
 }
 
 // healthLoop watches worker heartbeats and fails workers that go silent
@@ -501,122 +391,6 @@ func (cp *ControlPlane) syncFunctions(states []*dataPlaneState, owe bool) {
 	for _, st := range reached {
 		cp.oweEndpoints(st, names)
 	}
-}
-
-// broadcastEndpoints owes the current ready-endpoint sets of the listed
-// functions to every live data plane (paper Table 2, "Add/remove LB
-// endpoint"). Each replica's sender (flushEndpoints) delivers them, every
-// update carrying the function's full endpoint list, which makes it
-// idempotent.
-func (cp *ControlPlane) broadcastEndpoints(functions ...string) {
-	if len(functions) == 0 {
-		return
-	}
-	cp.dpMu.RLock()
-	defer cp.dpMu.RUnlock()
-	for _, st := range cp.dataplanes {
-		cp.oweEndpoints(st, functions)
-	}
-}
-
-// oweEndpoints adds functions to the set st is owed and starts st's
-// sender unless one is running. A replica the sweep has pruned is owed
-// nothing: its revival owes it every function.
-func (cp *ControlPlane) oweEndpoints(st *dataPlaneState, functions []string) {
-	if len(functions) == 0 {
-		return
-	}
-	st.mu.Lock()
-	if !st.healthy {
-		st.mu.Unlock()
-		return
-	}
-	if st.owed == nil {
-		st.owed = make(map[string]struct{}, len(functions))
-	}
-	for _, fn := range functions {
-		st.owed[fn] = struct{}{}
-	}
-	start := !st.flushing
-	st.flushing = true
-	st.mu.Unlock()
-	if start {
-		cp.wg.Add(1)
-		go cp.flushEndpoints(st)
-	}
-}
-
-// flushEndpoints is st's endpoint sender. It drains the functions st is
-// owed in UpdateEndpointsBatch calls of up to maxBatch updates, written
-// at send time from each function's current state, and exits once none
-// is left. Functions marked while a call is in flight wait for the next
-// call and share it; a replica's delivery never waits behind another's.
-// One runs per replica at a time, and it owns st.names and st.buf.
-func (cp *ControlPlane) flushEndpoints(st *dataPlaneState) {
-	defer cp.wg.Done()
-	var w proto.EndpointBatchWriter
-	for {
-		st.mu.Lock()
-		names := st.names[:0]
-		select {
-		case <-cp.stopCh:
-			clear(st.owed)
-		default:
-		}
-		for fn := range st.owed {
-			if len(names) == maxBatch {
-				break
-			}
-			names = append(names, fn)
-			delete(st.owed, fn)
-		}
-		if len(names) == 0 {
-			st.flushing = false
-			st.mu.Unlock()
-			return
-		}
-		st.mu.Unlock()
-		w.Reset(st.buf)
-		for _, fn := range names {
-			cp.writeEndpointUpdate(&w, fn)
-		}
-		clear(names)
-		st.names, st.buf = names, w.Bytes()
-		if w.Updates() == 0 {
-			continue
-		}
-		cp.mEndpointFanout.ObserveMs(float64(w.Updates()))
-		ctx := transport.NewDeadline(context.Background(), 2*time.Second)
-		if _, err := cp.cfg.Transport.Call(ctx, st.addr, proto.MethodUpdateEndpointsBatch, st.buf); err != nil {
-			st.buf = nil // a failed call's buffer is not reused
-		}
-		ctx.Stop()
-	}
-}
-
-// writeEndpointUpdate writes function's versioned ready-endpoint set into
-// w, and nothing when the function is not registered: data planes that
-// have dropped it drop an update for it too. Versions are minted per
-// function under its shard lock, so updates for unrelated functions never
-// serialize against each other.
-func (cp *ControlPlane) writeEndpointUpdate(w *proto.EndpointBatchWriter, function string) {
-	sh := cp.shardFor(function)
-	cp.lockShard(sh)
-	defer sh.mu.Unlock()
-	fs := sh.fns[function]
-	if fs == nil {
-		return
-	}
-	fs.epSeq++
-	// Leadership epoch in the high bits keeps versions monotonic across
-	// failovers, where per-function sequences restart.
-	w.BeginUpdate(function, cp.epoch.Load()<<32|fs.epSeq)
-	for _, sb := range fs.sandboxes {
-		if sb.phase == phaseReady {
-			w.Endpoint(&proto.SandboxInfo{ID: sb.id, Function: function, Node: sb.node, Addr: sb.workerAddr, State: core.SandboxReady})
-		}
-	}
-	w.EndUpdate()
 }
 
 // FunctionScale reports (ready, creating) sandbox counts for a function,

@@ -66,10 +66,8 @@ func TestScaleFromZeroPlacedInReportHandler(t *testing.T) {
 	if got := h.cp.Metrics().Counter("sandbox_creations_requested").Value(); got != 1 {
 		t.Fatalf("sandbox_creations_requested = %d, want 1", got)
 	}
-	if got := h.cp.Metrics().Histogram("cold_start_sched_ms").Count(); got != 1 {
-		t.Fatalf("cold_start_sched_ms samples = %d, want 1", got)
-	}
-	// The RPC itself leaves on its own goroutine, as from a sweep.
+	// The RPC itself leaves from the worker's sender, as from a sweep,
+	// which samples the scheduling latency as it writes the call.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		w.mu.Lock()
@@ -82,6 +80,9 @@ func TestScaleFromZeroPlacedInReportHandler(t *testing.T) {
 			t.Fatalf("worker saw %d create RPCs carrying %d creates, want 1/1", rpcs, created)
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if got := h.cp.Metrics().Histogram("cold_start_sched_ms").Count(); got != 1 {
+		t.Fatalf("cold_start_sched_ms samples = %d, want 1", got)
 	}
 
 	h.call(t, proto.MethodScalingMetric, demandReport(names[:1], 1, time.Now()))

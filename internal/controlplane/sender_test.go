@@ -3,6 +3,7 @@ package controlplane
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -119,24 +120,18 @@ func TestPrunedDataPlaneIsSentNothingUntilRevived(t *testing.T) {
 	if got := cp.DataPlaneCount(); got != 0 {
 		t.Fatalf("DataPlaneCount = %d after the heartbeats stopped, want 0", got)
 	}
+	// The pass that pruned the replica cleared its sender's busy mark; a
+	// second, quiet pass retires the sender, whose one call has landed.
+	cp.HealthSweep()
 	st := cp.getDataPlane(1)
-	for {
-		st.mu.Lock()
-		flushing := st.flushing
-		st.mu.Unlock()
-		if !flushing {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
 	calls := dp.updateCalls()
 	sendReady(t, tr, 2, names[0])
 	sendReady(t, tr, 3, names[1])
 	st.mu.Lock()
-	owed, flushing := len(st.owed), st.flushing
+	owed, running := len(st.owed), st.out.wake != nil
 	st.mu.Unlock()
-	if owed != 0 || flushing {
-		t.Fatalf("the pruned replica is owed %d functions (sender running: %v), want none", owed, flushing)
+	if owed != 0 || running {
+		t.Fatalf("the pruned replica is owed %d functions (sender running: %v), want none", owed, running)
 	}
 	if n := dp.updateCalls(); n != calls {
 		t.Fatalf("the pruned replica received %d endpoint calls", n-calls)
@@ -238,4 +233,226 @@ func TestEndpointsRepairedAfterTheFunctionArrives(t *testing.T) {
 	sendReady(t, tr, 2, "lost")
 	dpHeartbeat(t, tr, 1, "dp0", 8000)
 	dp.awaitEndpoints(t, map[string][]core.SandboxID{"raced": {1}, "lost": {2}})
+}
+
+// createSink is a worker listener that reports every create it receives
+// and holds each create call until hold, when set, is closed.
+type createSink struct {
+	got  chan core.SandboxID
+	hold chan struct{}
+}
+
+func listenCreateSink(t *testing.T, tr *transport.InProc, addr string, hold chan struct{}) *createSink {
+	t.Helper()
+	s := &createSink{got: make(chan core.SandboxID, 1024), hold: hold}
+	ln, err := tr.Listen(addr, func(method string, payload []byte) ([]byte, error) {
+		if method != proto.MethodCreateSandboxBatch {
+			return nil, nil
+		}
+		batch, err := proto.UnmarshalCreateSandboxBatch(payload)
+		if err != nil {
+			return nil, err
+		}
+		for _, c := range batch.Creates {
+			s.got <- c.SandboxID
+		}
+		if s.hold != nil {
+			<-s.hold
+		}
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	return s
+}
+
+// next waits for the sink's next create.
+func (s *createSink) next(t *testing.T) core.SandboxID {
+	t.Helper()
+	select {
+	case id := <-s.got:
+		return id
+	case <-time.After(5 * time.Second):
+		t.Fatal("no create arrived")
+		return 0
+	}
+}
+
+func queued(id core.SandboxID) queuedCreate {
+	return queuedCreate{req: proto.CreateSandboxRequest{SandboxID: id, Function: fnSpec("f")}}
+}
+
+// TestBlockedWorkerDoesNotDelayAnother: each worker has its own sender, so
+// a create call held open on one worker leaves another worker's creates
+// on their way at once; the held worker's later creates wait for its call
+// and then share one. Health sweeps that pass during the held call do not
+// retire its sender, so no second sender starts for that worker.
+func TestBlockedWorkerDoesNotDelayAnother(t *testing.T) {
+	h, _ := newParkedHarness(t)
+	registerWorker(t, h, 1, "w1", "10.0.0.1")
+	registerWorker(t, h, 2, "w2", "10.0.0.2")
+	hold := make(chan struct{})
+	slow := listenCreateSink(t, h.tr, "10.0.0.1:9000", hold)
+	fast := listenCreateSink(t, h.tr, "10.0.0.2:9000", nil)
+	defer close(hold)
+	w1, w2 := h.cp.getWorker(1), h.cp.getWorker(2)
+	wakeOf := func(w *workerState) chan struct{} {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return w.out.wake
+	}
+
+	h.cp.enqueueCreate(w1, queued(1))
+	if id := slow.next(t); id != 1 {
+		t.Fatalf("worker 1 got create %d, want 1", id)
+	}
+	sender := wakeOf(w1)
+	h.cp.HealthSweep() // clears the busy mark
+	h.cp.HealthSweep() // would find the sender idle, were it not in a call
+	if wakeOf(w1) != sender {
+		t.Fatal("a health sweep retired worker 1's sender in the middle of its call")
+	}
+	h.cp.enqueueCreate(w1, queued(2))
+	h.cp.enqueueCreate(w1, queued(3))
+	for id := core.SandboxID(4); id <= 6; id++ {
+		h.cp.enqueueCreate(w2, queued(id))
+		if got := fast.next(t); got != id {
+			t.Fatalf("worker 2 got create %d, want %d", got, id)
+		}
+	}
+	select {
+	case id := <-slow.got:
+		t.Fatalf("worker 1 got create %d while its first call was held", id)
+	default:
+	}
+	hold <- struct{}{} // release the first call; the next one carries 2 and 3
+	if a, b := slow.next(t), slow.next(t); a != 2 || b != 3 {
+		t.Fatalf("worker 1 then got creates %d, %d, want 2, 3", a, b)
+	}
+	if wakeOf(w1) != sender {
+		t.Fatal("worker 1's creates were sent by a second sender")
+	}
+}
+
+// TestStopDropsOwedEndpoints: a stopping control plane waits for the
+// endpoint call each data plane's sender has in flight, and sends none of
+// the updates owed behind it.
+func TestStopDropsOwedEndpoints(t *testing.T) {
+	tr := transport.NewInProc()
+	cp := newDPLifecycleCP(t, tr, clock.NewVirtual(time.Unix(5000, 0)))
+	dp := startFakeDP(t, tr, "dp0:8000")
+	registerDP(t, tr, 1, "dp0", 8000)
+	names := registerFunctions(t, &cpHarness{tr: tr, cp: cp}, 2)
+	hold := make(chan struct{})
+	dp.mu.Lock()
+	dp.hold = hold
+	dp.mu.Unlock()
+	sendReady(t, tr, 1, names[0])
+	for dp.updateCalls() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	sendReady(t, tr, 2, names[1]) // owed behind the held call
+	stopped := make(chan struct{})
+	go func() {
+		cp.Stop()
+		close(stopped)
+	}()
+	<-cp.stopCh // Stop has begun, and waits for the held call
+	close(hold)
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop still waiting 5 s after the call in flight returned")
+	}
+	if n := dp.updateCalls(); n != 1 {
+		t.Fatalf("%d endpoint calls, want the 1 in flight when the control plane stopped", n)
+	}
+}
+
+// TestIdleSendersRetire: a quiet health sweep retires every sender that
+// had nothing to do since the one before, so the control plane's
+// goroutine count goes back to where it was before any peer was sent
+// anything; the next enqueue starts a sender again.
+func TestIdleSendersRetire(t *testing.T) {
+	const workers = 8
+	h, _ := newParkedHarness(t)
+	var sinks []*createSink
+	for i := 1; i <= workers; i++ {
+		ip := fmt.Sprintf("10.0.0.%d", i)
+		registerWorker(t, h, core.NodeID(i), "w"+ip, ip)
+		sinks = append(sinks, listenCreateSink(t, h.tr, ip+":9000", nil))
+	}
+	baseline := runtime.NumGoroutine()
+
+	for i := 1; i <= workers; i++ {
+		h.cp.enqueueCreate(h.cp.getWorker(core.NodeID(i)), queued(core.SandboxID(i)))
+	}
+	for _, s := range sinks {
+		s.next(t)
+	}
+	running := func() int {
+		n := 0
+		for i := 1; i <= workers; i++ {
+			w := h.cp.getWorker(core.NodeID(i))
+			w.mu.Lock()
+			if w.out.wake != nil {
+				n++
+			}
+			w.mu.Unlock()
+		}
+		return n
+	}
+	if n := running(); n != workers {
+		t.Fatalf("%d senders running after every worker was sent a create, want %d", n, workers)
+	}
+	h.cp.HealthSweep() // clears the busy marks
+	h.cp.HealthSweep() // finds them idle a whole pass
+	if n := running(); n != 0 {
+		t.Fatalf("%d senders still running after a quiet sweep", n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after a quiet sweep, want the %d from before", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	h.cp.enqueueCreate(h.cp.getWorker(1), queued(workers+1))
+	if id := sinks[0].next(t); id != workers+1 {
+		t.Fatalf("after retirement worker 1 got create %d, want %d", id, workers+1)
+	}
+}
+
+// TestEnqueueRacingRetirementLosesNothing: every create enqueued while
+// sweeps retire the worker's sender arrives, once: either the retiring
+// sender is still the running one and takes it, or the enqueue finds none
+// running and starts another.
+func TestEnqueueRacingRetirementLosesNothing(t *testing.T) {
+	const rounds = 300
+	h, _ := newParkedHarness(t)
+	registerWorker(t, h, 1, "w1", "10.0.0.1")
+	sink := listenCreateSink(t, h.tr, "10.0.0.1:9000", nil)
+	w := h.cp.getWorker(1)
+	for i := core.SandboxID(1); i <= rounds; i++ {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h.cp.HealthSweep()
+			h.cp.HealthSweep()
+		}()
+		h.cp.enqueueCreate(w, queued(i))
+		wg.Wait()
+		if id := sink.next(t); id != i {
+			t.Fatalf("round %d: worker got create %d", i, id)
+		}
+	}
+	select {
+	case id := <-sink.got:
+		t.Fatalf("create %d arrived twice", id)
+	case <-time.After(10 * time.Millisecond):
+	}
 }

@@ -115,9 +115,12 @@ func (cp *ControlPlane) getWorker(id core.NodeID) *workerState {
 func (cp *ControlPlane) putWorker(w *workerState) (existed bool) {
 	ws := cp.workerShardFor(w.node.ID)
 	cp.lockWorkerShard(ws)
-	_, existed = ws.workers[w.node.ID]
+	prev, existed := ws.workers[w.node.ID]
 	ws.workers[w.node.ID] = w
 	ws.mu.Unlock()
+	if existed {
+		prev.retire()
+	}
 	if !existed {
 		cp.workerCount.Add(1)
 		// Re-read for the gauge so racing updates can't publish a stale
@@ -140,6 +143,7 @@ func (cp *ControlPlane) removeWorkerIfUnhealthy(id core.NodeID) {
 		w.mu.Lock()
 		if !w.healthy {
 			delete(ws.workers, id)
+			w.out.retire()
 			removed = true
 		}
 		w.mu.Unlock()
@@ -186,8 +190,12 @@ func (cp *ControlPlane) workerSnapshot() []*workerState {
 // (and load reads its record back) or blocks until the rebuild finishes
 // (and re-inserts afterwards) — never silently dropped.
 func (cp *ControlPlane) rebuildWorkers(load func() []*workerState) []*workerState {
+	var prev []*workerState
 	for _, ws := range cp.wshards {
 		cp.lockWorkerShard(ws)
+		for _, w := range ws.workers {
+			prev = append(prev, w)
+		}
 		ws.workers = make(map[core.NodeID]*workerState)
 	}
 	workers := load()
@@ -199,7 +207,17 @@ func (cp *ControlPlane) rebuildWorkers(load func() []*workerState) []*workerStat
 	for _, ws := range cp.wshards {
 		ws.mu.Unlock()
 	}
+	for _, w := range prev {
+		w.retire()
+	}
 	return workers
+}
+
+// retire stops w's sender once it has drained: w has left the registry.
+func (w *workerState) retire() {
+	w.mu.Lock()
+	w.out.retire()
+	w.mu.Unlock()
 }
 
 // HealthSweep runs one health-monitor pass: every worker whose last
@@ -222,7 +240,8 @@ func (cp *ControlPlane) rebuildWorkers(load func() []*workerState) []*workerStat
 // older than DeadWorkerGC: the registry entry and the persisted record
 // are both removed (counted by dead_worker_gc), so a fleet that churns
 // nodes doesn't accrete tombstones forever. A late heartbeat before
-// collection still revives the worker.
+// collection still revives the worker. Full scans also retire every
+// worker sender (senders.go) idle since the previous full scan.
 func (cp *ControlPlane) HealthSweep() {
 	start := cp.clk.Now()
 	seq := cp.sweepSeq.Add(1)
@@ -235,6 +254,7 @@ func (cp *ControlPlane) HealthSweep() {
 		cp.forEachWorkerShard(func(ws *workerShard) {
 			for id, w := range ws.workers {
 				w.mu.Lock()
+				w.out.sweep(len(w.creates)+len(w.kills) == 0)
 				switch {
 				case w.healthy && start.Sub(w.lastHB) > cp.cfg.HeartbeatTimeout:
 					failed = append(failed, id)
@@ -302,6 +322,7 @@ func (cp *ControlPlane) gcDeadWorker(id core.NodeID) {
 		if !w.healthy && !w.failedAt.IsZero() &&
 			cp.clk.Now().Sub(w.failedAt) > cp.cfg.DeadWorkerGC {
 			delete(ws.workers, id)
+			w.out.retire()
 			removed = true
 			name = w.node.Name
 		}

@@ -25,7 +25,6 @@ package dataplane
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -123,24 +122,23 @@ type endpointState struct {
 	inFlight atomic.Int64
 }
 
+// pending is one queued cold invocation. Its waiter, the invoking
+// goroutine, is the only one that ever runs it: pumpLocked grants it a
+// slot through grant and the waiter proxies the invocation itself.
 type pending struct {
-	payload    []byte
-	enqueuedAt time.Time
-	resultCh   chan invokeResult
-	// abandoned is set once nobody waits for the invocation (it timed
-	// out, or the data plane is shutting down): its payload may belong to
-	// the next request, so requeue and pumpLocked drop it instead of
-	// dispatching it.
-	abandoned atomic.Bool
+	grant chan grant
+	// fr is the runtime whose queue the waiter last put the pending in,
+	// and so the one any slot it is granted belongs to; only the waiter
+	// reads or writes it.
+	fr *functionRuntime
 }
 
-type invokeResult struct {
-	body []byte
-	// frame is the request frame the body may alias, for the waiting
-	// invocation to give back once it has copied the body.
-	frame    *[]byte
-	err      error
-	dispatch time.Time
+// grant is what a queued invocation is handed: a claimed slot on endpoint
+// st of its runtime, or err when it will get none (its function was
+// removed, or the data plane is stopping).
+type grant struct {
+	st  *endpointState
+	err error
 }
 
 // functionRuntime is one function's slice of the data plane. The mutex
@@ -261,9 +259,13 @@ type DataPlane struct {
 	parkMu     sync.Mutex
 	parked     []parkedSettle
 
-	stopCh  chan struct{}
-	wg      sync.WaitGroup
-	stopped atomic.Bool
+	// stopCtx is canceled by Stop, which also ends the cold proxy calls
+	// in flight; stopCh is its Done channel.
+	stopCtx    context.Context
+	cancelStop context.CancelFunc
+	stopCh     <-chan struct{}
+	wg         sync.WaitGroup
+	stopped    atomic.Bool
 }
 
 type asyncTask struct {
@@ -298,8 +300,9 @@ func New(cfg Config) *DataPlane {
 		leasedKeys:  make(map[string]bool),
 		addrs:       make(map[core.NodeID]string),
 		coldWake:    make(chan struct{}, 1),
-		stopCh:      make(chan struct{}),
 	}
+	dp.stopCtx, dp.cancelStop = context.WithCancel(context.Background())
+	dp.stopCh = dp.stopCtx.Done()
 	dp.snapPolicy, _ = cfg.Balancer.(loadbalancer.SnapshotPolicy)
 	dp.mInvocations = dp.metrics.Counter("invocations")
 	dp.mWarmStarts = dp.metrics.Counter("warm_starts")
@@ -416,11 +419,11 @@ func (dp *DataPlane) Stop() {
 			fr.queued.Store(0)
 			fr.mu.Unlock()
 			for _, p := range queue {
-				p.resultCh <- invokeResult{err: errors.New("data plane: shutting down")}
+				p.grant <- grant{err: errShuttingDown}
 			}
 		}
 	}
-	close(dp.stopCh)
+	dp.cancelStop()
 	for _, sh := range dp.asyncShards {
 		sh.stop()
 	}
@@ -524,16 +527,14 @@ func (dp *DataPlane) upsertFunctions(fns []core.Function) {
 				changed = true
 			}
 		}
-		var work []dispatchWork
 		if changed {
 			snap := newSnapshot(len(cur))
 			snap.states = append(snap.states, cur...)
 			dp.publishLocked(fr, snap)
 			// A raised capacity may free slots for buffered requests.
-			work = dp.pumpLocked(fr)
+			dp.pumpLocked(fr)
 		}
 		fr.mu.Unlock()
-		dp.runDispatches(work)
 	}
 }
 
@@ -584,9 +585,8 @@ func (dp *DataPlane) applyEndpointUpdate(function []byte, version uint64, endpoi
 	}
 	fr.epVersion = version
 	dp.setEndpointsLocked(fr, endpoints)
-	work := dp.pumpLocked(fr)
+	dp.pumpLocked(fr)
 	fr.mu.Unlock()
-	dp.runDispatches(work)
 }
 
 // setEndpointsLocked makes endpoints fr's endpoint set, as a diff against

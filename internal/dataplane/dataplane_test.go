@@ -311,14 +311,14 @@ func TestQueueTimeout(t *testing.T) {
 	}
 }
 
-// TestAbandonedColdInvocationNeverRuns: a cold invocation whose caller
-// stops waiting while its dispatch is in flight, because it timed out or
-// because the data plane is shutting down, is not run again when that
-// dispatch finds a stale endpoint. Before, abandon found nothing in the
-// queue (the dispatch held the pending), the stale endpoint requeued it,
-// and it ran on the next sandbox with nobody waiting for it, reading a
-// payload its handler no longer owned; after a shutdown the front end
-// fails over, so it ran twice.
+// TestAbandonedColdInvocationNeverRuns: a cold invocation whose wait ends
+// while its dispatch is in flight, because QueueTimeout passed or because
+// the data plane is stopping, fails while the sandbox still holds the call,
+// and is not run again when that sandbox answers as a stale one. Before,
+// abandon found nothing in the queue (the dispatch held the pending), the
+// stale endpoint requeued it, and it ran on the next sandbox with nobody
+// waiting for it, reading a payload its handler no longer owned; after a
+// shutdown the front end fails over, so it ran twice.
 func TestAbandonedColdInvocationNeverRuns(t *testing.T) {
 	t.Run("timeout", func(t *testing.T) {
 		testAbandonedColdInvocation(t, 50*time.Millisecond, func(*DataPlane) {})
@@ -328,17 +328,37 @@ func TestAbandonedColdInvocationNeverRuns(t *testing.T) {
 	})
 }
 
+// oneAddrOverTCP carries the calls to addr over loopback TCP and every
+// other call in process.
+type oneAddrOverTCP struct {
+	*transport.InProc
+	tcp  *transport.TCP
+	addr string
+}
+
+func (o oneAddrOverTCP) Call(ctx context.Context, addr, method string, payload []byte) ([]byte, error) {
+	if addr == o.addr {
+		return o.tcp.Call(ctx, addr, method, payload)
+	}
+	return o.InProc.Call(ctx, addr, method, payload)
+}
+
 // testAbandonedColdInvocation queues one invocation, dispatches it to a
 // sandbox that hangs, calls giveUp, waits for the invocation to fail, and
 // then lets the hung sandbox answer as a stale one while a live sandbox
-// is ready.
+// is ready. The hung sandbox is reached over loopback TCP, where the proxy
+// call's deadline and Stop end a call in flight: an in-process call checks
+// its context only before the handler runs.
 func testAbandonedColdInvocation(t *testing.T, queueTimeout time.Duration, giveUp func(*DataPlane)) {
 	tr := transport.NewInProc()
 	startFakeCP(t, tr, "cp")
-	entered, release := make(chan struct{}), make(chan struct{})
-	stale, err := tr.Listen("w-stale:9000", func(string, []byte) ([]byte, error) {
+	tcp := transport.NewTCP()
+	defer tcp.Close()
+	entered, release, answered := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	stale, err := tcp.Listen("127.0.0.1:0", func(string, []byte) ([]byte, error) {
 		close(entered)
 		<-release
+		close(answered)
 		return nil, errors.New("worker: invoke: no such sandbox 1")
 	})
 	if err != nil {
@@ -360,7 +380,7 @@ func testAbandonedColdInvocation(t *testing.T, queueTimeout time.Duration, giveU
 	dp := New(Config{
 		ID:             1,
 		Addr:           "dp0:8000",
-		Transport:      tr,
+		Transport:      oneAddrOverTCP{InProc: tr, tcp: tcp, addr: stale.Addr()},
 		ControlPlanes:  []string{"cp"},
 		MetricInterval: 10 * time.Millisecond,
 		QueueTimeout:   queueTimeout,
@@ -377,7 +397,7 @@ func testAbandonedColdInvocation(t *testing.T, queueTimeout time.Duration, giveU
 			t.Fatal(err)
 		}
 	}
-	staleEP := proto.SandboxInfo{ID: 1, Function: "f", Node: 1, Addr: "w-stale:9000", State: core.SandboxReady}
+	staleEP := proto.SandboxInfo{ID: 1, Function: "f", Node: 1, Addr: stale.Addr(), State: core.SandboxReady}
 	liveEP := proto.SandboxInfo{ID: 2, Function: "f", Node: 2, Addr: "w-live:9000", State: core.SandboxReady}
 
 	errCh := make(chan error, 1)
@@ -392,15 +412,18 @@ func testAbandonedColdInvocation(t *testing.T, queueTimeout time.Duration, giveU
 	<-entered // the queued invocation is dispatched to the stale sandbox
 	update(2, staleEP, liveEP)
 	giveUp(dp)
-	if err := <-errCh; err == nil {
-		t.Fatal("the invocation should have failed while its dispatch hung")
+	select {
+	case err := <-errCh:
+		if err == nil {
+			close(release)
+			t.Fatal("the invocation should have failed while its dispatch hung")
+		}
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("the invocation was still waiting 5 s after its wait ended, held by its hung dispatch")
 	}
 	close(release)
-	for deadline := time.Now().Add(time.Second); dp.EndpointCount("f") != 1; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the stale endpoint was never dropped")
-		}
-	}
+	<-answered
 	time.Sleep(20 * time.Millisecond) // room for a wrongly requeued dispatch
 	mu.Lock()
 	defer mu.Unlock()

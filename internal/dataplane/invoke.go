@@ -86,7 +86,9 @@ func (dp *DataPlane) invoke(fr *functionRuntime, payload []byte) ([]byte, error)
 		}
 		// Warm start: a sandbox with a free slot exists right now.
 		dp.markActive(fr)
-		body, frame, err := dp.proxy(&info, function, payload)
+		ctx := transport.NewDeadline(context.Background(), dp.cfg.QueueTimeout)
+		body, frame, err := dp.proxy(ctx, &info, function, payload)
+		ctx.Stop()
 		dp.releaseSlot(fr, st)
 		if err != nil {
 			if isStaleEndpointErr(err) {
@@ -112,13 +114,21 @@ func (dp *DataPlane) invoke(fr *functionRuntime, payload []byte) ([]byte, error)
 		transport.PutFrame(frame) // body, which may alias it, is copied
 		return out, nil
 	}
+	return dp.invokeCold(fr, payload, arrival)
+}
 
-	// Cold start: buffer in the per-function request queue.
-	p := &pending{
-		payload:    payload,
-		enqueuedAt: arrival,
-		resultCh:   make(chan invokeResult, 1),
-	}
+// invokeCold queues one invocation as a cold start and waits for a slot.
+// The waiter dispatches itself: pumpLocked hands it a claimed slot through
+// its grant channel and it proxies the invocation on its own goroutine, so
+// no goroutine is started per cold dispatch, and an invocation nobody
+// waits for any more cannot run. The whole wait, queue and proxy call
+// together, is bounded by QueueTimeout: the proxy gets what is left of it,
+// and Stop ends a proxy call in flight. Over TCP both bound the call; an
+// in-process call checks them only before its handler runs, as it does on
+// the warm path.
+func (dp *DataPlane) invokeCold(fr *functionRuntime, payload []byte, arrival time.Time) ([]byte, error) {
+	function := fr.name
+	p := &pending{grant: make(chan grant, 1)}
 	for {
 		dp.lockRuntime(fr)
 		if !fr.dead {
@@ -133,6 +143,7 @@ func (dp *DataPlane) invoke(fr *functionRuntime, payload []byte) ([]byte, error)
 			return nil, fmt.Errorf("%w %q", errUnknownFunction, function)
 		}
 	}
+	p.fr = fr
 	fr.queue = append(fr.queue, p)
 	fr.queued.Add(1)
 	dp.markActive(fr)
@@ -143,35 +154,88 @@ func (dp *DataPlane) invoke(fr *functionRuntime, payload []byte) ([]byte, error)
 	// Re-pump under the lock: a slot may have freed between the failed
 	// warm pick and the enqueue, and that release may have observed an
 	// empty queue (lost-wakeup guard).
-	work := dp.pumpLocked(fr)
+	dp.pumpLocked(fr)
 	fr.mu.Unlock()
 	dp.mColdStarts.Inc()
-	dp.runDispatches(work)
 
-	select {
-	case res := <-p.resultCh:
-		if res.err != nil {
-			dp.mInvokeErrors.Inc()
-			return nil, res.err
+	timeout := dp.clk.After(dp.cfg.QueueTimeout)
+	for {
+		select {
+		case g := <-p.grant:
+			if g.err != nil {
+				dp.mInvokeErrors.Inc()
+				return nil, g.err
+			}
+			// A grant that raced the end of the wait is not used: the
+			// select may take it over a timeout or a stop that are due.
+			select {
+			case <-dp.stopCh:
+				dp.returnSlot(p.fr, g.st)
+				return nil, errShuttingDown
+			default:
+			}
+			dispatchedAt := dp.clk.Now()
+			left := dp.cfg.QueueTimeout - dispatchedAt.Sub(arrival)
+			if left <= 0 {
+				dp.returnSlot(p.fr, g.st)
+				return nil, dp.queueTimedOut(function)
+			}
+			ctx := transport.NewDeadline(dp.stopCtx, left)
+			body, frame, err := dp.proxy(ctx, &g.st.info, function, payload)
+			ctx.Stop()
+			if err != nil && dp.stopCtx.Err() != nil {
+				// Stop ended the call, or it failed as the data plane
+				// stops: the front end fails the invocation over.
+				dp.releaseSlot(p.fr, g.st)
+				return nil, errShuttingDown
+			}
+			if err != nil && isStaleEndpointErr(err) {
+				// The sandbox (or its worker) went away before the
+				// control plane's drain reached us: drop the endpoint and
+				// wait for another. Requeue before the slot goes back, so
+				// the pump that the release runs sees this invocation.
+				dp.dropEndpoint(p.fr, g.st.info.ID)
+				dp.mStaleDropped.Inc()
+				target := dp.requeue(p.fr, p)
+				g.st.inFlight.Add(-1)
+				if target != nil {
+					dp.pumpRuntime(target)
+				}
+				continue
+			}
+			dp.releaseSlot(p.fr, g.st)
+			if err != nil {
+				dp.mInvokeErrors.Inc()
+				return nil, err
+			}
+			resp := proto.InvokeResponse{
+				ColdStart:           true,
+				SchedulingLatencyUs: dispatchedAt.Sub(arrival).Microseconds(),
+				Body:                body,
+			}
+			out := resp.Marshal()
+			transport.PutFrame(frame) // body, which may alias it, is copied
+			return out, nil
+		case <-timeout:
+			dp.abandon(p)
+			return nil, dp.queueTimedOut(function)
+		case <-dp.stopCh:
+			// The front end fails the invocation over to another replica, so
+			// it must not run here too.
+			dp.abandon(p)
+			return nil, errShuttingDown
 		}
-		resp := proto.InvokeResponse{
-			ColdStart:           true,
-			SchedulingLatencyUs: res.dispatch.Sub(arrival).Microseconds(),
-			Body:                res.body,
-		}
-		out := resp.Marshal()
-		transport.PutFrame(res.frame)
-		return out, nil
-	case <-dp.clk.After(dp.cfg.QueueTimeout):
-		dp.abandon(function, p)
-		dp.mTimeouts.Inc()
-		return nil, fmt.Errorf("data plane: invocation of %q timed out waiting for a sandbox", function)
-	case <-dp.stopCh:
-		// The front end fails the invocation over to another replica, so
-		// it must not run here too.
-		dp.abandon(function, p)
-		return nil, fmt.Errorf("data plane: shutting down")
 	}
+}
+
+// errShuttingDown fails the invocations a stopping data plane still holds.
+var errShuttingDown = errors.New("data plane: shutting down")
+
+// queueTimedOut counts a cold invocation whose wait reached QueueTimeout
+// and builds its error.
+func (dp *DataPlane) queueTimedOut(function string) error {
+	dp.mTimeouts.Inc()
+	return fmt.Errorf("data plane: invocation of %q timed out waiting for a sandbox", function)
 }
 
 // acquireWarm claims a concurrency slot on one of fr's ready endpoints,
@@ -249,8 +313,8 @@ func (dp *DataPlane) pickAllocating(function string, key uint64, snap *endpointS
 // pooled frame, returned with the body after a call that succeeded: the
 // body may alias the frame (an echo does), so the caller gives the frame
 // back with transport.PutFrame only once it has copied the body. After a
-// failed call the frame is dropped and frame is nil.
-func (dp *DataPlane) proxy(info *proto.SandboxInfo, function string, payload []byte) (body []byte, frame *[]byte, err error) {
+// failed call the frame is dropped and frame is nil. ctx bounds the call.
+func (dp *DataPlane) proxy(ctx context.Context, info *proto.SandboxInfo, function string, payload []byte) (body []byte, frame *[]byte, err error) {
 	req := proto.InvokeSandboxRequest{
 		SandboxID: info.ID,
 		Function:  function,
@@ -258,9 +322,7 @@ func (dp *DataPlane) proxy(info *proto.SandboxInfo, function string, payload []b
 	}
 	frame = transport.GetFrame()
 	*frame = req.AppendTo(*frame)
-	ctx := transport.NewDeadline(context.Background(), dp.cfg.QueueTimeout)
 	body, err = dp.cfg.Transport.Call(ctx, info.Addr, proto.MethodInvokeSandbox, *frame)
-	ctx.Stop()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -282,83 +344,44 @@ func (dp *DataPlane) releaseSlot(fr *functionRuntime, st *endpointState) {
 	dp.pumpRuntime(fr)
 }
 
-// pumpRuntime locks fr and dispatches whatever queued invocations its
+// pumpRuntime locks fr and grants whatever queued invocations its
 // current endpoint snapshot can absorb.
 func (dp *DataPlane) pumpRuntime(fr *functionRuntime) {
 	dp.lockRuntime(fr)
-	work := dp.pumpLocked(fr)
+	dp.pumpLocked(fr)
 	fr.mu.Unlock()
-	dp.runDispatches(work)
 }
 
-type dispatchWork struct {
-	fr   *functionRuntime
-	info proto.SandboxInfo
-	st   *endpointState
-	p    *pending
-}
-
-// pumpLocked matches queued invocations with free endpoint slots and
-// drops the abandoned ones it meets at the head of the queue.
-// Callers hold fr.mu; the returned work must be executed off-lock, which
-// is why each item carries the endpoint info snapshot taken here
-// (endpoint updates may republish concurrently).
-func (dp *DataPlane) pumpLocked(fr *functionRuntime) []dispatchWork {
-	var work []dispatchWork
+// pumpLocked matches queued invocations with free endpoint slots: each
+// one at the head of the queue that a slot can be claimed for leaves the
+// queue with the slot in its grant channel, where its waiter takes it.
+// Granting under fr.mu is what lets abandon, which takes fr.mu too, know
+// that no grant is on its way once the pending is out of the queue. The
+// send never blocks: a pending is in at most one queue, once, and its
+// channel holds one grant. Callers hold fr.mu.
+func (dp *DataPlane) pumpLocked(fr *functionRuntime) {
 	for len(fr.queue) > 0 {
-		p := fr.queue[0]
-		if !p.abandoned.Load() {
-			snap := fr.snap.Load()
-			idx := dp.tryAcquireSnapshot(fr.name, snap)
-			if idx < 0 {
-				break
-			}
-			st := snap.states[idx]
-			work = append(work, dispatchWork{fr: fr, info: st.info, st: st, p: p})
+		snap := fr.snap.Load()
+		idx := dp.tryAcquireSnapshot(fr.name, snap)
+		if idx < 0 {
+			break
 		}
+		p := fr.queue[0]
 		fr.queue[0] = nil // the array outlives the dequeue
 		fr.queue = fr.queue[1:]
 		fr.queued.Add(-1)
+		p.grant <- grant{st: snap.states[idx]}
 	}
 	if len(fr.queue) == 0 {
 		fr.queue = nil
 	}
-	return work
 }
 
-func (dp *DataPlane) runDispatches(work []dispatchWork) {
-	for _, d := range work {
-		go dp.dispatch(d)
-	}
-}
-
-// dispatch executes one dequeued cold-start invocation. If the chosen
-// endpoint turns out to be stale (sandbox or worker gone before the drain
-// broadcast arrived), the endpoint is dropped and the invocation requeued
-// rather than failed.
-func (dp *DataPlane) dispatch(d dispatchWork) {
-	dispatchedAt := dp.clk.Now()
-	body, frame, err := dp.proxy(&d.info, d.fr.name, d.p.payload)
-	if err != nil && isStaleEndpointErr(err) {
-		dp.dropEndpoint(d.fr, d.info.ID)
-		dp.mStaleDropped.Inc()
-		// requeue may land the pending in a re-registered successor
-		// runtime; pump the runtime that actually holds it, after the
-		// slot release so the pump sees the freed capacity.
-		target := dp.requeue(d.fr, d.p)
-		d.st.inFlight.Add(-1)
-		if target != nil {
-			dp.pumpRuntime(target)
-		}
-		return
-	}
-	dp.releaseSlot(d.fr, d.st)
-	d.p.resultCh <- invokeResult{
-		body:     body,
-		frame:    frame,
-		err:      err,
-		dispatch: dispatchedAt,
-	}
+// returnSlot gives back a slot on st of fr granted to an invocation that
+// will not use it, and re-pumps fr so the next queued invocation gets it.
+func (dp *DataPlane) returnSlot(fr *functionRuntime, st *endpointState) {
+	st.inFlight.Add(-1)
+	dp.pumpRuntime(fr)
 }
 
 // isStaleEndpointErr reports whether a proxy failure indicates the target
@@ -396,12 +419,9 @@ func (dp *DataPlane) dropEndpoint(fr *functionRuntime, id core.SandboxID) {
 // queue so a subsequent endpoint can absorb it, re-resolving the runtime
 // if it was deregistered (and possibly re-registered) in the meantime.
 // It returns the runtime that holds the pending, or nil when the
-// function is gone and the pending was failed, or the pending was
-// abandoned while its dispatch was in flight and is dropped.
+// function is gone and the pending was failed. Only the pending's waiter
+// calls it.
 func (dp *DataPlane) requeue(fr *functionRuntime, p *pending) *functionRuntime {
-	if p.abandoned.Load() {
-		return nil
-	}
 	name := fr.name
 	for {
 		dp.lockRuntime(fr)
@@ -410,38 +430,40 @@ func (dp *DataPlane) requeue(fr *functionRuntime, p *pending) *functionRuntime {
 		}
 		fr.mu.Unlock()
 		if fr = dp.lookup(name); fr == nil {
-			p.resultCh <- invokeResult{err: deregisteredErr(name)}
+			p.grant <- grant{err: deregisteredErr(name)}
 			return nil
 		}
 	}
 	defer fr.mu.Unlock()
+	p.fr = fr
 	fr.queue = append([]*pending{p}, fr.queue...)
 	fr.queued.Add(1)
 	dp.markActive(fr)
 	return fr
 }
 
-// abandon removes a pending invocation nobody waits for any more (it timed
-// out, or the data plane is shutting down) from the queue. It
-// resolves by name so it finds the pending even if requeue migrated it
-// into a re-registered successor runtime. A dispatch in flight holds the
-// pending outside any queue; the mark makes requeue drop it should that
-// dispatch find a stale endpoint, and pumpLocked skip it wherever it is
-// queued.
-func (dp *DataPlane) abandon(function string, p *pending) {
-	p.abandoned.Store(true)
-	fr := dp.lookup(function)
-	if fr == nil {
-		return
-	}
+// abandon takes a pending invocation its waiter stops waiting for (it
+// timed out, or the data plane is stopping) out of the queue it was last
+// put in, then gives back the slot of any grant that reached it first:
+// pumpLocked grants under the same lock, so once the pending is out of
+// the queue no grant can follow. Only the pending's waiter calls it.
+func (dp *DataPlane) abandon(p *pending) {
+	fr := p.fr
 	dp.lockRuntime(fr)
-	defer fr.mu.Unlock()
 	if i := slices.Index(fr.queue, p); i >= 0 {
 		fr.queue = slices.Delete(fr.queue, i, i+1) // clears the vacated slot
 		if len(fr.queue) == 0 {
 			fr.queue = nil
 		}
 		fr.queued.Add(-1)
+	}
+	fr.mu.Unlock()
+	select {
+	case g := <-p.grant:
+		if g.st != nil {
+			dp.returnSlot(p.fr, g.st)
+		}
+	default:
 	}
 }
 

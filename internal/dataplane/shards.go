@@ -155,7 +155,7 @@ func (dp *DataPlane) removeFunction(name string) {
 	fr.snap.Store(emptySnapshot)
 	fr.mu.Unlock()
 	for _, p := range queue {
-		p.resultCh <- invokeResult{err: deregisteredErr(name)}
+		p.grant <- grant{err: deregisteredErr(name)}
 	}
 }
 

@@ -423,9 +423,9 @@ func isFailoverErr(err error) bool {
 // The request is encoded into a pooled frame, given back once a data
 // plane has answered: its response is a frame of its own (the data plane
 // marshals it), so nothing aliases the request. After a failed call the
-// frame is never given back, even if a failover then succeeds, since a
-// cold dispatch the failed data plane started may outlive the handler
-// that stopped waiting for it.
+// frame is never given back, even if a failover then succeeds, since the
+// failed call's handler may still be reading it (a TCP call past its
+// deadline).
 func (lb *LB) Invoke(ctx context.Context, req *proto.InvokeRequest) (*proto.InvokeResponse, error) {
 	if lb.cfg.Versions != nil {
 		resolved := lb.cfg.Versions.Resolve(req.Function, lb.seq.Add(1))

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"sync"
 	"time"
 
@@ -240,9 +241,21 @@ func (b *base) register(inst *Instance) {
 	b.mu.Unlock()
 }
 
+// addr formats the sandbox address NodeIP:port with strconv, not fmt: it
+// runs on every create, on the worker goroutine started for it, where
+// fmt's deep call chain grew a fresh stack per create.
 func (b *base) addr(port uint16) string {
 	ip := b.cfg.NodeIP
-	return fmt.Sprintf("%d.%d.%d.%d:%d", ip[0], ip[1], ip[2], ip[3], port)
+	buf := make([]byte, 0, len("255.255.255.255:65535"))
+	for i, octet := range ip {
+		if i > 0 {
+			buf = append(buf, '.')
+		}
+		buf = strconv.AppendUint(buf, uint64(octet), 10)
+	}
+	buf = append(buf, ':')
+	buf = strconv.AppendUint(buf, uint64(port), 10)
+	return string(buf)
 }
 
 // Containerd is the simulated containerd runtime. Creation pulls the image

@@ -2,6 +2,7 @@ package sandbox
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -68,6 +69,21 @@ func TestContainerdUniqueAddrs(t *testing.T) {
 			t.Fatalf("duplicate sandbox address %s", inst.Addr)
 		}
 		seen[inst.Addr] = true
+	}
+}
+
+// TestSandboxAddrMatchesDottedQuad: the strconv-built address reads as
+// fmt's "%d.%d.%d.%d:%d" would, at the ends of each field's range.
+func TestSandboxAddrMatchesDottedQuad(t *testing.T) {
+	for _, tc := range []struct {
+		ip   [4]byte
+		port uint16
+	}{{[4]byte{0, 0, 0, 0}, 0}, {[4]byte{10, 0, 0, 1}, 8080}, {[4]byte{255, 255, 255, 255}, 65535}} {
+		b := &base{cfg: Config{NodeIP: tc.ip}}
+		want := fmt.Sprintf("%d.%d.%d.%d:%d", tc.ip[0], tc.ip[1], tc.ip[2], tc.ip[3], tc.port)
+		if got := b.addr(tc.port); got != want {
+			t.Errorf("addr(%v, %d) = %q, want %q", tc.ip, tc.port, got, want)
+		}
 	}
 }
 

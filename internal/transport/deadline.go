@@ -13,16 +13,18 @@ import (
 // in-process call checks Err, which compares the clock with the deadline;
 // a TCP call hands the deadline to its connection's one shared timer.
 //
-// The parent's cancellation is not observed, so the parent must be one
-// that cannot be canceled (its Done is nil); its values are.
+// The parent's values are the Deadline's, and a parent that can be
+// canceled ends it too: Err reports the parent's error from then on, and
+// a TCP call stops waiting for its answer.
 type Deadline struct {
 	parent   context.Context
 	deadline time.Time
 
-	mu    sync.Mutex
-	done  chan struct{} // built by the first Done
-	timer *time.Timer   // armed by the first Done
-	err   error         // set once: DeadlineExceeded, or Canceled by Stop
+	mu     sync.Mutex
+	done   chan struct{} // built by the first Done
+	timer  *time.Timer   // armed by the first Done
+	unhook func() bool   // stops the first Done's watch on the parent
+	err    error         // set once: DeadlineExceeded, the parent's error, or Canceled by Stop
 }
 
 // deadlinePool holds the stopped Deadlines whose Done was never built.
@@ -40,7 +42,8 @@ func NewDeadline(parent context.Context, timeout time.Duration) *Deadline {
 func (d *Deadline) Deadline() (time.Time, bool) { return d.deadline, true }
 
 // Done implements context.Context. The first call builds the channel and
-// arms the timer that closes it.
+// arms the timer that closes it, and has a parent that can be canceled
+// close it too.
 func (d *Deadline) Done() <-chan struct{} {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -51,13 +54,17 @@ func (d *Deadline) Done() <-chan struct{} {
 			close(d.done)
 		} else {
 			d.timer = time.AfterFunc(time.Until(d.deadline), d.fire)
+			if d.parent.Done() != nil {
+				d.unhook = context.AfterFunc(d.parent, d.parentDone)
+			}
 		}
 	}
 	return d.done
 }
 
-// Err implements context.Context: Canceled after Stop, DeadlineExceeded
-// once the deadline has passed, nil before.
+// Err implements context.Context: Canceled after Stop, the parent's error
+// once the parent is canceled, DeadlineExceeded once the deadline has
+// passed, nil before.
 func (d *Deadline) Err() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -93,10 +100,22 @@ func (d *Deadline) fire() {
 	d.mu.Unlock()
 }
 
-// expireLocked settles the context as expired once the clock has passed
-// the deadline, so Err never reports an expiry that a built Done has not.
+func (d *Deadline) parentDone() {
+	d.mu.Lock()
+	d.finishLocked(d.parent.Err())
+	d.mu.Unlock()
+}
+
+// expireLocked settles the context once the parent is canceled or the
+// clock has passed the deadline, so Err never reports an end that a built
+// Done has not.
 func (d *Deadline) expireLocked() {
-	if d.err == nil && !time.Now().Before(d.deadline) {
+	if d.err != nil {
+		return
+	}
+	if err := d.parent.Err(); err != nil {
+		d.finishLocked(err)
+	} else if !time.Now().Before(d.deadline) {
 		d.finishLocked(context.DeadlineExceeded)
 	}
 }
@@ -108,6 +127,9 @@ func (d *Deadline) finishLocked(err error) {
 	d.err = err
 	if d.timer != nil {
 		d.timer.Stop()
+	}
+	if d.unhook != nil {
+		d.unhook()
 	}
 	if d.done != nil {
 		close(d.done)

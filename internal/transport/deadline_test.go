@@ -184,6 +184,33 @@ func TestDeadlineCancelsChildren(t *testing.T) {
 	}
 }
 
+// TestDeadlineEndsWithItsParent: a parent that can be canceled ends the
+// Deadline: Err reports the parent's error whether or not Done was built,
+// and a built Done closes.
+func TestDeadlineEndsWithItsParent(t *testing.T) {
+	parent, cancel := context.WithCancel(context.Background())
+	plain := NewDeadline(parent, time.Hour)
+	watched := NewDeadline(parent, time.Hour)
+	done := watched.Done()
+	if plain.Err() != nil || watched.Err() != nil || isClosed(done) {
+		t.Fatal("ended before the deadline or the parent's cancellation")
+	}
+	cancel()
+	if err := plain.Err(); !errors.Is(err, context.Canceled) {
+		t.Errorf("Err after the parent was canceled = %v, want Canceled", err)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Done never closed after the parent was canceled")
+	}
+	if err := watched.Err(); !errors.Is(err, context.Canceled) {
+		t.Errorf("Err with Done built = %v, want Canceled", err)
+	}
+	plain.Stop()
+	watched.Stop()
+}
+
 // TestDeadlineConcurrentUse: Done, Err and Stop from several goroutines
 // around the moment of expiry agree and do not race (run with -race).
 // Done is built first, so Stop keeps the Deadline for the goroutines

@@ -324,9 +324,11 @@ func (t *TCP) Call(ctx context.Context, addr, method string, payload []byte) ([]
 	}
 	call := callPool.Get().(*tcpCall)
 	writeBy, _ := ctx.Deadline()
-	_, timed := ctx.(*Deadline)
+	d, timed := ctx.(*Deadline)
+	var parentDone <-chan struct{} // nil unless d's parent can be canceled
 	if timed {
 		call.deadline = writeBy
+		parentDone = d.parent.Done()
 	}
 	id, err := cc.send(call, method, payload, writeBy)
 	if err != nil {
@@ -345,7 +347,14 @@ func (t *TCP) Call(ctx context.Context, addr, method string, payload []byte) ([]
 		return nil, err
 	}
 	if timed {
-		<-call.done // the connection's timer completes it at the deadline
+		// The connection's timer completes it at the deadline; a parent
+		// that can be canceled may end it sooner.
+		select {
+		case <-call.done:
+		case <-parentDone:
+			cc.abandon(id)
+			return nil, ctx.Err()
+		}
 	} else {
 		select {
 		case <-call.done:

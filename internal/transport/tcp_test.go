@@ -177,6 +177,50 @@ func TestTCPStalledPeerHonorsDeadline(t *testing.T) {
 	}
 }
 
+// TestTCPCallEndsWithItsDeadlinesParent: a call bounded by a *Deadline
+// whose parent can be canceled stops waiting for its answer when the
+// parent is canceled, long before the deadline, and the connection goes
+// on serving.
+func TestTCPCallEndsWithItsDeadlinesParent(t *testing.T) {
+	tr := NewTCP()
+	defer tr.Close()
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	ln, err := tr.Listen("127.0.0.1:0", func(_ string, p []byte) ([]byte, error) {
+		if string(p) == "hang" {
+			entered <- struct{}{}
+			<-release
+		}
+		return p, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	defer close(release)
+	parent, cancel := context.WithCancel(context.Background())
+	d := NewDeadline(parent, time.Minute)
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := tr.Call(d, ln.Addr(), "m", []byte("hang"))
+		errCh <- err
+	}()
+	<-entered
+	cancel()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the call still waited 5 s after its Deadline's parent was canceled")
+	}
+	d.Stop()
+	awaitPending(t, tr, ln.Addr(), 0)
+	if got, err := tr.Call(context.Background(), ln.Addr(), "m", []byte("after")); err != nil || string(got) != "after" {
+		t.Errorf("call after the canceled one = %q, %v", got, err)
+	}
+}
+
 // TestTCPConcurrentDeadlinesAroundHandlerDelay: rounds of concurrent
 // calls under both context kinds, with deadlines on both sides of the
 // handler's delay, share one connection, so responses and expiries race.

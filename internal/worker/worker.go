@@ -191,12 +191,13 @@ type Worker struct {
 	prewarmGen     uint64
 	prewarmSeq     atomic.Uint64
 
-	// Readiness report coalescing: events queue under readyEvMu and a
-	// single flusher drains whatever accumulated while its previous RPC
-	// was in flight into one SandboxReadyBatch call.
-	readyEvMu    sync.Mutex
-	readyEvs     []proto.SandboxEvent
-	readyFlusher bool
+	// Readiness report coalescing: events queue under readyEvMu, and
+	// the flusher (flushReadyLoop), woken through readyWake, drains
+	// whatever accumulated while its previous RPC was in flight into one
+	// SandboxReadyBatch call.
+	readyEvMu sync.Mutex
+	readyEvs  []proto.SandboxEvent
+	readyWake chan struct{}
 
 	stopCh  chan struct{}
 	wg      sync.WaitGroup
@@ -340,6 +341,7 @@ func New(cfg Config) *Worker {
 		functions:      make(map[core.SandboxID]core.Function),
 		prewarmPools:   make(map[string][]poolEntry),
 		prewarmPending: make(map[string]int),
+		readyWake:      make(chan struct{}, 1),
 		stopCh:         make(chan struct{}),
 	}
 	if len(cfg.Relays) > 0 {
@@ -394,8 +396,9 @@ func (w *Worker) Start() error {
 		ln.Close()
 		return err
 	}
-	w.wg.Add(1)
+	w.wg.Add(2)
 	go w.heartbeatLoop()
+	go w.flushReadyLoop()
 	// Fill the pre-warm pool asynchronously through the creation pool;
 	// the node serves create instructions while the pool warms up.
 	for i := 0; i < w.cfg.Prewarm; i++ {
@@ -775,42 +778,47 @@ func (w *Worker) acquireCreateSlot() {
 
 func (w *Worker) releaseCreateSlot() { <-w.createSem }
 
-// queueReady enqueues one readiness event for the control plane and
-// ensures a flusher goroutine is draining the queue. The flusher sends
-// whatever accumulated while its previous RPC was in flight as a single
-// SandboxReadyBatch — under a creation burst the control plane sees
-// O(RPCs in flight) reports instead of one RPC per sandbox, while an
-// isolated creation reports at once, as a batch of one.
+// queueReady enqueues one readiness event for the control plane and wakes
+// the flusher, which sends whatever accumulated while its previous RPC was
+// in flight as a single SandboxReadyBatch — under a creation burst the
+// control plane sees O(RPCs in flight) reports instead of one RPC per
+// sandbox, while an isolated creation reports at once, as a batch of one.
 func (w *Worker) queueReady(ev proto.SandboxEvent) {
 	w.readyEvMu.Lock()
 	w.readyEvs = append(w.readyEvs, ev)
-	if w.readyFlusher {
-		w.readyEvMu.Unlock()
-		return
-	}
-	w.readyFlusher = true
 	w.readyEvMu.Unlock()
-	w.wg.Add(1)
-	go w.flushReadyLoop()
+	select {
+	case w.readyWake <- struct{}{}:
+	default: // a wake-up is already pending and will take this event along
+	}
 }
 
+// flushReadyLoop is the readiness flusher. It lives from Start to Stop and
+// parks between flushes, so a report never runs on a goroutine started
+// for it; its batch and the queue swap, so neither is allocated again.
 func (w *Worker) flushReadyLoop() {
 	defer w.wg.Done()
+	var evs []proto.SandboxEvent
 	for {
-		w.readyEvMu.Lock()
-		evs := w.readyEvs
-		w.readyEvs = nil
-		if len(evs) == 0 {
-			w.readyFlusher = false
-			w.readyEvMu.Unlock()
+		select {
+		case <-w.stopCh:
 			return
+		case <-w.readyWake:
 		}
-		w.readyEvMu.Unlock()
-		w.mReadyBatch.ObserveMs(float64(len(evs)))
-		batch := proto.SandboxEventBatch{Events: evs}
-		ctx := transport.NewDeadline(context.Background(), 5*time.Second)
-		_, _ = w.cp.Call(ctx, proto.MethodSandboxReadyBatch, batch.Marshal())
-		ctx.Stop()
+		for {
+			w.readyEvMu.Lock()
+			evs, w.readyEvs = w.readyEvs, evs[:0]
+			w.readyEvMu.Unlock()
+			if len(evs) == 0 {
+				break
+			}
+			w.mReadyBatch.ObserveMs(float64(len(evs)))
+			batch := proto.SandboxEventBatch{Events: evs}
+			ctx := transport.NewDeadline(context.Background(), 5*time.Second)
+			_, _ = w.cp.Call(ctx, proto.MethodSandboxReadyBatch, batch.Marshal())
+			ctx.Stop()
+			clear(evs)
+		}
 	}
 }
 

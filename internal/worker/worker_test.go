@@ -812,3 +812,74 @@ func TestDeregisterDuringCreationFreesSandbox(t *testing.T) {
 			w.SandboxCount(), util.CPUMilliUsed, util.MemoryMBUsed)
 	}
 }
+
+// TestReadyReportsCoalesceBehindAHeldReport: while the flusher's first
+// readiness report is held open, the sandboxes that become ready queue,
+// and the flusher, still running, sends them all in its next report.
+func TestReadyReportsCoalesceBehindAHeldReport(t *testing.T) {
+	const burst = 8
+	tr := transport.NewInProc()
+	held, release := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	var reports [][]core.SandboxID
+	ln, err := tr.Listen("cp", func(method string, payload []byte) ([]byte, error) {
+		if method != proto.MethodSandboxReadyBatch {
+			return nil, nil
+		}
+		batch, err := proto.UnmarshalSandboxEventBatch(payload)
+		if err != nil {
+			return nil, err
+		}
+		var ids []core.SandboxID
+		for _, ev := range batch.Events {
+			ids = append(ids, ev.SandboxID)
+		}
+		mu.Lock()
+		reports = append(reports, ids)
+		first := len(reports) == 1
+		mu.Unlock()
+		if first {
+			close(held)
+			<-release
+		}
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	w := testWorker(t, tr, "cp", &sandbox.Null{}, func(c *Config) { c.HeartbeatInterval = time.Hour })
+
+	if err := createOne(tr, w.Addr(), proto.CreateSandboxRequest{SandboxID: 1, Function: testFn()}); err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	for id := core.SandboxID(2); id <= burst; id++ {
+		if err := createOne(tr, w.Addr(), proto.CreateSandboxRequest{SandboxID: id, Function: testFn()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); w.SandboxCount() != burst; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sandboxes ready, want %d", w.SandboxCount(), burst)
+		}
+	}
+	close(release)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		n := len(reports)
+		mu.Unlock()
+		if n >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the queued readiness events were never reported")
+		}
+	}
+	time.Sleep(10 * time.Millisecond) // room for a report that should not come
+	mu.Lock()
+	defer mu.Unlock()
+	if len(reports) != 2 || len(reports[0]) != 1 || len(reports[1]) != burst-1 {
+		t.Fatalf("reports %v, want [1] and then the other %d in one", reports, burst-1)
+	}
+}
