@@ -600,16 +600,15 @@ func BenchmarkAblationRelayHeartbeat(b *testing.B) {
 	}
 }
 
-// --- Predictive warmth: per-image prewarm pools × cache-aware placement ---
+// --- Cache-aware warmth: static prewarm pools × cache-aware placement ---
 
-// BenchmarkAblationPredictiveWarmth smoke-runs the warmth experiment's
-// four-arm ablation ({static, predictive} prewarm × {kube-default,
-// cache-aware} placement) at tiny scale: a compressed Azure-like trace
-// replayed against the live in-process cluster. The full-scale run commits
-// its rows to BENCH_warmth.json; this keeps the harness and the whole
-// predictor → target push → pool partition → cache-digest placement path
-// from rotting.
-func BenchmarkAblationPredictiveWarmth(b *testing.B) {
+// BenchmarkAblationCacheAwareWarmth smoke-runs the warmth experiment's two
+// arms (static prewarm pools under kube-default and cache-aware placement)
+// on one trace seed at tiny scale: a compressed Azure-like trace replayed
+// against the live in-process cluster. The full-scale run commits five
+// seeds' rows to BENCH_warmth.json; this keeps the harness and the
+// cache-digest placement path from rotting.
+func BenchmarkAblationCacheAwareWarmth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := experiments.Run(io.Discard, "warmth", 0.05); err != nil {
 			b.Fatal(err)

@@ -19,7 +19,6 @@ import (
 
 	"dirigent/internal/controlplane"
 	"dirigent/internal/placement"
-	"dirigent/internal/predictor"
 	"dirigent/internal/store"
 	"dirigent/internal/transport"
 	"dirigent/internal/wal"
@@ -39,10 +38,6 @@ func main() {
 	persistAll := flag.Bool("persist-sandbox-state", false, "ablation: persist sandbox state on the critical path")
 	placementName := flag.String("placement", "kube-default",
 		"placement policy: kube-default | cache-aware (kube scoring plus a bonus for nodes whose image cache already holds the function's image) | random | round-robin | hermod")
-	predictive := flag.Bool("predictive-prewarm", false,
-		"partition each worker's pre-warm budget across per-image pools sized by the trace-driven demand predictor (off = workers keep their whole budget on the generic base image)")
-	prewarmWindow := flag.Duration("prewarm-window", 0, "demand predictor averaging window (0 = default 1m)")
-	prewarmLead := flag.Duration("prewarm-lead", 0, "how far ahead of a predicted burst per-image pools are raised (0 = default 30s)")
 	followerReads := flag.Bool("follower-reads", true,
 		"with -peers, let follower replicas serve read-only RPCs (ListDataPlanes, ListFunctions) from their applied store behind a leader-lease check, offloading the leader to writes only")
 	rejoin := flag.Bool("rejoin", false,
@@ -99,8 +94,6 @@ func main() {
 		DeadWorkerGC:        *deadGC,
 		PersistSandboxState: *persistAll,
 		Placer:              placer,
-		PredictivePrewarm:   *predictive,
-		Predictor:           predictor.Config{Window: *prewarmWindow, Lead: *prewarmLead},
 		// TCP deployments need wider election windows than in-process.
 		RaftHeartbeat:   50 * time.Millisecond,
 		RaftElectionMin: 150 * time.Millisecond,

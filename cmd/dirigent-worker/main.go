@@ -37,7 +37,7 @@ func main() {
 	memMB := flag.Int("memory-mb", 65536, "node memory capacity in MB")
 	hb := flag.Duration("heartbeat", 500*time.Millisecond, "heartbeat period")
 	prewarm := flag.Int("prewarm", 0,
-		"pre-warm pool *budget*: at most this many initialized-but-unassigned sandboxes are kept on the node (0 = disabled). Without control plane targets the whole budget warms the generic base image; with -predictive-prewarm on the control plane, the budget is partitioned across the predictor's hot images and cold starts claim an image-matched entry before falling back to base")
+		"pre-warm pool size: at most this many initialized-but-unassigned sandboxes of a generic base image are kept on the node, fewer when real sandboxes leave too little memory; a cold start claims one instead of creating from scratch (0 = disabled)")
 	createConc := flag.Int("create-concurrency", 0,
 		"bound on concurrent runtime sandbox creations (0 = default 8)")
 	flag.Parse()

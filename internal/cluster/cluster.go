@@ -20,7 +20,6 @@ import (
 	"dirigent/internal/dataplane"
 	"dirigent/internal/frontend"
 	"dirigent/internal/placement"
-	"dirigent/internal/predictor"
 	"dirigent/internal/proto"
 	"dirigent/internal/sandbox"
 	"dirigent/internal/store"
@@ -60,15 +59,8 @@ type Options struct {
 	WorkerMemMB    int
 	// Placer overrides the placement policy.
 	Placer placement.Policy
-	// Prewarm is each worker's pre-warm pool budget (0 disables pools).
+	// Prewarm is each worker's pre-warm pool size (0 disables pools).
 	Prewarm int
-	// PredictivePrewarm turns on the control plane's demand predictor,
-	// which partitions each worker's Prewarm budget across the hot images
-	// it forecasts. Off, the whole budget warms the generic base image
-	// (the seed's static pool).
-	PredictivePrewarm bool
-	// Predictor tunes the demand predictor (zero values select defaults).
-	Predictor predictor.Config
 	// Seed seeds all stochastic models.
 	Seed int64
 	// Versions optionally installs a version router in the front-end LB
@@ -239,8 +231,6 @@ func (c *Cluster) newControlPlane(i int, rejoin bool) *controlplane.ControlPlane
 		HeartbeatTimeout:  opts.HeartbeatTimeout,
 		NoDownscaleWindow: opts.NoDownscaleWindow,
 		Placer:            opts.Placer,
-		PredictivePrewarm: opts.PredictivePrewarm,
-		Predictor:         opts.Predictor,
 		Metrics:           c.Metrics,
 		FollowerReads:     opts.CPFollowerReads,
 		RaftRejoin:        rejoin,

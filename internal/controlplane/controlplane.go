@@ -36,7 +36,6 @@ import (
 	"dirigent/internal/clock"
 	"dirigent/internal/core"
 	"dirigent/internal/placement"
-	"dirigent/internal/predictor"
 	"dirigent/internal/proto"
 	"dirigent/internal/raft"
 	"dirigent/internal/store"
@@ -126,18 +125,6 @@ type Config struct {
 	// nodes whose heartbeat-reported cache digest already holds the
 	// image; the default stays locality-blind (the seed-parity ablation).
 	Placer placement.Policy
-	// PredictivePrewarm turns the workers' static pre-warm pools into
-	// demand-driven ones: the reconciler feeds every staged creation into
-	// the per-image demand predictor and pushes per-image pool targets to
-	// workers, piggybacked on the autoscale sweep (one PrewarmTargets RPC
-	// per worker, only when its acknowledged generation is stale). Off
-	// (the default) keeps the seed's static base-image pools exactly.
-	PredictivePrewarm bool
-	// Predictor tunes the demand estimator when PredictivePrewarm is on;
-	// zero fields select predictor defaults (1-minute windows, 20 s
-	// lead). Experiments that compress wall time scale Window and Lead by
-	// the same factor as the trace timestamps.
-	Predictor predictor.Config
 	// Metrics receives control plane telemetry.
 	Metrics *telemetry.Registry
 	// RaftHeartbeat / RaftElectionMin / RaftElectionMax tune leader
@@ -401,11 +388,6 @@ type workerState struct {
 	// healthy); crash-failed entries are garbage-collected once it is
 	// older than Config.DeadWorkerGC.
 	failedAt time.Time
-	// prewarmGen is the generation of the last pre-warm target push this
-	// worker acknowledged. Re-registration replaces the entry wholesale,
-	// resetting it to zero — so a worker daemon that restarted mid-push
-	// (losing its in-memory targets) is re-pushed on the next sweep.
-	prewarmGen uint64
 	// out is the worker's sender (senders.go), and creates and kills are
 	// what it has yet to send.
 	out     outbox
@@ -465,15 +447,6 @@ type ControlPlane struct {
 	// holding the higher epoch.
 	asyncLeaseMu sync.Mutex
 	asyncLeases  map[core.DataPlaneID]*asyncLeaseState
-
-	// Predictive pre-warm state (pred is nil unless enabled). The current
-	// target set and its generation are recomputed after each reconcile
-	// sweep under prewarmMu; workers are pushed asynchronously when their
-	// acknowledged generation is stale.
-	pred       *predictor.Predictor
-	prewarmMu  sync.Mutex
-	prewarmGen uint64
-	prewarmSet []proto.PrewarmTarget
 
 	// Cluster-wide scalars, off any lock.
 	nextSandboxID atomic.Uint64
@@ -538,9 +511,6 @@ func New(cfg Config) *ControlPlane {
 		relays:      make(map[string]*relayState),
 		suspects:    make(map[core.NodeID]struct{}),
 		stopCh:      make(chan struct{}),
-	}
-	if cfg.PredictivePrewarm {
-		cp.pred = predictor.New(cfg.Predictor)
 	}
 	cp.mSandboxReady = cp.metrics.Histogram("sandbox_ready_ms")
 	cp.mShardWait = cp.metrics.Histogram("shard_lock_wait_ms")

@@ -72,7 +72,6 @@ func (cp *ControlPlane) Reconcile() {
 		sh.active = kept
 	})
 	cp.applyScale(actions, now)
-	cp.pushPrewarmTargets(now)
 }
 
 // scaleAction is one function's scaling decision, taken under its shard
@@ -145,13 +144,6 @@ func (cp *ControlPlane) applyScale(actions []scaleAction, decidedAt time.Time) {
 	var kills []*sandboxState
 	var drained []string
 	for _, a := range actions {
-		if a.create > 0 && cp.pred != nil {
-			// Every creation staged is cold-start demand for the
-			// function's image — a signal that stays live even when worker
-			// pre-warm pools absorb the actual boot cost, because the
-			// reconciler still places the replacement sandbox.
-			cp.pred.Observe(decidedAt, a.fn.Image, a.create)
-		}
 		for i := 0; i < a.create; i++ {
 			cp.placeSandbox(a.fs, a.fn, decidedAt)
 		}

@@ -12,7 +12,6 @@ import (
 	"dirigent/internal/cluster"
 	"dirigent/internal/core"
 	"dirigent/internal/placement"
-	"dirigent/internal/predictor"
 	"dirigent/internal/telemetry"
 	"dirigent/internal/trace"
 )
@@ -20,89 +19,131 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "warmth",
-		Title: "Predictive warmth ablation: per-image prewarm pools × cache-aware placement on the Azure-like trace",
+		Title: "Cache-aware placement ablation: static prewarm pools × {kube-default, cache-aware} over five Azure-like trace seeds",
 		Run:   runWarmth,
 	})
 }
 
 // warmthTimeScale compresses trace time onto the wall clock: one trace
-// minute replays in one wall second, so timer periods, autoscaler windows,
-// and the predictor's demand windows all shrink by the same factor and the
-// trace's temporal structure (synchronized timer bursts, idle gaps long
-// enough to scale to zero) survives the compression.
+// minute replays in two wall seconds, so timer periods and autoscaler
+// windows shrink by the same factor and the trace's temporal structure
+// (synchronized timer bursts, idle gaps long enough to scale to zero)
+// survives the compression.
 const warmthTimeScale = 1.0 / 30.0
 
+// warmthSeeds are the trace seeds a full-scale run replays; each seed's
+// clusters are seeded 42 + trace seed. Sub-scale runs (CI smoke) replay
+// the first only.
+var warmthSeeds = []int64{7, 8, 9, 10, 11}
+
 type warmthRow struct {
-	Mode        string  `json:"mode"`      // "static" | "predictive"
-	Placement   string  `json:"placement"` // "kube-default" | "cache-aware"
+	Seed        int64   `json:"seed,omitempty"` // trace seed; absent on median rows
+	Placement   string  `json:"placement"`      // "kube-default" | "cache-aware"
 	Invocations int     `json:"invocations"`
 	ColdStarts  int     `json:"cold_starts"`
 	ColdP50Ms   float64 `json:"cold_start_p50_ms"`
 	ColdP99Ms   float64 `json:"cold_start_p99_ms"`
-	// PrewarmHitRate is the fraction of cold starts served by a pool
-	// entry already warmed for the function's own image (zero by
-	// construction in static mode, whose pool holds only the generic
-	// base image); BaseHitRate is the fraction served by a base-image
-	// entry, which still pays the image pull at claim time.
+	// PrewarmHitRate is the fraction of cold creates served by a pool
+	// entry, which still pays the function's image pull at claim time
+	// unless the node's cache holds it.
 	PrewarmHitRate float64 `json:"prewarm_hit_rate"`
-	BaseHitRate    float64 `json:"base_hit_rate"`
 	ImagePulls     int64   `json:"image_pulls"`
 }
 
-// runWarmth replays the compressed Azure-like trace against the live
-// in-process cluster under the four ablation arms {static, predictive} ×
-// {kube-default, cache-aware} and reports cold-start latency, prewarm hit
-// rates, and image-pull counts. The rows are also committed to
-// BENCH_warmth.json.
+// warmthReport is what BENCH_warmth.json holds: one row per seed and
+// placement, and per placement the median of each column across seeds.
+type warmthReport struct {
+	Rows   []warmthRow `json:"rows"`
+	Median []warmthRow `json:"median"`
+}
+
+var warmthPlacements = []string{"kube-default", "cache-aware"}
+
+// runWarmth replays compressed Azure-like traces against the live
+// in-process cluster, every worker keeping a static base-image prewarm
+// pool, under kube-default and cache-aware placement, and reports
+// cold-start latency, pool hit rate and image pulls per trace seed and
+// their medians. Full-scale rows are committed to BENCH_warmth.json.
 func runWarmth(w io.Writer, scale float64) error {
-	tr := trace.NewAzureLike(trace.Config{
-		Functions: scaleInt(96, scale, 12),
-		Duration:  maxDuration(time.Duration(float64(12*time.Minute)*scale), 4*time.Minute),
-		Seed:      7,
-	})
-	warmup := warmupFor(tr)
-	fmt.Fprintf(w, "trace: %d functions, %d invocations over %v (replayed in %v wall)\n",
-		len(tr.Functions), len(tr.Invocations), tr.Duration,
-		time.Duration(float64(tr.Duration)*warmthTimeScale).Round(time.Second))
-
-	arms := []struct {
-		mode, placement        string
-		predictive, cacheAware bool
-	}{
-		{"static", "kube-default", false, false},
-		{"static", "cache-aware", false, true},
-		{"predictive", "kube-default", true, false},
-		{"predictive", "cache-aware", true, true},
+	seeds := warmthSeeds
+	if scale < 1 {
+		seeds = seeds[:1]
 	}
-	rows := make([]warmthRow, 0, len(arms))
-	for _, arm := range arms {
-		row, err := runWarmthArm(tr, warmup, arm.predictive, arm.cacheAware)
-		if err != nil {
-			return fmt.Errorf("arm %s/%s: %w", arm.mode, arm.placement, err)
+	var rep warmthReport
+	for _, seed := range seeds {
+		tr := trace.NewAzureLike(trace.Config{
+			Functions: scaleInt(96, scale, 12),
+			Duration:  maxDuration(time.Duration(float64(12*time.Minute)*scale), 4*time.Minute),
+			Seed:      seed,
+		})
+		fmt.Fprintf(w, "seed %d: %d functions, %d invocations over %v (replayed in %v wall)\n",
+			seed, len(tr.Functions), len(tr.Invocations), tr.Duration,
+			time.Duration(float64(tr.Duration)*warmthTimeScale).Round(time.Second))
+		for _, name := range warmthPlacements {
+			row, err := runWarmthArm(tr, 42+seed, name == "cache-aware")
+			if err != nil {
+				return fmt.Errorf("seed %d, %s: %w", seed, name, err)
+			}
+			row.Seed, row.Placement = seed, name
+			rep.Rows = append(rep.Rows, row)
+			printWarmthRow(w, fmt.Sprint(seed), row)
 		}
-		row.Mode, row.Placement = arm.mode, arm.placement
-		rows = append(rows, row)
-		fmt.Fprintf(w, "%-11s %-13s inv=%-5d cold=%-4d p50=%6.2fms p99=%7.2fms hit=%5.1f%% base=%5.1f%% pulls=%d\n",
-			row.Mode, row.Placement, row.Invocations, row.ColdStarts,
-			row.ColdP50Ms, row.ColdP99Ms, 100*row.PrewarmHitRate, 100*row.BaseHitRate, row.ImagePulls)
+	}
+	for _, name := range warmthPlacements {
+		median := func(col func(warmthRow) float64) float64 {
+			var vals []float64
+			for _, r := range rep.Rows {
+				if r.Placement == name {
+					vals = append(vals, col(r))
+				}
+			}
+			return percentile(vals, 0.5)
+		}
+		row := warmthRow{
+			Placement:      name,
+			Invocations:    int(median(func(r warmthRow) float64 { return float64(r.Invocations) })),
+			ColdStarts:     int(median(func(r warmthRow) float64 { return float64(r.ColdStarts) })),
+			ColdP50Ms:      median(func(r warmthRow) float64 { return r.ColdP50Ms }),
+			ColdP99Ms:      median(func(r warmthRow) float64 { return r.ColdP99Ms }),
+			PrewarmHitRate: median(func(r warmthRow) float64 { return r.PrewarmHitRate }),
+			ImagePulls:     int64(median(func(r warmthRow) float64 { return float64(r.ImagePulls) })),
+		}
+		rep.Median = append(rep.Median, row)
+		printWarmthRow(w, "median", row)
 	}
 
-	fmt.Fprintln(w, "# Expected shape: predictive+cache-aware strictly beats static+kube-default on")
-	fmt.Fprintln(w, "# cold-start p99 AND prewarm hit rate: per-image pools pay the image pull at")
-	fmt.Fprintln(w, "# fill time (off the critical path) where static base-image claims pay it at")
-	fmt.Fprintln(w, "# claim time, and cache-aware placement steers repeats onto nodes whose digest")
-	fmt.Fprintln(w, "# already advertises the image, so far fewer cold starts pull at all.")
+	// Rows alternate kube-default, cache-aware within each seed.
+	var p99Wins, pullWins int
+	for i := 0; i+1 < len(rep.Rows); i += 2 {
+		kube, aware := rep.Rows[i], rep.Rows[i+1]
+		if aware.ColdP99Ms < kube.ColdP99Ms {
+			p99Wins++
+		}
+		if aware.ImagePulls < kube.ImagePulls {
+			pullWins++
+		}
+	}
+	fmt.Fprintf(w, "# cache-aware beat kube-default on cold-start p99 in %d of %d seeds and on image pulls in %d of %d:\n",
+		p99Wins, len(seeds), pullWins, len(seeds))
+	fmt.Fprintln(w, "# it steers a cold start to a node whose cache digest holds the image, so the")
+	fmt.Fprintln(w, "# pool entry it claims skips the pull.")
 
 	if scale < 1 {
-		// Sub-scale runs (CI smoke) exercise the harness without
-		// overwriting the committed paper-scale artifact.
+		// Sub-scale runs exercise the harness without overwriting the
+		// committed paper-scale artifact.
 		return nil
 	}
-	data, err := json.MarshalIndent(rows, "", "  ")
+	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile("BENCH_warmth.json", append(data, '\n'), 0o644)
+}
+
+func printWarmthRow(w io.Writer, seed string, row warmthRow) {
+	fmt.Fprintf(w, "%-7s %-13s inv=%-5d cold=%-4d p50=%6.2fms p99=%7.2fms hit=%5.1f%% pulls=%d\n",
+		seed, row.Placement, row.Invocations, row.ColdStarts,
+		row.ColdP50Ms, row.ColdP99Ms, 100*row.PrewarmHitRate, row.ImagePulls)
 }
 
 func warmthFunction(spec *trace.FunctionSpec) core.Function {
@@ -121,7 +162,7 @@ func warmthFunction(spec *trace.FunctionSpec) core.Function {
 	return fn
 }
 
-func runWarmthArm(tr *trace.Trace, warmup time.Duration, predictive, cacheAware bool) (warmthRow, error) {
+func runWarmthArm(tr *trace.Trace, seed int64, cacheAware bool) (warmthRow, error) {
 	var placer placement.Policy // nil selects the CP's kube-default
 	if cacheAware {
 		placer = placement.NewCacheAware(1)
@@ -141,14 +182,8 @@ func runWarmthArm(tr *trace.Trace, warmup time.Duration, predictive, cacheAware 
 		HeartbeatTimeout:  200 * time.Millisecond,
 		QueueTimeout:      10 * time.Second,
 		Prewarm:           12,
-		PredictivePrewarm: predictive,
-		Predictor: predictor.Config{
-			// One trace minute = one demand window, compressed.
-			Window: time.Duration(float64(time.Minute) * warmthTimeScale),
-			Lead:   time.Duration(float64(30*time.Second) * warmthTimeScale),
-		},
-		Placer: placer,
-		Seed:   42,
+		Placer:            placer,
+		Seed:              seed,
 	})
 	if err != nil {
 		return warmthRow{}, err
@@ -172,12 +207,11 @@ func runWarmthArm(tr *trace.Trace, warmup time.Duration, predictive, cacheAware 
 	samples := make([]sample, len(tr.Invocations))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, 512)
-	var baseHits, baseImageHits, baseAllHits, baseMisses, basePulls int64
+	warmup := warmupFor(tr)
+	var baseHits, baseMisses, basePulls int64
 	snapped := false
-	snapshot := func() (imageHits, baseOnly, allHits, misses, pulls int64) {
-		imageHits = c.Metrics.Counter("prewarm_image_hits").Value()
-		baseOnly = c.Metrics.Counter("prewarm_base_hits").Value()
-		allHits = c.Metrics.Counter("prewarm_hits").Value()
+	snapshot := func() (hits, misses, pulls int64) {
+		hits = c.Metrics.Counter("prewarm_hits").Value()
 		misses = c.Metrics.Counter("prewarm_misses").Value()
 		for _, cache := range c.Caches {
 			_, m := cache.Stats()
@@ -190,9 +224,9 @@ func runWarmthArm(tr *trace.Trace, warmup time.Duration, predictive, cacheAware 
 	for i, inv := range tr.Invocations {
 		if !snapped && inv.At >= warmup {
 			// Counter baselines at the warmup cutoff: everything before
-			// (cache population, the predictor's learning phase) is
-			// methodology, not measurement.
-			baseImageHits, baseHits, baseAllHits, baseMisses, basePulls = snapshot()
+			// (cache population, pools filling) is methodology, not
+			// measurement.
+			baseHits, baseMisses, basePulls = snapshot()
 			snapped = true
 		}
 		at := time.Duration(float64(inv.At) * warmthTimeScale)
@@ -219,18 +253,7 @@ func runWarmthArm(tr *trace.Trace, warmup time.Duration, predictive, cacheAware 
 		}(i, inv.Function.Name, inv.At)
 	}
 	wg.Wait()
-	imageHits, baseOnly, allHits, misses, pulls := snapshot()
-	if os.Getenv("WARMTH_DEBUG") != "" {
-		for _, name := range []string{"cold_starts", "warm_starts", "sandboxes_created", "sandboxes_killed",
-			"prewarm_filled", "prewarm_hits", "prewarm_image_hits", "prewarm_base_hits", "prewarm_misses",
-			"prewarm_evictions", "prewarm_pushes", "prewarm_push_errors", "prewarm_create_errors"} {
-			fmt.Fprintf(os.Stderr, "DEBUG %s=%d\n", name, c.Metrics.Counter(name).Value())
-		}
-		if cp := c.Leader(); cp != nil {
-			gen, set := cp.PrewarmTargetSnapshot()
-			fmt.Fprintf(os.Stderr, "DEBUG prewarm gen=%d set=%v\n", gen, set)
-		}
-	}
+	hits, misses, pulls := snapshot()
 
 	hist := telemetry.NewExactHistogram()
 	row := warmthRow{}
@@ -246,11 +269,10 @@ func runWarmthArm(tr *trace.Trace, warmup time.Duration, predictive, cacheAware 
 	}
 	row.ColdP50Ms = hist.Percentile(50)
 	row.ColdP99Ms = hist.Percentile(99)
-	// Denominator: every cold create that consulted the pool (a hit of
-	// either flavor or a miss), counted over the measurement window.
-	if claims := (allHits - baseAllHits) + (misses - baseMisses); claims > 0 {
-		row.PrewarmHitRate = float64(imageHits-baseImageHits) / float64(claims)
-		row.BaseHitRate = float64(baseOnly-baseHits) / float64(claims)
+	// Denominator: every cold create that consulted the pool (a hit or a
+	// miss), counted over the measurement window.
+	if claims := (hits - baseHits) + (misses - baseMisses); claims > 0 {
+		row.PrewarmHitRate = float64(hits-baseHits) / float64(claims)
 	}
 	row.ImagePulls = pulls - basePulls
 	return row, nil

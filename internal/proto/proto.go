@@ -68,10 +68,6 @@ const (
 	// single RPC, mirroring MethodCreateSandboxBatch on the way down.
 	MethodKillSandboxBatch = "wn.KillSandboxBatch"
 	MethodListSandboxes    = "wn.ListSandboxes"
-	// MethodPrewarmTargets pushes the predictor's per-image pre-warm pool
-	// targets to a worker. Piggybacked on the reconcile sweep: a worker is
-	// contacted only when its last acknowledged generation is stale.
-	MethodPrewarmTargets = "wn.PrewarmTargets"
 	// WN → CP.
 	MethodRegisterWorker   = "cp.RegisterWorker"
 	MethodDeregisterWorker = "cp.DeregisterWorker"
@@ -705,48 +701,6 @@ func UnmarshalWorkerHeartbeatBatch(b []byte) (*WorkerHeartbeatBatch, error) {
 		m.Beats = append(m.Beats, *hb)
 	}
 	return m, wrap(d.Err(), "WorkerHeartbeatBatch")
-}
-
-// PrewarmTarget is one image's desired cluster-wide pre-warm pool size.
-type PrewarmTarget struct {
-	Image string
-	Want  uint32
-}
-
-// PrewarmTargets is the CP → WN push of the predictor's per-image demand
-// estimates. Wants are cluster-wide; each worker apportions its own
-// -prewarm budget across them proportionally (leftover capacity keeps
-// warming the generic base image). Gen is the CP-side target generation,
-// bumped whenever the estimates change, so the sweep re-pushes only to
-// workers holding a stale generation (and to freshly re-registered ones,
-// which start at generation zero).
-type PrewarmTargets struct {
-	Gen     uint64
-	Targets []PrewarmTarget
-}
-
-// Marshal encodes the push.
-func (m *PrewarmTargets) Marshal() []byte {
-	e := codec.NewEncoder(16 + 32*len(m.Targets))
-	e.U64(m.Gen)
-	e.U32(uint32(len(m.Targets)))
-	for i := range m.Targets {
-		e.String(m.Targets[i].Image)
-		e.U32(m.Targets[i].Want)
-	}
-	return e.Bytes()
-}
-
-// UnmarshalPrewarmTargets decodes a PrewarmTargets.
-func UnmarshalPrewarmTargets(b []byte) (*PrewarmTargets, error) {
-	d := codec.NewDecoder(b)
-	m := &PrewarmTargets{}
-	m.Gen = d.U64()
-	n := int(d.U32())
-	for i := 0; i < n && d.Err() == nil; i++ {
-		m.Targets = append(m.Targets, PrewarmTarget{Image: d.String(), Want: d.U32()})
-	}
-	return m, wrap(d.Err(), "PrewarmTargets")
 }
 
 // RegisterWorkerBatch group-commits a registration storm through a relay:

@@ -11,28 +11,6 @@ import (
 	"dirigent/internal/core"
 )
 
-func TestPrewarmTargetsRoundTrip(t *testing.T) {
-	m := &PrewarmTargets{
-		Gen: 42,
-		Targets: []PrewarmTarget{
-			{Image: "registry.local/fn-a", Want: 3},
-			{Image: "registry.local/fn-b", Want: 1},
-		},
-	}
-	got, err := UnmarshalPrewarmTargets(m.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, m) {
-		t.Errorf("round trip: %+v", got)
-	}
-
-	empty, err := UnmarshalPrewarmTargets((&PrewarmTargets{Gen: 7}).Marshal())
-	if err != nil || empty.Gen != 7 || len(empty.Targets) != 0 {
-		t.Errorf("empty push: %v %+v", err, empty)
-	}
-}
-
 func TestInvokeRequestRoundTrip(t *testing.T) {
 	m := &InvokeRequest{Function: "fn", Async: true, Payload: []byte{1, 2, 3}}
 	got, err := UnmarshalInvokeRequest(m.Marshal())

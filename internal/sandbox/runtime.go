@@ -71,8 +71,8 @@ type Runtime interface {
 }
 
 // ImagePreparer is an optional runtime capability used by the worker's
-// per-image pre-warm pool: specialize a generic pre-warmed sandbox for a
-// concrete image, paying the pull/snapshot cost only on a node-local
+// pre-warm pool: specialize a generic pre-warmed sandbox for a concrete
+// image, paying the pull/snapshot cost only on a node-local
 // cache miss. Runtimes that do not implement it simply hand over the
 // generic sandbox (the seed's behavior).
 type ImagePreparer interface {

@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -124,25 +123,23 @@ type Config struct {
 	// section from being hammered by unbounded goroutines. 0 selects the
 	// default (8).
 	CreateConcurrency int
-	// Prewarm is the node's pre-warm pool *budget*: at most this many
-	// initialized-but-unassigned sandboxes are kept on the node. Until the
-	// control plane pushes per-image targets the whole budget warms the
-	// generic PrewarmImage (the seed's static pool, and the behavior of
-	// the predictive-prewarm-off ablation); with targets applied, the
-	// budget is partitioned across the predictor's hot images, leftover
-	// capacity staying on the base image. A cold start whose function has
-	// a matching runtime spec claims an entry — by image first, falling
-	// back to base — instead of creating from scratch; pools refill
-	// asynchronously after each claim. 0 disables pre-warming.
+	// Prewarm is the size of the node's pre-warm pool: at most this many
+	// initialized-but-unassigned sandboxes of the generic PrewarmImage
+	// are kept on the node, fewer when real sandboxes leave less memory
+	// than PrewarmMemoryMB per entry. A cold start whose function has a
+	// matching runtime spec claims an entry instead of creating from
+	// scratch, and the pool refills asynchronously. 0 disables
+	// pre-warming.
 	Prewarm int
 	// PrewarmImage is the image prewarm sandboxes boot from (a generic
 	// base snapshot); empty selects "prewarm/base".
 	PrewarmImage string
-	// PrewarmMemoryMB is the per-entry memory estimate used for pool
-	// eviction under memory pressure: when real sandbox allocations plus
-	// the pool estimate exceed the node's capacity, idle pool entries are
-	// evicted LRU so pre-warming never starves real sandboxes. 0 selects
-	// the default (128). Pressure eviction is skipped entirely when
+	// PrewarmMemoryMB is the per-entry memory estimate that bounds the
+	// pool under memory pressure: the pool holds at most the node's free
+	// memory (Node.MemoryMB less real sandbox allocations) divided by
+	// this, and idle entries are evicted, least-recently-idle first, when
+	// real sandboxes need the room, so pre-warming never starves them.
+	// 0 selects the default (128). The bound is skipped when
 	// Node.MemoryMB is 0 (capacity unknown).
 	PrewarmMemoryMB int
 	// Cache, when non-nil, is the node's image/snapshot cache; its digest
@@ -177,19 +174,13 @@ type Worker struct {
 	// create instructions are queued.
 	createSem chan struct{}
 
-	// Pre-warm pools: initialized-but-unassigned instances keyed by the
-	// image they were warmed for, guarded by mu. Entries append in
-	// completion order, so index 0 is each pool's least-recently-idle
-	// entry (the LRU eviction victim) and claims pop from the tail.
-	// prewarmPending counts fills in flight per image so claims don't
-	// over-refill; prewarmTargets is the per-image partition of the
-	// budget (nil until the first control-plane push: static mode, the
-	// whole budget on the base image).
-	prewarmPools   map[string][]poolEntry
-	prewarmPending map[string]int
-	prewarmTargets map[string]int
-	prewarmGen     uint64
-	prewarmSeq     atomic.Uint64
+	// The pre-warm pool: initialized-but-unassigned PrewarmImage
+	// instances, guarded by mu. Entries append in completion order, so
+	// index 0 is the least-recently-idle entry (the eviction victim) and
+	// claims pop from the tail. poolPending counts fills in flight.
+	pool        []*sandbox.Instance
+	poolPending int
+	prewarmSeq  atomic.Uint64
 
 	// Readiness report coalescing: events queue under readyEvMu, and
 	// the flusher (flushReadyLoop), woken through readyWake, drains
@@ -203,30 +194,21 @@ type Worker struct {
 	wg      sync.WaitGroup
 	stopped bool
 
-	mInvocations      *telemetry.Counter
-	mPrewarmHits      *telemetry.Counter
-	mPrewarmMisses    *telemetry.Counter
-	mPrewarmImageHits *telemetry.Counter
-	mPrewarmBaseHits  *telemetry.Counter
-	mPrewarmEvicted   *telemetry.Counter
-	mReadyBatch       *telemetry.Histogram
-	mCreateWait       *telemetry.Histogram
-	mCreateBatches    *telemetry.Counter
-	mKillBatches      *telemetry.Counter
-	mCreated          *telemetry.Counter
-	mCreationMs       *telemetry.Histogram
-	mCreateErrors     *telemetry.Counter
-	mKilled           *telemetry.Counter
-	mPoolSize         *telemetry.Gauge
-	mPrewarmErrors    *telemetry.Counter
-	mPrewarmFilled    *telemetry.Counter
-}
-
-// poolEntry is one pre-warmed instance plus the moment it became idle,
-// the ordering key for LRU eviction.
-type poolEntry struct {
-	inst      *sandbox.Instance
-	idleSince time.Time
+	mInvocations    *telemetry.Counter
+	mPrewarmHits    *telemetry.Counter
+	mPrewarmMisses  *telemetry.Counter
+	mPrewarmEvicted *telemetry.Counter
+	mReadyBatch     *telemetry.Histogram
+	mCreateWait     *telemetry.Histogram
+	mCreateBatches  *telemetry.Counter
+	mKillBatches    *telemetry.Counter
+	mCreated        *telemetry.Counter
+	mCreationMs     *telemetry.Histogram
+	mCreateErrors   *telemetry.Counter
+	mKilled         *telemetry.Counter
+	mPoolSize       *telemetry.Gauge
+	mPrewarmErrors  *telemetry.Counter
+	mPrewarmFilled  *telemetry.Counter
 }
 
 type readySandbox struct {
@@ -333,16 +315,14 @@ func New(cfg Config) *Worker {
 		cfg.PrewarmMemoryMB = 128
 	}
 	w := &Worker{
-		cfg:            cfg,
-		clk:            cfg.Clock,
-		cp:             cpclient.New(cfg.Transport, cfg.ControlPlanes),
-		metrics:        cfg.Metrics,
-		createSem:      make(chan struct{}, cfg.CreateConcurrency),
-		functions:      make(map[core.SandboxID]core.Function),
-		prewarmPools:   make(map[string][]poolEntry),
-		prewarmPending: make(map[string]int),
-		readyWake:      make(chan struct{}, 1),
-		stopCh:         make(chan struct{}),
+		cfg:       cfg,
+		clk:       cfg.Clock,
+		cp:        cpclient.New(cfg.Transport, cfg.ControlPlanes),
+		metrics:   cfg.Metrics,
+		createSem: make(chan struct{}, cfg.CreateConcurrency),
+		functions: make(map[core.SandboxID]core.Function),
+		readyWake: make(chan struct{}, 1),
+		stopCh:    make(chan struct{}),
 	}
 	if len(cfg.Relays) > 0 {
 		w.live = relay.NewClient(cfg.Transport, cfg.Relays, cfg.ControlPlanes)
@@ -351,8 +331,6 @@ func New(cfg Config) *Worker {
 	w.mInvocations = w.metrics.Counter("invocations")
 	w.mPrewarmHits = w.metrics.Counter("prewarm_hits")
 	w.mPrewarmMisses = w.metrics.Counter("prewarm_misses")
-	w.mPrewarmImageHits = w.metrics.Counter("prewarm_image_hits")
-	w.mPrewarmBaseHits = w.metrics.Counter("prewarm_base_hits")
 	w.mPrewarmEvicted = w.metrics.Counter("prewarm_evictions")
 	w.mReadyBatch = w.metrics.CountHistogram("ready_batch_size")
 	w.mCreateWait = w.metrics.Histogram("create_pool_wait_ms")
@@ -401,9 +379,9 @@ func (w *Worker) Start() error {
 	go w.flushReadyLoop()
 	// Fill the pre-warm pool asynchronously through the creation pool;
 	// the node serves create instructions while the pool warms up.
-	for i := 0; i < w.cfg.Prewarm; i++ {
-		w.spawnPrewarmFill("")
-	}
+	w.mu.Lock()
+	w.topUpPoolLocked()
+	w.mu.Unlock()
 	return nil
 }
 
@@ -428,13 +406,11 @@ func (w *Worker) Stop() {
 	// pooled instances are known only to this daemon and would leak in
 	// the runtime forever.
 	w.mu.Lock()
-	pools := w.prewarmPools
-	w.prewarmPools = make(map[string][]poolEntry)
+	pool := w.pool
+	w.pool = nil
 	w.mu.Unlock()
-	for _, pool := range pools {
-		for _, e := range pool {
-			_ = w.cfg.Runtime.Kill(e.inst.ID)
-		}
+	for _, inst := range pool {
+		_ = w.cfg.Runtime.Kill(inst.ID)
 	}
 }
 
@@ -597,13 +573,6 @@ func (w *Worker) handleRPC(method string, payload []byte) ([]byte, error) {
 			_ = w.killSandbox(id)
 		}
 		return nil, nil
-	case proto.MethodPrewarmTargets:
-		targets, err := proto.UnmarshalPrewarmTargets(payload)
-		if err != nil {
-			return nil, err
-		}
-		w.applyPrewarmTargets(targets)
-		return nil, nil
 	case proto.MethodListSandboxes:
 		return w.listSandboxes().Marshal(), nil
 	case proto.MethodInvokeSandbox:
@@ -631,8 +600,8 @@ func (w *Worker) createSandbox(req *proto.CreateSandboxRequest) error {
 	w.allocCPU += req.Function.Scaling.CPUMilli
 	w.allocMem += req.Function.Scaling.MemoryMB
 	// Under memory pressure the pool yields to real sandboxes: evict idle
-	// pre-warmed entries (least-recently-idle first) until the allocation
-	// plus the pool's estimated footprint fits the node again.
+	// pre-warmed entries (least-recently-idle first) down to the pool's
+	// lowered target. The claim or miss that follows tops it up.
 	victims := w.evictForMemoryLocked()
 	w.mu.Unlock()
 	w.killEvicted(victims)
@@ -649,11 +618,10 @@ func (w *Worker) doCreate(req *proto.CreateSandboxRequest) {
 	start := w.clk.Now()
 
 	// Fast path: claim an initialized-but-unassigned sandbox from the
-	// pre-warm pool — by image first (skipping runtime creation, boot,
-	// and any image pull), falling back to a generic base entry.
-	if inst, imageHit := w.claimPrewarm(&req.Function); inst != nil {
-		if !imageHit {
-			// A base entry was warmed for the generic image: specialize it
+	// pre-warm pool, skipping runtime creation and boot.
+	if inst := w.claimPrewarm(&req.Function); inst != nil {
+		if req.Function.Image != w.cfg.PrewarmImage {
+			// The entry was warmed for the generic image: specialize it
 			// for the claiming function, paying the pull/snapshot cost if
 			// the image is not in the node-local cache. Runtimes without
 			// the capability hand the sandbox over as-is.
@@ -695,15 +663,10 @@ func (w *Worker) doCreate(req *proto.CreateSandboxRequest) {
 			Node:      w.cfg.Node.ID,
 			Addr:      w.cfg.Addr,
 		})
-		w.spawnPrewarmFill(req.Function.Image)
 		return
 	}
 	if w.cfg.Prewarm > 0 {
 		w.mPrewarmMisses.Inc()
-		// A miss means the pool is below target (drained by a burst, or
-		// a fill failed earlier); let cold-start traffic heal it,
-		// preferring the image that just missed.
-		w.spawnPrewarmFill(req.Function.Image)
 	}
 
 	w.acquireCreateSlot()
@@ -822,134 +785,56 @@ func (w *Worker) flushReadyLoop() {
 	}
 }
 
-// claimPrewarm pops a pre-warmed instance if a pool has one and the
-// function's runtime spec matches this node's runtime (an empty spec
-// matches any runtime). The function's own image pool is preferred — an
-// image hit needs no further work at all — before falling back to the
-// generic base pool. The second return reports which case hit.
-func (w *Worker) claimPrewarm(fn *core.Function) (*sandbox.Instance, bool) {
-	if fn.Runtime != "" && fn.Runtime != w.cfg.Runtime.Name() {
-		return nil, false
+// claimPrewarm pops the most-recently-idle pre-warmed instance if the pool
+// has one and the function's runtime spec matches this node's runtime (an
+// empty spec matches any runtime). Claim or miss, it then tops the pool
+// up: a miss means the pool is below target (drained by a burst, or a fill
+// failed earlier), and cold-start traffic heals it. Without a pool it
+// returns at once, taking no lock.
+func (w *Worker) claimPrewarm(fn *core.Function) *sandbox.Instance {
+	if w.cfg.Prewarm == 0 {
+		return nil
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if inst := w.popPoolLocked(fn.Image); inst != nil {
-		w.mPrewarmImageHits.Inc()
-		return inst, true
+	var inst *sandbox.Instance
+	if n := len(w.pool); n > 0 && (fn.Runtime == "" || fn.Runtime == w.cfg.Runtime.Name()) {
+		inst = w.pool[n-1]
+		w.pool[n-1] = nil
+		w.pool = w.pool[:n-1]
+		w.mPoolSize.Set(int64(len(w.pool)))
 	}
-	if inst := w.popPoolLocked(w.cfg.PrewarmImage); inst != nil {
-		w.mPrewarmBaseHits.Inc()
-		return inst, false
-	}
-	return nil, false
-}
-
-// popPoolLocked pops the most-recently-idle entry of one image's pool.
-// Callers hold w.mu.
-func (w *Worker) popPoolLocked(image string) *sandbox.Instance {
-	pool := w.prewarmPools[image]
-	n := len(pool)
-	if n == 0 {
-		return nil
-	}
-	inst := pool[n-1].inst
-	if n == 1 {
-		delete(w.prewarmPools, image)
-	} else {
-		w.prewarmPools[image] = pool[:n-1]
-	}
-	w.updatePoolGaugeLocked()
+	w.topUpPoolLocked()
 	return inst
 }
 
-// poolTotalLocked returns pooled + in-flight-fill entries across all
-// images. Callers hold w.mu.
-func (w *Worker) poolTotalLocked() int {
-	total := 0
-	for _, pool := range w.prewarmPools {
-		total += len(pool)
+// poolTargetLocked is how many entries the pool should hold: Prewarm, or
+// fewer when the memory real sandboxes leave free has room for fewer
+// entries of PrewarmMemoryMB. Callers hold w.mu.
+func (w *Worker) poolTargetLocked() int {
+	target := w.cfg.Prewarm
+	if mem := w.cfg.Node.MemoryMB; mem > 0 {
+		target = min(target, max(0, (mem-w.allocMem)/w.cfg.PrewarmMemoryMB))
 	}
-	for _, n := range w.prewarmPending {
-		total += n
-	}
-	return total
+	return target
 }
 
-func (w *Worker) updatePoolGaugeLocked() {
-	total := 0
-	for _, pool := range w.prewarmPools {
-		total += len(pool)
-	}
-	w.mPoolSize.Set(int64(total))
-}
-
-// targetLocked returns image's share of the pre-warm budget: in static
-// mode (no targets pushed yet) the whole budget sits on the base image.
-// Callers hold w.mu.
-func (w *Worker) targetLocked(image string) int {
-	if w.prewarmTargets == nil {
-		if image == w.cfg.PrewarmImage {
-			return w.cfg.Prewarm
-		}
-		return 0
-	}
-	return w.prewarmTargets[image]
-}
-
-// pickFillImageLocked chooses which image the next pool fill should warm:
-// the preferred image if it is below target, else the image with the
-// largest deficit (ties broken by name for determinism). Callers hold
-// w.mu.
-func (w *Worker) pickFillImageLocked(prefer string) (string, bool) {
-	if w.poolTotalLocked() >= w.cfg.Prewarm {
-		return "", false
-	}
-	deficit := func(img string) int {
-		return w.targetLocked(img) - len(w.prewarmPools[img]) - w.prewarmPending[img]
-	}
-	if prefer != "" && deficit(prefer) > 0 {
-		return prefer, true
-	}
-	if w.prewarmTargets == nil {
-		if deficit(w.cfg.PrewarmImage) > 0 {
-			return w.cfg.PrewarmImage, true
-		}
-		return "", false
-	}
-	best, bestD := "", 0
-	for img := range w.prewarmTargets {
-		if d := deficit(img); d > bestD || (d == bestD && d > 0 && img < best) {
-			best, bestD = img, d
-		}
-	}
-	return best, bestD > 0
-}
-
-// spawnPrewarmFill tops the pre-warm pools back up toward their targets
-// with one asynchronous creation, preferring the given image (the one a
-// claim just drained or missed), if the budget has room and some image is
-// below target.
-func (w *Worker) spawnPrewarmFill(prefer string) {
-	if w.cfg.Prewarm <= 0 {
-		return
-	}
-	w.mu.Lock()
+// topUpPoolLocked starts one asynchronous fill for every entry the pool,
+// counting fills in flight, is short of its target. It runs after every
+// claim, miss and release of memory, so the pool converges to its target
+// whatever order they come in. Callers hold w.mu.
+func (w *Worker) topUpPoolLocked() {
 	if w.stopped {
-		w.mu.Unlock()
 		return
 	}
-	image, ok := w.pickFillImageLocked(prefer)
-	if !ok {
-		w.mu.Unlock()
-		return
+	for n := w.poolTargetLocked() - len(w.pool) - w.poolPending; n > 0; n-- {
+		w.poolPending++
+		w.wg.Add(1)
+		go w.fillPrewarm()
 	}
-	w.prewarmPending[image]++
-	w.mu.Unlock()
-	w.wg.Add(1)
-	go w.fillPrewarm(image)
 }
 
-func (w *Worker) fillPrewarm(image string) {
+func (w *Worker) fillPrewarm() {
 	defer w.wg.Done()
 	// Pre-warm IDs live in their own range so they can never collide
 	// with control-plane-minted sandbox IDs.
@@ -958,7 +843,7 @@ func (w *Worker) fillPrewarm(image string) {
 		ID: id,
 		Function: core.Function{
 			Name:    "_prewarm",
-			Image:   image,
+			Image:   w.cfg.PrewarmImage,
 			Port:    1,
 			Runtime: w.cfg.Runtime.Name(),
 		},
@@ -968,180 +853,45 @@ func (w *Worker) fillPrewarm(image string) {
 	w.releaseCreateSlot()
 	if err != nil {
 		w.mu.Lock()
-		w.decPendingLocked(image)
+		w.poolPending--
 		w.mu.Unlock()
 		w.mPrewarmErrors.Inc()
 		return
 	}
 	// The pool holds fully initialized sandboxes: boot completes here, at
-	// fill time — for a per-image pool that includes the image pull, which
-	// is exactly the work an image-hit claim skips.
+	// fill time.
 	w.bootWait(inst.BootDelay)
 	w.mu.Lock()
-	w.decPendingLocked(image)
-	// Targets may have shifted while the fill was in flight (a push, or
-	// static mode resumed): surplus entries are torn down, not pooled.
-	if w.stopped || len(w.prewarmPools[image]) >= w.targetLocked(image) {
+	w.poolPending--
+	// The target may have fallen while the fill was in flight (real
+	// sandboxes charged memory): a fill that completes above it is torn
+	// down, not pooled.
+	if w.stopped || len(w.pool) >= w.poolTargetLocked() {
 		w.mu.Unlock()
 		_ = w.cfg.Runtime.Kill(inst.ID)
 		return
 	}
-	w.prewarmPools[image] = append(w.prewarmPools[image], poolEntry{inst: inst, idleSince: w.clk.Now()})
-	w.updatePoolGaugeLocked()
+	w.pool = append(w.pool, inst)
+	w.mPoolSize.Set(int64(len(w.pool)))
 	w.mu.Unlock()
 	w.mPrewarmFilled.Inc()
 }
 
-func (w *Worker) decPendingLocked(image string) {
-	if w.prewarmPending[image] <= 1 {
-		delete(w.prewarmPending, image)
-	} else {
-		w.prewarmPending[image]--
-	}
-}
-
-// applyPrewarmTargets installs a control-plane push: the cluster-wide
-// per-image wants are apportioned to this node's budget, surplus idle
-// entries are evicted (least-recently-idle first), and deficit pools are
-// refilled asynchronously.
-func (w *Worker) applyPrewarmTargets(t *proto.PrewarmTargets) {
-	if w.cfg.Prewarm <= 0 {
-		return
-	}
-	targets := apportionPrewarm(w.cfg.Prewarm, t.Targets, w.cfg.PrewarmImage)
-	var victims []*sandbox.Instance
-	w.mu.Lock()
-	if w.stopped {
-		w.mu.Unlock()
-		return
-	}
-	// Two push sweeps can race; never let an older generation overwrite a
-	// newer one (equal generations re-apply idempotently).
-	if t.Gen < w.prewarmGen {
-		w.mu.Unlock()
-		return
-	}
-	w.prewarmGen = t.Gen
-	w.prewarmTargets = targets
-	for img, pool := range w.prewarmPools {
-		want := targets[img]
-		for len(pool) > want {
-			victims = append(victims, pool[0].inst)
-			pool = pool[1:]
-		}
-		if len(pool) == 0 {
-			delete(w.prewarmPools, img)
-		} else {
-			w.prewarmPools[img] = pool
-		}
-	}
-	w.updatePoolGaugeLocked()
-	w.mu.Unlock()
-	w.killEvicted(victims)
-	for i := 0; i < w.cfg.Prewarm; i++ {
-		w.spawnPrewarmFill("")
-	}
-}
-
-// apportionPrewarm splits a node's pre-warm budget across the cluster-wide
-// wants proportionally (largest-remainder rounding, deterministic
-// tie-break by want then image name); leftover capacity stays on the
-// generic base image.
-func apportionPrewarm(budget int, wants []proto.PrewarmTarget, base string) map[string]int {
-	out := make(map[string]int, len(wants)+1)
-	var sum int64
-	for i := range wants {
-		sum += int64(wants[i].Want)
-	}
-	if sum == 0 {
-		out[base] = budget
-		return out
-	}
-	if sum <= int64(budget) {
-		used := 0
-		for i := range wants {
-			if wants[i].Want > 0 {
-				out[wants[i].Image] += int(wants[i].Want)
-				used += int(wants[i].Want)
-			}
-		}
-		if budget > used {
-			out[base] += budget - used
-		}
-		return out
-	}
-	// Over-subscribed: proportional floor shares, remainder to the images
-	// with the largest fractional parts.
-	type share struct {
-		image string
-		want  uint32
-		rem   int64
-	}
-	shares := make([]share, 0, len(wants))
-	used := 0
-	for i := range wants {
-		if wants[i].Want == 0 {
-			continue
-		}
-		num := int64(budget) * int64(wants[i].Want)
-		out[wants[i].Image] += int(num / sum)
-		used += int(num / sum)
-		shares = append(shares, share{image: wants[i].Image, want: wants[i].Want, rem: num % sum})
-	}
-	sort.Slice(shares, func(i, j int) bool {
-		if shares[i].rem != shares[j].rem {
-			return shares[i].rem > shares[j].rem
-		}
-		if shares[i].want != shares[j].want {
-			return shares[i].want > shares[j].want
-		}
-		return shares[i].image < shares[j].image
-	})
-	for i := 0; used < budget && i < len(shares); i++ {
-		out[shares[i].image]++
-		used++
-	}
-	for img, n := range out {
-		if n == 0 {
-			delete(out, img)
-		}
-	}
-	return out
-}
-
-// evictForMemoryLocked collects idle pool entries for teardown while the
-// real-sandbox allocation plus the pool's estimated footprint exceeds the
-// node's memory, least-recently-idle across all images first. Skipped
-// when capacity is unknown (Node.MemoryMB == 0). Callers hold w.mu and
-// kill the returned instances after unlocking.
+// evictForMemoryLocked trims the pool to its target, least-recently-idle
+// entries first, returning them for teardown: it yields to real sandboxes
+// when their allocation plus the pool's estimated footprint exceeds the
+// node's memory. Callers hold w.mu and kill the returned instances after
+// unlocking.
 func (w *Worker) evictForMemoryLocked() []*sandbox.Instance {
-	if w.cfg.Node.MemoryMB <= 0 || w.cfg.Prewarm <= 0 {
+	n := len(w.pool) - w.poolTargetLocked()
+	if n <= 0 {
 		return nil
 	}
-	pooled := 0
-	for _, pool := range w.prewarmPools {
-		pooled += len(pool)
-	}
-	var victims []*sandbox.Instance
-	for pooled > 0 && w.allocMem+pooled*w.cfg.PrewarmMemoryMB > w.cfg.Node.MemoryMB {
-		oldest := ""
-		for img, pool := range w.prewarmPools {
-			if oldest == "" || pool[0].idleSince.Before(w.prewarmPools[oldest][0].idleSince) {
-				oldest = img
-			}
-		}
-		pool := w.prewarmPools[oldest]
-		victims = append(victims, pool[0].inst)
-		if len(pool) == 1 {
-			delete(w.prewarmPools, oldest)
-		} else {
-			w.prewarmPools[oldest] = pool[1:]
-		}
-		pooled--
-	}
-	if len(victims) > 0 {
-		w.updatePoolGaugeLocked()
-	}
+	victims := append([]*sandbox.Instance(nil), w.pool[:n]...)
+	kept := copy(w.pool, w.pool[n:])
+	clear(w.pool[kept:])
+	w.pool = w.pool[:kept]
+	w.mPoolSize.Set(int64(kept))
 	return victims
 }
 
@@ -1154,31 +904,13 @@ func (w *Worker) killEvicted(victims []*sandbox.Instance) {
 	}
 }
 
-// PrewarmGen returns the generation of the last applied target push (0
-// until one arrives — e.g. after a daemon restart, which the control
-// plane detects via re-registration and answers with a fresh push).
-func (w *Worker) PrewarmGen() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.prewarmGen
-}
-
-// PrewarmPoolSizes returns the current per-image pool sizes, for tests
-// and experiments.
-func (w *Worker) PrewarmPoolSizes() map[string]int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make(map[string]int, len(w.prewarmPools))
-	for img, pool := range w.prewarmPools {
-		out[img] = len(pool)
-	}
-	return out
-}
-
+// releaseResources returns a sandbox's allocation to the node and tops the
+// pool up into the memory it frees.
 func (w *Worker) releaseResources(f *core.Function) {
 	w.mu.Lock()
 	w.allocCPU -= f.Scaling.CPUMilli
 	w.allocMem -= f.Scaling.MemoryMB
+	w.topUpPoolLocked()
 	w.mu.Unlock()
 }
 

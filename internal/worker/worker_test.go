@@ -3,7 +3,6 @@ package worker
 import (
 	"bytes"
 	"context"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -537,123 +536,6 @@ func testWorkerPrewarmRuntimeMismatch(t *testing.T, rt sandbox.Runtime) {
 	}
 }
 
-// awaitPoolSizes polls until the per-image pool partition matches want.
-func awaitPoolSizes(t *testing.T, w *Worker, want map[string]int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	var got map[string]int
-	for time.Now().Before(deadline) {
-		got = w.PrewarmPoolSizes()
-		if reflect.DeepEqual(got, want) {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("pool partition never reached %v (at %v)", want, got)
-}
-
-// TestApportionPrewarm pins how a node splits its budget across the
-// cluster-wide per-image wants.
-func TestApportionPrewarm(t *testing.T) {
-	const base = "prewarm/base"
-	pt := func(img string, want uint32) proto.PrewarmTarget {
-		return proto.PrewarmTarget{Image: img, Want: want}
-	}
-	for _, tc := range []struct {
-		name   string
-		budget int
-		wants  []proto.PrewarmTarget
-		want   map[string]int
-	}{
-		{"no wants, all base", 4, nil, map[string]int{base: 4}},
-		{"zero wants, all base", 4, []proto.PrewarmTarget{pt("a", 0)}, map[string]int{base: 4}},
-		{"under budget, leftover on base", 4,
-			[]proto.PrewarmTarget{pt("a", 2), pt("b", 1)},
-			map[string]int{"a": 2, "b": 1, base: 1}},
-		{"exact budget", 3,
-			[]proto.PrewarmTarget{pt("a", 2), pt("b", 1)},
-			map[string]int{"a": 2, "b": 1}},
-		{"oversubscribed, largest remainder wins the leftover", 4,
-			[]proto.PrewarmTarget{pt("a", 5), pt("b", 4), pt("c", 3)},
-			map[string]int{"a": 2, "b": 1, "c": 1}},
-		{"oversubscribed, zero-want images dropped", 2,
-			[]proto.PrewarmTarget{pt("a", 0), pt("b", 4)},
-			map[string]int{"b": 2}},
-		{"oversubscribed, tiny share rounds away", 2,
-			[]proto.PrewarmTarget{pt("a", 7), pt("b", 1)},
-			map[string]int{"a": 2}},
-	} {
-		if got := apportionPrewarm(tc.budget, tc.wants, base); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: apportionPrewarm(%d) = %v, want %v", tc.name, tc.budget, got, tc.want)
-		}
-	}
-}
-
-// TestWorkerPrewarmTargetsApply drives the control-plane push protocol
-// end to end: a worker in static mode (whole budget on the base image —
-// seed parity) receives a generation-tagged target set, repartitions the
-// pool (evicting surplus base entries), serves an image-hit claim, heals
-// the drained pool, ignores a stale-generation push, and reverts to the
-// static partition when an empty set arrives.
-func TestWorkerPrewarmTargetsApply(t *testing.T) { eachRuntime(t, testWorkerPrewarmTargetsApply) }
-
-func testWorkerPrewarmTargetsApply(t *testing.T, rt sandbox.Runtime) {
-	tr := transport.NewInProc()
-	cp := startFakeCP(t, tr, "cp")
-	w := testWorker(t, tr, "cp", rt, func(c *Config) { c.Prewarm = 4 })
-	ctx := context.Background()
-
-	// Seed parity: no push yet, so the whole budget idles on the base image.
-	awaitPoolSizes(t, w, map[string]int{"prewarm/base": 4})
-	if g := w.PrewarmGen(); g != 0 {
-		t.Fatalf("PrewarmGen before any push = %d, want 0", g)
-	}
-
-	push := func(gen uint64, targets ...proto.PrewarmTarget) {
-		t.Helper()
-		msg := proto.PrewarmTargets{Gen: gen, Targets: targets}
-		if _, err := tr.Call(ctx, w.Addr(), proto.MethodPrewarmTargets, msg.Marshal()); err != nil {
-			t.Fatalf("push gen %d: %v", gen, err)
-		}
-	}
-	push(7, proto.PrewarmTarget{Image: "img-a", Want: 2}, proto.PrewarmTarget{Image: "img-b", Want: 1})
-	awaitPoolSizes(t, w, map[string]int{"img-a": 2, "img-b": 1, "prewarm/base": 1})
-	if g := w.PrewarmGen(); g != 7 {
-		t.Errorf("PrewarmGen = %d, want 7", g)
-	}
-	if ev := w.Metrics().Counter("prewarm_evictions").Value(); ev != 3 {
-		t.Errorf("evictions after repartition = %d, want 3 (surplus base entries)", ev)
-	}
-
-	// A cold start for img-a claims from its dedicated pool: an image hit,
-	// and the drained slot heals back.
-	fn := core.Function{Name: "fa", Image: "img-a", Port: 8080, Scaling: core.DefaultScalingConfig()}
-	req := proto.CreateSandboxRequest{SandboxID: 42, Function: fn}
-	if err := createOne(tr, w.Addr(), req); err != nil {
-		t.Fatal(err)
-	}
-	awaitReady(t, cp, 1)
-	if got := w.Metrics().Counter("prewarm_image_hits").Value(); got != 1 {
-		t.Errorf("prewarm_image_hits = %d, want 1", got)
-	}
-	awaitPoolSizes(t, w, map[string]int{"img-a": 2, "img-b": 1, "prewarm/base": 1})
-
-	// A stale generation must not regress the partition.
-	push(6, proto.PrewarmTarget{Image: "img-z", Want: 4})
-	awaitPoolSizes(t, w, map[string]int{"img-a": 2, "img-b": 1, "prewarm/base": 1})
-	if g := w.PrewarmGen(); g != 7 {
-		t.Errorf("PrewarmGen after stale push = %d, want 7", g)
-	}
-
-	// An empty target set reverts to the static partition (predictor went
-	// quiet): per-image pools are evicted and the base pool refills.
-	push(8)
-	awaitPoolSizes(t, w, map[string]int{"prewarm/base": 4})
-	if g := w.PrewarmGen(); g != 8 {
-		t.Errorf("PrewarmGen = %d, want 8", g)
-	}
-}
-
 // TestWorkerConcurrentPrewarmEvictionClaim races memory-pressure
 // eviction (real sandboxes charging allocation) against pool claims,
 // kills, and refills, then checks pool-entry conservation: every filled
@@ -688,7 +570,7 @@ func testWorkerConcurrentPrewarmEvictionClaim(t *testing.T, rt sandbox.Runtime) 
 	}
 	wg.Wait()
 	awaitReady(t, cp, 8)
-	if hits := w.Metrics().Counter("prewarm_base_hits").Value(); hits == 0 {
+	if hits := w.Metrics().Counter("prewarm_hits").Value(); hits == 0 {
 		t.Errorf("no claims hit the pool during the race")
 	}
 	for i := 1; i <= 8; i++ {
@@ -731,15 +613,10 @@ func testWorkerConcurrentPrewarmEvictionClaim(t *testing.T, rt sandbox.Runtime) 
 	deadline = time.Now().Add(5 * time.Second)
 	for {
 		w.mu.Lock()
-		pending := len(w.prewarmPending)
-		pooled := 0
-		for _, pool := range w.prewarmPools {
-			pooled += len(pool)
-		}
+		pending, pooled := w.poolPending, len(w.pool)
 		w.mu.Unlock()
 		filled := w.Metrics().Counter("prewarm_filled").Value()
-		claimed := w.Metrics().Counter("prewarm_image_hits").Value() +
-			w.Metrics().Counter("prewarm_base_hits").Value()
+		claimed := w.Metrics().Counter("prewarm_hits").Value()
 		evicted := w.Metrics().Counter("prewarm_evictions").Value()
 		if pending == 0 && filled == claimed+evicted+int64(pooled) {
 			return
@@ -750,6 +627,45 @@ func testWorkerConcurrentPrewarmEvictionClaim(t *testing.T, rt sandbox.Runtime) 
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestWorkerPrewarmRefillsFreedMemory pushes a worker past its memory so
+// eviction trims the pool, then kills back under it: the pool must hold
+// its memory budget while the node is full and refill to Prewarm once
+// the kill frees the memory, with no further cold start to heal it.
+func TestWorkerPrewarmRefillsFreedMemory(t *testing.T) {
+	eachRuntime(t, testWorkerPrewarmRefillsFreedMemory)
+}
+
+func testWorkerPrewarmRefillsFreedMemory(t *testing.T, rt sandbox.Runtime) {
+	tr := transport.NewInProc()
+	cp := startFakeCP(t, tr, "cp")
+	w := testWorker(t, tr, "cp", rt, func(c *Config) {
+		c.Prewarm = 4
+		c.Node.MemoryMB = 1024 // room for the pool (4×128) and 512 MB more
+	})
+	awaitPrewarmPool(t, w, 4)
+
+	// 896 MB leaves room for one 128 MB entry: three are evicted. The
+	// function is pinned to another runtime, so it misses the pool.
+	fn := testFn()
+	fn.Runtime = "firecracker"
+	fn.Scaling.MemoryMB = 896
+	if err := createOne(tr, w.Addr(), proto.CreateSandboxRequest{SandboxID: 1, Function: fn}); err != nil {
+		t.Fatal(err)
+	}
+	awaitReady(t, cp, 1)
+	if got := w.Metrics().Counter("prewarm_evictions").Value(); got != 3 {
+		t.Errorf("prewarm_evictions = %d, want 3", got)
+	}
+	if got := w.Metrics().Gauge("prewarm_pool_size").Value(); got > 1 {
+		t.Errorf("prewarm pool = %d with 128 MB free, want at most 1", got)
+	}
+
+	if err := killOne(tr, w.Addr(), 1); err != nil {
+		t.Fatal(err)
+	}
+	awaitPrewarmPool(t, w, 4)
 }
 
 // TestDeregisterDuringCreationFreesSandbox: a function is deregistered
