@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,7 +21,6 @@ import (
 	"dirigent/internal/core"
 	"dirigent/internal/cpclient"
 	"dirigent/internal/experiments"
-	"dirigent/internal/loadbalancer"
 	"dirigent/internal/placement"
 	"dirigent/internal/proto"
 	"dirigent/internal/store"
@@ -454,46 +454,35 @@ func BenchmarkAblationTransportTCP(b *testing.B) {
 
 // --- Scheduling policy costs ---
 
+// BenchmarkAblationPlacementPolicies times the two shipped placers over
+// 1000 nodes. Half the nodes hold the function's image, so cache-aware's
+// digest search runs on every candidate.
 func BenchmarkAblationPlacementPolicies(b *testing.B) {
+	img := core.HashImage("registry.local/fn")
 	nodes := make([]placement.NodeStatus, 1000)
 	for i := range nodes {
+		digest := []uint64{uint64(i) * 7919}
+		if i%2 == 0 {
+			digest = append(digest, img)
+			slices.Sort(digest)
+		}
 		nodes[i] = placement.NodeStatus{
 			Node: core.WorkerNode{ID: core.NodeID(i + 1), CPUMilli: 10000, MemoryMB: 65536},
-			Util: core.NodeUtilization{CPUMilliUsed: (i * 37) % 9000, MemoryMBUsed: (i * 997) % 60000},
+			Util: core.NodeUtilization{CPUMilliUsed: (i * 37) % 9000, MemoryMBUsed: (i * 997) % 60000, CacheDigest: digest},
 		}
 	}
-	req := placement.Requirements{CPUMilli: 100, MemoryMB: 128}
-	for _, p := range []placement.Policy{
-		placement.NewKubeDefault(1), placement.NewRandom(1),
-		placement.NewRoundRobin(), placement.NewHermod(),
+	req := placement.Requirements{CPUMilli: 100, MemoryMB: 128, ImageHash: img}
+	for _, tc := range []struct {
+		name string
+		p    placement.Policy
+	}{
+		{"kube-default", placement.NewKubeDefault(1)},
+		{"cache-aware", placement.NewCacheAware(1)},
 	} {
-		b.Run(p.Name(), func(b *testing.B) {
+		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Place(nodes, req); err != nil {
+				if _, err := tc.p.Place(nodes, req); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkAblationLoadBalancerPolicies(b *testing.B) {
-	eps := make([]loadbalancer.Endpoint, 100)
-	for i := range eps {
-		eps[i] = loadbalancer.Endpoint{
-			SandboxID: core.SandboxID(i + 1),
-			InFlight:  i % 2,
-			Capacity:  2,
-		}
-	}
-	for _, p := range []loadbalancer.Policy{
-		loadbalancer.NewLeastLoaded(1), loadbalancer.NewRoundRobin(),
-		loadbalancer.NewRandom(1), loadbalancer.NewCHRLU(),
-	} {
-		b.Run(p.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if p.Pick("fn", uint64(i), eps) == nil {
-					b.Fatal("nil pick")
 				}
 			}
 		})

@@ -37,7 +37,7 @@ func main() {
 	deadGC := flag.Duration("dead-worker-gc", 0, "how long a failed worker's record lingers (revivable by a late heartbeat) before it is garbage collected (0 = 10x heartbeat-timeout, negative = never)")
 	persistAll := flag.Bool("persist-sandbox-state", false, "ablation: persist sandbox state on the critical path")
 	placementName := flag.String("placement", "kube-default",
-		"placement policy: kube-default | cache-aware (kube scoring plus a bonus for nodes whose image cache already holds the function's image) | random | round-robin | hermod")
+		"placement policy: kube-default (K8s least-allocated and balanced scoring) | cache-aware (kube scoring plus a bonus for nodes whose image cache already holds the function's image)")
 	followerReads := flag.Bool("follower-reads", true,
 		"with -peers, let follower replicas serve read-only RPCs (ListDataPlanes, ListFunctions) from their applied store behind a leader-lease check, offloading the leader to writes only")
 	rejoin := flag.Bool("rejoin", false,
@@ -50,14 +50,8 @@ func main() {
 		placer = nil // controlplane.New defaults to kube scoring
 	case "cache-aware":
 		placer = placement.NewCacheAware(1)
-	case "random":
-		placer = placement.NewRandom(1)
-	case "round-robin":
-		placer = placement.NewRoundRobin()
-	case "hermod":
-		placer = placement.NewHermod()
 	default:
-		log.Fatalf("unknown -placement policy %q (want kube-default, cache-aware, random, round-robin, or hermod)", *placementName)
+		log.Fatalf("unknown -placement policy %q (want kube-default or cache-aware)", *placementName)
 	}
 
 	var policy wal.FsyncPolicy

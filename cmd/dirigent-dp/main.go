@@ -17,7 +17,6 @@ import (
 
 	"dirigent/internal/core"
 	"dirigent/internal/dataplane"
-	"dirigent/internal/loadbalancer"
 	"dirigent/internal/store"
 	"dirigent/internal/transport"
 	"dirigent/internal/wal"
@@ -30,24 +29,9 @@ func main() {
 	metricInterval := flag.Duration("metric-interval", 250*time.Millisecond, "scaling metric report period: the steady-state and scale-down period (a function that queues with no sandbox is reported at once)")
 	hbInterval := flag.Duration("heartbeat-interval", 250*time.Millisecond, "DP → CP liveness heartbeat period (the CP prunes silent replicas from its fan-out set)")
 	queueTimeout := flag.Duration("queue-timeout", 60*time.Second, "cold-start queue timeout")
-	policy := flag.String("lb-policy", "least-loaded", "load balancing policy: least-loaded | round-robin | random | ch-rlu")
 	asyncStore := flag.String("async-store", "", "append-only store file for the durable async queue (empty = memory-only queue)")
 	asyncFnQuota := flag.Int("async-fn-quota", 0, "max queued async tasks one function may hold per queue shard; excess accepts are rejected (0 = no quota, seed admission)")
 	flag.Parse()
-
-	var balancer loadbalancer.Policy
-	switch *policy {
-	case "least-loaded":
-		balancer = loadbalancer.NewLeastLoaded(int64(*id))
-	case "round-robin":
-		balancer = loadbalancer.NewRoundRobin()
-	case "random":
-		balancer = loadbalancer.NewRandom(int64(*id))
-	case "ch-rlu":
-		balancer = loadbalancer.NewCHRLU()
-	default:
-		log.Fatalf("unknown lb policy %q", *policy)
-	}
 
 	var db *store.Store
 	if *asyncStore != "" {
@@ -63,7 +47,6 @@ func main() {
 		Addr:              *addr,
 		Transport:         transport.NewTCP(),
 		ControlPlanes:     strings.Split(*cps, ","),
-		Balancer:          balancer,
 		MetricInterval:    *metricInterval,
 		HeartbeatInterval: *hbInterval,
 		QueueTimeout:      *queueTimeout,
@@ -73,7 +56,7 @@ func main() {
 	if err := dp.Start(); err != nil {
 		log.Fatalf("start data plane: %v", err)
 	}
-	fmt.Printf("dirigent-dp %d listening on %s (policy: %s)\n", *id, *addr, *policy)
+	fmt.Printf("dirigent-dp %d listening on %s\n", *id, *addr)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

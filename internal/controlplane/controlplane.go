@@ -1075,7 +1075,10 @@ func (cp *ControlPlane) handleListFunctions() ([]byte, error) {
 // shard of each reported function is locked, one metric at a time.
 func (cp *ControlPlane) handleScalingMetric(payload []byte) ([]byte, error) {
 	now := cp.clk.Now()
-	var actions []scaleAction
+	// A cold data plane reports a function or two at a time, so the
+	// decisions of most reports fit on the stack.
+	var decided [2]scaleAction
+	actions := decided[:0]
 	_, err := proto.VisitScalingMetricReport(payload, func(dp core.DataPlaneID, function []byte, inFlight, queueDepth int, _ time.Time) {
 		sh := shardOf(cp, function)
 		cp.lockShard(sh)

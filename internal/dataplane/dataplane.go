@@ -53,7 +53,10 @@ type Config struct {
 	ControlPlanes []string
 	// Clock abstracts time.
 	Clock clock.Clock
-	// Balancer picks sandboxes for invocations; nil selects least-loaded.
+	// Balancer picks the sandbox for each warm invocation; nil selects
+	// least-loaded, Knative's default (paper §4). It is the plug point
+	// for other load balancers such as CH-RLU: PickIndex is the only
+	// warm pick, one interface call per attempt.
 	Balancer loadbalancer.Policy
 	// MetricInterval is the period of scaling-metric reports to the CP.
 	MetricInterval time.Duration
@@ -86,7 +89,7 @@ func (c Config) withDefaults() Config {
 		c.Clock = clock.NewReal()
 	}
 	if c.Balancer == nil {
-		c.Balancer = loadbalancer.NewLeastLoaded(int64(c.ID) + 1)
+		c.Balancer = loadbalancer.NewLeastLoaded(0)
 	}
 	if c.MetricInterval == 0 {
 		c.MetricInterval = 250 * time.Millisecond
@@ -189,9 +192,6 @@ type DataPlane struct {
 	listener transport.Listener
 
 	shards []*invokeShard
-	// snapPolicy is the balancer's allocation-free fast path, nil when
-	// the policy only implements Pick.
-	snapPolicy loadbalancer.SnapshotPolicy
 
 	invokeSeq atomic.Uint64
 
@@ -223,9 +223,14 @@ type DataPlane struct {
 	// for with no endpoint to wait on, which metricLoop (woken through
 	// coldWake) reports to the control plane at once instead of at the
 	// next period. coldMu is a leaf lock, taken under a runtime's mu.
-	coldMu   sync.Mutex
-	cold     []*functionRuntime
-	coldWake chan struct{}
+	// coldSpare and coldMetrics are metricLoop's own: the emptied list
+	// that replaces cold at the next report, and that report's metrics,
+	// kept so that a burst of cold starts does not regrow either.
+	coldMu      sync.Mutex
+	cold        []*functionRuntime
+	coldWake    chan struct{}
+	coldSpare   []*functionRuntime
+	coldMetrics []core.ScalingMetric
 	// The active list: the runtimes whose demand has risen since the
 	// control plane last held a 0 for them, which are all the runtimes a
 	// report of changes looks at (markActive, pruneActive). activeMu is a
@@ -303,7 +308,6 @@ func New(cfg Config) *DataPlane {
 	}
 	dp.stopCtx, dp.cancelStop = context.WithCancel(context.Background())
 	dp.stopCh = dp.stopCtx.Done()
-	dp.snapPolicy, _ = cfg.Balancer.(loadbalancer.SnapshotPolicy)
 	dp.mInvocations = dp.metrics.Counter("invocations")
 	dp.mWarmStarts = dp.metrics.Counter("warm_starts")
 	dp.mColdStarts = dp.metrics.Counter("cold_starts")

@@ -11,6 +11,7 @@ import (
 
 	"dirigent/internal/clock"
 	"dirigent/internal/core"
+	"dirigent/internal/loadbalancer"
 	"dirigent/internal/proto"
 	"dirigent/internal/race"
 	"dirigent/internal/transport"
@@ -273,6 +274,127 @@ func TestConcurrencyThrottling(t *testing.T) {
 	host.mu.Unlock()
 	if maxSeen > 2 {
 		t.Errorf("max concurrent requests at sandbox host = %d, want <= 2 (throttled)", maxSeen)
+	}
+}
+
+// firstEndpoint is a Config.Balancer that always picks the first
+// endpoint, loaded or not. While that endpoint's slot is full, every
+// pick loses its CAS, as if a concurrent invocation took the slot
+// between each pick and its acquire.
+type firstEndpoint struct{}
+
+func (firstEndpoint) PickIndex(_ string, _ uint64, eps []loadbalancer.SnapshotEndpoint) int {
+	if len(eps) == 0 {
+		return -1
+	}
+	return 0
+}
+
+// TestPickRaceNeverOverAdmits drives the pick-race path through a
+// balancer that keeps returning a full endpoint: the slot is never
+// over-admitted, each acquire attempt counts exactly maxPickRetries lost
+// races, and the invocation queues until the slot frees.
+func TestPickRaceNeverOverAdmits(t *testing.T) {
+	tr := transport.NewInProc()
+	startFakeCP(t, tr, "cp")
+	gate := make(chan struct{})
+	var mu sync.Mutex
+	inflight, maxSeen := 0, 0
+	ln, err := tr.Listen("w1:9000", func(method string, payload []byte) ([]byte, error) {
+		mu.Lock()
+		inflight++
+		maxSeen = max(maxSeen, inflight)
+		mu.Unlock()
+		<-gate
+		mu.Lock()
+		inflight--
+		mu.Unlock()
+		return []byte("done"), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	dp := New(Config{
+		ID:             1,
+		Addr:           "dp0:8000",
+		Transport:      tr,
+		ControlPlanes:  []string{"cp"},
+		Balancer:       firstEndpoint{},
+		MetricInterval: time.Hour,
+		QueueTimeout:   10 * time.Second,
+	})
+	if err := dp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(dp.Stop)
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // runs before Stop, so a failed test cannot hang
+	pushFunction(t, tr, dp.Addr(), "f")
+	pushEndpoints(t, tr, dp.Addr(), "f", []core.SandboxID{1}, "w1:9000")
+	fr := dp.lookup("f")
+	ep := &fr.snap.Load().eps[0]
+	races := dp.metrics.Counter("warm_pick_races")
+
+	// The first invocation takes the endpoint's only slot and holds it.
+	first := make(chan error, 1)
+	go func() {
+		_, err := invoke(tr, dp.Addr(), "f", nil)
+		first <- err
+	}()
+	poll(t, "the first invocation to hold the slot", func() bool { return ep.InFlight.Load() == 1 })
+
+	// One acquire attempt: maxPickRetries picks, each a lost race.
+	if _, _, ok := dp.acquireWarm(fr); ok {
+		t.Fatal("acquired a slot on a full endpoint")
+	}
+	if got := races.Value(); got != maxPickRetries {
+		t.Fatalf("warm_pick_races = %d after one attempt, want %d", got, maxPickRetries)
+	}
+	if n := ep.InFlight.Load(); n > int64(ep.Capacity) {
+		t.Fatalf("in flight %d exceeds capacity %d", n, ep.Capacity)
+	}
+
+	// The second invocation loses its warm attempt and the pump at its
+	// enqueue, then waits in the queue.
+	second := make(chan error, 1)
+	go func() {
+		resp, err := invoke(tr, dp.Addr(), "f", nil)
+		if err == nil && !resp.ColdStart {
+			err = errors.New("queued invocation reported a warm start")
+		}
+		second <- err
+	}()
+	poll(t, "the second invocation to queue", func() bool {
+		return dp.QueueDepth("f") == 1 && races.Value() >= 3*maxPickRetries
+	})
+	if got := races.Value(); got != 3*maxPickRetries {
+		t.Fatalf("warm_pick_races = %d after three attempts, want %d", got, 3*maxPickRetries)
+	}
+	if n := ep.InFlight.Load(); n != 1 {
+		t.Fatalf("in flight %d with one invocation admitted, want 1", n)
+	}
+
+	// The slot frees: the release pumps the queue, the fake's pick now
+	// wins, and the queued invocation is granted.
+	release()
+	for _, ch := range []chan error{first, second} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatalf("invoke: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("invocation never completed")
+		}
+	}
+	if got := races.Value(); got != 3*maxPickRetries {
+		t.Errorf("warm_pick_races = %d after the grant, want %d", got, 3*maxPickRetries)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if maxSeen != 1 {
+		t.Errorf("sandbox saw %d concurrent invocations, want 1", maxSeen)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"dirigent/internal/core"
-	"dirigent/internal/loadbalancer"
 	"dirigent/internal/proto"
 	"dirigent/internal/transport"
 )
@@ -261,7 +260,7 @@ func (dp *DataPlane) tryAcquireSnapshot(name string, snap *endpointSnapshot) int
 		return -1
 	}
 	for attempt := 0; attempt < maxPickRetries; attempt++ {
-		idx := dp.pickIndex(name, dp.invokeSeq.Add(1), snap)
+		idx := dp.cfg.Balancer.PickIndex(name, dp.invokeSeq.Add(1), snap.eps)
 		if idx < 0 {
 			return -1
 		}
@@ -269,41 +268,6 @@ func (dp *DataPlane) tryAcquireSnapshot(name string, snap *endpointSnapshot) int
 			return idx
 		}
 		dp.mPickRaces.Inc()
-	}
-	return -1
-}
-
-// pickIndex runs the load-balancing policy over an endpoint snapshot and
-// returns the chosen index, or -1 when every endpoint is saturated.
-func (dp *DataPlane) pickIndex(function string, key uint64, snap *endpointSnapshot) int {
-	if dp.snapPolicy != nil {
-		return dp.snapPolicy.PickIndex(function, key, snap.eps)
-	}
-	return dp.pickAllocating(function, key, snap)
-}
-
-// pickAllocating adapts snapshot picks to policies that only implement
-// Pick (e.g. CH-RLU): it copies the snapshot into a fresh []Endpoint,
-// one allocation per pick.
-func (dp *DataPlane) pickAllocating(function string, key uint64, snap *endpointSnapshot) int {
-	eps := make([]loadbalancer.Endpoint, len(snap.eps))
-	for i := range snap.eps {
-		se := &snap.eps[i]
-		eps[i] = loadbalancer.Endpoint{
-			SandboxID: se.SandboxID,
-			Addr:      se.Addr,
-			InFlight:  int(se.InFlight.Load()),
-			Capacity:  se.Capacity,
-		}
-	}
-	chosen := dp.cfg.Balancer.Pick(function, key, eps)
-	if chosen == nil {
-		return -1
-	}
-	for i := range snap.eps {
-		if snap.eps[i].SandboxID == chosen.SandboxID {
-			return i
-		}
 	}
 	return -1
 }
@@ -656,10 +620,10 @@ func (dp *DataPlane) markCold(fr *functionRuntime) {
 func (dp *DataPlane) reportCold() {
 	dp.coldMu.Lock()
 	marked := dp.cold
-	dp.cold = nil
+	dp.cold, dp.coldSpare = dp.coldSpare[:0], nil
 	dp.coldMu.Unlock()
 	now := dp.clk.Now()
-	report := proto.ScalingMetricReport{DataPlane: dp.cfg.ID, Metrics: make([]core.ScalingMetric, 0, len(marked))}
+	report := proto.ScalingMetricReport{DataPlane: dp.cfg.ID, Metrics: dp.coldMetrics[:0]}
 	for _, fr := range marked {
 		// Unmark before reading: an arrival from here on marks again
 		// rather than go unreported.
@@ -667,6 +631,10 @@ func (dp *DataPlane) reportCold() {
 		report.Metrics = append(report.Metrics, fr.scalingMetric(now))
 	}
 	dp.sendMetrics(&report, marked)
+	// Keep both buffers, emptied, so that they pin no runtime.
+	clear(marked)
+	clear(report.Metrics)
+	dp.coldSpare, dp.coldMetrics = marked[:0], report.Metrics[:0]
 }
 
 // reportMetrics sends the scaling metrics of the functions whose demand
@@ -825,10 +793,14 @@ func (dp *DataPlane) sendMetrics(report *proto.ScalingMetricReport, fns []*funct
 	}
 	ctx := transport.NewDeadline(context.Background(), dp.cfg.MetricInterval*4)
 	defer ctx.Stop()
+	frame := transport.GetFrame()
+	*frame = report.AppendTo(*frame)
 	// Best effort: a missed report only delays autoscaling by one period.
-	if _, err := dp.cp.Call(ctx, proto.MethodScalingMetric, report.Marshal()); err != nil {
+	// The frame goes back to the pool only after a call that succeeded.
+	if _, err := dp.cp.Call(ctx, proto.MethodScalingMetric, *frame); err != nil {
 		return false
 	}
+	transport.PutFrame(frame)
 	for i, fr := range fns {
 		fr.reported = report.Metrics[i].InFlight + report.Metrics[i].QueueDepth
 	}

@@ -1,40 +1,15 @@
 // Package loadbalancer implements the data plane's invocation load
 // balancing. Dirigent's default forwards invocations to the least-loaded
-// sandbox, following Knative (paper §4); round-robin, random, and a
-// CH-RLU-style consistent-hashing policy (Fuerst & Sharma, HPDC'22) are
-// provided behind the same interface.
+// sandbox, following Knative (paper §4). Alternatives such as CH-RLU
+// (Fuerst & Sharma, HPDC'22) plug in through Policy and the data plane's
+// Config.Balancer; none is shipped, because no experiment measures one.
 package loadbalancer
 
 import (
-	"hash/fnv"
-	"math/rand"
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"dirigent/internal/core"
 )
-
-// Endpoint is one candidate sandbox with its instantaneous load.
-type Endpoint struct {
-	SandboxID core.SandboxID
-	Addr      string
-	// InFlight is the number of requests currently executing on the
-	// sandbox (tracked by the data plane's concurrency throttler).
-	InFlight int
-	// Capacity is the sandbox's concurrency limit (1 in the paper's
-	// evaluation, matching commercial FaaS).
-	Capacity int
-}
-
-// Policy picks a sandbox for an invocation. A nil return means every
-// endpoint is saturated and the request must queue.
-type Policy interface {
-	// Pick selects from eps for the given function and invocation key.
-	Pick(function string, key uint64, eps []Endpoint) *Endpoint
-	// Name identifies the policy.
-	Name() string
-}
 
 // SnapshotEndpoint is one candidate in an immutable, copy-on-write
 // endpoint snapshot. The data plane rebuilds the snapshot only when the
@@ -46,7 +21,8 @@ type SnapshotEndpoint struct {
 	Addr      string
 	// InFlight points at the live in-flight counter for the sandbox.
 	InFlight *atomic.Int64
-	// Capacity is the sandbox's concurrency limit.
+	// Capacity is the sandbox's concurrency limit (1 in the paper's
+	// evaluation, matching commercial FaaS).
 	Capacity int
 }
 
@@ -64,70 +40,28 @@ func (e *SnapshotEndpoint) TryAcquire() bool {
 	}
 }
 
-// SnapshotPolicy is the optional warm-start fast path: PickIndex returns
-// the index into eps of the chosen endpoint, or -1 when every endpoint
-// is saturated. Implementations must be safe for concurrent use, must
-// not retain eps, and must not allocate or take policy-global locks —
-// this runs on the data plane's invoke hot path for every warm start.
-type SnapshotPolicy interface {
-	Policy
+// Policy picks a sandbox for a warm invocation. PickIndex returns the
+// index into eps of the chosen endpoint, or -1 when eps is empty or every
+// endpoint is saturated and the request must queue. Implementations must
+// be safe for concurrent use, must not retain eps, and must not allocate
+// or take policy-global locks: this runs on the data plane's invoke hot
+// path for every warm start.
+type Policy interface {
 	PickIndex(function string, key uint64, eps []SnapshotEndpoint) int
 }
 
-// splitmix64 is a stateless mixer used for allocation-free, lock-free
-// pseudo-random decisions on the snapshot hot path, seeded from the
-// invocation key (the seeded-rng state in Pick would be a cross-function
-// serialization point). Shared with the front end's rendezvous weights.
-func splitmix64(x uint64) uint64 { return core.Splitmix64(x) }
-
 // LeastLoaded picks the endpoint with the fewest in-flight requests that
-// still has a free slot, breaking ties pseudo-randomly.
-type LeastLoaded struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-}
+// still has a free slot. Ties break pseudo-randomly from the invocation
+// key, so the policy holds no state and no lock.
+type LeastLoaded struct{}
 
-// NewLeastLoaded returns the default least-loaded policy.
-func NewLeastLoaded(seed int64) *LeastLoaded {
-	return &LeastLoaded{rng: rand.New(rand.NewSource(seed))}
-}
+// NewLeastLoaded returns the default least-loaded policy. The seed is
+// unused: tie-breaks derive from each invocation's key.
+func NewLeastLoaded(seed int64) *LeastLoaded { return &LeastLoaded{} }
 
-// Name implements Policy.
-func (p *LeastLoaded) Name() string { return "least-loaded" }
-
-// Pick implements Policy.
-func (p *LeastLoaded) Pick(_ string, _ uint64, eps []Endpoint) *Endpoint {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	best := -1
-	ties := 0
-	for i := range eps {
-		e := &eps[i]
-		if e.InFlight >= e.Capacity {
-			continue
-		}
-		switch {
-		case best < 0 || e.InFlight < eps[best].InFlight:
-			best = i
-			ties = 1
-		case e.InFlight == eps[best].InFlight:
-			ties++
-			if p.rng.Intn(ties) == 0 {
-				best = i
-			}
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	return &eps[best]
-}
-
-// PickIndex implements SnapshotPolicy. Ties break pseudo-randomly from
-// the invocation key instead of the shared rng, keeping the hot path
-// free of the policy mutex.
+// PickIndex implements Policy.
 func (p *LeastLoaded) PickIndex(_ string, key uint64, eps []SnapshotEndpoint) int {
-	r := splitmix64(key)
+	r := core.Splitmix64(key)
 	best := -1
 	var bestLoad int64
 	ties := 0
@@ -144,190 +78,11 @@ func (p *LeastLoaded) PickIndex(_ string, key uint64, eps []SnapshotEndpoint) in
 			ties = 1
 		case load == bestLoad:
 			ties++
-			r = splitmix64(r)
+			r = core.Splitmix64(r)
 			if r%uint64(ties) == 0 {
 				best = i
 			}
 		}
 	}
 	return best
-}
-
-// RoundRobin cycles through endpoints with free slots, per function.
-type RoundRobin struct {
-	mu   sync.Mutex
-	next map[string]int
-	// cursors carries the per-function position for the lock-free
-	// snapshot fast path (Pick and PickIndex keep independent cursors).
-	cursors sync.Map // string -> *atomic.Uint64
-}
-
-// NewRoundRobin returns a round-robin policy.
-func NewRoundRobin() *RoundRobin {
-	return &RoundRobin{next: make(map[string]int)}
-}
-
-// Name implements Policy.
-func (p *RoundRobin) Name() string { return "round-robin" }
-
-// Pick implements Policy.
-func (p *RoundRobin) Pick(function string, _ uint64, eps []Endpoint) *Endpoint {
-	if len(eps) == 0 {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	start := p.next[function]
-	for i := 0; i < len(eps); i++ {
-		idx := (start + i) % len(eps)
-		if eps[idx].InFlight < eps[idx].Capacity {
-			p.next[function] = idx + 1
-			return &eps[idx]
-		}
-	}
-	return nil
-}
-
-// PickIndex implements SnapshotPolicy via a per-function atomic cursor.
-func (p *RoundRobin) PickIndex(function string, _ uint64, eps []SnapshotEndpoint) int {
-	if len(eps) == 0 {
-		return -1
-	}
-	cv, ok := p.cursors.Load(function)
-	if !ok {
-		cv, _ = p.cursors.LoadOrStore(function, new(atomic.Uint64))
-	}
-	start := int(cv.(*atomic.Uint64).Add(1) % uint64(len(eps)))
-	for i := 0; i < len(eps); i++ {
-		idx := (start + i) % len(eps)
-		e := &eps[idx]
-		if e.InFlight.Load() < int64(e.Capacity) {
-			return idx
-		}
-	}
-	return -1
-}
-
-// Random picks a uniformly random endpoint with a free slot.
-type Random struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-// NewRandom returns a random policy.
-func NewRandom(seed int64) *Random {
-	return &Random{rng: rand.New(rand.NewSource(seed))}
-}
-
-// Name implements Policy.
-func (p *Random) Name() string { return "random" }
-
-// Pick implements Policy.
-func (p *Random) Pick(_ string, _ uint64, eps []Endpoint) *Endpoint {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	chosen := -1
-	n := 0
-	for i := range eps {
-		if eps[i].InFlight >= eps[i].Capacity {
-			continue
-		}
-		n++
-		if p.rng.Intn(n) == 0 {
-			chosen = i
-		}
-	}
-	if chosen < 0 {
-		return nil
-	}
-	return &eps[chosen]
-}
-
-// PickIndex implements SnapshotPolicy with key-seeded reservoir
-// sampling, so the hot path never touches the shared rng.
-func (p *Random) PickIndex(_ string, key uint64, eps []SnapshotEndpoint) int {
-	r := splitmix64(key)
-	chosen := -1
-	n := 0
-	for i := range eps {
-		e := &eps[i]
-		if e.InFlight.Load() >= int64(e.Capacity) {
-			continue
-		}
-		n++
-		r = splitmix64(r)
-		if r%uint64(n) == 0 {
-			chosen = i
-		}
-	}
-	return chosen
-}
-
-// CHRLU is a CH-RLU-style policy: consistent hashing on the invocation key
-// for locality, with bounded-load forwarding — if the hashed sandbox is
-// overloaded, the request walks the ring to the next sandbox with spare
-// capacity, spreading load while preserving locality for warm caches.
-// CHRLU builds its hash ring per pick and therefore does not implement
-// SnapshotPolicy; the data plane falls back to the allocating Pick path.
-type CHRLU struct {
-	// LoadBound is the multiple of average load beyond which the hashed
-	// endpoint is skipped (classic bounded-load consistent hashing uses
-	// ~1.25).
-	LoadBound float64
-}
-
-// NewCHRLU returns a CH-RLU policy with the conventional 1.25 load bound.
-func NewCHRLU() *CHRLU { return &CHRLU{LoadBound: 1.25} }
-
-// Name implements Policy.
-func (p *CHRLU) Name() string { return "ch-rlu" }
-
-// Pick implements Policy.
-func (p *CHRLU) Pick(function string, key uint64, eps []Endpoint) *Endpoint {
-	if len(eps) == 0 {
-		return nil
-	}
-	// Ring order: endpoints sorted by hash of their sandbox ID.
-	type ringEntry struct {
-		hash uint64
-		idx  int
-	}
-	ring := make([]ringEntry, len(eps))
-	var totalLoad int
-	for i := range eps {
-		ring[i] = ringEntry{hash: hash64(function, uint64(eps[i].SandboxID)), idx: i}
-		totalLoad += eps[i].InFlight
-	}
-	sort.Slice(ring, func(i, j int) bool { return ring[i].hash < ring[j].hash })
-	avgLoad := float64(totalLoad) / float64(len(eps))
-	bound := p.LoadBound * (avgLoad + 1)
-
-	h := hash64(function, key)
-	start := sort.Search(len(ring), func(i int) bool { return ring[i].hash >= h })
-	// First pass: respect the load bound.
-	for i := 0; i < len(ring); i++ {
-		e := &eps[ring[(start+i)%len(ring)].idx]
-		if e.InFlight < e.Capacity && float64(e.InFlight) < bound {
-			return e
-		}
-	}
-	// Second pass: any free slot.
-	for i := 0; i < len(ring); i++ {
-		e := &eps[ring[(start+i)%len(ring)].idx]
-		if e.InFlight < e.Capacity {
-			return e
-		}
-	}
-	return nil
-}
-
-func hash64(function string, v uint64) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(function))
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-	h.Write(b[:])
-	return h.Sum64()
 }

@@ -8,217 +8,8 @@ import (
 	"dirigent/internal/core"
 )
 
-func eps(loads ...int) []Endpoint {
-	out := make([]Endpoint, len(loads))
-	for i, l := range loads {
-		out[i] = Endpoint{
-			SandboxID: core.SandboxID(i + 1),
-			Addr:      "addr",
-			InFlight:  l,
-			Capacity:  1,
-		}
-	}
-	return out
-}
-
-func epsWithCapacity(capacity int, loads ...int) []Endpoint {
-	out := eps(loads...)
-	for i := range out {
-		out[i].Capacity = capacity
-	}
-	return out
-}
-
-func TestLeastLoadedPicksIdle(t *testing.T) {
-	p := NewLeastLoaded(1)
-	got := p.Pick("f", 1, epsWithCapacity(4, 3, 0, 2))
-	if got == nil || got.SandboxID != 2 {
-		t.Errorf("picked %+v, want sandbox 2", got)
-	}
-}
-
-func TestLeastLoadedReturnsNilWhenSaturated(t *testing.T) {
-	p := NewLeastLoaded(1)
-	if got := p.Pick("f", 1, eps(1, 1, 1)); got != nil {
-		t.Errorf("picked %+v from saturated set, want nil (queue)", got)
-	}
-}
-
-func TestLeastLoadedEmpty(t *testing.T) {
-	p := NewLeastLoaded(1)
-	if got := p.Pick("f", 1, nil); got != nil {
-		t.Errorf("picked from empty set")
-	}
-}
-
-func TestRoundRobinCyclesFreeSlots(t *testing.T) {
-	p := NewRoundRobin()
-	e := eps(0, 0, 0)
-	seen := make(map[core.SandboxID]int)
-	for i := 0; i < 9; i++ {
-		got := p.Pick("f", uint64(i), e)
-		if got == nil {
-			t.Fatal("nil pick")
-		}
-		seen[got.SandboxID]++
-	}
-	for id, n := range seen {
-		if n != 3 {
-			t.Errorf("sandbox %d picked %d times, want 3", id, n)
-		}
-	}
-}
-
-func TestRoundRobinPerFunctionState(t *testing.T) {
-	p := NewRoundRobin()
-	e := eps(0, 0)
-	a := p.Pick("f1", 0, e)
-	b := p.Pick("f2", 0, e)
-	if a == nil || b == nil {
-		t.Fatal("nil pick")
-	}
-	if a.SandboxID != b.SandboxID {
-		t.Errorf("independent functions should start at the same index")
-	}
-}
-
-func TestRandomSkipsSaturated(t *testing.T) {
-	p := NewRandom(3)
-	e := eps(1, 0, 1)
-	for i := 0; i < 50; i++ {
-		got := p.Pick("f", uint64(i), e)
-		if got == nil || got.SandboxID != 2 {
-			t.Fatalf("picked %+v, want only free sandbox 2", got)
-		}
-	}
-}
-
-func TestCHRLUDeterministicForKey(t *testing.T) {
-	p := NewCHRLU()
-	e := epsWithCapacity(8, 0, 0, 0, 0)
-	first := p.Pick("f", 42, e)
-	for i := 0; i < 10; i++ {
-		got := p.Pick("f", 42, e)
-		if got.SandboxID != first.SandboxID {
-			t.Fatalf("same key mapped to different sandboxes: %d vs %d", got.SandboxID, first.SandboxID)
-		}
-	}
-}
-
-func TestCHRLUForwardsWhenOverloaded(t *testing.T) {
-	p := NewCHRLU()
-	e := epsWithCapacity(8, 0, 0, 0, 0)
-	home := p.Pick("f", 42, e)
-	// Saturate the home endpoint far above the load bound; the same key
-	// must forward to a different sandbox.
-	for i := range e {
-		if e[i].SandboxID == home.SandboxID {
-			e[i].InFlight = 7
-		}
-	}
-	got := p.Pick("f", 42, e)
-	if got == nil {
-		t.Fatal("nil pick")
-	}
-	if got.SandboxID == home.SandboxID {
-		t.Errorf("CH-RLU did not forward away from the overloaded home node")
-	}
-}
-
-func TestCHRLUFallsBackToAnyFreeSlot(t *testing.T) {
-	p := NewCHRLU()
-	// Everything above the bound but one endpoint still has capacity.
-	e := epsWithCapacity(8, 7, 7, 7)
-	e[1].InFlight = 8 // full
-	got := p.Pick("f", 9, e)
-	if got == nil {
-		t.Fatalf("CH-RLU returned nil although free slots exist")
-	}
-	if got.InFlight >= got.Capacity {
-		t.Errorf("picked a full endpoint")
-	}
-}
-
-func TestCHRLUEmptyAndSaturated(t *testing.T) {
-	p := NewCHRLU()
-	if p.Pick("f", 1, nil) != nil {
-		t.Errorf("empty set should return nil")
-	}
-	if p.Pick("f", 1, eps(1, 1)) != nil {
-		t.Errorf("saturated set should return nil")
-	}
-}
-
-// TestQuickPoliciesNeverPickFull property-tests the concurrency-throttling
-// invariant: no policy ever returns an endpoint at capacity.
-func TestQuickPoliciesNeverPickFull(t *testing.T) {
-	policies := []Policy{NewLeastLoaded(5), NewRoundRobin(), NewRandom(5), NewCHRLU()}
-	f := func(loads []uint8, key uint64) bool {
-		if len(loads) == 0 {
-			return true
-		}
-		e := make([]Endpoint, len(loads))
-		anyFree := false
-		for i, l := range loads {
-			e[i] = Endpoint{
-				SandboxID: core.SandboxID(i + 1),
-				InFlight:  int(l % 3),
-				Capacity:  2,
-			}
-			if e[i].InFlight < e[i].Capacity {
-				anyFree = true
-			}
-		}
-		for _, p := range policies {
-			got := p.Pick("fn", key, e)
-			if got == nil {
-				if anyFree {
-					return false // policy starved a free endpoint
-				}
-				continue
-			}
-			if got.InFlight >= got.Capacity {
-				return false // throttling violated
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLeastLoadedTieBreakSpreads(t *testing.T) {
-	p := NewLeastLoaded(11)
-	e := epsWithCapacity(4, 0, 0, 0)
-	seen := make(map[core.SandboxID]bool)
-	for i := 0; i < 200; i++ {
-		got := p.Pick("f", uint64(i), e)
-		seen[got.SandboxID] = true
-	}
-	if len(seen) < 2 {
-		t.Errorf("tie-break always picked the same endpoint")
-	}
-}
-
-func TestPolicyNames(t *testing.T) {
-	for _, tc := range []struct {
-		p    Policy
-		want string
-	}{
-		{NewLeastLoaded(1), "least-loaded"},
-		{NewRoundRobin(), "round-robin"},
-		{NewRandom(1), "random"},
-		{NewCHRLU(), "ch-rlu"},
-	} {
-		if tc.p.Name() != tc.want {
-			t.Errorf("Name = %q, want %q", tc.p.Name(), tc.want)
-		}
-	}
-}
-
 // snapEps builds a snapshot with the given in-flight counts and a shared
-// capacity, mirroring epsWithCapacity for the fast path.
+// capacity.
 func snapEps(capacity int, inflight ...int) []SnapshotEndpoint {
 	eps := make([]SnapshotEndpoint, len(inflight))
 	for i, n := range inflight {
@@ -234,12 +25,63 @@ func snapEps(capacity int, inflight ...int) []SnapshotEndpoint {
 	return eps
 }
 
+func TestLeastLoadedPicksIdle(t *testing.T) {
+	p := NewLeastLoaded(1)
+	got := p.PickIndex("f", 1, snapEps(4, 3, 0, 2))
+	if got != 1 {
+		t.Errorf("PickIndex = %d, want 1 (idle)", got)
+	}
+}
+
+// -1 is the policy's "no endpoint": the invocation queues.
+func TestLeastLoadedReturnsNilWhenSaturated(t *testing.T) {
+	p := NewLeastLoaded(1)
+	if idx := p.PickIndex("f", 1, snapEps(1, 1, 1, 1)); idx != -1 {
+		t.Errorf("saturated PickIndex = %d, want -1 (queue)", idx)
+	}
+}
+
+func TestLeastLoadedEmpty(t *testing.T) {
+	p := NewLeastLoaded(1)
+	if idx := p.PickIndex("f", 1, nil); idx != -1 {
+		t.Errorf("empty PickIndex = %d, want -1", idx)
+	}
+}
+
+// The tie-break spreads over the least-loaded endpoints only, and one key
+// always gets the same one.
+func TestLeastLoadedTieBreakSpreads(t *testing.T) {
+	p := NewLeastLoaded(11)
+	eps := snapEps(4, 0, 1, 0, 1, 0)
+	seen := make(map[int]bool)
+	for key := uint64(0); key < 200; key++ {
+		idx := p.PickIndex("f", key, eps)
+		if idx%2 != 0 {
+			t.Fatalf("key %d: tie-break picked loaded endpoint %d", key, idx)
+		}
+		if again := p.PickIndex("f", key, eps); again != idx {
+			t.Fatalf("key %d: picked %d, then %d", key, idx, again)
+		}
+		seen[idx] = true
+	}
+	if len(seen) < 2 {
+		t.Errorf("tie-break always picked the same endpoint")
+	}
+}
+
+// TestPickIndexMatchesPickSemantics checks the contract every policy
+// keeps, which the data plane's queueing relies on: a free endpoint is
+// picked whenever one exists, a saturated one never is, and a saturated
+// or empty set gives -1.
 func TestPickIndexMatchesPickSemantics(t *testing.T) {
-	for _, p := range []SnapshotPolicy{
-		NewLeastLoaded(1), NewRoundRobin(), NewRandom(1),
+	for _, tc := range []struct {
+		name string
+		p    Policy
+	}{
+		{"least-loaded", NewLeastLoaded(1)},
 	} {
-		t.Run(p.Name(), func(t *testing.T) {
-			// Least-loaded free slot must win; saturated must be skipped.
+		p := tc.p
+		t.Run(tc.name, func(t *testing.T) {
 			eps := snapEps(2, 2, 0, 2, 1)
 			for key := uint64(0); key < 50; key++ {
 				idx := p.PickIndex("f", key, eps)
@@ -250,11 +92,9 @@ func TestPickIndexMatchesPickSemantics(t *testing.T) {
 					t.Fatalf("key %d: picked saturated endpoint %d", key, idx)
 				}
 			}
-			// Fully saturated: -1.
 			if idx := p.PickIndex("f", 1, snapEps(1, 1, 1, 1)); idx != -1 {
 				t.Errorf("saturated PickIndex = %d, want -1", idx)
 			}
-			// Empty: -1.
 			if idx := p.PickIndex("f", 1, nil); idx != -1 {
 				t.Errorf("empty PickIndex = %d, want -1", idx)
 			}
@@ -284,17 +124,31 @@ func TestPickIndexTieBreakSpreads(t *testing.T) {
 	}
 }
 
-func TestPickIndexRoundRobinCycles(t *testing.T) {
-	p := NewRoundRobin()
-	eps := snapEps(1, 0, 0, 0)
-	seen := make(map[int]int)
-	for key := uint64(0); key < 30; key++ {
-		seen[p.PickIndex("f", key, eps)]++
-	}
-	for i := 0; i < 3; i++ {
-		if seen[i] == 0 {
-			t.Errorf("round-robin cursor never reached endpoint %d: %v", i, seen)
+// TestQuickPoliciesNeverPickFull property-tests LeastLoaded.PickIndex:
+// it returns -1 exactly when the set is empty or fully saturated, and
+// otherwise a non-saturated endpoint whose in-flight count is the
+// minimum among the non-saturated endpoints.
+func TestQuickPoliciesNeverPickFull(t *testing.T) {
+	p := NewLeastLoaded(5)
+	f := func(loads []uint8, key uint64) bool {
+		eps := make([]SnapshotEndpoint, len(loads))
+		minFree := int64(-1)
+		for i, l := range loads {
+			ctr := new(atomic.Int64)
+			ctr.Store(int64(l % 4))
+			eps[i] = SnapshotEndpoint{SandboxID: core.SandboxID(i + 1), InFlight: ctr, Capacity: 3}
+			if n := ctr.Load(); n < 3 && (minFree < 0 || n < minFree) {
+				minFree = n
+			}
 		}
+		idx := p.PickIndex("fn", key, eps)
+		if minFree < 0 {
+			return idx == -1
+		}
+		return idx >= 0 && idx < len(eps) && eps[idx].InFlight.Load() == minFree
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -314,24 +168,20 @@ func TestTryAcquireThrottles(t *testing.T) {
 }
 
 // TestPickIndexAllocationFree pins the contract that matters to the data
-// plane: the snapshot fast path performs zero allocations per pick.
+// plane: a warm pick performs zero allocations.
 func TestPickIndexAllocationFree(t *testing.T) {
 	eps := snapEps(2, 1, 0, 1, 0, 1, 0, 1, 0)
-	for _, p := range []SnapshotPolicy{
-		NewLeastLoaded(1), NewRoundRobin(), NewRandom(1),
-	} {
-		t.Run(p.Name(), func(t *testing.T) {
-			p.PickIndex("f", 1, eps) // warm per-function state (RR cursor)
-			key := uint64(0)
-			allocs := testing.AllocsPerRun(1000, func() {
-				key++
-				if p.PickIndex("f", key, eps) < 0 {
-					t.Fatal("no pick")
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("PickIndex allocates %.1f per op, want 0", allocs)
+	t.Run("least-loaded", func(t *testing.T) {
+		p := NewLeastLoaded(1)
+		key := uint64(0)
+		allocs := testing.AllocsPerRun(1000, func() {
+			key++
+			if p.PickIndex("f", key, eps) < 0 {
+				t.Fatal("no pick")
 			}
 		})
-	}
+		if allocs != 0 {
+			t.Errorf("PickIndex allocates %.1f per op, want 0", allocs)
+		}
+	})
 }

@@ -1,11 +1,12 @@
 // Package placement implements the control plane's sandbox placement
 // policies. Dirigent's default mirrors the K8s/Knative scheduler: it
 // "favors nodes with the least utilized resources while aiming to balance
-// resource utilization across CPU and memory" (paper §4). Alternative
-// policies (random, round-robin, a Hermod-style hybrid, and a
+// resource utilization across CPU and memory" (paper §4). CacheAware, a
 // cache-locality-aware variant that consults the image digests workers
-// report in heartbeats) plug in through the same interface, as the paper
-// describes for Hermod and CH-RLU.
+// report in heartbeats, is the one alternative shipped, because the
+// warmth experiment measures it. Others, such as Hermod (Kaffes et al.,
+// SoCC'22), plug in through Policy and the control plane's Placer, as
+// the paper describes; none is shipped.
 package placement
 
 import (
@@ -42,8 +43,6 @@ type Policy interface {
 	// Place returns the chosen node ID. Implementations must not retain
 	// the candidates slice.
 	Place(candidates []NodeStatus, req Requirements) (core.NodeID, error)
-	// Name identifies the policy.
-	Name() string
 }
 
 // fits reports whether the node has room for the request.
@@ -104,9 +103,6 @@ func NewKubeDefault(seed int64) *KubeDefault {
 	p.tb.seed(seed)
 	return p
 }
-
-// Name implements Policy.
-func (p *KubeDefault) Name() string { return "kube-default" }
 
 // Place implements Policy.
 func (p *KubeDefault) Place(candidates []NodeStatus, req Requirements) (core.NodeID, error) {
@@ -169,9 +165,6 @@ func NewCacheAware(seed int64) *CacheAware {
 	return p
 }
 
-// Name implements Policy.
-func (p *CacheAware) Name() string { return "cache-aware" }
-
 // Place implements Policy.
 func (p *CacheAware) Place(candidates []NodeStatus, req Requirements) (core.NodeID, error) {
 	best, err := placeScored(&p.tb, candidates, req, func(c *NodeStatus, req Requirements) float64 {
@@ -185,115 +178,4 @@ func (p *CacheAware) Place(candidates []NodeStatus, req Requirements) (core.Node
 		return 0, err
 	}
 	return candidates[best].Node.ID, nil
-}
-
-// Random places on a uniformly random feasible node.
-type Random struct {
-	tb tieBreaker
-}
-
-// NewRandom returns a random placement policy.
-func NewRandom(seed int64) *Random {
-	p := &Random{}
-	p.tb.seed(seed)
-	return p
-}
-
-// Name implements Policy.
-func (p *Random) Name() string { return "random" }
-
-// Place implements Policy.
-func (p *Random) Place(candidates []NodeStatus, req Requirements) (core.NodeID, error) {
-	chosen := -1
-	feasible := uint64(0)
-	r := p.tb.stream(req.ImageHash)
-	for i := range candidates {
-		if !fits(&candidates[i], req) {
-			continue
-		}
-		feasible++
-		r = core.Splitmix64(r)
-		if r%feasible == 0 {
-			chosen = i
-		}
-	}
-	if chosen < 0 {
-		return 0, ErrNoCapacity
-	}
-	return candidates[chosen].Node.ID, nil
-}
-
-// RoundRobin cycles through feasible nodes.
-type RoundRobin struct {
-	next atomic.Uint64
-}
-
-// NewRoundRobin returns a round-robin placement policy.
-func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
-
-// Name implements Policy.
-func (p *RoundRobin) Name() string { return "round-robin" }
-
-// Place implements Policy.
-func (p *RoundRobin) Place(candidates []NodeStatus, req Requirements) (core.NodeID, error) {
-	if len(candidates) == 0 {
-		return 0, ErrNoCapacity
-	}
-	start := int(p.next.Add(1)-1) % len(candidates)
-	for i := 0; i < len(candidates); i++ {
-		idx := (start + i) % len(candidates)
-		if fits(&candidates[idx], req) {
-			p.next.Store(uint64(idx + 1))
-			return candidates[idx].Node.ID, nil
-		}
-	}
-	return 0, ErrNoCapacity
-}
-
-// Hermod implements a Hermod-style hybrid policy (Kaffes et al., SoCC'22):
-// prefer packing onto moderately loaded nodes ("least-loaded among warm")
-// to balance cold-start avoidance against interference, falling back to the
-// globally least-loaded node. The paper lists Hermod as a supported but
-// unused policy (§4); it is exercised by the ablation benches.
-type Hermod struct{}
-
-// NewHermod returns the Hermod-style policy.
-func NewHermod() *Hermod { return &Hermod{} }
-
-// Name implements Policy.
-func (p *Hermod) Name() string { return "hermod" }
-
-// Place implements Policy.
-func (p *Hermod) Place(candidates []NodeStatus, req Requirements) (core.NodeID, error) {
-	best := -1
-	bestKey := math.Inf(1)
-	for i := range candidates {
-		c := &candidates[i]
-		if !fits(c, req) {
-			continue
-		}
-		cpuFrac := float64(c.Util.CPUMilliUsed) / float64(max(c.Node.CPUMilli, 1))
-		// Hermod's hybrid: pack onto busy-but-not-saturated nodes. Key
-		// is distance from a 50% utilization sweet spot; saturated nodes
-		// (>90%) are deprioritized strongly.
-		key := math.Abs(cpuFrac - 0.5)
-		if cpuFrac > 0.9 {
-			key += 1
-		}
-		if key < bestKey {
-			bestKey = key
-			best = i
-		}
-	}
-	if best < 0 {
-		return 0, ErrNoCapacity
-	}
-	return candidates[best].Node.ID, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

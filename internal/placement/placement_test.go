@@ -1,6 +1,8 @@
 package placement
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -30,6 +32,9 @@ func nodes(utils ...[2]int) []NodeStatus {
 
 var req = Requirements{CPUMilli: 100, MemoryMB: 128}
 
+// imgReq is req with an image, which cache-aware matches against digests.
+var imgReq = Requirements{CPUMilli: 100, MemoryMB: 128, ImageHash: core.HashImage("registry.local/fn-a")}
+
 func TestKubeDefaultPrefersLeastUtilized(t *testing.T) {
 	p := NewKubeDefault(1)
 	cands := nodes([2]int{9000, 60000}, [2]int{100, 1000}, [2]int{5000, 30000})
@@ -56,118 +61,95 @@ func TestKubeDefaultBalancesCPUAndMemory(t *testing.T) {
 	}
 }
 
-func TestPlacementRespectsCapacity(t *testing.T) {
-	policies := []Policy{NewKubeDefault(1), NewRandom(1), NewRoundRobin(), NewHermod()}
-	full := nodes([2]int{10000, 65536}, [2]int{9950, 65536})
-	for _, p := range policies {
-		if _, err := p.Place(full, req); err == nil {
-			t.Errorf("%s placed on a full cluster", p.Name())
-		}
+// namedPolicy labels a policy in test output.
+type namedPolicy struct {
+	name string
+	p    Policy
+}
+
+// shipped returns one instance of every shipped policy.
+func shipped(seed int64) []namedPolicy {
+	return []namedPolicy{
+		{"kube-default", NewKubeDefault(seed)},
+		{"cache-aware", NewCacheAware(seed)},
 	}
-	empty := []NodeStatus{}
-	for _, p := range policies {
-		if _, err := p.Place(empty, req); err == nil {
-			t.Errorf("%s placed with no nodes", p.Name())
+}
+
+// withDigests gives every candidate a random cache digest, holding the
+// request's image on about half of them, so cache-aware's digest search
+// runs.
+func withDigests(rng *rand.Rand, cands []NodeStatus, img uint64) {
+	for i := range cands {
+		d := []uint64{rng.Uint64(), rng.Uint64()}
+		if rng.Intn(2) == 0 {
+			d = append(d, img)
+		}
+		slices.Sort(d)
+		cands[i].Util.CacheDigest = d
+	}
+}
+
+func TestPlacementRespectsCapacity(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	full := nodes([2]int{10000, 65536}, [2]int{9950, 65536})
+	withDigests(rng, full, imgReq.ImageHash)
+	for _, tc := range shipped(1) {
+		if _, err := tc.p.Place(full, imgReq); err == nil {
+			t.Errorf("%s placed on a full cluster", tc.name)
+		}
+		if _, err := tc.p.Place([]NodeStatus{}, imgReq); err == nil {
+			t.Errorf("%s placed with no nodes", tc.name)
 		}
 	}
 }
 
 func TestPlacementPartialCapacity(t *testing.T) {
-	policies := []Policy{NewKubeDefault(1), NewRandom(1), NewRoundRobin(), NewHermod()}
+	rng := rand.New(rand.NewSource(2))
 	// Only node 3 has room.
 	cands := nodes([2]int{10000, 65536}, [2]int{10000, 65536}, [2]int{0, 0})
-	for _, p := range policies {
-		id, err := p.Place(cands, req)
+	withDigests(rng, cands, imgReq.ImageHash)
+	for _, tc := range shipped(1) {
+		id, err := tc.p.Place(cands, imgReq)
 		if err != nil {
-			t.Errorf("%s: %v", p.Name(), err)
+			t.Errorf("%s: %v", tc.name, err)
 			continue
 		}
 		if id != 3 {
-			t.Errorf("%s placed on %d, want 3", p.Name(), id)
+			t.Errorf("%s placed on %d, want 3", tc.name, id)
 		}
-	}
-}
-
-func TestRoundRobinCycles(t *testing.T) {
-	p := NewRoundRobin()
-	cands := nodes([2]int{0, 0}, [2]int{0, 0}, [2]int{0, 0})
-	seen := make(map[core.NodeID]int)
-	for i := 0; i < 9; i++ {
-		id, err := p.Place(cands, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[id]++
-	}
-	for id, n := range seen {
-		if n != 3 {
-			t.Errorf("node %d placed %d times, want 3", id, n)
-		}
-	}
-}
-
-func TestRandomSpreads(t *testing.T) {
-	p := NewRandom(7)
-	cands := nodes([2]int{0, 0}, [2]int{0, 0}, [2]int{0, 0}, [2]int{0, 0})
-	seen := make(map[core.NodeID]int)
-	for i := 0; i < 400; i++ {
-		id, err := p.Place(cands, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[id]++
-	}
-	if len(seen) != 4 {
-		t.Errorf("random placement used %d of 4 nodes", len(seen))
-	}
-	for id, n := range seen {
-		if n < 50 {
-			t.Errorf("node %d only placed %d/400; too skewed", id, n)
-		}
-	}
-}
-
-func TestHermodPrefersModeratelyLoaded(t *testing.T) {
-	p := NewHermod()
-	// Empty node (0%), moderate node (50%), nearly saturated (95%).
-	cands := nodes([2]int{0, 0}, [2]int{5000, 32768}, [2]int{9500, 62000})
-	id, err := p.Place(cands, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 2 {
-		t.Errorf("hermod placed on %d, want 2 (moderate load)", id)
 	}
 }
 
 // TestQuickPlacementAlwaysFeasible property-tests that every policy only
-// ever returns nodes that actually fit the request.
+// ever returns nodes that actually fit the request, and refuses only
+// when none does.
 func TestQuickPlacementAlwaysFeasible(t *testing.T) {
-	policies := []Policy{NewKubeDefault(3), NewRandom(3), NewRoundRobin(), NewHermod()}
-	f := func(raw []uint16) bool {
+	policies := shipped(3)
+	f := func(raw []uint16, seed int64) bool {
 		if len(raw) == 0 {
 			return true
 		}
 		cands := make([]NodeStatus, 0, len(raw))
-		for i, r := range raw {
+		for i, v := range raw {
 			cands = append(cands, NodeStatus{
 				Node: core.WorkerNode{ID: core.NodeID(i + 1), CPUMilli: 10000, MemoryMB: 65536},
 				Util: core.NodeUtilization{
-					CPUMilliUsed: int(r) % 11000,
-					MemoryMBUsed: (int(r) * 7) % 70000,
+					CPUMilliUsed: int(v) % 11000,
+					MemoryMBUsed: (int(v) * 7) % 70000,
 				},
 			})
 		}
+		withDigests(rand.New(rand.NewSource(seed)), cands, imgReq.ImageHash)
 		byID := make(map[core.NodeID]NodeStatus)
 		anyFits := false
 		for _, c := range cands {
 			byID[c.Node.ID] = c
-			if fits(&c, req) {
+			if fits(&c, imgReq) {
 				anyFits = true
 			}
 		}
-		for _, p := range policies {
-			id, err := p.Place(cands, req)
+		for _, tc := range policies {
+			id, err := tc.p.Place(cands, imgReq)
 			if err != nil {
 				if anyFits {
 					return false // refused although a node fits
@@ -175,7 +157,7 @@ func TestQuickPlacementAlwaysFeasible(t *testing.T) {
 				continue
 			}
 			c := byID[id]
-			if !fits(&c, req) {
+			if !fits(&c, imgReq) {
 				return false // placed on an overfull node
 			}
 		}
@@ -183,23 +165,6 @@ func TestQuickPlacementAlwaysFeasible(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPolicyNames(t *testing.T) {
-	for _, tc := range []struct {
-		p    Policy
-		want string
-	}{
-		{NewKubeDefault(1), "kube-default"},
-		{NewCacheAware(1), "cache-aware"},
-		{NewRandom(1), "random"},
-		{NewRoundRobin(), "round-robin"},
-		{NewHermod(), "hermod"},
-	} {
-		if tc.p.Name() != tc.want {
-			t.Errorf("Name = %q, want %q", tc.p.Name(), tc.want)
-		}
 	}
 }
 
@@ -286,14 +251,7 @@ func TestPlaceAllocationFree(t *testing.T) {
 	img := core.HashImage("registry.local/fn-a")
 	cands[2].Util.CacheDigest = []uint64{img}
 	reqs := Requirements{CPUMilli: 100, MemoryMB: 128, ImageHash: img}
-	for _, tc := range []struct {
-		name string
-		p    Policy
-	}{
-		{"kube-default", NewKubeDefault(1)},
-		{"cache-aware", NewCacheAware(1)},
-		{"random", NewRandom(1)},
-	} {
+	for _, tc := range shipped(1) {
 		if avg := testing.AllocsPerRun(100, func() {
 			if _, err := tc.p.Place(cands, reqs); err != nil {
 				t.Fatal(err)
@@ -308,16 +266,16 @@ func TestPlaceAllocationFree(t *testing.T) {
 // old mutex-guarded rng serialized here; run with -race).
 func TestConcurrentPlacements(t *testing.T) {
 	cands := nodes([2]int{0, 0}, [2]int{0, 0}, [2]int{0, 0}, [2]int{0, 0})
-	for _, p := range []Policy{NewKubeDefault(1), NewCacheAware(1), NewRandom(1), NewRoundRobin()} {
+	for _, tc := range shipped(1) {
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 500; i++ {
-					id, err := p.Place(cands, req)
+					id, err := tc.p.Place(cands, req)
 					if err != nil || id < 1 || id > 4 {
-						t.Errorf("%s: id=%d err=%v", p.Name(), id, err)
+						t.Errorf("%s: id=%d err=%v", tc.name, id, err)
 						return
 					}
 				}

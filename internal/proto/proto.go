@@ -531,9 +531,16 @@ type ScalingMetricReport struct {
 	Metrics   []core.ScalingMetric
 }
 
-// Marshal encodes the report.
+// Marshal encodes the report into a buffer of its own.
 func (m *ScalingMetricReport) Marshal() []byte {
-	e := codec.NewEncoder(16 + 32*len(m.Metrics))
+	return m.AppendTo(make([]byte, 0, 16+32*len(m.Metrics)))
+}
+
+// AppendTo appends the encoded report to dst and returns the extended
+// buffer, so a caller can encode into one it reuses.
+func (m *ScalingMetricReport) AppendTo(dst []byte) []byte {
+	var e codec.Encoder
+	e.Extend(dst)
 	e.U16(uint16(m.DataPlane))
 	e.U32(uint32(len(m.Metrics)))
 	for i := range m.Metrics {
