@@ -135,18 +135,22 @@ func (fs *functionState) scaleStep(now time.Time, downscale bool) (scaleAction, 
 // by the sweep and the report handler. Each placement is queued on its
 // worker's sender, which coalesces whatever its worker is owed into one
 // CreateSandboxBatch call, each kill likewise, and every function whose
-// endpoint set changed is owed to every data plane's sender. decidedAt is
-// when the deciding pass began.
+// endpoint set changed is owed to every data plane's sender. A decision's
+// creates are all queued before their workers' senders are woken, and so
+// are the batch's kills. decidedAt is when the deciding pass began.
 func (cp *ControlPlane) applyScale(actions []scaleAction, decidedAt time.Time) {
 	if len(actions) == 0 {
 		return
 	}
 	var kills []*sandboxState
 	var drained []string
+	var few [4]*workerState
 	for _, a := range actions {
+		placed := few[:0]
 		for i := 0; i < a.create; i++ {
-			cp.placeSandbox(a.fs, a.fn, decidedAt)
+			placed = addWorker(placed, cp.placeSandbox(a.fs, a.fn, decidedAt))
 		}
+		cp.wakeWorkers(placed)
 		if len(a.kills) > 0 {
 			kills = append(kills, a.kills...)
 			drained = append(drained, a.fn.Name)
@@ -157,14 +161,15 @@ func (cp *ControlPlane) applyScale(actions []scaleAction, decidedAt time.Time) {
 }
 
 // placeSandbox places one of the creations scaleStep reserved on fs and
-// queues it on its worker's sender. This is the latency-critical
+// queues it for its worker, whose sender the caller wakes; it returns
+// that worker, or nil when nothing was queued. This is the latency-critical
 // cold-start path: note the absence of any persistent state update (design
 // principle 2) and of any global lock — the path reads worker shards one
 // at a time, takes one worker's mutex, and one function shard, so cold
 // starts for unrelated functions proceed in parallel with registrations
 // and heartbeats on other shards. When placement fails or the function
 // vanished nothing is queued; either way the reservation is released.
-func (cp *ControlPlane) placeSandbox(fs *functionState, fn core.Function, decidedAt time.Time) {
+func (cp *ControlPlane) placeSandbox(fs *functionState, fn core.Function, decidedAt time.Time) *workerState {
 	w, nodeID := cp.chargeWorker(fn)
 	// Only the state the decision was taken on holds the reservation: a
 	// function deregistered (or recovered into a fresh state) meanwhile
@@ -191,7 +196,7 @@ func (cp *ControlPlane) placeSandbox(fs *functionState, fn core.Function, decide
 		}
 	})
 	if w == nil {
-		return
+		return nil
 	}
 	if !placed {
 		// Return the optimistic utilization chargeWorker took.
@@ -199,10 +204,13 @@ func (cp *ControlPlane) placeSandbox(fs *functionState, fn core.Function, decide
 		w.util.CPUMilliUsed -= fn.Scaling.CPUMilli
 		w.util.MemoryMBUsed -= fn.Scaling.MemoryMB
 		w.mu.Unlock()
-		return
+		return nil
 	}
 	cp.cCreationsRequested.Inc()
-	cp.enqueueCreate(w, queuedCreate{req: proto.CreateSandboxRequest{SandboxID: id, Function: fn}, decidedAt: decidedAt})
+	w.mu.Lock()
+	w.creates = append(w.creates, queuedCreate{req: proto.CreateSandboxRequest{SandboxID: id, Function: fn}, decidedAt: decidedAt})
+	w.mu.Unlock()
+	return w
 }
 
 // chargeWorker picks a worker for one sandbox of fn and optimistically

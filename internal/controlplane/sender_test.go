@@ -284,6 +284,15 @@ func queued(id core.SandboxID) queuedCreate {
 	return queuedCreate{req: proto.CreateSandboxRequest{SandboxID: id, Function: fnSpec("f")}}
 }
 
+// enqueueCreate queues one creation on w's sender and wakes it, as a
+// decision of one create does.
+func (cp *ControlPlane) enqueueCreate(w *workerState, c queuedCreate) {
+	w.mu.Lock()
+	w.creates = append(w.creates, c)
+	w.mu.Unlock()
+	cp.wakeWorkers([]*workerState{w})
+}
+
 // TestBlockedWorkerDoesNotDelayAnother: each worker has its own sender, so
 // a create call held open on one worker leaves another worker's creates
 // on their way at once; the held worker's later creates wait for its call

@@ -3,6 +3,7 @@ package controlplane
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -139,20 +140,35 @@ type queuedCreate struct {
 	decidedAt time.Time
 }
 
-// enqueueCreate queues one creation on w's sender.
-func (cp *ControlPlane) enqueueCreate(w *workerState, c queuedCreate) {
-	w.mu.Lock()
-	w.creates = append(w.creates, c)
-	wake := w.out.notify()
-	w.mu.Unlock()
-	if wake != nil {
-		cp.startWorkerSender(w, wake)
+// wakeWorkers wakes the sender of every worker in ws, or starts one. The
+// callers queue a decision's work whole before they wake anyone: a sender
+// woken by its first item would run on another P and take the decision
+// in parts, one call each.
+func (cp *ControlPlane) wakeWorkers(ws []*workerState) {
+	for _, w := range ws {
+		w.mu.Lock()
+		wake := w.out.notify()
+		w.mu.Unlock()
+		if wake != nil {
+			cp.startWorkerSender(w, wake)
+		}
 	}
 }
 
-// dispatchKills queues teardowns on their workers' senders. A kill for a
-// worker no longer registered is dropped: nothing tracks its sandboxes.
+// addWorker appends w to ws unless it is nil or listed already.
+func addWorker(ws []*workerState, w *workerState) []*workerState {
+	if w == nil || slices.Contains(ws, w) {
+		return ws
+	}
+	return append(ws, w)
+}
+
+// dispatchKills queues teardowns on their workers' senders, all of them
+// before it wakes any. A kill for a worker no longer registered is
+// dropped: nothing tracks its sandboxes.
 func (cp *ControlPlane) dispatchKills(kills []*sandboxState) {
+	var few [4]*workerState
+	woken := few[:0]
 	for _, sb := range kills {
 		cp.cTeardowns.Inc()
 		if cp.cfg.PersistSandboxState {
@@ -164,12 +180,10 @@ func (cp *ControlPlane) dispatchKills(kills []*sandboxState) {
 		}
 		w.mu.Lock()
 		w.kills = append(w.kills, sb.id)
-		wake := w.out.notify()
 		w.mu.Unlock()
-		if wake != nil {
-			cp.startWorkerSender(w, wake)
-		}
+		woken = addWorker(woken, w)
 	}
+	cp.wakeWorkers(woken)
 }
 
 // startWorkerSender runs w's sender. Each batch it takes is every create

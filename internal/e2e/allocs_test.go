@@ -27,12 +27,12 @@ import (
 const maxWarmInvokeAllocs = 2
 
 // maxWarmTCPInvokeAllocs is the same invocation over loopback TCP: the two
-// above plus three per hop, front end → data plane and data plane →
-// worker. Each hop's three are the payload the server reads the request
-// into, the closure of the goroutine that runs the handler, and the body
-// the client reads the response into. Frame headers, method names,
+// above plus one per hop, front end → data plane and data plane → worker.
+// Each hop's one is the response body the client reads and its caller
+// keeps. The server reads each request into a pooled frame and runs it on
+// its connection's parked handler goroutine; frame headers, method names,
 // pending-call records and the deadlines' timers cost nothing.
-const maxWarmTCPInvokeAllocs = maxWarmInvokeAllocs + 2*3
+const maxWarmTCPInvokeAllocs = maxWarmInvokeAllocs + 2*1
 
 // TestWarmInvokeAllocations pins the heap cost of the warm path through
 // every tier, so a copy or a timer that creeps back onto it fails here and

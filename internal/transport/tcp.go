@@ -10,6 +10,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -18,12 +19,14 @@ import (
 // Response frame: id(8) | kind(1)=1 | status(1) | bodyLen(4) | body
 // Clients keep one multiplexed connection per remote address.
 //
-// A call allocates only what outlives it: the request payload the handler
-// receives, the response body the caller receives, and the handler's
-// goroutine. Frame headers are read and written in the connections'
-// buffers, method names are interned per connection, and pending calls
-// are pooled records. A call bounded by a *Deadline is timed by its
-// connection's one timer, so its Done is never called.
+// A call allocates only what outlives it: the response body the caller
+// receives. The server reads each request payload into a pooled frame and
+// reuses it once the handler has returned and the response is written,
+// and runs the request on its connection's parked handler goroutine when
+// that one is idle (serverConn). Frame headers are read and written in
+// the connections' buffers, method names are interned per connection,
+// and pending calls are pooled records. A call bounded by a *Deadline is
+// timed by its connection's one timer, so its Done is never called.
 type TCP struct {
 	mu    sync.Mutex
 	conns map[string]*tcpClientConn
@@ -75,7 +78,7 @@ type tcpListener struct {
 	wg      sync.WaitGroup
 
 	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
+	conns  map[*serverConn]struct{}
 	closed bool
 }
 
@@ -88,30 +91,30 @@ func (s *tcpListener) Close() error {
 	// reads unblock; otherwise Close would wait on them forever.
 	s.connMu.Lock()
 	s.closed = true
-	for conn := range s.conns {
-		conn.Close()
+	for c := range s.conns {
+		c.conn.Close()
 	}
 	s.connMu.Unlock()
 	s.wg.Wait()
 	return err
 }
 
-func (s *tcpListener) track(conn net.Conn) bool {
+func (s *tcpListener) track(c *serverConn) bool {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
 	if s.closed {
 		return false
 	}
 	if s.conns == nil {
-		s.conns = make(map[net.Conn]struct{})
+		s.conns = make(map[*serverConn]struct{})
 	}
-	s.conns[conn] = struct{}{}
+	s.conns[c] = struct{}{}
 	return true
 }
 
-func (s *tcpListener) untrack(conn net.Conn) {
+func (s *tcpListener) untrack(c *serverConn) {
 	s.connMu.Lock()
-	delete(s.conns, conn)
+	delete(s.conns, c)
 	s.connMu.Unlock()
 }
 
@@ -126,46 +129,133 @@ func (s *tcpListener) acceptLoop() {
 			}
 			return
 		}
-		if !s.track(conn) {
+		c := &serverConn{
+			s:       s,
+			conn:    conn,
+			w:       bufio.NewWriterSize(conn, frameBufferSize),
+			handoff: make(chan tcpRequest, 1),
+		}
+		if !s.track(c) {
 			conn.Close()
 			return
 		}
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			defer s.untrack(conn)
-			s.serveConn(conn)
+			defer s.untrack(c)
+			c.serve()
 		}()
 	}
 }
 
-func (s *tcpListener) serveConn(conn net.Conn) {
-	defer conn.Close()
-	r := bufio.NewReaderSize(conn, frameBufferSize)
+// responseWriteTimeout bounds a response write: a client that sends and
+// never reads loses its connection instead of holding the server's
+// handlers. A variable so that tests can shorten it.
+var responseWriteTimeout = 10 * time.Second
+
+// serverConn is the server side of one accepted connection. Its reader
+// hands each request to a handler goroutine, so a handler that blocks
+// never delays another request on the connection. At most one handler
+// goroutine is parked idle per connection: a request that finds it parked
+// is handed over through handoff, one that does not starts a goroutine,
+// and a goroutine that has written its response parks if no other is
+// parked and exits otherwise. A warm connection thus runs its requests on
+// one goroutine whose stack has already grown.
+type serverConn struct {
+	s    *tcpListener
+	conn net.Conn
+
+	wmu     sync.Mutex
+	w       *bufio.Writer
+	writeBy time.Time // the connection's write deadline; zero before the first response
+
+	// parked is set by a handler goroutine that parks and cleared by the
+	// reader that hands it a request. Every request handed over follows a
+	// park, so a send on handoff waits at most for a goroutine that has
+	// parked to reach its receive. The reader closes handoff when the
+	// connection ends, which ends a parked goroutine.
+	parked  atomic.Bool
+	handoff chan tcpRequest
+}
+
+// tcpRequest is one request frame on its way to a handler. payload is a
+// pooled frame, given back once the response is written.
+type tcpRequest struct {
+	id      uint64
+	method  string
+	payload *[]byte
+}
+
+func (c *serverConn) serve() {
+	defer close(c.handoff)
+	defer c.conn.Close()
+	r := bufio.NewReaderSize(c.conn, frameBufferSize)
 	methods := make(methodTable)
-	var wmu sync.Mutex
-	w := bufio.NewWriterSize(conn, frameBufferSize)
 	for {
 		id, method, payload, err := readRequest(r, methods)
 		if err != nil {
 			return
 		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			body, herr := s.handler(method, payload)
-			status := byte(respStatusOK)
-			if herr != nil {
-				status = respStatusError
-				body = []byte(herr.Error())
-			}
-			wmu.Lock()
-			defer wmu.Unlock()
-			if err := writeResponse(w, id, status, body); err != nil {
-				conn.Close()
-			}
-		}()
+		req := tcpRequest{id: id, method: method, payload: payload}
+		if c.parked.CompareAndSwap(true, false) {
+			c.handoff <- req
+			continue
+		}
+		c.s.wg.Add(1)
+		go c.handle(req)
 	}
+}
+
+// handle serves req and then, parked between them, whatever requests the
+// reader hands it, until another goroutine holds the parking slot or the
+// connection ends.
+func (c *serverConn) handle(req tcpRequest) {
+	defer c.s.wg.Done()
+	for {
+		c.respond(req)
+		if !c.parked.CompareAndSwap(false, true) {
+			return
+		}
+		var ok bool
+		if req, ok = <-c.handoff; !ok {
+			return
+		}
+	}
+}
+
+// respond runs the handler on req and writes its response. The payload
+// goes back to the pool only once the response is written: the response
+// may alias it.
+func (c *serverConn) respond(req tcpRequest) {
+	body, herr := c.s.handler(req.method, *req.payload)
+	status := byte(respStatusOK)
+	if herr != nil {
+		status = respStatusError
+		body = []byte(herr.Error())
+	}
+	c.wmu.Lock()
+	err := c.extendWriteDeadline()
+	if err == nil {
+		err = writeResponse(c.w, req.id, status, body)
+	}
+	c.wmu.Unlock()
+	if err != nil {
+		c.conn.Close()
+	}
+	PutFrame(req.payload)
+}
+
+// extendWriteDeadline moves the connection's write deadline to
+// responseWriteTimeout from now once less than half of that is left, so
+// a busy connection sets it about once per half timeout, not per
+// response. Callers hold wmu.
+func (c *serverConn) extendWriteDeadline() error {
+	now := time.Now()
+	if c.writeBy.Sub(now) >= responseWriteTimeout/2 {
+		return nil
+	}
+	c.writeBy = now.Add(responseWriteTimeout)
+	return c.conn.SetWriteDeadline(c.writeBy)
 }
 
 // methodTable interns one connection's method names, so a request for a
@@ -183,12 +273,14 @@ func (m methodTable) intern(b []byte) string {
 	return s
 }
 
-// readRequest reads one request frame. The payload is the frame's own
-// buffer; nothing else is allocated unless the method name is new. One
-// Peek sees everything before the payload, so a frame too large is
-// refused before anything is allocated for it; a method name too long for
-// that (over 65 521 bytes) fails the Peek, and the frame is refused too.
-func readRequest(r *bufio.Reader, methods methodTable) (id uint64, method string, payload []byte, err error) {
+// readRequest reads one request frame. The payload is read into a pooled
+// frame, which the caller gives back with PutFrame; nothing else is
+// allocated unless the method name is new or the payload outgrows the
+// frame. One Peek sees everything before the payload, so a frame too
+// large is refused before anything is allocated for it; a method name too
+// long for that (over 65 521 bytes) fails the Peek, and the frame is
+// refused too.
+func readRequest(r *bufio.Reader, methods methodTable) (id uint64, method string, payload *[]byte, err error) {
 	h, err := r.Peek(requestHeaderLen)
 	if err != nil {
 		return 0, "", nil, err
@@ -208,8 +300,13 @@ func readRequest(r *bufio.Reader, methods methodTable) (id uint64, method string
 	id = binary.LittleEndian.Uint64(prefix)
 	method = methods.intern(prefix[requestHeaderLen : requestHeaderLen+mlen])
 	r.Discard(len(prefix)) // cannot fail: the bytes were peeked
-	payload = make([]byte, plen)
-	if _, err = io.ReadFull(r, payload); err != nil {
+	payload = GetFrame()
+	if cap(*payload) < int(plen) {
+		*payload = make([]byte, plen)
+	}
+	*payload = (*payload)[:plen]
+	if _, err = io.ReadFull(r, *payload); err != nil {
+		PutFrame(payload)
 		return 0, "", nil, err
 	}
 	return id, method, payload, nil

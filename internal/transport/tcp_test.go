@@ -8,7 +8,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,12 +54,13 @@ func awaitPending(t *testing.T, tr *TCP, addr string, n int) *tcpClientConn {
 }
 
 // TestTCPCallAllocations pins what one call costs the heap, client and
-// server together: three, the payload the server reads the request into,
-// the closure of the goroutine that runs the handler, and the body the
-// client reads the response into. A *Deadline adds nothing: it is pooled,
-// and the connection's timer watches it, so its Done builds no channel or
-// timer. The frame headers, the interned method name and the pooled
-// pending-call record cost nothing either.
+// server together: one, the body the client reads the response into and
+// its caller keeps. The server reads the request into a pooled frame and
+// runs it on its connection's parked handler goroutine, so it starts no
+// goroutine. A *Deadline adds nothing: it is pooled, and the connection's
+// timer watches it, so its Done builds no channel or timer. The frame
+// headers, the interned method name and the pooled pending-call record
+// cost nothing either.
 func TestTCPCallAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -74,11 +77,11 @@ func TestTCPCallAllocations(t *testing.T) {
 		max  float64
 		call func() error
 	}{
-		{"Background", 3, func() error {
+		{"Background", 1, func() error {
 			_, err := tr.Call(context.Background(), addr, "dp.Invoke", payload)
 			return err
 		}},
-		{"Deadline", 3, func() error {
+		{"Deadline", 1, func() error {
 			d := NewDeadline(context.Background(), time.Minute)
 			defer d.Stop()
 			_, err := tr.Call(d, addr, "dp.Invoke", payload)
@@ -372,6 +375,197 @@ func TestTCPConnectionLossFailsPendingAndStopsTimer(t *testing.T) {
 	}
 }
 
+// parkedHandlers counts the connections of ln with a handler goroutine
+// parked. Reading a parked flag orders everything its handler did before
+// parking, its PutFrame included, before the caller's next step.
+func parkedHandlers(ln Listener) int {
+	s := ln.(*tcpListener)
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	n := 0
+	for c := range s.conns {
+		if c.parked.Load() {
+			n++
+		}
+	}
+	return n
+}
+
+// awaitServerState waits until ok holds, polling, and fails the test
+// with what it last saw otherwise.
+func awaitServerState(t *testing.T, what string, ok func() (bool, string)) {
+	t.Helper()
+	for limit := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		done, saw := ok()
+		if done {
+			return
+		}
+		if time.Now().After(limit) {
+			t.Fatalf("%s: still %s after 5 s", what, saw)
+		}
+	}
+}
+
+// TestTCPBlockedHandlersRunAtOnce: 64 concurrent calls on one connection
+// whose handlers each block until all 64 have arrived, so they complete
+// only if every request runs on a handler of its own at once. Afterwards
+// the server keeps one parked handler for the connection, and the
+// goroutine count is back to the listener's, the connection's two
+// readers and that handler.
+func TestTCPBlockedHandlersRunAtOnce(t *testing.T) {
+	const calls = 64
+	tr := NewTCP()
+	defer tr.Close()
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	// One deadline for every handler, so that handlers run one at a time
+	// fail in seconds, not 64 timeouts.
+	giveUp, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	ln, err := tr.Listen("127.0.0.1:0", func(_ string, p []byte) ([]byte, error) {
+		if string(p) == "dial" {
+			return p, nil
+		}
+		if arrived.Add(1) == calls {
+			close(all)
+		}
+		select {
+		case <-all:
+			return p, nil
+		case <-giveUp.Done():
+			return nil, errors.New("not every call reached a handler")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	base := runtime.NumGoroutine()
+	if _, err := tr.Call(context.Background(), ln.Addr(), "m", []byte("dial")); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			want := []byte(fmt.Sprintf("call-%d", i))
+			if got, err := tr.Call(context.Background(), ln.Addr(), "m", want); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("call %d = %q, %v; want its own payload", i, got, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	awaitServerState(t, "after the calls", func() (bool, string) {
+		n, parked := runtime.NumGoroutine(), parkedHandlers(ln)
+		return n <= base+3 && parked == 1, fmt.Sprintf("%d goroutines (want at most %d) and %d parked handlers (want 1)", n, base+3, parked)
+	})
+}
+
+// TestTCPListenerCloseEndsParkedHandler: Close returns while a handler is
+// parked, and ends it.
+func TestTCPListenerCloseEndsParkedHandler(t *testing.T) {
+	tr := NewTCP()
+	defer tr.Close()
+	base := runtime.NumGoroutine()
+	ln, err := tr.Listen("127.0.0.1:0", func(_ string, p []byte) ([]byte, error) { return p, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Call(context.Background(), ln.Addr(), "m", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	awaitServerState(t, "after the call", func() (bool, string) {
+		n := parkedHandlers(ln)
+		return n == 1, fmt.Sprintf("%d parked handlers", n)
+	})
+	closed := make(chan error, 1)
+	go func() { closed <- ln.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close still waited 5 s with a handler parked")
+	}
+	awaitServerState(t, "after Close", func() (bool, string) {
+		n := runtime.NumGoroutine()
+		return n <= base, fmt.Sprintf("%d goroutines, want at most %d", n, base)
+	})
+}
+
+// TestTCPResponseWriteDeadline: a client that sends large requests and
+// never reads their responses loses its connection once a response write
+// has waited responseWriteTimeout, and the server's goroutines return.
+func TestTCPResponseWriteDeadline(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	defer func(old time.Duration) { responseWriteTimeout = old }(responseWriteTimeout)
+	responseWriteTimeout = timeout
+	tr := NewTCP()
+	ln, err := tr.Listen("127.0.0.1:0", func(_ string, p []byte) ([]byte, error) { return p, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	base := runtime.NumGoroutine()
+	conn, err := net.Dial("tcp", ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.(*net.TCPConn).SetReadBuffer(4 << 10); err != nil {
+		t.Fatal(err)
+	}
+	// 16 MiB of echoes, far more than the socket buffers hold. A slow
+	// writer may find the connection closed before it is done.
+	w := bufio.NewWriterSize(conn, frameBufferSize)
+	big := make([]byte, 256<<10)
+	for id := uint64(1); id <= 64; id++ {
+		if err := writeRequest(w, id, "m", big); err != nil {
+			t.Logf("request %d: %v", id, err)
+			break
+		}
+	}
+	start := time.Now()
+	awaitServerState(t, "a client that never reads", func() (bool, string) {
+		s := ln.(*tcpListener)
+		s.connMu.Lock()
+		conns := len(s.conns)
+		s.connMu.Unlock()
+		n := runtime.NumGoroutine()
+		return conns == 0 && n <= base, fmt.Sprintf("%d connections and %d goroutines, want 0 and at most %d", conns, n, base)
+	})
+	t.Logf("the server closed the connection %v after the requests were written", time.Since(start))
+}
+
+// TestTCPKeptPayloadReadsPoison: a handler that keeps part of its payload
+// past its return breaks HandlerFunc's contract, and in race builds reads
+// the poison PutFrame wrote over the pooled frame.
+func TestTCPKeptPayloadReadsPoison(t *testing.T) {
+	if !race.Enabled {
+		t.Skip("frames are poisoned only in race builds")
+	}
+	tr := NewTCP()
+	defer tr.Close()
+	var kept []byte
+	ln, err := tr.Listen("127.0.0.1:0", func(_ string, p []byte) ([]byte, error) {
+		kept = p[2:6]
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if _, err := tr.Call(context.Background(), ln.Addr(), "m", []byte("payload kept past its call")); err != nil {
+		t.Fatal(err)
+	}
+	awaitServerState(t, "after the call", func() (bool, string) {
+		n := parkedHandlers(ln)
+		return n == 1, fmt.Sprintf("%d parked handlers", n)
+	})
+	if want := bytes.Repeat([]byte{framePoison}, 4); !bytes.Equal(kept, want) {
+		t.Errorf("the kept sub-slice reads %q after the frame was given back, want the poison %q", kept, want)
+	}
+}
+
 // fullMethodTable is a method table already at its cap.
 func fullMethodTable() methodTable {
 	m := make(methodTable)
@@ -395,6 +589,14 @@ func frameReader(data []byte, n int) (*bufio.Reader, func()) {
 	return r, rewind
 }
 
+// frameBytes is what a frame readRequest returned holds; nil for none.
+func frameBytes(frame *[]byte) []byte {
+	if frame == nil {
+		return nil
+	}
+	return *frame
+}
+
 func FuzzReadRequestFrame(f *testing.F) {
 	for _, c := range []struct {
 		method  string
@@ -416,9 +618,10 @@ func FuzzReadRequestFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, rewind := frameReader(data, frameBufferSize)
-		id, method, payload, err := readRequest(r, make(methodTable))
+		id, method, frame, err := readRequest(r, make(methodTable))
 		rewind()
-		id2, method2, payload2, err2 := readRequest(r, full)
+		id2, method2, frame2, err2 := readRequest(r, full)
+		payload, payload2 := frameBytes(frame), frameBytes(frame2)
 		if id != id2 || method != method2 || !bytes.Equal(payload, payload2) || err != err2 {
 			t.Fatalf("a full method table changed the decode: (%d %q %d %v), want (%d %q %d %v)",
 				id2, method2, len(payload2), err2, id, method, len(payload), err)

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"dirigent/internal/race"
 )
 
 // HandlerFunc serves one RPC: it receives the method name and request
@@ -21,7 +23,12 @@ import (
 // call: it stays valid and unchanged until the handler returns, which is
 // what lets the decoders hand out sub-slices of it instead of copies, and
 // a handler copies whatever part of it it keeps past that. The response
-// may alias the payload (an echo returns it whole).
+// may alias the payload (an echo returns it whole). Both transports reuse
+// the payload's buffer once the handler has returned: an in-process
+// caller for its next request, the TCP server for a later request frame
+// once the response is written. In race builds PutFrame poisons a buffer
+// before pooling it, so a handler that keeps part of a payload reads the
+// poison.
 //
 // The caller owns the buffer it passed to Call. It may reuse it only
 // after a Call that returned a response, and only once it is done with
@@ -45,10 +52,21 @@ func GetFrame() *[]byte {
 	return b
 }
 
+// framePoison is what PutFrame fills a buffer with in race builds.
+const framePoison = 0xa5
+
 // PutFrame gives b back to the pool, on the terms HandlerFunc states: only
 // after a Call that returned a response, and once nothing reads that
-// response out of b. A buffer grown past 64 KiB is dropped instead.
+// response out of b. A buffer grown past 64 KiB is dropped instead. In
+// race builds the buffer is first overwritten with framePoison, so a
+// reader that kept part of it sees the breach.
 func PutFrame(b *[]byte) {
+	if race.Enabled {
+		full := (*b)[:cap(*b)]
+		for i := range full {
+			full[i] = framePoison
+		}
+	}
 	if cap(*b) <= maxPooledFrame {
 		framePool.Put(b)
 	}

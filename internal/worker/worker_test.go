@@ -775,9 +775,16 @@ func TestReadyReportsCoalesceBehindAHeldReport(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for deadline := time.Now().Add(5 * time.Second); w.SandboxCount() != burst; time.Sleep(time.Millisecond) {
+	// doCreate counts a sandbox before it queues the readiness event, so
+	// wait for the events themselves.
+	queued := func() int {
+		w.readyEvMu.Lock()
+		defer w.readyEvMu.Unlock()
+		return len(w.readyEvs)
+	}
+	for deadline := time.Now().Add(5 * time.Second); queued() != burst-1; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d sandboxes ready, want %d", w.SandboxCount(), burst)
+			t.Fatalf("%d readiness events queued, want %d", queued(), burst-1)
 		}
 	}
 	close(release)
