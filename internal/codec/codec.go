@@ -175,6 +175,13 @@ func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 // Bool reads a boolean.
 func (d *Decoder) Bool() bool { return d.U8() != 0 }
 
+// Skip passes over n bytes without reading them.
+func (d *Decoder) Skip(n int) {
+	if d.need(n) {
+		d.off += n
+	}
+}
+
 // String reads a string written by Encoder.String.
 func (d *Decoder) String() string { return string(d.StringBytes()) }
 

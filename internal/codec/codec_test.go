@@ -72,6 +72,20 @@ func TestDecoderShortBufferIsSticky(t *testing.T) {
 	}
 }
 
+// TestDecoderSkip: Skip passes over what fits and fails like a read on
+// what does not.
+func TestDecoderSkip(t *testing.T) {
+	d := NewDecoder([]byte{1, 2, 3, 4})
+	d.Skip(3)
+	if d.U8() != 4 || d.End() != nil {
+		t.Fatalf("Skip(3) then U8: err %v", d.Err())
+	}
+	d = NewDecoder([]byte{1, 2, 3})
+	if d.Skip(4); d.Err() == nil || d.U8() != 0 {
+		t.Errorf("Skip past the end: err %v", d.Err())
+	}
+}
+
 func TestDecoderEmptyBuffer(t *testing.T) {
 	d := NewDecoder(nil)
 	if d.String() != "" {

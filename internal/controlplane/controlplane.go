@@ -859,8 +859,9 @@ func (cp *ControlPlane) handleRPC(method string, payload []byte) ([]byte, error)
 // "registering a function in Dirigent takes 2 ms on average, as it only
 // involves persisting function specification into the database and
 // propagating metadata to data plane components"). The metadata is the
-// one function: a delta marshaled once for every live data plane, so the
-// cost of a registration does not grow with the registry.
+// one function: the record persisted, framed as a one-function delta for
+// every live data plane, so a registration marshals the function once and
+// its cost does not grow with the registry.
 func (cp *ControlPlane) handleRegisterFunction(payload []byte) ([]byte, error) {
 	f, err := core.UnmarshalFunction(payload)
 	if err != nil {
@@ -869,7 +870,8 @@ func (cp *ControlPlane) handleRegisterFunction(payload []byte) ([]byte, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cp.cfg.DB.HSet(hashFunctions, f.Name, core.MarshalFunction(f)); err != nil {
+	rec := core.MarshalFunction(f)
+	if err := cp.cfg.DB.HSet(hashFunctions, f.Name, rec); err != nil {
 		return nil, fmt.Errorf("register function %s: persist: %w", f.Name, err)
 	}
 	cp.fnMu.Lock()
@@ -890,8 +892,7 @@ func (cp *ControlPlane) handleRegisterFunction(payload []byte) ([]byte, error) {
 		}
 	}
 	sh.mu.Unlock()
-	delta := proto.FunctionList{Functions: []core.Function{*f}}
-	reached := cp.sendFunctionMeta(cp.liveDataPlanes(), proto.MethodAddFunction, delta.Marshal())
+	reached := cp.sendFunctionMeta(cp.liveDataPlanes(), proto.MethodAddFunction, proto.FunctionDelta(rec))
 	// A replica that learns the function only now has dropped any update
 	// for it that arrived first, so it is owed the endpoints the function
 	// has by now; with none ready, its empty set is already right.

@@ -68,6 +68,19 @@ func TestFunctionMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMarshalFunctionSizesItsRecord: a record is written into a buffer of
+// exactly its size, so marshaling a function allocates once.
+func TestMarshalFunctionSizesItsRecord(t *testing.T) {
+	for _, fn := range []*Function{
+		{},
+		{Name: "resize-image", Image: "registry.example.com/resize:v3", Runtime: "firecracker"},
+	} {
+		if b := MarshalFunction(fn); len(b) != cap(b) {
+			t.Errorf("%q: a %d-byte record in a buffer of %d", fn.Name, len(b), cap(b))
+		}
+	}
+}
+
 func TestFunctionUnmarshalGarbage(t *testing.T) {
 	if _, err := UnmarshalFunction([]byte{0xFF}); err == nil {
 		t.Errorf("expected error for truncated function record")

@@ -101,10 +101,14 @@ func Splitmix64(x uint64) uint64 {
 	return x
 }
 
+// functionRecordFixed is the size of a MarshalFunction record less its
+// strings' bytes: three string lengths, the port and ten 8-byte fields.
+const functionRecordFixed = 3*2 + 2 + 10*8
+
 // MarshalFunction encodes a Function registration record (all persisted
 // fields from paper Table 3).
 func MarshalFunction(f *Function) []byte {
-	e := codec.NewEncoder(64 + len(f.Name) + len(f.Image))
+	e := codec.NewEncoder(functionRecordFixed + len(f.Name) + len(f.Image) + len(f.Runtime))
 	e.String(f.Name)
 	e.String(f.Image)
 	e.U16(f.Port)
@@ -144,6 +148,23 @@ func UnmarshalFunction(b []byte) (*Function, error) {
 		return nil, fmt.Errorf("unmarshal function: %w", err)
 	}
 	return f, nil
+}
+
+// ViewFunction decodes in place the fields of a MarshalFunction record
+// that a data plane keeps: the name, which aliases b, and the target
+// concurrency. It refuses exactly the records UnmarshalFunction refuses.
+func ViewFunction(b []byte) (name []byte, targetConcurrency float64, err error) {
+	d := codec.NewDecoder(b)
+	name = d.StringBytes()
+	d.StringBytes() // Image
+	d.U16()         // Port
+	d.StringBytes() // Runtime
+	targetConcurrency = d.F64()
+	d.Skip(9 * 8) // MinScale through MemoryMB
+	if err := d.Err(); err != nil {
+		return nil, 0, fmt.Errorf("unmarshal function: %w", err)
+	}
+	return name, targetConcurrency, nil
 }
 
 // MarshalWorkerNode encodes a WorkerNode record (persisted: name, IP, port).

@@ -19,9 +19,8 @@ func benchRuntime(b *testing.B, nEps int) (*DataPlane, *functionRuntime) {
 		Addr:      "dp-bench",
 		Transport: transport.NewInProc(),
 	})
-	fr := dp.getOrCreate("bench-fn")
+	fr := dp.getOrCreate([]byte("bench-fn"))
 	dp.lockRuntime(fr)
-	fr.fn = core.Function{Name: "bench-fn", Image: "img"}
 	snap := newSnapshot(nEps)
 	for i := 0; i < nEps; i++ {
 		id := core.SandboxID(i + 1)

@@ -16,7 +16,7 @@
 // (paper §5.2.1, "Cold start latency breakdown").
 //
 // The request path is sharded, not globally locked: functions resolve
-// through a striped copy-on-write registry, each function's cold-start
+// through a striped registry updated in place, each function's cold-start
 // queue sits behind its own mutex, and warm starts pick from an immutable
 // per-function endpoint snapshot with CAS-based concurrency slots — no
 // lock and no allocation on the steady-state warm path.
@@ -153,8 +153,10 @@ type functionRuntime struct {
 	mu   sync.Mutex
 
 	// Guarded by mu:
-	fn    core.Function
-	queue []*pending
+	// capacity is the per-sandbox concurrency limit the function's target
+	// concurrency sets (sandboxCapacity), given to each new endpoint.
+	capacity int
+	queue    []*pending
 	// epVersion is the version of the last applied endpoint update;
 	// broadcasts that arrive out of order are discarded.
 	epVersion uint64
@@ -164,6 +166,10 @@ type functionRuntime struct {
 	// dead marks a runtime unpublished from the registry; stragglers
 	// holding a stale pointer must not enqueue into it.
 	dead bool
+
+	// synced is the generation of the last function sync that listed this
+	// runtime, guarded by DataPlane.syncMu.
+	synced uint64
 
 	// Lock-free:
 	queued atomic.Int32 // len(queue) mirror, read by slot release
@@ -192,6 +198,10 @@ type DataPlane struct {
 	listener transport.Listener
 
 	shards []*invokeShard
+	// syncMu serializes function syncs; syncGen numbers them, marking
+	// which runtimes a sync listed (functionRuntime.synced).
+	syncMu  sync.Mutex
+	syncGen uint64
 
 	invokeSeq atomic.Uint64
 
@@ -328,10 +338,7 @@ func New(cfg Config) *DataPlane {
 // newRuntime builds an empty runtime shell for name. Registry insertion
 // is the caller's job (getOrCreate).
 func (dp *DataPlane) newRuntime(name string) *functionRuntime {
-	fr := &functionRuntime{
-		name: name,
-		fn:   core.Function{Name: name},
-	}
+	fr := &functionRuntime{name: name, capacity: 1}
 	fr.snap.Store(emptySnapshot)
 	return fr
 }
@@ -415,16 +422,14 @@ func (dp *DataPlane) Stop() {
 		return
 	}
 	// Fail everything queued.
-	for _, sh := range dp.shards {
-		for _, fr := range sh.fns.load() {
-			dp.lockRuntime(fr)
-			queue := fr.queue
-			fr.queue = nil
-			fr.queued.Store(0)
-			fr.mu.Unlock()
-			for _, p := range queue {
-				p.grant <- grant{err: errShuttingDown}
-			}
+	for _, fr := range dp.runtimes(nil) {
+		dp.lockRuntime(fr)
+		queue := fr.queue
+		fr.queue = nil
+		fr.queued.Store(0)
+		fr.mu.Unlock()
+		for _, p := range queue {
+			p.grant <- grant{err: errShuttingDown}
 		}
 	}
 	dp.cancelStop()
@@ -474,72 +479,71 @@ func deregisteredErr(name string) error {
 
 // handleAddFunctions applies a registration delta: every listed function
 // is upserted and the rest of the cache is left alone, so a registration
-// costs the data plane one function however many are registered.
+// costs the data plane one function however many are registered. The
+// delta is decoded in place: one for a function already held allocates
+// nothing, one for a new function its name and runtime.
 func (dp *DataPlane) handleAddFunctions(payload []byte) ([]byte, error) {
-	list, err := proto.UnmarshalFunctionList(payload)
-	if err != nil {
-		return nil, err
-	}
-	dp.upsertFunctions(list.Functions)
-	return nil, nil
+	return nil, proto.VisitFunctionList(payload, func(name []byte, targetConcurrency float64) {
+		dp.upsertFunction(name, targetConcurrency)
+	})
 }
 
 // handleSyncFunctions replaces the function cache with the control
-// plane's full registry: listed functions are upserted, unlisted ones
-// removed (failing their queued invocations). The control plane sends it
-// when the data plane may have missed deltas: on admission, revival and
-// recovery, which are also when its demand table for this replica may be
-// empty, so the next scaling report carries every function.
+// plane's full registry: listed functions are upserted and stamped with
+// the sync's generation, and the runtimes left unstamped are removed
+// (failing their queued invocations). The control plane sends it when the
+// data plane may have missed deltas: on admission, revival and recovery,
+// which are also when its demand table for this replica may be empty, so
+// the next scaling report carries every function.
 func (dp *DataPlane) handleSyncFunctions(payload []byte) ([]byte, error) {
-	list, err := proto.UnmarshalFunctionList(payload)
+	dp.syncMu.Lock()
+	defer dp.syncMu.Unlock()
+	dp.syncGen++
+	gen := dp.syncGen
+	err := proto.VisitFunctionList(payload, func(name []byte, targetConcurrency float64) {
+		if fr := dp.upsertFunction(name, targetConcurrency); fr != nil {
+			fr.synced = gen
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	dp.upsertFunctions(list.Functions)
-	seen := make(map[string]bool, len(list.Functions))
-	for _, f := range list.Functions {
-		seen[f.Name] = true
-	}
-	for _, sh := range dp.shards {
-		for name := range sh.fns.load() {
-			if !seen[name] {
-				dp.removeFunction(name)
-			}
-		}
+	for _, fr := range dp.runtimes(func(fr *functionRuntime) bool { return fr.synced != gen }) {
+		dp.removeRuntime(fr)
 	}
 	dp.fullReport.Store(true)
 	return nil, nil
 }
 
-// upsertFunctions installs or updates each spec. Updated specs propagate
-// to the per-endpoint concurrency capacities, so a raised
-// TargetConcurrency takes effect on live endpoints instead of waiting for
-// them to churn.
-func (dp *DataPlane) upsertFunctions(fns []core.Function) {
-	for _, f := range fns {
-		fr := dp.lockLive(f.Name)
-		if fr == nil {
-			continue
-		}
-		fr.fn = f
-		capacity := sandboxCapacity(&f)
-		cur := fr.snap.Load().states
-		changed := false
-		for _, st := range cur {
-			if st.capacity != capacity {
-				st.capacity = capacity
-				changed = true
-			}
-		}
-		if changed {
-			snap := newSnapshot(len(cur))
-			snap.states = append(snap.states, cur...)
-			dp.publishLocked(fr, snap)
-			// A raised capacity may free slots for buffered requests.
-			dp.pumpLocked(fr)
-		}
-		fr.mu.Unlock()
+// upsertFunction installs the function called name, or updates the one
+// the registry holds, and returns its runtime: nil if the data plane is
+// stopping. An updated target concurrency propagates to the per-endpoint
+// concurrency capacities, so a raised one takes effect on live endpoints
+// instead of waiting for them to churn.
+func (dp *DataPlane) upsertFunction(name []byte, targetConcurrency float64) *functionRuntime {
+	fr := dp.lockLive(name)
+	if fr == nil {
+		return nil
 	}
+	defer fr.mu.Unlock()
+	capacity := sandboxCapacity(targetConcurrency)
+	fr.capacity = capacity
+	cur := fr.snap.Load().states
+	changed := false
+	for _, st := range cur {
+		if st.capacity != capacity {
+			st.capacity = capacity
+			changed = true
+		}
+	}
+	if changed {
+		snap := newSnapshot(len(cur))
+		snap.states = append(snap.states, cur...)
+		dp.publishLocked(fr, snap)
+		// A raised capacity may free slots for buffered requests.
+		dp.pumpLocked(fr)
+	}
+	return fr
 }
 
 func (dp *DataPlane) handleRemoveFunction(payload []byte) ([]byte, error) {
@@ -626,7 +630,6 @@ func (dp *DataPlane) setEndpointsLocked(fr *functionRuntime, endpoints proto.End
 			snap.states = append(snap.states, st)
 		}
 	}
-	capacity := sandboxCapacity(&fr.fn)
 	for v, ok := endpoints.Next(); ok; v, ok = endpoints.Next() {
 		if findEndpoint(cur, &v) == nil {
 			snap.states = append(snap.states, &endpointState{
@@ -637,7 +640,7 @@ func (dp *DataPlane) setEndpointsLocked(fr *functionRuntime, endpoints proto.End
 					Addr:     dp.workerAddr(v.Node, v.Addr),
 					State:    v.State,
 				},
-				capacity: capacity,
+				capacity: fr.capacity,
 			})
 		}
 	}
@@ -677,9 +680,9 @@ func (dp *DataPlane) workerAddr(node core.NodeID, addr []byte) string {
 // sandboxCapacity is the per-sandbox concurrency limit. The paper's
 // evaluation configures sandboxes to process one request at a time,
 // matching commercial FaaS defaults (§5.1).
-func sandboxCapacity(fn *core.Function) int {
-	if fn.Scaling.TargetConcurrency >= 2 {
-		return int(fn.Scaling.TargetConcurrency)
+func sandboxCapacity(targetConcurrency float64) int {
+	if targetConcurrency >= 2 {
+		return int(targetConcurrency)
 	}
 	return 1
 }

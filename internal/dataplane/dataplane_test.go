@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -1074,5 +1075,81 @@ func TestEndpointUpdateAllocations(t *testing.T) {
 	t.Logf("%.1f allocations per one-sandbox add, %.1f per removal", add, remove)
 	if add > 2 || remove != 0 {
 		t.Errorf("a one-sandbox add allocates %.1f times and a removal %.1f, want at most 2 and 0", add, remove)
+	}
+}
+
+// TestFunctionDeltaCostIsFlatInRegistrySize pins what learning a function
+// costs a data plane, counted in allocations so that no host timing
+// enters: a registration delta costs the same on a registry of 64
+// functions as on one of 16 384, nothing for a function already held and
+// at most its name and runtime for a new one, and a sync of N functions
+// into an empty data plane allocates at most syncAllocsPerFunction·N.
+func TestFunctionDeltaCostIsFlatInRegistrySize(t *testing.T) {
+	const (
+		runs = 100
+		// syncAllocsPerFunction is a new function's name and runtime, plus
+		// one for the registry maps' growth, which is amortized.
+		syncAllocsPerFunction = 3
+	)
+	spec := func(name string) core.Function {
+		return core.Function{Name: name, Image: "img", Port: 80, Scaling: core.DefaultScalingConfig()}
+	}
+	type cost struct{ known, fresh float64 }
+	measure := func(size int) cost {
+		dp := New(Config{ID: 1, Addr: "dp0:8000", Transport: transport.NewInProc()})
+		var all proto.FunctionList
+		for i := range size {
+			all.Functions = append(all.Functions, spec(fmt.Sprintf("fn-%05d", i)))
+		}
+		payload := all.Marshal()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		if _, err := dp.handleSyncFunctions(payload); err != nil {
+			t.Fatal(err)
+		}
+		took := time.Since(start)
+		runtime.ReadMemStats(&after)
+		syncAllocs := after.Mallocs - before.Mallocs
+		t.Logf("a sync of %d functions into an empty data plane: %d allocations, %v", size, syncAllocs, took)
+		if syncAllocs > syncAllocsPerFunction*uint64(size) {
+			t.Errorf("a sync of %d functions allocates %d times, want at most %d per function", size, syncAllocs, syncAllocsPerFunction)
+		}
+		if got := len(dp.runtimes(nil)); got != size {
+			t.Fatalf("%d runtimes after a sync of %d functions", got, size)
+		}
+
+		known := all.Functions[0]
+		delta := proto.FunctionDelta(core.MarshalFunction(&known))
+		var c cost
+		c.known = testing.AllocsPerRun(runs, func() {
+			if _, err := dp.handleAddFunctions(delta); err != nil {
+				t.Fatal(err)
+			}
+		})
+		fresh := make([][]byte, runs+1)
+		for i := range fresh {
+			f := spec(fmt.Sprintf("new-%05d", i))
+			fresh[i] = proto.FunctionDelta(core.MarshalFunction(&f))
+		}
+		next := 0
+		c.fresh = testing.AllocsPerRun(runs, func() {
+			if _, err := dp.handleAddFunctions(fresh[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		if got := len(dp.runtimes(nil)); got != size+len(fresh) {
+			t.Fatalf("%d runtimes after %d new deltas on %d functions", got, len(fresh), size)
+		}
+		t.Logf("%d functions: a delta allocates %.1f times for a known function, %.1f for a new one", size, c.known, c.fresh)
+		return c
+	}
+	small, large := measure(64), measure(16384)
+	if small != large {
+		t.Errorf("a delta costs %+v allocations on 64 functions and %+v on 16 384, want the same", small, large)
+	}
+	if large.known != 0 || large.fresh > 2 {
+		t.Errorf("a delta allocates %.1f times for a known function and %.1f for a new one, want 0 and at most 2", large.known, large.fresh)
 	}
 }

@@ -667,10 +667,14 @@ func (dp *DataPlane) reportMetrics() {
 	}
 	active := dp.takeActive()
 	if full {
+		// Each shard's read lock is held over its part of the walk: the
+		// metric reads take no runtime lock (see invokeShard).
 		for _, sh := range dp.shards {
-			for _, fr := range sh.fns.load() {
+			sh.mu.RLock()
+			for _, fr := range sh.fns {
 				visit(fr)
 			}
+			sh.mu.RUnlock()
 		}
 	} else {
 		for _, fr := range active {

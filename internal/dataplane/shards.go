@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dirigent/internal/core"
@@ -17,31 +16,26 @@ import (
 // rarely collide on registry mutations.
 const registryShards = 32
 
-// invokeShard is one stripe of the function registry. Lookups on the
-// invoke hot path go through the copy-on-write map published in fns and
-// never lock; mutations (function registration, deregistration) take
-// sh.mu, copy the map, and atomically publish the successor.
+// invokeShard is one stripe of the function registry: a plain map,
+// updated in place under mu. Lookups on the invoke hot path take the read
+// lock; registration and deregistration take the write lock for one map
+// insert or delete, so learning a function costs O(1) however many the
+// registry holds.
+//
+// Lock order: a shard's lock is never held while taking a runtime's mu.
+// sync.RWMutex queues new readers behind a waiting writer, so a path that
+// held a shard's read lock while it waited on fr.mu would deadlock with a
+// writer queued on that shard and a path that holds fr.mu and then looks a
+// name up in it.
 type invokeShard struct {
-	mu  sync.Mutex
-	fns atomicFnMap
-}
-
-// atomicFnMap is an atomically published immutable function map.
-type atomicFnMap struct {
-	p atomic.Pointer[map[string]*functionRuntime]
-}
-
-func (m *atomicFnMap) load() map[string]*functionRuntime { return *m.p.Load() }
-func (m *atomicFnMap) store(next map[string]*functionRuntime) {
-	m.p.Store(&next)
+	mu  sync.RWMutex
+	fns map[string]*functionRuntime
 }
 
 func newRegistryShards() []*invokeShard {
 	shards := make([]*invokeShard, registryShards)
 	for i := range shards {
-		sh := &invokeShard{}
-		sh.fns.store(make(map[string]*functionRuntime))
-		shards[i] = sh
+		shards[i] = &invokeShard{fns: make(map[string]*functionRuntime)}
 	}
 	return shards
 }
@@ -52,48 +46,67 @@ func (dp *DataPlane) shardFor(name string) *invokeShard {
 	return dp.shards[uint32(core.FunctionHash(name))%uint32(len(dp.shards))]
 }
 
-// lookup resolves a function runtime lock-free; nil means unknown.
+// lookup resolves a function runtime under its shard's read lock; nil
+// means unknown.
 func (dp *DataPlane) lookup(name string) *functionRuntime {
-	return dp.shardFor(name).fns.load()[name]
+	sh := dp.shardFor(name)
+	sh.mu.RLock()
+	fr := sh.fns[name]
+	sh.mu.RUnlock()
+	return fr
 }
 
 // lookupBytes is lookup for a name still inside a received payload; the
 // map index converts it without allocating.
 func (dp *DataPlane) lookupBytes(name []byte) *functionRuntime {
 	sh := dp.shards[uint32(core.FunctionHash(name))%uint32(len(dp.shards))]
-	return sh.fns.load()[string(name)]
-}
-
-// getOrCreate resolves a function runtime, creating a shell entry when
-// the name is unknown. Only a function push (AddFunction, SyncFunctions)
-// creates one. The double-checked fast path keeps steady-state resolution
-// lock-free.
-func (dp *DataPlane) getOrCreate(name string) *functionRuntime {
-	sh := dp.shardFor(name)
-	if fr := sh.fns.load()[name]; fr != nil {
-		return fr
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cur := sh.fns.load()
-	if fr := cur[name]; fr != nil {
-		return fr
-	}
-	fr := dp.newRuntime(name)
-	next := make(map[string]*functionRuntime, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[name] = fr
-	sh.fns.store(next)
+	sh.mu.RLock()
+	fr := sh.fns[string(name)]
+	sh.mu.RUnlock()
 	return fr
 }
 
+// getOrCreate resolves the runtime of the function called name, creating
+// a shell entry when the name is unknown, which costs the name's copy and
+// the runtime. Only a function push (AddFunction, SyncFunctions) creates
+// one.
+func (dp *DataPlane) getOrCreate(name []byte) *functionRuntime {
+	if fr := dp.lookupBytes(name); fr != nil {
+		return fr
+	}
+	sh := dp.shards[uint32(core.FunctionHash(name))%uint32(len(dp.shards))]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if fr := sh.fns[string(name)]; fr != nil {
+		return fr
+	}
+	fr := dp.newRuntime(string(name))
+	sh.fns[fr.name] = fr
+	return fr
+}
+
+// runtimes returns the registered runtimes keep accepts, or all of them
+// when keep is nil. They are collected under each shard's read lock, so
+// keep must take no lock, and the caller acts on them once none is held.
+func (dp *DataPlane) runtimes(keep func(fr *functionRuntime) bool) []*functionRuntime {
+	var out []*functionRuntime
+	for _, sh := range dp.shards {
+		sh.mu.RLock()
+		for _, fr := range sh.fns {
+			if keep == nil || keep(fr) {
+				out = append(out, fr)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return out
+}
+
 // lockLive locks fr against concurrent deregistration: a runtime that
-// went dead between the lock-free lookup and the lock acquisition is
+// went dead between the lookup and the lock acquisition is
 // re-resolved, so callers always mutate the registry's live entry.
 // Returns nil when the data plane is shutting down mid-retry.
-func (dp *DataPlane) lockLive(name string) *functionRuntime {
+func (dp *DataPlane) lockLive(name []byte) *functionRuntime {
 	for {
 		fr := dp.getOrCreate(name)
 		dp.lockRuntime(fr)
@@ -124,26 +137,28 @@ func (dp *DataPlane) lockKnown(name []byte) *functionRuntime {
 	}
 }
 
-// removeFunction unpublishes a runtime from the registry and fails its
-// queued invocations. Safe to call for unknown names.
+// removeFunction unpublishes the runtime of the function called name
+// from the registry and fails its queued invocations. Safe to call for
+// unknown names.
 func (dp *DataPlane) removeFunction(name string) {
-	sh := dp.shardFor(name)
+	if fr := dp.lookup(name); fr != nil {
+		dp.removeRuntime(fr)
+	}
+}
+
+// removeRuntime unpublishes fr, if the registry still holds it, and fails
+// its queued invocations.
+func (dp *DataPlane) removeRuntime(fr *functionRuntime) {
+	sh := dp.shardFor(fr.name)
 	sh.mu.Lock()
-	cur := sh.fns.load()
-	fr, ok := cur[name]
-	if !ok {
-		sh.mu.Unlock()
+	held := sh.fns[fr.name] == fr
+	if held {
+		delete(sh.fns, fr.name)
+	}
+	sh.mu.Unlock()
+	if !held {
 		return
 	}
-	next := make(map[string]*functionRuntime, len(cur)-1)
-	for k, v := range cur {
-		if k != name {
-			next[k] = v
-		}
-	}
-	sh.fns.store(next)
-	sh.mu.Unlock()
-
 	dp.lockRuntime(fr)
 	fr.dead = true
 	queue := fr.queue
@@ -155,7 +170,7 @@ func (dp *DataPlane) removeFunction(name string) {
 	fr.snap.Store(emptySnapshot)
 	fr.mu.Unlock()
 	for _, p := range queue {
-		p.grant <- grant{err: deregisteredErr(name)}
+		p.grant <- grant{err: deregisteredErr(fr.name)}
 	}
 }
 

@@ -18,12 +18,14 @@ import (
 
 // TestConcurrentDataPlaneAccess hammers one data plane replica with
 // parallel sync and async invocations across many functions while
-// endpoints churn, capacities change, functions deregister, and slots
-// release concurrently. Run with -race, it locks in the sharded invoke
-// path's correctness: distinct functions take distinct runtime locks,
-// warm picks go through immutable snapshots and CAS slots, and nothing
-// relies on the seed's global data plane mutex for exclusion. It mirrors
-// the control plane's TestConcurrentControlPlaneAccess.
+// endpoints churn, capacities change, functions register and deregister
+// in the registry shards the warm functions sit in, full reports walk
+// those shards, and slots release concurrently. Run with -race, it locks
+// in the sharded invoke path's correctness: distinct functions take
+// distinct runtime locks, warm picks go through immutable snapshots and
+// CAS slots, and nothing relies on the seed's global data plane mutex for
+// exclusion. It mirrors the control plane's
+// TestConcurrentControlPlaneAccess.
 func TestConcurrentDataPlaneAccess(t *testing.T) {
 	const (
 		numFns = 64
@@ -157,6 +159,33 @@ func TestConcurrentDataPlaneAccess(t *testing.T) {
 			call(proto.MethodRemoveFunction, core.MarshalFunction(&fn))
 		}
 	})
+	// In-place registry churn: new names, each in the shard of a warm
+	// function, are registered, given an endpoint and deregistered, while
+	// warm invocations, endpoint batches and full reports (owed by every
+	// sync and by every iteration here) walk those same shards.
+	inserted := make([]string, 16)
+	for k := range inserted {
+		for j := 0; inserted[k] == ""; j++ {
+			if name := fmt.Sprintf("dp-stress-insert-%d-%d", k, j); dp.shardFor(name) == dp.shardFor(fnName(k)) {
+				inserted[k] = name
+			}
+		}
+	}
+	var insertVersion atomic.Uint64
+	for g := 0; g < 2; g++ {
+		g := g
+		run(func(i int) {
+			fn := fnSpec(inserted[(g*iters+i)%len(inserted)], 1)
+			delta := proto.FunctionList{Functions: []core.Function{fn}}
+			call(proto.MethodAddFunction, delta.Marshal())
+			update := proto.EndpointUpdate{Function: fn.Name, Version: insertVersion.Add(1), Endpoints: []proto.SandboxInfo{{
+				ID: core.SandboxID(20000 + i), Function: fn.Name, Node: 1, Addr: "w1:9000", State: core.SandboxReady,
+			}}}
+			call(proto.MethodUpdateEndpointsBatch, endpointsOf(update))
+			dp.fullReport.Store(true)
+			call(proto.MethodRemoveFunction, core.MarshalFunction(&fn))
+		})
+	}
 	// Invocations racing that remove/re-register churn exercise the
 	// stale-runtime re-resolution in the cold-start and requeue paths.
 	// Few iterations: once the churn goroutines drain, each of these can

@@ -21,8 +21,9 @@ import (
 // never invoked may keep on the heap of a cluster of one control plane and
 // idleDataPlanes data planes, every tier's copy of it and the store's
 // included. Before idle functions dropped their autoscaler window it read
-// about 2.7 KB.
-const maxHeapBytesPerIdleFunction = 1600
+// about 2.7 KB, and about 1.5 KB while each data plane's runtime kept a
+// copy of the function's spec and its registry was copied on write.
+const maxHeapBytesPerIdleFunction = 1250
 
 const (
 	idleDataPlanes = 3

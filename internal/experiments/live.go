@@ -56,27 +56,38 @@ func liveFunction(name string) core.Function {
 	return fn
 }
 
-// measureDirigentRegistration times function registration on the live
-// in-process cluster (used by the "registration" experiment).
-func measureDirigentRegistration(n int) (first time.Duration, meanMs float64, total time.Duration, err error) {
+// lastRegistrations is how many of the final registrations the
+// registration experiment's last_ms column averages.
+const lastRegistrations = 10
+
+// measureDirigentRegistration times n function registrations on the live
+// in-process cluster (used by the "registration" experiment): the first,
+// the mean, and the mean of the last lastRegistrations, in milliseconds,
+// and the total.
+func measureDirigentRegistration(n int) (firstMs, meanMs, lastMs float64, total time.Duration, err error) {
 	c, err := cluster.New(liveOptions())
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, 0, err
 	}
 	defer c.Shutdown()
+	tail := min(lastRegistrations, n)
+	var last time.Duration
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		t0 := time.Now()
 		if err := c.RegisterFunction(liveFunction(fmt.Sprintf("reg-%d", i))); err != nil {
-			return 0, 0, 0, err
+			return 0, 0, 0, 0, err
 		}
+		took := time.Since(t0)
 		if i == 0 {
-			first = time.Since(t0)
+			firstMs = ms(took)
+		}
+		if i >= n-tail {
+			last += took
 		}
 	}
 	total = time.Since(start)
-	meanMs = float64(total.Milliseconds()) / float64(n)
-	return first, meanMs, total, nil
+	return firstMs, ms(total) / float64(n), ms(last) / float64(tail), total, nil
 }
 
 // runFig11 drives a steady invocation load against the live cluster,

@@ -245,14 +245,14 @@ func runRegistration(w io.Writer, scale float64) error {
 
 	// Dirigent: measured on the live in-process cluster — registration is
 	// a single persisted write plus a metadata push to data planes.
-	dirFirst, dirMean, dirTotal, err := measureDirigentRegistration(n)
+	dirFirst, dirMean, dirLast, dirTotal, err := measureDirigentRegistration(n)
 	if err != nil {
 		return err
 	}
 
 	t := newTable("system", "functions", "first_ms", "mean_ms", "last_ms", "total")
 	t.addRow("knative", n, ms(knFirst), ms(knTotal/time.Duration(n)), ms(knLast), knTotal.Round(time.Second).String())
-	t.addRow("dirigent", n, ms(dirFirst), dirMean, dirMean, dirTotal.Round(time.Millisecond).String())
+	t.addRow("dirigent", n, dirFirst, dirMean, dirLast, dirTotal.Round(time.Millisecond).String())
 	t.write(w)
 	fmt.Fprintln(w, "# Expected shape: Knative ~770ms/function growing with cluster content (~18min for 1000);")
 	fmt.Fprintln(w, "# Dirigent ~2ms/function (~1s for 1000): persist spec + push metadata, nothing else.")

@@ -1048,6 +1048,49 @@ func (m *FunctionList) Marshal() []byte {
 	return e.Bytes()
 }
 
+// FunctionDelta returns the FunctionList of the one function whose
+// MarshalFunction record is rec: byte for byte what Marshal writes for
+// that function, without encoding it again.
+func FunctionDelta(rec []byte) []byte {
+	e := codec.NewEncoder(8 + len(rec))
+	e.U32(1)
+	e.RawBytes(rec)
+	return e.Bytes()
+}
+
+// VisitFunctionList decodes a marshaled FunctionList in place, calling
+// visit once per function with its name and target concurrency, the
+// fields a data plane keeps. name aliases b and is valid only during the
+// call. Every record is checked before the first call: a list
+// UnmarshalFunctionList refuses is refused whole, and none of it visited.
+func VisitFunctionList(b []byte, visit func(name []byte, targetConcurrency float64)) error {
+	if err := walkFunctionList(b, nil); err != nil {
+		return err
+	}
+	return walkFunctionList(b, visit)
+}
+
+// walkFunctionList checks the list's records when visit is nil and visits
+// every function of a checked list otherwise.
+func walkFunctionList(b []byte, visit func(name []byte, targetConcurrency float64)) error {
+	d := codec.NewDecoder(b)
+	n := int(d.U32())
+	for i := 0; i < n && d.Err() == nil; i++ {
+		rec := d.RawBytes()
+		if d.Err() != nil {
+			break
+		}
+		name, targetConcurrency, err := core.ViewFunction(rec)
+		if err != nil {
+			return wrap(err, "FunctionList")
+		}
+		if visit != nil {
+			visit(name, targetConcurrency)
+		}
+	}
+	return wrap(d.Err(), "FunctionList")
+}
+
 // UnmarshalFunctionList decodes a FunctionList.
 func UnmarshalFunctionList(b []byte) (*FunctionList, error) {
 	d := codec.NewDecoder(b)

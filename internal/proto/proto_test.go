@@ -3,6 +3,7 @@ package proto
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -274,6 +275,69 @@ func TestFunctionListRoundTrip(t *testing.T) {
 	if len(got.Functions) != 2 || got.Functions[0] != m.Functions[0] || got.Functions[1] != m.Functions[1] {
 		t.Errorf("round trip: %+v", got)
 	}
+}
+
+// TestFunctionDeltaMatchesMarshal: a registration's delta, framed around
+// the record the control plane persists, is the one-function list Marshal
+// writes, byte for byte.
+func TestFunctionDeltaMatchesMarshal(t *testing.T) {
+	for _, f := range []core.Function{
+		{Name: "a", Image: "img-a", Port: 1, Scaling: core.DefaultScalingConfig()},
+		{Name: "fn-0767", Image: "registry.local/fn-0767", Port: 8080, Runtime: "firecracker", Scaling: core.DefaultScalingConfig()},
+		{},
+	} {
+		list := FunctionList{Functions: []core.Function{f}}
+		if got, want := FunctionDelta(core.MarshalFunction(&f)), list.Marshal(); !bytes.Equal(got, want) {
+			t.Errorf("%q: delta %x, Marshal %x", f.Name, got, want)
+		}
+	}
+}
+
+// FuzzVisitFunctionList holds the in-place decoder a data plane runs on
+// every registration delta and sync to UnmarshalFunctionList: it accepts
+// exactly the inputs that accepts, yields the same names and target
+// concurrencies, and visits nothing of an input it refuses.
+func FuzzVisitFunctionList(f *testing.F) {
+	scaling := core.DefaultScalingConfig()
+	scaling.TargetConcurrency = 4
+	for _, m := range []FunctionList{
+		{},
+		{Functions: []core.Function{{Name: "fn-0000", Image: "img", Port: 80, Scaling: core.DefaultScalingConfig()}}},
+		{Functions: []core.Function{{Name: "a", Runtime: "firecracker", Scaling: scaling}, {}, {Name: "fn-0767", Image: "registry.local/fn-0767"}}},
+	} {
+		f.Add(m.Marshal())
+	}
+	f.Add([]byte{1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		type entry struct {
+			name string
+			tc   uint64
+		}
+		var visited []entry
+		err := VisitFunctionList(b, func(name []byte, targetConcurrency float64) {
+			visited = append(visited, entry{string(name), math.Float64bits(targetConcurrency)})
+		})
+		m, uerr := UnmarshalFunctionList(b)
+		if (err == nil) != (uerr == nil) {
+			t.Fatalf("Visit says %v, Unmarshal says %v", err, uerr)
+		}
+		if err != nil {
+			if len(visited) != 0 {
+				t.Fatalf("a refused list visited %d functions", len(visited))
+			}
+			return
+		}
+		if len(visited) != len(m.Functions) {
+			t.Fatalf("Visit yields %d functions, Unmarshal %d", len(visited), len(m.Functions))
+		}
+		for i, v := range visited {
+			u := &m.Functions[i]
+			if v.name != u.Name || v.tc != math.Float64bits(u.Scaling.TargetConcurrency) {
+				t.Fatalf("function %d: Visit %q at %v, Unmarshal %q at %v", i, v.name, math.Float64frombits(v.tc), u.Name, u.Scaling.TargetConcurrency)
+			}
+		}
+	})
 }
 
 func TestVoteAndPingRoundTrip(t *testing.T) {
