@@ -115,15 +115,25 @@ func (d *Decoder) End() error {
 	return d.err
 }
 
+// need reports whether n more bytes can be read, recording a short
+// buffer as the decoder's error. It is small enough to inline into every
+// field read; building the error is left to short.
 func (d *Decoder) need(n int) bool {
 	if d.err != nil {
 		return false
 	}
 	if d.off+n > len(d.buf) {
-		d.err = fmt.Errorf("codec: short buffer: need %d bytes at offset %d, have %d", n, d.off, len(d.buf)-d.off)
+		d.short(n)
 		return false
 	}
 	return true
+}
+
+// short records that n bytes were needed where fewer remain.
+//
+//go:noinline
+func (d *Decoder) short(n int) {
+	d.err = fmt.Errorf("codec: short buffer: need %d bytes at offset %d, have %d", n, d.off, len(d.buf)-d.off)
 }
 
 // U8 reads an unsigned 8-bit value.

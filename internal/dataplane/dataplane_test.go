@@ -1153,3 +1153,52 @@ func TestFunctionDeltaCostIsFlatInRegistrySize(t *testing.T) {
 		t.Errorf("a delta allocates %.1f times for a known function and %.1f for a new one, want 0 and at most 2", large.known, large.fresh)
 	}
 }
+
+// TestRegistryShrinksAfterFunctionsAreRemoved: a data plane synced up to
+// 16 000 functions and then down to none holds about what an empty one
+// does, since each registry stripe is rebuilt once it falls to a quarter
+// of its peak instead of keeping the table of its largest size.
+func TestRegistryShrinksAfterFunctionsAreRemoved(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes heap sizes")
+	}
+	const (
+		functions = 16000
+		maxHeld   = 100 << 10
+	)
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	syncTo := func(dp *DataPlane, list proto.FunctionList) {
+		if _, err := dp.handleSyncFunctions(list.Marshal()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dp := New(Config{ID: 1, Addr: "dp0:8000", Transport: transport.NewInProc()})
+	var all proto.FunctionList
+	for i := range functions {
+		all.Functions = append(all.Functions, core.Function{
+			Name: fmt.Sprintf("fn-%05d", i), Image: "img", Port: 80, Scaling: core.DefaultScalingConfig(),
+		})
+	}
+	empty := heap()
+	syncTo(dp, all)
+	full := heap()
+	syncTo(dp, proto.FunctionList{})
+	after := heap()
+	runtime.KeepAlive(all)
+	runtime.KeepAlive(dp)
+	if n := len(dp.runtimes(nil)); n != 0 {
+		t.Fatalf("%d runtimes left after a sync to none", n)
+	}
+	held := int64(after) - int64(empty)
+	t.Logf("heap over an empty data plane: %d KB holding %d functions, %d KB after a sync to none",
+		(int64(full)-int64(empty))>>10, functions, held>>10)
+	if held > maxHeld {
+		t.Errorf("a data plane synced to %d functions and back to none holds %d KB more than an empty one, want at most %d KB", functions, held>>10, maxHeld>>10)
+	}
+}

@@ -85,6 +85,9 @@ func (dp *DataPlane) invoke(fr *functionRuntime, payload []byte) ([]byte, error)
 		}
 		// Warm start: a sandbox with a free slot exists right now.
 		dp.markActive(fr)
+		// Scheduling latency ends at dispatch, as the cold path's does:
+		// the function's own execution is not part of it.
+		scheduling := dp.clk.Since(arrival)
 		ctx := transport.NewDeadline(context.Background(), dp.cfg.QueueTimeout)
 		body, frame, err := dp.proxy(ctx, &info, function, payload)
 		ctx.Stop()
@@ -105,7 +108,7 @@ func (dp *DataPlane) invoke(fr *functionRuntime, payload []byte) ([]byte, error)
 		}
 		resp := proto.InvokeResponse{
 			ColdStart:           false,
-			SchedulingLatencyUs: dp.clk.Since(arrival).Microseconds(),
+			SchedulingLatencyUs: scheduling.Microseconds(),
 			Body:                body,
 		}
 		dp.mWarmStarts.Inc()

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -27,10 +28,21 @@ const registryShards = 32
 // held a shard's read lock while it waited on fr.mu would deadlock with a
 // writer queued on that shard and a path that holds fr.mu and then looks a
 // name up in it.
+//
+// A Go map keeps the table of its largest size, so a stripe whose map has
+// fallen to a quarter of the size it was built up to is rebuilt at its
+// current size (removeRuntime): the rebuild copies at most a third as
+// many entries as were removed since the map was built, so its cost is
+// amortized O(1) per removal.
 type invokeShard struct {
-	mu  sync.RWMutex
-	fns map[string]*functionRuntime
+	mu   sync.RWMutex
+	fns  map[string]*functionRuntime
+	peak int // the most entries fns has held since it was built
 }
+
+// shrinkFloor is the peak below which a stripe is not rebuilt: a map of
+// at most eight entries is one group, which a rebuild would not shrink.
+const shrinkFloor = 8
 
 func newRegistryShards() []*invokeShard {
 	shards := make([]*invokeShard, registryShards)
@@ -82,6 +94,7 @@ func (dp *DataPlane) getOrCreate(name []byte) *functionRuntime {
 	}
 	fr := dp.newRuntime(string(name))
 	sh.fns[fr.name] = fr
+	sh.peak = max(sh.peak, len(sh.fns))
 	return fr
 }
 
@@ -154,6 +167,10 @@ func (dp *DataPlane) removeRuntime(fr *functionRuntime) {
 	held := sh.fns[fr.name] == fr
 	if held {
 		delete(sh.fns, fr.name)
+		if sh.peak > shrinkFloor && len(sh.fns) <= sh.peak/4 {
+			sh.fns = maps.Clone(sh.fns) // sized for what it holds
+			sh.peak = len(sh.fns)
+		}
 	}
 	sh.mu.Unlock()
 	if !held {

@@ -172,3 +172,59 @@ func TestQueuedWaitBoundedByQueueTimeout(t *testing.T) {
 		t.Fatal("the invocation succeeded though its proxy call failed")
 	}
 }
+
+// TestSchedulingLatencyEndsAtDispatch: an invocation's scheduling latency
+// is its time in the data plane up to dispatch, without the function's
+// execution. A sandbox that takes 50 ms of the data plane's clock to
+// answer leaves a warm start at 0 µs and a cold start at its queue wait.
+func TestSchedulingLatencyEndsAtDispatch(t *testing.T) {
+	tr := transport.NewInProc()
+	startFakeCP(t, tr, "cp")
+	vclk := clock.NewVirtual(time.Unix(1000, 0))
+	ln, err := tr.Listen("w1:9000", func(method string, payload []byte) ([]byte, error) {
+		vclk.Advance(50 * time.Millisecond)
+		return []byte("done"), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	dp := virtualDP(t, tr, vclk, time.Second)
+	pushFunction(t, tr, dp.Addr(), "f")
+
+	type result struct {
+		resp *proto.InvokeResponse
+		err  error
+	}
+	cold := make(chan result, 1)
+	go func() {
+		resp, err := invoke(tr, dp.Addr(), "f", nil)
+		cold <- result{resp, err}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); dp.QueueDepth("f") != 1 || vclk.PendingTimers() != loopTimers+1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the cold invocation never queued with its timeout armed")
+		}
+	}
+	vclk.Advance(300 * time.Millisecond)
+	pushEndpoints(t, tr, dp.Addr(), "f", []core.SandboxID{1}, "w1:9000")
+	select {
+	case r := <-cold:
+		if r.err != nil {
+			t.Fatalf("cold invoke: %v", r.err)
+		}
+		if !r.resp.ColdStart || r.resp.SchedulingLatencyUs != 300_000 {
+			t.Fatalf("cold start reported cold %v, %d µs; want a cold start's 300000 µs queue wait", r.resp.ColdStart, r.resp.SchedulingLatencyUs)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the queued invocation was never dispatched")
+	}
+
+	resp, err := invoke(tr, dp.Addr(), "f", nil)
+	if err != nil {
+		t.Fatalf("warm invoke: %v", err)
+	}
+	if resp.ColdStart || resp.SchedulingLatencyUs != 0 {
+		t.Fatalf("warm start reported cold %v, %d µs; want a warm start's 0 µs", resp.ColdStart, resp.SchedulingLatencyUs)
+	}
+}

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -94,7 +95,8 @@ func TestDeadlineStop(t *testing.T) {
 
 // TestDeadlineReusedIsFresh: a stopped Deadline whose Done was never
 // built comes back from NewDeadline as a new one would, expired or not:
-// Err is nil again and Value asks the new parent.
+// its clock not started, Err nil again, its whole timeout ahead and Value
+// asking the new parent.
 func TestDeadlineReusedIsFresh(t *testing.T) {
 	type key struct{}
 	old := context.WithValue(context.Background(), key{}, "old")
@@ -109,6 +111,9 @@ func TestDeadlineReusedIsFresh(t *testing.T) {
 		next := NewDeadline(parent, time.Hour)
 		if next == d {
 			reused++
+			if next.started {
+				t.Fatal("a reused Deadline came back with its clock started")
+			}
 		}
 		if at, _ := next.Deadline(); at.Sub(time.Now()) < 59*time.Minute {
 			t.Fatalf("Deadline() = %v, want about an hour from now", at)
@@ -243,6 +248,146 @@ func TestDeadlineConcurrentUse(t *testing.T) {
 		if err := d.Err(); err == nil || !isClosed(d.Done()) {
 			t.Fatalf("round %d: settled with Err %v and Done closed %v", i, err, isClosed(d.Done()))
 		}
+	}
+}
+
+// TestDeadlineStartsAtFirstConsult: NewDeadline reads no clock. A
+// Deadline first consulted 50 ms after it was made still has its whole
+// timeout, whichever of Err, Deadline and Done consults it first.
+func TestDeadlineStartsAtFirstConsult(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	for _, first := range []string{"Err", "Deadline", "Done"} {
+		d := NewDeadline(context.Background(), timeout)
+		time.Sleep(50 * time.Millisecond)
+		start := time.Now()
+		switch first {
+		case "Err":
+			if err := d.Err(); err != nil {
+				t.Fatalf("first consult by Err 50ms after NewDeadline: Err = %v, want nil", err)
+			}
+		case "Deadline":
+			_, _ = d.Deadline()
+		case "Done":
+			if isClosed(d.Done()) {
+				t.Fatal("first consult by Done 50ms after NewDeadline: Done closed")
+			}
+		}
+		end := time.Now()
+		at, _ := d.Deadline()
+		if at.Before(start.Add(timeout)) || at.After(end.Add(timeout)) {
+			t.Errorf("first consult by %s: Deadline() is %v after the consult began, want the whole %v", first, at.Sub(start), timeout)
+		}
+		if err := waitErr(t, d); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("first consult by %s: Err after the timeout = %v, want DeadlineExceeded", first, err)
+		}
+		if time.Now().Before(at) {
+			t.Errorf("first consult by %s: expired before its Deadline()", first)
+		}
+		d.Stop()
+	}
+}
+
+// TestDeadlineIsStable: Deadline() returns the same instant on every
+// call, before and after the Deadline expires and is stopped.
+func TestDeadlineIsStable(t *testing.T) {
+	d := NewDeadline(context.Background(), 5*time.Millisecond)
+	at, ok := d.Deadline()
+	if !ok {
+		t.Fatal("Deadline() reported no deadline")
+	}
+	check := func(when string) {
+		t.Helper()
+		if got, _ := d.Deadline(); got != at {
+			t.Errorf("Deadline() %s = %v, want the first call's %v", when, got, at)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		check("on a later call")
+	}
+	_ = d.Err()
+	check("after Err")
+	_ = waitErr(t, d)
+	check("after expiry")
+	<-d.Done()
+	check("after Done")
+	d.Stop()
+	check("after Stop")
+}
+
+// TestDeadlineNonPositiveTimeout: a timeout ≤ 0 expires at the first
+// consult, whichever it is.
+func TestDeadlineNonPositiveTimeout(t *testing.T) {
+	for _, timeout := range []time.Duration{0, -time.Second} {
+		byErr := NewDeadline(context.Background(), timeout)
+		if err := byErr.Err(); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("timeout %v: Err at the first consult = %v, want DeadlineExceeded", timeout, err)
+		}
+		byErr.Stop()
+
+		byDone := NewDeadline(context.Background(), timeout)
+		if !isClosed(byDone.Done()) {
+			t.Errorf("timeout %v: Done at the first consult is open", timeout)
+		}
+		byDone.Stop()
+
+		byDeadline := NewDeadline(context.Background(), timeout)
+		if at, _ := byDeadline.Deadline(); at.After(time.Now()) {
+			t.Errorf("timeout %v: Deadline() at the first consult is %v in the future", timeout, time.Until(at))
+		}
+		if err := byDeadline.Err(); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("timeout %v: Err after Deadline() = %v, want DeadlineExceeded", timeout, err)
+		}
+		byDeadline.Stop()
+	}
+}
+
+// TestDeadlineLongestTimeout: a timeout too long to add to the clock's
+// reading expires at the end of time, not at once.
+func TestDeadlineLongestTimeout(t *testing.T) {
+	d := NewDeadline(context.Background(), math.MaxInt64)
+	defer d.Stop()
+	if err := d.Err(); err != nil {
+		t.Fatalf("Err with the longest timeout = %v, want nil", err)
+	}
+	if at, _ := d.Deadline(); time.Until(at) < 100*365*24*time.Hour {
+		t.Errorf("Deadline() with the longest timeout is %v away, want a century or more", time.Until(at))
+	}
+}
+
+// TestDeadlineConcurrentFirstConsults: goroutines that consult a fresh
+// Deadline at once, by Deadline, Err or Done, start one clock: all of them
+// read the same instant (run with -race).
+func TestDeadlineConcurrentFirstConsults(t *testing.T) {
+	const consulters = 6
+	for i := 0; i < 50; i++ {
+		d := NewDeadline(context.Background(), time.Hour)
+		var (
+			wg    sync.WaitGroup
+			start = make(chan struct{})
+			ats   [consulters]time.Time
+		)
+		for g := 0; g < consulters; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				switch g % 3 {
+				case 1:
+					_ = d.Err()
+				case 2:
+					_ = d.Done()
+				}
+				ats[g], _ = d.Deadline()
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		for g, at := range ats {
+			if at != ats[0] {
+				t.Fatalf("round %d: consulter %d read %v, consulter 0 %v; want one instant", i, g, at, ats[0])
+			}
+		}
+		d.Stop()
 	}
 }
 

@@ -248,13 +248,13 @@ func (c *serverConn) respond(req tcpRequest) {
 // extendWriteDeadline moves the connection's write deadline to
 // responseWriteTimeout from now once less than half of that is left, so
 // a busy connection sets it about once per half timeout, not per
-// response. Callers hold wmu.
+// response. The check reads only the monotonic clock, which writeBy
+// carries once set. Callers hold wmu.
 func (c *serverConn) extendWriteDeadline() error {
-	now := time.Now()
-	if c.writeBy.Sub(now) >= responseWriteTimeout/2 {
+	if time.Until(c.writeBy) >= responseWriteTimeout/2 {
 		return nil
 	}
-	c.writeBy = now.Add(responseWriteTimeout)
+	c.writeBy = time.Now().Add(responseWriteTimeout)
 	return c.conn.SetWriteDeadline(c.writeBy)
 }
 
@@ -532,7 +532,9 @@ func (cc *tcpClientConn) send(call *tcpCall, method string, payload []byte, writ
 
 	cc.wmu.Lock()
 	defer cc.wmu.Unlock()
-	if !writeBy.IsZero() && !time.Now().Before(writeBy) {
+	// time.Until reads only the monotonic clock when writeBy carries a
+	// reading of it, as a *Deadline's and a context.WithTimeout's do.
+	if !writeBy.IsZero() && time.Until(writeBy) <= 0 {
 		cc.abandon(id)
 		return 0, context.DeadlineExceeded
 	}
