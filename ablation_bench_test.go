@@ -258,7 +258,7 @@ func BenchmarkAblationWorkerRegistry(b *testing.B) {
 		// A persistently scaled function keeps the concurrent autoscale
 		// sweeps reconciling real sandboxes across the fleet while it
 		// heartbeats.
-		if err := h.RegisterScaledFunction("hb-load", fleetSize/4); err != nil {
+		if _, err := h.RegisterScaledFunction("hb-load", fleetSize/4); err != nil {
 			b.Fatal(err)
 		}
 		workers := h.Fleet().Workers()
@@ -324,7 +324,7 @@ func BenchmarkAblationWorkerRegistry(b *testing.B) {
 		defer h.Close()
 		// Sandboxes across the fleet so every deregistration drains real
 		// endpoints and the drain's Reconcile re-places them.
-		if err := h.RegisterScaledFunction("churn-load", fleetSize/4); err != nil {
+		if _, err := h.RegisterScaledFunction("churn-load", fleetSize/4); err != nil {
 			b.Fatal(err)
 		}
 		workers := h.Fleet().Workers()
@@ -536,56 +536,6 @@ func BenchmarkAblationFunctionMarshal(b *testing.B) {
 		if _, err := core.UnmarshalFunction(buf); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- Liveness path: relayed heartbeat batches vs direct per-worker RPCs ---
-
-// BenchmarkAblationRelayHeartbeat measures the control plane's liveness
-// ingest cost per full-fleet heartbeat round, direct (-relay off: one CP
-// RPC per worker) vs an 8-relay tier (workers report to relays; each
-// relay ships one aggregated batch per flush). Background loops are
-// parked — every op is one explicit full-fleet round plus, in relay
-// mode, one tier-wide flush — so cp_rpcs/op isolates the RPC-count
-// collapse the relay tier buys: ~fleetSize for direct vs ~#relays.
-func BenchmarkAblationRelayHeartbeat(b *testing.B) {
-	const fleetSize = 1024
-	for _, cfg := range []struct {
-		name   string
-		relays int
-	}{
-		{"direct", 0},
-		{"relay-8", 8},
-	} {
-		b.Run(fmt.Sprintf("%s/workers-%d", cfg.name, fleetSize), func(b *testing.B) {
-			h, err := experiments.NewFleetHarness(experiments.FleetConfig{
-				Workers: fleetSize,
-				Relays:  cfg.relays,
-				// Park every background loop: rounds and flushes are
-				// driven explicitly, and the huge timeout keeps sweeps
-				// from failing parked workers.
-				HeartbeatInterval: time.Hour,
-				HeartbeatTimeout:  time.Hour,
-				RelayFlush:        time.Hour,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer h.Close()
-			if _, err := h.RegisterFleet(); err != nil {
-				b.Fatal(err)
-			}
-			m := h.CP().Metrics()
-			base := m.Counter("worker_hb_rpcs").Value() + m.Counter("worker_hb_batch_rpcs").Value()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.HeartbeatRound(32)
-				h.FlushRelays()
-			}
-			b.StopTimer()
-			total := m.Counter("worker_hb_rpcs").Value() + m.Counter("worker_hb_batch_rpcs").Value() - base
-			b.ReportMetric(float64(total)/float64(b.N), "cp_rpcs/op")
-		})
 	}
 }
 

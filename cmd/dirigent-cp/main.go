@@ -33,7 +33,6 @@ func main() {
 	autoscale := flag.Duration("autoscale-interval", 2*time.Second, "autoscaling loop period: the steady-state and scale-down period (a scale from zero is decided when the data plane reports it, not on this tick)")
 	hbTimeout := flag.Duration("heartbeat-timeout", 2*time.Second, "worker heartbeat timeout")
 	dpTimeout := flag.Duration("dataplane-timeout", 0, "data plane heartbeat timeout before the replica is pruned from the fan-out set (0 = 3x heartbeat-timeout)")
-	relayTimeout := flag.Duration("relay-timeout", 0, "relay batch-arrival timeout before a relay is treated as a correlated mass-timeout candidate (0 = heartbeat-timeout)")
 	deadGC := flag.Duration("dead-worker-gc", 0, "how long a failed worker's record lingers (revivable by a late heartbeat) before it is garbage collected (0 = 10x heartbeat-timeout, negative = never)")
 	persistAll := flag.Bool("persist-sandbox-state", false, "ablation: persist sandbox state on the critical path")
 	placementName := flag.String("placement", "kube-default",
@@ -84,7 +83,6 @@ func main() {
 		AutoscaleInterval:   *autoscale,
 		HeartbeatTimeout:    *hbTimeout,
 		DataPlaneTimeout:    *dpTimeout,
-		RelayTimeout:        *relayTimeout,
 		DeadWorkerGC:        *deadGC,
 		PersistSandboxState: *persistAll,
 		Placer:              placer,

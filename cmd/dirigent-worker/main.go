@@ -29,8 +29,6 @@ func main() {
 	id := flag.Int("id", 1, "worker node ID")
 	name := flag.String("name", "", "worker name (default worker-<id>)")
 	cps := flag.String("control-planes", "127.0.0.1:7000", "comma-separated control plane addresses")
-	relays := flag.String("relay", "off",
-		"comma-separated relay addresses for liveness traffic in preference order, or off for the seed's direct WN-to-CP protocol")
 	runtimeName := flag.String("runtime", "containerd", "sandbox runtime: containerd | firecracker")
 	latencyScale := flag.Float64("latency-scale", 1.0, "scale factor on simulated sandbox latencies")
 	cpuMilli := flag.Int("cpu-milli", 10000, "node CPU capacity in millicores")
@@ -67,11 +65,6 @@ func main() {
 		log.Fatalf("unknown runtime %q", *runtimeName)
 	}
 
-	var relayList []string
-	if *relays != "" && *relays != "off" {
-		relayList = strings.Split(*relays, ",")
-	}
-
 	w := worker.New(worker.Config{
 		Node: core.WorkerNode{
 			ID:       core.NodeID(*id),
@@ -85,7 +78,6 @@ func main() {
 		Runtime:           rt,
 		Transport:         transport.NewTCP(),
 		ControlPlanes:     strings.Split(*cps, ","),
-		Relays:            relayList,
 		HeartbeatInterval: *hb,
 		Prewarm:           *prewarm,
 		CreateConcurrency: *createConc,

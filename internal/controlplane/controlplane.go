@@ -93,13 +93,6 @@ type Config struct {
 	// HeartbeatTimeout is how long without a worker heartbeat before the
 	// health monitor declares the worker failed.
 	HeartbeatTimeout time.Duration
-	// RelayTimeout is how long without a batch from a relay before the
-	// health monitor declares the relay silent and re-verifies its
-	// workers' CP-side stamps individually (a silent relay is a
-	// correlated mass-timeout candidate, not automatically a mass
-	// failure — workers that failed over to another relay or to direct
-	// mode have fresh stamps and survive). 0 selects HeartbeatTimeout.
-	RelayTimeout time.Duration
 	// DeadWorkerGC is how long a crash-failed worker's registry entry
 	// lingers before being garbage-collected (entry and persisted record
 	// both removed, counted by dead_worker_gc). A late heartbeat within
@@ -165,9 +158,6 @@ func (c Config) withDefaults() Config {
 	if c.DataPlaneTimeout == 0 {
 		c.DataPlaneTimeout = 3 * c.HeartbeatTimeout
 	}
-	if c.RelayTimeout == 0 {
-		c.RelayTimeout = c.HeartbeatTimeout
-	}
 	if c.DeadWorkerGC == 0 {
 		c.DeadWorkerGC = 10 * c.HeartbeatTimeout
 	}
@@ -216,7 +206,11 @@ type sandboxState struct {
 // no demand, no sandboxes and no scaler: scaler, demand and sandboxes are
 // nil and quiet is what activate rebuilds the scaler from.
 type functionState struct {
-	fn     core.Function
+	fn core.Function
+	// rec is fn's persisted MarshalFunction record, the bytes a function
+	// list frames for data planes. Registration sets it to the record it
+	// persisted and recovery to the store's bytes; neither copies it.
+	rec    []byte
 	scaler *autoscaler.FunctionAutoscaler
 	quiet  autoscaler.Quiet
 	// demand is what each data plane last reported for this function (in
@@ -244,11 +238,11 @@ type functionState struct {
 	triggered bool
 }
 
-// newFunctionState is the state of fn registered (or reloaded) at now:
-// idle, and active at once if its MinScale wants sandboxes. Callers hold
-// sh's lock and put the state in sh.fns.
-func (cp *ControlPlane) newFunctionState(sh *functionShard, fn core.Function, now time.Time) *functionState {
-	fs := &functionState{fn: fn, quiet: autoscaler.Quiet{At: now}}
+// newFunctionState is the state of fn, whose record is rec, registered
+// (or reloaded) at now: idle, and active at once if its MinScale wants
+// sandboxes. Callers hold sh's lock and put the state in sh.fns.
+func (cp *ControlPlane) newFunctionState(sh *functionShard, fn core.Function, rec []byte, now time.Time) *functionState {
+	fs := &functionState{fn: fn, rec: rec, quiet: autoscaler.Quiet{At: now}}
 	if fn.Scaling.MinScale > 0 {
 		cp.activate(sh, fs, now)
 	}
@@ -380,10 +374,6 @@ type workerState struct {
 	util    core.NodeUtilization
 	lastHB  time.Time
 	healthy bool
-	// via is the relay whose batch last carried this worker's sample
-	// ("" = direct heartbeat). lastHB is always the CP-side arrival time
-	// of that heartbeat or batch — never a relay-side timestamp.
-	via string
 	// failedAt is when the health monitor failed the worker (zero while
 	// healthy); crash-failed entries are garbage-collected once it is
 	// older than Config.DeadWorkerGC.
@@ -415,16 +405,6 @@ type ControlPlane struct {
 	// workerCount tracks registered entries for the fleet_size gauge.
 	wshards     []*workerShard
 	workerCount atomic.Int64
-
-	// Relay tier tracking (see relays.go). The relay set is small (tens
-	// of relays front thousands of workers), so one mutex suffices; it is
-	// never held while touching worker shards. suspects accumulates
-	// relay-reported missing workers for the fast health sweeps; sweepSeq
-	// schedules the periodic full scans.
-	relayMu  sync.Mutex
-	relays   map[string]*relayState
-	suspects map[core.NodeID]struct{}
-	sweepSeq atomic.Uint64
 
 	// Data plane registry (see dataplanes.go). The set is small (a
 	// handful of replicas), so one RWMutex suffices; it is never taken on
@@ -466,28 +446,21 @@ type ControlPlane struct {
 
 	// Hot-path metric handles, resolved once so sandbox transitions skip
 	// the registry's name-lookup lock.
-	mSandboxReady    *telemetry.Histogram
-	mShardWait       *telemetry.Histogram
-	mShardContended  *telemetry.Counter
-	mSchedLatency    *telemetry.Histogram
-	mCreateBatch     *telemetry.Histogram
-	mKillBatch       *telemetry.Histogram
-	mEndpointFanout  *telemetry.Histogram
-	mRegWait         *telemetry.Histogram
-	mRegContended    *telemetry.Counter
-	mHealthSweep     *telemetry.Histogram
-	gFleetSize       *telemetry.Gauge
-	mIngestWait      *telemetry.Histogram
-	mIngestContended *telemetry.Counter
-	mHBBatchSize     *telemetry.Histogram
-	mRegBatchSize    *telemetry.Histogram
-	gRelayCount      *telemetry.Gauge
-	cHBRPCs          *telemetry.Counter
-	cHBBatchRPCs     *telemetry.Counter
-	cDeadWorkerGC    *telemetry.Counter
-	cRelayFailures   *telemetry.Counter
-	cReadLeader      *telemetry.Counter
-	cReadFollower    *telemetry.Counter
+	mSandboxReady   *telemetry.Histogram
+	mShardWait      *telemetry.Histogram
+	mShardContended *telemetry.Counter
+	mSchedLatency   *telemetry.Histogram
+	mCreateBatch    *telemetry.Histogram
+	mKillBatch      *telemetry.Histogram
+	mEndpointFanout *telemetry.Histogram
+	mRegWait        *telemetry.Histogram
+	mRegContended   *telemetry.Counter
+	mHealthSweep    *telemetry.Histogram
+	gFleetSize      *telemetry.Gauge
+	cHBRPCs         *telemetry.Counter
+	cDeadWorkerGC   *telemetry.Counter
+	cReadLeader     *telemetry.Counter
+	cReadFollower   *telemetry.Counter
 
 	cCreationsRequested *telemetry.Counter
 	cPlacementFailures  *telemetry.Counter
@@ -508,8 +481,6 @@ func New(cfg Config) *ControlPlane {
 		wshards:     newWorkerShards(),
 		dataplanes:  make(map[core.DataPlaneID]*dataPlaneState),
 		asyncLeases: make(map[core.DataPlaneID]*asyncLeaseState),
-		relays:      make(map[string]*relayState),
-		suspects:    make(map[core.NodeID]struct{}),
 		stopCh:      make(chan struct{}),
 	}
 	cp.mSandboxReady = cp.metrics.Histogram("sandbox_ready_ms")
@@ -523,15 +494,8 @@ func New(cfg Config) *ControlPlane {
 	cp.mRegContended = cp.metrics.Counter("reg_lock_contended")
 	cp.mHealthSweep = cp.metrics.Histogram("health_sweep_ms")
 	cp.gFleetSize = cp.metrics.Gauge("fleet_size")
-	cp.mIngestWait = cp.metrics.Histogram("ingest_lock_wait_ms")
-	cp.mIngestContended = cp.metrics.Counter("ingest_lock_contended")
-	cp.mHBBatchSize = cp.metrics.CountHistogram("heartbeat_batch_size")
-	cp.mRegBatchSize = cp.metrics.CountHistogram("register_batch_size")
-	cp.gRelayCount = cp.metrics.Gauge("relay_count")
 	cp.cHBRPCs = cp.metrics.Counter("worker_hb_rpcs")
-	cp.cHBBatchRPCs = cp.metrics.Counter("worker_hb_batch_rpcs")
 	cp.cDeadWorkerGC = cp.metrics.Counter("dead_worker_gc")
-	cp.cRelayFailures = cp.metrics.Counter("relay_failures_detected")
 	cp.cReadLeader = cp.metrics.Counter("cp_read_leader_served")
 	cp.cReadFollower = cp.metrics.Counter("cp_read_follower_served")
 	cp.cCreationsRequested = cp.metrics.Counter("sandbox_creations_requested")
@@ -679,7 +643,7 @@ func (cp *ControlPlane) recover() {
 		if f, err := core.UnmarshalFunction(b); err == nil {
 			sh := cp.shardFor(f.Name)
 			cp.lockShard(sh)
-			sh.fns[f.Name] = cp.newFunctionState(sh, *f, now)
+			sh.fns[f.Name] = cp.newFunctionState(sh, *f, b, now)
 			sh.mu.Unlock()
 		}
 	}
@@ -825,10 +789,6 @@ func (cp *ControlPlane) handleRPC(method string, payload []byte) ([]byte, error)
 		return cp.handleDeregisterWorker(payload)
 	case proto.MethodWorkerHeartbeat:
 		return cp.handleWorkerHeartbeat(payload)
-	case proto.MethodWorkerHeartbeatBatch:
-		return cp.handleWorkerHeartbeatBatch(payload)
-	case proto.MethodRegisterWorkerBatch:
-		return cp.handleRegisterWorkerBatch(payload)
 	case proto.MethodRegisterDataPlane:
 		return cp.handleRegisterDataPlane(payload)
 	case proto.MethodDeregisterDataPlane:
@@ -880,11 +840,12 @@ func (cp *ControlPlane) handleRegisterFunction(payload []byte) ([]byte, error) {
 	cp.lockShard(sh)
 	now := cp.clk.Now()
 	if fs, exists := sh.fns[f.Name]; !exists {
-		sh.fns[f.Name] = cp.newFunctionState(sh, *f, now)
+		sh.fns[f.Name] = cp.newFunctionState(sh, *f, rec, now)
 	} else {
 		// A re-registration may change how the function scales: the
 		// next decision takes the new config, the sweep's walk included.
 		fs.fn = *f
+		fs.rec = rec
 		if fs.active() {
 			fs.scaler.SetConfig(f.Scaling)
 		} else {
@@ -908,7 +869,7 @@ func (cp *ControlPlane) handleRegisterFunction(payload []byte) ([]byte, error) {
 // handleDeregisterFunction forgets the function, tells every live data
 // plane to drop it, and tears its sandboxes down. No endpoint update
 // follows: RemoveFunction has already cleared the data planes' endpoints,
-// and an update for a name they no longer know would re-create it.
+// and a data plane drops any update for a name it does not know.
 func (cp *ControlPlane) handleDeregisterFunction(payload []byte) ([]byte, error) {
 	f, err := core.UnmarshalFunction(payload)
 	if err != nil {
@@ -988,7 +949,6 @@ func (cp *ControlPlane) handleWorkerHeartbeat(payload []byte) ([]byte, error) {
 		w.lastHB = cp.clk.Now()
 		w.util = hb.Util
 		w.healthy = true
-		w.via = ""
 		w.failedAt = time.Time{}
 		w.mu.Unlock()
 	}
@@ -1053,8 +1013,7 @@ func (cp *ControlPlane) handleDeregisterDataPlane(payload []byte) ([]byte, error
 }
 
 func (cp *ControlPlane) handleListFunctions() ([]byte, error) {
-	list := proto.FunctionList{Functions: cp.snapshotFunctions()}
-	return list.Marshal(), nil
+	return cp.functionList(), nil
 }
 
 // handleScalingMetric stores each reported demand as the reporting data

@@ -17,17 +17,25 @@ import (
 // long and health sweeps are driven explicitly), so the heartbeat-
 // timeout edge cases below are exercised deterministically.
 func newVClockHarness(t *testing.T, timeout time.Duration) (*ControlPlane, *transport.InProc, *clock.Virtual) {
+	return newVClockHarnessWith(t, func(cfg *Config) { cfg.HeartbeatTimeout = timeout })
+}
+
+// newVClockHarnessWith is newVClockHarness (1 s heartbeat timeout)
+// configured through mutate, so a test can pin DeadWorkerGC explicitly.
+func newVClockHarnessWith(t *testing.T, mutate func(*Config)) (*ControlPlane, *transport.InProc, *clock.Virtual) {
 	t.Helper()
 	vclk := clock.NewVirtual(time.Unix(1_000_000, 0))
 	tr := transport.NewInProc()
-	cp := New(Config{
+	cfg := Config{
 		Addr:              "cp-health",
 		Transport:         tr,
 		DB:                store.NewMemory(),
 		Clock:             vclk,
 		AutoscaleInterval: time.Hour,
-		HeartbeatTimeout:  timeout,
-	})
+		HeartbeatTimeout:  time.Second,
+	}
+	mutate(&cfg)
+	cp := New(cfg)
 	if err := cp.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -222,5 +230,59 @@ func registerWorkerAt(t *testing.T, tr *transport.InProc, cpAddr string, id core
 	defer cancel()
 	if _, err := tr.Call(ctx, cpAddr, proto.MethodRegisterWorker, req.Marshal()); err != nil {
 		t.Fatalf("register worker: %v", err)
+	}
+}
+
+// TestDeadWorkerGC pins the tombstone lifecycle: a crash-failed worker's
+// record lingers for DeadWorkerGC (a late heartbeat inside the window
+// revives it), then the entry and its persisted record are collected,
+// after which even a heartbeat under the old ID is ignored — the node
+// must re-register.
+func TestDeadWorkerGC(t *testing.T) {
+	const gc = 3 * time.Second
+	cp, tr, vclk := newVClockHarnessWith(t, func(cfg *Config) {
+		cfg.DeadWorkerGC = gc
+	})
+	registerWorkerAt(t, tr, "cp-health", 1, "10.2.0.1")
+	heartbeat(t, tr, 1)
+
+	// Fail by timeout; the record lingers.
+	vclk.Advance(1100 * time.Millisecond)
+	cp.HealthSweep()
+	if got := cp.WorkerCount(); got != 0 {
+		t.Fatalf("WorkerCount = %d, want 0 after timeout", got)
+	}
+	if got := len(cp.cfg.DB.HGetAll(hashWorkers)); got != 1 {
+		t.Fatalf("persisted record collected too early (records = %d)", got)
+	}
+
+	// A late heartbeat inside the GC window revives the worker.
+	vclk.Advance(time.Second)
+	heartbeat(t, tr, 1)
+	cp.HealthSweep()
+	if got := cp.WorkerCount(); got != 1 {
+		t.Fatalf("late heartbeat did not revive worker; WorkerCount = %d", got)
+	}
+
+	// Fail again and let the failure age past DeadWorkerGC: entry and
+	// record are both collected.
+	vclk.Advance(1100 * time.Millisecond)
+	cp.HealthSweep()
+	vclk.Advance(gc + 100*time.Millisecond)
+	cp.HealthSweep()
+	if got := cp.Metrics().Counter("dead_worker_gc").Value(); got != 1 {
+		t.Fatalf("dead_worker_gc = %d, want 1", got)
+	}
+	if got := len(cp.cfg.DB.HGetAll(hashWorkers)); got != 0 {
+		t.Errorf("persisted record survived GC (records = %d)", got)
+	}
+	if got := cp.Metrics().Gauge("fleet_size").Value(); got != 0 {
+		t.Errorf("fleet_size = %d, want 0 after GC", got)
+	}
+
+	// Post-GC heartbeats under the collected ID are ignored.
+	heartbeat(t, tr, 1)
+	if got := cp.WorkerCount(); got != 0 {
+		t.Errorf("heartbeat resurrected a collected worker; WorkerCount = %d, want 0", got)
 	}
 }

@@ -369,8 +369,8 @@ func (cp *ControlPlane) sendFunctionMeta(states []*dataPlaneState, method string
 }
 
 // syncFunctions replaces each replica's function set with the full
-// registry, snapshotted and marshaled once for all of them. The snapshot
-// is taken under fnMu, so no delta is half-applied to it. With owe set,
+// registry, framed once for all of them from the stored records. The list
+// is built under fnMu, so no delta is half-applied to it. With owe set,
 // each replica the sync reaches is owed every function's endpoints too,
 // as one whose caches may have missed any number of updates is.
 func (cp *ControlPlane) syncFunctions(states []*dataPlaneState, owe bool) {
@@ -379,15 +379,16 @@ func (cp *ControlPlane) syncFunctions(states []*dataPlaneState, owe bool) {
 	}
 	cp.fnMu.Lock()
 	defer cp.fnMu.Unlock()
-	list := proto.FunctionList{Functions: cp.snapshotFunctions()}
-	reached := cp.sendFunctionMeta(states, proto.MethodSyncFunctions, list.Marshal())
+	reached := cp.sendFunctionMeta(states, proto.MethodSyncFunctions, cp.functionList())
 	if !owe || len(reached) == 0 {
 		return
 	}
-	names := make([]string, len(list.Functions))
-	for i := range list.Functions {
-		names[i] = list.Functions[i].Name
-	}
+	var names []string
+	cp.forEachShard(func(sh *functionShard) {
+		for name := range sh.fns {
+			names = append(names, name)
+		}
+	})
 	for _, st := range reached {
 		cp.oweEndpoints(st, names)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dirigent/internal/core"
+	"dirigent/internal/proto"
 )
 
 // stateShards is the number of locks striping the function state map.
@@ -86,17 +87,27 @@ func (cp *ControlPlane) forEachShard(fn func(sh *functionShard)) {
 	}
 }
 
-// snapshotFunctions returns a copy of every registered function spec.
-// The snapshot is per-shard consistent, which is all the broadcast and
-// status paths need.
-func (cp *ControlPlane) snapshotFunctions() []core.Function {
-	var out []core.Function
+// functionList frames every registered function's record (fs.rec) as one
+// marshaled proto.FunctionList, encoding no function again. A first pass
+// sizes the buffer, so the list costs the same few allocations whatever
+// the registry's size; a registration racing the second pass at most
+// grows it once. The list is per-shard consistent, which is all the
+// sync and list paths need.
+func (cp *ControlPlane) functionList() []byte {
+	size := 4
 	cp.forEachShard(func(sh *functionShard) {
 		for _, fs := range sh.fns {
-			out = append(out, fs.fn)
+			size += 4 + len(fs.rec)
 		}
 	})
-	return out
+	var w proto.FunctionListWriter
+	w.Reset(make([]byte, 0, size))
+	cp.forEachShard(func(sh *functionShard) {
+		for _, fs := range sh.fns {
+			w.Record(fs.rec)
+		}
+	})
+	return w.Bytes()
 }
 
 // ActiveFunctions reports how many functions the autoscale sweep walks,

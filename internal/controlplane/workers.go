@@ -14,13 +14,6 @@ import (
 // monitor.
 const workerShards = 32
 
-// fullScanEvery makes every 4th health sweep a full registry scan when
-// relays are active. In-between sweeps are fast passes that only check
-// relay freshness and relay-reported suspects: at 5000 workers the full
-// scan is the dominant sweep cost, and with relays vouching for their
-// members it only needs to run as the periodic ground truth.
-const fullScanEvery = 4
-
 // workerShard is one stripe of the worker registry: a slice of the
 // worker map guarded by its own RWMutex. Registrations, heartbeats and
 // health checks for workers in different shards proceed in parallel;
@@ -71,31 +64,6 @@ func (cp *ControlPlane) rlockWorkerShard(ws *workerShard) {
 	ws.mu.RLock()
 	cp.mRegContended.Inc()
 	cp.mRegWait.Observe(time.Since(start))
-}
-
-// lockWorkerShardIngest / rlockWorkerShardIngest are the batch-ingest
-// twins of lockWorkerShard: same TryLock fast path, but contended
-// acquisitions land in ingest_lock_* so batch-vs-batch (and
-// batch-vs-sweep) contention is distinguishable from the singleton
-// registration path's reg_lock_* in one telemetry dump.
-func (cp *ControlPlane) lockWorkerShardIngest(ws *workerShard) {
-	if ws.mu.TryLock() {
-		return
-	}
-	start := time.Now()
-	ws.mu.Lock()
-	cp.mIngestContended.Inc()
-	cp.mIngestWait.Observe(time.Since(start))
-}
-
-func (cp *ControlPlane) rlockWorkerShardIngest(ws *workerShard) {
-	if ws.mu.TryRLock() {
-		return
-	}
-	start := time.Now()
-	ws.mu.RLock()
-	cp.mIngestContended.Inc()
-	cp.mIngestWait.Observe(time.Since(start))
 }
 
 // getWorker returns the registry entry for a node, or nil. It takes only
@@ -229,70 +197,29 @@ func (w *workerState) retire() {
 // Exported so tests and the fleet harness can drive the health monitor
 // deterministically instead of waiting for ticker periods.
 //
-// With a relay tier active the sweep is hierarchical: relay freshness is
-// checked first (a silent relay is a correlated mass-timeout candidate —
-// its declaration triggers a full scan that re-verifies every worker's
-// own CP-side stamp, so members that failed over to another relay
-// survive), and most passes are then fast sweeps over relay-reported
-// suspects only, with every fullScanEvery-th pass scanning the whole
-// registry as ground truth. Direct mode (no relays) always scans fully.
-// Full scans also garbage-collect crash-failed entries whose failure is
+// Each sweep also garbage-collects crash-failed entries whose failure is
 // older than DeadWorkerGC: the registry entry and the persisted record
 // are both removed (counted by dead_worker_gc), so a fleet that churns
 // nodes doesn't accrete tombstones forever. A late heartbeat before
-// collection still revives the worker. Full scans also retire every
-// worker sender (senders.go) idle since the previous full scan.
+// collection still revives the worker. Each sweep also retires every
+// worker sender (senders.go) idle since the previous sweep.
 func (cp *ControlPlane) HealthSweep() {
 	start := cp.clk.Now()
-	seq := cp.sweepSeq.Add(1)
-	silentRelays := cp.sweepRelays(start)
-	fullScan := cp.relayCount() == 0 || len(silentRelays) > 0 || seq%fullScanEvery == 0
-
 	var failed, collect []core.NodeID
-	if fullScan {
-		cp.takeSuspects() // the scan below supersedes the pending hints
-		cp.forEachWorkerShard(func(ws *workerShard) {
-			for id, w := range ws.workers {
-				w.mu.Lock()
-				w.out.sweep(len(w.creates)+len(w.kills) == 0)
-				switch {
-				case w.healthy && start.Sub(w.lastHB) > cp.cfg.HeartbeatTimeout:
-					failed = append(failed, id)
-				case !w.healthy && cp.cfg.DeadWorkerGC > 0 && !w.failedAt.IsZero() &&
-					start.Sub(w.failedAt) > cp.cfg.DeadWorkerGC:
-					collect = append(collect, id)
-				}
-				w.mu.Unlock()
-			}
-		})
-	} else {
-		// Fast pass: relays are current, so their batches vouch for
-		// every member except the ones they reported missing. Only those
-		// suspects need a per-worker stamp check; the cost is
-		// O(relays + suspects) instead of O(fleet).
-		var requeue []core.NodeID
-		for _, id := range cp.takeSuspects() {
-			w := cp.getWorker(id)
-			if w == nil {
-				continue
-			}
+	cp.forEachWorkerShard(func(ws *workerShard) {
+		for id, w := range ws.workers {
 			w.mu.Lock()
-			healthy := w.healthy
-			age := start.Sub(w.lastHB)
-			w.mu.Unlock()
+			w.out.sweep(len(w.creates)+len(w.kills) == 0)
 			switch {
-			case !healthy:
-				// Already failed (or failed over and re-failed); done.
-			case age > cp.cfg.HeartbeatTimeout:
+			case w.healthy && start.Sub(w.lastHB) > cp.cfg.HeartbeatTimeout:
 				failed = append(failed, id)
-			case age > cp.cfg.HeartbeatTimeout/4:
-				// Still quiet but inside the timeout: keep watching so
-				// detection latency matches the direct path's.
-				requeue = append(requeue, id)
+			case !w.healthy && cp.cfg.DeadWorkerGC > 0 && !w.failedAt.IsZero() &&
+				start.Sub(w.failedAt) > cp.cfg.DeadWorkerGC:
+				collect = append(collect, id)
 			}
+			w.mu.Unlock()
 		}
-		cp.addSuspects(requeue)
-	}
+	})
 	for _, id := range failed {
 		cp.failWorker(id)
 	}

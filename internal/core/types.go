@@ -213,9 +213,8 @@ type NodeUtilization struct {
 	CreationQueue int
 	// CacheDigest lists HashImage values for the images/snapshots in the
 	// node's local cache, sorted ascending so placement can binary-search
-	// it. It rides worker heartbeats (and relay heartbeat batches at 5k
-	// scale) to feed cache-locality-aware placement. Treated as read-only
-	// once published: heartbeat handlers copy the struct by value and
-	// share the slice.
+	// it. It rides worker heartbeats to feed cache-locality-aware
+	// placement. Treated as read-only once published: heartbeat handlers
+	// copy the struct by value and share the slice.
 	CacheDigest []uint64
 }

@@ -15,7 +15,7 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "e2e",
-		Title: "End-to-end macro-benchmark: live Azure-trace replay with workflows, a versioned rollout, and injected worker/DP/relay failures (paper §5.3 + §5.4)",
+		Title: "End-to-end macro-benchmark: live Azure-trace replay with workflows, a versioned rollout, and injected worker and DP failures (paper §5.3 + §5.4)",
 		Run:   runE2E,
 	})
 	register(Experiment{
@@ -27,10 +27,10 @@ func init() {
 
 // e2eScenario builds the macro-benchmark scenario: the compressed
 // Azure-like trace against the full live stack (CP + 3 DP replicas on a
-// shared durable store + relay tier + emulated fleet), mixed sync/async/
-// workflow traffic, and a fault schedule spread over the measurement
-// window — canary split, worker-rack kill/revive, DP replica kill/
-// revive, relay kill, and a full promote.
+// shared durable store + emulated fleet), mixed sync/async/workflow
+// traffic, and a fault schedule spread over the measurement window —
+// canary split, worker-rack kill/revive, DP replica kill/revive, and a
+// full promote.
 func e2eScenario(scale float64) scenario.Config {
 	tr := trace.NewAzureLike(trace.Config{
 		Functions: scaleInt(120, scale, 48),
@@ -48,7 +48,6 @@ func e2eScenario(scale float64) scenario.Config {
 		RolloutFunction: rollout,
 		DataPlanes:      3,
 		Workers:         scaleInt(24, scale, 12),
-		Relays:          2,
 		AsyncEveryN:     7,
 		WorkflowEveryN:  31,
 		Schedule: []scenario.Event{
@@ -60,7 +59,6 @@ func e2eScenario(scale float64) scenario.Config {
 			{At: at(3), Phase: "rack-revived", Kind: scenario.FaultWorkerRack, Action: "revive"},
 			{At: at(4), Phase: "dp-loss", Kind: scenario.FaultDataPlane, Action: "kill", Index: 1},
 			{At: at(5), Phase: "dp-revived", Kind: scenario.FaultDataPlane, Action: "revive", Index: 1},
-			{At: at(6), Phase: "relay-loss", Kind: scenario.FaultRelay, Action: "kill", Index: 0},
 			{At: at(7), Phase: "promoted", Promote: v2},
 		},
 	}
@@ -137,9 +135,8 @@ func e2eRun(w io.Writer, cfg scenario.Config, scale float64, benchFile string, w
 		rep.LostSync, rep.AsyncAccepted, rep.AsyncAcceptFailed, rep.AsyncStranded, rep.AsyncDrainMs)
 	fmt.Fprintf(w, "# workflows=%d ok=%d (%.1f%%) versions=%v unversioned=%d\n",
 		rep.Workflows, rep.WorkflowOK, 100*rep.WorkflowSuccessRate, rep.VersionServed, rep.UnversionedServes)
-	fmt.Fprintf(w, "# CP sweeps saw: worker_failures=%d dp_failures=%d dp_revivals=%d relay_failures=%d; lb_failovers=%d cp_recoveries=%d\n",
-		rep.WorkerFailuresDetected, rep.DPFailuresDetected, rep.DPRevivals,
-		rep.RelayFailuresDetected, rep.LBFailovers, rep.CPRecoveries)
+	fmt.Fprintf(w, "# CP sweeps saw: worker_failures=%d dp_failures=%d dp_revivals=%d; lb_failovers=%d cp_recoveries=%d\n",
+		rep.WorkerFailuresDetected, rep.DPFailuresDetected, rep.DPRevivals, rep.LBFailovers, rep.CPRecoveries)
 	fmt.Fprintln(w, "# Expected shape: zero lost sync invocations and zero stranded async records")
 	fmt.Fprintln(w, "# across every injected failure; cold rate spikes in rack-loss (re-placement)")
 	fmt.Fprintln(w, "# and decays after revival; p99 absorbs the DP kill (front-end failover +")

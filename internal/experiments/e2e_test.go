@@ -6,10 +6,10 @@ import (
 )
 
 // TestE2EScenarioSmoke is the seconds-scale CI variant of the e2e
-// macro-benchmark: the full live stack (CP + DP replicas + relay tier +
-// emulated fleet), mixed sync/async/workflow traffic, the canary →
-// promote rollout, and every scheduled fault (worker-rack kill/revive,
-// DP replica kill/revive, relay kill) — runE2E itself fails on any lost
+// macro-benchmark: the full live stack (CP + DP replicas + emulated
+// fleet), mixed sync/async/workflow traffic, the canary → promote
+// rollout, and every scheduled fault (worker-rack kill/revive, DP
+// replica kill/revive) — runE2E itself fails on any lost
 // sync invocation, stranded async record, failed async accept, failed
 // workflow, or unversioned serve, so a nil error IS the assertion.
 func TestE2EScenarioSmoke(t *testing.T) {
@@ -21,7 +21,7 @@ func TestE2EScenarioSmoke(t *testing.T) {
 		t.Fatalf("e2e smoke: %v\noutput:\n%s", err, buf.String())
 	}
 	out := buf.String()
-	for _, want := range []string{"rack-loss", "dp-loss", "relay-loss", "promoted", "lost_sync=0", "stranded=0"} {
+	for _, want := range []string{"rack-loss", "dp-loss", "promoted", "lost_sync=0", "stranded=0"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("e2e smoke output missing %q:\n%s", want, out)
 		}

@@ -1,13 +1,13 @@
 // Package fleet assembles tiers of a live cluster for fleet-scale
 // experiments (paper §5.2.3 runs the control plane against 5000 worker
-// nodes): emulated worker fleets, relay tiers and data plane replica
-// sets. An emulated worker is the real worker daemon over sandbox.Null —
-// it registers, heartbeats, accepts create/kill batches, reports
-// readiness and serves proxied invocations exactly as a deployed worker
-// does, but "creating" a sandbox is a map insert plus an optional delay.
-// Thousands of them fit in one process, which is what lets registration
-// storms, heartbeat floods, autoscale sweeps and correlated failures be
-// driven against the control plane's worker registry at fleet scale.
+// nodes): emulated worker fleets and data plane replica sets. An
+// emulated worker is the real worker daemon over sandbox.Null — it
+// registers, heartbeats, accepts create/kill batches, reports readiness
+// and serves proxied invocations exactly as a deployed worker does, but
+// "creating" a sandbox is a map insert plus an optional delay. Thousands
+// of them fit in one process, which is what lets registration storms,
+// heartbeat floods, autoscale sweeps and correlated failures be driven
+// against the control plane's worker registry at fleet scale.
 package fleet
 
 import (
@@ -30,12 +30,6 @@ type Config struct {
 	Transport transport.Transport
 	// ControlPlanes are the CP replica addresses.
 	ControlPlanes []string
-	// Relays, when non-empty, puts the whole fleet in relay mode: worker
-	// i's preference order is the relay list rotated by i, so workers
-	// spread across relays (~Size/len(Relays) each) while every worker
-	// still holds the full list for failover. Empty keeps the seed's
-	// direct WN → CP liveness protocol.
-	Relays []string
 	// Loopback makes every worker listen on 127.0.0.1:0 (real TCP,
 	// ports resolved at bind time). When false, workers use synthetic
 	// in-process addresses in the 10.77.0.0/16 range.
@@ -95,21 +89,14 @@ func New(cfg Config) *Fleet {
 			node.Port = 9000
 			addr = fmt.Sprintf("%s:%d", node.IP, node.Port)
 		}
-		f.workers = append(f.workers, f.newWorker(i, node, addr))
+		f.workers = append(f.workers, f.newWorker(node, addr))
 	}
 	return f
 }
 
-// newWorker builds the worker in fleet slot i: the real daemon over a null
+// newWorker builds one fleet worker: the real daemon over a null
 // runtime, with its own image cache so its heartbeats carry a digest.
-func (f *Fleet) newWorker(i int, node core.WorkerNode, addr string) *worker.Worker {
-	var relays []string
-	if n := len(f.cfg.Relays); n > 0 {
-		relays = make([]string, 0, n)
-		for j := 0; j < n; j++ {
-			relays = append(relays, f.cfg.Relays[(i+j)%n])
-		}
-	}
+func (f *Fleet) newWorker(node core.WorkerNode, addr string) *worker.Worker {
 	cache := sandbox.NewImageCache()
 	return worker.New(worker.Config{
 		Node:              node,
@@ -117,7 +104,6 @@ func (f *Fleet) newWorker(i int, node core.WorkerNode, addr string) *worker.Work
 		Runtime:           &sandbox.Null{ReadyDelay: f.cfg.ReadyDelay, Images: cache},
 		Transport:         f.cfg.Transport,
 		ControlPlanes:     f.cfg.ControlPlanes,
-		Relays:            relays,
 		HeartbeatInterval: f.cfg.HeartbeatInterval,
 		Images:            f.images,
 		Metrics:           f.metrics,
@@ -200,7 +186,7 @@ func (f *Fleet) Restart(victims []*worker.Worker) error {
 		if !dead[w] {
 			continue
 		}
-		nw := f.newWorker(i, w.Node(), w.Addr())
+		nw := f.newWorker(w.Node(), w.Addr())
 		if err := nw.Start(); err != nil {
 			if firstErr == nil {
 				firstErr = err

@@ -77,18 +77,6 @@ const (
 	// of creations costs O(RPCs in flight) instead of O(sandboxes).
 	MethodSandboxReadyBatch = "cp.SandboxReadyBatch"
 	MethodSandboxCrashed    = "cp.SandboxCrashed"
-	// Relay → CP (hierarchical liveness tier). Workers report liveness to
-	// a relay with the ordinary per-worker methods above; each relay ships
-	// one aggregated RPC per flush period, so the control plane absorbs
-	// O(relays) liveness calls per period instead of O(workers).
-	// MethodWorkerHeartbeatBatch carries every worker sample a relay
-	// absorbed since its last flush, plus the workers it stopped hearing
-	// from (early failure hints the CP verifies against its own stamps).
-	MethodWorkerHeartbeatBatch = "cp.WorkerHeartbeatBatch"
-	// MethodRegisterWorkerBatch group-commits a registration storm: every
-	// worker that asked its relay to register while the relay's previous
-	// registration RPC was in flight shares one CP round trip.
-	MethodRegisterWorkerBatch = "cp.RegisterWorkerBatch"
 	// CP ↔ CP (leader election + log replication).
 	MethodRequestVote = "cp.RequestVote"
 	// MethodAppendEntries ships pipelined, group-committed batches of
@@ -600,9 +588,7 @@ type WorkerHeartbeat struct {
 }
 
 // Marshal encodes the heartbeat. The trailing cache digest (sorted image
-// hashes, see core.NodeUtilization) feeds cache-locality-aware placement;
-// it also rides relay heartbeat batches unchanged, since the batch nests
-// whole marshaled heartbeats.
+// hashes, see core.NodeUtilization) feeds cache-locality-aware placement.
 func (m *WorkerHeartbeat) Marshal() []byte {
 	e := codec.NewEncoder(48 + 8*len(m.Util.CacheDigest))
 	e.U16(uint16(m.Node))
@@ -650,105 +636,6 @@ func UnmarshalRegisterWorkerRequest(b []byte) (*RegisterWorkerRequest, error) {
 		return nil, wrap(err, "RegisterWorkerRequest")
 	}
 	return &RegisterWorkerRequest{Worker: *w}, nil
-}
-
-// WorkerHeartbeatBatch is one relay flush: the latest liveness and
-// utilization sample of every worker that reported to the relay since its
-// previous flush, plus the node IDs the relay has stopped hearing from
-// (Missing). The relay's own clock is deliberately absent — the control
-// plane stamps every carried sample with the batch's arrival time, so
-// liveness judgment never trusts a relay-side timestamp.
-type WorkerHeartbeatBatch struct {
-	// Relay identifies the sending relay (its RPC address); the control
-	// plane tracks relay freshness under this key to turn a silent relay
-	// into a correlated mass-timeout check rather than a mystery.
-	Relay string
-	// Missing lists workers that registered with this relay but have been
-	// silent past the relay's miss threshold — an early hint the CP
-	// verifies against its own per-worker stamps before failing anyone.
-	Missing []core.NodeID
-	// Beats are the aggregated per-worker samples.
-	Beats []WorkerHeartbeat
-}
-
-// Marshal encodes the batch.
-func (m *WorkerHeartbeatBatch) Marshal() []byte {
-	e := codec.NewEncoder(16 + len(m.Relay) + 2*len(m.Missing) + 48*len(m.Beats))
-	e.String(m.Relay)
-	e.U32(uint32(len(m.Missing)))
-	for _, id := range m.Missing {
-		e.U16(uint16(id))
-	}
-	e.U32(uint32(len(m.Beats)))
-	for i := range m.Beats {
-		e.RawBytes(m.Beats[i].Marshal())
-	}
-	return e.Bytes()
-}
-
-// UnmarshalWorkerHeartbeatBatch decodes a WorkerHeartbeatBatch.
-func UnmarshalWorkerHeartbeatBatch(b []byte) (*WorkerHeartbeatBatch, error) {
-	d := codec.NewDecoder(b)
-	m := &WorkerHeartbeatBatch{}
-	m.Relay = d.String()
-	nm := int(d.U32())
-	for i := 0; i < nm && d.Err() == nil; i++ {
-		m.Missing = append(m.Missing, core.NodeID(d.U16()))
-	}
-	nb := int(d.U32())
-	for i := 0; i < nb && d.Err() == nil; i++ {
-		rb := d.RawBytes()
-		if d.Err() != nil {
-			break
-		}
-		hb, err := UnmarshalWorkerHeartbeat(rb)
-		if err != nil {
-			return nil, wrap(err, "WorkerHeartbeatBatch")
-		}
-		m.Beats = append(m.Beats, *hb)
-	}
-	return m, wrap(d.Err(), "WorkerHeartbeatBatch")
-}
-
-// RegisterWorkerBatch group-commits a registration storm through a relay:
-// every worker announcement the relay accumulated while its previous
-// registration RPC was in flight, in one CP round trip.
-type RegisterWorkerBatch struct {
-	// Relay identifies the sending relay (its RPC address).
-	Relay string
-	// Workers are the announced worker nodes.
-	Workers []core.WorkerNode
-}
-
-// Marshal encodes the batch.
-func (m *RegisterWorkerBatch) Marshal() []byte {
-	e := codec.NewEncoder(16 + len(m.Relay) + 64*len(m.Workers))
-	e.String(m.Relay)
-	e.U32(uint32(len(m.Workers)))
-	for i := range m.Workers {
-		e.RawBytes(core.MarshalWorkerNode(&m.Workers[i]))
-	}
-	return e.Bytes()
-}
-
-// UnmarshalRegisterWorkerBatch decodes a RegisterWorkerBatch.
-func UnmarshalRegisterWorkerBatch(b []byte) (*RegisterWorkerBatch, error) {
-	d := codec.NewDecoder(b)
-	m := &RegisterWorkerBatch{}
-	m.Relay = d.String()
-	n := int(d.U32())
-	for i := 0; i < n && d.Err() == nil; i++ {
-		rb := d.RawBytes()
-		if d.Err() != nil {
-			break
-		}
-		w, err := core.UnmarshalWorkerNode(rb)
-		if err != nil {
-			return nil, wrap(err, "RegisterWorkerBatch")
-		}
-		m.Workers = append(m.Workers, *w)
-	}
-	return m, wrap(d.Err(), "RegisterWorkerBatch")
 }
 
 // RegisterDataPlaneRequest announces a data plane replica to the CP.
@@ -1040,12 +927,12 @@ type FunctionList struct {
 
 // Marshal encodes the list.
 func (m *FunctionList) Marshal() []byte {
-	e := codec.NewEncoder(16 + 128*len(m.Functions))
-	e.U32(uint32(len(m.Functions)))
+	var w FunctionListWriter
+	w.Reset(make([]byte, 0, 16+128*len(m.Functions)))
 	for i := range m.Functions {
-		e.RawBytes(core.MarshalFunction(&m.Functions[i]))
+		w.Record(core.MarshalFunction(&m.Functions[i]))
 	}
-	return e.Bytes()
+	return w.Bytes()
 }
 
 // FunctionDelta returns the FunctionList of the one function whose
@@ -1057,6 +944,31 @@ func FunctionDelta(rec []byte) []byte {
 	e.RawBytes(rec)
 	return e.Bytes()
 }
+
+// FunctionListWriter appends a FunctionList to a buffer its caller owns,
+// one MarshalFunction record at a time, so a caller that already holds
+// the records frames them without encoding any function again.
+type FunctionListWriter struct {
+	e codec.Encoder
+	n uint32
+}
+
+// Reset starts an empty list in buf[:0].
+func (w *FunctionListWriter) Reset(buf []byte) {
+	w.e.Extend(buf[:0])
+	w.e.U32(0)
+	w.n = 0
+}
+
+// Record appends the function whose MarshalFunction record is rec.
+func (w *FunctionListWriter) Record(rec []byte) {
+	w.e.RawBytes(rec)
+	w.n++
+	w.e.PutU32At(0, w.n)
+}
+
+// Bytes returns the list, which aliases the buffer given to Reset.
+func (w *FunctionListWriter) Bytes() []byte { return w.e.Bytes() }
 
 // VisitFunctionList decodes a marshaled FunctionList in place, calling
 // visit once per function with its name and target concurrency, the

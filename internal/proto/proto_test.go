@@ -528,78 +528,6 @@ func TestKillSandboxBatchRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWorkerHeartbeatBatchRoundTrip(t *testing.T) {
-	m := &WorkerHeartbeatBatch{
-		Relay:   "relay-3",
-		Missing: []core.NodeID{9, 12},
-	}
-	for i := 0; i < 3; i++ {
-		id := core.NodeID(40 + i)
-		m.Beats = append(m.Beats, WorkerHeartbeat{
-			Node: id,
-			Util: core.NodeUtilization{
-				Node: id, CPUMilliUsed: 100 * i, MemoryMBUsed: 256 * i, SandboxCount: i,
-				CacheDigest: []uint64{uint64(i), uint64(1000 + i)},
-			},
-		})
-	}
-	got, err := UnmarshalWorkerHeartbeatBatch(m.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Relay != m.Relay {
-		t.Errorf("relay: %q", got.Relay)
-	}
-	if len(got.Missing) != 2 || got.Missing[0] != 9 || got.Missing[1] != 12 {
-		t.Errorf("missing: %v", got.Missing)
-	}
-	if len(got.Beats) != 3 {
-		t.Fatalf("round trip kept %d beats, want 3", len(got.Beats))
-	}
-	for i := range m.Beats {
-		if got.Beats[i].Node != m.Beats[i].Node || !reflect.DeepEqual(got.Beats[i].Util, m.Beats[i].Util) {
-			t.Errorf("beat %d: %+v", i, got.Beats[i])
-		}
-	}
-	empty, err := UnmarshalWorkerHeartbeatBatch((&WorkerHeartbeatBatch{Relay: "r"}).Marshal())
-	if err != nil || len(empty.Beats) != 0 || len(empty.Missing) != 0 {
-		t.Errorf("empty batch: %v %+v", err, empty)
-	}
-}
-
-func TestRegisterWorkerBatchRoundTrip(t *testing.T) {
-	m := &RegisterWorkerBatch{Relay: "relay-1"}
-	for i := 0; i < 3; i++ {
-		m.Workers = append(m.Workers, core.WorkerNode{
-			ID: core.NodeID(i + 1), Name: fmt.Sprintf("w%d", i+1),
-			IP: "10.0.0.1", Port: 9000, CPUMilli: 8000, MemoryMB: 32768,
-		})
-	}
-	got, err := UnmarshalRegisterWorkerBatch(m.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Relay != m.Relay || len(got.Workers) != 3 {
-		t.Fatalf("round trip: relay=%q workers=%d", got.Relay, len(got.Workers))
-	}
-	for i := range m.Workers {
-		if got.Workers[i] != m.Workers[i] {
-			t.Errorf("worker %d: %+v", i, got.Workers[i])
-		}
-	}
-}
-
-func TestTruncatedRelayBatchMessagesError(t *testing.T) {
-	hb := (&WorkerHeartbeatBatch{Relay: "r", Beats: []WorkerHeartbeat{{Node: 1}}}).Marshal()
-	if _, err := UnmarshalWorkerHeartbeatBatch(hb[:len(hb)-3]); err == nil {
-		t.Errorf("truncated WorkerHeartbeatBatch accepted")
-	}
-	reg := (&RegisterWorkerBatch{Relay: "r", Workers: []core.WorkerNode{{ID: 1, Name: "w"}}}).Marshal()
-	if _, err := UnmarshalRegisterWorkerBatch(reg[:len(reg)-2]); err == nil {
-		t.Errorf("truncated RegisterWorkerBatch accepted")
-	}
-}
-
 func TestRegisterDataPlaneRequestRoundTrip(t *testing.T) {
 	m := &RegisterDataPlaneRequest{
 		DataPlane:   core.DataPlane{ID: 3, IP: "10.88.0.3", Port: 8000},

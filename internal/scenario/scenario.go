@@ -1,11 +1,11 @@
 // Package scenario is the macro-benchmark driver: it replays a
 // compressed Azure-like trace (internal/trace) against a live cluster —
 // one control plane, N real data plane replicas sharing a durable async
-// store, an optional relay tier, and a fleet of emulated workers — with
-// a configurable load mix (sync invokes, durable async submissions,
-// multi-function workflows through internal/workflow) and a declarative
-// fault schedule (kill/revive a worker rack, a data plane replica, a
-// relay; flip a versioned rollout) at trace-relative times. The driver
+// store, and a fleet of emulated workers — with a configurable load mix
+// (sync invokes, durable async submissions, multi-function workflows
+// through internal/workflow) and a declarative fault schedule (kill or
+// revive a worker rack, a data plane replica or a control plane replica;
+// flip a versioned rollout) at trace-relative times. The driver
 // buckets results into named phases and reports per-phase p50/p99
 // latency, cold-start rate, RPS, and workflow success, plus global
 // lost/stranded counts — the paper's §5.3 methodology (sustained trace,
@@ -52,9 +52,6 @@ const (
 	FaultWorkerRack FaultKind = "worker-rack"
 	// FaultDataPlane kills (or revives) one data plane replica.
 	FaultDataPlane FaultKind = "dataplane"
-	// FaultRelay kills one relay (workers fail over to the remaining
-	// relays or the direct CP path; revive is not supported).
-	FaultRelay FaultKind = "relay"
 	// FaultControlPlane kills the current control plane leader ("cp-kill":
 	// a follower wins the next election and recovers from its applied
 	// log) or revives the last killed replica ("cp-revive": it rejoins as
@@ -80,8 +77,7 @@ type Event struct {
 	Action string
 	// Frac is the worker-rack kill fraction (FaultWorkerRack only).
 	Frac float64
-	// Index selects the data plane replica or relay (FaultDataPlane /
-	// FaultRelay).
+	// Index selects the data plane replica (FaultDataPlane).
 	Index int
 	// Rollout, when non-empty, installs this traffic split for
 	// Config.RolloutFunction on the front end's version router.
@@ -114,9 +110,6 @@ type Config struct {
 	DataPlanes int
 	// Workers is the emulated fleet size (default 24).
 	Workers int
-	// Relays, when > 0, stands up a relay tier and routes worker
-	// liveness through it (default 0: direct WN → CP).
-	Relays int
 	// AsyncEveryN submits every Nth trace invocation as a durable async
 	// request instead of a sync invoke (0 disables async traffic).
 	AsyncEveryN int
@@ -174,12 +167,6 @@ func (c Config) withDefaults() (Config, error) {
 		c.ControlPlanes = 1
 	}
 	for _, ev := range c.Schedule {
-		if ev.Kind == FaultRelay && ev.Action == "revive" {
-			return c, fmt.Errorf("scenario: relay revive is not supported")
-		}
-		if ev.Kind == FaultRelay && c.Relays == 0 {
-			return c, fmt.Errorf("scenario: relay fault scheduled with Relays=0")
-		}
 		if ev.Kind == FaultDataPlane && ev.Index >= c.DataPlanes {
 			return c, fmt.Errorf("scenario: dataplane fault index %d out of range", ev.Index)
 		}
@@ -262,7 +249,6 @@ type Report struct {
 	WorkerFailuresDetected int64 `json:"worker_failures_detected"`
 	DPFailuresDetected     int64 `json:"dataplane_failures_detected"`
 	DPRevivals             int64 `json:"dataplane_revivals"`
-	RelayFailuresDetected  int64 `json:"relay_failures_detected"`
 	LBFailovers            int64 `json:"lb_failovers"`
 	// CPRecoveries counts control plane leadership recoveries (1 for the
 	// initial election; each cp-kill adds one more as a follower takes
@@ -447,22 +433,6 @@ func Run(cfg Config) (*Report, error) {
 	}
 	defer cpT.stop()
 
-	var rls *fleet.Relays
-	var relayAddrs []string
-	if cfg.Relays > 0 {
-		rls = fleet.NewRelays(fleet.RelaysConfig{
-			Count:         cfg.Relays,
-			Transport:     tr,
-			ControlPlanes: cpT.addrs,
-			FlushInterval: 20 * time.Millisecond,
-		})
-		if err := rls.Start(); err != nil {
-			return nil, err
-		}
-		defer rls.Stop()
-		relayAddrs = rls.Addrs()
-	}
-
 	dpMetrics := telemetry.NewRegistry()
 	dps := fleet.NewDataPlanes(fleet.DataPlanesConfig{
 		Count:             cfg.DataPlanes,
@@ -484,7 +454,6 @@ func Run(cfg Config) (*Report, error) {
 		Size:              cfg.Workers,
 		Transport:         tr,
 		ControlPlanes:     cpT.addrs,
-		Relays:            relayAddrs,
 		HeartbeatInterval: 50 * time.Millisecond,
 		ReadyDelay:        5 * time.Millisecond,
 		HandlerFn: func(function string, payload []byte) ([]byte, error) {
@@ -557,7 +526,7 @@ func Run(cfg Config) (*Report, error) {
 
 	stopFaults := make(chan struct{})
 	faultsDone := make(chan struct{})
-	go runSchedule(cfg, start, cpT, fl, dps, rls, router, rep, &mu, stopFaults, faultsDone)
+	go runSchedule(cfg, start, cpT, fl, dps, router, rep, &mu, stopFaults, faultsDone)
 
 	v2name := cfg.RolloutFunction + "@v2"
 	for i, inv := range cfg.Trace.Invocations {
@@ -646,7 +615,6 @@ func Run(cfg Config) (*Report, error) {
 	rep.WorkerFailuresDetected = cpT.metrics.Counter("worker_failures_detected").Value()
 	rep.DPFailuresDetected = cpT.metrics.Counter("dataplane_failures_detected").Value()
 	rep.DPRevivals = cpT.metrics.Counter("dataplane_revivals").Value()
-	rep.RelayFailuresDetected = cpT.metrics.Counter("relay_failures_detected").Value()
 	rep.CPRecoveries = cpT.metrics.Counter("recoveries").Value()
 	rep.LBFailovers = lb.Metrics().Counter("dataplane_failovers").Value()
 	return rep, nil
@@ -765,7 +733,7 @@ func awaitPinnedScale(cpT *cpTier, cfg Config) error {
 // runSchedule fires the declarative schedule against the live tiers,
 // appending a human-readable line per fired fault to rep.FaultsInjected.
 func runSchedule(cfg Config, start time.Time, cpT *cpTier, fl *fleet.Fleet, dps *fleet.DataPlanes,
-	rls *fleet.Relays, router *versioning.Router, rep *Report, mu *sync.Mutex,
+	router *versioning.Router, rep *Report, mu *sync.Mutex,
 	stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	evs := append([]Event(nil), cfg.Schedule...)
@@ -817,9 +785,6 @@ func runSchedule(cfg Config, start time.Time, cpT *cpTier, fl *fleet.Fleet, dps 
 			} else {
 				note("t=+%v revive dataplane %d", ev.At, ev.Index)
 			}
-		case ev.Kind == FaultRelay && ev.Action == "kill":
-			rls.StopOne(ev.Index)
-			note("t=+%v kill relay %d", ev.At, ev.Index)
 		case ev.Kind == FaultControlPlane && ev.Action == "kill":
 			if i := cpT.killLeader(); i >= 0 {
 				note("t=+%v kill controlplane leader (replica %d)", ev.At, i)

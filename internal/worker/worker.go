@@ -28,7 +28,6 @@ import (
 	"dirigent/internal/core"
 	"dirigent/internal/cpclient"
 	"dirigent/internal/proto"
-	"dirigent/internal/relay"
 	"dirigent/internal/sandbox"
 	"dirigent/internal/telemetry"
 	"dirigent/internal/transport"
@@ -102,12 +101,6 @@ type Config struct {
 	Transport transport.Transport
 	// ControlPlanes are the CP replica addresses.
 	ControlPlanes []string
-	// Relays, when non-empty, switches the worker's liveness traffic
-	// (register, heartbeat) to relay mode: RPCs go to the first relay
-	// that accepts them, in preference order, falling back to the direct
-	// control plane path when every relay refuses. Empty keeps the
-	// seed's direct WN → CP protocol exactly (the -relay off ablation).
-	Relays []string
 	// Clock abstracts time; nil selects the wall clock.
 	Clock clock.Clock
 	// HeartbeatInterval is the WN → CP liveness period. Harnesses set it
@@ -153,7 +146,6 @@ type Worker struct {
 	cfg      Config
 	clk      clock.Clock
 	cp       *cpclient.Client
-	live     *relay.Client // non-nil in relay mode; carries register + heartbeat
 	listener transport.Listener
 	metrics  *telemetry.Registry
 
@@ -324,10 +316,6 @@ func New(cfg Config) *Worker {
 		readyWake: make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
 	}
-	if len(cfg.Relays) > 0 {
-		w.live = relay.NewClient(cfg.Transport, cfg.Relays, cfg.ControlPlanes)
-		w.live.Fallbacks = cfg.Metrics.Counter("relay_fallbacks")
-	}
 	w.mInvocations = w.metrics.Counter("invocations")
 	w.mPrewarmHits = w.metrics.Counter("prewarm_hits")
 	w.mPrewarmMisses = w.metrics.Counter("prewarm_misses")
@@ -493,57 +481,22 @@ func (w *Worker) SendHeartbeat() {
 	defer cancel()
 	// Best effort; a missed heartbeat is exactly what the CP's health
 	// monitor is designed to tolerate and detect.
-	_, _ = w.liveCall(ctx, proto.MethodWorkerHeartbeat, hb.Marshal())
+	_, _ = w.cp.Call(ctx, proto.MethodWorkerHeartbeat, hb.Marshal())
 }
 
-// Register announces the worker to the control plane over the liveness
-// path. Start calls it; harnesses call it again to re-register a node the
-// control plane has failed. It rides out CP leader elections and brief
-// outages with capped exponential backoff instead of failing — "no leader
-// right now" is a transient condition in an HA control plane, on the relay
-// path too. Direct mode delegates to the cpclient's retry loop; relay mode
-// wraps the relay client with the same classification.
+// Register announces the worker to the control plane. Start calls it;
+// harnesses call it again to re-register a node the control plane has
+// failed. It rides out CP leader elections and brief outages with the
+// cpclient's capped exponential backoff instead of failing — "no leader
+// right now" is a transient condition in an HA control plane.
 func (w *Worker) Register() error {
 	req := proto.RegisterWorkerRequest{Worker: w.cfg.Node}
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	if err := w.registerWithRetry(ctx, req.Marshal()); err != nil {
+	if _, err := w.cp.CallWithRetry(ctx, proto.MethodRegisterWorker, req.Marshal()); err != nil {
 		return fmt.Errorf("worker %s: register: %w", w.cfg.Node.Name, err)
 	}
 	return nil
-}
-
-func (w *Worker) registerWithRetry(ctx context.Context, payload []byte) error {
-	if w.live == nil {
-		_, err := w.cp.CallWithRetry(ctx, proto.MethodRegisterWorker, payload)
-		return err
-	}
-	delay := 5 * time.Millisecond
-	for {
-		_, err := w.live.Call(ctx, proto.MethodRegisterWorker, payload)
-		if err == nil || !cpclient.IsUnavailable(err) || ctx.Err() != nil {
-			return err
-		}
-		select {
-		case <-ctx.Done():
-			return err
-		case <-time.After(delay):
-		}
-		if delay *= 2; delay > 100*time.Millisecond {
-			delay = 100 * time.Millisecond
-		}
-	}
-}
-
-// liveCall routes the liveness protocol (register, heartbeat): through the
-// relay tier in relay mode, directly to the control plane otherwise. Every
-// other worker RPC (readiness reports, etc.) stays on the direct path —
-// relays carry only the per-worker traffic that dominates at fleet scale.
-func (w *Worker) liveCall(ctx context.Context, method string, payload []byte) ([]byte, error) {
-	if w.live != nil {
-		return w.live.Call(ctx, method, payload)
-	}
-	return w.cp.Call(ctx, method, payload)
 }
 
 // handleRPC serves CP → WN and DP → WN calls.
