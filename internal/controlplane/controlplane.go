@@ -26,6 +26,7 @@ package controlplane
 import (
 	"context"
 	"fmt"
+	"net"
 	"slices"
 	"sort"
 	"sync"
@@ -73,6 +74,8 @@ const (
 // Config parameterizes a control plane replica.
 type Config struct {
 	// Addr is this replica's RPC address; with HA it must appear in Peers.
+	// A singleton given port 0 serves on the port the transport picks,
+	// which Addr reports once Start has returned.
 	Addr string
 	// Peers lists all control plane replica addresses (including Addr).
 	// Empty or singleton means single-node mode without leader election.
@@ -537,6 +540,12 @@ func (cp *ControlPlane) Start() error {
 		return fmt.Errorf("control plane %s: %w", cp.cfg.Addr, err)
 	}
 	cp.listener = ln
+	if _, port, err := net.SplitHostPort(cp.cfg.Addr); err == nil && port == "0" && cp.raftNode == nil {
+		// A singleton on port 0 adopts the port the transport picked, as
+		// a worker and a data plane do, so that Addr is one others can
+		// dial. Raft peers name each other before they listen.
+		cp.cfg.Addr = ln.Addr()
+	}
 	if cp.raftNode != nil {
 		cp.raftNode.Start()
 	} else {

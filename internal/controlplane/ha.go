@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"dirigent/internal/core"
@@ -151,20 +150,31 @@ func (cp *ControlPlane) tryFollowerRead(method string) (resp []byte, err error, 
 		cp.cReadFollower.Inc()
 		return b, nil, true
 	case proto.MethodListFunctions:
-		var list proto.FunctionList
-		for _, b := range cp.applied.HGetAll(hashFunctions) {
-			if f, err := core.UnmarshalFunction(b); err == nil {
-				list.Functions = append(list.Functions, *f)
-			}
-		}
-		sort.Slice(list.Functions, func(i, j int) bool {
-			return list.Functions[i].Name < list.Functions[j].Name
-		})
 		cp.cReadFollower.Inc()
-		return list.Marshal(), nil, true
+		return cp.appliedFunctionList(), nil, true
 	default:
 		return nil, nil, false
 	}
+}
+
+// appliedFunctionList frames every function record of this replica's
+// applied store as one marshaled proto.FunctionList, as the leader's
+// functionList frames its kept records: no function is decoded or
+// encoded again, and a first pass sizes the buffer, so the list costs the
+// same few allocations whatever the registry's size. A record that
+// core.ViewFunction refuses is left out. The order is unspecified, as the
+// leader's is.
+func (cp *ControlPlane) appliedFunctionList() []byte {
+	size := 4
+	cp.applied.HRange(hashFunctions, func(rec []byte) { size += 4 + len(rec) })
+	var w proto.FunctionListWriter
+	w.Reset(make([]byte, 0, size))
+	cp.applied.HRange(hashFunctions, func(rec []byte) {
+		if _, _, err := core.ViewFunction(rec); err == nil {
+			w.Record(rec)
+		}
+	})
+	return w.Bytes()
 }
 
 // ReadCounts reports how many read RPCs this replica served as leader vs

@@ -65,15 +65,8 @@ func TestTCPAsyncLeaseFailover(t *testing.T) {
 	tr := transport.NewTCP()
 	t.Cleanup(func() { tr.Close() })
 
-	probe, err := tr.Listen("127.0.0.1:0", func(string, []byte) ([]byte, error) { return nil, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpAddr := probe.Addr()
-	probe.Close()
-
 	cp := controlplane.New(controlplane.Config{
-		Addr:              cpAddr,
+		Addr:              "127.0.0.1:0",
 		Transport:         tr,
 		DB:                store.NewMemory(),
 		AutoscaleInterval: 25 * time.Millisecond,
@@ -85,6 +78,7 @@ func TestTCPAsyncLeaseFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cp.Stop)
+	cpAddr := cp.Addr()
 
 	// One store shared by every replica: the layout lease failover needs.
 	shared := store.NewMemory()

@@ -37,19 +37,10 @@ func startBurstStack(t *testing.T, numWorkers, prewarm int) *burstStack {
 	t.Cleanup(func() { tr.Close() })
 	s := &burstStack{tr: tr}
 
-	probeAddr := func() string {
-		probe, err := tr.Listen("127.0.0.1:0", func(string, []byte) ([]byte, error) { return nil, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := probe.Addr()
-		probe.Close()
-		return addr
-	}
-
-	s.cpAddr = probeAddr()
+	// Every component listens on port 0 and is reached at the address it
+	// reports once started.
 	cp := controlplane.New(controlplane.Config{
-		Addr:              s.cpAddr,
+		Addr:              "127.0.0.1:0",
 		Transport:         tr,
 		DB:                store.NewMemory(),
 		AutoscaleInterval: 25 * time.Millisecond,
@@ -58,13 +49,12 @@ func startBurstStack(t *testing.T, numWorkers, prewarm int) *burstStack {
 	if err := cp.Start(); err != nil {
 		t.Fatal(err)
 	}
-	s.cp = cp
+	s.cp, s.cpAddr = cp, cp.Addr()
 	t.Cleanup(cp.Stop)
 
-	dpAddr := probeAddr()
 	dp := dataplane.New(dataplane.Config{
 		ID:             1,
-		Addr:           dpAddr,
+		Addr:           "127.0.0.1:0",
 		Transport:      tr,
 		ControlPlanes:  []string{s.cpAddr},
 		MetricInterval: 15 * time.Millisecond,
@@ -78,15 +68,12 @@ func startBurstStack(t *testing.T, numWorkers, prewarm int) *burstStack {
 
 	s.images = worker.NewImageRegistry()
 	for i := 0; i < numWorkers; i++ {
-		wAddr := probeAddr()
-		_, port, _ := splitHostPort(wAddr)
 		w := worker.New(worker.Config{
 			Node: core.WorkerNode{
 				ID: core.NodeID(i + 1), Name: fmt.Sprintf("bw%d", i+1),
-				IP: "127.0.0.1", Port: port,
-				CPUMilli: 1 << 20, MemoryMB: 1 << 20,
+				IP: "127.0.0.1", CPUMilli: 1 << 20, MemoryMB: 1 << 20,
 			},
-			Addr: wAddr,
+			Addr: "127.0.0.1:0",
 			Runtime: sandbox.NewContainerd(sandbox.Config{
 				LatencyScale: 0, NodeIP: [4]byte{127, 0, 0, 1}, Seed: int64(i + 1),
 			}),
@@ -103,7 +90,7 @@ func startBurstStack(t *testing.T, numWorkers, prewarm int) *burstStack {
 		t.Cleanup(w.Stop)
 	}
 
-	s.lb = frontend.New(frontend.Config{Transport: tr, DataPlanes: []string{dpAddr}})
+	s.lb = frontend.New(frontend.Config{Transport: tr, DataPlanes: []string{dp.Addr()}})
 	return s
 }
 

@@ -9,9 +9,11 @@ package e2e
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -30,17 +32,11 @@ func TestTCPCPLeaderFailover(t *testing.T) {
 	tr := transport.NewTCP()
 	t.Cleanup(func() { tr.Close() })
 
+	// Raft peers name each other before they listen, so this test alone
+	// probes for free ports, and another process may take one before the
+	// replica binds it: the group's start is retried once on that.
 	const replicas = 3
 	addrs := make([]string, replicas)
-	for i := range addrs {
-		probe, err := tr.Listen("127.0.0.1:0", func(string, []byte) ([]byte, error) { return nil, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = probe.Addr()
-		probe.Close()
-	}
-
 	stores := make([]*store.Store, replicas)
 	cps := make([]*controlplane.ControlPlane, replicas)
 	newCP := func(i int, rejoin bool) *controlplane.ControlPlane {
@@ -59,12 +55,34 @@ func TestTCPCPLeaderFailover(t *testing.T) {
 			HeartbeatTimeout:  2 * time.Second,
 		})
 	}
-	for i := range cps {
-		stores[i] = store.NewMemory()
-		cps[i] = newCP(i, false)
-		if err := cps[i].Start(); err != nil {
-			t.Fatal(err)
+	startGroup := func() error {
+		for i := range addrs {
+			probe, err := tr.Listen("127.0.0.1:0", func(string, []byte) ([]byte, error) { return nil, nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			addrs[i] = probe.Addr()
+			probe.Close()
 		}
+		for i := range cps {
+			stores[i] = store.NewMemory()
+			cps[i] = newCP(i, false)
+			if err := cps[i].Start(); err != nil {
+				for _, cp := range cps[:i] {
+					cp.Stop()
+				}
+				return err
+			}
+		}
+		return nil
+	}
+	err := startGroup()
+	if errors.Is(err, syscall.EADDRINUSE) {
+		t.Logf("retrying the group's start: %v", err)
+		err = startGroup()
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 	t.Cleanup(func() {
 		for _, cp := range cps {

@@ -32,19 +32,8 @@ func TestTCPEmulatedFleet(t *testing.T) {
 	tr := transport.NewTCP()
 	t.Cleanup(func() { tr.Close() })
 
-	probeAddr := func() string {
-		probe, err := tr.Listen("127.0.0.1:0", func(string, []byte) ([]byte, error) { return nil, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := probe.Addr()
-		probe.Close()
-		return addr
-	}
-
-	cpAddr := probeAddr()
 	cp := controlplane.New(controlplane.Config{
-		Addr:              cpAddr,
+		Addr:              "127.0.0.1:0",
 		Transport:         tr,
 		DB:                store.NewMemory(),
 		AutoscaleInterval: 25 * time.Millisecond,
@@ -55,11 +44,11 @@ func TestTCPEmulatedFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cp.Stop)
+	cpAddr := cp.Addr()
 
-	dpAddr := probeAddr()
 	dp := dataplane.New(dataplane.Config{
 		ID:             1,
-		Addr:           dpAddr,
+		Addr:           "127.0.0.1:0",
 		Transport:      tr,
 		ControlPlanes:  []string{cpAddr},
 		MetricInterval: 15 * time.Millisecond,
@@ -69,6 +58,7 @@ func TestTCPEmulatedFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(dp.Stop)
+	dpAddr := dp.Addr()
 
 	fl := fleet.New(fleet.Config{
 		Size:              fleetSize,

@@ -34,15 +34,8 @@ func TestTCPMultiDataPlaneFailover(t *testing.T) {
 	tr := transport.NewTCP()
 	t.Cleanup(func() { tr.Close() })
 
-	probe, err := tr.Listen("127.0.0.1:0", func(string, []byte) ([]byte, error) { return nil, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpAddr := probe.Addr()
-	probe.Close()
-
 	cp := controlplane.New(controlplane.Config{
-		Addr:              cpAddr,
+		Addr:              "127.0.0.1:0",
 		Transport:         tr,
 		DB:                store.NewMemory(),
 		AutoscaleInterval: 25 * time.Millisecond,
@@ -54,6 +47,7 @@ func TestTCPMultiDataPlaneFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cp.Stop)
+	cpAddr := cp.Addr()
 
 	dps := fleet.NewDataPlanes(fleet.DataPlanesConfig{
 		Count:             replicas,

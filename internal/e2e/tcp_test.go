@@ -37,17 +37,10 @@ func startTCPStack(t *testing.T) *tcpStack {
 	s := &tcpStack{tr: tr}
 	s.cleanup = append(s.cleanup, func() { tr.Close() })
 
-	// Control plane on an ephemeral port: listen manually first to learn
-	// the address, since components need it for registration.
-	probe, err := tr.Listen("127.0.0.1:0", func(string, []byte) ([]byte, error) { return nil, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.cpAddr = probe.Addr()
-	probe.Close()
-
+	// Every component listens on an ephemeral port and is reached at the
+	// address it reports once started.
 	cp := controlplane.New(controlplane.Config{
-		Addr:              s.cpAddr,
+		Addr:              "127.0.0.1:0",
 		Transport:         tr,
 		DB:                store.NewMemory(),
 		AutoscaleInterval: 25 * time.Millisecond,
@@ -56,19 +49,12 @@ func startTCPStack(t *testing.T) *tcpStack {
 	if err := cp.Start(); err != nil {
 		t.Fatal(err)
 	}
-	s.cp = cp
+	s.cp, s.cpAddr = cp, cp.Addr()
 	s.cleanup = append(s.cleanup, cp.Stop)
 
-	// Data plane, also on a probed ephemeral port.
-	probe, err = tr.Listen("127.0.0.1:0", func(string, []byte) ([]byte, error) { return nil, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	dpAddr := probe.Addr()
-	probe.Close()
 	dp := dataplane.New(dataplane.Config{
 		ID:             1,
-		Addr:           dpAddr,
+		Addr:           "127.0.0.1:0",
 		Transport:      tr,
 		ControlPlanes:  []string{s.cpAddr},
 		MetricInterval: 15 * time.Millisecond,
@@ -80,21 +66,13 @@ func startTCPStack(t *testing.T) *tcpStack {
 	s.dp = dp
 	s.cleanup = append(s.cleanup, dp.Stop)
 
-	// Worker.
-	probe, err = tr.Listen("127.0.0.1:0", func(string, []byte) ([]byte, error) { return nil, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	wAddr := probe.Addr()
-	probe.Close()
-	_, portStr, _ := splitHostPort(wAddr)
 	s.images = worker.NewImageRegistry()
 	w := worker.New(worker.Config{
 		Node: core.WorkerNode{
-			ID: 1, Name: "w1", IP: "127.0.0.1", Port: portStr,
+			ID: 1, Name: "w1", IP: "127.0.0.1",
 			CPUMilli: 10000, MemoryMB: 65536,
 		},
-		Addr:              wAddr,
+		Addr:              "127.0.0.1:0",
 		Runtime:           sandbox.NewContainerd(sandbox.Config{LatencyScale: 0, NodeIP: [4]byte{127, 0, 0, 1}, Seed: 1}),
 		Transport:         tr,
 		ControlPlanes:     []string{s.cpAddr},
@@ -109,7 +87,7 @@ func startTCPStack(t *testing.T) *tcpStack {
 
 	s.lb = frontend.New(frontend.Config{
 		Transport:  tr,
-		DataPlanes: []string{dpAddr},
+		DataPlanes: []string{dp.Addr()},
 	})
 
 	t.Cleanup(func() {

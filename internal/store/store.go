@@ -246,6 +246,17 @@ func (s *Store) HGetAll(hash string) map[string][]byte {
 	return out
 }
 
+// HRange calls visit with each value of hash, in no set order, under the
+// store's read lock, so it copies nothing: visit must not call into the
+// store or modify value.
+func (s *Store) HRange(hash string, visit func(value []byte)) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, v := range s.hashes[hash] {
+		visit(v)
+	}
+}
+
 // HLen returns the number of fields in hash.
 func (s *Store) HLen(hash string) int {
 	s.mu.RLock()

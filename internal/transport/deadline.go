@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -18,11 +19,14 @@ var epoch = time.Now()
 // Deadline comes from a pool, reads no clock until a transport asks it,
 // and builds the channel and timer only when Done is called, which
 // neither transport does. The first consult (Err, Deadline or Done) starts
-// the clock: an in-process call's Err check starts it and checks it with
-// one read, and a TCP call's Deadline starts it as the call begins and
-// hands the expiry to its connection's one shared timer. Every caller
-// hands its Deadline to a call right after NewDeadline, so the bound is
-// the one a deadline set at NewDeadline would give.
+// the clock. A TCP call's Deadline starts it as the call begins and hands
+// the expiry to its connection's one shared timer. An in-process call does
+// not consult it at all: a positive timeout that has not started cannot
+// have run out, so its pre-check asks only the parent (ended), and a
+// Deadline nobody consulted goes back to the pool at Stop without its
+// mutex. Every caller hands its Deadline to a call right after
+// NewDeadline, so the bound is the one a deadline set at NewDeadline would
+// give.
 //
 // The parent's values are the Deadline's, and a parent that can be
 // canceled ends it too: Err reports the parent's error from then on, and
@@ -30,6 +34,12 @@ var epoch = time.Now()
 type Deadline struct {
 	parent  context.Context
 	timeout time.Duration
+
+	// consulted mirrors started for the readers that take no lock, ended
+	// and Stop: it is set and cleared with it, under mu. Until the first
+	// consult sets it the timeout cannot have run out, no Done exists and
+	// nothing but the caller holds d.
+	consulted atomic.Bool
 
 	mu      sync.Mutex
 	started bool          // the clock has started: expiry is set
@@ -103,18 +113,37 @@ func (d *Deadline) Value(key any) any { return d.parent.Value(key) }
 // stays as it is, Canceled unless it had already expired: a timer or a
 // context derived from d may still hold it. Otherwise nothing else holds
 // d, so it goes back to the pool, its clock not started, for a later
-// NewDeadline, and the caller must not use it again.
+// NewDeadline, and the caller must not use it again. A Deadline nobody
+// consulted has no Done and nothing to settle, and goes back without
+// taking its mutex.
 func (d *Deadline) Stop() {
+	if !d.consulted.Load() {
+		d.parent = nil
+		deadlinePool.Put(d)
+		return
+	}
 	d.mu.Lock()
 	d.finishLocked(context.Canceled)
 	reuse := d.done == nil
 	if reuse {
 		d.parent, d.err, d.started = nil, nil, false
+		d.consulted.Store(false)
 	}
 	d.mu.Unlock()
 	if reuse {
 		deadlinePool.Put(d)
 	}
+}
+
+// ended reports ctx.Err() for a call about to run. A *Deadline nobody has
+// consulted, with a positive timeout, cannot have run out, so of it only
+// the parent is asked: no mutex, no clock read, and its timeout does not
+// start.
+func ended(ctx context.Context) error {
+	if d, ok := ctx.(*Deadline); ok && d.timeout > 0 && !d.consulted.Load() {
+		return d.parent.Err()
+	}
+	return ctx.Err()
 }
 
 func (d *Deadline) fire() {
@@ -138,25 +167,25 @@ func (d *Deadline) nowLocked() time.Duration {
 		if d.timeout > 0 && d.expiry < now {
 			d.expiry = math.MaxInt64
 		}
+		d.consulted.Store(true)
 	}
 	return now
 }
 
 // expireLocked settles the context once the parent is canceled or the
 // timeout has run out, so Err never reports an end that a built Done has
-// not. Unless d had already ended or its parent has, it reads the clock
-// once, starting the timeout at the first consult, and returns the
-// reading.
+// not. Unless d had already ended, it reads the clock once, starting the
+// timeout at the first consult, and returns the reading. It reads it even
+// when the parent has ended, so that every consult sets consulted, and a
+// Done exists only on a Deadline Stop takes the lock for.
 func (d *Deadline) expireLocked() (now time.Duration) {
 	if d.err != nil {
 		return 0
 	}
+	now = d.nowLocked()
 	if err := d.parent.Err(); err != nil {
 		d.finishLocked(err)
-		return 0
-	}
-	now = d.nowLocked()
-	if now >= d.expiry {
+	} else if now >= d.expiry {
 		d.finishLocked(context.DeadlineExceeded)
 	}
 	return now

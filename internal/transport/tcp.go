@@ -513,9 +513,10 @@ func (t *TCP) dropConn(addr string, cc *tcpClientConn) {
 }
 
 // send enters call in the pending table and writes its request, with the
-// connection's write deadline at writeBy (zero: none). A call whose
-// deadline passes before its frame is on the wire returns
-// DeadlineExceeded and leaves the connection as it was.
+// connection's write deadline no later than writeBy (zero: none; see
+// writeDeadlineStale). A call whose write deadline passes before its
+// frame is on the wire returns DeadlineExceeded and leaves the connection
+// as it was.
 func (cc *tcpClientConn) send(call *tcpCall, method string, payload []byte, writeBy time.Time) (uint64, error) {
 	cc.mu.Lock()
 	if cc.closed {
@@ -532,13 +533,16 @@ func (cc *tcpClientConn) send(call *tcpCall, method string, payload []byte, writ
 
 	cc.wmu.Lock()
 	defer cc.wmu.Unlock()
-	// time.Until reads only the monotonic clock when writeBy carries a
-	// reading of it, as a *Deadline's and a context.WithTimeout's do.
-	if !writeBy.IsZero() && time.Until(writeBy) <= 0 {
-		cc.abandon(id)
-		return 0, context.DeadlineExceeded
+	var left time.Duration
+	if !writeBy.IsZero() {
+		// time.Until reads only the monotonic clock when writeBy carries
+		// a reading of it, as a *Deadline's and a context.WithTimeout's do.
+		if left = time.Until(writeBy); left <= 0 {
+			cc.abandon(id)
+			return 0, context.DeadlineExceeded
+		}
 	}
-	if !writeBy.Equal(cc.writeBy) {
+	if cc.writeDeadlineStale(writeBy, left) {
 		if err := cc.conn.SetWriteDeadline(writeBy); err != nil {
 			cc.abandon(id)
 			return 0, err
@@ -558,6 +562,26 @@ func (cc *tcpClientConn) send(call *tcpCall, method string, payload []byte, writ
 		return 0, err
 	}
 	return id, nil
+}
+
+// writeDeadlineStale reports whether the connection's write deadline
+// must move to writeBy, a call's deadline left from now (zero: none),
+// before the call's frame is written. A call with no deadline clears it.
+// Otherwise it moves only to an earlier deadline, or once the one set is
+// less than half of left away, so a stream of calls with one timeout
+// moves it about once per half timeout. The one set is thus never later
+// than the call's deadline and at least half of left away: a stalled
+// write is cut no later than its call's deadline, and no sooner than
+// halfway to it. Callers hold wmu.
+func (cc *tcpClientConn) writeDeadlineStale(writeBy time.Time, left time.Duration) bool {
+	switch {
+	case writeBy.IsZero():
+		return !cc.writeBy.IsZero()
+	case cc.writeBy.IsZero() || writeBy.Before(cc.writeBy):
+		return true
+	default:
+		return left-writeBy.Sub(cc.writeBy) < left/2
+	}
 }
 
 func (cc *tcpClientConn) abandon(id uint64) {

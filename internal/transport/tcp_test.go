@@ -326,6 +326,56 @@ func TestTCPShortDeadlineAfterLongExpiresOnTime(t *testing.T) {
 	}
 }
 
+// TestTCPSameTimeoutCallsRarelyMoveWriteDeadline: calls with one timeout
+// on one connection leave its write deadline where the first one set it
+// until less than half a timeout is left, so 100 quick calls move it at
+// most twice, under either context kind. The deadline set is never later
+// than the call's own, and a call with no deadline clears it.
+func TestTCPSameTimeoutCallsRarelyMoveWriteDeadline(t *testing.T) {
+	for name, bound := range deadlineKinds {
+		t.Run(name, func(t *testing.T) {
+			tr := NewTCP()
+			defer tr.Close()
+			addr := listenEcho(t, tr, 0)
+			writeBy := func() time.Time {
+				tr.mu.Lock()
+				cc := tr.conns[addr]
+				tr.mu.Unlock()
+				cc.wmu.Lock()
+				defer cc.wmu.Unlock()
+				return cc.writeBy
+			}
+			var set time.Time
+			moves := 0
+			for i := 0; i < 100; i++ {
+				ctx, stop := bound(10 * time.Second)
+				_, err := tr.Call(ctx, addr, "m", []byte("x"))
+				at, _ := ctx.Deadline()
+				stop()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := writeBy(); !got.Equal(set) {
+					moves++
+					set = got
+				}
+				if set.IsZero() || set.After(at) {
+					t.Fatalf("call %d: the write deadline is %v, want one no later than the call's %v", i, set, at)
+				}
+			}
+			if moves > 2 {
+				t.Errorf("100 calls with one timeout moved the write deadline %d times, want at most 2", moves)
+			}
+			if _, err := tr.Call(context.Background(), addr, "m", []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			if got := writeBy(); !got.IsZero() {
+				t.Errorf("after a call with no deadline the write deadline is %v, want none", got)
+			}
+		})
+	}
+}
+
 // TestTCPConnectionLossFailsPendingAndStopsTimer: when the peer drops the
 // connection mid-flight, every pending call fails with ErrUnreachable,
 // whatever its context, and the deadline timer is stopped.

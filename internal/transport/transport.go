@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dirigent/internal/race"
@@ -114,75 +115,65 @@ func (e *RemoteError) Unwrap() error { return ErrRemote }
 // the caller's goroutine, with an optional per-call latency to model a
 // network. Closing an endpoint makes subsequent calls fail with
 // ErrUnreachable, which the cluster harness uses for failure injection.
+//
+// A call takes no lock. The address table is a sync.Map, whose Load takes
+// none, and Listen and Close each change one entry of it, so a fabric of
+// thousands of addresses listens in O(1) per address. An endpoint's
+// handler never changes, and its closed flag and the latency are atomics.
 type InProc struct {
-	mu        sync.RWMutex
-	endpoints map[string]*inprocEndpoint
-	// Latency, if nonzero, is added to every call to model network RTT.
-	latency time.Duration
+	endpoints sync.Map     // addr → *inprocEndpoint
+	latency   atomic.Int64 // a time.Duration added to every call; 0 for none
 }
 
 type inprocEndpoint struct {
 	addr    string
 	handler HandlerFunc
 	owner   *InProc
-	mu      sync.RWMutex
-	closed  bool
+	closed  atomic.Bool
 }
 
 // NewInProc returns an empty in-process transport fabric.
-func NewInProc() *InProc {
-	return &InProc{endpoints: make(map[string]*inprocEndpoint)}
-}
+func NewInProc() *InProc { return new(InProc) }
 
 // SetLatency sets a simulated per-call network latency.
-func (t *InProc) SetLatency(d time.Duration) {
-	t.mu.Lock()
-	t.latency = d
-	t.mu.Unlock()
-}
+func (t *InProc) SetLatency(d time.Duration) { t.latency.Store(int64(d)) }
 
 // Listen implements Transport.
 func (t *InProc) Listen(addr string, h HandlerFunc) (Listener, error) {
 	if h == nil {
 		return nil, errors.New("transport: nil handler")
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.endpoints[addr]; ok {
+	ep := &inprocEndpoint{addr: addr, handler: h, owner: t}
+	if _, loaded := t.endpoints.LoadOrStore(addr, ep); loaded {
 		return nil, fmt.Errorf("%w: %s", ErrAddrInUse, addr)
 	}
-	ep := &inprocEndpoint{addr: addr, handler: h, owner: t}
-	t.endpoints[addr] = ep
 	return ep, nil
 }
 
-// Call implements Transport.
+// Call implements Transport. It checks the caller's context before the
+// handler runs, asking a *Deadline nobody has consulted only whether its
+// parent has ended (see ended). A call made after an endpoint's Close
+// has returned does not find the endpoint, so never runs its handler.
 func (t *InProc) Call(ctx context.Context, addr, method string, payload []byte) ([]byte, error) {
-	t.mu.RLock()
-	ep := t.endpoints[addr]
-	latency := t.latency
-	t.mu.RUnlock()
-	if ep == nil {
+	v, ok := t.endpoints.Load(addr)
+	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnreachable, addr)
 	}
-	ep.mu.RLock()
-	closed := ep.closed
-	h := ep.handler
-	ep.mu.RUnlock()
-	if closed {
+	ep := v.(*inprocEndpoint)
+	if ep.closed.Load() {
 		return nil, fmt.Errorf("%w: %s", ErrUnreachable, addr)
 	}
-	if latency > 0 {
+	if latency := time.Duration(t.latency.Load()); latency > 0 {
 		select {
 		case <-time.After(latency):
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
-	if err := ctx.Err(); err != nil {
+	if err := ended(ctx); err != nil {
 		return nil, err
 	}
-	resp, err := h(method, payload)
+	resp, err := ep.handler(method, payload)
 	if err != nil {
 		return nil, &RemoteError{Msg: err.Error()}
 	}
@@ -194,13 +185,7 @@ func (ep *inprocEndpoint) Addr() string { return ep.addr }
 
 // Close implements Listener.
 func (ep *inprocEndpoint) Close() error {
-	ep.mu.Lock()
-	ep.closed = true
-	ep.mu.Unlock()
-	ep.owner.mu.Lock()
-	if cur, ok := ep.owner.endpoints[ep.addr]; ok && cur == ep {
-		delete(ep.owner.endpoints, ep.addr)
-	}
-	ep.owner.mu.Unlock()
+	ep.closed.Store(true)
+	ep.owner.endpoints.CompareAndDelete(ep.addr, ep)
 	return nil
 }
